@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import fft, integrate
 
 from .fields import Field, Grid, gaussian_field, lp_norm
 from .semigroup import semigroup_gradient_pac, semigroup_pac
@@ -140,7 +140,7 @@ def critical_datum(grid, q, envelope=0.25):
     dxi = 2.0 * np.pi / (2.0 * grid.half_width)
     prof[0, 0] = _cell_average(beta) * dxi ** (-beta)
     hat = prof * np.exp(-envelope * xi2)
-    vals = np.fft.ifft2(hat) * (grid.n / (2.0 * grid.half_width)) ** 2
+    vals = fft.ifft2(hat) * (grid.n / (2.0 * grid.half_width)) ** 2
     return Field(grid, vals.real)
 
 

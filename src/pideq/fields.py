@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
 from .errors import GridMismatchError
 
@@ -122,7 +123,7 @@ def _radius(grid):
 
 @lru_cache(maxsize=16)
 def _wavenumbers(grid):
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    xi = 2.0 * np.pi * fft.fftfreq(grid.n, d=grid.spacing)
     XI1, XI2 = np.meshgrid(xi, xi, indexing="ij")
     XI1.setflags(write=False)
     XI2.setflags(write=False)
@@ -141,7 +142,7 @@ def _wavenumber_sq(grid):
 def _phase(grid):
     # e^{-i xi x0} per axis; x0 is the first node coordinate.
     x0 = grid.axis()[0]
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    xi = 2.0 * np.pi * fft.fftfreq(grid.n, d=grid.spacing)
     p = np.exp(-1j * xi * x0)
     ph = np.outer(p, p)
     ph.setflags(write=False)
@@ -218,9 +219,9 @@ def fourier(f):
     g = f.grid
     if g.freq:
         raise ValueError("field is already in the frequency domain")
-    hat = g.cell_area * _phase(g) * np.fft.fft2(f.values)
+    hat = g.cell_area * _phase(g) * fft.fft2(f.values)
     fgrid = Grid(g.n / (4.0 * g.half_width), g.n, offset=g.offset, freq=True)
-    return Field(fgrid, np.fft.fftshift(hat))
+    return Field(fgrid, fft.fftshift(hat))
 
 
 def inverse_fourier(F):
@@ -230,8 +231,8 @@ def inverse_fourier(F):
         raise ValueError("inverse_fourier expects a frequency-domain field")
     L = fg.n / (4.0 * fg.half_width)
     grid = Grid(L, fg.n, offset=fg.offset, freq=False)
-    hat = np.fft.ifftshift(F.values)
-    vals = np.fft.ifft2(hat / (_phase(grid) * grid.cell_area))
+    hat = fft.ifftshift(F.values)
+    vals = fft.ifft2(hat / (_phase(grid) * grid.cell_area))
     return Field(grid, vals)
 
 
@@ -242,15 +243,15 @@ def heat_free(f, t):
     if t == 0:
         return f
     mult = np.exp(-t * f.grid.wavenumber_sq())
-    return Field(f.grid, np.fft.ifft2(mult * np.fft.fft2(f.values)))
+    return Field(f.grid, fft.ifft2(mult * fft.fft2(f.values)))
 
 
 def gradient(f):
     """Spectral partial derivatives (d/dx1 f, d/dx2 f)."""
     XI1, XI2 = f.grid.wavenumbers()
-    hat = np.fft.fft2(f.values)
-    dx = Field(f.grid, np.fft.ifft2(1j * XI1 * hat))
-    dy = Field(f.grid, np.fft.ifft2(1j * XI2 * hat))
+    hat = fft.fft2(f.values)
+    dx = Field(f.grid, fft.ifft2(1j * XI1 * hat))
+    dy = Field(f.grid, fft.ifft2(1j * XI2 * hat))
     return dx, dy
 
 

@@ -32,7 +32,15 @@ the arc); the arc uses Gauss-Legendre in the angle.  e^{t lambda} grows
 like e^{t eps} on the arc, so the default radius shrinks like 1/t.
 
 All inner node sums are accelerated by binning the wavenumber lattice by
-the integer |k|^2, which is exact.
+the integer |k|^2, which is exact.  Both contours feed one rank-one kernel
+(``PointHeatModel._rank_one``): per chunk of nodes it builds the resolvent
+rows 1/(lambda_k + |xi|^2) over the bins, reads the denominators D(lambda_k)
+off the same rows, pairs the datum once and accumulates the bin profile, so
+no nodes x bins matrix larger than one chunk is held.  The solver's Talbot
+micro-step contour has fixed nodes sigma_k / dt; its rows, denominators and
+base weights are kept per (dt, node count) in a per-model LRU cache of four
+entries, so a step costs one pairing, two small matrix-vector products and
+one gather.  Two-dimensional transforms use ``scipy.fft``.
 """
 
 import math
@@ -41,6 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
 from .errors import BranchCutError, ContourError, PoleError
 from .fields import Field, lp_norm
@@ -205,19 +214,20 @@ class PointHeatModel:
             )
 
         # integer |k|^2 binning of the wavenumber lattice (exact)
-        k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+        k = fft.fftfreq(n, d=1.0 / n).astype(np.int64)
         K1, K2 = np.meshgrid(k, k, indexing="ij")
         ksq = (K1 * K1 + K2 * K2).ravel()
-        self.bin_values, self.bin_index = np.unique(ksq, return_inverse=True)
+        self.bin_values, bin_index = np.unique(ksq, return_inverse=True)
+        self.bin_index = bin_index.reshape(n, n)
         dxi = 2.0 * np.pi / (2.0 * grid.half_width)
         self.rho = self.bin_values * dxi ** 2  # |xi|^2 per bin
 
         gE = green_field(self.E, grid, method="direct")
         self.green_ref_norm = lp_norm(gE, 2)
-        self.psi_hat = np.fft.fft2(gE.values) / self.green_ref_norm
+        self.psi_hat = fft.fft2(gE.values) / self.green_ref_norm
         self.delta_hat = (self.E + self.xi2) * self.psi_hat * self.green_ref_norm
         self.delta_sq_bins = np.bincount(
-            self.bin_index, weights=np.abs(self.delta_hat.ravel()) ** 2
+            self.bin_index.ravel(), weights=np.abs(self.delta_hat.ravel()) ** 2
         )
         self.S_at_E = self._lattice_sum(self.E)
         # q-coefficient of the normalized eigenfunction itself
@@ -225,6 +235,9 @@ class PointHeatModel:
 
         self.omega = reference_lambda(params)
         self.green_omega_hat = self.delta_hat / (self.omega + self.xi2)
+        # Talbot rows, denominators and base weights per (dt, num): the solver
+        # alternates at most two step sizes (duhamel_integral's dt and dt/2)
+        self._talbot_kernel = lru_cache(maxsize=4)(self._talbot_rows)
 
     # -- scalar lattice functions --------------------------------------------
 
@@ -235,17 +248,12 @@ class PointHeatModel:
         """Lattice-consistent alpha + c(lambda); vanishes exactly at E."""
         return self.S_at_E - self._lattice_sum(lam)
 
-    def _denominator_nodes(self, nodes):
-        mat = self.delta_sq_bins[None, :] / (nodes[:, None] + self.rho[None, :])
-        return self.S_at_E - self.wlat * mat.sum(axis=1)
-
     # -- pairings --------------------------------------------------------------
 
     def _bin_pair(self, ghat):
-        prod = ghat * np.conj(self.delta_hat)
-        re = np.bincount(self.bin_index, weights=prod.real.ravel())
-        im = np.bincount(self.bin_index, weights=prod.imag.ravel())
-        return re + 1j * im
+        prod = (ghat * np.conj(self.delta_hat)).ravel()
+        idx = self.bin_index.ravel()
+        return np.bincount(idx, weights=prod.real) + 1j * np.bincount(idx, weights=prod.imag)
 
     def pair_green(self, ghat, lam):
         """<g, G_{conj(lam)}> for the model kernel, via Parseval."""
@@ -260,10 +268,10 @@ class PointHeatModel:
         grid analogue of reading the singular coefficient off the boundary
         condition at the interaction point.
         """
-        return complex(self.wlat * np.sum(ghat * np.conj(self.delta_hat)) / self.S_at_E)
+        return complex(self.wlat * np.vdot(self.delta_hat, ghat) / self.S_at_E)
 
     def project_ac_hat(self, ghat):
-        coef = self.wlat * np.sum(ghat * np.conj(self.psi_hat))
+        coef = self.wlat * np.vdot(self.psi_hat, ghat)
         return ghat - coef * self.psi_hat, coef
 
     # -- resolvent and semigroup ----------------------------------------------
@@ -274,6 +282,46 @@ class PointHeatModel:
             coef = self.pair_green(ghat, lam) / self.denominator(lam)
             out = out + coef * self.delta_hat / (lam + self.xi2)
         return out
+
+    def _node_chunks(self, nodes, weights, chunk):
+        """Resolvent rows over the bins, ``chunk`` nodes at a time.
+
+        Yields (lo, rows, base): rows[k, b] = 1/(lambda_{lo+k} + rho_b) and
+        base = weights / D(lambda), with the denominators read off the same
+        rows, so memory stays at one chunk x bins.
+        """
+        for lo in range(0, nodes.size, chunk):
+            rows = 1.0 / (nodes[lo:lo + chunk, None] + self.rho)
+            denom = self.S_at_E - self.wlat * (rows @ self.delta_sq_bins)
+            yield lo, rows, weights[lo:lo + chunk] / denom
+
+    def _talbot_rows(self, t, num):
+        sigma, swts = _talbot_nodes(num)
+        return next(self._node_chunks(sigma / t, (swts / t) * np.exp(sigma), num))
+
+    def _rank_one(self, ghat, chunks, edges):
+        """The rank-one contour sum in bin space.
+
+        With c_k = base_k <g, G_{conj lambda_k}>, accumulates the kernel
+        profile sum_k c_k / (lambda_k + rho_b) separately over each node
+        segment [edges[s], edges[s + 1]).  Returns (profiles, sum_k c_k); the
+        profiles have one row per segment.
+        """
+        bpair = self.wlat * self._bin_pair(ghat)
+        vbins = np.zeros((len(edges) - 1, self.rho.size), dtype=np.complex128)
+        qtot = 0.0 + 0.0j
+        for lo, rows, base in chunks:
+            c = base * (rows @ bpair)
+            qtot += c.sum()
+            for s in range(len(edges) - 1):
+                a, b = max(edges[s] - lo, 0), min(edges[s + 1] - lo, c.size)
+                if a < b:
+                    vbins[s] += c[a:b] @ rows[a:b]
+        return vbins, complex(qtot)
+
+    def _spread(self, vbins):
+        """Transform of the kernel profile: delta_hat times the binned values."""
+        return self.delta_hat * np.take(vbins, self.bin_index)
 
     def correction_hat(self, t, ghat, contour, chunk=64, legs=False):
         """Contour correction transform and its total singular coefficient.
@@ -289,34 +337,20 @@ class PointHeatModel:
         the true correction is O(t) but the raw integrand is O(1).
         """
         nodes, wts = contour.nodes()
-        denom = self._denominator_nodes(nodes)
-        bpair = self._bin_pair(ghat)
-        coef = np.empty(nodes.size, dtype=np.complex128)
-        vbins = np.zeros(self.rho.size, dtype=np.complex128)
         weight = np.exp(t * nodes)
         if contour.truncation >= 3.0 * float(self.rho[-1]):
             weight = weight - 1.0
-        base = wts * weight / (2j * np.pi * denom)
-        for lo in range(0, nodes.size, chunk):
-            hi = min(lo + chunk, nodes.size)
-            mat = 1.0 / (nodes[lo:hi, None] + self.rho[None, :])
-            pair = self.wlat * mat @ bpair
-            c = base[lo:hi] * pair
-            coef[lo:hi] = c
-            vbins += c @ mat
-        corr_hat = self.delta_hat * vbins[self.bin_index].reshape(ghat.shape)
-        sizes = None
+        edges = (0, nodes.size)
         if legs:
             n_ray = (nodes.size - contour.nodes_arc) // 2
-            sizes = []
-            for sl in (slice(0, n_ray), slice(n_ray, 2 * n_ray), slice(2 * n_ray, nodes.size)):
-                vb = coef[sl] @ (1.0 / (nodes[sl, None] + self.rho[None, :]))
-                leg = self.delta_hat * vb[self.bin_index].reshape(ghat.shape)
-                sizes.append(math.sqrt(self.wlat * float(np.sum(np.abs(leg) ** 2))))
-            sizes = tuple(sizes)
-        return corr_hat, complex(coef.sum()), sizes
+            edges = (0, n_ray, 2 * n_ray, nodes.size)
+        chunks = self._node_chunks(nodes, wts * weight / (2j * np.pi), chunk)
+        vbins, q_tot = self._rank_one(ghat, chunks, edges)
+        corr_hat = self._spread(vbins.sum(axis=0))
+        sizes = tuple(self.l2_hat(self._spread(v)) for v in vbins) if legs else None
+        return corr_hat, q_tot, sizes
 
-    def correction_talbot(self, t, ghat, num=32, chunk=64):
+    def correction_talbot(self, t, ghat, num=32):
         """Rank-one semigroup correction through a Talbot-type contour.
 
         The winding contour keeps a distance from the cut that grows with
@@ -324,24 +358,11 @@ class PointHeatModel:
         t; used for the solver's micro-steps, where the cut-hugging contour
         would need O(spectral radius / epsilon) nodes.  The input must be
         projected (the eigenvalue pole is enclosed for small t and only
-        cancels against a projected numerator).
+        cancels against a projected numerator).  The node rows are cached
+        per (t, num).
         """
-        sigma, swts = _talbot_nodes(num)
-        nodes = sigma / t
-        denom = self._denominator_nodes(nodes)
-        bpair = self._bin_pair(ghat)
-        base = (swts / t) * np.exp(sigma) / denom
-        vbins = np.zeros(self.rho.size, dtype=np.complex128)
-        qtot = 0.0 + 0.0j
-        for lo in range(0, nodes.size, chunk):
-            hi = min(lo + chunk, nodes.size)
-            mat = 1.0 / (nodes[lo:hi, None] + self.rho[None, :])
-            pair = self.wlat * mat @ bpair
-            c = base[lo:hi] * pair
-            qtot += c.sum()
-            vbins += c @ mat
-        corr_hat = self.delta_hat * vbins[self.bin_index].reshape(ghat.shape)
-        return corr_hat, complex(qtot)
+        vbins, q_tot = self._rank_one(ghat, [self._talbot_kernel(t, num)], (0, num))
+        return self._spread(vbins[0]), q_tot
 
     def heat_hat(self, t, ghat):
         return np.exp(-t * self.xi2) * ghat
@@ -361,10 +382,10 @@ class PointHeatModel:
         return out, diag
 
     def hat(self, f):
-        return np.fft.fft2(f.values)
+        return fft.fft2(f.values)
 
     def unhat(self, hat_values):
-        return Field(self.grid, np.fft.ifft2(hat_values))
+        return Field(self.grid, fft.ifft2(hat_values))
 
     def l2_hat(self, hat_values):
         return math.sqrt(self.wlat * float(np.sum(np.abs(hat_values) ** 2)))

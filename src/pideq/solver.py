@@ -34,8 +34,10 @@ evaluated at the interval midpoint) which is second-order accurate.
 import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
 from .errors import (
     ConvergenceError,
@@ -112,20 +114,11 @@ class Trajectory:
 
 # --- nonlinearity ------------------------------------------------------------
 
-_ASSEMBLY_CACHE = {}
-
-
+@lru_cache(maxsize=8)
 def _kernel_gradient(params, grid, lam_ref):
     """Cached closed-form gradient samples of the reference kernel."""
-    key = (params, grid, float(lam_ref))
-    hit = _ASSEMBLY_CACHE.get(key)
-    if hit is None:
-        gx, gy = green_gradient_field(lam_ref, grid)
-        hit = (gx.values, gy.values)
-        if len(_ASSEMBLY_CACHE) > 8:
-            _ASSEMBLY_CACHE.clear()
-        _ASSEMBLY_CACHE[key] = hit
-    return hit
+    gx, gy = green_gradient_field(lam_ref, grid)
+    return gx.values, gy.values
 
 
 def _assemble_state(u):
@@ -140,11 +133,11 @@ def _assemble_state(u):
     model = grid_model(u.params, grid)
     dgx, dgy = _kernel_gradient(u.params, grid, u.lambda_ref)
     XI1, XI2 = grid.wavenumbers()
-    phat = np.fft.fft2(u.regular.values)
+    phat = fft.fft2(u.regular.values)
     ghat_ref = model.delta_hat / (u.lambda_ref + model.xi2)
-    vals = np.fft.ifft2(phat + complex(u.coeff) * ghat_ref)
-    du1 = np.fft.ifft2(1j * XI1 * phat) + u.coeff * dgx
-    du2 = np.fft.ifft2(1j * XI2 * phat) + u.coeff * dgy
+    vals = fft.ifft2(phat + complex(u.coeff) * ghat_ref)
+    du1 = fft.ifft2(1j * XI1 * phat) + u.coeff * dgx
+    du2 = fft.ifft2(1j * XI2 * phat) + u.coeff * dgy
     return vals, du1, du2
 
 
@@ -152,10 +145,10 @@ def _nonlinear_values(vals, du1, du2, cfg):
     a1, a2 = float(cfg.a[0]), float(cfg.a[1])
     if a1 == 0.0 and a2 == 0.0:
         return np.zeros_like(vals)
-    mag = np.abs(vals)
     if cfg.gamma == 2.0:
         factor = vals
     else:
+        mag = np.abs(vals)
         with np.errstate(divide="ignore"):
             power = np.where(mag > 0.0, mag ** (cfg.gamma - 2.0), 0.0)
         if cfg.gamma < 2.0:
@@ -172,7 +165,7 @@ def total_field(u):
     representation (the grid model's transform-side kernel)."""
     model = grid_model(u.params, u.regular.grid)
     phat, q = _state_hats(model, u)
-    return Field(u.regular.grid, np.fft.ifft2(_total_hat(model, phat, q)))
+    return Field(u.regular.grid, fft.ifft2(_total_hat(model, phat, q)))
 
 
 def nonlinearity(u, cfg):
@@ -203,8 +196,13 @@ class _Propagator:
     The rank-one correction is integrated over a Talbot-type winding
     contour: a fixed, small node count stays uniformly accurate down to
     micro-steps, where the cut-hugging contour of the public semigroup
-    would need nodes proportional to the lattice spectral radius.  Passing
-    an explicit ContourSpec forces the cut-hugging quadrature instead.
+    would need nodes proportional to the lattice spectral radius.  The
+    grid model caches that contour's node rows, denominators and base
+    weights per (dt, node count), in an LRU cache of four entries, so each
+    step reuses them: one bin pairing, two nodes x bins matrix-vector
+    products and one gather on top of the heat multiplier.  Passing an
+    explicit ContourSpec forces the cut-hugging quadrature instead, whose
+    rows are rebuilt chunk by chunk on every step.
     """
 
     def __init__(self, model, dt, full, contour=None, talbot_nodes=32):
@@ -241,7 +239,7 @@ class _Propagator:
 
 def _state_hats(model, u):
     """(phi_hat, q) of a decomposed state re-referenced to the model's omega."""
-    phat = np.fft.fft2(u.regular.values)
+    phat = fft.fft2(u.regular.values)
     q = complex(u.coeff)
     if q != 0 and u.lambda_ref != model.omega:
         shift = model.delta_hat * (
@@ -262,7 +260,7 @@ def _total_hat(model, phat, q):
 
 
 def _to_decomposed(model, phat, q, params):
-    reg = Field(model.grid, np.fft.ifft2(phat))
+    reg = Field(model.grid, fft.ifft2(phat))
     return DecomposedField(reg, complex(q), model.omega, params)
 
 
@@ -300,18 +298,18 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
             if j > 0:
                 acc, _ = p_full.apply(acc)
             favg = 0.5 * (source[j].values + source[j + 1].values)
-            kick, _ = p_half.apply(np.fft.fft2(favg))
+            kick, _ = p_half.apply(fft.fft2(favg))
             acc = acc + dt * kick
         # interval j ends up propagated through S(t - t_{j+1/2}) in total
-        return Field(grid, np.fft.ifft2(acc))
+        return Field(grid, fft.ifft2(acc))
     if scheme == "left":
         if dt < MIN_TIME - 1e-12:
             raise SchedulingError(f"left scheme needs dt >= {MIN_TIME}; got dt = {dt}")
         prop = _Propagator(model, dt, full=not projected, contour=contour)
         acc = np.zeros((grid.n, grid.n), dtype=np.complex128)
         for j in range(m):
-            acc, _ = prop.apply(acc + dt * np.fft.fft2(source[j].values))
-        return Field(grid, np.fft.ifft2(acc))
+            acc, _ = prop.apply(acc + dt * fft.fft2(source[j].values))
+        return Field(grid, fft.ifft2(acc))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -341,15 +339,16 @@ def _forcing_hats(model, phats, qs, cfg, project_force):
     zero_force = a1 == 0.0 and a2 == 0.0
     dgx, dgy = _kernel_gradient(model.params, model.grid, model.omega)
     XI1, XI2 = model.grid.wavenumbers()
+    ixi1, ixi2 = 1j * XI1, 1j * XI2
     for phat, q in zip(phats[:-1], qs[:-1]):
         if zero_force:
             out.append(None)
             continue
-        vals = np.fft.ifft2(_total_hat(model, phat, q))
-        du1 = np.fft.ifft2(1j * XI1 * phat) + q * dgx
-        du2 = np.fft.ifft2(1j * XI2 * phat) + q * dgy
+        vals = fft.ifft2(_total_hat(model, phat, q))
+        du1 = fft.ifft2(ixi1 * phat) + q * dgx
+        du2 = fft.ifft2(ixi2 * phat) + q * dgy
         fvals = _nonlinear_values(vals, du1, du2, cfg)
-        fhat = np.fft.fft2(fvals)
+        fhat = fft.fft2(fvals)
         if project_force:
             fhat, _ = model.project_ac_hat(fhat)
         out.append(fhat)
@@ -394,10 +393,9 @@ def _picard_window(model, prop, phat0, q0, steps, cfg, project_force, label):
     )
 
 
-def _ball_guard(cfg, model, phats, qs, label):
-    if cfg.ball_radius is None:
+def _ball_guard(radius, model, phats, qs, label):
+    if radius is None:
         return
-    radius = cfg.ball_radius
     top = max(_h1_proxy_hat(model, p, q) for p, q in zip(phats, qs))
     if top > radius:
         warnings.warn(f"{label}: iterate norm {top:.3e} left the ball {radius:.3e}")
@@ -420,10 +418,9 @@ def solve_local(u0, cfg, init="linear"):
     prop = _Propagator(model, cfg.dt, full=True)
     phat0, q0 = _compatible_split(model, _total_hat(model, *_state_hats(model, u0)))
 
-    if cfg.ball_radius is None:
-        pass
-    elif cfg.ball_radius == "auto":
-        cfg.ball_radius = 2.0 * _h1_proxy_hat(model, phat0, q0)
+    radius = cfg.ball_radius
+    if radius == "auto":
+        radius = 2.0 * _h1_proxy_hat(model, phat0, q0)
 
     if init == "frozen":
         phats = [phat0] * (steps + 1)
@@ -458,7 +455,7 @@ def solve_local(u0, cfg, init="linear"):
     else:
         raise ValueError("init must be 'linear' or 'frozen'")
 
-    _ball_guard(cfg, model, phats, qs, "local solve")
+    _ball_guard(radius, model, phats, qs, "local solve")
     stride = cfg.store_stride or 1
     idx = list(range(0, steps + 1, stride))
     if idx[-1] != steps:
@@ -588,11 +585,11 @@ def residual_check(traj, cfg, t_min=0.0):
         # A u = omega u - (omega - Laplacian) phi
         au_hat = model.omega * _total_hat(model, pc, qc) - (model.omega + model.xi2) * pc
         f_vals = nonlinearity(traj.states[k], cfg).values
-        resid = np.fft.ifft2(du_hat - au_hat) - f_vals
+        resid = fft.ifft2(du_hat - au_hat) - f_vals
         if projected:
             resid = resid + traj.rho[k] * psi_vals
         unorm = lp_norm(
-            Field(grid, np.fft.ifft2(_total_hat(model, pc, qc))), 2
+            Field(grid, fft.ifft2(_total_hat(model, pc, qc))), 2
         )
         rnorm = math.sqrt(float(np.sum(np.abs(resid) ** 2)) * grid.cell_area)
         if unorm > 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import fft, integrate
 
 from .errors import BranchCutError, NoEigenfunctionError
 from .fields import Field, Grid, gradient, inner_product, lp_norm
@@ -162,7 +162,7 @@ def green_field(lam, grid, dim=2, method="auto"):
         mult[half, :] = 0.0
         mult[:, half] = 0.0
         # inverse continuum transform sampled at the (offset) grid nodes
-        vals = np.fft.ifft2(mult / _phase(grid)) / grid.cell_area
+        vals = fft.ifft2(mult / _phase(grid)) / grid.cell_area
         return Field(grid, vals)
     raise ValueError(f"unknown method {method!r}")
 

@@ -11,6 +11,8 @@ import pytest
 import pideq as pq
 from pideq import verify as verify_mod
 
+pytestmark = pytest.mark.slow
+
 
 def _report(number, name, passed, detail):
     print(f"criterion {number:>2} ({name}): {'PASS' if passed else 'FAIL'} - {detail}")

@@ -1,6 +1,7 @@
 """Resolvent algebra and contour-semigroup checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pideq import (
     semigroup_pac,
 )
 from pideq.errors import BranchCutError, ContourError, PoleError
-from pideq.semigroup import grid_model
+from pideq.semigroup import _talbot_nodes, grid_model
 
 
 def test_contour_spec_validation(params):
@@ -155,6 +156,54 @@ def test_arc_contribution_dominated_by_rays(params, grid128, smooth_datum):
     _, _, legs = model.correction_hat(1.0, ghat, contour, legs=True)
     lower, upper, arc = legs
     assert arc <= lower + upper
+
+
+def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
+    # the cached, binned kernel against the Talbot sum written out node by
+    # node over the full lattice; interleaved step sizes catch a wrong key
+    model = grid_model(params, grid128)
+    ghat, _ = model.project_ac_hat(model.hat(smooth_datum))
+    sigma, swts = _talbot_nodes(32)
+    for dt in (0.02, 0.01, 0.02):
+        ref = np.zeros_like(ghat)
+        q_ref = 0.0 + 0.0j
+        for lam, w in zip(sigma / dt, (swts / dt) * np.exp(sigma)):
+            c = w * model.pair_green(ghat, lam) / model.denominator(lam)
+            ref += c * model.delta_hat / (lam + model.xi2)
+            q_ref += c
+        corr, q = model.correction_talbot(dt, ghat)
+        assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert abs(q - q_ref) <= 1e-13 * abs(q_ref)
+
+
+def test_correction_hat_chunk_invariance(params, grid128, smooth_datum):
+    # chunks straddle the leg boundaries (256 ray nodes) for chunk = 7
+    model = grid_model(params, grid128)
+    contour = ContourSpec.for_time(params, 1.0)
+    ghat, _ = model.project_ac_hat(model.hat(smooth_datum))
+    size = contour.nodes()[0].size
+    ref, q_ref, legs_ref = model.correction_hat(1.0, ghat, contour, chunk=size, legs=True)
+    for chunk in (1, 7, 64):
+        corr, q, legs = model.correction_hat(1.0, ghat, contour, chunk=chunk, legs=True)
+        assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert abs(q - q_ref) <= 1e-13 * abs(q_ref)
+        assert np.allclose(legs, legs_ref, rtol=1e-13, atol=0.0)
+
+
+def test_correction_hat_memory_bounded(params, grid256):
+    # 2113 nodes x 5924 bins at t = 50: the full matrix alone is 200 MB
+    model = grid_model(params, grid256)
+    contour = ContourSpec.for_time(params, 50.0)
+    g = gaussian_field(grid256, sigma=2.0)
+    ghat, _ = model.project_ac_hat(model.hat(g))
+    contour.nodes()
+    tracemalloc.start()
+    try:
+        model.correction_hat(50.0, ghat, contour)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_holder_pairing_bound(params, grid128, smooth_datum):

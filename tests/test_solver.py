@@ -199,6 +199,22 @@ def test_solve_local_fixed_point_property(params, grid128):
     assert moved < 2 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
 
 
+def test_solve_local_auto_radius_per_datum(params, grid128):
+    # 'auto' is resolved per solve: a reused config keeps reading 'auto', and
+    # each datum is measured against twice its own initial norm.  Eigenmode
+    # data grow like e^{E t}, past 2x by t = 0.8, so both solves must warn
+    # (a radius kept from the larger first datum would silence the second).
+    psi = psi_alpha_field(params, grid128)
+    cfg = SolverConfig(
+        gamma=2.0, a=(0.0, 0.0), T=0.8, dt=0.02, projected=False, ball_radius="auto"
+    )
+    for amplitude in (0.1, 0.001):
+        u0 = DecomposedField.from_field(amplitude * psi, params)
+        with pytest.warns(UserWarning, match="left the ball"):
+            solve_local(u0, cfg)
+        assert cfg.ball_radius == "auto"
+
+
 def test_lagrange_multiplier_zero_cases(params, grid128):
     zero = DecomposedField.from_field(Field(grid128, np.zeros((128, 128))), params)
     cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0))
