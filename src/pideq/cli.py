@@ -9,14 +9,12 @@ config values.  All CSV output is full-precision scientific notation with
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import verify as verify_mod
-from .decay import ExperimentSpec, run_gradient_decay, run_nonlinear_decay, run_semigroup_decay
+from .decay import ExperimentSpec, make_datum, run_gradient_decay, run_nonlinear_decay, run_semigroup_decay
+from .decay import _magnitude
 from .fields import Field, Grid, field_to_csv, gaussian_field, load_field, lp_norm, save_field
 from .semigroup import ContourSpec, krein_resolvent, semigroup_pac
 from .spectral import AlphaParams, DecomposedField, c_lambda
@@ -99,17 +97,9 @@ def _outdir(args):
 
 
 def _load_datum(descriptor, grid):
-    if descriptor.startswith("gaussian:") or descriptor == "gaussian":
-        parts = descriptor.split(":", 1)
-        sigma, amp = 1.0, 1.0
-        x0 = y0 = 0.0
-        if len(parts) == 2 and parts[1]:
-            vals = [float(v) for v in parts[1].split(",")]
-            sigma = vals[0] if vals else sigma
-            amp = vals[1] if len(vals) > 1 else amp
-            x0 = vals[2] if len(vals) > 2 else x0
-            y0 = vals[3] if len(vals) > 3 else y0
-        return gaussian_field(grid, sigma=sigma, amplitude=amp, center=(x0, y0))
+    """A 'gaussian[:sigma,amp[,x0,y0]]' descriptor, else a saved field file."""
+    if descriptor.partition(":")[0] == "gaussian":
+        return make_datum(descriptor, grid)
     f = load_field(descriptor)
     if f.grid != grid:
         raise SystemExit(f"datum grid {f.grid} does not match requested grid {grid}")
@@ -188,11 +178,9 @@ def cmd_simulate(args, config):
         fh.write("t,l2,l4,grad_l32,q_abs,rho\n")
         for k, (t, st) in enumerate(zip(traj.times, traj.states)):
             vals, du1, du2 = _assemble_state(st)
-            area = st.regular.grid.cell_area
-            l2 = math.sqrt(float(np.sum(np.abs(vals) ** 2)) * area)
-            l4 = float((np.sum(np.abs(vals) ** 4) * area) ** 0.25)
-            mag = np.sqrt(np.abs(du1) ** 2 + np.abs(du2) ** 2)
-            g32 = float((np.sum(mag ** 1.5) * area) ** (1.0 / 1.5))
+            u = Field(grid, vals)
+            l2, l4 = lp_norm(u, 2), lp_norm(u, 4)
+            g32 = lp_norm(_magnitude(du1, du2, grid), 1.5)
             rho = traj.rho[k] if traj.rho.size else 0.0
             fh.write(
                 f"{_sci(t)},{_sci(l2)},{_sci(l4)},{_sci(g32)},"

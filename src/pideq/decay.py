@@ -145,20 +145,25 @@ def critical_datum(grid, q, envelope=0.25):
 
 
 def make_datum(descriptor, grid, q=2.0):
-    """Datum factory: 'critical' or 'gaussian:sigma,amp[,x0,y0]'."""
+    """Datum factory: 'critical', 'gaussian' or 'gaussian:sigma[,amp[,x0,y0]]'."""
     if descriptor == "critical":
         return critical_datum(grid, q)
-    if descriptor.startswith("gaussian"):
-        parts = descriptor.split(":", 1)
+    kind, _, args = descriptor.partition(":")
+    if kind == "gaussian":
         sigma, amp, x0, y0 = 1.0, 1.0, 0.0, 0.0
-        if len(parts) == 2 and parts[1]:
-            vals = [float(s) for s in parts[1].split(",")]
+        if args:
+            vals = [float(s) for s in args.split(",")]
             sigma = vals[0] if len(vals) > 0 else sigma
             amp = vals[1] if len(vals) > 1 else amp
             x0 = vals[2] if len(vals) > 2 else x0
             y0 = vals[3] if len(vals) > 3 else y0
         return gaussian_field(grid, sigma=sigma, amplitude=amp, center=(x0, y0))
     raise ValueError(f"unknown datum descriptor {descriptor!r}")
+
+
+def _magnitude(d1, d2, grid):
+    """Pointwise gradient magnitude sqrt(|d1|^2 + |d2|^2) as a field."""
+    return Field(grid, np.sqrt(np.abs(d1) ** 2 + np.abs(d2) ** 2))
 
 
 def _linear_setup(spec):
@@ -203,10 +208,7 @@ def run_gradient_decay(spec):
     samples = []
     for t in spec.t_grid:
         dx, dy = semigroup_gradient_pac(t, g, params)
-        mag = np.sqrt(np.abs(dx.values) ** 2 + np.abs(dy.values) ** 2)
-        samples.append(
-            (t, float((np.sum(mag ** spec.p) * spec.grid.cell_area) ** (1.0 / spec.p)))
-        )
+        samples.append((t, lp_norm(_magnitude(dx.values, dy.values, spec.grid), spec.p)))
     fit = fit_rate(samples)
     theo = -0.5 - (1.0 / spec.q - 1.0 / spec.p)
     return RateFit(fit.slope, fit.intercept, fit.r_squared, theo)
@@ -234,14 +236,9 @@ def run_nonlinear_decay(spec, traj):
         if not keep:
             continue
         vals, du1, du2 = _assemble_state(st)
-        area = st.regular.grid.cell_area
-        u_samples.append(
-            (t, float((np.sum(np.abs(vals) ** spec.h1) * area) ** (1.0 / spec.h1)))
-        )
-        mag = np.sqrt(np.abs(du1) ** 2 + np.abs(du2) ** 2)
-        g_samples.append(
-            (t, float((np.sum(mag ** spec.h2) * area) ** (1.0 / spec.h2)))
-        )
+        grid = st.regular.grid
+        u_samples.append((t, lp_norm(Field(grid, vals), spec.h1)))
+        g_samples.append((t, lp_norm(_magnitude(du1, du2, grid), spec.h2)))
         r_samples.append((t, abs(rho)))
     fu = fit_rate(u_samples)
     fg = fit_rate(g_samples)

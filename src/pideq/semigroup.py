@@ -18,6 +18,11 @@ flows are invariant subspaces to machine precision.  D(lambda) is the
 lattice-consistent version of alpha + c(lambda); the two agree up to the
 grid's aliasing error and coincide in the refinement limit.
 
+Each model caches one resolvent row per lambda (the most recent one):
+1/(lambda + |xi|^2), G_lambda and D(lambda).  A resolvent application is
+then one multiply, one pairing and one axpy, and ``pair_green`` reads the
+same row.  The backward-Euler oracle holds one lambda for all its steps.
+
 The semigroup on the absolutely continuous subspace is evaluated from the
 contour representation
 
@@ -238,6 +243,8 @@ class PointHeatModel:
         # Talbot rows, denominators and base weights per (dt, num): the solver
         # alternates at most two step sizes (duhamel_integral's dt and dt/2)
         self._talbot_kernel = lru_cache(maxsize=4)(self._talbot_rows)
+        # one resolvent row: the oracle holds one lambda for all of its steps
+        self._resolvent_row = lru_cache(maxsize=1)(self._lambda_row)
 
     # -- scalar lattice functions --------------------------------------------
 
@@ -257,8 +264,8 @@ class PointHeatModel:
 
     def pair_green(self, ghat, lam):
         """<g, G_{conj(lam)}> for the model kernel, via Parseval."""
-        prod = ghat * np.conj(self.delta_hat)
-        return self.wlat * np.sum(prod / (lam + self.xi2))
+        r, _, _ = self._resolvent_row(lam)
+        return self.wlat * np.vdot(self.delta_hat, ghat * r)
 
     def coupling_coefficient(self, ghat):
         """Kernel coefficient <g, delta>/S(E) of the domain decomposition.
@@ -276,11 +283,25 @@ class PointHeatModel:
 
     # -- resolvent and semigroup ----------------------------------------------
 
+    def _lambda_row(self, lam):
+        """(1/(lambda + |xi|^2), G_lambda transform, D(lambda)) over the grid."""
+        r = np.reciprocal(lam + self.xi2)
+        green = self.delta_hat * r
+        # shared by every caller of the cache: read-only
+        r.setflags(write=False)
+        green.setflags(write=False)
+        return r, green, self.denominator(lam)
+
     def resolvent_hat(self, lam, ghat, correction=True):
-        out = ghat / (lam + self.xi2)
+        """R(lambda) in transform space from the cached row of ``lam``.
+
+        The free part is one multiply; the rank-one term pairs that product
+        with delta_hat (it equals ``pair_green``) and adds G_lambda once.
+        """
+        r, green, denom = self._resolvent_row(lam)
+        out = ghat * r
         if correction:
-            coef = self.pair_green(ghat, lam) / self.denominator(lam)
-            out = out + coef * self.delta_hat / (lam + self.xi2)
+            out += (self.wlat * np.vdot(self.delta_hat, out) / denom) * green
         return out
 
     def _node_chunks(self, nodes, weights, chunk):
@@ -291,7 +312,7 @@ class PointHeatModel:
         rows, so memory stays at one chunk x bins.
         """
         for lo in range(0, nodes.size, chunk):
-            rows = 1.0 / (nodes[lo:lo + chunk, None] + self.rho)
+            rows = np.reciprocal(nodes[lo:lo + chunk, None] + self.rho)
             denom = self.S_at_E - self.wlat * (rows @ self.delta_sq_bins)
             yield lo, rows, weights[lo:lo + chunk] / denom
 
@@ -484,9 +505,11 @@ def semigroup_gradient_pac(t, g, params, contour=None):
 def backward_euler_oracle(t, g, params, steps, correction=True):
     """Independent oracle: ((I - (t/steps) A)^{-1})^steps applied to P_ac g.
 
-    Uses only the resolvent at the real point lambda = steps/t; first-order
-    accurate in t/steps.  ``correction=False`` drops the rank-one term and
-    reduces to backward Euler for the free heat equation.
+    Uses only resolvent applications at the real point lambda = steps/t and
+    no contour code; every step reuses the model's cached row of that
+    lambda.  First-order accurate in t/steps.  ``correction=False`` drops
+    the rank-one term and reduces to backward Euler for the free heat
+    equation.
     """
     if steps < 10:
         raise ValueError("backward_euler_oracle requires steps >= 10")
@@ -501,5 +524,6 @@ def backward_euler_oracle(t, g, params, steps, correction=True):
     model = grid_model(params, g.grid)
     uhat, _ = model.project_ac_hat(model.hat(g))
     for _ in range(steps):
-        uhat = lam * model.resolvent_hat(lam, uhat, correction=correction)
+        uhat = model.resolvent_hat(lam, uhat, correction=correction)
+        uhat *= lam
     return model.unhat(uhat)

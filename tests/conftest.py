@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pideq import AlphaParams, Grid, gaussian_field
+
+# property tests draw a fixed example sequence so the suite stays deterministic
+settings.register_profile("pideq", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("pideq")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pideq import Grid, gaussian_field, save_field
 from pideq.cli import main, read_config
 
 
@@ -97,3 +98,21 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 9
     assert "9/9 checks passed" in out
+
+
+def _resolve_l2(tmp_path, capsys, u0):
+    assert main(["--out", str(tmp_path), "resolve", "--grid-n", "64", "--u0", u0]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    return float(lines[1].split(",")[1])
+
+
+def test_datum_descriptor_and_file(tmp_path, capsys):
+    # 'gaussian:...' is a descriptor; a file whose name merely starts with
+    # 'gaussian' is a saved field and must be read as one
+    path = tmp_path / "gaussian_state.pidf"
+    save_field(gaussian_field(Grid(40.0, 64), sigma=3.0, amplitude=2.0), path)
+    from_descriptor = _resolve_l2(tmp_path, capsys, "gaussian:3,2")
+    from_file = _resolve_l2(tmp_path, capsys, str(path))
+    default = _resolve_l2(tmp_path, capsys, "gaussian")
+    assert abs(from_file - from_descriptor) <= 1e-6 * from_descriptor
+    assert abs(default - from_descriptor) > 0.1 * from_descriptor

@@ -9,12 +9,14 @@ from pideq import (
     admissible_exponents,
     critical_datum,
     fit_rate,
+    gaussian_field,
     run_gradient_decay,
     run_l2_bound,
     run_nonlinear_decay,
     run_semigroup_decay,
     verify_convolution_lemma,
 )
+from pideq.decay import make_datum
 
 
 def test_fit_rate_exact_power_law():
@@ -100,6 +102,16 @@ def test_critical_datum_structure():
     hat = np.fft.fft2(f.values) * grid.cell_area
     # infrared-heavy: low modes dominate high modes strongly
     assert abs(hat[0, 0]) > 10 * abs(hat[10, 10])
+
+
+def test_make_datum_descriptors():
+    grid = Grid(40.0, 64)
+    ref = gaussian_field(grid, sigma=2.0, amplitude=0.5, center=(1.0, -1.0))
+    assert np.array_equal(make_datum("gaussian:2,0.5,1,-1", grid).values, ref.values)
+    assert np.array_equal(make_datum("gaussian", grid).values, gaussian_field(grid).values)
+    # a file name is not a descriptor, even when it starts with 'gaussian'
+    with pytest.raises(ValueError):
+        make_datum("gaussian_state.pidf", grid)
 
 
 def test_semigroup_decay_rejects_equal_exponents():

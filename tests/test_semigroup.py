@@ -274,3 +274,38 @@ def test_backward_euler_validation(params, smooth_datum):
         backward_euler_oracle(1.0, smooth_datum, params, 5)
     with pytest.raises(ValueError):
         backward_euler_oracle(-1.0, smooth_datum, params, 100)
+
+
+def test_resolvent_row_cache_matches_direct_formula(params, grid128, smooth_datum):
+    # the cached row against the resolvent written out term by term;
+    # interleaved lambdas (real and complex) catch a stale or wrongly keyed row
+    model = grid_model(params, grid128)
+    ghat = model.hat(smooth_datum)
+    for lam in (2.0, 5.0, 2.0, 3.0 + 1.0j, 1000.0, 2.0):
+        free = ghat / (lam + model.xi2)
+        pair = model.wlat * np.sum(ghat * np.conj(model.delta_hat) / (lam + model.xi2))
+        full = free + pair / model.denominator(lam) * model.delta_hat / (lam + model.xi2)
+        for correction, ref in ((False, free), (True, full)):
+            out = model.resolvent_hat(lam, ghat, correction=correction)
+            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert abs(model.pair_green(ghat, lam) - pair) <= 1e-14 * abs(pair)
+    assert model._resolvent_row.cache_info().currsize <= 1
+
+
+def test_regression_bands(params, grid128):
+    # regression bands far inside the paper gate of pideq.verify (1e-6, 1e-3,
+    # 1e-3): the grid resolvent is exact rank-one algebra, so a loss of
+    # accuracy in the kernels shows here long before the gate moves
+    g = gaussian_field(grid128, sigma=2.0)
+    lam, mu = 2.0, 5.0
+    r_lam = krein_resolvent(lam, g, params)
+    r_mu = krein_resolvent(mu, g, params)
+    comp = krein_resolvent(lam, r_mu, params)
+    assert lp_norm(r_lam - r_mu - (mu - lam) * comp, 2) <= 1e-13 * lp_norm(g, 2)
+    psi = psi_alpha_field(params, grid128)
+    shift = params.eigenvalue + 1.0
+    r_psi = krein_resolvent(shift, psi, params)
+    assert lp_norm(r_psi - (1.0 / (shift - params.eigenvalue)) * psi, 2) <= 1e-13
+    one = semigroup_full(1.0, g, params)
+    half = semigroup_full(0.5, semigroup_full(0.5, g, params), params)
+    assert lp_norm(one - half, 2) <= 1e-7 * lp_norm(g, 2)
