@@ -230,7 +230,6 @@ def run_nonlinear_decay(spec, traj):
     if traj.rho.size == 0:
         raise ValueError("nonlinear decay needs a projected trajectory with rho")
     mask = traj.times >= 1.0
-    ts = traj.times[mask]
     u_samples, g_samples, r_samples = [], [], []
     for keep, t, st, rho in zip(mask, traj.times, traj.states, traj.rho):
         if not keep:

@@ -23,12 +23,16 @@ at the interaction point); with that split the identity
 ever fitted from samples.
 
 Time quadrature is left-endpoint product integration (exponential Euler):
-one step reads u_{j+1} = S(dt)[u_j + dt F_j].  Within one Picard iterate
-the whole window is swept with the forcing frozen at the previous iterate,
-which reproduces left-endpoint product integration of the Duhamel integral
-up to the semigroup's own quadrature error.  The standalone
-:func:`duhamel_integral` also offers a midpoint-kernel variant (kernel
-evaluated at the interval midpoint) which is second-order accurate.
+one step reads u_{j+1} = S(dt)[u_j + dt F(u_j)].  One Picard iterate sweeps
+a window with the forcing frozen at the previous iterate.  Because F_j
+depends on u_j alone, the fixed point of that map is exactly the explicit
+march that builds F(u_j) as soon as u_j exists (Hochbruck & Ostermann,
+"Exponential integrators", Acta Numerica 19 (2010)).  Local solves iterate
+Picard over their whole horizon.  Global solves march, and run Picard only
+as a contraction probe: on the first window, and again on any window whose
+march leaves the largest H^1 proxy of the last probed window.  The
+standalone :func:`duhamel_integral` also offers a midpoint-kernel variant
+(kernel evaluated at the interval midpoint) which is second-order accurate.
 """
 
 import math
@@ -313,59 +317,79 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _sweep(model, prop, phat0, q0, sources, cfg, project_force):
+def _step(model, prop, cur, force):
+    """u_{j+1} = S(dt)[u_j + dt F_j] on the total transform ``cur`` of u_j.
+
+    ``force`` is F_j's transform, or None for no forcing.  Returns the new
+    total transform and its split (phi_hat, q).
+    """
+    out, q = prop.apply(cur if force is None else cur + prop.dt * force)
+    return out, out - q * model.green_omega_hat, q
+
+
+def _sweep(model, prop, phat0, q0, sources):
     """One Picard iterate: left-endpoint Duhamel sweep over a window.
 
     ``sources`` holds the forcing transforms of the previous iterate at the
     window's step times (length m); returns the new per-step states.
     """
-    m = len(sources)
     phats = [phat0]
     qs = [q0]
     cur = _total_hat(model, phat0, q0)
-    for j in range(m):
-        v = cur if sources[j] is None else cur + prop.dt * sources[j]
-        out, q_new = prop.apply(v)
-        cur = out
-        phats.append(out - q_new * model.green_omega_hat)
-        qs.append(q_new)
+    for force in sources:
+        cur, phat, q = _step(model, prop, cur, force)
+        phats.append(phat)
+        qs.append(q)
     return phats, qs
+
+
+def _forcing_kernels(model):
+    """(i xi1, i xi2, grad G_omega samples): the derivatives every forcing uses."""
+    dgx, dgy = _kernel_gradient(model.params, model.grid, model.omega)
+    XI1, XI2 = model.grid.wavenumbers()
+    return 1j * XI1, 1j * XI2, dgx, dgy
+
+
+def _forcing_hat(model, phat, q, cfg, kernels, project_force):
+    """Forcing transform F(u) of one state u = phi + q G_omega; None when a = 0."""
+    if float(cfg.a[0]) == 0.0 and float(cfg.a[1]) == 0.0:
+        return None
+    ixi1, ixi2, dgx, dgy = kernels
+    vals = fft.ifft2(_total_hat(model, phat, q))
+    du1 = fft.ifft2(ixi1 * phat) + q * dgx
+    du2 = fft.ifft2(ixi2 * phat) + q * dgy
+    fhat = fft.fft2(_nonlinear_values(vals, du1, du2, cfg))
+    if project_force:
+        fhat, _ = model.project_ac_hat(fhat)
+    return fhat
 
 
 def _forcing_hats(model, phats, qs, cfg, project_force):
     """Forcing transforms F_j at every step time of a window (last excluded)."""
-    out = []
-    a1, a2 = float(cfg.a[0]), float(cfg.a[1])
-    zero_force = a1 == 0.0 and a2 == 0.0
-    dgx, dgy = _kernel_gradient(model.params, model.grid, model.omega)
-    XI1, XI2 = model.grid.wavenumbers()
-    ixi1, ixi2 = 1j * XI1, 1j * XI2
-    for phat, q in zip(phats[:-1], qs[:-1]):
-        if zero_force:
-            out.append(None)
-            continue
-        vals = fft.ifft2(_total_hat(model, phat, q))
-        du1 = fft.ifft2(ixi1 * phat) + q * dgx
-        du2 = fft.ifft2(ixi2 * phat) + q * dgy
-        fvals = _nonlinear_values(vals, du1, du2, cfg)
-        fhat = fft.fft2(fvals)
-        if project_force:
-            fhat, _ = model.project_ac_hat(fhat)
-        out.append(fhat)
-    return out
+    kernels = _forcing_kernels(model)
+    return [
+        _forcing_hat(model, phat, q, cfg, kernels, project_force)
+        for phat, q in zip(phats[:-1], qs[:-1])
+    ]
 
 
-def _picard_window(model, prop, phat0, q0, steps, cfg, project_force, label):
-    """Iterate the window map to tolerance; returns states and diagnostics."""
-    sources = [None] * steps
-    phats, qs = _sweep(model, prop, phat0, q0, sources, cfg, project_force)
+def _picard_window(model, prop, phat0, q0, steps, cfg, project_force, label, start=None):
+    """Iterate the window map to tolerance; returns states and diagnostics.
+
+    ``start`` is the starting iterate ``(phats, qs)`` (steps + 1 states each);
+    by default it is the linear evolution of (phat0, q0).
+    """
+    if start is None:
+        phats, qs = _sweep(model, prop, phat0, q0, [None] * steps)
+    else:
+        phats, qs = start
     scale = max(1.0, _h1_proxy_hat(model, phat0, q0))
     ratios = []
     distance = None
     bad_streak = 0
     for it in range(1, cfg.picard_max + 1):
         sources = _forcing_hats(model, phats, qs, cfg, project_force)
-        new_phats, new_qs = _sweep(model, prop, phat0, q0, sources, cfg, project_force)
+        new_phats, new_qs = _sweep(model, prop, phat0, q0, sources)
         dist = max(
             _h1_proxy_hat(model, np1 - op1, nq - oq)
             for np1, op1, nq, oq in zip(new_phats, phats, new_qs, qs)
@@ -391,6 +415,28 @@ def _picard_window(model, prop, phat0, q0, steps, cfg, project_force, label):
         f"{label}: Picard did not reach tol {cfg.picard_tol} in {cfg.picard_max} iterates "
         f"(last distance {distance:.3e})"
     )
+
+
+def _march_window(model, prop, phat0, q0, steps, cfg, kernels, want, bound):
+    """Exponential-Euler march over one projected window: the Picard fixed point.
+
+    The forcing of step j is built from u_j as soon as u_j exists, so one
+    sweep suffices and only the states at the local steps ``want`` are kept.
+    Returns ``(kept, end)``: ``(j, phi_hat, q)`` per kept step and the end
+    state, or ``(None, None)`` as soon as a state's H^1 proxy exceeds
+    ``bound`` or is not finite.
+    """
+    kept = []
+    phat, q = phat0, q0
+    cur = _total_hat(model, phat0, q0)
+    for j in range(1, steps + 1):
+        force = _forcing_hat(model, phat, q, cfg, kernels, project_force=True)
+        cur, phat, q = _step(model, prop, cur, force)
+        if not _h1_proxy_hat(model, phat, q) <= bound:
+            return None, None
+        if j in want:
+            kept.append((j, phat, q))
+    return kept, (phat, q)
 
 
 def _ball_guard(radius, model, phats, qs, label):
@@ -423,37 +469,15 @@ def solve_local(u0, cfg, init="linear"):
         radius = 2.0 * _h1_proxy_hat(model, phat0, q0)
 
     if init == "frozen":
-        phats = [phat0] * (steps + 1)
-        qs = [q0] * (steps + 1)
-        distance = None
-        ratios = []
-        bad = 0
-        for it in range(1, cfg.picard_max + 1):
-            sources = _forcing_hats(model, phats, qs, cfg, project_force=False)
-            new_phats, new_qs = _sweep(model, prop, phat0, q0, sources, cfg, False)
-            dist = max(
-                _h1_proxy_hat(model, a - b, c - d)
-                for a, b, c, d in zip(new_phats, phats, new_qs, qs)
-            )
-            if distance is not None and distance > 0:
-                r = dist / distance
-                ratios.append(r)
-                bad = bad + 1 if r >= 1.0 else 0
-                if bad >= 3:
-                    raise HorizonTooLargeError("frozen start: no contraction", r)
-            phats, qs = new_phats, new_qs
-            distance = dist
-            if dist <= cfg.picard_tol * max(1.0, _h1_proxy_hat(model, phat0, q0)):
-                iterations = it
-                break
-        else:
-            raise ConvergenceError("frozen start did not converge")
+        start = ([phat0] * (steps + 1), [q0] * (steps + 1))
     elif init == "linear":
-        phats, qs, iterations, ratios, _ = _picard_window(
-            model, prop, phat0, q0, steps, cfg, project_force=False, label="local solve"
-        )
+        start = None
     else:
         raise ValueError("init must be 'linear' or 'frozen'")
+    phats, qs, iterations, ratios, _ = _picard_window(
+        model, prop, phat0, q0, steps, cfg, project_force=False,
+        label=f"local solve ({init} start)", start=start,
+    )
 
     _ball_guard(radius, model, phats, qs, "local solve")
     stride = cfg.store_stride or 1
@@ -475,9 +499,21 @@ def solve_global_projected(u0, cfg):
 
     The datum and the forcing are projected onto the absolutely continuous
     subspace, so the eigenmode carries no dynamics; the multiplier rho is
-    recorded at every stored time.  Long horizons are swept in restarted
-    Duhamel windows of length ``cfg.window``.  A measured contraction
-    ratio >= 1 raises :class:`DataTooLargeError`.
+    recorded at every stored time.  The horizon is cut into windows of
+    length ``cfg.window``.
+
+    Window 0 is probed: the Picard map is iterated to ``cfg.picard_tol``
+    from the linear evolution, its converged states are the window's states,
+    and its ratios are ``diagnostics["contraction_ratios"]``.  Every later
+    window is marched with exponential Euler, u_{j+1} = S(dt)[u_j + dt F(u_j)],
+    which is that map's fixed point, keeping only the stored states.  A
+    marched window is probed instead, from its start state, when one of its
+    states is not finite or has an H^1 proxy above the largest one the last
+    probed window held; growing data are thus measured where they are
+    largest.  A probe that fails to contract (ratio >= 1 over three
+    iterates) raises :class:`DataTooLargeError`.  ``diagnostics["iterations"]``
+    holds one entry per window: the probe's iterate count, or 0 for a
+    marched window.
     """
     if not cfg.projected:
         raise ValueError("solve_global_projected requires cfg.projected = True")
@@ -497,38 +533,46 @@ def solve_global_projected(u0, cfg):
     ratios_all = []
     iters_all = []
     ortho_max = 0.0
+    kernels = _forcing_kernels(model)
     cur_phat, cur_q = phat0, q0
+    probe_top = None
     step_counter = 0
     win = 0
     while step_counter < total_steps:
         win_steps = min(steps_per_window, total_steps - step_counter)
-        try:
-            phats, qs, iters, ratios, _ = _picard_window(
-                model,
-                prop,
-                cur_phat,
-                cur_q,
-                win_steps,
-                cfg,
-                project_force=True,
-                label=f"window {win}",
+        want = [
+            j for j in range(1, win_steps + 1)
+            if (step_counter + j) % stride == 0 or step_counter + j == total_steps
+        ]
+        kept = None
+        if probe_top is not None:
+            kept, end = _march_window(
+                model, prop, cur_phat, cur_q, win_steps, cfg, kernels, want, probe_top
             )
-        except HorizonTooLargeError as exc:
-            raise DataTooLargeError(
-                f"initial datum too large for global solve: {exc}", exc.ratio
-            ) from exc
-        iters_all.append(iters)
-        ratios_all.extend(ratios)
-        for j in range(1, win_steps + 1):
-            step_counter += 1
-            if step_counter % stride == 0 or step_counter == total_steps:
-                times.append(step_counter * cfg.dt)
-                stored.append((phats[j], qs[j]))
-        eig = model.wlat * np.sum(
-            _total_hat(model, phats[-1], qs[-1]) * np.conj(model.psi_hat)
-        )
+        if kept is None:
+            try:
+                phats, qs, iters, ratios, _ = _picard_window(
+                    model, prop, cur_phat, cur_q, win_steps, cfg,
+                    project_force=True, label=f"window {win}",
+                )
+            except HorizonTooLargeError as exc:
+                raise DataTooLargeError(
+                    f"initial datum too large for global solve: {exc}", exc.ratio
+                ) from exc
+            iters_all.append(iters)
+            ratios_all.extend(ratios)
+            probe_top = max(_h1_proxy_hat(model, p, q) for p, q in zip(phats, qs))
+            kept = [(j, phats[j], qs[j]) for j in want]
+            end = phats[-1], qs[-1]
+        else:
+            iters_all.append(0)
+        for j, phat, q in kept:
+            times.append((step_counter + j) * cfg.dt)
+            stored.append((phat, q))
+        eig = model.wlat * np.sum(_total_hat(model, *end) * np.conj(model.psi_hat))
         ortho_max = max(ortho_max, abs(eig))
-        cur_phat, cur_q = phats[-1], qs[-1]
+        cur_phat, cur_q = end
+        step_counter += win_steps
         win += 1
 
     states = [_to_decomposed(model, p, q, u0.params) for p, q in stored]

@@ -27,7 +27,14 @@ from pideq import (
     total_field,
 )
 from pideq.errors import DataTooLargeError, SchedulingError
-from pideq.solver import _forcing_hats, _state_hats, _sweep, _Propagator
+from pideq.solver import (
+    _forcing_hats,
+    _h1_proxy_hat,
+    _picard_window,
+    _Propagator,
+    _state_hats,
+    _sweep,
+)
 from pideq.semigroup import grid_model
 
 
@@ -189,9 +196,7 @@ def test_solve_local_fixed_point_property(params, grid128):
         phats.append(ph)
         qs.append(q)
     sources = _forcing_hats(model, phats, qs, cfg, project_force=False)
-    nphats, nqs = _sweep(model, prop, phats[0], qs[0], sources, cfg, False)
-    from pideq.solver import _h1_proxy_hat
-
+    nphats, nqs = _sweep(model, prop, phats[0], qs[0], sources)
     moved = max(
         _h1_proxy_hat(model, a - b, c - d)
         for a, b, c, d in zip(nphats, phats, nqs, qs)
@@ -278,6 +283,72 @@ def test_global_solver_rejects_large_data(params, grid128):
         gaussian_field(grid128, sigma=1.0, amplitude=400.0), params
     )
     cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=1.0, dt=0.02, picard_max=12)
+    with pytest.raises(DataTooLargeError):
+        solve_global_projected(big, cfg)
+
+
+def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
+    """Every stored state matches Picard iterated to tolerance on each window."""
+    model = grid_model(u0.params, u0.regular.grid)
+    prop = _Propagator(model, cfg.dt, full=False)
+    phat, q = _state_hats(model, traj.states[0])
+    ref = [(phat, q)]
+    for win in range(windows):
+        phats, qs, _, _, _ = _picard_window(
+            model, prop, phat, q, steps, cfg, project_force=True, label=f"window {win}"
+        )
+        ref.extend(zip(phats[1:], qs[1:]))
+        phat, q = phats[-1], qs[-1]
+    stride = cfg.store_stride or steps
+    assert len(traj.states) == windows * steps // stride + 1
+    tol = 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
+    for k, st in zip(range(0, windows * steps + 1, stride), traj.states):
+        p, c = _state_hats(model, st)
+        assert _h1_proxy_hat(model, p - ref[k][0], c - ref[k][1]) <= tol
+
+
+def test_global_march_is_picard_fixed_point(params, grid128):
+    # windows >= 1 are marched; the reference iterates Picard on every window
+    u0 = small_state(grid128, params, amplitude=0.02)
+    cfg = SolverConfig(
+        gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=0.5, picard_tol=1e-11,
+        store_stride=5,
+    )
+    traj = solve_global_projected(u0, cfg)
+    _assert_picard_fixed_point(traj, u0, cfg, windows=4, steps=25)
+    iters = traj.diagnostics["iterations"]
+    assert len(iters) == 4 and iters[0] >= 1 and iters[1:] == [0, 0, 0]
+    ratios = traj.diagnostics["contraction_ratios"]
+    assert ratios and all(r < 1.0 for r in ratios)
+
+
+def test_global_march_reprobes_growing_data(params):
+    # Under-resolved steepening on a coarse grid: the H1 proxy dips, then
+    # passes window 0's largest value in window 6, so windows 6-9 are probed.
+    grid = Grid(40.0, 64)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=1.0, dt=0.01, window=0.1)
+    u0 = DecomposedField.from_field(
+        gaussian_field(grid, sigma=2.0, amplitude=5.5), params
+    )
+    traj = solve_global_projected(u0, cfg)
+    iters = traj.diagnostics["iterations"]
+    assert iters[0] >= 1 and iters[1:6] == [0] * 5 and all(k >= 1 for k in iters[6:])
+    _assert_picard_fixed_point(traj, u0, cfg, windows=10, steps=10)
+    # a larger datum passes the window-0 probe but stops contracting later
+    big = DecomposedField.from_field(
+        gaussian_field(grid, sigma=2.0, amplitude=7.0), params
+    )
+    with pytest.raises(DataTooLargeError, match="window [1-9]"):
+        solve_global_projected(big, cfg)
+
+
+def test_global_solver_rejects_large_data_over_windows(params, grid128):
+    big = DecomposedField.from_field(
+        gaussian_field(grid128, sigma=1.0, amplitude=400.0), params
+    )
+    cfg = SolverConfig(
+        gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=0.5, picard_max=12
+    )
     with pytest.raises(DataTooLargeError):
         solve_global_projected(big, cfg)
 
