@@ -22,17 +22,20 @@ at the interaction point); with that split the identity
 (omega - A) u = (omega - Laplacian) phi holds on the nose and nothing is
 ever fitted from samples.
 
-Time quadrature is left-endpoint product integration (exponential Euler):
-one step reads u_{j+1} = S(dt)[u_j + dt F(u_j)].  One Picard iterate sweeps
-a window with the forcing frozen at the previous iterate.  Because F_j
-depends on u_j alone, the fixed point of that map is exactly the explicit
-march that builds F(u_j) as soon as u_j exists (Hochbruck & Ostermann,
-"Exponential integrators", Acta Numerica 19 (2010)).  Local solves iterate
-Picard over their whole horizon.  Global solves march, and run Picard only
-as a contraction probe: on the first window, and again on any window whose
-march leaves the largest H^1 proxy of the last probed window.  The
-standalone :func:`duhamel_integral` also offers a midpoint-kernel variant
-(kernel evaluated at the interval midpoint) which is second-order accurate.
+Time quadrature is left-endpoint product integration (exponential Euler).
+One sweep over a window steps u_{j+1} = S(dt)[u_j + dt F(v_j)]: with v_j
+the previous Picard iterate's state j it is one Picard iterate, and with
+v_j = u_j it is the explicit march.  Because F_j depends on u_j alone, the
+march is exactly the fixed point of the Picard map (Hochbruck & Ostermann,
+"Exponential integrators", Acta Numerica 19 (2010)).  Both solves run
+through one window driver, which probes a window (Picard to tolerance on
+one list of states swept in place, measuring contraction) or marches it.
+A local solve is one probed window covering [0, T] with the full
+semigroup.  A global solve probes its first window, marches the rest, and
+probes again any window whose march leaves the largest H^1 proxy of the
+last probed window.  The standalone :func:`duhamel_integral` also offers a
+midpoint-kernel variant (kernel evaluated at the interval midpoint) which
+is second-order accurate.
 """
 
 import math
@@ -119,30 +122,38 @@ class Trajectory:
 # --- nonlinearity ------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _kernel_gradient(params, grid, lam_ref):
-    """Cached closed-form gradient samples of the reference kernel."""
-    gx, gy = green_gradient_field(lam_ref, grid)
-    return gx.values, gy.values
+def _state_kernels(params, grid, lam):
+    """(i xi1, i xi2, G_lam transform, closed-form grad G_lam samples), read-only."""
+    model = grid_model(params, grid)
+    XI1, XI2 = grid.wavenumbers()
+    gx, gy = green_gradient_field(lam, grid)
+    kernels = (1j * XI1, 1j * XI2, model.delta_hat / (lam + model.xi2), gx.values, gy.values)
+    # shared by every caller of the cache
+    for arr in kernels:
+        arr.setflags(write=False)
+    return kernels
 
 
-def _assemble_state(u):
-    """Physical samples of u and grad u from the decomposition.
+def _state_samples(params, grid, lam, phat, q):
+    """Physical samples (u, d1 u, d2 u) of u = phi + q G_lam from phi's transform.
 
     Values come from the exact transform-side total (representation-free);
     the gradient splits into the spectral derivative of the regular part
     plus the closed Bessel form for the kernel part, which is pointwise
     faithful at the singularity.
     """
-    grid = u.regular.grid
-    model = grid_model(u.params, grid)
-    dgx, dgy = _kernel_gradient(u.params, grid, u.lambda_ref)
-    XI1, XI2 = grid.wavenumbers()
-    phat = fft.fft2(u.regular.values)
-    ghat_ref = model.delta_hat / (u.lambda_ref + model.xi2)
-    vals = fft.ifft2(phat + complex(u.coeff) * ghat_ref)
-    du1 = fft.ifft2(1j * XI1 * phat) + u.coeff * dgx
-    du2 = fft.ifft2(1j * XI2 * phat) + u.coeff * dgy
+    ixi1, ixi2, ghat, dgx, dgy = _state_kernels(params, grid, lam)
+    vals = fft.ifft2(phat + q * ghat)
+    du1 = fft.ifft2(ixi1 * phat) + q * dgx
+    du2 = fft.ifft2(ixi2 * phat) + q * dgy
     return vals, du1, du2
+
+
+def _assemble_state(u):
+    """(u, d1 u, d2 u) samples of a decomposed state, in its own reference lambda."""
+    return _state_samples(
+        u.params, u.regular.grid, u.lambda_ref, fft.fft2(u.regular.values), u.coeff
+    )
 
 
 def _nonlinear_values(vals, du1, du2, cfg):
@@ -317,83 +328,64 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _step(model, prop, cur, force):
-    """u_{j+1} = S(dt)[u_j + dt F_j] on the total transform ``cur`` of u_j.
-
-    ``force`` is F_j's transform, or None for no forcing.  Returns the new
-    total transform and its split (phi_hat, q).
-    """
-    out, q = prop.apply(cur if force is None else cur + prop.dt * force)
-    return out, out - q * model.green_omega_hat, q
-
-
-def _sweep(model, prop, phat0, q0, sources):
-    """One Picard iterate: left-endpoint Duhamel sweep over a window.
-
-    ``sources`` holds the forcing transforms of the previous iterate at the
-    window's step times (length m); returns the new per-step states.
-    """
-    phats = [phat0]
-    qs = [q0]
-    cur = _total_hat(model, phat0, q0)
-    for force in sources:
-        cur, phat, q = _step(model, prop, cur, force)
-        phats.append(phat)
-        qs.append(q)
-    return phats, qs
-
-
-def _forcing_kernels(model):
-    """(i xi1, i xi2, grad G_omega samples): the derivatives every forcing uses."""
-    dgx, dgy = _kernel_gradient(model.params, model.grid, model.omega)
-    XI1, XI2 = model.grid.wavenumbers()
-    return 1j * XI1, 1j * XI2, dgx, dgy
-
-
-def _forcing_hat(model, phat, q, cfg, kernels, project_force):
+def _forcing_hat(model, phat, q, cfg, project_force):
     """Forcing transform F(u) of one state u = phi + q G_omega; None when a = 0."""
     if float(cfg.a[0]) == 0.0 and float(cfg.a[1]) == 0.0:
         return None
-    ixi1, ixi2, dgx, dgy = kernels
-    vals = fft.ifft2(_total_hat(model, phat, q))
-    du1 = fft.ifft2(ixi1 * phat) + q * dgx
-    du2 = fft.ifft2(ixi2 * phat) + q * dgy
-    fhat = fft.fft2(_nonlinear_values(vals, du1, du2, cfg))
+    samples = _state_samples(model.params, model.grid, model.omega, phat, q)
+    fhat = fft.fft2(_nonlinear_values(*samples, cfg))
     if project_force:
         fhat, _ = model.project_ac_hat(fhat)
     return fhat
 
 
-def _forcing_hats(model, phats, qs, cfg, project_force):
-    """Forcing transforms F_j at every step time of a window (last excluded)."""
-    kernels = _forcing_kernels(model)
-    return [
-        _forcing_hat(model, phat, q, cfg, kernels, project_force)
-        for phat, q in zip(phats[:-1], qs[:-1])
-    ]
+def _sweep(model, prop, start, steps, force, prev=None):
+    """Exponential-Euler sweep over one window: u_{j+1} = S(dt)[u_j + dt F(v_j)].
 
-
-def _picard_window(model, prop, phat0, q0, steps, cfg, project_force, label, start=None):
-    """Iterate the window map to tolerance; returns states and diagnostics.
-
-    ``start`` is the starting iterate ``(phats, qs)`` (steps + 1 states each);
-    by default it is the linear evolution of (phat0, q0).
+    ``start`` is u_0 as (phi_hat, q); ``force`` maps one state (phi_hat, q)
+    to F's transform, or to None for no forcing.  Yields (j, phi_hat, q) for
+    u_1 .. u_steps.  Without ``prev``, v_j = u_j: the march.  With ``prev``,
+    the previous Picard iterate as a list of steps + 1 states starting at
+    u_0, v_j = prev[j] and the sweep is one Picard iterate written over
+    ``prev`` in place: prev[j] is replaced by u_j only after u_j has been
+    yielded and F(prev[j]) built, so the caller can still compare the two.
     """
-    if start is None:
-        phats, qs = _sweep(model, prop, phat0, q0, [None] * steps)
+    phat, q = start
+    cur = _total_hat(model, phat, q)
+    fhat = force(phat, q)
+    for j in range(1, steps + 1):
+        cur, q = prop.apply(cur if fhat is None else cur + prop.dt * fhat)
+        phat = cur - q * model.green_omega_hat
+        yield j, phat, q
+        if j < steps:
+            fhat = force(*(prev[j] if prev is not None else (phat, q)))
+        if prev is not None:
+            prev[j] = (phat, q)
+
+
+def _picard_window(model, prop, start, steps, cfg, force, init, label):
+    """Iterate the window map to tolerance; returns (states, iterations, ratios).
+
+    The starting iterate is the linear evolution of the window's start
+    state ``start`` (``init="linear"``) or that state frozen in time
+    (``"frozen"``).  The window holds one iterate: a list of steps + 1
+    states (phi_hat, q) that each Picard sweep overwrites in place, ending
+    as the converged states.
+    """
+    if init == "frozen":
+        states = [start] * (steps + 1)
     else:
-        phats, qs = start
-    scale = max(1.0, _h1_proxy_hat(model, phat0, q0))
+        linear = _sweep(model, prop, start, steps, lambda phat, q: None)
+        states = [start] + [(phat, q) for _, phat, q in linear]
+    scale = max(1.0, _h1_proxy_hat(model, *start))
     ratios = []
     distance = None
     bad_streak = 0
     for it in range(1, cfg.picard_max + 1):
-        sources = _forcing_hats(model, phats, qs, cfg, project_force)
-        new_phats, new_qs = _sweep(model, prop, phat0, q0, sources)
-        dist = max(
-            _h1_proxy_hat(model, np1 - op1, nq - oq)
-            for np1, op1, nq, oq in zip(new_phats, phats, new_qs, qs)
-        )
+        dist = 0.0
+        for j, phat, q in _sweep(model, prop, start, steps, force, states):
+            old_phat, old_q = states[j]
+            dist = max(dist, _h1_proxy_hat(model, phat - old_phat, q - old_q))
         if distance is not None and distance > 0:
             ratio = dist / distance
             ratios.append(ratio)
@@ -407,87 +399,121 @@ def _picard_window(model, prop, phat0, q0, steps, cfg, project_force, label, sta
                     )
             else:
                 bad_streak = 0
-        phats, qs = new_phats, new_qs
         distance = dist
         if dist <= cfg.picard_tol * scale:
-            return phats, qs, it, ratios, dist
+            return states, it, ratios
     raise ConvergenceError(
         f"{label}: Picard did not reach tol {cfg.picard_tol} in {cfg.picard_max} iterates "
         f"(last distance {distance:.3e})"
     )
 
 
-def _march_window(model, prop, phat0, q0, steps, cfg, kernels, want, bound):
-    """Exponential-Euler march over one projected window: the Picard fixed point.
+def _solve(u0, cfg, projected, window, default_stride, init):
+    """Window driver of both solves; returns (times, states, iterations, ratios, ortho_max).
 
-    The forcing of step j is built from u_j as soon as u_j exists, so one
-    sweep suffices and only the states at the local steps ``want`` are kept.
-    Returns ``(kept, end)``: ``(j, phi_hat, q)`` per kept step and the end
-    state, or ``(None, None)`` as soon as a state's H^1 proxy exceeds
-    ``bound`` or is not finite.
+    The horizon [0, cfg.T] is cut into windows of ``window`` time.  A window
+    is probed: Picard is iterated to ``cfg.picard_tol`` from ``init`` (the
+    linear evolution of the window's start state, or that state frozen in
+    time), its converged states are the window's states and its ratios are
+    recorded.  Once a window has been probed, the next is marched in one
+    sweep keeping only the stored states; it is probed instead, from its
+    start state, when one of its states is not finite or has an H^1 proxy
+    above the largest one the last probed window held, so growing data are
+    measured where they are largest.  Marched states never exceed that
+    largest proxy, so checking it against ``cfg.ball_radius`` after each
+    probe covers every state.  ``iterations`` has one entry per window, 0
+    for a marched one.  States are stored every ``cfg.store_stride`` steps
+    (``default_stride`` when unset, every window end when that is None),
+    and at T.
     """
-    kept = []
-    phat, q = phat0, q0
-    cur = _total_hat(model, phat0, q0)
-    for j in range(1, steps + 1):
-        force = _forcing_hat(model, phat, q, cfg, kernels, project_force=True)
-        cur, phat, q = _step(model, prop, cur, force)
-        if not _h1_proxy_hat(model, phat, q) <= bound:
-            return None, None
-        if j in want:
-            kept.append((j, phat, q))
-    return kept, (phat, q)
+    if init not in ("linear", "frozen"):
+        raise ValueError("init must be 'linear' or 'frozen'")
+    model = grid_model(u0.params, u0.regular.grid)
+    total_steps = int(round(cfg.T / cfg.dt))
+    if total_steps < 1 or abs(total_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
+        raise ValueError("T must be an integer multiple of dt")
+    prop = _Propagator(model, cfg.dt, full=not projected)
+    tot = _total_hat(model, *_state_hats(model, u0))
+    if projected:
+        tot, _ = model.project_ac_hat(tot)
+    start = _compatible_split(model, tot)
+    radius = cfg.ball_radius
+    if radius == "auto":
+        radius = 2.0 * _h1_proxy_hat(model, *start)
 
+    def force(phat, q):
+        return _forcing_hat(model, phat, q, cfg, projected)
 
-def _ball_guard(radius, model, phats, qs, label):
-    if radius is None:
-        return
-    top = max(_h1_proxy_hat(model, p, q) for p, q in zip(phats, qs))
-    if top > radius:
-        warnings.warn(f"{label}: iterate norm {top:.3e} left the ball {radius:.3e}")
+    steps_per_window = max(1, int(round(window / cfg.dt)))
+    stride = cfg.store_stride or default_stride or steps_per_window
+    times = [0.0]
+    stored = [start]
+    iterations = []
+    ratios = []
+    ortho_max = 0.0
+    probe_top = None
+    step = 0
+    while step < total_steps:
+        steps = min(steps_per_window, total_steps - step)
+        want = [
+            j for j in range(1, steps + 1)
+            if (step + j) % stride == 0 or step + j == total_steps
+        ]
+        kept = None
+        if probe_top is not None:
+            kept = []
+            for j, phat, q in _sweep(model, prop, start, steps, force):
+                if not _h1_proxy_hat(model, phat, q) <= probe_top:
+                    kept = None
+                    break
+                if j in want:
+                    kept.append((j, (phat, q)))
+            end = phat, q
+        if kept is None:
+            label = f"window {len(iterations)} ({init} start)"
+            states, iters, window_ratios = _picard_window(
+                model, prop, start, steps, cfg, force, init, label
+            )
+            iterations.append(iters)
+            ratios.extend(window_ratios)
+            probe_top = max(_h1_proxy_hat(model, *s) for s in states)
+            if radius is not None and probe_top > radius:
+                warnings.warn(f"{label}: iterate norm {probe_top:.3e} left the ball {radius:.3e}")
+            kept = [(j, states[j]) for j in want]
+            end = states[-1]
+            del states  # a later probe builds its list without this one alive
+        else:
+            iterations.append(0)
+        for j, state in kept:
+            times.append((step + j) * cfg.dt)
+            stored.append(state)
+        eig = model.wlat * np.sum(_total_hat(model, *end) * np.conj(model.psi_hat))
+        ortho_max = max(ortho_max, abs(eig))
+        start = end
+        step += steps
+
+    states = [_to_decomposed(model, p, q, u0.params) for p, q in stored]
+    return np.array(times), states, iterations, ratios, ortho_max
 
 
 def solve_local(u0, cfg, init="linear"):
     """Picard solution on the finite horizon [0, T] with the full semigroup.
 
-    ``init`` selects the starting iterate: the linear evolution of u0
-    (default) or u0 frozen in time; both must converge to the same
-    trajectory.  Raises :class:`HorizonTooLargeError` when three successive
-    iterates fail to contract.
+    Runs the window driver of :func:`solve_global_projected` without
+    projection, with one window of length T and every step stored (unless
+    ``cfg.store_stride`` says otherwise): the whole horizon is one probed
+    window.  ``init`` selects the probe's starting iterate: the linear
+    evolution of u0 (default) or u0 frozen in time; both must converge to
+    the same trajectory.  Raises :class:`HorizonTooLargeError` when three
+    successive iterates fail to contract.
     """
     if not math.isfinite(cfg.T):
         raise ValueError("solve_local requires a finite horizon")
-    model = grid_model(u0.params, u0.regular.grid)
-    steps = int(round(cfg.T / cfg.dt))
-    if steps < 1 or abs(steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        raise ValueError("T must be an integer multiple of dt")
-    prop = _Propagator(model, cfg.dt, full=True)
-    phat0, q0 = _compatible_split(model, _total_hat(model, *_state_hats(model, u0)))
-
-    radius = cfg.ball_radius
-    if radius == "auto":
-        radius = 2.0 * _h1_proxy_hat(model, phat0, q0)
-
-    if init == "frozen":
-        start = ([phat0] * (steps + 1), [q0] * (steps + 1))
-    elif init == "linear":
-        start = None
-    else:
-        raise ValueError("init must be 'linear' or 'frozen'")
-    phats, qs, iterations, ratios, _ = _picard_window(
-        model, prop, phat0, q0, steps, cfg, project_force=False,
-        label=f"local solve ({init} start)", start=start,
+    times, states, iterations, ratios, _ = _solve(
+        u0, cfg, projected=False, window=cfg.T, default_stride=1, init=init
     )
-
-    _ball_guard(radius, model, phats, qs, "local solve")
-    stride = cfg.store_stride or 1
-    idx = list(range(0, steps + 1, stride))
-    if idx[-1] != steps:
-        idx.append(steps)
-    times = np.array([k * cfg.dt for k in idx])
-    states = [_to_decomposed(model, phats[k], qs[k], u0.params) for k in idx]
     diag = {
-        "iterations": iterations,
+        "iterations": iterations[0],
         "contraction_ratios": ratios,
         "clamp_events": cfg.clamp_events,
     }
@@ -499,91 +525,36 @@ def solve_global_projected(u0, cfg):
 
     The datum and the forcing are projected onto the absolutely continuous
     subspace, so the eigenmode carries no dynamics; the multiplier rho is
-    recorded at every stored time.  The horizon is cut into windows of
-    length ``cfg.window``.
-
-    Window 0 is probed: the Picard map is iterated to ``cfg.picard_tol``
-    from the linear evolution, its converged states are the window's states,
+    recorded at every stored time.  Runs the window driver shared with
+    :func:`solve_local` on windows of length ``cfg.window``, storing every
+    window end unless ``cfg.store_stride`` is set.  Window 0 is probed: the
+    Picard map is iterated to ``cfg.picard_tol`` from the linear evolution,
     and its ratios are ``diagnostics["contraction_ratios"]``.  Every later
     window is marched with exponential Euler, u_{j+1} = S(dt)[u_j + dt F(u_j)],
-    which is that map's fixed point, keeping only the stored states.  A
-    marched window is probed instead, from its start state, when one of its
-    states is not finite or has an H^1 proxy above the largest one the last
-    probed window held; growing data are thus measured where they are
-    largest.  A probe that fails to contract (ratio >= 1 over three
-    iterates) raises :class:`DataTooLargeError`.  ``diagnostics["iterations"]``
-    holds one entry per window: the probe's iterate count, or 0 for a
-    marched window.
+    which is that map's fixed point, unless its march leaves the largest H^1
+    proxy of the last probed window; it is then probed from its start state.
+    A probe that fails to contract (ratio >= 1 over three iterates) raises
+    :class:`DataTooLargeError`.  ``diagnostics["iterations"]`` holds one
+    entry per window: the probe's iterate count, or 0 for a marched window.
     """
     if not cfg.projected:
         raise ValueError("solve_global_projected requires cfg.projected = True")
-    model = grid_model(u0.params, u0.regular.grid)
-    prop = _Propagator(model, cfg.dt, full=False)
-    tot_ac, _ = model.project_ac_hat(_total_hat(model, *_state_hats(model, u0)))
-    phat0, q0 = _compatible_split(model, tot_ac)
-
-    total_steps = int(round(cfg.T / cfg.dt))
-    if total_steps < 1 or abs(total_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        raise ValueError("T must be an integer multiple of dt")
-    steps_per_window = max(1, int(round(cfg.window / cfg.dt)))
-    stride = cfg.store_stride or steps_per_window
-
-    times = [0.0]
-    stored = [(phat0, q0)]
-    ratios_all = []
-    iters_all = []
-    ortho_max = 0.0
-    kernels = _forcing_kernels(model)
-    cur_phat, cur_q = phat0, q0
-    probe_top = None
-    step_counter = 0
-    win = 0
-    while step_counter < total_steps:
-        win_steps = min(steps_per_window, total_steps - step_counter)
-        want = [
-            j for j in range(1, win_steps + 1)
-            if (step_counter + j) % stride == 0 or step_counter + j == total_steps
-        ]
-        kept = None
-        if probe_top is not None:
-            kept, end = _march_window(
-                model, prop, cur_phat, cur_q, win_steps, cfg, kernels, want, probe_top
-            )
-        if kept is None:
-            try:
-                phats, qs, iters, ratios, _ = _picard_window(
-                    model, prop, cur_phat, cur_q, win_steps, cfg,
-                    project_force=True, label=f"window {win}",
-                )
-            except HorizonTooLargeError as exc:
-                raise DataTooLargeError(
-                    f"initial datum too large for global solve: {exc}", exc.ratio
-                ) from exc
-            iters_all.append(iters)
-            ratios_all.extend(ratios)
-            probe_top = max(_h1_proxy_hat(model, p, q) for p, q in zip(phats, qs))
-            kept = [(j, phats[j], qs[j]) for j in want]
-            end = phats[-1], qs[-1]
-        else:
-            iters_all.append(0)
-        for j, phat, q in kept:
-            times.append((step_counter + j) * cfg.dt)
-            stored.append((phat, q))
-        eig = model.wlat * np.sum(_total_hat(model, *end) * np.conj(model.psi_hat))
-        ortho_max = max(ortho_max, abs(eig))
-        cur_phat, cur_q = end
-        step_counter += win_steps
-        win += 1
-
-    states = [_to_decomposed(model, p, q, u0.params) for p, q in stored]
+    try:
+        times, states, iterations, ratios, ortho_max = _solve(
+            u0, cfg, projected=True, window=cfg.window, default_stride=None, init="linear"
+        )
+    except HorizonTooLargeError as exc:
+        raise DataTooLargeError(
+            f"initial datum too large for global solve: {exc}", exc.ratio
+        ) from exc
     rho = np.array([lagrange_multiplier(st, cfg) for st in states])
     diag = {
-        "iterations": iters_all,
-        "contraction_ratios": ratios_all,
+        "iterations": iterations,
+        "contraction_ratios": ratios,
         "ortho_max": ortho_max,
         "clamp_events": cfg.clamp_events,
     }
-    return Trajectory(np.array(times), states, rho, diag)
+    return Trajectory(times, states, rho, diag)
 
 
 def residual_check(traj, cfg, t_min=0.0):

@@ -1,4 +1,13 @@
-import numpy as np
+import os
+
+# One BLAS thread: the nodes x bins products of the contour corrections are
+# small, so extra threads only contend with other work on a shared host, and
+# the rounding-floor digits the acceptance gate prints stop depending on the
+# thread count.  Must run before numpy is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 

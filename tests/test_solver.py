@@ -1,6 +1,7 @@
 """Nonlinearity, Duhamel quadrature, and Picard solver checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from pideq import (
 )
 from pideq.errors import DataTooLargeError, SchedulingError
 from pideq.solver import (
-    _forcing_hats,
+    _forcing_hat,
     _h1_proxy_hat,
     _picard_window,
     _Propagator,
@@ -190,16 +191,18 @@ def test_solve_local_fixed_point_property(params, grid128):
     traj = solve_local(u0, cfg)
     model = grid_model(params, grid128)
     prop = _Propagator(model, cfg.dt, full=True)
-    phats, qs = [], []
-    for st in traj.states:
-        ph, q = _state_hats(model, st)
-        phats.append(ph)
-        qs.append(q)
-    sources = _forcing_hats(model, phats, qs, cfg, project_force=False)
-    nphats, nqs = _sweep(model, prop, phats[0], qs[0], sources)
+    states = [_state_hats(model, st) for st in traj.states]
+
+    def force(phat, q):
+        return _forcing_hat(model, phat, q, cfg, project_force=False)
+
+    # one Picard iterate from the solution, swept over a copy of it
+    swept = list(states)
+    for _ in _sweep(model, prop, states[0], len(states) - 1, force, swept):
+        pass
     moved = max(
         _h1_proxy_hat(model, a - b, c - d)
-        for a, b, c, d in zip(nphats, phats, nqs, qs)
+        for (a, c), (b, d) in zip(swept, states)
     )
     assert moved < 2 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
 
@@ -293,12 +296,16 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     prop = _Propagator(model, cfg.dt, full=False)
     phat, q = _state_hats(model, traj.states[0])
     ref = [(phat, q)]
+
+    def force(phat, q):
+        return _forcing_hat(model, phat, q, cfg, project_force=True)
+
     for win in range(windows):
-        phats, qs, _, _, _ = _picard_window(
-            model, prop, phat, q, steps, cfg, project_force=True, label=f"window {win}"
+        states, _, _ = _picard_window(
+            model, prop, (phat, q), steps, cfg, force, "linear", label=f"window {win}"
         )
-        ref.extend(zip(phats[1:], qs[1:]))
-        phat, q = phats[-1], qs[-1]
+        ref.extend(states[1:])
+        phat, q = states[-1]
     stride = cfg.store_stride or steps
     assert len(traj.states) == windows * steps // stride + 1
     tol = 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
@@ -351,6 +358,35 @@ def test_global_solver_rejects_large_data_over_windows(params, grid128):
     )
     with pytest.raises(DataTooLargeError):
         solve_global_projected(big, cfg)
+
+
+def test_global_probe_holds_one_iterate(params, grid128):
+    # a probed window of 50 steps sweeps one list of its states in place:
+    # two iterates and a forcing list would be over 150 fields
+    u0 = small_state(grid128, params)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=1.0, picard_tol=1e-10)
+    solve_global_projected(u0, cfg)  # warm the grid-model, contour and kernel caches
+    tracemalloc.start()
+    try:
+        solve_global_projected(u0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field_bytes = 16 * grid128.n**2
+    assert peak < 100 * field_bytes
+
+
+def test_global_solver_ball_radius(params, grid128):
+    u0 = small_state(grid128, params)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.4, dt=0.02, window=0.2, ball_radius=1e-9)
+    with pytest.warns(UserWarning, match="left the ball"):
+        solve_global_projected(u0, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_global_projected(u0, SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.4, dt=0.02))
+    cfg_auto = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.4, dt=0.02, ball_radius="auto")
+    solve_global_projected(u0, cfg_auto)
+    assert cfg_auto.ball_radius == "auto"
 
 
 def test_residual_check_validation(params, grid128):
