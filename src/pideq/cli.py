@@ -277,8 +277,9 @@ def build_parser():
     p.add_argument("--t", type=float)
     p.add_argument("--grid-n", dest="grid_n", type=int)
     p.add_argument("--grid-L", dest="grid_L", type=float)
-    p.add_argument("--contour-eps", dest="contour_eps", type=float)
-    p.add_argument("--nodes", dest="contour_nodes", type=int)
+    explicit = "; selects the explicit cut-hugging contour (default: the Talbot rule)"
+    p.add_argument("--contour-eps", dest="contour_eps", type=float, help="arc radius" + explicit)
+    p.add_argument("--nodes", dest="contour_nodes", type=int, help="nodes per ray" + explicit)
     p.add_argument("--u0", default="gaussian:2,1")
     p.set_defaults(fn=cmd_semigroup)
 

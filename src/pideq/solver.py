@@ -27,15 +27,17 @@ One sweep over a window steps u_{j+1} = S(dt)[u_j + dt F(v_j)]: with v_j
 the previous Picard iterate's state j it is one Picard iterate, and with
 v_j = u_j it is the explicit march.  Because F_j depends on u_j alone, the
 march is exactly the fixed point of the Picard map (Hochbruck & Ostermann,
-"Exponential integrators", Acta Numerica 19 (2010)).  Both solves run
+"Exponential integrators", Acta Numerica 19 (2010)).  S(dt) is one
+:class:`pideq.semigroup.Flow`, built once per solve.  Both solves run
 through one window driver, which probes a window (Picard to tolerance on
 one list of states swept in place, measuring contraction) or marches it.
 A local solve is one probed window covering [0, T] with the full
 semigroup.  A global solve probes its first window, marches the rest, and
 probes again any window whose march leaves the largest H^1 proxy of the
-last probed window.  The standalone :func:`duhamel_integral` also offers a
-midpoint-kernel variant (kernel evaluated at the interval midpoint) which
-is second-order accurate.
+last probed window.  The standalone :func:`duhamel_integral` runs its
+left-endpoint scheme on the same sweep and also offers a midpoint-kernel
+variant (kernel evaluated at the interval midpoint) which is second-order
+accurate.
 """
 
 import math
@@ -53,7 +55,7 @@ from .errors import (
     SchedulingError,
 )
 from .fields import Field, inner_product, lp_norm
-from .semigroup import MIN_TIME, ContourSpec, grid_model
+from .semigroup import MIN_TIME, Flow, grid_model
 from .spectral import DecomposedField, green_gradient_field, psi_alpha_field
 
 __all__ = [
@@ -205,53 +207,6 @@ def lagrange_multiplier(u, cfg):
 # --- stepping engine ----------------------------------------------------------
 
 
-class _Propagator:
-    """One cached application of S(dt) (projected or full) in hat space.
-
-    The rank-one correction is integrated over a Talbot-type winding
-    contour: a fixed, small node count stays uniformly accurate down to
-    micro-steps, where the cut-hugging contour of the public semigroup
-    would need nodes proportional to the lattice spectral radius.  The
-    grid model caches that contour's node rows, denominators and base
-    weights per (dt, node count), in an LRU cache of four entries, so each
-    step reuses them: one bin pairing, two nodes x bins matrix-vector
-    products and one gather on top of the heat multiplier.  Passing an
-    explicit ContourSpec forces the cut-hugging quadrature instead, whose
-    rows are rebuilt chunk by chunk on every step.
-    """
-
-    def __init__(self, model, dt, full, contour=None, talbot_nodes=32):
-        self.model = model
-        self.dt = dt
-        self.full = full
-        self.contour = contour
-        self.talbot_nodes = talbot_nodes
-        if contour is not None:
-            contour.validate(model.params)
-        self.heat = np.exp(-dt * model.xi2)
-        self.growth = math.exp(model.E * dt) if full else 0.0
-
-    def apply(self, total_hat):
-        """Returns (out_hat, q_out): the evolved transform and its kernel content.
-
-        q_out is the exact domain-coupling functional <out, delta>/S(E); with
-        this choice the split out = phi + q G_ref satisfies
-        (omega - A) out = (omega - Laplacian) phi, so phi is genuinely the
-        regular part (the contour coefficient alone misses the kernel content
-        of the heat part).
-        """
-        m = self.model
-        gac, eig_coef = m.project_ac_hat(total_hat)
-        if self.contour is None:
-            corr, _ = m.correction_talbot(self.dt, gac, self.talbot_nodes)
-        else:
-            corr, _, _ = m.correction_hat(self.dt, gac, self.contour)
-        out = self.heat * gac + corr
-        if self.full:
-            out = out + self.growth * eig_coef * m.psi_hat
-        return out, m.coupling_coefficient(out)
-
-
 def _state_hats(model, u):
     """(phi_hat, q) of a decomposed state re-referenced to the model's omega."""
     phat = fft.fft2(u.regular.values)
@@ -265,7 +220,13 @@ def _state_hats(model, u):
 
 
 def _compatible_split(model, total_hat):
-    """Domain-compatible split of a total transform: q from the coupling."""
+    """Domain-compatible split of a total transform: q from the coupling.
+
+    q is the exact domain-coupling functional <u, delta>/S(E); with it the
+    split u = phi + q G_omega satisfies (omega - A) u = (omega - Laplacian)
+    phi, so phi is genuinely the regular part (the contour coefficient
+    alone misses the kernel content of the heat part).
+    """
     q = model.coupling_coefficient(total_hat)
     return total_hat - q * model.green_omega_hat, q
 
@@ -289,8 +250,9 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
 
     ``source`` must sample f uniformly on [0, t] including both endpoints.
     The default midpoint-kernel product integration evaluates the semigroup
-    at interval midpoints (second order); ``scheme='left'`` matches the
-    solver's left-endpoint rule.
+    at interval midpoints (second order); ``scheme='left'`` is the solver's
+    exponential-Euler sweep from zero, forced by the samples at the left
+    endpoints.  ``contour`` selects the cut-hugging rule of the flows.
     """
     if len(source) < 2:
         raise SchedulingError("need at least two source samples covering [0, t]")
@@ -306,8 +268,8 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
             raise SchedulingError(
                 f"midpoint scheme needs dt >= {2 * MIN_TIME}; got dt = {dt}"
             )
-        p_full = _Propagator(model, dt, full=not projected, contour=contour)
-        p_half = _Propagator(model, dt / 2.0, full=not projected, contour=contour)
+        p_full = Flow(model, dt, full=not projected, contour=contour)
+        p_half = Flow(model, dt / 2.0, full=not projected, contour=contour)
         acc = np.zeros((grid.n, grid.n), dtype=np.complex128)
         for j in range(m):
             if j > 0:
@@ -320,11 +282,13 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
     if scheme == "left":
         if dt < MIN_TIME - 1e-12:
             raise SchedulingError(f"left scheme needs dt >= {MIN_TIME}; got dt = {dt}")
-        prop = _Propagator(model, dt, full=not projected, contour=contour)
-        acc = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        for j in range(m):
-            acc, _ = prop.apply(acc + dt * fft.fft2(source[j].values))
-        return Field(grid, fft.ifft2(acc))
+        flow = Flow(model, dt, full=not projected, contour=contour)
+        # the j-th call of the forcing returns source[j]'s transform
+        kicks = (fft.fft2(f.values) for f in source[:m])
+        zero = (np.zeros((grid.n, grid.n), dtype=np.complex128), 0.0)
+        for _, phat, q in _sweep(model, flow, zero, m, lambda phat, q: next(kicks)):
+            pass
+        return Field(grid, fft.ifft2(_total_hat(model, phat, q)))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -339,11 +303,14 @@ def _forcing_hat(model, phat, q, cfg, project_force):
     return fhat
 
 
-def _sweep(model, prop, start, steps, force, prev=None):
+def _sweep(model, flow, start, steps, force, prev=None):
     """Exponential-Euler sweep over one window: u_{j+1} = S(dt)[u_j + dt F(v_j)].
 
-    ``start`` is u_0 as (phi_hat, q); ``force`` maps one state (phi_hat, q)
-    to F's transform, or to None for no forcing.  Yields (j, phi_hat, q) for
+    S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt, and every
+    u_j is split with :func:`_compatible_split`.  ``start`` is u_0 as
+    (phi_hat, q); ``force`` maps one state (phi_hat, q) to F's transform,
+    or to None for no forcing, and is called exactly ``steps`` times, in
+    order.  Yields (j, phi_hat, q) for
     u_1 .. u_steps.  Without ``prev``, v_j = u_j: the march.  With ``prev``,
     the previous Picard iterate as a list of steps + 1 states starting at
     u_0, v_j = prev[j] and the sweep is one Picard iterate written over
@@ -354,8 +321,8 @@ def _sweep(model, prop, start, steps, force, prev=None):
     cur = _total_hat(model, phat, q)
     fhat = force(phat, q)
     for j in range(1, steps + 1):
-        cur, q = prop.apply(cur if fhat is None else cur + prop.dt * fhat)
-        phat = cur - q * model.green_omega_hat
+        cur, _ = flow.apply(cur if fhat is None else cur + flow.t * fhat)
+        phat, q = _compatible_split(model, cur)
         yield j, phat, q
         if j < steps:
             fhat = force(*(prev[j] if prev is not None else (phat, q)))
@@ -363,7 +330,7 @@ def _sweep(model, prop, start, steps, force, prev=None):
             prev[j] = (phat, q)
 
 
-def _picard_window(model, prop, start, steps, cfg, force, init, label):
+def _picard_window(model, flow, start, steps, cfg, force, init, label):
     """Iterate the window map to tolerance; returns (states, iterations, ratios).
 
     The starting iterate is the linear evolution of the window's start
@@ -375,7 +342,7 @@ def _picard_window(model, prop, start, steps, cfg, force, init, label):
     if init == "frozen":
         states = [start] * (steps + 1)
     else:
-        linear = _sweep(model, prop, start, steps, lambda phat, q: None)
+        linear = _sweep(model, flow, start, steps, lambda phat, q: None)
         states = [start] + [(phat, q) for _, phat, q in linear]
     scale = max(1.0, _h1_proxy_hat(model, *start))
     ratios = []
@@ -383,7 +350,7 @@ def _picard_window(model, prop, start, steps, cfg, force, init, label):
     bad_streak = 0
     for it in range(1, cfg.picard_max + 1):
         dist = 0.0
-        for j, phat, q in _sweep(model, prop, start, steps, force, states):
+        for j, phat, q in _sweep(model, flow, start, steps, force, states):
             old_phat, old_q = states[j]
             dist = max(dist, _h1_proxy_hat(model, phat - old_phat, q - old_q))
         if distance is not None and distance > 0:
@@ -432,7 +399,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     total_steps = int(round(cfg.T / cfg.dt))
     if total_steps < 1 or abs(total_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ValueError("T must be an integer multiple of dt")
-    prop = _Propagator(model, cfg.dt, full=not projected)
+    flow = Flow(model, cfg.dt, full=not projected)
     tot = _total_hat(model, *_state_hats(model, u0))
     if projected:
         tot, _ = model.project_ac_hat(tot)
@@ -462,7 +429,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         kept = None
         if probe_top is not None:
             kept = []
-            for j, phat, q in _sweep(model, prop, start, steps, force):
+            for j, phat, q in _sweep(model, flow, start, steps, force):
                 if not _h1_proxy_hat(model, phat, q) <= probe_top:
                     kept = None
                     break
@@ -472,7 +439,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         if kept is None:
             label = f"window {len(iterations)} ({init} start)"
             states, iters, window_ratios = _picard_window(
-                model, prop, start, steps, cfg, force, init, label
+                model, flow, start, steps, cfg, force, init, label
             )
             iterations.append(iters)
             ratios.extend(window_ratios)

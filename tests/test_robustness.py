@@ -8,6 +8,7 @@ import pytest
 
 from pideq import (
     AlphaParams,
+    ContourSpec,
     DecomposedField,
     Field,
     Grid,
@@ -24,8 +25,7 @@ from pideq import (
     solve_local,
     total_field,
 )
-from pideq.semigroup import grid_model
-from pideq.solver import _Propagator
+from pideq.semigroup import Flow, grid_model
 
 
 @pytest.mark.filterwarnings("ignore:eigenfunction scale")
@@ -70,11 +70,11 @@ def test_stepper_matches_public_semigroup(params, grid128):
     # 100 winding-contour micro-steps against one cut-hugging evaluation
     g = gaussian_field(grid128, sigma=1.5, amplitude=0.1)
     model = grid_model(params, grid128)
-    prop = _Propagator(model, 0.01, full=False)
+    prop = Flow(model, 0.01, full=False)
     cur = model.hat(g)
     for _ in range(100):
         cur, _ = prop.apply(cur)
-    ref = semigroup_pac(1.0, g, params).field
+    ref = semigroup_pac(1.0, g, params, ContourSpec.for_time(params, 1.0)).field
     err = lp_norm(Field(grid128, np.fft.ifft2(cur)) - ref, 2) / lp_norm(ref, 2)
     assert err < 1e-6
 

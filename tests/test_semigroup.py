@@ -10,6 +10,7 @@ from pideq import (
     AlphaParams,
     ContourSpec,
     Field,
+    Grid,
     backward_euler_oracle,
     gaussian_field,
     gradient,
@@ -25,7 +26,7 @@ from pideq import (
     semigroup_pac,
 )
 from pideq.errors import BranchCutError, ContourError, PoleError
-from pideq.semigroup import _talbot_nodes, grid_model
+from pideq.semigroup import Flow, _talbot_nodes, grid_model
 
 
 def test_contour_spec_validation(params):
@@ -147,6 +148,21 @@ def test_contour_independence(params, grid256):
     assert lp_norm(a.field - b.field, 2) <= 1e-6 * lp_norm(a.field, 2)
 
 
+def test_semigroup_default_matches_oracle_at_short_times():
+    # the default flow against 2 BE(8000) - BE(4000), the Richardson
+    # extrapolation of the backward-Euler oracle, which uses no contour code;
+    # the cut-hugging contour is off by 1.0e-2 and 3.1e-2 here
+    params = AlphaParams.for_alpha(0.2, 2)
+    grid = Grid(40.0, 128)
+    g = gaussian_field(grid, sigma=2.0)
+    for t in (0.02, 0.3):
+        ref = 2.0 * backward_euler_oracle(t, g, params, 8000) - backward_euler_oracle(
+            t, g, params, 4000
+        )
+        err = lp_norm(semigroup_pac(t, g, params).field - ref, 2) / lp_norm(ref, 2)
+        assert err <= 1e-7
+
+
 def test_arc_contribution_dominated_by_rays(params, grid128, smooth_datum):
     # the half-circle leg is majorized by the rays once the radius is small
     # (its weight shrinks linearly with the radius)
@@ -159,8 +175,8 @@ def test_arc_contribution_dominated_by_rays(params, grid128, smooth_datum):
 
 
 def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
-    # the cached, binned kernel against the Talbot sum written out node by
-    # node over the full lattice; interleaved step sizes catch a wrong key
+    # a flow's binned Talbot kernel against the Talbot sum written out node
+    # by node over the full lattice, at interleaved step sizes
     model = grid_model(params, grid128)
     ghat, _ = model.project_ac_hat(model.hat(smooth_datum))
     sigma, swts = _talbot_nodes(32)
@@ -171,7 +187,7 @@ def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
             c = w * model.pair_green(ghat, lam) / model.denominator(lam)
             ref += c * model.delta_hat / (lam + model.xi2)
             q_ref += c
-        corr, q = model.correction_talbot(dt, ghat)
+        corr, q = model.correction_talbot(ghat, Flow(model, dt).talbot)
         assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
         assert abs(q - q_ref) <= 1e-13 * abs(q_ref)
 

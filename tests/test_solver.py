@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pideq import (
+    ContourSpec,
     DecomposedField,
     Field,
     Grid,
@@ -32,11 +33,10 @@ from pideq.solver import (
     _forcing_hat,
     _h1_proxy_hat,
     _picard_window,
-    _Propagator,
     _state_hats,
     _sweep,
 )
-from pideq.semigroup import grid_model
+from pideq.semigroup import Flow, grid_model
 
 
 def small_state(grid, params, amplitude=0.01):
@@ -152,7 +152,7 @@ def test_solve_local_linear_flow(params, grid128):
     cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=0.2, dt=0.02, projected=False)
     traj = solve_local(u0, cfg)
     assert traj.diagnostics["iterations"] == 1
-    direct = semigroup_full(0.2, total_field(u0), params)
+    direct = semigroup_full(0.2, total_field(u0), params, ContourSpec.for_time(params, 0.2))
     # stepper (winding contour) vs public semigroup (cut-hugging contour):
     # two independent quadratures of the same flow
     assert lp_norm(total_field(traj.states[-1]) - direct, 2) < 1e-3 * lp_norm(direct, 2)
@@ -190,7 +190,7 @@ def test_solve_local_fixed_point_property(params, grid128):
     )
     traj = solve_local(u0, cfg)
     model = grid_model(params, grid128)
-    prop = _Propagator(model, cfg.dt, full=True)
+    prop = Flow(model, cfg.dt, full=True)
     states = [_state_hats(model, st) for st in traj.states]
 
     def force(phat, q):
@@ -293,7 +293,7 @@ def test_global_solver_rejects_large_data(params, grid128):
 def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     """Every stored state matches Picard iterated to tolerance on each window."""
     model = grid_model(u0.params, u0.regular.grid)
-    prop = _Propagator(model, cfg.dt, full=False)
+    prop = Flow(model, cfg.dt, full=False)
     phat, q = _state_hats(model, traj.states[0])
     ref = [(phat, q)]
 
