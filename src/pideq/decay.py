@@ -26,7 +26,7 @@ from scipy import fft, integrate
 
 from .fields import Field, Grid, gaussian_field, lp_norm
 from .semigroup import semigroup_gradient_pac, semigroup_pac
-from .spectral import AlphaParams, project_ac
+from .spectral import AlphaParams
 from .solver import _assemble_state
 
 __all__ = [
@@ -75,8 +75,6 @@ class ExperimentSpec:
     q: float | None = None
     h1: float | None = None
     h2: float | None = None
-    theta: tuple | None = None
-    delta: float = 0.0
     t_grid: np.ndarray = dataclass_field(
         default_factory=lambda: np.geomspace(1.0, 50.0, 16)
     )
@@ -85,12 +83,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in {"semigroup", "gradient", "nonlinear", "rho", "convolution"}:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
 
 
-def fit_rate(samples):
-    """RateFit from (t, value) pairs; needs >= 5 positive samples with t >= 1."""
+def fit_rate(samples, theoretical=math.nan):
+    """RateFit from (t, value) pairs against the ``theoretical`` slope.
+
+    Needs >= 5 positive samples with t >= 1.
+    """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
         raise ValueError("fit_rate needs at least 5 (t, value) samples")
@@ -106,7 +105,7 @@ def fit_rate(samples):
     sstot = float(np.sum((lv - lv.mean()) ** 2))
     ssres = float(np.sum((lv - pred) ** 2))
     r2 = 1.0 if sstot == 0.0 else max(0.0, 1.0 - ssres / sstot)
-    return RateFit(float(sol[0]), float(sol[1]), r2)
+    return RateFit(float(sol[0]), float(sol[1]), r2, theoretical)
 
 
 @lru_cache(maxsize=16)
@@ -166,10 +165,14 @@ def _magnitude(d1, d2, grid):
     return Field(grid, np.sqrt(np.abs(d1) ** 2 + np.abs(d2) ** 2))
 
 
-def _linear_setup(spec):
+def _linear_fit(spec, measure, theoretical):
+    """Fit of measure(t, g, params) over ``spec.t_grid`` for the spec's datum g.
+
+    The public flows that ``measure`` applies project g themselves.
+    """
     params = AlphaParams.for_alpha(spec.alpha, 2)
-    datum = make_datum(spec.datum, spec.grid, q=spec.q or 2.0)
-    return params, project_ac(datum, params)
+    g = make_datum(spec.datum, spec.grid, q=spec.q or 2.0)
+    return fit_rate([(t, measure(t, g, params)) for t in spec.t_grid], theoretical)
 
 
 def run_semigroup_decay(spec):
@@ -181,21 +184,17 @@ def run_semigroup_decay(spec):
             "semigroup decay requires 1 < q < p < inf; equal exponents have no "
             "decay rate (see run_l2_bound for the p = q = 2 boundedness check)"
         )
-    params, g = _linear_setup(spec)
-    samples = [
-        (t, lp_norm(semigroup_pac(t, g, params).field, spec.p)) for t in spec.t_grid
-    ]
-    fit = fit_rate(samples)
     theo = -(1.0) * (1.0 / spec.q - 1.0 / spec.p)  # N = 2
-    return RateFit(fit.slope, fit.intercept, fit.r_squared, theo)
+    return _linear_fit(
+        spec, lambda t, g, params: lp_norm(semigroup_pac(t, g, params).field, spec.p), theo
+    )
 
 
 def run_l2_bound(spec):
     """Uniform L^2 boundedness of the projected flow: fitted slope <= 0."""
-    params, g = _linear_setup(spec)
-    samples = [(t, lp_norm(semigroup_pac(t, g, params).field, 2.0)) for t in spec.t_grid]
-    fit = fit_rate(samples)
-    return RateFit(fit.slope, fit.intercept, fit.r_squared, 0.0)
+    return _linear_fit(
+        spec, lambda t, g, params: lp_norm(semigroup_pac(t, g, params).field, 2.0), 0.0
+    )
 
 
 def run_gradient_decay(spec):
@@ -204,14 +203,12 @@ def run_gradient_decay(spec):
         raise ValueError("gradient experiment needs exponents (q, p)")
     if not (1.0 < spec.q < spec.p < 2.0):
         raise ValueError("gradient decay requires 1 < q < p < 2")
-    params, g = _linear_setup(spec)
-    samples = []
-    for t in spec.t_grid:
+
+    def measure(t, g, params):
         dx, dy = semigroup_gradient_pac(t, g, params)
-        samples.append((t, lp_norm(_magnitude(dx.values, dy.values, spec.grid), spec.p)))
-    fit = fit_rate(samples)
-    theo = -0.5 - (1.0 / spec.q - 1.0 / spec.p)
-    return RateFit(fit.slope, fit.intercept, fit.r_squared, theo)
+        return lp_norm(_magnitude(dx.values, dy.values, spec.grid), spec.p)
+
+    return _linear_fit(spec, measure, -0.5 - (1.0 / spec.q - 1.0 / spec.p))
 
 
 def run_nonlinear_decay(spec, traj):
@@ -239,14 +236,11 @@ def run_nonlinear_decay(spec, traj):
         u_samples.append((t, lp_norm(Field(grid, vals), spec.h1)))
         g_samples.append((t, lp_norm(_magnitude(du1, du2, grid), spec.h2)))
         r_samples.append((t, abs(rho)))
-    fu = fit_rate(u_samples)
-    fg = fit_rate(g_samples)
     floor = max(r for _, r in r_samples) * 1e-14
-    fr = fit_rate([(t, max(r, floor)) for t, r in r_samples])
     return (
-        RateFit(fu.slope, fu.intercept, fu.r_squared, -1.0 + 1.0 / spec.h1),
-        RateFit(fg.slope, fg.intercept, fg.r_squared, -1.5 + 1.0 / spec.h2),
-        RateFit(fr.slope, fr.intercept, fr.r_squared, -1.0),
+        fit_rate(u_samples, -1.0 + 1.0 / spec.h1),
+        fit_rate(g_samples, -1.5 + 1.0 / spec.h2),
+        fit_rate([(t, max(r, floor)) for t, r in r_samples], -1.0),
     )
 
 

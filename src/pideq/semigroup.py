@@ -252,8 +252,6 @@ class PointHeatModel:
             self.bin_index.ravel(), weights=np.abs(self.delta_hat.ravel()) ** 2
         )
         self.S_at_E = self._lattice_sum(self.E)
-        # q-coefficient of the normalized eigenfunction itself
-        self.psi_q = 1.0 / self.green_ref_norm
 
         self.omega = reference_lambda(params)
         self.green_omega_hat = self.delta_hat / (self.omega + self.xi2)

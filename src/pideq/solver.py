@@ -34,15 +34,14 @@ one list of states swept in place, measuring contraction) or marches it.
 A local solve is one probed window covering [0, T] with the full
 semigroup.  A global solve probes its first window, marches the rest, and
 probes again any window whose march leaves the largest H^1 proxy of the
-last probed window.  The standalone :func:`duhamel_integral` runs its
-left-endpoint scheme on the same sweep and also offers a midpoint-kernel
-variant (kernel evaluated at the interval midpoint) which is second-order
-accurate.
+last probed window.  :func:`duhamel_integral` runs both of its schemes on
+the same sweep (the second-order midpoint one at half steps), so the sweep
+is the only loop over time steps, and its flow the only projector.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,7 +55,7 @@ from .errors import (
 )
 from .fields import Field, inner_product, lp_norm
 from .semigroup import MIN_TIME, Flow, grid_model
-from .spectral import DecomposedField, green_gradient_field, psi_alpha_field
+from .spectral import DecomposedField, _h1_proxy_hat, green_gradient_field, psi_alpha_field
 
 __all__ = [
     "SolverConfig",
@@ -77,7 +76,8 @@ class SolverConfig:
     ``ball_radius`` is diagnostic: when set (or 'auto', twice the proxy
     norm of the initial state) iterates leaving the ball raise a warning.  The
     pointwise factor |u|^(gamma-2) is clamped at ``clamp_limit`` for
-    gamma < 2; clamp events are counted in ``clamp_events``.
+    gamma < 2.  A config holds settings only: solves never write to it, and
+    each reports its own clamp count in its trajectory's diagnostics.
     """
 
     gamma: float = 2.0
@@ -91,7 +91,6 @@ class SolverConfig:
     window: float = 1.0
     store_stride: int | None = None
     clamp_limit: float = 1e8
-    clamp_events: int = dataclass_field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -112,7 +111,8 @@ class Trajectory:
 
     ``rho`` is empty for unprojected runs.  ``diagnostics`` carries the
     measured contraction ratios, iteration counts, the maximum eigenmode
-    component seen along the run, and clamp counts.
+    component seen along the run (global solves), and ``clamp_events``: the
+    number of clamped |u|^(gamma-2) samples in the forcings this solve built.
     """
 
     times: np.ndarray
@@ -159,9 +159,11 @@ def _assemble_state(u):
 
 
 def _nonlinear_values(vals, du1, du2, cfg):
+    """(a . grad(|u|^gamma) samples, number of clamped |u|^(gamma-2) samples)."""
     a1, a2 = float(cfg.a[0]), float(cfg.a[1])
     if a1 == 0.0 and a2 == 0.0:
-        return np.zeros_like(vals)
+        return np.zeros_like(vals), 0
+    clamped = 0
     if cfg.gamma == 2.0:
         factor = vals
     else:
@@ -169,12 +171,11 @@ def _nonlinear_values(vals, du1, du2, cfg):
         with np.errstate(divide="ignore"):
             power = np.where(mag > 0.0, mag ** (cfg.gamma - 2.0), 0.0)
         if cfg.gamma < 2.0:
-            over = power > cfg.clamp_limit
-            if over.any():
-                cfg.clamp_events += int(over.sum())
+            clamped = int(np.count_nonzero(power > cfg.clamp_limit))
+            if clamped:
                 power = np.minimum(power, cfg.clamp_limit)
         factor = power * vals
-    return cfg.gamma * factor * (a1 * du1 + a2 * du2)
+    return cfg.gamma * factor * (a1 * du1 + a2 * du2), clamped
 
 
 def total_field(u):
@@ -193,8 +194,8 @@ def nonlinearity(u, cfg):
     """
     if not cfg.gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    vals, du1, du2 = _assemble_state(u)
-    return Field(u.regular.grid, _nonlinear_values(vals, du1, du2, cfg))
+    values, _ = _nonlinear_values(*_assemble_state(u), cfg)
+    return Field(u.regular.grid, values)
 
 
 def lagrange_multiplier(u, cfg):
@@ -240,19 +241,16 @@ def _to_decomposed(model, phat, q, params):
     return DecomposedField(reg, complex(q), model.omega, params)
 
 
-def _h1_proxy_hat(model, phat, q):
-    w = model.wlat * np.sum((1.0 + model.xi2) * np.abs(phat) ** 2)
-    return math.sqrt(float(w) + abs(q) ** 2)
-
-
 def duhamel_integral(source, t, params, contour=None, projected=True, scheme="midpoint"):
     """Quadrature of integral_0^t S(t - tau) f(tau) dtau.
 
-    ``source`` must sample f uniformly on [0, t] including both endpoints.
-    The default midpoint-kernel product integration evaluates the semigroup
-    at interval midpoints (second order); ``scheme='left'`` is the solver's
-    exponential-Euler sweep from zero, forced by the samples at the left
-    endpoints.  ``contour`` selects the cut-hugging rule of the flows.
+    ``source`` samples f uniformly on [0, t], both endpoints included, at
+    spacing dt.  Either scheme is one sweep u_{k+1} = S(h)[u_k + h F_k]
+    from zero.  The default midpoint scheme takes h = dt/2 and F alternating
+    between none and 2 f_{j+1/2} (end-sample average), i.e.
+    acc <- S(dt) acc + dt S(dt/2) f_{j+1/2}: second order.  ``scheme='left'``
+    takes h = dt and F_j = f_j: first order.  ``contour`` selects the
+    cut-hugging rule of the flow.
     """
     if len(source) < 2:
         raise SchedulingError("need at least two source samples covering [0, t]")
@@ -262,45 +260,36 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
     for f in source:
         if f.grid != grid:
             raise SchedulingError("source samples live on different grids")
-    model = grid_model(params, grid)
     if scheme == "midpoint":
-        if dt / 2.0 < MIN_TIME - 1e-12:
-            raise SchedulingError(
-                f"midpoint scheme needs dt >= {2 * MIN_TIME}; got dt = {dt}"
-            )
-        p_full = Flow(model, dt, full=not projected, contour=contour)
-        p_half = Flow(model, dt / 2.0, full=not projected, contour=contour)
-        acc = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        for j in range(m):
-            if j > 0:
-                acc, _ = p_full.apply(acc)
-            favg = 0.5 * (source[j].values + source[j + 1].values)
-            kick, _ = p_half.apply(fft.fft2(favg))
-            acc = acc + dt * kick
-        # interval j ends up propagated through S(t - t_{j+1/2}) in total
-        return Field(grid, fft.ifft2(acc))
-    if scheme == "left":
-        if dt < MIN_TIME - 1e-12:
-            raise SchedulingError(f"left scheme needs dt >= {MIN_TIME}; got dt = {dt}")
-        flow = Flow(model, dt, full=not projected, contour=contour)
-        # the j-th call of the forcing returns source[j]'s transform
+        sub = 2
+        kicks = (
+            kick
+            for j in range(m)
+            for kick in (None, fft.fft2(source[j].values + source[j + 1].values))
+        )
+    elif scheme == "left":
+        sub = 1
         kicks = (fft.fft2(f.values) for f in source[:m])
-        zero = (np.zeros((grid.n, grid.n), dtype=np.complex128), 0.0)
-        for _, phat, q in _sweep(model, flow, zero, m, lambda phat, q: next(kicks)):
-            pass
-        return Field(grid, fft.ifft2(_total_hat(model, phat, q)))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if dt / sub < MIN_TIME - 1e-12:
+        raise SchedulingError(f"{scheme} scheme needs dt >= {sub * MIN_TIME}; got dt = {dt}")
+    model = grid_model(params, grid)
+    flow = Flow(model, dt / sub, full=not projected, contour=contour)
+    zero = (np.zeros((grid.n, grid.n), dtype=np.complex128), 0.0)
+    # the k-th call of the forcing returns the k-th kick
+    for _, phat, q in _sweep(model, flow, zero, sub * m, lambda phat, q: next(kicks)):
+        pass
+    return Field(grid, fft.ifft2(_total_hat(model, phat, q)))
 
 
-def _forcing_hat(model, phat, q, cfg, project_force):
-    """Forcing transform F(u) of one state u = phi + q G_omega; None when a = 0."""
+def _forcing_hat(model, phat, q, cfg):
+    """(unprojected F transform, clamp count) of u = phi + q G_omega; (None, 0) if a = 0."""
     if float(cfg.a[0]) == 0.0 and float(cfg.a[1]) == 0.0:
-        return None
+        return None, 0
     samples = _state_samples(model.params, model.grid, model.omega, phat, q)
-    fhat = fft.fft2(_nonlinear_values(*samples, cfg))
-    if project_force:
-        fhat, _ = model.project_ac_hat(fhat)
-    return fhat
+    values, clamped = _nonlinear_values(*samples, cfg)
+    return fft.fft2(values), clamped
 
 
 def _sweep(model, flow, start, steps, force, prev=None):
@@ -344,7 +333,7 @@ def _picard_window(model, flow, start, steps, cfg, force, init, label):
     else:
         linear = _sweep(model, flow, start, steps, lambda phat, q: None)
         states = [start] + [(phat, q) for _, phat, q in linear]
-    scale = max(1.0, _h1_proxy_hat(model, *start))
+    scale = max(1.0, _h1_proxy_hat(model.grid, *start))
     ratios = []
     distance = None
     bad_streak = 0
@@ -352,7 +341,7 @@ def _picard_window(model, flow, start, steps, cfg, force, init, label):
         dist = 0.0
         for j, phat, q in _sweep(model, flow, start, steps, force, states):
             old_phat, old_q = states[j]
-            dist = max(dist, _h1_proxy_hat(model, phat - old_phat, q - old_q))
+            dist = max(dist, _h1_proxy_hat(model.grid, phat - old_phat, q - old_q))
         if distance is not None and distance > 0:
             ratio = dist / distance
             ratios.append(ratio)
@@ -376,7 +365,7 @@ def _picard_window(model, flow, start, steps, cfg, force, init, label):
 
 
 def _solve(u0, cfg, projected, window, default_stride, init):
-    """Window driver of both solves; returns (times, states, iterations, ratios, ortho_max).
+    """Both solves' window driver: (times, states, iterations, ratios, ortho_max, clamps).
 
     The horizon [0, cfg.T] is cut into windows of ``window`` time.  A window
     is probed: Picard is iterated to ``cfg.picard_tol`` from ``init`` (the
@@ -391,7 +380,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     probe covers every state.  ``iterations`` has one entry per window, 0
     for a marched one.  States are stored every ``cfg.store_stride`` steps
     (``default_stride`` when unset, every window end when that is None),
-    and at T.
+    and at T.  ``clamps`` counts the forcings' clamped samples; ``cfg`` is only read.
     """
     if init not in ("linear", "frozen"):
         raise ValueError("init must be 'linear' or 'frozen'")
@@ -406,10 +395,15 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     start = _compatible_split(model, tot)
     radius = cfg.ball_radius
     if radius == "auto":
-        radius = 2.0 * _h1_proxy_hat(model, *start)
+        radius = 2.0 * _h1_proxy_hat(model.grid, *start)
+
+    clamps = 0
 
     def force(phat, q):
-        return _forcing_hat(model, phat, q, cfg, projected)
+        nonlocal clamps
+        fhat, clamped = _forcing_hat(model, phat, q, cfg)
+        clamps += clamped
+        return fhat
 
     steps_per_window = max(1, int(round(window / cfg.dt)))
     stride = cfg.store_stride or default_stride or steps_per_window
@@ -430,7 +424,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         if probe_top is not None:
             kept = []
             for j, phat, q in _sweep(model, flow, start, steps, force):
-                if not _h1_proxy_hat(model, phat, q) <= probe_top:
+                if not _h1_proxy_hat(model.grid, phat, q) <= probe_top:
                     kept = None
                     break
                 if j in want:
@@ -443,7 +437,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
             )
             iterations.append(iters)
             ratios.extend(window_ratios)
-            probe_top = max(_h1_proxy_hat(model, *s) for s in states)
+            probe_top = max(_h1_proxy_hat(model.grid, *s) for s in states)
             if radius is not None and probe_top > radius:
                 warnings.warn(f"{label}: iterate norm {probe_top:.3e} left the ball {radius:.3e}")
             kept = [(j, states[j]) for j in want]
@@ -460,7 +454,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         step += steps
 
     states = [_to_decomposed(model, p, q, u0.params) for p, q in stored]
-    return np.array(times), states, iterations, ratios, ortho_max
+    return np.array(times), states, iterations, ratios, ortho_max, clamps
 
 
 def solve_local(u0, cfg, init="linear"):
@@ -476,13 +470,13 @@ def solve_local(u0, cfg, init="linear"):
     """
     if not math.isfinite(cfg.T):
         raise ValueError("solve_local requires a finite horizon")
-    times, states, iterations, ratios, _ = _solve(
+    times, states, iterations, ratios, _, clamps = _solve(
         u0, cfg, projected=False, window=cfg.T, default_stride=1, init=init
     )
     diag = {
         "iterations": iterations[0],
         "contraction_ratios": ratios,
-        "clamp_events": cfg.clamp_events,
+        "clamp_events": clamps,
     }
     return Trajectory(times, states, np.array([]), diag)
 
@@ -507,7 +501,7 @@ def solve_global_projected(u0, cfg):
     if not cfg.projected:
         raise ValueError("solve_global_projected requires cfg.projected = True")
     try:
-        times, states, iterations, ratios, ortho_max = _solve(
+        times, states, iterations, ratios, ortho_max, clamps = _solve(
             u0, cfg, projected=True, window=cfg.window, default_stride=None, init="linear"
         )
     except HorizonTooLargeError as exc:
@@ -519,7 +513,7 @@ def solve_global_projected(u0, cfg):
         "iterations": iterations,
         "contraction_ratios": ratios,
         "ortho_max": ortho_max,
-        "clamp_events": cfg.clamp_events,
+        "clamp_events": clamps,
     }
     return Trajectory(times, states, rho, diag)
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import fft, integrate
 
 from .errors import BranchCutError, NoEigenfunctionError
-from .fields import Field, Grid, gradient, inner_product, lp_norm
+from .fields import Field, Grid, inner_product, lp_norm
 from .special import bessel_k0, bessel_k1, euler_gamma
 
 __all__ = [
@@ -297,15 +297,13 @@ class DecomposedField:
         return cls(f, 0.0 + 0.0j, lam, params)
 
 
+def _h1_proxy_hat(grid, phat, q):
+    """(||phi||_2^2 + ||grad phi||_2^2 + |q|^2)^(1/2) from phi's transform, by Parseval."""
+    wlat = grid.cell_area / grid.n ** 2
+    w = wlat * np.sum((1.0 + grid.wavenumber_sq()) * np.abs(phat) ** 2)
+    return math.sqrt(float(w) + abs(q) ** 2)
+
+
 def h1_alpha_norm(u):
-    """Norm proxy (||phi||_2^2 + ||grad phi||_2^2 + |coeff|^2)^(1/2)."""
-    phi = u.regular
-    dx, dy = gradient(phi)
-    return float(
-        np.sqrt(
-            lp_norm(phi, 2) ** 2
-            + lp_norm(dx, 2) ** 2
-            + lp_norm(dy, 2) ** 2
-            + abs(u.coeff) ** 2
-        )
-    )
+    """Norm proxy (||phi||_2^2 + ||grad phi||_2^2 + |coeff|^2)^(1/2), the solver's measure."""
+    return _h1_proxy_hat(u.regular.grid, fft.fft2(u.regular.values), u.coeff)

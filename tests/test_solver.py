@@ -36,7 +36,7 @@ from pideq.solver import (
     _state_hats,
     _sweep,
 )
-from pideq.semigroup import Flow, grid_model
+from pideq.semigroup import MIN_TIME, Flow, grid_model
 
 
 def small_state(grid, params, amplitude=0.01):
@@ -78,14 +78,21 @@ def test_nonlinearity_gaussian_closed_form(params):
 
 
 def test_nonlinearity_clamp_counter(params, grid128):
+    # clamps are counted per solve; the config only holds settings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cfg = SolverConfig(gamma=1.5, a=(1.0, 0.0), clamp_limit=1e2)
+        cfg = SolverConfig(gamma=1.5, a=(1.0, 0.0), clamp_limit=1e2, T=0.04, dt=0.02)
     vals = np.zeros((128, 128))
     vals[10, 10] = 1e-8  # |u|^(gamma-2) = 1e4 > clamp
     u = DecomposedField.from_field(Field(grid128, vals), params)
+    before = repr(cfg)
     nonlinearity(u, cfg)
-    assert cfg.clamp_events > 0
+    assert repr(cfg) == before
+    counts = [
+        solve_local(small_state(grid128, params), cfg).diagnostics["clamp_events"]
+        for _ in range(2)
+    ]
+    assert counts[0] == counts[1] > 0
 
 
 def test_duhamel_zero_source(params, grid128):
@@ -115,6 +122,40 @@ def test_duhamel_scheduling_errors(params, grid128):
     other = gaussian_field(Grid(20.0, 128))
     with pytest.raises(SchedulingError):
         duhamel_integral([psi, other, psi], 1.0, params)
+
+
+def test_duhamel_step_floor(params, grid128):
+    # each scheme's sweep step must stay at or above MIN_TIME
+    psi = psi_alpha_field(params, grid128)
+    with pytest.raises(SchedulingError, match=rf"midpoint scheme needs dt >= {2 * MIN_TIME}"):
+        duhamel_integral([psi] * 2, 1.5 * MIN_TIME, params)
+    duhamel_integral([psi] * 2, 1.5 * MIN_TIME, params, scheme="left")
+    with pytest.raises(SchedulingError, match=rf"left scheme needs dt >= {MIN_TIME}"):
+        duhamel_integral([psi] * 2, 0.5 * MIN_TIME, params, scheme="left")
+
+
+@pytest.mark.parametrize("projected", [True, False])
+def test_duhamel_midpoint_recurrence(params, grid128, projected):
+    # the half-step sweep equals acc <- S(dt) acc + dt S(dt/2) f_{j+1/2}
+    X, _ = grid128.mesh()
+    src = [
+        gaussian_field(grid128, sigma=1.5, amplitude=0.1 * (1.0 + k), center=(0.2 * k, 0.0))
+        + Field(grid128, 0.01 * k * X * np.exp(-grid128.radius() ** 2 / 8.0))
+        for k in range(6)
+    ]
+    t = 0.2
+    dt = t / (len(src) - 1)
+    model = grid_model(params, grid128)
+    full = Flow(model, dt, full=not projected)
+    half = Flow(model, dt / 2.0, full=not projected)
+    acc = np.zeros((128, 128), dtype=np.complex128)
+    for j in range(len(src) - 1):
+        acc, _ = full.apply(acc)
+        kick, _ = half.apply(model.hat(0.5 * (src[j] + src[j + 1])))
+        acc = acc + dt * kick
+    expect = model.unhat(acc)
+    out = duhamel_integral(src, t, params, projected=projected)
+    assert lp_norm(out - expect, 2) <= 1e-12 * lp_norm(expect, 2)
 
 
 def test_duhamel_schemes_consistent(params, grid128):
@@ -194,14 +235,14 @@ def test_solve_local_fixed_point_property(params, grid128):
     states = [_state_hats(model, st) for st in traj.states]
 
     def force(phat, q):
-        return _forcing_hat(model, phat, q, cfg, project_force=False)
+        return _forcing_hat(model, phat, q, cfg)[0]
 
     # one Picard iterate from the solution, swept over a copy of it
     swept = list(states)
     for _ in _sweep(model, prop, states[0], len(states) - 1, force, swept):
         pass
     moved = max(
-        _h1_proxy_hat(model, a - b, c - d)
+        _h1_proxy_hat(model.grid, a - b, c - d)
         for (a, c), (b, d) in zip(swept, states)
     )
     assert moved < 2 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
@@ -298,7 +339,7 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     ref = [(phat, q)]
 
     def force(phat, q):
-        return _forcing_hat(model, phat, q, cfg, project_force=True)
+        return _forcing_hat(model, phat, q, cfg)[0]
 
     for win in range(windows):
         states, _, _ = _picard_window(
@@ -311,7 +352,7 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     tol = 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
     for k, st in zip(range(0, windows * steps + 1, stride), traj.states):
         p, c = _state_hats(model, st)
-        assert _h1_proxy_hat(model, p - ref[k][0], c - ref[k][1]) <= tol
+        assert _h1_proxy_hat(model.grid, p - ref[k][0], c - ref[k][1]) <= tol
 
 
 def test_global_march_is_picard_fixed_point(params, grid128):
