@@ -49,6 +49,7 @@ from .solver import (
     residual_check,
     solve_global_projected,
     solve_local,
+    state_fields,
 )
 from .decay import (
     ExperimentSpec,

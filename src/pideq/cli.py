@@ -14,12 +14,10 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .decay import ExperimentSpec, make_datum, run_gradient_decay, run_nonlinear_decay, run_semigroup_decay
-from .decay import _magnitude
-from .fields import Field, Grid, field_to_csv, gaussian_field, load_field, lp_norm, save_field
+from .fields import Grid, field_to_csv, gaussian_field, load_field, lp_norm, save_field
 from .semigroup import ContourSpec, krein_resolvent, semigroup_pac
 from .spectral import AlphaParams, DecomposedField, c_lambda
-from .solver import SolverConfig, solve_global_projected, solve_local
-from .solver import _assemble_state
+from .solver import SolverConfig, solve_global_projected, solve_local, state_fields
 
 CONFIG_KEYS = {
     "alpha": float,
@@ -165,7 +163,6 @@ def cmd_simulate(args, config):
         T=_merged(args, config, "T", 1.0),
         dt=_merged(args, config, "dt", 0.01),
         picard_tol=_merged(args, config, "tol", 1e-9),
-        projected=bool(args.projected),
     )
     u0 = DecomposedField.from_field(_load_datum(args.u0, grid), params)
     if args.projected:
@@ -177,10 +174,9 @@ def cmd_simulate(args, config):
     with open(manifest, "w", newline="\n") as fh:
         fh.write("t,l2,l4,grad_l32,q_abs,rho\n")
         for k, (t, st) in enumerate(zip(traj.times, traj.states)):
-            vals, du1, du2 = _assemble_state(st)
-            u = Field(grid, vals)
+            u, grad = state_fields(st)
             l2, l4 = lp_norm(u, 2), lp_norm(u, 4)
-            g32 = lp_norm(_magnitude(du1, du2, grid), 1.5)
+            g32 = lp_norm(grad, 1.5)
             rho = traj.rho[k] if traj.rho.size else 0.0
             fh.write(
                 f"{_sci(t)},{_sci(l2)},{_sci(l4)},{_sci(g32)},"

@@ -27,7 +27,7 @@ from scipy import fft, integrate
 from .fields import Field, Grid, gaussian_field, lp_norm
 from .semigroup import semigroup_gradient_pac, semigroup_pac
 from .spectral import AlphaParams
-from .solver import _assemble_state
+from .solver import state_fields
 
 __all__ = [
     "ExperimentSpec",
@@ -160,11 +160,6 @@ def make_datum(descriptor, grid, q=2.0):
     raise ValueError(f"unknown datum descriptor {descriptor!r}")
 
 
-def _magnitude(d1, d2, grid):
-    """Pointwise gradient magnitude sqrt(|d1|^2 + |d2|^2) as a field."""
-    return Field(grid, np.sqrt(np.abs(d1) ** 2 + np.abs(d2) ** 2))
-
-
 def _linear_fit(spec, measure, theoretical):
     """Fit of measure(t, g, params) over ``spec.t_grid`` for the spec's datum g.
 
@@ -206,7 +201,8 @@ def run_gradient_decay(spec):
 
     def measure(t, g, params):
         dx, dy = semigroup_gradient_pac(t, g, params)
-        return lp_norm(_magnitude(dx.values, dy.values, spec.grid), spec.p)
+        mag = np.sqrt(np.abs(dx.values) ** 2 + np.abs(dy.values) ** 2)
+        return lp_norm(Field(spec.grid, mag), spec.p)
 
     return _linear_fit(spec, measure, -0.5 - (1.0 / spec.q - 1.0 / spec.p))
 
@@ -231,10 +227,9 @@ def run_nonlinear_decay(spec, traj):
     for keep, t, st, rho in zip(mask, traj.times, traj.states, traj.rho):
         if not keep:
             continue
-        vals, du1, du2 = _assemble_state(st)
-        grid = st.regular.grid
-        u_samples.append((t, lp_norm(Field(grid, vals), spec.h1)))
-        g_samples.append((t, lp_norm(_magnitude(du1, du2, grid), spec.h2)))
+        u, grad = state_fields(st)
+        u_samples.append((t, lp_norm(u, spec.h1)))
+        g_samples.append((t, lp_norm(grad, spec.h2)))
         r_samples.append((t, abs(rho)))
     floor = max(r for _, r in r_samples) * 1e-14
     return (

@@ -112,7 +112,7 @@ class ContourSpec:
             raise ContourError("node counts must be at least 32")
 
     @classmethod
-    def for_time(cls, params, t, nodes_ray=None, nodes_arc=65):
+    def for_time(cls, params, t):
         """Base cut-hugging contour for time t: radius min(E/2, 1/t), cutoff ~50/t.
 
         Explicit contours (cross-checks, the CLI's ``--contour-eps`` and
@@ -120,7 +120,7 @@ class ContourSpec:
 
         The cutoff is capped at 2.5e4; below t ~ 2e-3 the neglected ray tail
         is still under exp(-50) relative to the (O(t)-small) correction.
-        The default ray node count grows like 1/sqrt(radius): the integrand
+        The ray node count grows like 1/sqrt(radius): the integrand
         varies on the radius scale along the rays, so small eigenvalues
         (which force a small radius) need proportionally more nodes.
         """
@@ -128,10 +128,9 @@ class ContourSpec:
         if ev is None or ev <= 0:
             raise ContourError("contour requires a positive point eigenvalue")
         eps = min(ev / 2.0, 1.0 / max(t, 1.0))
-        if nodes_ray is None:
-            nodes_ray = int(256 * min(4.0, max(1.0, math.sqrt(0.63 / eps))))
+        nodes_ray = int(256 * min(4.0, max(1.0, math.sqrt(0.63 / eps))))
         trunc = max(min(50.0 / t, 2.5e4), 2.0 * ev)
-        return cls(eps, trunc, nodes_ray, nodes_arc)
+        return cls(eps, trunc, nodes_ray)
 
     def validate(self, params):
         ev = params.eigenvalue
@@ -282,7 +281,7 @@ class PointHeatModel:
     def coupling_coefficient(self, ghat):
         """Kernel coefficient <g, delta>/S(E) of the domain decomposition.
 
-        For u in the model's domain, u - coupling_coefficient(u) G_ref has
+        For u in the model's domain, u - coupling_coefficient(u) G_omega has
         (omega - Laplacian)-image equal to (omega - A) u; this is the exact
         grid analogue of reading the singular coefficient off the boundary
         condition at the interaction point.

@@ -20,7 +20,9 @@ constructively as the exact domain-coupling functional <u, delta>/S(E)
 (the grid analogue of reading the coefficient off the boundary condition
 at the interaction point); with that split the identity
 (omega - A) u = (omega - Laplacian) phi holds on the nose and nothing is
-ever fitted from samples.
+ever fitted from samples.  One sampler turns (phi_hat, q) into physical
+samples: the forcing uses it, and :func:`state_fields` exposes it as
+(u, |grad u|).
 
 Time quadrature is left-endpoint product integration (exponential Euler).
 One sweep over a window steps u_{j+1} = S(dt)[u_j + dt F(v_j)]: with v_j
@@ -55,7 +57,13 @@ from .errors import (
 )
 from .fields import Field, inner_product, lp_norm
 from .semigroup import MIN_TIME, Flow, grid_model
-from .spectral import DecomposedField, _h1_proxy_hat, green_gradient_field, psi_alpha_field
+from .spectral import (
+    DecomposedField,
+    _h1_proxy_hat,
+    green_gradient_field,
+    psi_alpha_field,
+    reference_lambda,
+)
 
 __all__ = [
     "SolverConfig",
@@ -66,6 +74,7 @@ __all__ = [
     "solve_global_projected",
     "lagrange_multiplier",
     "residual_check",
+    "state_fields",
 ]
 
 
@@ -78,6 +87,8 @@ class SolverConfig:
     pointwise factor |u|^(gamma-2) is clamped at ``clamp_limit`` for
     gamma < 2.  A config holds settings only: solves never write to it, and
     each reports its own clamp count in its trajectory's diagnostics.
+    Projection is chosen by the solve function, not by the config:
+    :func:`solve_global_projected` projects, :func:`solve_local` does not.
     """
 
     gamma: float = 2.0
@@ -87,7 +98,6 @@ class SolverConfig:
     picard_tol: float = 1e-9
     picard_max: int = 25
     ball_radius: float | str | None = None
-    projected: bool = True
     window: float = 1.0
     store_stride: int | None = None
     clamp_limit: float = 1e8
@@ -124,38 +134,30 @@ class Trajectory:
 # --- nonlinearity ------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _state_kernels(params, grid, lam):
-    """(i xi1, i xi2, G_lam transform, closed-form grad G_lam samples), read-only."""
-    model = grid_model(params, grid)
+def _state_kernels(params, grid):
+    """(i xi1, i xi2, closed-form grad G_omega samples), read-only."""
     XI1, XI2 = grid.wavenumbers()
-    gx, gy = green_gradient_field(lam, grid)
-    kernels = (1j * XI1, 1j * XI2, model.delta_hat / (lam + model.xi2), gx.values, gy.values)
+    gx, gy = green_gradient_field(reference_lambda(params), grid)
+    kernels = (1j * XI1, 1j * XI2, gx.values, gy.values)
     # shared by every caller of the cache
     for arr in kernels:
         arr.setflags(write=False)
     return kernels
 
 
-def _state_samples(params, grid, lam, phat, q):
-    """Physical samples (u, d1 u, d2 u) of u = phi + q G_lam from phi's transform.
+def _state_samples(model, phat, q):
+    """Physical samples (u, d1 u, d2 u) of u = phi + q G_omega from phi's transform.
 
-    Values come from the exact transform-side total (representation-free);
-    the gradient splits into the spectral derivative of the regular part
-    plus the closed Bessel form for the kernel part, which is pointwise
-    faithful at the singularity.
+    Values come from the exact transform-side total (:func:`_total_hat`,
+    the path of :func:`total_field`); the gradient splits into the spectral
+    derivative of the regular part plus the closed Bessel form for the
+    kernel part, which is pointwise faithful at the singularity.
     """
-    ixi1, ixi2, ghat, dgx, dgy = _state_kernels(params, grid, lam)
-    vals = fft.ifft2(phat + q * ghat)
+    ixi1, ixi2, dgx, dgy = _state_kernels(model.params, model.grid)
+    vals = fft.ifft2(_total_hat(model, phat, q))
     du1 = fft.ifft2(ixi1 * phat) + q * dgx
     du2 = fft.ifft2(ixi2 * phat) + q * dgy
     return vals, du1, du2
-
-
-def _assemble_state(u):
-    """(u, d1 u, d2 u) samples of a decomposed state, in its own reference lambda."""
-    return _state_samples(
-        u.params, u.regular.grid, u.lambda_ref, fft.fft2(u.regular.values), u.coeff
-    )
 
 
 def _nonlinear_values(vals, du1, du2, cfg):
@@ -179,22 +181,36 @@ def _nonlinear_values(vals, du1, du2, cfg):
 
 
 def total_field(u):
-    """Full state phi + coeff G_ref as a Field, in the solver's own kernel
-    representation (the grid model's transform-side kernel)."""
+    """Full state phi + coeff G_omega as a Field, in the solver's own kernel
+    representation (the grid model's transform-side kernel); the values of
+    :func:`state_fields`."""
     model = grid_model(u.params, u.regular.grid)
     phat, q = _state_hats(model, u)
     return Field(u.regular.grid, fft.ifft2(_total_hat(model, phat, q)))
 
 
+def state_fields(u):
+    """(u, |grad u|) of a decomposed state as Fields, from the solver's sampler.
+
+    The values are :func:`total_field`'s; the gradient is the spectral
+    derivative of phi plus coeff times the closed Bessel form of grad G_omega.
+    """
+    grid = u.regular.grid
+    model = grid_model(u.params, grid)
+    vals, du1, du2 = _state_samples(model, *_state_hats(model, u))
+    return Field(grid, vals), Field(grid, np.sqrt(np.abs(du1) ** 2 + np.abs(du2) ** 2))
+
+
 def nonlinearity(u, cfg):
-    """a . grad(|u|^gamma) with grad u = grad phi + coeff grad G_ref.
+    """a . grad(|u|^gamma) with grad u = grad phi + coeff grad G_omega.
 
     The regular part is differentiated spectrally; the kernel part uses the
     closed Bessel form.  |u|^(gamma-2) u is extended by 0 at u = 0.
     """
     if not cfg.gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    values, _ = _nonlinear_values(*_assemble_state(u), cfg)
+    model = grid_model(u.params, u.regular.grid)
+    values, _ = _nonlinear_values(*_state_samples(model, *_state_hats(model, u)), cfg)
     return Field(u.regular.grid, values)
 
 
@@ -209,15 +225,8 @@ def lagrange_multiplier(u, cfg):
 
 
 def _state_hats(model, u):
-    """(phi_hat, q) of a decomposed state re-referenced to the model's omega."""
-    phat = fft.fft2(u.regular.values)
-    q = complex(u.coeff)
-    if q != 0 and u.lambda_ref != model.omega:
-        shift = model.delta_hat * (
-            1.0 / (u.lambda_ref + model.xi2) - 1.0 / (model.omega + model.xi2)
-        )
-        phat = phat + q * shift
-    return phat, q
+    """(phi_hat, q) of a decomposed state u = phi + q G_omega."""
+    return fft.fft2(u.regular.values), complex(u.coeff)
 
 
 def _compatible_split(model, total_hat):
@@ -238,7 +247,7 @@ def _total_hat(model, phat, q):
 
 def _to_decomposed(model, phat, q, params):
     reg = Field(model.grid, fft.ifft2(phat))
-    return DecomposedField(reg, complex(q), model.omega, params)
+    return DecomposedField(reg, complex(q), params)
 
 
 def duhamel_integral(source, t, params, contour=None, projected=True, scheme="midpoint"):
@@ -287,8 +296,7 @@ def _forcing_hat(model, phat, q, cfg):
     """(unprojected F transform, clamp count) of u = phi + q G_omega; (None, 0) if a = 0."""
     if float(cfg.a[0]) == 0.0 and float(cfg.a[1]) == 0.0:
         return None, 0
-    samples = _state_samples(model.params, model.grid, model.omega, phat, q)
-    values, clamped = _nonlinear_values(*samples, cfg)
+    values, clamped = _nonlinear_values(*_state_samples(model, phat, q), cfg)
     return fft.fft2(values), clamped
 
 
@@ -484,22 +492,22 @@ def solve_local(u0, cfg, init="linear"):
 def solve_global_projected(u0, cfg):
     """Small-data solution of the projected system on [0, T].
 
-    The datum and the forcing are projected onto the absolutely continuous
-    subspace, so the eigenmode carries no dynamics; the multiplier rho is
-    recorded at every stored time.  Runs the window driver shared with
-    :func:`solve_local` on windows of length ``cfg.window``, storing every
-    window end unless ``cfg.store_stride`` is set.  Window 0 is probed: the
-    Picard map is iterated to ``cfg.picard_tol`` from the linear evolution,
-    and its ratios are ``diagnostics["contraction_ratios"]``.  Every later
-    window is marched with exponential Euler, u_{j+1} = S(dt)[u_j + dt F(u_j)],
-    which is that map's fixed point, unless its march leaves the largest H^1
-    proxy of the last probed window; it is then probed from its start state.
-    A probe that fails to contract (ratio >= 1 over three iterates) raises
+    Calling this function is what selects projection (:func:`solve_local`
+    is the unprojected solve).  The datum and the forcing are projected onto
+    the absolutely continuous subspace, so the eigenmode carries no
+    dynamics; the multiplier rho is recorded at every stored time.  Runs
+    the window driver shared with :func:`solve_local` on windows of length
+    ``cfg.window``, storing every window end unless ``cfg.store_stride`` is
+    set.  Window 0 is probed: the Picard map is iterated to
+    ``cfg.picard_tol`` from the linear evolution, and its ratios are
+    ``diagnostics["contraction_ratios"]``.  Every later window is marched
+    with exponential Euler, u_{j+1} = S(dt)[u_j + dt F(u_j)], which is that
+    map's fixed point, unless its march leaves the largest H^1 proxy of the
+    last probed window; it is then probed from its start state.  A probe
+    that fails to contract (ratio >= 1 over three iterates) raises
     :class:`DataTooLargeError`.  ``diagnostics["iterations"]`` holds one
     entry per window: the probe's iterate count, or 0 for a marched window.
     """
-    if not cfg.projected:
-        raise ValueError("solve_global_projected requires cfg.projected = True")
     try:
         times, states, iterations, ratios, ortho_max, clamps = _solve(
             u0, cfg, projected=True, window=cfg.window, default_stride=None, init="linear"

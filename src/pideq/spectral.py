@@ -30,7 +30,7 @@ import numpy as np
 from scipy import fft, integrate
 
 from .errors import BranchCutError, NoEigenfunctionError
-from .fields import Field, Grid, inner_product, lp_norm
+from .fields import Field, inner_product, lp_norm
 from .special import bessel_k0, bessel_k1, euler_gamma
 
 __all__ = [
@@ -272,29 +272,23 @@ def project_ac(f, params):
 
 @dataclass(frozen=True)
 class DecomposedField:
-    """State u = regular + coeff * G_{lambda_ref} with regular in H^1.
+    """State u = regular + coeff * G_omega with regular in H^1.
 
-    The singular coefficient is tracked constructively by the operators
-    that produce states; it is never fitted from samples.
+    The reference is always omega = :func:`reference_lambda` (params) =
+    1 + E: for any admissible lambda the split describes the same function,
+    so one fixed reference suffices.  The singular coefficient is tracked
+    constructively by the operators that produce states; it is never fitted
+    from samples.
     """
 
     regular: Field
     coeff: complex
-    lambda_ref: float
     params: AlphaParams
 
-    def __post_init__(self):
-        if not self.lambda_ref > 0:
-            raise ValueError("lambda_ref must be positive")
-        ev = self.params.eigenvalue
-        if ev is not None and self.lambda_ref == ev:
-            raise ValueError("lambda_ref must differ from the eigenvalue")
-
     @classmethod
-    def from_field(cls, f, params, lambda_ref=None):
+    def from_field(cls, f, params):
         """Lift a plain field (zero singular part)."""
-        lam = reference_lambda(params) if lambda_ref is None else lambda_ref
-        return cls(f, 0.0 + 0.0j, lam, params)
+        return cls(f, 0.0 + 0.0j, params)
 
 
 def _h1_proxy_hat(grid, phat, q):

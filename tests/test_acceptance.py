@@ -95,7 +95,7 @@ def test_criterion_9_local_solver():
     ratios_seen = None
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = pq.SolverConfig(
-            gamma=2.0, a=(1.0, 0.0), T=0.5, dt=dt, projected=False, picard_tol=1e-11
+            gamma=2.0, a=(1.0, 0.0), T=0.5, dt=dt, picard_tol=1e-11
         )
         traj = pq.solve_local(u0, cfg)
         residuals[dt] = (

@@ -73,6 +73,21 @@ def test_simulate_subcommand(tmp_path):
     assert float(last[1]) > 0
 
 
+def test_simulate_unprojected(tmp_path):
+    def run(*flags):
+        out = tmp_path / ("unprojected" if flags else "projected")
+        argv = ["--out", str(out), "simulate", "--T", "0.1", "--dt", "0.02", "--grid-n", "128"]
+        assert main(argv + ["--u0", "gaussian:1.5,0.02,1.0,0.5", *flags]) == 0
+        lines = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
+        return [[float(v) for v in line.split(",")] for line in lines]
+
+    local = run("--unprojected")
+    projected = run()
+    assert all(row[5] == 0.0 for row in local)
+    # P_ac removes the datum's nonzero eigencomponent, so the projected start is smaller
+    assert local[0][1] > projected[0][1]
+
+
 def test_config_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 1.0\n")

@@ -126,7 +126,6 @@ def test_ball_radius_warning(params, grid128):
         a=(1.0, 0.0),
         T=0.1,
         dt=0.02,
-        projected=False,
         ball_radius=1e-9,
     )
     with pytest.warns(UserWarning, match="left the ball"):
@@ -142,6 +141,6 @@ def test_model_warns_outside_resolvable_window():
 def test_total_field_round_trip(params, grid128):
     u = DecomposedField.from_field(gaussian_field(grid128, sigma=1.3), params)
     assert lp_norm(total_field(u) - u.regular, 2) < 1e-13
-    v = DecomposedField(u.regular, 0.5, u.lambda_ref, params)
+    v = DecomposedField(u.regular, 0.5, params)
     tot = total_field(v)
     assert lp_norm(tot - u.regular, 2) > 0.01  # kernel part present

@@ -15,6 +15,7 @@ from pideq import (
     SolverConfig,
     duhamel_integral,
     gaussian_field,
+    gradient,
     h1_alpha_norm,
     inner_product,
     lagrange_multiplier,
@@ -26,6 +27,7 @@ from pideq import (
     semigroup_full,
     solve_global_projected,
     solve_local,
+    state_fields,
     total_field,
 )
 from pideq.errors import DataTooLargeError, SchedulingError
@@ -75,6 +77,18 @@ def test_nonlinearity_gaussian_closed_form(params):
     X, Y = grid.mesh()
     expect = 2.0 * f.values * (-(1.0 * X + 0.5 * Y) / sigma**2) * f.values
     assert np.abs(out.values - expect).max() < 1e-8
+
+
+def test_state_fields_sampler(params, grid128):
+    f = gaussian_field(grid128, sigma=1.3, amplitude=0.7)
+    u = DecomposedField(f, 0.35 - 0.1j, params)
+    assert np.array_equal(state_fields(u)[0].values, total_field(u).values)
+    # without a kernel part |grad u| is the spectral gradient's magnitude
+    v = DecomposedField.from_field(f, params)
+    gx, gy = gradient(f)
+    expect = np.sqrt(np.abs(gx.values) ** 2 + np.abs(gy.values) ** 2)
+    err = np.abs(state_fields(v)[1].values - expect).max()
+    assert err <= 1e-12 * expect.max()
 
 
 def test_nonlinearity_clamp_counter(params, grid128):
@@ -182,7 +196,7 @@ def test_duhamel_explicit_contour_path(params, grid128):
 
 def test_solve_local_zero_datum(params, grid128):
     zero = DecomposedField.from_field(Field(grid128, np.zeros((128, 128))), params)
-    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.1, dt=0.02, projected=False)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.1, dt=0.02)
     traj = solve_local(zero, cfg)
     assert max(lp_norm(total_field(st), 2) for st in traj.states) == 0.0
 
@@ -190,7 +204,7 @@ def test_solve_local_zero_datum(params, grid128):
 def test_solve_local_linear_flow(params, grid128):
     # a = 0: the Picard map is constant; one iterate, exact linear flow
     u0 = small_state(grid128, params)
-    cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=0.2, dt=0.02, projected=False)
+    cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=0.2, dt=0.02)
     traj = solve_local(u0, cfg)
     assert traj.diagnostics["iterations"] == 1
     direct = semigroup_full(0.2, total_field(u0), params, ContourSpec.for_time(params, 0.2))
@@ -203,20 +217,20 @@ def test_solve_local_linear_flow(params, grid128):
 def test_solve_local_contraction_and_uniqueness(params, grid128):
     u0 = small_state(grid128, params)
     cfg = SolverConfig(
-        gamma=2.0, a=(1.0, 0.0), T=0.3, dt=0.01, projected=False, picard_tol=1e-11
+        gamma=2.0, a=(1.0, 0.0), T=0.3, dt=0.01, picard_tol=1e-11
     )
     traj = solve_local(u0, cfg)
     ratios = traj.diagnostics["contraction_ratios"]
     assert ratios and all(r < 1.0 for r in ratios)
     # same fixed point from the frozen-in-time starting iterate
     cfg2 = SolverConfig(
-        gamma=2.0, a=(1.0, 0.0), T=0.3, dt=0.01, projected=False, picard_tol=1e-11
+        gamma=2.0, a=(1.0, 0.0), T=0.3, dt=0.01, picard_tol=1e-11
     )
     traj2 = solve_local(u0, cfg2, init="frozen")
     dist = max(
         h1_alpha_norm(
             DecomposedField(
-                a.regular - b.regular, a.coeff - b.coeff, a.lambda_ref, params
+                a.regular - b.regular, a.coeff - b.coeff, params
             )
         )
         for a, b in zip(traj.states, traj2.states)
@@ -227,7 +241,7 @@ def test_solve_local_contraction_and_uniqueness(params, grid128):
 def test_solve_local_fixed_point_property(params, grid128):
     u0 = small_state(grid128, params)
     cfg = SolverConfig(
-        gamma=2.0, a=(1.0, 0.0), T=0.2, dt=0.02, projected=False, picard_tol=1e-10
+        gamma=2.0, a=(1.0, 0.0), T=0.2, dt=0.02, picard_tol=1e-10
     )
     traj = solve_local(u0, cfg)
     model = grid_model(params, grid128)
@@ -255,7 +269,7 @@ def test_solve_local_auto_radius_per_datum(params, grid128):
     # (a radius kept from the larger first datum would silence the second).
     psi = psi_alpha_field(params, grid128)
     cfg = SolverConfig(
-        gamma=2.0, a=(0.0, 0.0), T=0.8, dt=0.02, projected=False, ball_radius="auto"
+        gamma=2.0, a=(0.0, 0.0), T=0.8, dt=0.02, ball_radius="auto"
     )
     for amplitude in (0.1, 0.001):
         u0 = DecomposedField.from_field(amplitude * psi, params)
@@ -432,7 +446,7 @@ def test_global_solver_ball_radius(params, grid128):
 
 def test_residual_check_validation(params, grid128):
     u0 = small_state(grid128, params)
-    cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=0.02, dt=0.01, projected=False)
+    cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=0.02, dt=0.01)
     traj = solve_local(u0, cfg)
     with pytest.raises(ValueError):
         residual_check(
@@ -444,7 +458,7 @@ def test_residual_linear_second_order(params, grid128):
     u0 = small_state(grid128, params)
     res = []
     for dt in (0.004, 0.002):
-        cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=40 * dt, dt=dt, projected=False)
+        cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=40 * dt, dt=dt)
         traj = solve_local(u0, cfg)
         res.append(residual_check(traj, cfg))
     assert res[0] < 1e-2

@@ -29,7 +29,6 @@ from pideq import (
 )
 from pideq.errors import BranchCutError, NoEigenfunctionError
 from pideq.fields import fourier
-from pideq.spectral import reference_lambda
 
 
 def test_eigenvalue_2d_formula():
@@ -223,37 +222,28 @@ def test_projection_commutes_with_resolvent(params, grid128, rng):
     assert lp_norm(a - b, 2) <= 1e-8 * lp_norm(f, 2)
 
 
-def test_decomposed_field_validation(params, grid128):
-    f = gaussian_field(grid128)
-    with pytest.raises(ValueError):
-        DecomposedField(f, 0.0, params.eigenvalue, params)
-    u = DecomposedField.from_field(f, params)
-    assert u.lambda_ref == reference_lambda(params)
-
-
 def test_h1_norm_special_cases(params, grid128):
     f = gaussian_field(grid128, sigma=1.0)
-    u = DecomposedField(f, 0.0, 1.0 + params.eigenvalue, params)
+    u = DecomposedField(f, 0.0, params)
     from pideq import gradient
 
     gx, gy = gradient(f)
     plain = math.sqrt(lp_norm(f, 2) ** 2 + lp_norm(gx, 2) ** 2 + lp_norm(gy, 2) ** 2)
     assert abs(h1_alpha_norm(u) - plain) < 1e-12 * plain
     zero = Field(grid128, np.zeros((128, 128)))
-    v = DecomposedField(zero, 1.0, 1.0 + params.eigenvalue, params)
+    v = DecomposedField(zero, 1.0, params)
     assert abs(h1_alpha_norm(v) - 1.0) < 1e-14
 
 
 def test_h1_norm_triangle_inequality(params, grid128, rng):
-    lam = 1.0 + params.eigenvalue
     for _ in range(3):
         a = DecomposedField(
-            Field(grid128, rng.standard_normal((128, 128))), complex(*rng.standard_normal(2)), lam, params
+            Field(grid128, rng.standard_normal((128, 128))), complex(*rng.standard_normal(2)), params
         )
         b = DecomposedField(
-            Field(grid128, rng.standard_normal((128, 128))), complex(*rng.standard_normal(2)), lam, params
+            Field(grid128, rng.standard_normal((128, 128))), complex(*rng.standard_normal(2)), params
         )
-        ab = DecomposedField(a.regular + b.regular, a.coeff + b.coeff, lam, params)
+        ab = DecomposedField(a.regular + b.regular, a.coeff + b.coeff, params)
         assert h1_alpha_norm(ab) <= h1_alpha_norm(a) + h1_alpha_norm(b) + 1e-12
 
 
@@ -264,7 +254,7 @@ def test_sobolev_embedding_ratio_stable(params):
         for n in (128, 256):
             grid = Grid(40.0, n)
             f = gaussian_field(grid, sigma=1.3, amplitude=0.7)
-            u = DecomposedField(f, 0.35, 1.0 + params.eigenvalue, params)
+            u = DecomposedField(f, 0.35, params)
             from pideq import total_field
 
             tot = total_field(u)
