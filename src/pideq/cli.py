@@ -192,10 +192,10 @@ def cmd_decay(args, config):
     grid = _grid(args, config)
     alpha = _merged(args, config, "alpha", 0.0)
     rows = []
-    spec = ExperimentSpec(kind="semigroup", grid=grid, alpha=alpha, q=2.0, p=4.0)
+    spec = ExperimentSpec(grid=grid, alpha=alpha, q=2.0, p=4.0)
     fit = run_semigroup_decay(spec)
     rows.append(("semigroup", 4.0, 2.0, "", "", fit))
-    spec = ExperimentSpec(kind="gradient", grid=grid, alpha=alpha, q=4.0 / 3.0, p=1.5)
+    spec = ExperimentSpec(grid=grid, alpha=alpha, q=4.0 / 3.0, p=1.5)
     fit = run_gradient_decay(spec)
     rows.append(("gradient", 1.5, 4.0 / 3.0, "", "", fit))
     if args.with_nonlinear:
@@ -210,7 +210,7 @@ def cmd_decay(args, config):
             gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
         )
         traj = solve_global_projected(u0, cfg)
-        nspec = ExperimentSpec(kind="nonlinear", grid=grid, alpha=alpha, h1=4.0, h2=1.5)
+        nspec = ExperimentSpec(grid=grid, alpha=alpha, h1=4.0, h2=1.5)
         fu, fg, fr = run_nonlinear_decay(nspec, traj)
         rows.append(("nonlinear_u", "", "", 4.0, 1.5, fu))
         rows.append(("nonlinear_grad", "", "", 4.0, 1.5, fg))

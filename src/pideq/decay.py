@@ -61,14 +61,13 @@ class RateFit:
 
 @dataclass
 class ExperimentSpec:
-    """Description of one decay experiment.
+    """Grid, coupling, exponents and t-grid of one decay experiment.
 
-    kind: semigroup | gradient | nonlinear | rho | convolution.  For linear
-    kinds (p, q) are the Lebesgue exponents; nonlinear runs use (h1, h2).
-    Fits only use t >= 1.
+    The runner it is passed to selects the experiment.  Linear runs read the
+    Lebesgue exponents (p, q) and fit the critical datum of exponent q;
+    nonlinear runs use (h1, h2).  Fits only use t >= 1.
     """
 
-    kind: str
     grid: Grid
     alpha: float = 0.0
     p: float | None = None
@@ -78,11 +77,6 @@ class ExperimentSpec:
     t_grid: np.ndarray = dataclass_field(
         default_factory=lambda: np.geomspace(1.0, 50.0, 16)
     )
-    datum: str = "critical"
-
-    def __post_init__(self):
-        if self.kind not in {"semigroup", "gradient", "nonlinear", "rho", "convolution"}:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
 
 
 def fit_rate(samples, theoretical=math.nan):
@@ -161,12 +155,12 @@ def make_datum(descriptor, grid, q=2.0):
 
 
 def _linear_fit(spec, measure, theoretical):
-    """Fit of measure(t, g, params) over ``spec.t_grid`` for the spec's datum g.
+    """Fit of measure(t, g, params) over ``spec.t_grid`` for the critical datum g.
 
     The public flows that ``measure`` applies project g themselves.
     """
     params = AlphaParams.for_alpha(spec.alpha, 2)
-    g = make_datum(spec.datum, spec.grid, q=spec.q or 2.0)
+    g = critical_datum(spec.grid, spec.q or 2.0)
     return fit_rate([(t, measure(t, g, params)) for t in spec.t_grid], theoretical)
 
 

@@ -31,13 +31,14 @@ contour representation
           G_lambda  d lambda.
 
 Every exp(tA) runs through one :class:`Flow` per time t, which holds t's
-heat multiplier and, by default, the rows of a ``TALBOT_NODES``-node Talbot
-contour lambda_k = sigma_k / t (Weideman & Trefethen, "Parabolic and
-hyperbolic contours for computing the Bromwich integral", Math. Comp. 76
-(2007)).  It winds around the cut (-inf, 0] at a distance growing with
-|lambda|, so a fixed node count is uniformly accurate in t.  The flow
-projects its input, adds the rank-one correction and, for the full flow,
-e^{tE} <g, psi> psi, all in transform space; its rows live as long as it.
+heat multiplier and the nodes and weights of one quadrature rule at t.  By
+default that is the ``TALBOT_NODES``-node Talbot contour
+lambda_k = sigma_k / t (Weideman & Trefethen, "Parabolic and hyperbolic
+contours for computing the Bromwich integral", Math. Comp. 76 (2007)).  It
+winds around the cut (-inf, 0] at a distance growing with |lambda|, so a
+fixed node count is uniformly accurate in t.  The flow projects its input,
+adds the rank-one correction and, for the full flow, e^{tE} <g, psi> psi,
+all in transform space.
 
 Passing a :class:`ContourSpec` selects the cut-hugging contour instead, an
 independent cross-check: two rays Im lambda = +/- eps (Gauss-Legendre on
@@ -49,13 +50,15 @@ is off by 1.0e-2 and 3.1e-2 in relative L^2 at t = 0.02 and 0.3, where the
 Talbot rule agrees to 2e-11 and 1.4e-9.
 
 All inner node sums are accelerated by binning the wavenumber lattice by
-the integer |k|^2, which is exact.  Both contours feed one rank-one kernel
-(``PointHeatModel._rank_one``): per chunk of nodes it builds the resolvent
-rows 1/(lambda_k + |xi|^2) over the bins, reads the denominators D(lambda_k)
-off the same rows, pairs the datum once and accumulates the bin profile, so
-no nodes x bins matrix larger than one chunk is held.  A flow's Talbot rows
-are one such chunk, so applying it costs one pairing, two small
-matrix-vector products and one gather on top of the heat multiplier.
+the integer |k|^2, which is exact.  Every rule feeds one rank-one kernel,
+``PointHeatModel.correction``: it pairs the datum once and, per chunk of at
+most ``CHUNK`` nodes, accumulates the bin profile from the resolvent rows
+1/(lambda_k + |xi|^2) over the bins, with the denominators D(lambda_k) read
+off the same rows.  A rule that fits in one chunk (Talbot's always does)
+keeps its rows for the flow's lifetime, so applying it costs one pairing,
+two small matrix-vector products and one gather on top of the heat
+multiplier.  A longer rule rebuilds its rows chunk by chunk on every
+application, so no nodes x bins matrix larger than one chunk is held.
 Two-dimensional transforms use ``scipy.fft``.
 """
 
@@ -87,6 +90,9 @@ MIN_TIME = 0.01
 
 TALBOT_NODES = 32
 """Node count of the Talbot rule of every flow without an explicit contour."""
+
+CHUNK = 64
+"""Nodes per block of resolvent rows; a flow whose rule fits in one keeps it."""
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,9 @@ class ContourSpec:
 
 
 @lru_cache(maxsize=32)
-def _contour_nodes(spec, panels=4):
+def _contour_nodes(spec):
     eps, S = spec.epsilon, spec.truncation
+    panels = 4
     wmax = math.asinh(S / eps)
     edges = wmax * np.linspace(0.0, 1.0, panels + 1) ** 1.5
     per_panel = max(8, spec.nodes_ray // panels)
@@ -191,16 +198,13 @@ class SemigroupResult:
     """Semigroup output with diagnostics.
 
     field: the evolved state; free_part_norm / correction_norm: L^2 sizes of
-    the heat part and the contour correction; singular_coeff: the kernel
-    coefficient of the output in the reference decomposition (the coupling
-    functional, tracked constructively by the nonlinear solver);
-    imag_residue: L^2 size of the imaginary part relative to the input norm.
+    the heat part and the contour correction; imag_residue: L^2 size of the
+    imaginary part relative to the input norm.
     """
 
     field: Field
     free_part_norm: float
     correction_norm: float
-    singular_coeff: complex = 0.0 + 0.0j
     imag_residue: float = 0.0
 
 
@@ -318,79 +322,31 @@ class PointHeatModel:
     def _node_chunks(self, nodes, weights, chunk):
         """Resolvent rows over the bins, ``chunk`` nodes at a time.
 
-        Yields (lo, rows, base): rows[k, b] = 1/(lambda_{lo+k} + rho_b) and
+        Yields (rows, base): rows[k, b] = 1/(lambda_k + rho_b) and
         base = weights / D(lambda), with the denominators read off the same
         rows, so memory stays at one chunk x bins.
         """
         for lo in range(0, nodes.size, chunk):
             rows = np.reciprocal(nodes[lo:lo + chunk, None] + self.rho)
             denom = self.S_at_E - self.wlat * (rows @ self.delta_sq_bins)
-            yield lo, rows, weights[lo:lo + chunk] / denom
+            yield rows, weights[lo:lo + chunk] / denom
 
-    def _rank_one(self, ghat, chunks, edges):
-        """The rank-one contour sum in bin space.
+    def correction(self, ghat, chunks):
+        """Rank-one contour correction transform of one quadrature rule.
 
-        With c_k = base_k <g, G_{conj lambda_k}>, accumulates the kernel
-        profile sum_k c_k / (lambda_k + rho_b) separately over each node
-        segment [edges[s], edges[s + 1]).  Returns (profiles, sum_k c_k); the
-        profiles have one row per segment.
+        ``chunks`` yields the rule's (rows, base) blocks (``_node_chunks``).
+        With c_k = base_k <g, G_{conj lambda_k}>, the kernel profile
+        sum_k c_k / (lambda_k + rho_b) is accumulated over the bins and spread
+        back onto the lattice as delta_hat times the binned values.  The input
+        must be projected: a contour that encloses the eigenvalue E (Talbot's
+        does at small t) picks up a pole there that cancels only against a
+        projected numerator.
         """
         bpair = self.wlat * self._bin_pair(ghat)
-        vbins = np.zeros((len(edges) - 1, self.rho.size), dtype=np.complex128)
-        qtot = 0.0 + 0.0j
-        for lo, rows, base in chunks:
-            c = base * (rows @ bpair)
-            qtot += c.sum()
-            for s in range(len(edges) - 1):
-                a, b = max(edges[s] - lo, 0), min(edges[s + 1] - lo, c.size)
-                if a < b:
-                    vbins[s] += c[a:b] @ rows[a:b]
-        return vbins, complex(qtot)
-
-    def _spread(self, vbins):
-        """Transform of the kernel profile: delta_hat times the binned values."""
+        vbins = np.zeros(self.rho.size, dtype=np.complex128)
+        for rows, base in chunks:
+            vbins += (base * (rows @ bpair)) @ rows
         return self.delta_hat * np.take(vbins, self.bin_index)
-
-    def correction_hat(self, t, ghat, contour, chunk=64, legs=False):
-        """Contour correction transform and its total singular coefficient.
-
-        Returns (corr_hat, q_total, leg_sizes); leg_sizes are the L^2
-        magnitudes of the (lower ray, upper ray, arc) contributions when
-        ``legs`` is set, else None.
-
-        When the contour covers the whole lattice spectrum, the exact
-        vanishing of the t = 0 moment of the rank-one integrand is used to
-        cancel the quadrature error of the spectrally flat part (the weight
-        becomes e^{t lambda} - 1).  This keeps micro-steps accurate, where
-        the true correction is O(t) but the raw integrand is O(1).
-        """
-        nodes, wts = contour.nodes()
-        weight = np.exp(t * nodes)
-        if contour.truncation >= 3.0 * float(self.rho[-1]):
-            weight = weight - 1.0
-        edges = (0, nodes.size)
-        if legs:
-            n_ray = (nodes.size - contour.nodes_arc) // 2
-            edges = (0, n_ray, 2 * n_ray, nodes.size)
-        chunks = self._node_chunks(nodes, wts * weight / (2j * np.pi), chunk)
-        vbins, q_tot = self._rank_one(ghat, chunks, edges)
-        corr_hat = self._spread(vbins.sum(axis=0))
-        sizes = tuple(self.l2_hat(self._spread(v)) for v in vbins) if legs else None
-        return corr_hat, q_tot, sizes
-
-    def correction_talbot(self, ghat, kernel):
-        """Rank-one semigroup correction through the Talbot rule of a :class:`Flow`.
-
-        ``kernel`` is the flow's one node chunk (0, rows, base) at the nodes
-        sigma_k / t.  The winding contour keeps a distance from the cut that
-        grows with |lambda|, so a fixed node count resolves the correction
-        uniformly in t, down to micro-steps where the cut-hugging contour
-        would need O(spectral radius / epsilon) nodes.  The input must be
-        projected (the eigenvalue pole is enclosed for small t and only
-        cancels against a projected numerator).
-        """
-        vbins, q_tot = self._rank_one(ghat, [kernel], (0, TALBOT_NODES))
-        return self._spread(vbins[0]), q_tot
 
     def hat(self, f):
         return fft.fft2(f.values)
@@ -411,25 +367,38 @@ def grid_model(params, grid):
 class Flow:
     """exp(tA) P_ac (or, with ``full``, exp(tA)) for one time t, in transform space.
 
-    Holds t's heat multiplier exp(-t |xi|^2) and, unless an explicit
-    cut-hugging ``contour`` is given, the resolvent rows, denominators and
-    base weights of the ``TALBOT_NODES``-node Talbot rule at t.  They live
-    as long as the flow, so a caller stepping with one t builds them once.
+    Holds t's heat multiplier exp(-t |xi|^2) and the nodes and weights of
+    one quadrature rule at t: the ``TALBOT_NODES``-node Talbot rule, or the
+    cut-hugging ``contour`` when one is given.  A rule that fits in one
+    ``CHUNK`` (Talbot's does) also keeps its resolvent rows, denominators and
+    base weights, so a caller stepping with one t builds them once; a longer
+    rule rebuilds them chunk by chunk on every application.
     """
 
     def __init__(self, model, t, full=False, contour=None):
         self.model = model
         self.t = t
         self.full = full
-        self.contour = contour
         self.heat = np.exp(-t * model.xi2)
         self.growth = math.exp(model.E * t) if full else 0.0
         if contour is None:
             sigma, swts = _talbot_nodes(TALBOT_NODES)
-            weights = (swts / t) * np.exp(sigma)
-            self.talbot = next(model._node_chunks(sigma / t, weights, TALBOT_NODES))
+            nodes, weights = sigma / t, (swts / t) * np.exp(sigma)
         else:
             contour.validate(model.params)
+            nodes, wts = contour.nodes()
+            w = np.exp(t * nodes)
+            # When the contour covers the whole lattice spectrum, the exact
+            # vanishing of the t = 0 moment of the rank-one integrand cancels
+            # the quadrature error of the spectrally flat part (the weight
+            # becomes e^{t lambda} - 1).  This keeps micro-steps accurate,
+            # where the true correction is O(t) but the raw integrand is O(1).
+            if contour.truncation >= 3.0 * float(model.rho[-1]):
+                w = w - 1.0
+            weights = wts * w / (2j * np.pi)
+        self.nodes, self.weights = nodes, weights
+        fits = nodes.size <= CHUNK
+        self.chunks = list(model._node_chunks(nodes, weights, CHUNK)) if fits else None
 
     def apply(self, ghat):
         """Returns (out_hat, corr_hat): the evolved transform and its rank-one part.
@@ -439,10 +408,8 @@ class Flow:
         """
         m = self.model
         gac, eig_coef = m.project_ac_hat(ghat)
-        if self.contour is None:
-            corr, _ = m.correction_talbot(gac, self.talbot)
-        else:
-            corr, _, _ = m.correction_hat(self.t, gac, self.contour)
+        chunks = self.chunks or m._node_chunks(self.nodes, self.weights, CHUNK)
+        corr = m.correction(gac, chunks)
         out = self.heat * gac + corr
         if self.full:
             out += self.growth * eig_coef * m.psi_hat
@@ -495,7 +462,6 @@ def semigroup_pac(t, g, params, contour=None):
         field=field,
         free_part_norm=model.l2_hat(out - corr),
         correction_norm=model.l2_hat(corr),
-        singular_coeff=model.coupling_coefficient(out),
         imag_residue=imag / gnorm if gnorm > 0 else 0.0,
     )
 

@@ -75,6 +75,7 @@ __all__ = [
     "lagrange_multiplier",
     "residual_check",
     "state_fields",
+    "total_field",
 ]
 
 

@@ -105,7 +105,7 @@ def check_backward_euler(grid=DEFAULT_GRID):
 
 
 def check_semigroup_decay(grid=DEFAULT_GRID):
-    spec = ExperimentSpec(kind="semigroup", grid=grid, q=2.0, p=4.0)
+    spec = ExperimentSpec(grid=grid, q=2.0, p=4.0)
     fit = run_semigroup_decay(spec)
     ok = abs(fit.slope - fit.theoretical) <= 0.05 and fit.r_squared >= 0.98
     return ok, (
@@ -114,7 +114,7 @@ def check_semigroup_decay(grid=DEFAULT_GRID):
 
 
 def check_gradient_decay(grid=DEFAULT_GRID):
-    spec = ExperimentSpec(kind="gradient", grid=grid, q=4.0 / 3.0, p=1.5)
+    spec = ExperimentSpec(grid=grid, q=4.0 / 3.0, p=1.5)
     fit = run_gradient_decay(spec)
     ok = abs(fit.slope - fit.theoretical) <= 0.05 and fit.r_squared >= 0.98
     return ok, (

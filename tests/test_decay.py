@@ -115,22 +115,20 @@ def test_make_datum_descriptors():
 
 
 def test_semigroup_decay_rejects_equal_exponents():
-    spec = ExperimentSpec(kind="semigroup", grid=Grid(40.0, 128), q=2.0, p=2.0)
+    spec = ExperimentSpec(grid=Grid(40.0, 128), q=2.0, p=2.0)
     with pytest.raises(ValueError):
         run_semigroup_decay(spec)
 
 
 def test_gradient_decay_exponent_window():
-    spec = ExperimentSpec(kind="gradient", grid=Grid(40.0, 128), q=2.0, p=3.0)
+    spec = ExperimentSpec(grid=Grid(40.0, 128), q=2.0, p=3.0)
     with pytest.raises(ValueError):
         run_gradient_decay(spec)
 
 
 def test_l2_boundedness_slope():
     ts = np.geomspace(1.0, 30.0, 8)
-    spec = ExperimentSpec(
-        kind="semigroup", grid=Grid(40.0, 128), q=2.0, p=2.0, t_grid=ts
-    )
+    spec = ExperimentSpec(grid=Grid(40.0, 128), q=2.0, p=2.0, t_grid=ts)
     fit = run_l2_bound(spec)
     assert fit.slope <= 1e-6
     assert fit.theoretical == 0.0
@@ -141,14 +139,12 @@ def test_semigroup_decay_grid_stability():
     ts = np.geomspace(1.0, 50.0, 10)
     slopes = []
     for n in (128, 256):
-        spec = ExperimentSpec(
-            kind="semigroup", grid=Grid(40.0, n), q=2.0, p=4.0, t_grid=ts
-        )
+        spec = ExperimentSpec(grid=Grid(40.0, n), q=2.0, p=4.0, t_grid=ts)
         slopes.append(run_semigroup_decay(spec).slope)
     assert abs(slopes[1] - slopes[0]) <= 0.02
 
 
 def test_nonlinear_decay_validation(params, grid128):
-    spec = ExperimentSpec(kind="nonlinear", grid=grid128, h1=4.0, h2=2.5)
+    spec = ExperimentSpec(grid=grid128, h1=4.0, h2=2.5)
     with pytest.raises(ValueError):
         run_nonlinear_decay(spec, None)

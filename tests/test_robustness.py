@@ -1,7 +1,6 @@
 """Cross-cutting robustness: nonzero alpha, boundaries, error branches."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

@@ -163,17 +163,6 @@ def test_semigroup_default_matches_oracle_at_short_times():
         assert err <= 1e-7
 
 
-def test_arc_contribution_dominated_by_rays(params, grid128, smooth_datum):
-    # the half-circle leg is majorized by the rays once the radius is small
-    # (its weight shrinks linearly with the radius)
-    model = grid_model(params, grid128)
-    contour = ContourSpec(params.eigenvalue / 4.0, 50.0)
-    ghat, _ = model.project_ac_hat(model.hat(smooth_datum))
-    _, _, legs = model.correction_hat(1.0, ghat, contour, legs=True)
-    lower, upper, arc = legs
-    assert arc <= lower + upper
-
-
 def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
     # a flow's binned Talbot kernel against the Talbot sum written out node
     # by node over the full lattice, at interleaved step sizes
@@ -182,40 +171,54 @@ def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
     sigma, swts = _talbot_nodes(32)
     for dt in (0.02, 0.01, 0.02):
         ref = np.zeros_like(ghat)
-        q_ref = 0.0 + 0.0j
         for lam, w in zip(sigma / dt, (swts / dt) * np.exp(sigma)):
             c = w * model.pair_green(ghat, lam) / model.denominator(lam)
             ref += c * model.delta_hat / (lam + model.xi2)
-            q_ref += c
-        corr, q = model.correction_talbot(ghat, Flow(model, dt).talbot)
+        corr = Flow(model, dt).apply(ghat)[1]
         assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert abs(q - q_ref) <= 1e-13 * abs(q_ref)
 
 
-def test_correction_hat_chunk_invariance(params, grid128, smooth_datum):
+def test_contour_flow_matches_direct_sum(params, grid128):
+    # an explicit-contour flow's binned kernel against the cut-hugging sum
+    # written out node by node over the full lattice
+    model = grid_model(params, grid128)
+    g = gaussian_field(grid128, sigma=2.0)
+    ghat, _ = model.project_ac_hat(model.hat(g))
+    t = 1.0
+    contour = ContourSpec.for_time(params, t)
+    nodes, wts = contour.nodes()
+    weights = wts * np.exp(t * nodes) / (2j * np.pi)
+    assert contour.truncation < 3.0 * model.rho[-1]  # no moment cancellation
+    ref = np.zeros_like(ghat)
+    for lam, w in zip(nodes, weights):
+        c = w * model.pair_green(ghat, lam) / model.denominator(lam)
+        ref += c * model.delta_hat / (lam + model.xi2)
+    corr = Flow(model, t, contour=contour).apply(ghat)[1]
+    assert np.linalg.norm(corr - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_correction_chunk_invariance(params, grid128, smooth_datum):
     # chunks straddle the leg boundaries (256 ray nodes) for chunk = 7
     model = grid_model(params, grid128)
     contour = ContourSpec.for_time(params, 1.0)
     ghat, _ = model.project_ac_hat(model.hat(smooth_datum))
-    size = contour.nodes()[0].size
-    ref, q_ref, legs_ref = model.correction_hat(1.0, ghat, contour, chunk=size, legs=True)
+    nodes, wts = contour.nodes()
+    weights = wts * np.exp(nodes) / (2j * np.pi)
+    ref = model.correction(ghat, model._node_chunks(nodes, weights, nodes.size))
     for chunk in (1, 7, 64):
-        corr, q, legs = model.correction_hat(1.0, ghat, contour, chunk=chunk, legs=True)
+        corr = model.correction(ghat, model._node_chunks(nodes, weights, chunk))
         assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert abs(q - q_ref) <= 1e-13 * abs(q_ref)
-        assert np.allclose(legs, legs_ref, rtol=1e-13, atol=0.0)
 
 
 def test_correction_hat_memory_bounded(params, grid256):
     # 2113 nodes x 5924 bins at t = 50: the full matrix alone is 200 MB
     model = grid_model(params, grid256)
-    contour = ContourSpec.for_time(params, 50.0)
+    flow = Flow(model, 50.0, contour=ContourSpec.for_time(params, 50.0))
     g = gaussian_field(grid256, sigma=2.0)
-    ghat, _ = model.project_ac_hat(model.hat(g))
-    contour.nodes()
+    ghat = model.hat(g)
     tracemalloc.start()
     try:
-        model.correction_hat(50.0, ghat, contour)
+        flow.apply(ghat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
