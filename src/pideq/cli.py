@@ -64,9 +64,10 @@ def _merged(args, config, key, default):
     return default
 
 
-def _grid(args, config):
+def _grid(args, config, default=Grid(40.0, 256)):
     return Grid(
-        _merged(args, config, "grid_L", 40.0), int(_merged(args, config, "grid_n", 256))
+        _merged(args, config, "grid_L", default.half_width),
+        int(_merged(args, config, "grid_n", default.n)),
     )
 
 
@@ -229,8 +230,7 @@ def cmd_decay(args, config):
 
 
 def cmd_verify(args, config):
-    grid = _grid(args, config) if (args.grid_n or config.get("grid_n")) else verify_mod.DEFAULT_GRID
-    results = verify_mod.run_checks(grid)
+    results = verify_mod.run_checks(_grid(args, config, verify_mod.DEFAULT_GRID))
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

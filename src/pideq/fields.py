@@ -282,14 +282,20 @@ def save_field(f, path):
 
 
 def load_field(path):
-    """Read a field written by :func:`save_field` (complex64 precision)."""
+    """Read a field written by :func:`save_field` (complex64 precision).
+
+    A file that is not a whole field container raises ValueError.
+    """
     import struct
 
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a field container")
-        L, n, offset, freq = struct.unpack("<dQBB", fh.read(18))
+        header = fh.read(18)
+        if len(header) != 18:
+            raise ValueError(f"{path}: truncated field header")
+        L, n, offset, freq = struct.unpack("<dQBB", header)
         raw = np.frombuffer(fh.read(), dtype=np.complex64)
     if raw.size != n * n:
         raise ValueError(f"{path}: truncated field payload")

@@ -18,11 +18,6 @@ flows are invariant subspaces to machine precision.  D(lambda) is the
 lattice-consistent version of alpha + c(lambda); the two agree up to the
 grid's aliasing error and coincide in the refinement limit.
 
-Each model caches one resolvent row per lambda (the most recent one):
-1/(lambda + |xi|^2), G_lambda and D(lambda).  A resolvent application is
-then one multiply, one pairing and one axpy, and ``pair_green`` reads the
-same row.  The backward-Euler oracle holds one lambda for all its steps.
-
 The semigroup on the absolutely continuous subspace is evaluated from the
 contour representation
 
@@ -59,7 +54,10 @@ keeps its rows for the flow's lifetime, so applying it costs one pairing,
 two small matrix-vector products and one gather on top of the heat
 multiplier.  A longer rule rebuilds its rows chunk by chunk on every
 application, so no nodes x bins matrix larger than one chunk is held.
-Two-dimensional transforms use ``scipy.fft``.
+The resolvent is the one-node rule of the same kernel (node lambda, weight
+1), so every rank-one quantity is delta_hat times a bin profile, and the
+backward-Euler oracle steps on the bins alone.  Two-dimensional transforms
+use ``scipy.fft``.
 """
 
 import math
@@ -258,8 +256,6 @@ class PointHeatModel:
 
         self.omega = reference_lambda(params)
         self.green_omega_hat = self.delta_hat / (self.omega + self.xi2)
-        # one resolvent row: the oracle holds one lambda for all of its steps
-        self._resolvent_row = lru_cache(maxsize=1)(self._lambda_row)
 
     # -- scalar lattice functions --------------------------------------------
 
@@ -277,11 +273,6 @@ class PointHeatModel:
         idx = self.bin_index.ravel()
         return np.bincount(idx, weights=prod.real) + 1j * np.bincount(idx, weights=prod.imag)
 
-    def pair_green(self, ghat, lam):
-        """<g, G_{conj(lam)}> for the model kernel, via Parseval."""
-        r, _, _ = self._resolvent_row(lam)
-        return self.wlat * np.vdot(self.delta_hat, ghat * r)
-
     def coupling_coefficient(self, ghat):
         """Kernel coefficient <g, delta>/S(E) of the domain decomposition.
 
@@ -298,26 +289,14 @@ class PointHeatModel:
 
     # -- resolvent and semigroup ----------------------------------------------
 
-    def _lambda_row(self, lam):
-        """(1/(lambda + |xi|^2), G_lambda transform, D(lambda)) over the grid."""
-        r = np.reciprocal(lam + self.xi2)
-        green = self.delta_hat * r
-        # shared by every caller of the cache: read-only
-        r.setflags(write=False)
-        green.setflags(write=False)
-        return r, green, self.denominator(lam)
+    def resolvent_hat(self, lam, ghat):
+        """R(lambda) in transform space: the free multiplier plus the one-node rule.
 
-    def resolvent_hat(self, lam, ghat, correction=True):
-        """R(lambda) in transform space from the cached row of ``lam``.
-
-        The free part is one multiply; the rank-one term pairs that product
-        with delta_hat (it equals ``pair_green``) and adds G_lambda once.
+        With the one node lambda and weight 1, ``correction`` yields exactly
+        <g, G_{conj lambda}> / D(lambda) * G_lambda.
         """
-        r, green, denom = self._resolvent_row(lam)
-        out = ghat * r
-        if correction:
-            out += (self.wlat * np.vdot(self.delta_hat, out) / denom) * green
-        return out
+        chunks = self._node_chunks(np.array([complex(lam)]), np.ones(1), 1)
+        return ghat / (lam + self.xi2) + self.correction(ghat, chunks)
 
     def _node_chunks(self, nodes, weights, chunk):
         """Resolvent rows over the bins, ``chunk`` nodes at a time.
@@ -490,14 +469,15 @@ def semigroup_gradient_pac(t, g, params, contour=None):
     return dx, dy
 
 
-def backward_euler_oracle(t, g, params, steps, correction=True):
+def backward_euler_oracle(t, g, params, steps):
     """Independent oracle: ((I - (t/steps) A)^{-1})^steps applied to P_ac g.
 
-    Uses only resolvent applications at the real point lambda = steps/t and
-    no contour code; every step reuses the model's cached row of that
-    lambda.  First-order accurate in t/steps.  ``correction=False`` drops
-    the rank-one term and reduces to backward Euler for the free heat
-    equation.
+    Steps with lambda R(lambda), lambda = steps/t, and uses no contour code.
+    The free multiplier s = lambda/(lambda + |xi|^2) and the rank-one term
+    are constant on each |k|^2 bin, so after k steps u = s^k u_0 +
+    delta_hat v[bin], whose bin pairing with delta_hat is p + |delta|^2_bins v
+    with p = s^k <u_0, delta>_bins: a step updates only v and p, over the
+    bins.  First-order accurate in t/steps.
     """
     if steps < 10:
         raise ValueError("backward_euler_oracle requires steps >= 10")
@@ -511,7 +491,13 @@ def backward_euler_oracle(t, g, params, steps, correction=True):
         warnings.warn("resolvent shift hit the eigenvalue; stepping count bumped by one")
     model = grid_model(params, g.grid)
     uhat, _ = model.project_ac_hat(model.hat(g))
+    r = 1.0 / (lam + model.rho)
+    s = lam / (lam + model.rho)
+    coef = lam * model.wlat / model.denominator(lam)
+    p = model._bin_pair(uhat)
+    v = np.zeros_like(p)
     for _ in range(steps):
-        uhat = model.resolvent_hat(lam, uhat, correction=correction)
-        uhat *= lam
-    return model.unhat(uhat)
+        v = s * v + (coef * np.dot(r, p + model.delta_sq_bins * v)) * r
+        p = s * p
+    free = uhat * (lam / (lam + model.xi2)) ** steps
+    return model.unhat(free + model.delta_hat * np.take(v, model.bin_index))

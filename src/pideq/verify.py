@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .decay import ExperimentSpec, run_gradient_decay, run_semigroup_decay, verify_convolution_lemma
 from .fields import Grid, gaussian_field, lp_norm
 from .semigroup import ContourSpec, backward_euler_oracle, krein_resolvent, semigroup_full, semigroup_pac
-from .spectral import AlphaParams, c_lambda, eigenvalue, euler_gamma, psi_alpha_field
+from .special import euler_gamma
+from .spectral import AlphaParams, c_lambda, eigenvalue, psi_alpha_field
 
 __all__ = ["CheckResult", "run_checks", "DEFAULT_GRID"]
 

@@ -3,6 +3,7 @@
 import pytest
 
 from pideq import Grid, gaussian_field, save_field
+from pideq import verify as verify_mod
 from pideq.cli import main, read_config
 
 
@@ -113,6 +114,18 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 9
     assert "9/9 checks passed" in out
+
+
+def test_verify_grid_flags(tmp_path, monkeypatch):
+    # each grid value falls back to DEFAULT_GRID's on its own, from a flag or the config
+    grids = []
+    monkeypatch.setattr(verify_mod, "run_checks", lambda grid: grids.append(grid) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_L = 20\n")
+    assert main(["verify", "--grid-L", "20"]) == 0
+    assert main(["--config", str(cfg), "verify"]) == 0
+    assert main(["verify"]) == 0
+    assert grids == [Grid(20.0, 512), Grid(20.0, 512), verify_mod.DEFAULT_GRID]
 
 
 def _resolve_l2(tmp_path, capsys, u0):

@@ -114,6 +114,9 @@ def test_load_field_error_branches(tmp_path, grid128):
     (tmp_path / "trunc.pidf").write_bytes(payload[: len(payload) // 2])
     with pytest.raises(ValueError):
         load_field(tmp_path / "trunc.pidf")
+    (tmp_path / "short.pidf").write_bytes(payload[:10])
+    with pytest.raises(ValueError, match="truncated field header"):
+        load_field(tmp_path / "short.pidf")
 
 
 def test_ball_radius_warning(params, grid128):

@@ -15,7 +15,6 @@ from pideq import (
     gaussian_field,
     gradient,
     green_lp_norm,
-    heat_free,
     inner_product,
     krein_resolvent,
     lp_norm,
@@ -172,7 +171,8 @@ def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
     for dt in (0.02, 0.01, 0.02):
         ref = np.zeros_like(ghat)
         for lam, w in zip(sigma / dt, (swts / dt) * np.exp(sigma)):
-            c = w * model.pair_green(ghat, lam) / model.denominator(lam)
+            pair = model.wlat * np.vdot(model.delta_hat, ghat / (lam + model.xi2))
+            c = w * pair / model.denominator(lam)
             ref += c * model.delta_hat / (lam + model.xi2)
         corr = Flow(model, dt).apply(ghat)[1]
         assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -191,7 +191,8 @@ def test_contour_flow_matches_direct_sum(params, grid128):
     assert contour.truncation < 3.0 * model.rho[-1]  # no moment cancellation
     ref = np.zeros_like(ghat)
     for lam, w in zip(nodes, weights):
-        c = w * model.pair_green(ghat, lam) / model.denominator(lam)
+        pair = model.wlat * np.vdot(model.delta_hat, ghat / (lam + model.xi2))
+        c = w * pair / model.denominator(lam)
         ref += c * model.delta_hat / (lam + model.xi2)
     corr = Flow(model, t, contour=contour).apply(ghat)[1]
     assert np.linalg.norm(corr - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -245,7 +246,7 @@ def test_holder_pairing_bound(params, grid128, smooth_datum):
     contour = ContourSpec.for_time(params, 1.0)
     nodes, _ = contour.nodes()
     for lam in nodes[:: len(nodes) // 16]:
-        pair = abs(model.pair_green(ghat, lam))
+        pair = abs(model.wlat * np.vdot(model.delta_hat, ghat / (lam + model.xi2)))
         assert pair <= gq * kernel_l2(lam) * 1.02
         assert pair <= 1.5 * abs(lam) ** (-0.5) * gq * g1
 
@@ -282,10 +283,25 @@ def test_backward_euler_preserves_projection(params, grid128, smooth_datum):
     assert abs(inner_product(out, psi)) <= 1e-8 * lp_norm(smooth_datum, 2)
 
 
-def test_backward_euler_free_limit(params, grid128, smooth_datum):
-    out = backward_euler_oracle(1.0, smooth_datum, params, 1000, correction=False)
-    ref = heat_free(project_ac(smooth_datum, params), 1.0)
-    assert lp_norm(out - ref, 2) <= 1e-2 * lp_norm(ref, 2)
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("t, steps", [(1.0, 10), (1.0, 100), (0.3, 400)])
+def test_backward_euler_matches_lattice_recurrence(alpha, t, steps):
+    # the bin-coordinate oracle against u <- lam (u r + <u, G_lam>/D(lam) delta_hat r)
+    # written out over the full lattice, r = 1/(lam + |xi|^2)
+    params = AlphaParams.for_alpha(alpha, 2)
+    grid = Grid(40.0, 128)
+    g = gaussian_field(grid, sigma=2.0)
+    model = grid_model(params, grid)
+    lam = steps / t
+    r = 1.0 / (lam + model.xi2)
+    green = model.delta_hat * r
+    denom = model.denominator(lam)
+    uhat, _ = model.project_ac_hat(model.hat(g))
+    for _ in range(steps):
+        uhat = lam * (uhat * r + (model.wlat * np.vdot(green, uhat) / denom) * green)
+    ref = model.unhat(uhat)
+    out = backward_euler_oracle(t, g, params, steps)
+    assert lp_norm(out - ref, 2) <= 1e-13 * lp_norm(ref, 2)
 
 
 def test_backward_euler_validation(params, smooth_datum):
@@ -295,20 +311,17 @@ def test_backward_euler_validation(params, smooth_datum):
         backward_euler_oracle(-1.0, smooth_datum, params, 100)
 
 
-def test_resolvent_row_cache_matches_direct_formula(params, grid128, smooth_datum):
-    # the cached row against the resolvent written out term by term;
-    # interleaved lambdas (real and complex) catch a stale or wrongly keyed row
+def test_resolvent_matches_direct_formula(params, grid128, smooth_datum):
+    # the one-node rule against the resolvent written out term by term, at
+    # interleaved real and complex lambdas
     model = grid_model(params, grid128)
     ghat = model.hat(smooth_datum)
     for lam in (2.0, 5.0, 2.0, 3.0 + 1.0j, 1000.0, 2.0):
         free = ghat / (lam + model.xi2)
         pair = model.wlat * np.sum(ghat * np.conj(model.delta_hat) / (lam + model.xi2))
         full = free + pair / model.denominator(lam) * model.delta_hat / (lam + model.xi2)
-        for correction, ref in ((False, free), (True, full)):
-            out = model.resolvent_hat(lam, ghat, correction=correction)
-            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
-        assert abs(model.pair_green(ghat, lam) - pair) <= 1e-14 * abs(pair)
-    assert model._resolvent_row.cache_info().currsize <= 1
+        out = model.resolvent_hat(lam, ghat)
+        assert np.linalg.norm(out - full) <= 1e-14 * np.linalg.norm(full)
 
 
 def test_regression_bands(params, grid128):
