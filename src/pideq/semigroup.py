@@ -58,19 +58,34 @@ The resolvent is the one-node rule of the same kernel (node lambda, weight
 1), so every rank-one quantity is delta_hat times a bin profile, and the
 backward-Euler oracle steps on the bins alone.  Two-dimensional transforms
 use ``scipy.fft``.
+
+Two transform layouts
+---------------------
+The public functions take and return complex fields, so they work on the
+full n x n lattice of ``fft2``.  The solver holds real states, and works on
+the rfft2 half spectrum: the first n/2 + 1 columns of the full lattice,
+whose mirror columns are the complex conjugates of those kept.  The model
+reads the layout off a transform's width and keeps its lattice arrays in
+both (the half ones built on first use).  On the half spectrum a pairing
+sum f_hat conj(g_hat) takes the Hermitian column weights 1 for column 0 and
+the Nyquist column and 2 for the columns between, which stand for their
+mirrors too; its real part is the full-lattice pairing of the two real
+fields.  The same holds bin by bin, and the Talbot and cut-hugging nodes
+come in conjugate pairs, so a real datum's correction profile is real and
+its imaginary part (rounding) is dropped.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft
 
 from .errors import BranchCutError, ContourError, PoleError
 from .fields import Field, lp_norm
-from .spectral import green_field, reference_lambda
+from .spectral import _hermitian_weights, green_field, reference_lambda
 
 __all__ = [
     "ContourSpec",
@@ -206,6 +221,28 @@ class SemigroupResult:
     imag_residue: float = 0.0
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The model's lattice arrays in one transform layout.
+
+    ``weights`` is None on the full lattice and the Hermitian column weights
+    on the rfft2 half spectrum.
+    """
+
+    xi2: np.ndarray
+    delta_hat: np.ndarray
+    psi_hat: np.ndarray
+    green_omega_hat: np.ndarray
+    bin_index: np.ndarray
+    weights: np.ndarray | None
+
+    def dot(self, ahat, bhat):
+        """Full-lattice sum ahat conj(bhat); real on the half spectrum."""
+        if self.weights is None:
+            return np.vdot(bhat, ahat)
+        return np.vdot(bhat, ahat * self.weights).real
+
+
 class PointHeatModel:
     """Cached grid realization of the perturbed operator for one (params, grid)."""
 
@@ -256,6 +293,21 @@ class PointHeatModel:
 
         self.omega = reference_lambda(params)
         self.green_omega_hat = self.delta_hat / (self.omega + self.xi2)
+        self._full = _Layout(
+            self.xi2, self.delta_hat, self.psi_hat, self.green_omega_hat, self.bin_index, None
+        )
+
+    @cached_property
+    def half(self):
+        """The lattice arrays on the rfft2 half spectrum, built on first use."""
+        m = self.grid.n // 2 + 1
+        arrays = (self.xi2, self.delta_hat, self.psi_hat, self.green_omega_hat, self.bin_index)
+        cut = [np.ascontiguousarray(a[:, :m]) for a in arrays]
+        return _Layout(*cut, _hermitian_weights(self.grid.n))
+
+    def layout(self, ghat):
+        """The arrays in ghat's layout: the full lattice, or the half spectrum."""
+        return self._full if ghat.shape[1] == self.grid.n else self.half
 
     # -- scalar lattice functions --------------------------------------------
 
@@ -269,8 +321,13 @@ class PointHeatModel:
     # -- pairings --------------------------------------------------------------
 
     def _bin_pair(self, ghat):
-        prod = (ghat * np.conj(self.delta_hat)).ravel()
-        idx = self.bin_index.ravel()
+        """Bin sums of ghat conj(delta_hat); real on the half spectrum."""
+        lay = self.layout(ghat)
+        prod = ghat * np.conj(lay.delta_hat)
+        idx = lay.bin_index.ravel()
+        if lay.weights is not None:
+            return np.bincount(idx, weights=(prod.real * lay.weights).ravel())
+        prod = prod.ravel()
         return np.bincount(idx, weights=prod.real) + 1j * np.bincount(idx, weights=prod.imag)
 
     def coupling_coefficient(self, ghat):
@@ -279,13 +336,16 @@ class PointHeatModel:
         For u in the model's domain, u - coupling_coefficient(u) G_omega has
         (omega - Laplacian)-image equal to (omega - A) u; this is the exact
         grid analogue of reading the singular coefficient off the boundary
-        condition at the interaction point.
+        condition at the interaction point.  Real on the half spectrum.
         """
-        return complex(self.wlat * np.vdot(self.delta_hat, ghat) / self.S_at_E)
+        lay = self.layout(ghat)
+        return self.wlat * lay.dot(ghat, lay.delta_hat) / self.S_at_E
 
     def project_ac_hat(self, ghat):
-        coef = self.wlat * np.vdot(self.psi_hat, ghat)
-        return ghat - coef * self.psi_hat, coef
+        """(P_ac g transform, <g, psi>), in ghat's layout."""
+        lay = self.layout(ghat)
+        coef = self.wlat * lay.dot(ghat, lay.psi_hat)
+        return ghat - coef * lay.psi_hat, coef
 
     # -- resolvent and semigroup ----------------------------------------------
 
@@ -319,13 +379,18 @@ class PointHeatModel:
         back onto the lattice as delta_hat times the binned values.  The input
         must be projected: a contour that encloses the eigenvalue E (Talbot's
         does at small t) picks up a pole there that cancels only against a
-        projected numerator.
+        projected numerator.  On the half spectrum the datum is real and
+        the nodes come in conjugate pairs, so the profile's imaginary part
+        is rounding and is dropped.
         """
         bpair = self.wlat * self._bin_pair(ghat)
         vbins = np.zeros(self.rho.size, dtype=np.complex128)
         for rows, base in chunks:
             vbins += (base * (rows @ bpair)) @ rows
-        return self.delta_hat * np.take(vbins, self.bin_index)
+        lay = self.layout(ghat)
+        if lay.weights is not None:
+            vbins = vbins.real
+        return lay.delta_hat * np.take(vbins, lay.bin_index)
 
     def hat(self, f):
         return fft.fft2(f.values)
@@ -346,19 +411,20 @@ def grid_model(params, grid):
 class Flow:
     """exp(tA) P_ac (or, with ``full``, exp(tA)) for one time t, in transform space.
 
-    Holds t's heat multiplier exp(-t |xi|^2) and the nodes and weights of
-    one quadrature rule at t: the ``TALBOT_NODES``-node Talbot rule, or the
-    cut-hugging ``contour`` when one is given.  A rule that fits in one
-    ``CHUNK`` (Talbot's does) also keeps its resolvent rows, denominators and
-    base weights, so a caller stepping with one t builds them once; a longer
-    rule rebuilds them chunk by chunk on every application.
+    Holds t's heat multiplier exp(-t |xi|^2), built per transform layout on
+    first use, and the nodes and weights of one quadrature rule at t: the
+    ``TALBOT_NODES``-node Talbot rule, or the cut-hugging ``contour`` when one
+    is given.  A rule that fits in one ``CHUNK`` (Talbot's does) also keeps
+    its resolvent rows, denominators and base weights, so a caller stepping
+    with one t builds them once; a longer rule rebuilds them chunk by chunk
+    on every application.
     """
 
     def __init__(self, model, t, full=False, contour=None):
         self.model = model
         self.t = t
         self.full = full
-        self.heat = np.exp(-t * model.xi2)
+        self._heat = {}
         self.growth = math.exp(model.E * t) if full else 0.0
         if contour is None:
             sigma, swts = _talbot_nodes(TALBOT_NODES)
@@ -382,16 +448,21 @@ class Flow:
     def apply(self, ghat):
         """Returns (out_hat, corr_hat): the evolved transform and its rank-one part.
 
-        The input is projected before the correction is accumulated; the
-        full flow adds the eigenmode e^{tE} <g, psi> psi back.
+        Both are in ghat's layout (full lattice or half spectrum).  The
+        input is projected before the correction is accumulated; the full
+        flow adds the eigenmode e^{tE} <g, psi> psi back.
         """
         m = self.model
+        lay = m.layout(ghat)
+        heat = self._heat.get(ghat.shape[1])
+        if heat is None:
+            heat = self._heat[ghat.shape[1]] = np.exp(-self.t * lay.xi2)
         gac, eig_coef = m.project_ac_hat(ghat)
         chunks = self.chunks or m._node_chunks(self.nodes, self.weights, CHUNK)
         corr = m.correction(gac, chunks)
-        out = self.heat * gac + corr
+        out = heat * gac + corr
         if self.full:
-            out += self.growth * eig_coef * m.psi_hat
+            out += self.growth * eig_coef * lay.psi_hat
         return out, corr
 
 

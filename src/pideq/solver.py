@@ -24,6 +24,21 @@ ever fitted from samples.  One sampler turns (phi_hat, q) into physical
 samples: the forcing uses it, and :func:`state_fields` exposes it as
 (u, |grad u|).
 
+The problem is posed for real u: the forcing is computed as
+gamma |u|^(gamma-2) u (a . grad u), which equals a . grad(|u|^gamma) only
+for real u.  Real data, a real vector a and the real self-adjoint A keep
+every state real, so the solver holds phi as its rfft2 half spectrum (the
+first n/2 + 1 columns of the full transform; see :mod:`pideq.semigroup`)
+and q as a real float, and steps, forces, splits and pairs there.  A state
+or source enters that layout in one place, which raises ValueError when its
+imaginary part exceeds ``IMAG_TOL`` of its size and drops it otherwise.  A
+solver state's ``regular`` is the inverse rfft2 of phi_hat, so its
+imaginary part is exactly 0.  The spectral derivative i xi_k is zero on
+the Nyquist line of its own axis (row n/2 for x1, the last half-spectrum
+column for x2): there the full-lattice derivative of a real field is purely
+imaginary, so the real derivative has no such mode (S. G. Johnson, "Notes
+on FFT-based differentiation", MIT, 2011).
+
 Time quadrature is left-endpoint product integration (exponential Euler).
 One sweep over a window steps u_{j+1} = S(dt)[u_j + dt F(v_j)]: with v_j
 the previous Picard iterate's state j it is one Picard iterate, and with
@@ -77,6 +92,9 @@ __all__ = [
     "state_fields",
     "total_field",
 ]
+
+IMAG_TOL = 1e-12
+"""Largest imaginary part of a state or source, relative to its size, taken as real."""
 
 
 @dataclass
@@ -136,10 +154,18 @@ class Trajectory:
 
 @lru_cache(maxsize=8)
 def _state_kernels(params, grid):
-    """(i xi1, i xi2, closed-form grad G_omega samples), read-only."""
+    """(i xi1, i xi2 on the half spectrum, closed-form grad G_omega samples), read-only.
+
+    Each derivative is zero on the Nyquist line of its own axis.
+    """
+    m = grid.n // 2 + 1
     XI1, XI2 = grid.wavenumbers()
+    d1 = 1j * XI1[:, :m]
+    d2 = 1j * XI2[:, :m]
+    d1[grid.n // 2, :] = 0.0
+    d2[:, -1] = 0.0
     gx, gy = green_gradient_field(reference_lambda(params), grid)
-    kernels = (1j * XI1, 1j * XI2, gx.values, gy.values)
+    kernels = (d1, d2, np.ascontiguousarray(gx.values.real), np.ascontiguousarray(gy.values.real))
     # shared by every caller of the cache
     for arr in kernels:
         arr.setflags(write=False)
@@ -147,7 +173,7 @@ def _state_kernels(params, grid):
 
 
 def _state_samples(model, phat, q):
-    """Physical samples (u, d1 u, d2 u) of u = phi + q G_omega from phi's transform.
+    """Real samples (u, d1 u, d2 u) of u = phi + q G_omega from phi's half spectrum.
 
     Values come from the exact transform-side total (:func:`_total_hat`,
     the path of :func:`total_field`); the gradient splits into the spectral
@@ -155,9 +181,9 @@ def _state_samples(model, phat, q):
     kernel part, which is pointwise faithful at the singularity.
     """
     ixi1, ixi2, dgx, dgy = _state_kernels(model.params, model.grid)
-    vals = fft.ifft2(_total_hat(model, phat, q))
-    du1 = fft.ifft2(ixi1 * phat) + q * dgx
-    du2 = fft.ifft2(ixi2 * phat) + q * dgy
+    vals = fft.irfft2(_total_hat(model, phat, q))
+    du1 = fft.irfft2(ixi1 * phat) + q * dgx
+    du2 = fft.irfft2(ixi2 * phat) + q * dgy
     return vals, du1, du2
 
 
@@ -187,7 +213,7 @@ def total_field(u):
     :func:`state_fields`."""
     model = grid_model(u.params, u.regular.grid)
     phat, q = _state_hats(model, u)
-    return Field(u.regular.grid, fft.ifft2(_total_hat(model, phat, q)))
+    return Field(u.regular.grid, fft.irfft2(_total_hat(model, phat, q)))
 
 
 def state_fields(u):
@@ -199,14 +225,15 @@ def state_fields(u):
     grid = u.regular.grid
     model = grid_model(u.params, grid)
     vals, du1, du2 = _state_samples(model, *_state_hats(model, u))
-    return Field(grid, vals), Field(grid, np.sqrt(np.abs(du1) ** 2 + np.abs(du2) ** 2))
+    return Field(grid, vals), Field(grid, np.hypot(du1, du2))
 
 
 def nonlinearity(u, cfg):
     """a . grad(|u|^gamma) with grad u = grad phi + coeff grad G_omega.
 
     The regular part is differentiated spectrally; the kernel part uses the
-    closed Bessel form.  |u|^(gamma-2) u is extended by 0 at u = 0.
+    closed Bessel form.  |u|^(gamma-2) u is extended by 0 at u = 0.  u must
+    be real: complex data raise ValueError.
     """
     if not cfg.gamma > 1.0:
         raise ValueError("gamma must exceed 1")
@@ -216,7 +243,7 @@ def nonlinearity(u, cfg):
 
 
 def lagrange_multiplier(u, cfg):
-    """rho = Re < a . grad(|u|^gamma), psi >; imaginary residue is discarded."""
+    """rho = < a . grad(|u|^gamma), psi >, a pairing of two real fields."""
     psi = psi_alpha_field(u.params, u.regular.grid)
     val = inner_product(nonlinearity(u, cfg), psi)
     return float(val.real)
@@ -226,8 +253,26 @@ def lagrange_multiplier(u, cfg):
 
 
 def _state_hats(model, u):
-    """(phi_hat, q) of a decomposed state u = phi + q G_omega."""
-    return fft.fft2(u.regular.values), complex(u.coeff)
+    """(phi_hat, q) of a real state u = phi + q G_omega, on the half spectrum."""
+    return _half_spectrum(model.grid, u.regular.values, u.coeff)
+
+
+def _half_spectrum(grid, values, coeff=0.0):
+    """(rfft2 of values, coeff) of real data: where states and sources enter the half spectrum.
+
+    Raises ValueError when the imaginary parts of values and coeff exceed
+    ``IMAG_TOL`` of the data's size (||values||_2^2 + |coeff|^2)^(1/2);
+    otherwise they are dropped.
+    """
+    q = complex(coeff)
+    size = math.sqrt(grid.cell_area * float(np.sum(np.abs(values) ** 2)) + abs(q) ** 2)
+    imag = math.sqrt(grid.cell_area * float(np.sum(values.imag ** 2)) + q.imag ** 2)
+    if imag > IMAG_TOL * size:
+        raise ValueError(
+            f"complex data (imaginary part {imag / size:.1e} of its size): the solver's "
+            "forcing a . grad(|u|^gamma) is written for real u"
+        )
+    return fft.rfft2(values.real), q.real
 
 
 def _compatible_split(model, total_hat):
@@ -239,16 +284,16 @@ def _compatible_split(model, total_hat):
     alone misses the kernel content of the heat part).
     """
     q = model.coupling_coefficient(total_hat)
-    return total_hat - q * model.green_omega_hat, q
+    return total_hat - q * model.half.green_omega_hat, q
 
 
 def _total_hat(model, phat, q):
-    return phat + q * model.green_omega_hat
+    return phat + q * model.half.green_omega_hat
 
 
 def _to_decomposed(model, phat, q, params):
-    reg = Field(model.grid, fft.ifft2(phat))
-    return DecomposedField(reg, complex(q), params)
+    reg = Field(model.grid, fft.irfft2(phat))
+    return DecomposedField(reg, float(q), params)
 
 
 def duhamel_integral(source, t, params, contour=None, projected=True, scheme="midpoint"):
@@ -260,7 +305,8 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
     between none and 2 f_{j+1/2} (end-sample average), i.e.
     acc <- S(dt) acc + dt S(dt/2) f_{j+1/2}: second order.  ``scheme='left'``
     takes h = dt and F_j = f_j: first order.  ``contour`` selects the
-    cut-hugging rule of the flow.
+    cut-hugging rule of the flow.  The samples must be real (ValueError
+    otherwise, as for solver states).
     """
     if len(source) < 2:
         raise SchedulingError("need at least two source samples covering [0, t]")
@@ -275,22 +321,22 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
         kicks = (
             kick
             for j in range(m)
-            for kick in (None, fft.fft2(source[j].values + source[j + 1].values))
+            for kick in (None, _half_spectrum(grid, source[j].values + source[j + 1].values)[0])
         )
     elif scheme == "left":
         sub = 1
-        kicks = (fft.fft2(f.values) for f in source[:m])
+        kicks = (_half_spectrum(grid, f.values)[0] for f in source[:m])
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if dt / sub < MIN_TIME - 1e-12:
         raise SchedulingError(f"{scheme} scheme needs dt >= {sub * MIN_TIME}; got dt = {dt}")
     model = grid_model(params, grid)
     flow = Flow(model, dt / sub, full=not projected, contour=contour)
-    zero = (np.zeros((grid.n, grid.n), dtype=np.complex128), 0.0)
+    zero = (np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128), 0.0)
     # the k-th call of the forcing returns the k-th kick
     for _, phat, q in _sweep(model, flow, zero, sub * m, lambda phat, q: next(kicks)):
         pass
-    return Field(grid, fft.ifft2(_total_hat(model, phat, q)))
+    return Field(grid, fft.irfft2(_total_hat(model, phat, q)))
 
 
 def _forcing_hat(model, phat, q, cfg):
@@ -298,7 +344,7 @@ def _forcing_hat(model, phat, q, cfg):
     if float(cfg.a[0]) == 0.0 and float(cfg.a[1]) == 0.0:
         return None, 0
     values, clamped = _nonlinear_values(*_state_samples(model, phat, q), cfg)
-    return fft.fft2(values), clamped
+    return fft.rfft2(values), clamped
 
 
 def _sweep(model, flow, start, steps, force, prev=None):
@@ -457,7 +503,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         for j, state in kept:
             times.append((step + j) * cfg.dt)
             stored.append(state)
-        eig = model.wlat * np.sum(_total_hat(model, *end) * np.conj(model.psi_hat))
+        _, eig = model.project_ac_hat(_total_hat(model, *end))
         ortho_max = max(ortho_max, abs(eig))
         start = end
         step += steps
@@ -549,13 +595,10 @@ def residual_check(traj, cfg, t_min=0.0):
     params = traj.states[0].params
     grid = traj.states[0].regular.grid
     model = grid_model(params, grid)
-    psi_vals = psi_alpha_field(params, grid).values
+    psi_vals = psi_alpha_field(params, grid).values.real
     projected = traj.rho.size > 0
 
-    totals = []
-    for st in traj.states:
-        phat, q = _state_hats(model, st)
-        totals.append((phat, q))
+    totals = [_state_hats(model, st) for st in traj.states]
 
     worst = 0.0
     for k in range(1, len(traj.states) - 1):
@@ -568,15 +611,15 @@ def residual_check(traj, cfg, t_min=0.0):
             _total_hat(model, pp, qp) - _total_hat(model, pm, qm)
         ) / (2.0 * dt)
         # A u = omega u - (omega - Laplacian) phi
-        au_hat = model.omega * _total_hat(model, pc, qc) - (model.omega + model.xi2) * pc
-        f_vals = nonlinearity(traj.states[k], cfg).values
-        resid = fft.ifft2(du_hat - au_hat) - f_vals
+        au_hat = model.omega * _total_hat(model, pc, qc) - (model.omega + model.half.xi2) * pc
+        f_vals, _ = _nonlinear_values(*_state_samples(model, pc, qc), cfg)
+        resid = fft.irfft2(du_hat - au_hat) - f_vals
         if projected:
             resid = resid + traj.rho[k] * psi_vals
         unorm = lp_norm(
-            Field(grid, fft.ifft2(_total_hat(model, pc, qc))), 2
+            Field(grid, fft.irfft2(_total_hat(model, pc, qc))), 2
         )
-        rnorm = math.sqrt(float(np.sum(np.abs(resid) ** 2)) * grid.cell_area)
+        rnorm = math.sqrt(float(np.sum(resid ** 2)) * grid.cell_area)
         if unorm > 0:
             worst = max(worst, rnorm / unorm)
     return worst

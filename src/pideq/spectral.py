@@ -1,8 +1,8 @@
 """Spectral data of the point-interaction Laplacian.
 
 The operator family is parametrized by alpha in (-inf, +inf]; alpha = +inf
-is the free Laplacian.  In 2D there is always exactly one positive point
-eigenvalue
+is the free Laplacian.  In 2D every finite alpha has exactly one positive
+point eigenvalue
 
     E_alpha = 4 exp(-4 pi alpha - 2 gamma),
 
@@ -55,10 +55,12 @@ _EG = euler_gamma()
 def eigenvalue(alpha, dim=2):
     """Point eigenvalue of the perturbed Laplacian, or None if absent.
 
-    2D: always 4 exp(-4 pi alpha - 2 gamma).  3D: (4 pi alpha)^2 iff
-    alpha < 0, else None.
+    2D: 4 exp(-4 pi alpha - 2 gamma), None at alpha = +inf (the free
+    Laplacian).  3D: (4 pi alpha)^2 iff alpha < 0, else None.
     """
     if dim == 2:
+        if alpha == math.inf:
+            return None
         return float(4.0 * np.exp(-4.0 * np.pi * alpha - 2.0 * _EG))
     if dim == 3:
         if alpha < 0:
@@ -291,11 +293,31 @@ class DecomposedField:
         return cls(f, 0.0 + 0.0j, params)
 
 
+@lru_cache(maxsize=8)
+def _hermitian_weights(n):
+    """Column weights of the rfft2 half spectrum of a real n x n field.
+
+    Column 0 and the Nyquist column weigh 1; every column between weighs 2,
+    because it also stands for its mirror column, which holds its conjugate.
+    """
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    w.setflags(write=False)
+    return w
+
+
 def _h1_proxy_hat(grid, phat, q):
-    """(||phi||_2^2 + ||grad phi||_2^2 + |q|^2)^(1/2) from phi's transform, by Parseval."""
+    """(||phi||_2^2 + ||grad phi||_2^2 + |q|^2)^(1/2) from phi's transform, by Parseval.
+
+    ``phat`` is phi's full transform, or, read off its width, the rfft2 half
+    spectrum of a real phi, summed with the Hermitian column weights.
+    """
     wlat = grid.cell_area / grid.n ** 2
-    w = wlat * np.sum((1.0 + grid.wavenumber_sq()) * np.abs(phat) ** 2)
-    return math.sqrt(float(w) + abs(q) ** 2)
+    width = phat.shape[1]
+    dens = (1.0 + grid.wavenumber_sq()[:, :width]) * np.abs(phat) ** 2
+    if width != grid.n:
+        dens *= _hermitian_weights(grid.n)
+    return math.sqrt(wlat * float(np.sum(dens)) + abs(q) ** 2)
 
 
 def h1_alpha_norm(u):

@@ -204,3 +204,23 @@ def test_csv_export(grid128):
     assert lines[0] == "x,y,re,im"
     assert len(lines) == 1 + 16 * 16
     assert "e" in lines[1]  # scientific notation
+
+
+def test_csv_export_matches_per_value_writer():
+    # the block writer's bytes against one f-string per value, on a field
+    # spanning more than one block, with -0.0, a 1e-17 imaginary part and
+    # extreme exponents
+    grid = Grid(5.0, 128)
+    vals = gaussian_field(grid, sigma=1.0).values + 1e-17j
+    vals[0, :4] = [-0.0, 1e-300 - 0.0j, -2.5e200 + 1j, 0.0 - 1e-17j]
+    f = Field(grid, vals)
+    X, Y = grid.mesh()
+    ref = ["x,y,re,im\n"]
+    for i in range(grid.n):
+        for j in range(grid.n):
+            v = f.values[i, j]
+            ref.append(f"{X[i, j]:.16e},{Y[i, j]:.16e},{v.real:.16e},{v.imag:.16e}\n")
+    buf = io.StringIO()
+    field_to_csv(f, buf)
+    assert buf.getvalue() == "".join(ref)
+    assert "-0.0000000000000000e+00" in buf.getvalue()

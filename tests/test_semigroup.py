@@ -341,3 +341,50 @@ def test_regression_bands(params, grid128):
     one = semigroup_full(1.0, g, params)
     half = semigroup_full(0.5, semigroup_full(0.5, g, params), params)
     assert lp_norm(one - half, 2) <= 1e-7 * lp_norm(g, 2)
+
+
+def _half_and_full(alpha, seed):
+    """Grid model at alpha on Grid(40, 128), a random real field's rfft2 and fft2."""
+    grid = Grid(40.0, 128)
+    model = grid_model(AlphaParams.for_alpha(alpha, 2), grid)
+    vals = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
+    return model, np.fft.rfft2(vals), np.fft.fft2(vals)
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+def test_half_spectrum_pairings_match_full_lattice(alpha):
+    # Hermitian-weighted pairings on the half spectrum against the real part
+    # of the full-lattice ones
+    model, ghalf, gfull = _half_and_full(alpha, 11)
+    m = ghalf.shape[1]
+    out_half, coef_half = model.project_ac_hat(ghalf)
+    out_full, coef_full = model.project_ac_hat(gfull)
+    assert isinstance(coef_half, float)
+    assert abs(coef_half - coef_full.real) <= 1e-13 * abs(coef_full)
+    assert _rel(out_half, out_full[:, :m]) <= 1e-13
+    q_half = model.coupling_coefficient(ghalf)
+    q_full = model.coupling_coefficient(gfull)
+    assert isinstance(q_half, float)
+    assert abs(q_half - q_full.real) <= 1e-13 * abs(q_full)
+    bins_half = model._bin_pair(ghalf)
+    assert bins_half.dtype == np.float64
+    assert _rel(bins_half, model._bin_pair(gfull).real) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("full", [False, True])
+def test_half_spectrum_flow_matches_full_lattice(alpha, full):
+    # Flow.apply on the half spectrum is the first n/2 + 1 columns of the
+    # full-lattice flow of the same real field
+    model, ghalf, gfull = _half_and_full(alpha, 12)
+    m = ghalf.shape[1]
+    for t in (0.02, 1.0):
+        flow = Flow(model, t, full=full)
+        out_half, _ = flow.apply(ghalf)
+        out_full, _ = flow.apply(gfull)
+        assert out_half.shape == ghalf.shape
+        assert _rel(out_half, out_full[:, :m]) <= 1e-13

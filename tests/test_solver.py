@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pideq import (
+    AlphaParams,
     ContourSpec,
     DecomposedField,
     Field,
@@ -16,6 +17,7 @@ from pideq import (
     duhamel_integral,
     gaussian_field,
     gradient,
+    green_gradient_field,
     h1_alpha_norm,
     inner_product,
     lagrange_multiplier,
@@ -23,6 +25,7 @@ from pideq import (
     nonlinearity,
     project_d,
     psi_alpha_field,
+    reference_lambda,
     residual_check,
     semigroup_full,
     solve_global_projected,
@@ -81,8 +84,10 @@ def test_nonlinearity_gaussian_closed_form(params):
 
 def test_state_fields_sampler(params, grid128):
     f = gaussian_field(grid128, sigma=1.3, amplitude=0.7)
-    u = DecomposedField(f, 0.35 - 0.1j, params)
+    u = DecomposedField(f, 0.35, params)
     assert np.array_equal(state_fields(u)[0].values, total_field(u).values)
+    with pytest.raises(ValueError, match="complex data"):
+        state_fields(DecomposedField(f, 0.35 - 0.1j, params))
     # without a kernel part |grad u| is the spectral gradient's magnitude
     v = DecomposedField.from_field(f, params)
     gx, gy = gradient(f)
@@ -474,3 +479,65 @@ def test_residual_projected_small_data(params, grid128):
     )
     traj = solve_global_projected(u0, cfg)
     assert residual_check(traj, cfg) <= 1e-2
+
+
+def _random_state(grid, params, seed, q=0.0):
+    vals = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
+    return DecomposedField(Field(grid, vals), q, params)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+def test_state_fields_gradient_is_real_part_of_full_lattice(alpha):
+    # the half-spectrum gradient (each i xi_k zero on its own Nyquist line)
+    # against the real part of the full-lattice spectral derivative, whose
+    # Nyquist-line modes are purely imaginary for a real field
+    grid = Grid(40.0, 128)
+    params = AlphaParams.for_alpha(alpha, 2)
+    u = _random_state(grid, params, 21, q=0.3)
+    phi = u.regular.values.real
+    XI1, XI2 = grid.wavenumbers()
+    gx, gy = green_gradient_field(reference_lambda(params), grid)
+    d1 = np.fft.ifft2(1j * XI1 * np.fft.fft2(phi)).real + 0.3 * gx.values.real
+    d2 = np.fft.ifft2(1j * XI2 * np.fft.fft2(phi)).real + 0.3 * gy.values.real
+    expect = np.hypot(d1, d2)
+    grad = state_fields(u)[1].values
+    assert np.abs(grad - expect).max() <= 1e-13 * expect.max()
+
+
+def test_half_spectrum_h1_proxy_matches_full_lattice(params, grid128):
+    phi = _random_state(grid128, params, 22).regular.values.real
+    full = _h1_proxy_hat(grid128, np.fft.fft2(phi), 0.3)
+    half = _h1_proxy_hat(grid128, np.fft.rfft2(phi), 0.3)
+    assert abs(half - full) <= 1e-13 * full
+
+
+def test_complex_data_rejected(params, grid128):
+    # the forcing gamma |u|^(gamma-2) u (a . grad u) is a . grad(|u|^gamma)
+    # only for real u: for u = e^{0.7i} times a Gaussian it is 129 % off
+    f = gaussian_field(grid128, sigma=1.5, amplitude=0.01)
+    rotated = DecomposedField.from_field(np.exp(0.7j) * f, params)
+    cfg = SolverConfig(gamma=3.0, a=(1.0, 0.0), T=0.04, dt=0.02)
+    for call in (
+        lambda: solve_local(rotated, cfg),
+        lambda: solve_global_projected(rotated, cfg),
+        lambda: nonlinearity(rotated, cfg),
+        lambda: duhamel_integral([rotated.regular] * 3, 0.04, params),
+        lambda: duhamel_integral([f, rotated.regular, f], 0.02, params, scheme="left"),
+        lambda: solve_local(DecomposedField(f, 0.01 + 1e-6j, params), cfg),
+    ):
+        with pytest.raises(ValueError, match="complex data"):
+            call()
+
+
+def test_rounding_imaginary_part_accepted(params, grid128):
+    # an imaginary part at 1e-14 of the datum is dropped, and every state is
+    # real: regular by its values, coeff by its type
+    f = gaussian_field(grid128, sigma=1.5, amplitude=0.01)
+    u0 = DecomposedField.from_field(Field(grid128, f.values * (1.0 + 1e-14j)), params)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.1, dt=0.02)
+    for traj in (solve_local(u0, cfg), solve_global_projected(u0, cfg)):
+        for st in traj.states:
+            assert not np.any(st.regular.values.imag)
+            assert isinstance(st.coeff, float)
+        assert not np.any(nonlinearity(traj.states[-1], cfg).values.imag)
+    assert lp_norm(duhamel_integral([u0.regular] * 3, 0.04, params), 2) > 0

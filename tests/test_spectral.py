@@ -215,6 +215,20 @@ def test_projection_absent_eigenvalue_convention(grid128, rng):
     assert project_ac(f, p3) is f
 
 
+def test_projection_free_laplacian_alpha_inf(grid128):
+    # alpha = +inf is the free Laplacian: no eigenvalue, P_d = 0, P_ac = I
+    from pideq.semigroup import PointHeatModel
+
+    assert eigenvalue(math.inf) is None
+    pinf = AlphaParams.for_alpha(math.inf, 2)
+    assert pinf.eigenvalue is None and pinf.psi_norm is None
+    f = Field(grid128, np.random.default_rng(5).standard_normal((128, 128)))
+    assert lp_norm(project_d(f, pinf), 2) == 0.0
+    assert project_ac(f, pinf) is f
+    with pytest.raises(ValueError, match="positive eigenvalue"):
+        PointHeatModel(pinf, grid128)
+
+
 def test_projection_commutes_with_resolvent(params, grid128, rng):
     f = Field(grid128, rng.standard_normal((128, 128)))
     a = project_ac(krein_resolvent(2.0, f, params), params)
