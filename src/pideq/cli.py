@@ -52,7 +52,8 @@ def read_config(path):
 
 
 def _sci(x):
-    return f"{x:.16e}"
+    """Full-precision scientific notation; ``none`` for an absent value."""
+    return "none" if x is None else f"{x:.16e}"
 
 
 def _merged(args, config, key, default):

@@ -237,10 +237,15 @@ class _Layout:
     weights: np.ndarray | None
 
     def dot(self, ahat, bhat):
-        """Full-lattice sum ahat conj(bhat); real on the half spectrum."""
+        """Full-lattice sum ahat conj(bhat); real on the half spectrum.
+
+        On the half spectrum: twice the real sum over every column, less
+        column 0 and the Nyquist column, which weigh 1.
+        """
         if self.weights is None:
             return np.vdot(bhat, ahat)
-        return np.vdot(bhat, ahat * self.weights).real
+        edges = np.vdot(bhat[:, 0], ahat[:, 0]) + np.vdot(bhat[:, -1], ahat[:, -1])
+        return 2.0 * np.vdot(bhat, ahat).real - edges.real
 
 
 class PointHeatModel:
@@ -323,11 +328,13 @@ class PointHeatModel:
     def _bin_pair(self, ghat):
         """Bin sums of ghat conj(delta_hat); real on the half spectrum."""
         lay = self.layout(ghat)
-        prod = ghat * np.conj(lay.delta_hat)
         idx = lay.bin_index.ravel()
         if lay.weights is not None:
-            return np.bincount(idx, weights=(prod.real * lay.weights).ravel())
-        prod = prod.ravel()
+            prod = ghat.real * lay.delta_hat.real
+            prod += ghat.imag * lay.delta_hat.imag
+            prod *= lay.weights
+            return np.bincount(idx, weights=prod.ravel())
+        prod = (ghat * np.conj(lay.delta_hat)).ravel()
         return np.bincount(idx, weights=prod.real) + 1j * np.bincount(idx, weights=prod.imag)
 
     def coupling_coefficient(self, ghat):

@@ -20,9 +20,11 @@ constructively as the exact domain-coupling functional <u, delta>/S(E)
 (the grid analogue of reading the coefficient off the boundary condition
 at the interaction point); with that split the identity
 (omega - A) u = (omega - Laplacian) phi holds on the nose and nothing is
-ever fitted from samples.  One sampler turns (phi_hat, q) into physical
-samples: the forcing uses it, and :func:`state_fields` exposes it as
-(u, |grad u|).
+ever fitted from samples.  The forcing samples u and the drift derivative
+a . grad u, which is linear in u: one inverse transform of
+(a1 i xi1 + a2 i xi2) phi_hat plus q a . grad G_omega, so a forcing is two
+irfft2 and one rfft2.  :func:`state_fields` samples both gradient
+components, as (u, |grad u|).
 
 The problem is posed for real u: the forcing is computed as
 gamma |u|^(gamma-2) u (a . grad u), which equals a . grad(|u|^gamma) only
@@ -57,6 +59,7 @@ is the only loop over time steps, and its flow the only projector.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -104,8 +107,10 @@ class SolverConfig:
     ``ball_radius`` is diagnostic: when set (or 'auto', twice the proxy
     norm of the initial state) iterates leaving the ball raise a warning.  The
     pointwise factor |u|^(gamma-2) is clamped at ``clamp_limit`` for
-    gamma < 2.  A config holds settings only: solves never write to it, and
-    each reports its own clamp count in its trajectory's diagnostics.
+    gamma < 2.  ``a`` must be two finite real numbers and is stored as a
+    tuple of two floats.  A config holds settings only: solves never write
+    to it, and each reports its own clamp count in its trajectory's
+    diagnostics.
     Projection is chosen by the solve function, not by the config:
     :func:`solve_global_projected` projects, :func:`solve_local` does not.
     """
@@ -132,6 +137,13 @@ class SolverConfig:
             )
         if self.dt <= 0 or self.picard_tol <= 0:
             raise ValueError("dt and picard_tol must be positive")
+        try:
+            a = tuple(self.a)
+        except TypeError:
+            a = ()
+        if len(a) != 2 or not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in a):
+            raise ValueError(f"a must be two finite real numbers; got {self.a!r}")
+        self.a = (float(a[0]), float(a[1]))
 
 
 @dataclass
@@ -154,19 +166,36 @@ class Trajectory:
 
 @lru_cache(maxsize=8)
 def _state_kernels(params, grid):
-    """(i xi1, i xi2 on the half spectrum, closed-form grad G_omega samples), read-only.
+    """(i xi1, i xi2, closed-form grad G_omega samples), read-only.
 
-    Each derivative is zero on the Nyquist line of its own axis.
+    i xi1 is an (n, 1) column and i xi2 a (1, n/2 + 1) row; both broadcast
+    over the rfft2 half spectrum, and each is zero on the Nyquist line of its
+    own axis.
     """
     m = grid.n // 2 + 1
     XI1, XI2 = grid.wavenumbers()
-    d1 = 1j * XI1[:, :m]
-    d2 = 1j * XI2[:, :m]
-    d1[grid.n // 2, :] = 0.0
-    d2[:, -1] = 0.0
+    d1 = 1j * XI1[:, :1]
+    d2 = 1j * XI2[:1, :m]
+    d1[grid.n // 2, 0] = 0.0
+    d2[0, -1] = 0.0
     gx, gy = green_gradient_field(reference_lambda(params), grid)
     kernels = (d1, d2, np.ascontiguousarray(gx.values.real), np.ascontiguousarray(gy.values.real))
     # shared by every caller of the cache
+    for arr in kernels:
+        arr.setflags(write=False)
+    return kernels
+
+
+@lru_cache(maxsize=8)
+def _drift_kernels(params, grid, a):
+    """(a1 i xi1 + a2 i xi2 on the half spectrum, a . grad G_omega samples), read-only.
+
+    The drift derivative a . grad of :func:`_drift_samples`, for one
+    config's a (a tuple of two floats).
+    """
+    d1, d2, gx, gy = _state_kernels(params, grid)
+    a1, a2 = a
+    kernels = (a1 * d1 + a2 * d2, a1 * gx + a2 * gy)
     for arr in kernels:
         arr.setflags(write=False)
     return kernels
@@ -178,7 +207,8 @@ def _state_samples(model, phat, q):
     Values come from the exact transform-side total (:func:`_total_hat`,
     the path of :func:`total_field`); the gradient splits into the spectral
     derivative of the regular part plus the closed Bessel form for the
-    kernel part, which is pointwise faithful at the singularity.
+    kernel part, which is pointwise faithful at the singularity.  Serves
+    :func:`state_fields`; the forcing needs only :func:`_drift_samples`.
     """
     ixi1, ixi2, dgx, dgy = _state_kernels(model.params, model.grid)
     vals = fft.irfft2(_total_hat(model, phat, q))
@@ -187,11 +217,26 @@ def _state_samples(model, phat, q):
     return vals, du1, du2
 
 
-def _nonlinear_values(vals, du1, du2, cfg):
-    """(a . grad(|u|^gamma) samples, number of clamped |u|^(gamma-2) samples)."""
-    a1, a2 = float(cfg.a[0]), float(cfg.a[1])
-    if a1 == 0.0 and a2 == 0.0:
-        return np.zeros_like(vals), 0
+def _drift_samples(model, phat, q, a):
+    """Real samples (u, a . grad u) of u = phi + q G_omega: two irfft2.
+
+    The drift derivative is linear in u, so it is sampled at once: the
+    spectral derivative (a1 i xi1 + a2 i xi2) phi_hat of the regular part
+    plus q times the closed Bessel form of a . grad G_omega.
+    """
+    kernel, dgrad = _drift_kernels(model.params, model.grid, a)
+    vals = fft.irfft2(_total_hat(model, phat, q))
+    return vals, fft.irfft2(kernel * phat) + q * dgrad
+
+
+def _nonlinear_values(model, phat, q, cfg):
+    """(a . grad(|u|^gamma) samples, number of clamped |u|^(gamma-2) samples).
+
+    u = phi + q G_omega is given by phi's half spectrum and q.
+    """
+    if cfg.a == (0.0, 0.0):
+        return np.zeros((model.grid.n, model.grid.n)), 0
+    vals, drift = _drift_samples(model, phat, q, cfg.a)
     clamped = 0
     if cfg.gamma == 2.0:
         factor = vals
@@ -204,7 +249,7 @@ def _nonlinear_values(vals, du1, du2, cfg):
             if clamped:
                 power = np.minimum(power, cfg.clamp_limit)
         factor = power * vals
-    return cfg.gamma * factor * (a1 * du1 + a2 * du2), clamped
+    return cfg.gamma * factor * drift, clamped
 
 
 def total_field(u):
@@ -238,7 +283,7 @@ def nonlinearity(u, cfg):
     if not cfg.gamma > 1.0:
         raise ValueError("gamma must exceed 1")
     model = grid_model(u.params, u.regular.grid)
-    values, _ = _nonlinear_values(*_state_samples(model, *_state_hats(model, u)), cfg)
+    values, _ = _nonlinear_values(model, *_state_hats(model, u), cfg)
     return Field(u.regular.grid, values)
 
 
@@ -340,10 +385,13 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
 
 
 def _forcing_hat(model, phat, q, cfg):
-    """(unprojected F transform, clamp count) of u = phi + q G_omega; (None, 0) if a = 0."""
-    if float(cfg.a[0]) == 0.0 and float(cfg.a[1]) == 0.0:
+    """(unprojected F transform, clamp count) of u = phi + q G_omega; (None, 0) if a = 0.
+
+    Two irfft2 (u and a . grad u) and one rfft2.
+    """
+    if cfg.a == (0.0, 0.0):
         return None, 0
-    values, clamped = _nonlinear_values(*_state_samples(model, phat, q), cfg)
+    values, clamped = _nonlinear_values(model, phat, q, cfg)
     return fft.rfft2(values), clamped
 
 
@@ -612,7 +660,7 @@ def residual_check(traj, cfg, t_min=0.0):
         ) / (2.0 * dt)
         # A u = omega u - (omega - Laplacian) phi
         au_hat = model.omega * _total_hat(model, pc, qc) - (model.omega + model.half.xi2) * pc
-        f_vals, _ = _nonlinear_values(*_state_samples(model, pc, qc), cfg)
+        f_vals, _ = _nonlinear_values(model, pc, qc, cfg)
         resid = fft.irfft2(du_hat - au_hat) - f_vals
         if projected:
             resid = resid + traj.rho[k] * psi_vals

@@ -306,18 +306,30 @@ def _hermitian_weights(n):
     return w
 
 
+@lru_cache(maxsize=4)
+def _h1_weights(grid, width):
+    """(1 + |xi|^2) times the column weights on an n x width transform, read-only.
+
+    The column weights are 1 on the full lattice and the Hermitian ones on
+    the half spectrum.
+    """
+    w = 1.0 + grid.wavenumber_sq()[:, :width]
+    if width != grid.n:
+        w *= _hermitian_weights(grid.n)
+    w.setflags(write=False)
+    return w
+
+
 def _h1_proxy_hat(grid, phat, q):
     """(||phi||_2^2 + ||grad phi||_2^2 + |q|^2)^(1/2) from phi's transform, by Parseval.
 
     ``phat`` is phi's full transform, or, read off its width, the rfft2 half
-    spectrum of a real phi, summed with the Hermitian column weights.
+    spectrum of a real phi, summed with the Hermitian column weights: the
+    sum of re^2 + im^2 against :func:`_h1_weights`.
     """
     wlat = grid.cell_area / grid.n ** 2
-    width = phat.shape[1]
-    dens = (1.0 + grid.wavenumber_sq()[:, :width]) * np.abs(phat) ** 2
-    if width != grid.n:
-        dens *= _hermitian_weights(grid.n)
-    return math.sqrt(wlat * float(np.sum(dens)) + abs(q) ** 2)
+    dens = float(np.vdot(_h1_weights(grid, phat.shape[1]), phat.real ** 2 + phat.imag ** 2))
+    return math.sqrt(wlat * dens + abs(q) ** 2)
 
 
 def h1_alpha_norm(u):

@@ -1,7 +1,13 @@
 """Command-line surface: config grammar, subcommands, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pideq
 from pideq import Grid, gaussian_field, save_field
 from pideq import verify as verify_mod
 from pideq.cli import main, read_config
@@ -26,6 +32,25 @@ def test_spectral_subcommand(capsys):
     assert abs(float(row[2]) - 1.2609470067487736) < 1e-12
     assert out[2] == "lambda,c_re,c_im"
     assert len(out) == 5
+
+
+def test_spectral_subcommand_alpha_inf(capsys):
+    # the free Laplacian has no eigenvalue and no psi norm; the c table stays
+    assert main(["spectral", "--alpha", "inf", "--lambdas", "1,2"]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out[1] == "inf,2,none,none"
+    assert out[2] == "lambda,c_re,c_im"
+    assert len(out) == 5
+
+
+def test_simulate_rejects_nonfinite_drift(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
+    argv = ["--out", str(tmp_path), "simulate", "--ax", "nan", "--grid-n", "16"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pideq.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "two finite real numbers" in proc.stderr
 
 
 def test_semigroup_subcommand(tmp_path, capsys):

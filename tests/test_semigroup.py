@@ -26,6 +26,7 @@ from pideq import (
 )
 from pideq.errors import BranchCutError, ContourError, PoleError
 from pideq.semigroup import Flow, _talbot_nodes, grid_model
+from pideq.spectral import _h1_proxy_hat
 
 
 def test_contour_spec_validation(params):
@@ -343,11 +344,21 @@ def test_regression_bands(params, grid128):
     assert lp_norm(one - half, 2) <= 1e-7 * lp_norm(g, 2)
 
 
-def _half_and_full(alpha, seed):
-    """Grid model at alpha on Grid(40, 128), a random real field's rfft2 and fft2."""
+def _half_and_full(alpha, seed, edges=False):
+    """Grid model at alpha on Grid(40, 128), a random real field's rfft2 and fft2.
+
+    With ``edges`` the field also holds a part constant along x2 and a part
+    alternating along x2, whose energy sits in rfft2 column 0 and in the
+    Nyquist column, the two columns of Hermitian weight 1.
+    """
     grid = Grid(40.0, 128)
     model = grid_model(AlphaParams.for_alpha(alpha, 2), grid)
-    vals = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((grid.n, grid.n))
+    if edges:
+        alternating = (-1.0) ** np.arange(grid.n)
+        vals += 10.0 * rng.standard_normal((grid.n, 1))
+        vals += 10.0 * rng.standard_normal((grid.n, 1)) * alternating
     return model, np.fft.rfft2(vals), np.fft.fft2(vals)
 
 
@@ -358,21 +369,33 @@ def _rel(a, b):
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
 def test_half_spectrum_pairings_match_full_lattice(alpha):
     # Hermitian-weighted pairings on the half spectrum against the real part
-    # of the full-lattice ones
-    model, ghalf, gfull = _half_and_full(alpha, 11)
-    m = ghalf.shape[1]
-    out_half, coef_half = model.project_ac_hat(ghalf)
-    out_full, coef_full = model.project_ac_hat(gfull)
-    assert isinstance(coef_half, float)
-    assert abs(coef_half - coef_full.real) <= 1e-13 * abs(coef_full)
-    assert _rel(out_half, out_full[:, :m]) <= 1e-13
-    q_half = model.coupling_coefficient(ghalf)
-    q_full = model.coupling_coefficient(gfull)
-    assert isinstance(q_half, float)
-    assert abs(q_half - q_full.real) <= 1e-13 * abs(q_full)
-    bins_half = model._bin_pair(ghalf)
-    assert bins_half.dtype == np.float64
-    assert _rel(bins_half, model._bin_pair(gfull).real) <= 1e-13
+    # of the full-lattice ones, for a field whose energy is spread over the
+    # lattice and for one with most of it in column 0 and the Nyquist column
+    for edges in (False, True):
+        model, ghalf, gfull = _half_and_full(alpha, 11, edges)
+        m = ghalf.shape[1]
+        if edges:
+            assert np.linalg.norm(ghalf[:, [0, -1]]) > 0.9 * np.linalg.norm(ghalf)
+        out_half, coef_half = model.project_ac_hat(ghalf)
+        out_full, coef_full = model.project_ac_hat(gfull)
+        assert isinstance(coef_half, float)
+        assert abs(coef_half - coef_full.real) <= 1e-13 * abs(coef_full)
+        assert _rel(out_half, out_full[:, :m]) <= 1e-13
+        q_half = model.coupling_coefficient(ghalf)
+        q_full = model.coupling_coefficient(gfull)
+        assert isinstance(q_half, float)
+        assert abs(q_half - q_full.real) <= 1e-13 * abs(q_full)
+        bins_half = model._bin_pair(ghalf)
+        assert bins_half.dtype == np.float64
+        assert _rel(bins_half, model._bin_pair(gfull).real) <= 1e-13
+        # paired with itself plus a second field, so the pairing is far from 0
+        _, bhalf, bfull = _half_and_full(alpha, 13, edges)
+        dot_half = model.layout(ghalf).dot(ghalf, ghalf + bhalf)
+        dot_full = model.layout(gfull).dot(gfull, gfull + bfull)
+        assert isinstance(dot_half, float)
+        assert abs(dot_half - dot_full.real) <= 1e-13 * abs(dot_full)
+        h1_full = _h1_proxy_hat(model.grid, gfull, 0.3)
+        assert abs(_h1_proxy_hat(model.grid, ghalf, 0.3) - h1_full) <= 1e-13 * h1_full
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2])

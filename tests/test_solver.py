@@ -33,12 +33,14 @@ from pideq import (
     state_fields,
     total_field,
 )
+from pideq import solver
 from pideq.errors import DataTooLargeError, SchedulingError
 from pideq.solver import (
     _forcing_hat,
     _h1_proxy_hat,
     _picard_window,
     _state_hats,
+    _state_samples,
     _sweep,
 )
 from pideq.semigroup import MIN_TIME, Flow, grid_model
@@ -57,6 +59,13 @@ def test_config_validation():
         SolverConfig(gamma=1.5)
     with pytest.raises(ValueError):
         SolverConfig(dt=-0.1)
+    # a is two finite reals, stored as floats, so (1, 0) and (1.0, 0.0) share
+    # one drift-kernel cache entry
+    for bad in ((1.0, 0.0, 5.0), (1.0,), (math.nan, 0.0), (0.0, math.inf), (1.0, 1j)):
+        with pytest.raises(ValueError, match="two finite real numbers"):
+            SolverConfig(a=bad)
+    a = SolverConfig(a=(1, np.float64(0))).a
+    assert a == (1.0, 0.0) and all(type(x) is float for x in a)
 
 
 def test_nonlinearity_zero_cases(params, grid128):
@@ -502,6 +511,42 @@ def test_state_fields_gradient_is_real_part_of_full_lattice(alpha):
     expect = np.hypot(d1, d2)
     grad = state_fields(u)[1].values
     assert np.abs(grad - expect).max() <= 1e-13 * expect.max()
+
+
+@pytest.mark.parametrize("a", [(1.0, 0.0), (0.0, 1.0), (0.3, -0.7)])
+def test_forcing_samples_drift_derivative(params, grid128, a):
+    # the forcing's one-transform drift derivative a . grad u against the two
+    # gradient components of state_fields' sampler
+    u = _random_state(grid128, params, 23, q=0.3)
+    cfg = SolverConfig(gamma=2.0, a=a)
+    model = grid_model(params, grid128)
+    vals, du1, du2 = _state_samples(model, *_state_hats(model, u))
+    expect = 2.0 * vals * (a[0] * du1 + a[1] * du2)
+    got = nonlinearity(u, cfg).values
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    zero = nonlinearity(u, SolverConfig(gamma=2.0, a=(0.0, 0.0))).values
+    assert zero.shape == got.shape and not np.any(zero)
+
+
+def test_transform_budget(params, grid128, monkeypatch):
+    # a forcing is two irfft2 (u and a . grad u) and one rfft2; a flow
+    # step on the half spectrum runs no transform
+    model = grid_model(params, grid128)
+    phat, q = _state_hats(model, _random_state(grid128, params, 24, q=0.3))
+    cfg = SolverConfig(gamma=2.0, a=(0.3, -0.7))
+    flow = Flow(model, 0.02)
+    counts = {"irfft2": 0, "rfft2": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(solver.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver.fft, name, counted)
+    _forcing_hat(model, phat, q, cfg)
+    assert counts == {"irfft2": 2, "rfft2": 1}
+    counts.update(irfft2=0, rfft2=0)
+    flow.apply(phat)
+    assert counts == {"irfft2": 0, "rfft2": 0}
 
 
 def test_half_spectrum_h1_proxy_matches_full_lattice(params, grid128):
