@@ -13,7 +13,14 @@ import sys
 from pathlib import Path
 
 from . import verify as verify_mod
-from .decay import ExperimentSpec, make_datum, run_gradient_decay, run_nonlinear_decay, run_semigroup_decay
+from .decay import (
+    DATUM_KINDS,
+    ExperimentSpec,
+    make_datum,
+    run_gradient_decay,
+    run_nonlinear_decay,
+    run_semigroup_decay,
+)
 from .fields import Grid, field_to_csv, gaussian_field, load_field, lp_norm, save_field
 from .semigroup import ContourSpec, krein_resolvent, semigroup_pac
 from .spectral import AlphaParams, DecomposedField, c_lambda
@@ -97,8 +104,8 @@ def _outdir(args):
 
 
 def _load_datum(descriptor, grid):
-    """A 'gaussian[:sigma,amp[,x0,y0]]' descriptor, else a saved field file."""
-    if descriptor.partition(":")[0] == "gaussian":
+    """A :func:`pideq.decay.make_datum` descriptor, else a saved field file."""
+    if descriptor.partition(":")[0] in DATUM_KINDS:
         return make_datum(descriptor, grid)
     f = load_field(descriptor)
     if f.grid != grid:

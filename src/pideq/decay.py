@@ -137,19 +137,27 @@ def critical_datum(grid, q, envelope=0.25):
     return Field(grid, vals.real)
 
 
+DATUM_KINDS = ("critical", "gaussian")
+"""The kinds of :func:`make_datum` descriptors: the part before any ':'."""
+
+
 def make_datum(descriptor, grid, q=2.0):
-    """Datum factory: 'critical', 'gaussian' or 'gaussian:sigma[,amp[,x0,y0]]'."""
+    """Datum factory: 'critical', 'gaussian' or 'gaussian:sigma[,amp[,x0,y0]]'.
+
+    A Gaussian takes 0, 1, 2 or 4 values; unset ones default to sigma = 1,
+    amp = 1 and centre (0, 0).  Raises ValueError on any other descriptor.
+    """
     if descriptor == "critical":
         return critical_datum(grid, q)
     kind, _, args = descriptor.partition(":")
     if kind == "gaussian":
-        sigma, amp, x0, y0 = 1.0, 1.0, 0.0, 0.0
-        if args:
-            vals = [float(s) for s in args.split(",")]
-            sigma = vals[0] if len(vals) > 0 else sigma
-            amp = vals[1] if len(vals) > 1 else amp
-            x0 = vals[2] if len(vals) > 2 else x0
-            y0 = vals[3] if len(vals) > 3 else y0
+        vals = [float(s) for s in args.split(",")] if args else []
+        if len(vals) not in (0, 1, 2, 4):
+            raise ValueError(
+                "a gaussian datum takes 0, 1, 2 or 4 values (sigma, amp, x0, y0); "
+                f"got {descriptor!r}"
+            )
+        sigma, amp, x0, y0 = vals + [1.0, 1.0, 0.0, 0.0][len(vals):]
         return gaussian_field(grid, sigma=sigma, amplitude=amp, center=(x0, y0))
     raise ValueError(f"unknown datum descriptor {descriptor!r}")
 

@@ -14,28 +14,36 @@ eigenmode removed from data and forcing).  The scalar multiplier
 reconstructs the unprojected formulation; it is the Lagrange multiplier of
 the constraint P_ac u = u.
 
-States are stored in decomposed form u = phi + q G_omega with the global
-reference omega = 1 + E.  The singular coefficient q is tracked
-constructively as the exact domain-coupling functional <u, delta>/S(E)
-(the grid analogue of reading the coefficient off the boundary condition
-at the interaction point); with that split the identity
+The engine holds a state as one array, u_hat, the transform of the total
+u = phi + q G_omega with the global reference omega = 1 + E; the flow acts
+on u itself.  The singular coefficient q is read off u_hat where it is
+needed, as the exact domain-coupling functional <u, delta>/S(E) (the grid
+analogue of reading the coefficient off the boundary condition at the
+interaction point); with that split the identity
 (omega - A) u = (omega - Laplacian) phi holds on the nose and nothing is
-ever fitted from samples.  The forcing samples u and the drift derivative
-a . grad u, which is linear in u: one inverse transform of
-(a1 i xi1 + a2 i xi2) phi_hat plus q a . grad G_omega, so a forcing is two
-irfft2 and one rfft2.  :func:`state_fields` samples both gradient
-components, as (u, |grad u|).
+ever fitted from samples.  The split is taken only for the H^1 proxy and
+for the stored :class:`pideq.spectral.DecomposedField` states.  A
+DecomposedField handed to the public functions keeps its own split: its
+coeff is the q of its samples.
+
+One sampler serves the forcing and :func:`state_fields`: the drift
+derivative a . grad u, which is linear in u, is one inverse transform of
+(a1 i xi1 + a2 i xi2) u_hat plus q times the closed Bessel form of
+a . grad G_omega less its spectral derivative, so the kernel part is
+pointwise faithful at the singularity.  A forcing is two irfft2 (u and
+a . grad u) and one rfft2; :func:`state_fields` samples the drifts along
+(1, 0) and (0, 1), as (u, |grad u|).
 
 The problem is posed for real u: the forcing is computed as
 gamma |u|^(gamma-2) u (a . grad u), which equals a . grad(|u|^gamma) only
 for real u.  Real data, a real vector a and the real self-adjoint A keep
-every state real, so the solver holds phi as its rfft2 half spectrum (the
+every state real, so the solver holds u as its rfft2 half spectrum (the
 first n/2 + 1 columns of the full transform; see :mod:`pideq.semigroup`)
 and q as a real float, and steps, forces, splits and pairs there.  A state
 or source enters that layout in one place, which raises ValueError when its
 imaginary part exceeds ``IMAG_TOL`` of its size and drops it otherwise.  A
-solver state's ``regular`` is the inverse rfft2 of phi_hat, so its
-imaginary part is exactly 0.  The spectral derivative i xi_k is zero on
+solver state's ``regular`` is an inverse rfft2, so its imaginary part is
+exactly 0.  The spectral derivative i xi_k is zero on
 the Nyquist line of its own axis (row n/2 for x1, the last half-spectrum
 column for x2): there the full-lattice derivative of a real field is purely
 imaginary, so the real derivative has no such mode (S. G. Johnson, "Notes
@@ -100,6 +108,14 @@ IMAG_TOL = 1e-12
 """Largest imaginary part of a state or source, relative to its size, taken as real."""
 
 
+def _positive(value, kind):
+    """Whether value is a finite number of ``kind`` (numbers.Real or numbers.Integral) above 0."""
+    return (
+        isinstance(value, kind) and not isinstance(value, bool)
+        and math.isfinite(value) and value > 0
+    )
+
+
 @dataclass
 class SolverConfig:
     """Nonlinearity, horizon and iteration controls.
@@ -108,9 +124,11 @@ class SolverConfig:
     norm of the initial state) iterates leaving the ball raise a warning.  The
     pointwise factor |u|^(gamma-2) is clamped at ``clamp_limit`` for
     gamma < 2.  ``a`` must be two finite real numbers and is stored as a
-    tuple of two floats.  A config holds settings only: solves never write
-    to it, and each reports its own clamp count in its trajectory's
-    diagnostics.
+    tuple of two floats.  ``dt``, ``picard_tol``, ``window``, ``T`` and
+    ``clamp_limit`` must be finite and > 0, ``picard_max`` an int >= 1 and
+    ``store_stride`` None or an int >= 1; other values raise ValueError.  A
+    config holds settings only: solves never write to it, and each reports
+    its own clamp count in its trajectory's diagnostics.
     Projection is chosen by the solve function, not by the config:
     :func:`solve_global_projected` projects, :func:`solve_local` does not.
     """
@@ -135,8 +153,17 @@ class SolverConfig:
                 "degenerate |u|^(gamma-2) factors are clamped",
                 stacklevel=2,
             )
-        if self.dt <= 0 or self.picard_tol <= 0:
-            raise ValueError("dt and picard_tol must be positive")
+        for name in ("dt", "picard_tol", "window", "T", "clamp_limit"):
+            if not _positive(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a finite number > 0; got {getattr(self, name)!r}")
+        if not _positive(self.picard_max, numbers.Integral):
+            raise ValueError(f"picard_max must be an int >= 1; got {self.picard_max!r}")
+        if self.store_stride is not None and not _positive(self.store_stride, numbers.Integral):
+            raise ValueError(f"store_stride must be None or an int >= 1; got {self.store_stride!r}")
+        if self.ball_radius not in (None, "auto") and not _positive(self.ball_radius, numbers.Real):
+            raise ValueError(
+                f"ball_radius must be None, 'auto' or a finite number > 0; got {self.ball_radius!r}"
+            )
         try:
             a = tuple(self.a)
         except TypeError:
@@ -165,12 +192,14 @@ class Trajectory:
 # --- nonlinearity ------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _state_kernels(params, grid):
-    """(i xi1, i xi2, closed-form grad G_omega samples), read-only.
+def _drift_kernels(params, grid, a):
+    """(K_a, c_a) of the drift derivative a . grad, for a tuple a of two floats; read-only.
 
-    i xi1 is an (n, 1) column and i xi2 a (1, n/2 + 1) row; both broadcast
-    over the rfft2 half spectrum, and each is zero on the Nyquist line of its
-    own axis.
+    K_a = a1 i xi1 + a2 i xi2 on the rfft2 half spectrum, each i xi_k zero on
+    the Nyquist line of its own axis.  c_a is the closed Bessel form of
+    a . grad G_omega less the spectral derivative irfft2(K_a G_omega_hat), so
+    that irfft2(K_a u_hat) + q c_a is the spectral derivative of phi plus q
+    times the closed form.
     """
     m = grid.n // 2 + 1
     XI1, XI2 = grid.wavenumbers()
@@ -178,65 +207,33 @@ def _state_kernels(params, grid):
     d2 = 1j * XI2[:1, :m]
     d1[grid.n // 2, 0] = 0.0
     d2[0, -1] = 0.0
+    a1, a2 = a
+    kernel = a1 * d1 + a2 * d2
     gx, gy = green_gradient_field(reference_lambda(params), grid)
-    kernels = (d1, d2, np.ascontiguousarray(gx.values.real), np.ascontiguousarray(gy.values.real))
+    closed = a1 * gx.values.real + a2 * gy.values.real
+    ghat = grid_model(params, grid).half.green_omega_hat
+    kernels = (kernel, closed - fft.irfft2(kernel * ghat))
     # shared by every caller of the cache
     for arr in kernels:
         arr.setflags(write=False)
     return kernels
 
 
-@lru_cache(maxsize=8)
-def _drift_kernels(params, grid, a):
-    """(a1 i xi1 + a2 i xi2 on the half spectrum, a . grad G_omega samples), read-only.
-
-    The drift derivative a . grad of :func:`_drift_samples`, for one
-    config's a (a tuple of two floats).
-    """
-    d1, d2, gx, gy = _state_kernels(params, grid)
-    a1, a2 = a
-    kernels = (a1 * d1 + a2 * d2, a1 * gx + a2 * gy)
-    for arr in kernels:
-        arr.setflags(write=False)
-    return kernels
+def _drift(model, uhat, q, a):
+    """Real samples of a . grad u for u = phi + q G_omega given by u_hat and q: one irfft2."""
+    kernel, corr = _drift_kernels(model.params, model.grid, a)
+    return fft.irfft2(kernel * uhat) + q * corr
 
 
-def _state_samples(model, phat, q):
-    """Real samples (u, d1 u, d2 u) of u = phi + q G_omega from phi's half spectrum.
-
-    Values come from the exact transform-side total (:func:`_total_hat`,
-    the path of :func:`total_field`); the gradient splits into the spectral
-    derivative of the regular part plus the closed Bessel form for the
-    kernel part, which is pointwise faithful at the singularity.  Serves
-    :func:`state_fields`; the forcing needs only :func:`_drift_samples`.
-    """
-    ixi1, ixi2, dgx, dgy = _state_kernels(model.params, model.grid)
-    vals = fft.irfft2(_total_hat(model, phat, q))
-    du1 = fft.irfft2(ixi1 * phat) + q * dgx
-    du2 = fft.irfft2(ixi2 * phat) + q * dgy
-    return vals, du1, du2
-
-
-def _drift_samples(model, phat, q, a):
-    """Real samples (u, a . grad u) of u = phi + q G_omega: two irfft2.
-
-    The drift derivative is linear in u, so it is sampled at once: the
-    spectral derivative (a1 i xi1 + a2 i xi2) phi_hat of the regular part
-    plus q times the closed Bessel form of a . grad G_omega.
-    """
-    kernel, dgrad = _drift_kernels(model.params, model.grid, a)
-    vals = fft.irfft2(_total_hat(model, phat, q))
-    return vals, fft.irfft2(kernel * phat) + q * dgrad
-
-
-def _nonlinear_values(model, phat, q, cfg):
+def _nonlinear_values(model, uhat, q, cfg):
     """(a . grad(|u|^gamma) samples, number of clamped |u|^(gamma-2) samples).
 
-    u = phi + q G_omega is given by phi's half spectrum and q.
+    u = phi + q G_omega is given by its half spectrum and q.
     """
     if cfg.a == (0.0, 0.0):
         return np.zeros((model.grid.n, model.grid.n)), 0
-    vals, drift = _drift_samples(model, phat, q, cfg.a)
+    vals = fft.irfft2(uhat)
+    drift = _drift(model, uhat, q, cfg.a)
     clamped = 0
     if cfg.gamma == 2.0:
         factor = vals
@@ -257,20 +254,22 @@ def total_field(u):
     representation (the grid model's transform-side kernel); the values of
     :func:`state_fields`."""
     model = grid_model(u.params, u.regular.grid)
-    phat, q = _state_hats(model, u)
-    return Field(u.regular.grid, fft.irfft2(_total_hat(model, phat, q)))
+    return Field(u.regular.grid, fft.irfft2(_state_hat(model, u)[0]))
 
 
 def state_fields(u):
     """(u, |grad u|) of a decomposed state as Fields, from the solver's sampler.
 
-    The values are :func:`total_field`'s; the gradient is the spectral
-    derivative of phi plus coeff times the closed Bessel form of grad G_omega.
+    The values are :func:`total_field`'s; d1 u and d2 u are the forcing's
+    drift derivatives along (1, 0) and (0, 1): the spectral derivative of
+    phi plus coeff times the closed Bessel form of grad G_omega.
     """
     grid = u.regular.grid
     model = grid_model(u.params, grid)
-    vals, du1, du2 = _state_samples(model, *_state_hats(model, u))
-    return Field(grid, vals), Field(grid, np.hypot(du1, du2))
+    uhat, q = _state_hat(model, u)
+    du1 = _drift(model, uhat, q, (1.0, 0.0))
+    du2 = _drift(model, uhat, q, (0.0, 1.0))
+    return Field(grid, fft.irfft2(uhat)), Field(grid, np.hypot(du1, du2))
 
 
 def nonlinearity(u, cfg):
@@ -283,7 +282,7 @@ def nonlinearity(u, cfg):
     if not cfg.gamma > 1.0:
         raise ValueError("gamma must exceed 1")
     model = grid_model(u.params, u.regular.grid)
-    values, _ = _nonlinear_values(model, *_state_hats(model, u), cfg)
+    values, _ = _nonlinear_values(model, *_state_hat(model, u), cfg)
     return Field(u.regular.grid, values)
 
 
@@ -297,9 +296,10 @@ def lagrange_multiplier(u, cfg):
 # --- stepping engine ----------------------------------------------------------
 
 
-def _state_hats(model, u):
-    """(phi_hat, q) of a real state u = phi + q G_omega, on the half spectrum."""
-    return _half_spectrum(model.grid, u.regular.values, u.coeff)
+def _state_hat(model, u):
+    """(u_hat, coeff) of a real state u = phi + coeff G_omega: u's half spectrum, its own coeff."""
+    phat, q = _half_spectrum(model.grid, u.regular.values, u.coeff)
+    return phat + q * model.half.green_omega_hat, q
 
 
 def _half_spectrum(grid, values, coeff=0.0):
@@ -320,25 +320,22 @@ def _half_spectrum(grid, values, coeff=0.0):
     return fft.rfft2(values.real), q.real
 
 
-def _compatible_split(model, total_hat):
-    """Domain-compatible split of a total transform: q from the coupling.
+def _split(model, uhat):
+    """(phi_hat, q): the domain-compatible split of u's half spectrum, q from the coupling.
 
     q is the exact domain-coupling functional <u, delta>/S(E); with it the
     split u = phi + q G_omega satisfies (omega - A) u = (omega - Laplacian)
     phi, so phi is genuinely the regular part (the contour coefficient
-    alone misses the kernel content of the heat part).
+    alone misses the kernel content of the heat part).  The split is linear
+    in u.
     """
-    q = model.coupling_coefficient(total_hat)
-    return total_hat - q * model.half.green_omega_hat, q
+    q = model.coupling_coefficient(uhat)
+    return uhat - q * model.half.green_omega_hat, q
 
 
-def _total_hat(model, phat, q):
-    return phat + q * model.half.green_omega_hat
-
-
-def _to_decomposed(model, phat, q, params):
-    reg = Field(model.grid, fft.irfft2(phat))
-    return DecomposedField(reg, float(q), params)
+def _to_decomposed(model, uhat):
+    phat, q = _split(model, uhat)
+    return DecomposedField(Field(model.grid, fft.irfft2(phat)), float(q), model.params)
 
 
 def duhamel_integral(source, t, params, contour=None, projected=True, scheme="midpoint"):
@@ -377,49 +374,47 @@ def duhamel_integral(source, t, params, contour=None, projected=True, scheme="mi
         raise SchedulingError(f"{scheme} scheme needs dt >= {sub * MIN_TIME}; got dt = {dt}")
     model = grid_model(params, grid)
     flow = Flow(model, dt / sub, full=not projected, contour=contour)
-    zero = (np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128), 0.0)
+    zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
     # the k-th call of the forcing returns the k-th kick
-    for _, phat, q in _sweep(model, flow, zero, sub * m, lambda phat, q: next(kicks)):
+    for _, uhat in _sweep(flow, zero, sub * m, lambda uhat: next(kicks)):
         pass
-    return Field(grid, fft.irfft2(_total_hat(model, phat, q)))
+    return Field(grid, fft.irfft2(uhat))
 
 
-def _forcing_hat(model, phat, q, cfg):
-    """(unprojected F transform, clamp count) of u = phi + q G_omega; (None, 0) if a = 0.
+def _forcing_hat(model, uhat, cfg):
+    """(unprojected F transform, clamp count) of the state u_hat; (None, 0) if a = 0.
 
-    Two irfft2 (u and a . grad u) and one rfft2.
+    q is read off the coupling.  Two irfft2 (u and a . grad u) and one rfft2.
     """
     if cfg.a == (0.0, 0.0):
         return None, 0
-    values, clamped = _nonlinear_values(model, phat, q, cfg)
+    q = model.coupling_coefficient(uhat)
+    values, clamped = _nonlinear_values(model, uhat, q, cfg)
     return fft.rfft2(values), clamped
 
 
-def _sweep(model, flow, start, steps, force, prev=None):
+def _sweep(flow, start, steps, force, prev=None):
     """Exponential-Euler sweep over one window: u_{j+1} = S(dt)[u_j + dt F(v_j)].
 
-    S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt, and every
-    u_j is split with :func:`_compatible_split`.  ``start`` is u_0 as
-    (phi_hat, q); ``force`` maps one state (phi_hat, q) to F's transform,
-    or to None for no forcing, and is called exactly ``steps`` times, in
-    order.  Yields (j, phi_hat, q) for
-    u_1 .. u_steps.  Without ``prev``, v_j = u_j: the march.  With ``prev``,
-    the previous Picard iterate as a list of steps + 1 states starting at
-    u_0, v_j = prev[j] and the sweep is one Picard iterate written over
-    ``prev`` in place: prev[j] is replaced by u_j only after u_j has been
-    yielded and F(prev[j]) built, so the caller can still compare the two.
+    S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt.  States
+    are half spectra u_hat of the total.  ``start`` is u_0; ``force`` maps
+    one state to F's transform, or to None for no forcing, and is called
+    exactly ``steps`` times, in order.  Yields (j, u_hat) for u_1 ..
+    u_steps.  Without ``prev``, v_j = u_j: the march.  With ``prev``, the
+    previous Picard iterate as a list of steps + 1 states starting at u_0,
+    v_j = prev[j] and the sweep is one Picard iterate written over ``prev``
+    in place: prev[j] is replaced by u_j only after u_j has been yielded
+    and F(prev[j]) built, so the caller can still compare the two.
     """
-    phat, q = start
-    cur = _total_hat(model, phat, q)
-    fhat = force(phat, q)
+    cur = start
+    fhat = force(cur)
     for j in range(1, steps + 1):
         cur, _ = flow.apply(cur if fhat is None else cur + flow.t * fhat)
-        phat, q = _compatible_split(model, cur)
-        yield j, phat, q
+        yield j, cur
         if j < steps:
-            fhat = force(*(prev[j] if prev is not None else (phat, q)))
+            fhat = force(prev[j] if prev is not None else cur)
         if prev is not None:
-            prev[j] = (phat, q)
+            prev[j] = cur
 
 
 def _picard_window(model, flow, start, steps, cfg, force, init, label):
@@ -428,23 +423,23 @@ def _picard_window(model, flow, start, steps, cfg, force, init, label):
     The starting iterate is the linear evolution of the window's start
     state ``start`` (``init="linear"``) or that state frozen in time
     (``"frozen"``).  The window holds one iterate: a list of steps + 1
-    states (phi_hat, q) that each Picard sweep overwrites in place, ending
-    as the converged states.
+    states u_hat that each Picard sweep overwrites in place, ending as the
+    converged states.  The distance of two iterates is the H^1 proxy of
+    their difference.
     """
     if init == "frozen":
         states = [start] * (steps + 1)
     else:
-        linear = _sweep(model, flow, start, steps, lambda phat, q: None)
-        states = [start] + [(phat, q) for _, phat, q in linear]
-    scale = max(1.0, _h1_proxy_hat(model.grid, *start))
+        linear = _sweep(flow, start, steps, lambda uhat: None)
+        states = [start] + [uhat for _, uhat in linear]
+    scale = max(1.0, _h1_proxy_hat(model.grid, *_split(model, start)))
     ratios = []
     distance = None
     bad_streak = 0
     for it in range(1, cfg.picard_max + 1):
         dist = 0.0
-        for j, phat, q in _sweep(model, flow, start, steps, force, states):
-            old_phat, old_q = states[j]
-            dist = max(dist, _h1_proxy_hat(model.grid, phat - old_phat, q - old_q))
+        for j, uhat in _sweep(flow, start, steps, force, states):
+            dist = max(dist, _h1_proxy_hat(model.grid, *_split(model, uhat - states[j])))
         if distance is not None and distance > 0:
             ratio = dist / distance
             ratios.append(ratio)
@@ -492,19 +487,18 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     if total_steps < 1 or abs(total_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ValueError("T must be an integer multiple of dt")
     flow = Flow(model, cfg.dt, full=not projected)
-    tot = _total_hat(model, *_state_hats(model, u0))
+    start, _ = _state_hat(model, u0)
     if projected:
-        tot, _ = model.project_ac_hat(tot)
-    start = _compatible_split(model, tot)
+        start, _ = model.project_ac_hat(start)
     radius = cfg.ball_radius
     if radius == "auto":
-        radius = 2.0 * _h1_proxy_hat(model.grid, *start)
+        radius = 2.0 * _h1_proxy_hat(model.grid, *_split(model, start))
 
     clamps = 0
 
-    def force(phat, q):
+    def force(uhat):
         nonlocal clamps
-        fhat, clamped = _forcing_hat(model, phat, q, cfg)
+        fhat, clamped = _forcing_hat(model, uhat, cfg)
         clamps += clamped
         return fhat
 
@@ -526,13 +520,13 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         kept = None
         if probe_top is not None:
             kept = []
-            for j, phat, q in _sweep(model, flow, start, steps, force):
-                if not _h1_proxy_hat(model.grid, phat, q) <= probe_top:
+            for j, uhat in _sweep(flow, start, steps, force):
+                if not _h1_proxy_hat(model.grid, *_split(model, uhat)) <= probe_top:
                     kept = None
                     break
                 if j in want:
-                    kept.append((j, (phat, q)))
-            end = phat, q
+                    kept.append((j, uhat))
+            end = uhat
         if kept is None:
             label = f"window {len(iterations)} ({init} start)"
             states, iters, window_ratios = _picard_window(
@@ -540,7 +534,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
             )
             iterations.append(iters)
             ratios.extend(window_ratios)
-            probe_top = max(_h1_proxy_hat(model.grid, *s) for s in states)
+            probe_top = max(_h1_proxy_hat(model.grid, *_split(model, s)) for s in states)
             if radius is not None and probe_top > radius:
                 warnings.warn(f"{label}: iterate norm {probe_top:.3e} left the ball {radius:.3e}")
             kept = [(j, states[j]) for j in want]
@@ -551,12 +545,12 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         for j, state in kept:
             times.append((step + j) * cfg.dt)
             stored.append(state)
-        _, eig = model.project_ac_hat(_total_hat(model, *end))
+        _, eig = model.project_ac_hat(end)
         ortho_max = max(ortho_max, abs(eig))
         start = end
         step += steps
 
-    states = [_to_decomposed(model, p, q, u0.params) for p, q in stored]
+    states = [_to_decomposed(model, uhat) for uhat in stored]
     return np.array(times), states, iterations, ratios, ortho_max, clamps
 
 
@@ -571,8 +565,6 @@ def solve_local(u0, cfg, init="linear"):
     the same trajectory.  Raises :class:`HorizonTooLargeError` when three
     successive iterates fail to contract.
     """
-    if not math.isfinite(cfg.T):
-        raise ValueError("solve_local requires a finite horizon")
     times, states, iterations, ratios, _, clamps = _solve(
         u0, cfg, projected=False, window=cfg.T, default_stride=1, init=init
     )
@@ -646,27 +638,22 @@ def residual_check(traj, cfg, t_min=0.0):
     psi_vals = psi_alpha_field(params, grid).values.real
     projected = traj.rho.size > 0
 
-    totals = [_state_hats(model, st) for st in traj.states]
+    ghat = model.half.green_omega_hat
+    totals = [_state_hat(model, st) for st in traj.states]
 
     worst = 0.0
     for k in range(1, len(traj.states) - 1):
         if traj.times[k] < t_min:
             continue
-        pm, qm = totals[k - 1]
-        pp, qp = totals[k + 1]
-        pc, qc = totals[k]
-        du_hat = (
-            _total_hat(model, pp, qp) - _total_hat(model, pm, qm)
-        ) / (2.0 * dt)
-        # A u = omega u - (omega - Laplacian) phi
-        au_hat = model.omega * _total_hat(model, pc, qc) - (model.omega + model.half.xi2) * pc
-        f_vals, _ = _nonlinear_values(model, pc, qc, cfg)
+        uc, qc = totals[k]
+        du_hat = (totals[k + 1][0] - totals[k - 1][0]) / (2.0 * dt)
+        # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
+        au_hat = model.omega * uc - (model.omega + model.half.xi2) * (uc - qc * ghat)
+        f_vals, _ = _nonlinear_values(model, uc, qc, cfg)
         resid = fft.irfft2(du_hat - au_hat) - f_vals
         if projected:
             resid = resid + traj.rho[k] * psi_vals
-        unorm = lp_norm(
-            Field(grid, fft.irfft2(_total_hat(model, pc, qc))), 2
-        )
+        unorm = lp_norm(Field(grid, fft.irfft2(uc)), 2)
         rnorm = math.sqrt(float(np.sum(resid ** 2)) * grid.cell_area)
         if unorm > 0:
             worst = max(worst, rnorm / unorm)

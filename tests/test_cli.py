@@ -75,6 +75,15 @@ def test_semigroup_subcommand(tmp_path, capsys):
     assert header == "x,y,re,im"
 
 
+def test_semigroup_subcommand_critical_datum(tmp_path):
+    # 'critical' is a make_datum descriptor, not a file name
+    code = main(
+        ["--out", str(tmp_path), "semigroup", "--u0", "critical", "--grid-n", "64", "--t", "1"]
+    )
+    assert code == 0
+    assert (tmp_path / "semigroup.csv").exists()
+
+
 def test_simulate_subcommand(tmp_path):
     code = main(
         [

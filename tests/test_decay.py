@@ -112,6 +112,11 @@ def test_make_datum_descriptors():
     # a file name is not a descriptor, even when it starts with 'gaussian'
     with pytest.raises(ValueError):
         make_datum("gaussian_state.pidf", grid)
+    # a Gaussian takes 0, 1, 2 or 4 values: three would set x0 alone, five
+    # would drop one
+    for bad in ("gaussian:1,2,3", "gaussian:1,2,3,4,5"):
+        with pytest.raises(ValueError, match="0, 1, 2 or 4 values"):
+            make_datum(bad, grid)
 
 
 def test_semigroup_decay_rejects_equal_exponents():

@@ -36,11 +36,12 @@ from pideq import (
 from pideq import solver
 from pideq.errors import DataTooLargeError, SchedulingError
 from pideq.solver import (
+    _drift,
     _forcing_hat,
     _h1_proxy_hat,
     _picard_window,
-    _state_hats,
-    _state_samples,
+    _split,
+    _state_hat,
     _sweep,
 )
 from pideq.semigroup import MIN_TIME, Flow, grid_model
@@ -66,6 +67,19 @@ def test_config_validation():
             SolverConfig(a=bad)
     a = SolverConfig(a=(1, np.float64(0))).a
     assert a == (1.0, 0.0) and all(type(x) is float for x in a)
+    # every step, horizon and iteration control is checked on construction
+    for bad in (
+        dict(picard_max=0), dict(picard_max=2.5), dict(window=0), dict(window=-1),
+        dict(store_stride=-3), dict(store_stride=0), dict(store_stride=1.5),
+        dict(dt=math.nan), dict(picard_tol=math.nan), dict(T=math.inf), dict(T=0.0),
+        dict(clamp_limit=-1), dict(clamp_limit=math.inf), dict(ball_radius=0.0),
+        dict(ball_radius=math.nan), dict(ball_radius="big"),
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverConfig(**bad)
+    for good in (dict(store_stride=None), dict(store_stride=3), dict(ball_radius="auto"),
+                 dict(ball_radius=2), dict(picard_max=1), dict(window=0.5)):
+        SolverConfig(**good)
 
 
 def test_nonlinearity_zero_cases(params, grid128):
@@ -260,18 +274,17 @@ def test_solve_local_fixed_point_property(params, grid128):
     traj = solve_local(u0, cfg)
     model = grid_model(params, grid128)
     prop = Flow(model, cfg.dt, full=True)
-    states = [_state_hats(model, st) for st in traj.states]
+    states = [_state_hat(model, st)[0] for st in traj.states]
 
-    def force(phat, q):
-        return _forcing_hat(model, phat, q, cfg)[0]
+    def force(uhat):
+        return _forcing_hat(model, uhat, cfg)[0]
 
     # one Picard iterate from the solution, swept over a copy of it
     swept = list(states)
-    for _ in _sweep(model, prop, states[0], len(states) - 1, force, swept):
+    for _ in _sweep(prop, states[0], len(states) - 1, force, swept):
         pass
     moved = max(
-        _h1_proxy_hat(model.grid, a - b, c - d)
-        for (a, c), (b, d) in zip(swept, states)
+        _h1_proxy_hat(model.grid, *_split(model, a - b)) for a, b in zip(swept, states)
     )
     assert moved < 2 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
 
@@ -363,24 +376,24 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     """Every stored state matches Picard iterated to tolerance on each window."""
     model = grid_model(u0.params, u0.regular.grid)
     prop = Flow(model, cfg.dt, full=False)
-    phat, q = _state_hats(model, traj.states[0])
-    ref = [(phat, q)]
+    uhat, _ = _state_hat(model, traj.states[0])
+    ref = [uhat]
 
-    def force(phat, q):
-        return _forcing_hat(model, phat, q, cfg)[0]
+    def force(uhat):
+        return _forcing_hat(model, uhat, cfg)[0]
 
     for win in range(windows):
         states, _, _ = _picard_window(
-            model, prop, (phat, q), steps, cfg, force, "linear", label=f"window {win}"
+            model, prop, uhat, steps, cfg, force, "linear", label=f"window {win}"
         )
         ref.extend(states[1:])
-        phat, q = states[-1]
+        uhat = states[-1]
     stride = cfg.store_stride or steps
     assert len(traj.states) == windows * steps // stride + 1
     tol = 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
     for k, st in zip(range(0, windows * steps + 1, stride), traj.states):
-        p, c = _state_hats(model, st)
-        assert _h1_proxy_hat(model.grid, p - ref[k][0], c - ref[k][1]) <= tol
+        diff = _state_hat(model, st)[0] - ref[k]
+        assert _h1_proxy_hat(model.grid, *_split(model, diff)) <= tol
 
 
 def test_global_march_is_picard_fixed_point(params, grid128):
@@ -520,7 +533,9 @@ def test_forcing_samples_drift_derivative(params, grid128, a):
     u = _random_state(grid128, params, 23, q=0.3)
     cfg = SolverConfig(gamma=2.0, a=a)
     model = grid_model(params, grid128)
-    vals, du1, du2 = _state_samples(model, *_state_hats(model, u))
+    uhat, q = _state_hat(model, u)
+    vals = solver.fft.irfft2(uhat)
+    du1, du2 = (_drift(model, uhat, q, e) for e in ((1.0, 0.0), (0.0, 1.0)))
     expect = 2.0 * vals * (a[0] * du1 + a[1] * du2)
     got = nonlinearity(u, cfg).values
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
@@ -530,11 +545,12 @@ def test_forcing_samples_drift_derivative(params, grid128, a):
 
 def test_transform_budget(params, grid128, monkeypatch):
     # a forcing is two irfft2 (u and a . grad u) and one rfft2; a flow
-    # step on the half spectrum runs no transform
+    # step on the half spectrum runs no transform, and neither does the sweep
     model = grid_model(params, grid128)
-    phat, q = _state_hats(model, _random_state(grid128, params, 24, q=0.3))
+    uhat, _ = _state_hat(model, _random_state(grid128, params, 24, q=0.3))
     cfg = SolverConfig(gamma=2.0, a=(0.3, -0.7))
     flow = Flow(model, 0.02)
+    _forcing_hat(model, uhat, cfg)  # build the cached drift kernels
     counts = {"irfft2": 0, "rfft2": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(solver.fft, name), **kwargs):
@@ -542,11 +558,26 @@ def test_transform_budget(params, grid128, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(solver.fft, name, counted)
-    _forcing_hat(model, phat, q, cfg)
+    _forcing_hat(model, uhat, cfg)
     assert counts == {"irfft2": 2, "rfft2": 1}
     counts.update(irfft2=0, rfft2=0)
-    flow.apply(phat)
+    flow.apply(uhat)
     assert counts == {"irfft2": 0, "rfft2": 0}
+    for _ in _sweep(flow, uhat, 5, lambda v: _forcing_hat(model, v, cfg)[0]):
+        pass
+    assert counts == {"irfft2": 10, "rfft2": 5}
+
+
+def test_stored_states_domain_compatible(params, grid128):
+    # the engine reads q off the coupling, so every stored state's coeff is
+    # the coupling of its own total phi + coeff G_omega
+    model = grid_model(params, grid128)
+    u0 = small_state(grid128, params, amplitude=0.02)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.2, dt=0.02, window=0.1)
+    for traj in (solve_local(u0, cfg), solve_global_projected(u0, cfg)):
+        for st in traj.states:
+            total = np.fft.rfft2(st.regular.values.real) + st.coeff * model.half.green_omega_hat
+            assert abs(model.coupling_coefficient(total) - st.coeff) <= 1e-13 * abs(st.coeff)
 
 
 def test_half_spectrum_h1_proxy_matches_full_lattice(params, grid128):
