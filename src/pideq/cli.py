@@ -4,8 +4,10 @@ Subcommands: spectral | resolve | semigroup | simulate | decay | verify.
 Global options: --config FILE (line-oriented ``key = value``; recognised
 keys: alpha, grid_n, grid_L, contour_eps, contour_nodes, gamma, ax, ay,
 dt, T, tol) and --out DIR for emitted files.  Command-line flags override
-config values.  All CSV output is full-precision scientific notation with
-'.' decimals, ',' separators and LF line endings.
+config values.  An input the library rejects (ValueError, or a
+ConvergenceError) prints ``pideq: error: <message>`` to stderr and exits 2.
+All CSV output is full-precision scientific notation with '.' decimals,
+',' separators and LF line endings.
 """
 
 import argparse
@@ -21,6 +23,7 @@ from .decay import (
     run_nonlinear_decay,
     run_semigroup_decay,
 )
+from .errors import ConvergenceError
 from .fields import Grid, field_to_csv, gaussian_field, load_field, lp_norm, save_field
 from .semigroup import ContourSpec, krein_resolvent, semigroup_pac
 from .spectral import AlphaParams, DecomposedField, c_lambda
@@ -109,7 +112,7 @@ def _load_datum(descriptor, grid):
         return make_datum(descriptor, grid)
     f = load_field(descriptor)
     if f.grid != grid:
-        raise SystemExit(f"datum grid {f.grid} does not match requested grid {grid}")
+        raise ValueError(f"datum grid {f.grid} does not match requested grid {grid}")
     return f
 
 
@@ -318,11 +321,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; an input the library rejects exits 2 with one stderr line."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
-    config = read_config(config_path) if config_path else {}
-    return args.fn(args, config)
+    try:
+        config_path = getattr(args, "config", None)
+        config = read_config(config_path) if config_path else {}
+        return args.fn(args, config)
+    except (ValueError, ConvergenceError) as exc:
+        print(f"pideq: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ contours for computing the Bromwich integral", Math. Comp. 76 (2007)).  It
 winds around the cut (-inf, 0] at a distance growing with |lambda|, so a
 fixed node count is uniformly accurate in t.  The flow projects its input,
 adds the rank-one correction and, for the full flow, e^{tE} <g, psi> psi,
-all in transform space.
+all in transform space and, but for the heat multiplier, on the bins (see
+below).
 
 Passing a :class:`ContourSpec` selects the cut-hugging contour instead, an
 independent cross-check: two rays Im lambda = +/- eps (Gauss-Legendre on
@@ -46,18 +47,24 @@ Talbot rule agrees to 2e-11 and 1.4e-9.
 
 All inner node sums are accelerated by binning the wavenumber lattice by
 the integer |k|^2, which is exact.  Every rule feeds one rank-one kernel,
-``PointHeatModel.correction``: it pairs the datum once and, per chunk of at
-most ``CHUNK`` nodes, accumulates the bin profile from the resolvent rows
-1/(lambda_k + |xi|^2) over the bins, with the denominators D(lambda_k) read
-off the same rows.  A rule that fits in one chunk (Talbot's always does)
-keeps its rows for the flow's lifetime, so applying it costs one pairing,
-two small matrix-vector products and one gather on top of the heat
-multiplier.  A longer rule rebuilds its rows chunk by chunk on every
-application, so no nodes x bins matrix larger than one chunk is held.
-The resolvent is the one-node rule of the same kernel (node lambda, weight
-1), so every rank-one quantity is delta_hat times a bin profile, and the
-backward-Euler oracle steps on the bins alone.  Two-dimensional transforms
-use ``scipy.fft``.
+``PointHeatModel.correction``: from the datum's bin pairing it accumulates,
+per chunk of at most ``CHUNK`` nodes, the bin profile from the resolvent
+rows 1/(lambda_k + |xi|^2) over the bins, with the denominators D(lambda_k)
+read off the same rows.  A rule that fits in one chunk (Talbot's always
+does) keeps its rows for the flow's lifetime; a longer rule rebuilds its
+rows chunk by chunk on every application, so no nodes x bins matrix larger
+than one chunk is held.  The resolvent is the one-node rule of the same
+kernel (node lambda, weight 1), so every rank-one quantity is delta_hat
+times a bin profile, and the backward-Euler oracle steps on the bins alone.
+
+The projection is bin-space bookkeeping too: psi_hat = delta_hat r_E[bin]
+with r_E = 1/((E + |xi|^2) ||G_E||), so <g, psi> = wlat r_E . bp is read off
+g's bin pairing bp, P_ac g pairs as bp - <g, psi> r_E |delta|^2_bins, and the
+projection's -<g, psi> e^{-t|xi|^2} psi and the full flow's
+e^{tE} <g, psi> psi join the correction's bin profile V.  A flow step is
+then heat g_hat + delta_hat V[bin]: one pairing, two small matrix-vector
+products, one gather and one heat multiply, with no projected copy of g.
+Two-dimensional transforms use ``scipy.fft``.
 
 Two transform layouts
 ---------------------
@@ -70,9 +77,16 @@ both (the half ones built on first use).  On the half spectrum a pairing
 sum f_hat conj(g_hat) takes the Hermitian column weights 1 for column 0 and
 the Nyquist column and 2 for the columns between, which stand for their
 mirrors too; its real part is the full-lattice pairing of the two real
-fields.  The same holds bin by bin, and the Talbot and cut-hugging nodes
-come in conjugate pairs, so a real datum's correction profile is real and
-its imaginary part (rounding) is dropped.
+fields.  The same holds bin by bin: the half spectrum's bin pairing is one
+sparse matrix-vector product, the bins x 2 n (n/2 + 1) CSR matrix of the
+weighted delta_hat against the float64 view of g_hat.  A real datum's
+correction profile is real, and the Talbot and cut-hugging rules are closed
+under conjugation (the Talbot nodes come in 16 + 16 pairs, the cut-hugging
+ones in pairs plus one real arc node), so on the half spectrum a flow folds
+its rule: it keeps the nodes with Im lambda > 0 at doubled weight and the
+real ones at their own, and takes the real part of the folded sum.  That
+halves the rows a flow holds (the Talbot rows at n = 256 are 1.5 MB, inside
+a 2 MiB L2 cache).  The full lattice keeps every node.
 """
 
 import math
@@ -81,7 +95,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import fft
+from scipy import fft, sparse
 
 from .errors import BranchCutError, ContourError, PoleError
 from .fields import Field, lp_norm
@@ -225,8 +239,12 @@ class SemigroupResult:
 class _Layout:
     """The model's lattice arrays in one transform layout.
 
-    ``weights`` is None on the full lattice and the Hermitian column weights
-    on the rfft2 half spectrum.
+    ``weights`` and ``pairing`` are None on the full lattice.  On the rfft2
+    half spectrum ``weights`` are the Hermitian column weights and
+    ``pairing`` is the bins x 2 n (n/2 + 1) CSR matrix of the weighted
+    delta_hat, real and imaginary parts interleaved as in the float64 view
+    of a half spectrum, so that one matrix-vector product gives the bin
+    sums of Re(ghat conj(delta_hat)) w.
     """
 
     xi2: np.ndarray
@@ -234,7 +252,8 @@ class _Layout:
     psi_hat: np.ndarray
     green_omega_hat: np.ndarray
     bin_index: np.ndarray
-    weights: np.ndarray | None
+    weights: np.ndarray | None = None
+    pairing: sparse.csr_array | None = None
 
     def dot(self, ahat, bhat):
         """Full-lattice sum ahat conj(bhat); real on the half spectrum.
@@ -298,8 +317,11 @@ class PointHeatModel:
 
         self.omega = reference_lambda(params)
         self.green_omega_hat = self.delta_hat / (self.omega + self.xi2)
+        # psi_hat = delta_hat * psi_bins[bin], so psi's bin pairing is psi_pair
+        self.psi_bins = 1.0 / ((self.E + self.rho) * self.green_ref_norm)
+        self.psi_pair = self.psi_bins * self.delta_sq_bins
         self._full = _Layout(
-            self.xi2, self.delta_hat, self.psi_hat, self.green_omega_hat, self.bin_index, None
+            self.xi2, self.delta_hat, self.psi_hat, self.green_omega_hat, self.bin_index
         )
 
     @cached_property
@@ -307,8 +329,25 @@ class PointHeatModel:
         """The lattice arrays on the rfft2 half spectrum, built on first use."""
         m = self.grid.n // 2 + 1
         arrays = (self.xi2, self.delta_hat, self.psi_hat, self.green_omega_hat, self.bin_index)
-        cut = [np.ascontiguousarray(a[:, :m]) for a in arrays]
-        return _Layout(*cut, _hermitian_weights(self.grid.n))
+        xi2, delta_hat, psi_hat, green_omega_hat, bin_index = (
+            np.ascontiguousarray(a[:, :m]) for a in arrays
+        )
+        weights = _hermitian_weights(self.grid.n)
+        # row b of the pairing holds the points of bin b in lattice order,
+        # each as two columns: its real and its imaginary part
+        idx = bin_index.ravel()
+        order = np.argsort(idx, kind="stable").astype(np.int32)
+        indptr = np.zeros(self.rho.size + 1, dtype=np.int32)
+        np.cumsum(2 * np.bincount(idx, minlength=self.rho.size), out=indptr[1:])
+        indices = np.empty(2 * idx.size, dtype=np.int32)
+        indices[0::2] = 2 * order
+        indices[1::2] = 2 * order + 1
+        wdelta = (delta_hat * weights).ravel()[order]
+        data = np.empty(2 * idx.size)
+        data[0::2] = wdelta.real
+        data[1::2] = wdelta.imag
+        pairing = sparse.csr_array((data, indices, indptr), shape=(self.rho.size, 2 * idx.size))
+        return _Layout(xi2, delta_hat, psi_hat, green_omega_hat, bin_index, weights, pairing)
 
     def layout(self, ghat):
         """The arrays in ghat's layout: the full lattice, or the half spectrum."""
@@ -326,14 +365,15 @@ class PointHeatModel:
     # -- pairings --------------------------------------------------------------
 
     def _bin_pair(self, ghat):
-        """Bin sums of ghat conj(delta_hat); real on the half spectrum."""
+        """Bin sums of ghat conj(delta_hat); real on the half spectrum.
+
+        On the half spectrum this is one sparse matrix-vector product with
+        the float64 view of ghat (``_Layout.pairing``).
+        """
         lay = self.layout(ghat)
+        if lay.pairing is not None:
+            return lay.pairing @ np.ascontiguousarray(ghat).view(np.float64).reshape(-1)
         idx = lay.bin_index.ravel()
-        if lay.weights is not None:
-            prod = ghat.real * lay.delta_hat.real
-            prod += ghat.imag * lay.delta_hat.imag
-            prod *= lay.weights
-            return np.bincount(idx, weights=prod.ravel())
         prod = (ghat * np.conj(lay.delta_hat)).ravel()
         return np.bincount(idx, weights=prod.real) + 1j * np.bincount(idx, weights=prod.imag)
 
@@ -357,47 +397,47 @@ class PointHeatModel:
     # -- resolvent and semigroup ----------------------------------------------
 
     def resolvent_hat(self, lam, ghat):
-        """R(lambda) in transform space: the free multiplier plus the one-node rule.
+        """R(lambda) on the full lattice: the free multiplier plus the one-node rule.
 
         With the one node lambda and weight 1, ``correction`` yields exactly
-        <g, G_{conj lambda}> / D(lambda) * G_lambda.
+        the bin profile of <g, G_{conj lambda}> / D(lambda) * G_lambda.
         """
         chunks = self._node_chunks(np.array([complex(lam)]), np.ones(1), 1)
-        return ghat / (lam + self.xi2) + self.correction(ghat, chunks)
+        prof = self.correction(self._bin_pair(ghat), chunks)
+        return ghat / (lam + self.xi2) + self.delta_hat * np.take(prof, self.bin_index)
 
     def _node_chunks(self, nodes, weights, chunk):
         """Resolvent rows over the bins, ``chunk`` nodes at a time.
 
         Yields (rows, base): rows[k, b] = 1/(lambda_k + rho_b) and
         base = weights / D(lambda), with the denominators read off the same
-        rows, so memory stays at one chunk x bins.
+        rows, so memory stays at one chunk x bins.  The rows are inverted in
+        place.
         """
         for lo in range(0, nodes.size, chunk):
-            rows = np.reciprocal(nodes[lo:lo + chunk, None] + self.rho)
+            rows = nodes[lo:lo + chunk, None] + self.rho
+            np.reciprocal(rows, out=rows)
             denom = self.S_at_E - self.wlat * (rows @ self.delta_sq_bins)
             yield rows, weights[lo:lo + chunk] / denom
 
-    def correction(self, ghat, chunks):
-        """Rank-one contour correction transform of one quadrature rule.
+    def correction(self, bpair, chunks):
+        """Bin profile of the rank-one contour correction of one quadrature rule.
 
-        ``chunks`` yields the rule's (rows, base) blocks (``_node_chunks``).
-        With c_k = base_k <g, G_{conj lambda_k}>, the kernel profile
-        sum_k c_k / (lambda_k + rho_b) is accumulated over the bins and spread
-        back onto the lattice as delta_hat times the binned values.  The input
-        must be projected: a contour that encloses the eigenvalue E (Talbot's
-        does at small t) picks up a pole there that cancels only against a
-        projected numerator.  On the half spectrum the datum is real and
-        the nodes come in conjugate pairs, so the profile's imaginary part
-        is rounding and is dropped.
+        ``bpair`` is the datum's bin pairing (``_bin_pair``) and ``chunks``
+        yields the rule's (rows, base) blocks (``_node_chunks``).  With
+        c_k = base_k <g, G_{conj lambda_k}>, returns the profile
+        V_b = sum_k c_k / (lambda_k + rho_b); the correction transform is
+        delta_hat * V[bin].  The datum must be projected: a contour that
+        encloses the eigenvalue E (Talbot's does at small t) picks up a pole
+        there that cancels only against a projected numerator.  A real
+        pairing is a real datum's on the half spectrum, whose rule is folded
+        (``_fold``), so the profile is the real part of the sum.
         """
-        bpair = self.wlat * self._bin_pair(ghat)
-        vbins = np.zeros(self.rho.size, dtype=np.complex128)
+        bpair = self.wlat * bpair
+        prof = np.zeros(self.rho.size, dtype=np.complex128)
         for rows, base in chunks:
-            vbins += (base * (rows @ bpair)) @ rows
-        lay = self.layout(ghat)
-        if lay.weights is not None:
-            vbins = vbins.real
-        return lay.delta_hat * np.take(vbins, lay.bin_index)
+            prof += (base * (rows @ bpair)) @ rows
+        return prof.real.copy() if np.isrealobj(bpair) else prof
 
     def hat(self, f):
         return fft.fft2(f.values)
@@ -415,24 +455,35 @@ def grid_model(params, grid):
     return PointHeatModel(params, grid)
 
 
+def _fold(nodes, weights):
+    """The rule on the half spectrum: the nodes with Im >= 0, conjugate-pair weights doubled.
+
+    Every rule here is closed under conjugation (node conj(lambda) with
+    weight conj(w) for each node lambda with weight w), and a real datum's
+    rank-one sum over a conjugate pair is conjugate-symmetric, so the real
+    part of the whole sum is the real part of the folded one.
+    """
+    upper = nodes.imag > 0
+    keep = upper | (nodes.imag == 0)
+    return nodes[keep], np.where(upper, 2.0 * weights, weights)[keep]
+
+
 class Flow:
     """exp(tA) P_ac (or, with ``full``, exp(tA)) for one time t, in transform space.
 
-    Holds t's heat multiplier exp(-t |xi|^2), built per transform layout on
-    first use, and the nodes and weights of one quadrature rule at t: the
-    ``TALBOT_NODES``-node Talbot rule, or the cut-hugging ``contour`` when one
-    is given.  A rule that fits in one ``CHUNK`` (Talbot's does) also keeps
-    its resolvent rows, denominators and base weights, so a caller stepping
-    with one t builds them once; a longer rule rebuilds them chunk by chunk
-    on every application.
+    Holds the nodes and weights of one quadrature rule at t: the
+    ``TALBOT_NODES``-node Talbot rule, or the cut-hugging ``contour`` when
+    one is given.  Per transform layout, on first use, it builds t's heat
+    multiplier exp(-t |xi|^2) and the layout's rule: the whole rule on the
+    full lattice, the folded one (``_fold``) on the half spectrum.  A rule
+    that fits in one ``CHUNK`` (Talbot's does) also keeps its resolvent rows
+    and base weights, so a caller stepping with one t builds them once; a
+    longer rule rebuilds them chunk by chunk on every application.
     """
 
     def __init__(self, model, t, full=False, contour=None):
         self.model = model
         self.t = t
-        self.full = full
-        self._heat = {}
-        self.growth = math.exp(model.E * t) if full else 0.0
         if contour is None:
             sigma, swts = _talbot_nodes(TALBOT_NODES)
             nodes, weights = sigma / t, (swts / t) * np.exp(sigma)
@@ -449,28 +500,54 @@ class Flow:
                 w = w - 1.0
             weights = wts * w / (2j * np.pi)
         self.nodes, self.weights = nodes, weights
-        fits = nodes.size <= CHUNK
-        self.chunks = list(model._node_chunks(nodes, weights, CHUNK)) if fits else None
+        # the eigenmode's bin profile per unit <g, psi>: the projection's
+        # -e^{-t rho} psi and the full flow's e^{tE} psi
+        growth = math.exp(model.E * t) if full else 0.0
+        self._eig_profile = (growth - np.exp(-t * model.rho)) * model.psi_bins
+        self._layouts = {}
+
+    def _layout(self, ghat):
+        """(heat multiplier, nodes, weights, chunks) in ghat's layout, built on first use.
+
+        ``chunks`` is the rule's list of (rows, base) when it fits in one
+        ``CHUNK``, else None.
+        """
+        got = self._layouts.get(ghat.shape[1])
+        if got is None:
+            m = self.model
+            lay = m.layout(ghat)
+            nodes, weights = self.nodes, self.weights
+            if lay.weights is not None:
+                nodes, weights = _fold(nodes, weights)
+            chunks = list(m._node_chunks(nodes, weights, CHUNK)) if nodes.size <= CHUNK else None
+            got = self._layouts[ghat.shape[1]] = (np.exp(-self.t * lay.xi2), nodes, weights, chunks)
+        return got
+
+    def heat(self, ghat):
+        """t's heat multiplier exp(-t |xi|^2) in ghat's layout."""
+        return self._layout(ghat)[0]
 
     def apply(self, ghat):
-        """Returns (out_hat, corr_hat): the evolved transform and its rank-one part.
+        """The evolved transform, in ghat's layout (full lattice or half spectrum).
 
-        Both are in ghat's layout (full lattice or half spectrum).  The
-        input is projected before the correction is accumulated; the full
-        flow adds the eigenmode e^{tE} <g, psi> psi back.
+        With c = <g, psi> = wlat psi_bins . bp read off the bin pairing bp
+        of g, the projected pairing is bp - c psi_bins |delta|^2_bins, and
+        the projection's -c e^{-t rho} psi and the full flow's
+        c e^{tE} psi join the correction's bin profile, since psi_hat is
+        delta_hat times the bin profile psi_bins: the output is
+        heat g_hat + delta_hat V[bin], with no projected copy of g.
         """
         m = self.model
         lay = m.layout(ghat)
-        heat = self._heat.get(ghat.shape[1])
-        if heat is None:
-            heat = self._heat[ghat.shape[1]] = np.exp(-self.t * lay.xi2)
-        gac, eig_coef = m.project_ac_hat(ghat)
-        chunks = self.chunks or m._node_chunks(self.nodes, self.weights, CHUNK)
-        corr = m.correction(gac, chunks)
-        out = heat * gac + corr
-        if self.full:
-            out += self.growth * eig_coef * lay.psi_hat
-        return out, corr
+        heat, nodes, weights, chunks = self._layout(ghat)
+        bpair = m._bin_pair(ghat)
+        coef = m.wlat * np.dot(bpair, m.psi_bins)
+        bpair -= coef * m.psi_pair
+        prof = m.correction(bpair, chunks or m._node_chunks(nodes, weights, CHUNK))
+        prof += coef * self._eig_profile
+        out = heat * ghat
+        out += lay.delta_hat * np.take(prof, lay.bin_index)
+        return out
 
 
 def _check_lambda(lam, params):
@@ -511,14 +588,17 @@ def semigroup_pac(t, g, params, contour=None):
     """
     flow = _public_flow("semigroup_pac", t, g, params, contour)
     model = flow.model
-    out, corr = flow.apply(model.hat(g))
+    ghat = model.hat(g)
+    out = flow.apply(ghat)
+    # the heat part of the contour representation; the rest is its correction
+    free = flow.heat(ghat) * model.project_ac_hat(ghat)[0]
     field = model.unhat(out)
     gnorm = lp_norm(g, 2)
     imag = math.sqrt(float(np.sum(field.values.imag ** 2)) * g.grid.cell_area)
     return SemigroupResult(
         field=field,
-        free_part_norm=model.l2_hat(out - corr),
-        correction_norm=model.l2_hat(corr),
+        free_part_norm=model.l2_hat(free),
+        correction_norm=model.l2_hat(out - free),
         imag_residue=imag / gnorm if gnorm > 0 else 0.0,
     )
 
@@ -526,7 +606,7 @@ def semigroup_pac(t, g, params, contour=None):
 def semigroup_full(t, g, params, contour=None):
     """Full flow: projected semigroup plus the explicit eigenmode e^{tE}."""
     flow = _public_flow("semigroup_full", t, g, params, contour, full=True)
-    out, _ = flow.apply(flow.model.hat(g))
+    out = flow.apply(flow.model.hat(g))
     return flow.model.unhat(out)
 
 
@@ -540,7 +620,7 @@ def semigroup_gradient_pac(t, g, params, contour=None):
     if params.dimension == 3:
         raise ValueError("semigroup gradient is not available in dimension 3")
     flow = _public_flow("semigroup_gradient_pac", t, g, params, contour)
-    out, _ = flow.apply(flow.model.hat(g))
+    out = flow.apply(flow.model.hat(g))
     XI1, XI2 = g.grid.wavenumbers()
     dx = flow.model.unhat(1j * XI1 * out)
     dy = flow.model.unhat(1j * XI2 * out)

@@ -21,10 +21,11 @@ needed, as the exact domain-coupling functional <u, delta>/S(E) (the grid
 analogue of reading the coefficient off the boundary condition at the
 interaction point); with that split the identity
 (omega - A) u = (omega - Laplacian) phi holds on the nose and nothing is
-ever fitted from samples.  The split is taken only for the H^1 proxy and
-for the stored :class:`pideq.spectral.DecomposedField` states.  A
-DecomposedField handed to the public functions keeps its own split: its
-coeff is the q of its samples.
+ever fitted from samples.  q is read for the forcing, the H^1 proxy and
+the stored :class:`pideq.spectral.DecomposedField` states; only the stored
+states form phi, since the proxy ||phi||^2 is a quadratic form in u_hat
+and q.  A DecomposedField handed to the public functions keeps its own
+split: its coeff is the q of its samples.
 
 One sampler serves the forcing and :func:`state_fields`: the drift
 derivative a . grad u, which is linear in u, is one inverse transform of
@@ -85,6 +86,7 @@ from .fields import Field, inner_product, lp_norm
 from .semigroup import MIN_TIME, Flow, grid_model
 from .spectral import (
     DecomposedField,
+    _h1_kernel,
     _h1_proxy_hat,
     green_gradient_field,
     psi_alpha_field,
@@ -123,10 +125,11 @@ class SolverConfig:
     ``ball_radius`` is diagnostic: when set (or 'auto', twice the proxy
     norm of the initial state) iterates leaving the ball raise a warning.  The
     pointwise factor |u|^(gamma-2) is clamped at ``clamp_limit`` for
-    gamma < 2.  ``a`` must be two finite real numbers and is stored as a
-    tuple of two floats.  ``dt``, ``picard_tol``, ``window``, ``T`` and
-    ``clamp_limit`` must be finite and > 0, ``picard_max`` an int >= 1 and
-    ``store_stride`` None or an int >= 1; other values raise ValueError.  A
+    gamma < 2.  ``gamma`` must be a finite number > 1.  ``a`` must be two
+    finite real numbers and is stored as a tuple of two floats.  ``dt``,
+    ``picard_tol``, ``window``, ``T`` and ``clamp_limit`` must be finite and
+    > 0, ``picard_max`` an int >= 1 and ``store_stride`` None or an int
+    >= 1; other values raise ValueError.  A
     config holds settings only: solves never write to it, and each reports
     its own clamp count in its trajectory's diagnostics.
     Projection is chosen by the solve function, not by the config:
@@ -145,9 +148,10 @@ class SolverConfig:
     clamp_limit: float = 1e8
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError("gamma must exceed 1")
-        if self.gamma < 2.0:
+        gamma = self.gamma
+        if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma) and gamma > 1.0):
+            raise ValueError(f"gamma must be a finite number > 1; got {gamma!r}")
+        if gamma < 2.0:
             warnings.warn(
                 "gamma in (1, 2) is outside the solver's safe default regime; "
                 "degenerate |u|^(gamma-2) factors are clamped",
@@ -222,7 +226,9 @@ def _drift_kernels(params, grid, a):
 def _drift(model, uhat, q, a):
     """Real samples of a . grad u for u = phi + q G_omega given by u_hat and q: one irfft2."""
     kernel, corr = _drift_kernels(model.params, model.grid, a)
-    return fft.irfft2(kernel * uhat) + q * corr
+    drift = fft.irfft2(kernel * uhat)
+    drift += q * corr
+    return drift
 
 
 def _nonlinear_values(model, uhat, q, cfg):
@@ -235,9 +241,7 @@ def _nonlinear_values(model, uhat, q, cfg):
     vals = fft.irfft2(uhat)
     drift = _drift(model, uhat, q, cfg.a)
     clamped = 0
-    if cfg.gamma == 2.0:
-        factor = vals
-    else:
+    if cfg.gamma != 2.0:
         mag = np.abs(vals)
         with np.errstate(divide="ignore"):
             power = np.where(mag > 0.0, mag ** (cfg.gamma - 2.0), 0.0)
@@ -245,8 +249,11 @@ def _nonlinear_values(model, uhat, q, cfg):
             clamped = int(np.count_nonzero(power > cfg.clamp_limit))
             if clamped:
                 power = np.minimum(power, cfg.clamp_limit)
-        factor = power * vals
-    return cfg.gamma * factor * drift, clamped
+        drift *= power
+    # gamma |u|^(gamma-2) u (a . grad u), built in the drift's array
+    drift *= vals
+    drift *= cfg.gamma
+    return drift, clamped
 
 
 def total_field(u):
@@ -333,6 +340,18 @@ def _split(model, uhat):
     return uhat - q * model.half.green_omega_hat, q
 
 
+@lru_cache(maxsize=8)
+def _proxy_kernel(params, grid):
+    """The H^1 proxy's form constants of G_omega on the half spectrum (``_h1_kernel``)."""
+    return _h1_kernel(grid, grid_model(params, grid).half.green_omega_hat)
+
+
+def _proxy(model, uhat):
+    """H^1 proxy of the state u_hat: phi's, with q read off the coupling, phi_hat never formed."""
+    q = model.coupling_coefficient(uhat)
+    return _h1_proxy_hat(model.grid, uhat, q, _proxy_kernel(model.params, model.grid))
+
+
 def _to_decomposed(model, uhat):
     phat, q = _split(model, uhat)
     return DecomposedField(Field(model.grid, fft.irfft2(phat)), float(q), model.params)
@@ -398,8 +417,9 @@ def _sweep(flow, start, steps, force, prev=None):
 
     S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt.  States
     are half spectra u_hat of the total.  ``start`` is u_0; ``force`` maps
-    one state to F's transform, or to None for no forcing, and is called
-    exactly ``steps`` times, in order.  Yields (j, u_hat) for u_1 ..
+    one state to F's transform, a fresh array that the sweep overwrites
+    with u_j + dt F, or to None for no forcing, and is called exactly
+    ``steps`` times, in order.  Yields (j, u_hat) for u_1 ..
     u_steps.  Without ``prev``, v_j = u_j: the march.  With ``prev``, the
     previous Picard iterate as a list of steps + 1 states starting at u_0,
     v_j = prev[j] and the sweep is one Picard iterate written over ``prev``
@@ -409,7 +429,10 @@ def _sweep(flow, start, steps, force, prev=None):
     cur = start
     fhat = force(cur)
     for j in range(1, steps + 1):
-        cur, _ = flow.apply(cur if fhat is None else cur + flow.t * fhat)
+        if fhat is not None:
+            fhat *= flow.t
+            fhat += cur
+        cur = flow.apply(cur if fhat is None else fhat)
         yield j, cur
         if j < steps:
             fhat = force(prev[j] if prev is not None else cur)
@@ -432,14 +455,14 @@ def _picard_window(model, flow, start, steps, cfg, force, init, label):
     else:
         linear = _sweep(flow, start, steps, lambda uhat: None)
         states = [start] + [uhat for _, uhat in linear]
-    scale = max(1.0, _h1_proxy_hat(model.grid, *_split(model, start)))
+    scale = max(1.0, _proxy(model, start))
     ratios = []
     distance = None
     bad_streak = 0
     for it in range(1, cfg.picard_max + 1):
         dist = 0.0
         for j, uhat in _sweep(flow, start, steps, force, states):
-            dist = max(dist, _h1_proxy_hat(model.grid, *_split(model, uhat - states[j])))
+            dist = max(dist, _proxy(model, uhat - states[j]))
         if distance is not None and distance > 0:
             ratio = dist / distance
             ratios.append(ratio)
@@ -492,7 +515,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         start, _ = model.project_ac_hat(start)
     radius = cfg.ball_radius
     if radius == "auto":
-        radius = 2.0 * _h1_proxy_hat(model.grid, *_split(model, start))
+        radius = 2.0 * _proxy(model, start)
 
     clamps = 0
 
@@ -521,7 +544,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         if probe_top is not None:
             kept = []
             for j, uhat in _sweep(flow, start, steps, force):
-                if not _h1_proxy_hat(model.grid, *_split(model, uhat)) <= probe_top:
+                if not _proxy(model, uhat) <= probe_top:
                     kept = None
                     break
                 if j in want:
@@ -534,7 +557,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
             )
             iterations.append(iters)
             ratios.extend(window_ratios)
-            probe_top = max(_h1_proxy_hat(model.grid, *_split(model, s)) for s in states)
+            probe_top = max(_proxy(model, s) for s in states)
             if radius is not None and probe_top > radius:
                 warnings.warn(f"{label}: iterate norm {probe_top:.3e} left the ball {radius:.3e}")
             kept = [(j, states[j]) for j in want]

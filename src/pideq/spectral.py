@@ -320,16 +320,37 @@ def _h1_weights(grid, width):
     return w
 
 
-def _h1_proxy_hat(grid, phat, q):
-    """(||phi||_2^2 + ||grad phi||_2^2 + |q|^2)^(1/2) from phi's transform, by Parseval.
+def _h1_kernel(grid, khat):
+    """(w khat, C) of a kernel G given by its transform: the constants of the proxy's form.
 
-    ``phat`` is phi's full transform, or, read off its width, the rfft2 half
-    spectrum of a real phi, summed with the Hermitian column weights: the
-    sum of re^2 + im^2 against :func:`_h1_weights`.
+    w is :func:`_h1_weights` in khat's layout and C = wlat sum w |khat|^2,
+    G's own squared proxy part; both read-only inputs of :func:`_h1_proxy_hat`.
+    """
+    w = _h1_weights(grid, khat.shape[1])
+    wk = w * khat
+    wk.setflags(write=False)
+    wlat = grid.cell_area / grid.n ** 2
+    return wk, wlat * float(np.vdot(w, khat.real ** 2 + khat.imag ** 2))
+
+
+def _h1_proxy_hat(grid, uhat, q, kernel=None):
+    """(||phi||_2^2 + ||grad phi||_2^2 + |q|^2)^(1/2) for phi = u - q G, by Parseval.
+
+    ``uhat`` is u's full transform, or, read off its width, the rfft2 half
+    spectrum of a real u, summed with the Hermitian column weights: the
+    sum of re^2 + im^2 against :func:`_h1_weights`.  Without ``kernel``,
+    phi = u.  With ``kernel`` = :func:`_h1_kernel` of G, phi's transform is
+    never formed: ||phi||^2 = A - 2 Re(conj(q) X) + |q|^2 C, with A the
+    weighted |u_hat|^2 and X the weighted sum u_hat conj(G_hat), clamped
+    at 0 against cancellation.
     """
     wlat = grid.cell_area / grid.n ** 2
-    dens = float(np.vdot(_h1_weights(grid, phat.shape[1]), phat.real ** 2 + phat.imag ** 2))
-    return math.sqrt(wlat * dens + abs(q) ** 2)
+    dens = wlat * float(np.vdot(_h1_weights(grid, uhat.shape[1]), uhat.real ** 2 + uhat.imag ** 2))
+    if kernel is not None:
+        wk, cc = kernel
+        cross = wlat * (np.conj(q) * np.vdot(wk, uhat)).real
+        dens = max(dens - 2.0 * cross + abs(q) ** 2 * cc, 0.0)
+    return math.sqrt(dens + abs(q) ** 2)
 
 
 def h1_alpha_norm(u):

@@ -53,6 +53,33 @@ def test_simulate_rejects_nonfinite_drift(tmp_path):
     assert "two finite real numbers" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["semigroup", "--t", "0.001"], "below the supported minimum"),
+        (["simulate", "--T", "0.05", "--dt", "0.02"], "integer multiple of dt"),
+        (["simulate", "--alpha", "inf"], "positive eigenvalue"),
+        (["simulate", "--gamma", "inf"], "gamma must be a finite number"),
+    ],
+)
+def test_input_errors_exit_2(tmp_path, capsys, argv, message):
+    # an input the library rejects is one stderr line and exit code 2
+    assert main(["--out", str(tmp_path), *argv, "--grid-n", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pideq: error: ") and message in err
+
+
+def test_input_error_has_no_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
+    for argv in (["resolve", "--lambda", "-1"], ["verify", "--grid-n", "100"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pideq.cli", "--out", str(tmp_path), *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("pideq: error: ") and "Traceback" not in proc.stderr
+
+
 def test_semigroup_subcommand(tmp_path, capsys):
     code = main(
         [
@@ -178,3 +205,6 @@ def test_datum_descriptor_and_file(tmp_path, capsys):
     default = _resolve_l2(tmp_path, capsys, "gaussian")
     assert abs(from_file - from_descriptor) <= 1e-6 * from_descriptor
     assert abs(default - from_descriptor) > 0.1 * from_descriptor
+    # a saved field on another grid is a rejected input like any other
+    assert main(["--out", str(tmp_path), "resolve", "--u0", str(path), "--grid-n", "128"]) == 2
+    assert "does not match requested grid" in capsys.readouterr().err

@@ -25,7 +25,7 @@ from pideq import (
     semigroup_pac,
 )
 from pideq.errors import BranchCutError, ContourError, PoleError
-from pideq.semigroup import Flow, _talbot_nodes, grid_model
+from pideq.semigroup import CHUNK, Flow, _talbot_nodes, grid_model
 from pideq.spectral import _h1_proxy_hat
 
 
@@ -175,7 +175,8 @@ def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
             pair = model.wlat * np.vdot(model.delta_hat, ghat / (lam + model.xi2))
             c = w * pair / model.denominator(lam)
             ref += c * model.delta_hat / (lam + model.xi2)
-        corr = Flow(model, dt).apply(ghat)[1]
+        flow = Flow(model, dt)
+        corr = flow.apply(ghat) - flow.heat(ghat) * ghat
         assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -195,7 +196,8 @@ def test_contour_flow_matches_direct_sum(params, grid128):
         pair = model.wlat * np.vdot(model.delta_hat, ghat / (lam + model.xi2))
         c = w * pair / model.denominator(lam)
         ref += c * model.delta_hat / (lam + model.xi2)
-    corr = Flow(model, t, contour=contour).apply(ghat)[1]
+    flow = Flow(model, t, contour=contour)
+    corr = flow.apply(ghat) - flow.heat(ghat) * ghat
     assert np.linalg.norm(corr - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -206,9 +208,10 @@ def test_correction_chunk_invariance(params, grid128, smooth_datum):
     ghat, _ = model.project_ac_hat(model.hat(smooth_datum))
     nodes, wts = contour.nodes()
     weights = wts * np.exp(nodes) / (2j * np.pi)
-    ref = model.correction(ghat, model._node_chunks(nodes, weights, nodes.size))
+    bpair = model._bin_pair(ghat)
+    ref = model.correction(bpair, model._node_chunks(nodes, weights, nodes.size))
     for chunk in (1, 7, 64):
-        corr = model.correction(ghat, model._node_chunks(nodes, weights, chunk))
+        corr = model.correction(bpair, model._node_chunks(nodes, weights, chunk))
         assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -401,13 +404,67 @@ def test_half_spectrum_pairings_match_full_lattice(alpha):
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
 @pytest.mark.parametrize("full", [False, True])
 def test_half_spectrum_flow_matches_full_lattice(alpha, full):
-    # Flow.apply on the half spectrum is the first n/2 + 1 columns of the
-    # full-lattice flow of the same real field
+    # Flow.apply on the half spectrum, with its folded rule, is the first
+    # n/2 + 1 columns of the full-lattice flow of the same real field
     model, ghalf, gfull = _half_and_full(alpha, 12)
     m = ghalf.shape[1]
-    for t in (0.02, 1.0):
-        flow = Flow(model, t, full=full)
-        out_half, _ = flow.apply(ghalf)
-        out_full, _ = flow.apply(gfull)
+    flows = [Flow(model, t, full=full) for t in (0.02, 1.0)]
+    # the cut-hugging rule at t = 1 folds to its upper nodes and one real
+    # arc node, more than one chunk of them
+    contour = Flow(model, 1.0, full=full, contour=ContourSpec.for_time(model.params, 1.0))
+    for flow in flows + [contour]:
+        out_half = flow.apply(ghalf)
+        out_full = flow.apply(gfull)
         assert out_half.shape == ghalf.shape
         assert _rel(out_half, out_full[:, :m]) <= 1e-13
+    _, nodes, _, chunks = contour._layout(ghalf)
+    assert chunks is None and nodes.size > CHUNK
+    assert np.count_nonzero(nodes.imag == 0) == 1 and np.all(nodes.imag >= 0)
+    assert 2 * nodes.size - 1 == contour.nodes.size
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+def test_rules_are_conjugate_closed(alpha):
+    # folding keeps the upper nodes with doubled weights: every node with
+    # Im < 0 must be the conjugate of one with Im > 0, weight included
+    model, _, _ = _half_and_full(alpha, 12)
+    flows = [Flow(model, 0.02), Flow(model, 1.0, contour=ContourSpec.for_time(model.params, 1.0))]
+    for flow in flows:
+        nodes, weights = flow.nodes, flow.weights
+        up, lo = nodes.imag > 0, nodes.imag < 0
+        iu = np.argsort(nodes[up])
+        il = np.argsort(np.conj(nodes[lo]))
+        assert _rel(np.conj(nodes[lo])[il], nodes[up][iu]) <= 1e-15
+        assert _rel(np.conj(weights[lo])[il], weights[up][iu]) <= 1e-14
+
+
+def _bincount_pair(model, ghalf):
+    """The weighted bin sums of Re(ghat conj(delta_hat)) by np.bincount, as a reference."""
+    lay = model.half
+    prod = (ghalf.real * lay.delta_hat.real + ghalf.imag * lay.delta_hat.imag) * lay.weights
+    return np.bincount(lay.bin_index.ravel(), weights=prod.ravel())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+def test_sparse_bin_pair_matches_bincount(alpha):
+    # the one CSR product of the half spectrum against the bincount scatter,
+    # on data spread over the lattice and on data in the edge columns, and
+    # on a Fortran-ordered copy
+    for edges in (False, True):
+        model, ghalf, _ = _half_and_full(alpha, 14, edges)
+        ref = _bincount_pair(model, ghalf)
+        assert _rel(model._bin_pair(ghalf), ref) <= 1e-13
+        assert _rel(model._bin_pair(np.asfortranarray(ghalf)), ref) <= 1e-13
+
+
+def test_half_spectrum_talbot_rows_folded(params, grid256):
+    # the half spectrum's Talbot flow keeps half the rule's resolvent rows:
+    # 16 x 5924 complex rows at n = 256, 1.5 MB
+    model = grid_model(params, grid256)
+    flow = Flow(model, 0.02)
+    ghalf = np.fft.rfft2(gaussian_field(grid256, sigma=2.0).values.real)
+    flow.apply(ghalf)
+    chunks = flow._layout(ghalf)[3]
+    rows = sum(r.shape[0] for r, _ in chunks)
+    nbytes = sum(r.nbytes for r, _ in chunks)
+    assert rows <= 16 and nbytes <= 16 * model.rho.size * 16 <= 1.6e6

@@ -74,6 +74,7 @@ def test_config_validation():
         dict(dt=math.nan), dict(picard_tol=math.nan), dict(T=math.inf), dict(T=0.0),
         dict(clamp_limit=-1), dict(clamp_limit=math.inf), dict(ball_radius=0.0),
         dict(ball_radius=math.nan), dict(ball_radius="big"),
+        dict(gamma=math.inf), dict(gamma=math.nan), dict(gamma="3"),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverConfig(**bad)
@@ -192,8 +193,8 @@ def test_duhamel_midpoint_recurrence(params, grid128, projected):
     half = Flow(model, dt / 2.0, full=not projected)
     acc = np.zeros((128, 128), dtype=np.complex128)
     for j in range(len(src) - 1):
-        acc, _ = full.apply(acc)
-        kick, _ = half.apply(model.hat(0.5 * (src[j] + src[j + 1])))
+        acc = full.apply(acc)
+        kick = half.apply(model.hat(0.5 * (src[j] + src[j + 1])))
         acc = acc + dt * kick
     expect = model.unhat(acc)
     out = duhamel_integral(src, t, params, projected=projected)
@@ -585,6 +586,20 @@ def test_half_spectrum_h1_proxy_matches_full_lattice(params, grid128):
     full = _h1_proxy_hat(grid128, np.fft.fft2(phi), 0.3)
     half = _h1_proxy_hat(grid128, np.fft.rfft2(phi), 0.3)
     assert abs(half - full) <= 1e-13 * full
+
+
+def test_h1_proxy_form_matches_explicit_split(params, grid128):
+    # the engine's proxy A - 2 q X + q^2 C against the proxy of the formed
+    # phi_hat = u_hat - q G_omega_hat, where the form cancels most: a state
+    # that is nearly all kernel, and a small difference of two states
+    model = grid_model(params, grid128)
+    noise, _ = _state_hat(model, _random_state(grid128, params, 25))
+    near = 3.0 * model.half.green_omega_hat + 1e-3 * noise
+    a, _ = _state_hat(model, _random_state(grid128, params, 26, q=0.3))
+    b = a + 1e-7 * noise
+    for uhat in (_state_hat(model, _random_state(grid128, params, 24, q=0.3))[0], near, a - b):
+        explicit = _h1_proxy_hat(grid128, *_split(model, uhat))
+        assert abs(solver._proxy(model, uhat) - explicit) <= 1e-13 * explicit
 
 
 def test_complex_data_rejected(params, grid128):
