@@ -5,7 +5,8 @@ Global options: --config FILE (line-oriented ``key = value``; recognised
 keys: alpha, grid_n, grid_L, contour_eps, contour_nodes, gamma, ax, ay,
 dt, T, tol) and --out DIR for emitted files.  Command-line flags override
 config values.  An input the library rejects (ValueError, or a
-ConvergenceError) prints ``pideq: error: <message>`` to stderr and exits 2.
+ConvergenceError) and a file that cannot be read or written (OSError)
+print ``pideq: error: <message>`` to stderr and exit 2.
 All CSV output is full-precision scientific notation with '.' decimals,
 ',' separators and LF line endings.
 """
@@ -321,14 +322,14 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand; an input the library rejects exits 2 with one stderr line."""
+    """Run one subcommand; a rejected input or a file error exits 2 with one stderr line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config_path = getattr(args, "config", None)
         config = read_config(config_path) if config_path else {}
         return args.fn(args, config)
-    except (ValueError, ConvergenceError) as exc:
+    except (ValueError, ConvergenceError, OSError) as exc:
         print(f"pideq: error: {exc}", file=sys.stderr)
         return 2
 

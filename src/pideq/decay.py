@@ -82,11 +82,13 @@ class ExperimentSpec:
 def fit_rate(samples, theoretical=math.nan):
     """RateFit from (t, value) pairs against the ``theoretical`` slope.
 
-    Needs >= 5 positive samples with t >= 1.
+    Needs >= 5 finite, positive samples with t >= 1.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
         raise ValueError("fit_rate needs at least 5 (t, value) samples")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("fit_rate needs finite (t, value) samples")
     t, v = arr[:, 0], arr[:, 1]
     if np.any(t < 1.0):
         raise ValueError("fit_rate uses the decay window t >= 1 only")

@@ -20,6 +20,7 @@ Conventions
   phase bookkeeping of the offset grid cancels in all such products.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,8 +69,8 @@ class Grid:
     freq: bool = False
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ValueError("half_width must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
+            raise ValueError(f"half_width must be a finite number > 0; got {self.half_width!r}")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two with n >= 16")
 

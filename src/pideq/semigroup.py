@@ -66,40 +66,47 @@ then heat g_hat + delta_hat V[bin]: one pairing, two small matrix-vector
 products, one gather and one heat multiply, with no projected copy of g.
 Two-dimensional transforms use ``scipy.fft``.
 
-Two transform layouts
----------------------
-The public functions take and return complex fields, so they work on the
-full n x n lattice of ``fft2``.  The solver holds real states, and works on
-the rfft2 half spectrum: the first n/2 + 1 columns of the full lattice,
-whose mirror columns are the complex conjugates of those kept.  The model
-reads the layout off a transform's width and keeps its lattice arrays in
-both (the half ones built on first use).  On the half spectrum a pairing
-sum f_hat conj(g_hat) takes the Hermitian column weights 1 for column 0 and
-the Nyquist column and 2 for the columns between, which stand for their
-mirrors too; its real part is the full-lattice pairing of the two real
-fields.  The same holds bin by bin: the half spectrum's bin pairing is one
-sparse matrix-vector product, the bins x 2 n (n/2 + 1) CSR matrix of the
-weighted delta_hat against the float64 view of g_hat.  A real datum's
-correction profile is real, and the Talbot and cut-hugging rules are closed
-under conjugation (the Talbot nodes come in 16 + 16 pairs, the cut-hugging
-ones in pairs plus one real arc node), so on the half spectrum a flow folds
-its rule: it keeps the nodes with Im lambda > 0 at doubled weight and the
-real ones at their own, and takes the real part of the folded sum.  That
-halves the rows a flow holds (the Talbot rows at n = 256 are 1.5 MB, inside
-a 2 MiB L2 cache).  The full lattice keeps every node.
+One transform layout
+--------------------
+Every object here maps real fields to real fields: e^{tA} P_ac, the
+projection, the rank-one correction, and R(lambda) at real lambda.  So the
+model works on the rfft2 half spectrum only: the first n/2 + 1 columns of
+the full n x n lattice, whose mirror columns are the complex conjugates of
+those kept.  The half lattice holds every |k|^2 of the full one, so the
+bins are the same.  A pairing sum f_hat conj(g_hat) takes the Hermitian
+column weights 1 for column 0 and the Nyquist column and 2 for the
+columns between, which stand for their mirrors too; the result is the
+full-lattice pairing of the two real fields.  The same holds bin by bin:
+the bin pairing is one sparse matrix-vector product, the bins x 2 n (n/2 + 1)
+CSR matrix of the weighted delta_hat against the float64 view of g_hat.
+The Talbot and cut-hugging rules are closed under conjugation (the Talbot
+nodes come in 16 + 16 pairs, the cut-hugging ones in pairs plus one real
+arc node), and a real datum's rank-one sum over a conjugate pair is
+conjugate-symmetric, so a flow folds its rule: it keeps the nodes with
+Im lambda > 0 at doubled weight and the real ones at their own, and takes
+the real part of the folded sum.  That halves the rows a flow holds (the
+Talbot rows at n = 256 are 1.5 MB, inside a 2 MiB L2 cache).
+
+The public functions take complex fields.  Each applies its real operator
+to the real part and, when that is not zero, to the imaginary part, each
+through its half spectrum (``spectral._real_parts``), and joins the two
+outputs as real and imaginary parts.  R(lambda) at complex lambda is not
+real: its half-spectrum form returns the real and imaginary parts of
+R(lambda) g for a real g, and the resolvent of a complex g combines them.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft, sparse
 
 from .errors import BranchCutError, ContourError, PoleError
 from .fields import Field, lp_norm
-from .spectral import _hermitian_weights, green_field, reference_lambda
+from .spectral import _hermitian_weights, _real_parts, green_field, reference_lambda
 
 __all__ = [
     "ContourSpec",
@@ -226,7 +233,8 @@ class SemigroupResult:
 
     field: the evolved state; free_part_norm / correction_norm: L^2 sizes of
     the heat part and the contour correction; imag_residue: L^2 size of the
-    imaginary part relative to the input norm.
+    imaginary part relative to the input norm, exactly 0 for real input
+    (the flow is a real operator, applied to each real part).
     """
 
     field: Field
@@ -235,40 +243,37 @@ class SemigroupResult:
     imag_residue: float = 0.0
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """The model's lattice arrays in one transform layout.
+def _dot(ahat, bhat):
+    """Pairing sum of two real fields' half spectra: the full-lattice sum ahat conj(bhat).
 
-    ``weights`` and ``pairing`` are None on the full lattice.  On the rfft2
-    half spectrum ``weights`` are the Hermitian column weights and
+    Twice the real sum over every column, less column 0 and the Nyquist
+    column, which weigh 1.
+    """
+    edges = np.vdot(bhat[:, 0], ahat[:, 0]) + np.vdot(bhat[:, -1], ahat[:, -1])
+    return 2.0 * np.vdot(bhat, ahat).real - edges.real
+
+
+def _field(grid, re_hat, im_hat=None):
+    """The Field whose real part has half spectrum re_hat and imaginary part im_hat."""
+    values = fft.irfft2(re_hat)
+    if im_hat is not None:
+        values = values + 1j * fft.irfft2(im_hat)
+    return Field(grid, values)
+
+
+class PointHeatModel:
+    """Cached grid realization of the perturbed operator for one (params, grid).
+
+    Its lattice arrays live on the rfft2 half spectrum, n x (n/2 + 1):
+    ``xi2`` (|xi|^2), ``bin_index`` (the |k|^2 bin of each point),
+    ``psi_hat``, ``delta_hat``, ``green_omega_hat``, the Hermitian column
+    ``weights``, and ``derivative``, the pair (i xi1, i xi2) as n x 1 and
+    1 x (n/2 + 1) arrays, each zero on the Nyquist line of its own axis.
     ``pairing`` is the bins x 2 n (n/2 + 1) CSR matrix of the weighted
     delta_hat, real and imaginary parts interleaved as in the float64 view
     of a half spectrum, so that one matrix-vector product gives the bin
     sums of Re(ghat conj(delta_hat)) w.
     """
-
-    xi2: np.ndarray
-    delta_hat: np.ndarray
-    psi_hat: np.ndarray
-    green_omega_hat: np.ndarray
-    bin_index: np.ndarray
-    weights: np.ndarray | None = None
-    pairing: sparse.csr_array | None = None
-
-    def dot(self, ahat, bhat):
-        """Full-lattice sum ahat conj(bhat); real on the half spectrum.
-
-        On the half spectrum: twice the real sum over every column, less
-        column 0 and the Nyquist column, which weigh 1.
-        """
-        if self.weights is None:
-            return np.vdot(bhat, ahat)
-        edges = np.vdot(bhat[:, 0], ahat[:, 0]) + np.vdot(bhat[:, -1], ahat[:, -1])
-        return 2.0 * np.vdot(bhat, ahat).real - edges.real
-
-
-class PointHeatModel:
-    """Cached grid realization of the perturbed operator for one (params, grid)."""
 
     def __init__(self, params, grid):
         if params.dimension != 2:
@@ -279,9 +284,18 @@ class PointHeatModel:
         self.grid = grid
         self.E = params.eigenvalue
         n = grid.n
-        self.xi2 = grid.wavenumber_sq()
+        m = n // 2 + 1
+        XI1, XI2 = grid.wavenumbers()
+        self.xi2 = np.ascontiguousarray(grid.wavenumber_sq()[:, :m])
         # lattice Parseval weight: <f,g> h^2 = wlat * sum fhat conj(ghat)
         self.wlat = grid.cell_area / n ** 2
+        # the real derivative has no mode on its own axis' Nyquist line,
+        # where the full-lattice derivative of a real field is imaginary
+        d1 = 1j * XI1[:, :1]
+        d2 = 1j * XI2[:1, :m]
+        d1[n // 2, 0] = 0.0
+        d2[0, -1] = 0.0
+        self.derivative = (d1, d2)
 
         sq_ev = math.sqrt(self.E)
         if sq_ev * grid.spacing > 1.5:
@@ -297,21 +311,22 @@ class PointHeatModel:
                 stacklevel=3,
             )
 
-        # integer |k|^2 binning of the wavenumber lattice (exact)
+        # integer |k|^2 binning of the half lattice (exact); it holds every
+        # |k|^2 of the full lattice, so the bins are the full lattice's
         k = fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        K1, K2 = np.meshgrid(k, k, indexing="ij")
-        ksq = (K1 * K1 + K2 * K2).ravel()
+        ksq = (k[:, None] ** 2 + k[None, :m] ** 2).ravel()
         self.bin_values, bin_index = np.unique(ksq, return_inverse=True)
-        self.bin_index = bin_index.reshape(n, n)
+        self.bin_index = bin_index.reshape(n, m)
         dxi = 2.0 * np.pi / (2.0 * grid.half_width)
         self.rho = self.bin_values * dxi ** 2  # |xi|^2 per bin
 
         gE = green_field(self.E, grid, method="direct")
         self.green_ref_norm = lp_norm(gE, 2)
-        self.psi_hat = fft.fft2(gE.values) / self.green_ref_norm
+        self.psi_hat = fft.rfft2(gE.values.real) / self.green_ref_norm
         self.delta_hat = (self.E + self.xi2) * self.psi_hat * self.green_ref_norm
+        self.weights = _hermitian_weights(n)
         self.delta_sq_bins = np.bincount(
-            self.bin_index.ravel(), weights=np.abs(self.delta_hat.ravel()) ** 2
+            bin_index, weights=(np.abs(self.delta_hat) ** 2 * self.weights).ravel()
         )
         self.S_at_E = self._lattice_sum(self.E)
 
@@ -320,38 +335,22 @@ class PointHeatModel:
         # psi_hat = delta_hat * psi_bins[bin], so psi's bin pairing is psi_pair
         self.psi_bins = 1.0 / ((self.E + self.rho) * self.green_ref_norm)
         self.psi_pair = self.psi_bins * self.delta_sq_bins
-        self._full = _Layout(
-            self.xi2, self.delta_hat, self.psi_hat, self.green_omega_hat, self.bin_index
-        )
 
-    @cached_property
-    def half(self):
-        """The lattice arrays on the rfft2 half spectrum, built on first use."""
-        m = self.grid.n // 2 + 1
-        arrays = (self.xi2, self.delta_hat, self.psi_hat, self.green_omega_hat, self.bin_index)
-        xi2, delta_hat, psi_hat, green_omega_hat, bin_index = (
-            np.ascontiguousarray(a[:, :m]) for a in arrays
-        )
-        weights = _hermitian_weights(self.grid.n)
         # row b of the pairing holds the points of bin b in lattice order,
         # each as two columns: its real and its imaginary part
-        idx = bin_index.ravel()
-        order = np.argsort(idx, kind="stable").astype(np.int32)
+        order = np.argsort(bin_index, kind="stable").astype(np.int32)
         indptr = np.zeros(self.rho.size + 1, dtype=np.int32)
-        np.cumsum(2 * np.bincount(idx, minlength=self.rho.size), out=indptr[1:])
-        indices = np.empty(2 * idx.size, dtype=np.int32)
+        np.cumsum(2 * np.bincount(bin_index, minlength=self.rho.size), out=indptr[1:])
+        indices = np.empty(2 * order.size, dtype=np.int32)
         indices[0::2] = 2 * order
         indices[1::2] = 2 * order + 1
-        wdelta = (delta_hat * weights).ravel()[order]
-        data = np.empty(2 * idx.size)
+        wdelta = (self.delta_hat * self.weights).ravel()[order]
+        data = np.empty(2 * order.size)
         data[0::2] = wdelta.real
         data[1::2] = wdelta.imag
-        pairing = sparse.csr_array((data, indices, indptr), shape=(self.rho.size, 2 * idx.size))
-        return _Layout(xi2, delta_hat, psi_hat, green_omega_hat, bin_index, weights, pairing)
-
-    def layout(self, ghat):
-        """The arrays in ghat's layout: the full lattice, or the half spectrum."""
-        return self._full if ghat.shape[1] == self.grid.n else self.half
+        self.pairing = sparse.csr_array(
+            (data, indices, indptr), shape=(self.rho.size, 2 * order.size)
+        )
 
     # -- scalar lattice functions --------------------------------------------
 
@@ -365,17 +364,8 @@ class PointHeatModel:
     # -- pairings --------------------------------------------------------------
 
     def _bin_pair(self, ghat):
-        """Bin sums of ghat conj(delta_hat); real on the half spectrum.
-
-        On the half spectrum this is one sparse matrix-vector product with
-        the float64 view of ghat (``_Layout.pairing``).
-        """
-        lay = self.layout(ghat)
-        if lay.pairing is not None:
-            return lay.pairing @ np.ascontiguousarray(ghat).view(np.float64).reshape(-1)
-        idx = lay.bin_index.ravel()
-        prod = (ghat * np.conj(lay.delta_hat)).ravel()
-        return np.bincount(idx, weights=prod.real) + 1j * np.bincount(idx, weights=prod.imag)
+        """Bin sums of Re(ghat conj(delta_hat)) w: one sparse product with ghat's float64 view."""
+        return self.pairing @ np.ascontiguousarray(ghat).view(np.float64).reshape(-1)
 
     def coupling_coefficient(self, ghat):
         """Kernel coefficient <g, delta>/S(E) of the domain decomposition.
@@ -383,28 +373,34 @@ class PointHeatModel:
         For u in the model's domain, u - coupling_coefficient(u) G_omega has
         (omega - Laplacian)-image equal to (omega - A) u; this is the exact
         grid analogue of reading the singular coefficient off the boundary
-        condition at the interaction point.  Real on the half spectrum.
+        condition at the interaction point.
         """
-        lay = self.layout(ghat)
-        return self.wlat * lay.dot(ghat, lay.delta_hat) / self.S_at_E
+        return self.wlat * _dot(ghat, self.delta_hat) / self.S_at_E
 
     def project_ac_hat(self, ghat):
-        """(P_ac g transform, <g, psi>), in ghat's layout."""
-        lay = self.layout(ghat)
-        coef = self.wlat * lay.dot(ghat, lay.psi_hat)
-        return ghat - coef * lay.psi_hat, coef
+        """(P_ac g half spectrum, <g, psi>)."""
+        coef = self.wlat * _dot(ghat, self.psi_hat)
+        return ghat - coef * self.psi_hat, coef
 
     # -- resolvent and semigroup ----------------------------------------------
 
     def resolvent_hat(self, lam, ghat):
-        """R(lambda) on the full lattice: the free multiplier plus the one-node rule.
+        """Half spectra (Re R(lambda) g, Im R(lambda) g) of a real g; Im is None at real lambda.
 
-        With the one node lambda and weight 1, ``correction`` yields exactly
-        the bin profile of <g, G_{conj lambda}> / D(lambda) * G_lambda.
+        R(lambda) is the free multiplier m = 1/(lambda + |xi|^2) plus the
+        one-node rule: with node lambda and weight 1, ``correction`` yields
+        exactly the bin profile V of <g, G_{conj lambda}> / D(lambda) *
+        G_lambda.  m and V are radial, so the parts are ghat Re m +
+        delta_hat Re V[bin] and ghat Im m + delta_hat Im V[bin].
         """
-        chunks = self._node_chunks(np.array([complex(lam)]), np.ones(1), 1)
+        lam = complex(lam)
+        chunks = self._node_chunks(np.array([lam]), np.ones(1), 1)
         prof = self.correction(self._bin_pair(ghat), chunks)
-        return ghat / (lam + self.xi2) + self.delta_hat * np.take(prof, self.bin_index)
+        mult = 1.0 / (lam + self.xi2)
+        re = ghat * mult.real + self.delta_hat * np.take(prof.real, self.bin_index)
+        if lam.imag == 0.0:
+            return re, None
+        return re, ghat * mult.imag + self.delta_hat * np.take(prof.imag, self.bin_index)
 
     def _node_chunks(self, nodes, weights, chunk):
         """Resolvent rows over the bins, ``chunk`` nodes at a time.
@@ -421,7 +417,7 @@ class PointHeatModel:
             yield rows, weights[lo:lo + chunk] / denom
 
     def correction(self, bpair, chunks):
-        """Bin profile of the rank-one contour correction of one quadrature rule.
+        """Complex bin profile of the rank-one contour correction of one quadrature rule.
 
         ``bpair`` is the datum's bin pairing (``_bin_pair``) and ``chunks``
         yields the rule's (rows, base) blocks (``_node_chunks``).  With
@@ -429,24 +425,18 @@ class PointHeatModel:
         V_b = sum_k c_k / (lambda_k + rho_b); the correction transform is
         delta_hat * V[bin].  The datum must be projected: a contour that
         encloses the eigenvalue E (Talbot's does at small t) picks up a pole
-        there that cancels only against a projected numerator.  A real
-        pairing is a real datum's on the half spectrum, whose rule is folded
-        (``_fold``), so the profile is the real part of the sum.
+        there that cancels only against a projected numerator.  Over a
+        folded rule (``_fold``) only the real part of V is the correction.
         """
         bpair = self.wlat * bpair
         prof = np.zeros(self.rho.size, dtype=np.complex128)
         for rows, base in chunks:
             prof += (base * (rows @ bpair)) @ rows
-        return prof.real.copy() if np.isrealobj(bpair) else prof
-
-    def hat(self, f):
-        return fft.fft2(f.values)
-
-    def unhat(self, hat_values):
-        return Field(self.grid, fft.ifft2(hat_values))
+        return prof
 
     def l2_hat(self, hat_values):
-        return math.sqrt(self.wlat * float(np.sum(np.abs(hat_values) ** 2)))
+        """L^2 norm of the real field with this half spectrum."""
+        return math.sqrt(self.wlat * _dot(hat_values, hat_values))
 
 
 @lru_cache(maxsize=4)
@@ -456,7 +446,7 @@ def grid_model(params, grid):
 
 
 def _fold(nodes, weights):
-    """The rule on the half spectrum: the nodes with Im >= 0, conjugate-pair weights doubled.
+    """The nodes with Im >= 0 of a conjugation-closed rule, conjugate-pair weights doubled.
 
     Every rule here is closed under conjugation (node conj(lambda) with
     weight conj(w) for each node lambda with weight w), and a real datum's
@@ -469,16 +459,15 @@ def _fold(nodes, weights):
 
 
 class Flow:
-    """exp(tA) P_ac (or, with ``full``, exp(tA)) for one time t, in transform space.
+    """exp(tA) P_ac (or, with ``full``, exp(tA)) for one time t, on the half spectrum.
 
-    Holds the nodes and weights of one quadrature rule at t: the
+    Holds t's heat multiplier ``heat`` = exp(-t |xi|^2) and the folded
+    (``_fold``) nodes and weights of one quadrature rule at t: the
     ``TALBOT_NODES``-node Talbot rule, or the cut-hugging ``contour`` when
-    one is given.  Per transform layout, on first use, it builds t's heat
-    multiplier exp(-t |xi|^2) and the layout's rule: the whole rule on the
-    full lattice, the folded one (``_fold``) on the half spectrum.  A rule
-    that fits in one ``CHUNK`` (Talbot's does) also keeps its resolvent rows
-    and base weights, so a caller stepping with one t builds them once; a
-    longer rule rebuilds them chunk by chunk on every application.
+    one is given.  A folded rule that fits in one ``CHUNK`` (Talbot's does)
+    also keeps its resolvent rows and base weights, so a caller stepping
+    with one t builds them once; a longer rule rebuilds them chunk by chunk
+    on every application.
     """
 
     def __init__(self, model, t, full=False, contour=None):
@@ -499,36 +488,19 @@ class Flow:
             if contour.truncation >= 3.0 * float(model.rho[-1]):
                 w = w - 1.0
             weights = wts * w / (2j * np.pi)
-        self.nodes, self.weights = nodes, weights
+        self.nodes, self.weights = _fold(nodes, weights)
+        self.heat = np.exp(-t * model.xi2)
+        self._chunks = (
+            list(model._node_chunks(self.nodes, self.weights, CHUNK))
+            if self.nodes.size <= CHUNK else None
+        )
         # the eigenmode's bin profile per unit <g, psi>: the projection's
         # -e^{-t rho} psi and the full flow's e^{tE} psi
         growth = math.exp(model.E * t) if full else 0.0
         self._eig_profile = (growth - np.exp(-t * model.rho)) * model.psi_bins
-        self._layouts = {}
-
-    def _layout(self, ghat):
-        """(heat multiplier, nodes, weights, chunks) in ghat's layout, built on first use.
-
-        ``chunks`` is the rule's list of (rows, base) when it fits in one
-        ``CHUNK``, else None.
-        """
-        got = self._layouts.get(ghat.shape[1])
-        if got is None:
-            m = self.model
-            lay = m.layout(ghat)
-            nodes, weights = self.nodes, self.weights
-            if lay.weights is not None:
-                nodes, weights = _fold(nodes, weights)
-            chunks = list(m._node_chunks(nodes, weights, CHUNK)) if nodes.size <= CHUNK else None
-            got = self._layouts[ghat.shape[1]] = (np.exp(-self.t * lay.xi2), nodes, weights, chunks)
-        return got
-
-    def heat(self, ghat):
-        """t's heat multiplier exp(-t |xi|^2) in ghat's layout."""
-        return self._layout(ghat)[0]
 
     def apply(self, ghat):
-        """The evolved transform, in ghat's layout (full lattice or half spectrum).
+        """The evolved half spectrum of the real field with half spectrum ghat.
 
         With c = <g, psi> = wlat psi_bins . bp read off the bin pairing bp
         of g, the projected pairing is bp - c psi_bins |delta|^2_bins, and
@@ -538,20 +510,21 @@ class Flow:
         heat g_hat + delta_hat V[bin], with no projected copy of g.
         """
         m = self.model
-        lay = m.layout(ghat)
-        heat, nodes, weights, chunks = self._layout(ghat)
         bpair = m._bin_pair(ghat)
         coef = m.wlat * np.dot(bpair, m.psi_bins)
         bpair -= coef * m.psi_pair
-        prof = m.correction(bpair, chunks or m._node_chunks(nodes, weights, CHUNK))
+        chunks = self._chunks or m._node_chunks(self.nodes, self.weights, CHUNK)
+        prof = m.correction(bpair, chunks).real
         prof += coef * self._eig_profile
-        out = heat * ghat
-        out += lay.delta_hat * np.take(prof, lay.bin_index)
+        out = self.heat * ghat
+        out += m.delta_hat * np.take(prof, m.bin_index)
         return out
 
 
 def _check_lambda(lam, params):
     z = complex(lam)
+    if not cmath.isfinite(z):
+        raise ValueError(f"resolvent argument lambda must be finite; got {lam}")
     if z.imag == 0.0 and z.real <= 0.0:
         raise BranchCutError("resolvent argument lies on the branch cut (-inf, 0]")
     ev = params.eigenvalue
@@ -563,14 +536,25 @@ def krein_resolvent(lam, g, params):
     """(lambda - A)^{-1} g: free resolvent plus the rank-one kernel correction."""
     _check_lambda(lam, params)
     model = grid_model(params, g.grid)
-    out = model.resolvent_hat(complex(lam), model.hat(g))
-    return model.unhat(out)
+    (re, im), *rest = [model.resolvent_hat(lam, ghat) for ghat in _real_parts(g.values)]
+    if rest:
+        # R(a + ib) = R a + i R b
+        b_re, b_im = rest[0]
+        re = re if b_im is None else re - b_im
+        im = b_re if im is None else im + b_re
+    return _field(g.grid, re, im)
+
+
+def _check_time(name, t):
+    if not math.isfinite(t):
+        raise ValueError(f"{name} requires a finite t; got {t}")
+    if t <= 0:
+        raise ValueError(f"{name} requires t > 0")
 
 
 def _public_flow(name, t, g, params, contour, full=False):
     """The flow of one public call, after checking its time."""
-    if t <= 0:
-        raise ValueError(f"{name} requires t > 0")
+    _check_time(name, t)
     if t < MIN_TIME:
         raise ValueError(
             f"t = {t} below the supported minimum {MIN_TIME}; compose shorter steps"
@@ -588,17 +572,16 @@ def semigroup_pac(t, g, params, contour=None):
     """
     flow = _public_flow("semigroup_pac", t, g, params, contour)
     model = flow.model
-    ghat = model.hat(g)
-    out = flow.apply(ghat)
+    parts = _real_parts(g.values)
+    outs = [flow.apply(ghat) for ghat in parts]
     # the heat part of the contour representation; the rest is its correction
-    free = flow.heat(ghat) * model.project_ac_hat(ghat)[0]
-    field = model.unhat(out)
+    frees = [flow.heat * model.project_ac_hat(ghat)[0] for ghat in parts]
     gnorm = lp_norm(g, 2)
-    imag = math.sqrt(float(np.sum(field.values.imag ** 2)) * g.grid.cell_area)
+    imag = model.l2_hat(outs[1]) if len(outs) > 1 else 0.0
     return SemigroupResult(
-        field=field,
-        free_part_norm=model.l2_hat(free),
-        correction_norm=model.l2_hat(out - free),
+        field=_field(g.grid, *outs),
+        free_part_norm=math.hypot(*map(model.l2_hat, frees)),
+        correction_norm=math.hypot(*(model.l2_hat(o - f) for o, f in zip(outs, frees))),
         imag_residue=imag / gnorm if gnorm > 0 else 0.0,
     )
 
@@ -606,25 +589,23 @@ def semigroup_pac(t, g, params, contour=None):
 def semigroup_full(t, g, params, contour=None):
     """Full flow: projected semigroup plus the explicit eigenmode e^{tE}."""
     flow = _public_flow("semigroup_full", t, g, params, contour, full=True)
-    out = flow.apply(flow.model.hat(g))
-    return flow.model.unhat(out)
+    return _field(g.grid, *(flow.apply(ghat) for ghat in _real_parts(g.values)))
 
 
 def semigroup_gradient_pac(t, g, params, contour=None):
     """Gradient of the projected flow, evaluated spectrally.
 
     Commutes exactly with :func:`semigroup_pac` on the grid (both act by
-    multipliers on the same transform).  Not available in 3D, where the
-    kernel gradient fails to be q-integrable against any admissible pair.
+    multipliers on the same transform).  The derivative is the real one,
+    zero on each axis' Nyquist line, so the gradient of a real datum is
+    real.  Not available in 3D, where the kernel gradient fails to be
+    q-integrable against any admissible pair.
     """
     if params.dimension == 3:
         raise ValueError("semigroup gradient is not available in dimension 3")
     flow = _public_flow("semigroup_gradient_pac", t, g, params, contour)
-    out = flow.apply(flow.model.hat(g))
-    XI1, XI2 = g.grid.wavenumbers()
-    dx = flow.model.unhat(1j * XI1 * out)
-    dy = flow.model.unhat(1j * XI2 * out)
-    return dx, dy
+    outs = [flow.apply(ghat) for ghat in _real_parts(g.values)]
+    return tuple(_field(g.grid, *(d * out for out in outs)) for d in flow.model.derivative)
 
 
 def backward_euler_oracle(t, g, params, steps):
@@ -639,8 +620,7 @@ def backward_euler_oracle(t, g, params, steps):
     """
     if steps < 10:
         raise ValueError("backward_euler_oracle requires steps >= 10")
-    if t <= 0:
-        raise ValueError("backward_euler_oracle requires t > 0")
+    _check_time("backward_euler_oracle", t)
     lam = steps / t
     ev = params.eigenvalue or 0.0
     if abs(lam - ev) <= 1e-9 * max(1.0, ev):
@@ -648,14 +628,17 @@ def backward_euler_oracle(t, g, params, steps):
         lam = steps / t
         warnings.warn("resolvent shift hit the eigenvalue; stepping count bumped by one")
     model = grid_model(params, g.grid)
-    uhat, _ = model.project_ac_hat(model.hat(g))
     r = 1.0 / (lam + model.rho)
     s = lam / (lam + model.rho)
     coef = lam * model.wlat / model.denominator(lam)
-    p = model._bin_pair(uhat)
-    v = np.zeros_like(p)
-    for _ in range(steps):
-        v = s * v + (coef * np.dot(r, p + model.delta_sq_bins * v)) * r
-        p = s * p
-    free = uhat * (lam / (lam + model.xi2)) ** steps
-    return model.unhat(free + model.delta_hat * np.take(v, model.bin_index))
+    free = (lam / (lam + model.xi2)) ** steps
+    outs = []
+    for ghat in _real_parts(g.values):
+        uhat, _ = model.project_ac_hat(ghat)
+        p = model._bin_pair(uhat)
+        v = np.zeros_like(p)
+        for _ in range(steps):
+            v = s * v + (coef * np.dot(r, p + model.delta_sq_bins * v)) * r
+            p = s * p
+        outs.append(free * uhat + model.delta_hat * np.take(v, model.bin_index))
+    return _field(g.grid, *outs)

@@ -38,17 +38,17 @@ a . grad u) and one rfft2; :func:`state_fields` samples the drifts along
 The problem is posed for real u: the forcing is computed as
 gamma |u|^(gamma-2) u (a . grad u), which equals a . grad(|u|^gamma) only
 for real u.  Real data, a real vector a and the real self-adjoint A keep
-every state real, so the solver holds u as its rfft2 half spectrum (the
-first n/2 + 1 columns of the full transform; see :mod:`pideq.semigroup`)
-and q as a real float, and steps, forces, splits and pairs there.  A state
-or source enters that layout in one place, which raises ValueError when its
+every state real, so the solver holds u as its rfft2 half spectrum, the
+grid model's one transform layout (see :mod:`pideq.semigroup`), and q as a
+real float, and steps, forces, splits and pairs there.  A state or source
+enters the half spectrum in one place, which raises ValueError when its
 imaginary part exceeds ``IMAG_TOL`` of its size and drops it otherwise.  A
 solver state's ``regular`` is an inverse rfft2, so its imaginary part is
-exactly 0.  The spectral derivative i xi_k is zero on
-the Nyquist line of its own axis (row n/2 for x1, the last half-spectrum
-column for x2): there the full-lattice derivative of a real field is purely
-imaginary, so the real derivative has no such mode (S. G. Johnson, "Notes
-on FFT-based differentiation", MIT, 2011).
+exactly 0.  The spectral derivative i xi_k, the grid model's derivative
+pair, is zero on the Nyquist line of its own axis (row n/2 for x1, the
+last half-spectrum column for x2): there the full-lattice derivative of a
+real field is purely imaginary, so the real derivative has no such mode
+(S. G. Johnson, "Notes on FFT-based differentiation", MIT, 2011).
 
 Time quadrature is left-endpoint product integration (exponential Euler).
 One sweep over a window steps u_{j+1} = S(dt)[u_j + dt F(v_j)]: with v_j
@@ -199,24 +199,19 @@ class Trajectory:
 def _drift_kernels(params, grid, a):
     """(K_a, c_a) of the drift derivative a . grad, for a tuple a of two floats; read-only.
 
-    K_a = a1 i xi1 + a2 i xi2 on the rfft2 half spectrum, each i xi_k zero on
-    the Nyquist line of its own axis.  c_a is the closed Bessel form of
-    a . grad G_omega less the spectral derivative irfft2(K_a G_omega_hat), so
-    that irfft2(K_a u_hat) + q c_a is the spectral derivative of phi plus q
+    K_a = a1 i xi1 + a2 i xi2 on the rfft2 half spectrum, from the model's
+    real derivative pair.  c_a is the closed Bessel form of a . grad G_omega
+    less the spectral derivative irfft2(K_a G_omega_hat), so that
+    irfft2(K_a u_hat) + q c_a is the spectral derivative of phi plus q
     times the closed form.
     """
-    m = grid.n // 2 + 1
-    XI1, XI2 = grid.wavenumbers()
-    d1 = 1j * XI1[:, :1]
-    d2 = 1j * XI2[:1, :m]
-    d1[grid.n // 2, 0] = 0.0
-    d2[0, -1] = 0.0
+    model = grid_model(params, grid)
+    d1, d2 = model.derivative
     a1, a2 = a
     kernel = a1 * d1 + a2 * d2
     gx, gy = green_gradient_field(reference_lambda(params), grid)
     closed = a1 * gx.values.real + a2 * gy.values.real
-    ghat = grid_model(params, grid).half.green_omega_hat
-    kernels = (kernel, closed - fft.irfft2(kernel * ghat))
+    kernels = (kernel, closed - fft.irfft2(kernel * model.green_omega_hat))
     # shared by every caller of the cache
     for arr in kernels:
         arr.setflags(write=False)
@@ -306,7 +301,7 @@ def lagrange_multiplier(u, cfg):
 def _state_hat(model, u):
     """(u_hat, coeff) of a real state u = phi + coeff G_omega: u's half spectrum, its own coeff."""
     phat, q = _half_spectrum(model.grid, u.regular.values, u.coeff)
-    return phat + q * model.half.green_omega_hat, q
+    return phat + q * model.green_omega_hat, q
 
 
 def _half_spectrum(grid, values, coeff=0.0):
@@ -337,13 +332,13 @@ def _split(model, uhat):
     in u.
     """
     q = model.coupling_coefficient(uhat)
-    return uhat - q * model.half.green_omega_hat, q
+    return uhat - q * model.green_omega_hat, q
 
 
 @lru_cache(maxsize=8)
 def _proxy_kernel(params, grid):
     """The H^1 proxy's form constants of G_omega on the half spectrum (``_h1_kernel``)."""
-    return _h1_kernel(grid, grid_model(params, grid).half.green_omega_hat)
+    return _h1_kernel(grid, grid_model(params, grid).green_omega_hat)
 
 
 def _proxy(model, uhat):
@@ -661,7 +656,7 @@ def residual_check(traj, cfg, t_min=0.0):
     psi_vals = psi_alpha_field(params, grid).values.real
     projected = traj.rho.size > 0
 
-    ghat = model.half.green_omega_hat
+    ghat = model.green_omega_hat
     totals = [_state_hat(model, st) for st in traj.states]
 
     worst = 0.0
@@ -671,7 +666,7 @@ def residual_check(traj, cfg, t_min=0.0):
         uc, qc = totals[k]
         du_hat = (totals[k + 1][0] - totals[k - 1][0]) / (2.0 * dt)
         # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
-        au_hat = model.omega * uc - (model.omega + model.half.xi2) * (uc - qc * ghat)
+        au_hat = model.omega * uc - (model.omega + model.xi2) * (uc - qc * ghat)
         f_vals, _ = _nonlinear_values(model, uc, qc, cfg)
         resid = fft.irfft2(du_hat - au_hat) - f_vals
         if projected:

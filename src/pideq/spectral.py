@@ -306,27 +306,35 @@ def _hermitian_weights(n):
     return w
 
 
-@lru_cache(maxsize=4)
-def _h1_weights(grid, width):
-    """(1 + |xi|^2) times the column weights on an n x width transform, read-only.
+def _real_parts(values):
+    """rfft2 half spectra of Re values and, when it is not zero, of Im values.
 
-    The column weights are 1 on the full lattice and the Hermitian ones on
-    the half spectrum.
+    Every operator of the package is real, so it acts on a complex field
+    part by part: applied to each half spectrum, it gives the transforms of
+    the real and the imaginary part of its output.
     """
-    w = 1.0 + grid.wavenumber_sq()[:, :width]
-    if width != grid.n:
-        w *= _hermitian_weights(grid.n)
+    parts = [fft.rfft2(values.real)]
+    if np.any(values.imag):
+        parts.append(fft.rfft2(values.imag))
+    return parts
+
+
+@lru_cache(maxsize=4)
+def _h1_weights(grid):
+    """(1 + |xi|^2) times the Hermitian column weights on the rfft2 half spectrum, read-only."""
+    w = 1.0 + grid.wavenumber_sq()[:, :grid.n // 2 + 1]
+    w *= _hermitian_weights(grid.n)
     w.setflags(write=False)
     return w
 
 
 def _h1_kernel(grid, khat):
-    """(w khat, C) of a kernel G given by its transform: the constants of the proxy's form.
+    """(w khat, C) of a kernel G given by its half spectrum: the constants of the proxy's form.
 
-    w is :func:`_h1_weights` in khat's layout and C = wlat sum w |khat|^2,
-    G's own squared proxy part; both read-only inputs of :func:`_h1_proxy_hat`.
+    w is :func:`_h1_weights` and C = wlat sum w |khat|^2, G's own squared
+    proxy part; both read-only inputs of :func:`_h1_proxy_hat`.
     """
-    w = _h1_weights(grid, khat.shape[1])
+    w = _h1_weights(grid)
     wk = w * khat
     wk.setflags(write=False)
     wlat = grid.cell_area / grid.n ** 2
@@ -334,25 +342,29 @@ def _h1_kernel(grid, khat):
 
 
 def _h1_proxy_hat(grid, uhat, q, kernel=None):
-    """(||phi||_2^2 + ||grad phi||_2^2 + |q|^2)^(1/2) for phi = u - q G, by Parseval.
+    """(||phi||_2^2 + ||grad phi||_2^2 + q^2)^(1/2) for phi = u - q G, by Parseval.
 
-    ``uhat`` is u's full transform, or, read off its width, the rfft2 half
-    spectrum of a real u, summed with the Hermitian column weights: the
-    sum of re^2 + im^2 against :func:`_h1_weights`.  Without ``kernel``,
-    phi = u.  With ``kernel`` = :func:`_h1_kernel` of G, phi's transform is
-    never formed: ||phi||^2 = A - 2 Re(conj(q) X) + |q|^2 C, with A the
-    weighted |u_hat|^2 and X the weighted sum u_hat conj(G_hat), clamped
-    at 0 against cancellation.
+    ``uhat`` is the rfft2 half spectrum of a real u and q is real; the sum
+    of re^2 + im^2 is taken against :func:`_h1_weights`.  Without
+    ``kernel``, phi = u.  With ``kernel`` = :func:`_h1_kernel` of G, phi's
+    transform is never formed: ||phi||^2 = A - 2 q Re X + q^2 C, with A the
+    weighted |u_hat|^2 and X the weighted sum u_hat conj(G_hat), clamped at
+    0 against cancellation.
     """
     wlat = grid.cell_area / grid.n ** 2
-    dens = wlat * float(np.vdot(_h1_weights(grid, uhat.shape[1]), uhat.real ** 2 + uhat.imag ** 2))
+    dens = wlat * float(np.vdot(_h1_weights(grid), uhat.real ** 2 + uhat.imag ** 2))
     if kernel is not None:
         wk, cc = kernel
-        cross = wlat * (np.conj(q) * np.vdot(wk, uhat)).real
-        dens = max(dens - 2.0 * cross + abs(q) ** 2 * cc, 0.0)
-    return math.sqrt(dens + abs(q) ** 2)
+        cross = wlat * q * np.vdot(wk, uhat).real
+        dens = max(dens - 2.0 * cross + q * q * cc, 0.0)
+    return math.sqrt(dens + q * q)
 
 
 def h1_alpha_norm(u):
-    """Norm proxy (||phi||_2^2 + ||grad phi||_2^2 + |coeff|^2)^(1/2), the solver's measure."""
-    return _h1_proxy_hat(u.regular.grid, fft.fft2(u.regular.values), u.coeff)
+    """Norm proxy (||phi||_2^2 + ||grad phi||_2^2 + |coeff|^2)^(1/2), the solver's measure.
+
+    A complex phi's proxy sums those of its real and imaginary parts.
+    """
+    grid = u.regular.grid
+    dens = sum(_h1_proxy_hat(grid, part, 0.0) ** 2 for part in _real_parts(u.regular.values))
+    return math.sqrt(dens + abs(u.coeff) ** 2)

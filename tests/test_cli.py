@@ -60,21 +60,35 @@ def test_simulate_rejects_nonfinite_drift(tmp_path):
         (["simulate", "--T", "0.05", "--dt", "0.02"], "integer multiple of dt"),
         (["simulate", "--alpha", "inf"], "positive eigenvalue"),
         (["simulate", "--gamma", "inf"], "gamma must be a finite number"),
+        (["semigroup", "--t", "inf"], "semigroup_pac requires a finite t"),
+        (["semigroup", "--t", "nan"], "semigroup_pac requires a finite t"),
+        (["resolve", "--lambda", "nan"], "lambda must be finite"),
+        (["resolve", "--lambda", "inf"], "lambda must be finite"),
+        (["semigroup", "--u0", "nosuchfile"], "No such file"),
+        (["--config", "nosuch.cfg", "semigroup"], "No such file"),
     ],
 )
-def test_input_errors_exit_2(tmp_path, capsys, argv, message):
-    # an input the library rejects is one stderr line and exit code 2
+def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    # an input the library rejects, or a file that cannot be read, is one
+    # stderr line and exit code 2
+    monkeypatch.chdir(tmp_path)
     assert main(["--out", str(tmp_path), *argv, "--grid-n", "64"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("pideq: error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_input_error_has_no_traceback(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
-    for argv in (["resolve", "--lambda", "-1"], ["verify", "--grid-n", "100"]):
+    for argv in (
+        ["resolve", "--lambda", "-1"],
+        ["verify", "--grid-n", "100"],
+        ["semigroup", "--u0", "nosuchfile"],
+        ["--config", "nosuch.cfg", "spectral"],
+    ):
         proc = subprocess.run(
             [sys.executable, "-m", "pideq.cli", "--out", str(tmp_path), *argv],
-            env=env, capture_output=True, text=True,
+            env=env, capture_output=True, text=True, cwd=tmp_path,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("pideq: error: ") and "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """Rate fitting, admissible exponents, convolution bound, harness runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,10 @@ def test_fit_rate_validation():
         fit_rate([(t, 1.0) for t in (0.5, 1, 2, 3, 4)])
     with pytest.raises(ValueError):
         fit_rate([(t, v) for t, v in zip((1, 2, 3, 4, 5), (1, 1, -1, 1, 1))])
+    # a NaN sample would fit a NaN slope, and t = inf fails inside LAPACK
+    for bad in ((3.0, math.nan), (math.inf, 1.0), (math.nan, 1.0), (3.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            fit_rate([(1.0, 1.0), (2.0, 0.5), bad, (4.0, 0.25), (5.0, 0.2)])
 
 
 def test_admissible_exponents_families():

@@ -30,6 +30,9 @@ def test_grid_validation():
         Grid(40.0, 8)
     with pytest.raises(ValueError):
         Grid(-1.0, 64)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="half_width must be a finite number"):
+            Grid(bad, 64)
 
 
 def test_offset_keeps_origin_off_mesh():

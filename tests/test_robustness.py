@@ -70,11 +70,11 @@ def test_stepper_matches_public_semigroup(params, grid128):
     g = gaussian_field(grid128, sigma=1.5, amplitude=0.1)
     model = grid_model(params, grid128)
     prop = Flow(model, 0.01, full=False)
-    cur = model.hat(g)
+    cur = np.fft.rfft2(g.values.real)
     for _ in range(100):
         cur = prop.apply(cur)
     ref = semigroup_pac(1.0, g, params, ContourSpec.for_time(params, 1.0)).field
-    err = lp_norm(Field(grid128, np.fft.ifft2(cur)) - ref, 2) / lp_norm(ref, 2)
+    err = lp_norm(Field(grid128, np.fft.irfft2(cur)) - ref, 2) / lp_norm(ref, 2)
     assert err < 1e-6
 
 

@@ -25,8 +25,8 @@ from pideq import (
     semigroup_pac,
 )
 from pideq.errors import BranchCutError, ContourError, PoleError
-from pideq.semigroup import CHUNK, Flow, _talbot_nodes, grid_model
-from pideq.spectral import _h1_proxy_hat
+from pideq.semigroup import CHUNK, Flow, _dot, _talbot_nodes, grid_model
+from pideq.spectral import _h1_proxy_hat, green_field
 
 
 def test_contour_spec_validation(params):
@@ -53,6 +53,48 @@ def test_contour_quadrature_scalar_oracle(params):
     assert abs(outside) < 1e-7
 
 
+class _FullLattice:
+    """The grid operator written out on the full n x n lattice of np.fft.fft2, as a reference.
+
+    delta_hat = (E + |xi|^2) fft2(G_E), psi_hat = fft2(G_E)/||G_E||, and
+    D(lambda) = S(E) - S(lambda) with S(nu) = wlat sum |delta_hat|^2/(nu + |xi|^2),
+    every sum taken over the whole lattice.
+    """
+
+    def __init__(self, params, grid):
+        self.grid = grid
+        self.E = params.eigenvalue
+        self.xi2 = grid.wavenumber_sq()
+        self.wlat = grid.cell_area / grid.n ** 2
+        green = green_field(self.E, grid, method="direct")
+        ghat = np.fft.fft2(green.values.real)
+        self.delta_hat = (self.E + self.xi2) * ghat
+        self.psi_hat = ghat / lp_norm(green, 2)
+        self.S_at_E = self._lattice_sum(self.E)
+
+    def _lattice_sum(self, nu):
+        return self.wlat * np.sum(np.abs(self.delta_hat) ** 2 / (nu + self.xi2))
+
+    def denominator(self, lam):
+        return self.S_at_E - self._lattice_sum(lam)
+
+    def project(self, ghat):
+        return ghat - self.wlat * np.vdot(self.psi_hat, ghat) * self.psi_hat
+
+    def rank_one(self, nodes, weights, ghat):
+        """sum_k w_k <g, G_{conj lambda_k}>/D(lambda_k) G_{lambda_k}, node by node."""
+        out = np.zeros_like(ghat, dtype=np.complex128)
+        for lam, w in zip(nodes, weights):
+            pair = self.wlat * np.vdot(self.delta_hat, ghat / (lam + self.xi2))
+            out += w * pair / self.denominator(lam) * self.delta_hat / (lam + self.xi2)
+        return out
+
+
+def _half(full_hat):
+    """The rfft2 half spectrum of a real field given by its full transform."""
+    return np.ascontiguousarray(full_hat[:, : full_hat.shape[0] // 2 + 1])
+
+
 def test_resolvent_identity(params, grid128, smooth_datum):
     lam, mu = 2.0, 5.0
     r1 = krein_resolvent(lam, smooth_datum, params)
@@ -74,6 +116,9 @@ def test_resolvent_errors(params, smooth_datum):
         krein_resolvent(params.eigenvalue, smooth_datum, params)
     with pytest.raises(BranchCutError):
         krein_resolvent(-3.0, smooth_datum, params)
+    for bad in (math.nan, math.inf, -math.inf, complex(1.0, math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            krein_resolvent(bad, smooth_datum, params)
 
 
 def test_resolvent_free_laplacian_limit(grid128, smooth_datum):
@@ -98,6 +143,10 @@ def test_semigroup_time_domain(params, smooth_datum):
         semigroup_pac(0.0, smooth_datum, params)
     with pytest.raises(ValueError):
         semigroup_pac(0.005, smooth_datum, params)
+    for fn in (semigroup_pac, semigroup_full, semigroup_gradient_pac):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{fn.__name__} requires a finite t"):
+                fn(bad, smooth_datum, params)
 
 
 def test_semigroup_annihilates_eigenfunction(params, grid128):
@@ -167,45 +216,41 @@ def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
     # a flow's binned Talbot kernel against the Talbot sum written out node
     # by node over the full lattice, at interleaved step sizes
     model = grid_model(params, grid128)
-    ghat, _ = model.project_ac_hat(model.hat(smooth_datum))
+    ref = _FullLattice(params, grid128)
+    gfull = ref.project(np.fft.fft2(smooth_datum.values.real))
+    ghalf = _half(gfull)
     sigma, swts = _talbot_nodes(32)
     for dt in (0.02, 0.01, 0.02):
-        ref = np.zeros_like(ghat)
-        for lam, w in zip(sigma / dt, (swts / dt) * np.exp(sigma)):
-            pair = model.wlat * np.vdot(model.delta_hat, ghat / (lam + model.xi2))
-            c = w * pair / model.denominator(lam)
-            ref += c * model.delta_hat / (lam + model.xi2)
+        direct = _half(ref.rank_one(sigma / dt, (swts / dt) * np.exp(sigma), gfull))
         flow = Flow(model, dt)
-        corr = flow.apply(ghat) - flow.heat(ghat) * ghat
-        assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
+        corr = flow.apply(ghalf) - flow.heat * ghalf
+        assert np.linalg.norm(corr - direct) <= 1e-13 * np.linalg.norm(direct)
 
 
 def test_contour_flow_matches_direct_sum(params, grid128):
     # an explicit-contour flow's binned kernel against the cut-hugging sum
     # written out node by node over the full lattice
     model = grid_model(params, grid128)
+    ref = _FullLattice(params, grid128)
     g = gaussian_field(grid128, sigma=2.0)
-    ghat, _ = model.project_ac_hat(model.hat(g))
+    gfull = ref.project(np.fft.fft2(g.values.real))
+    ghalf = _half(gfull)
     t = 1.0
     contour = ContourSpec.for_time(params, t)
     nodes, wts = contour.nodes()
     weights = wts * np.exp(t * nodes) / (2j * np.pi)
     assert contour.truncation < 3.0 * model.rho[-1]  # no moment cancellation
-    ref = np.zeros_like(ghat)
-    for lam, w in zip(nodes, weights):
-        pair = model.wlat * np.vdot(model.delta_hat, ghat / (lam + model.xi2))
-        c = w * pair / model.denominator(lam)
-        ref += c * model.delta_hat / (lam + model.xi2)
+    direct = _half(ref.rank_one(nodes, weights, gfull))
     flow = Flow(model, t, contour=contour)
-    corr = flow.apply(ghat) - flow.heat(ghat) * ghat
-    assert np.linalg.norm(corr - ref) <= 1e-12 * np.linalg.norm(ref)
+    corr = flow.apply(ghalf) - flow.heat * ghalf
+    assert np.linalg.norm(corr - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_correction_chunk_invariance(params, grid128, smooth_datum):
     # chunks straddle the leg boundaries (256 ray nodes) for chunk = 7
     model = grid_model(params, grid128)
     contour = ContourSpec.for_time(params, 1.0)
-    ghat, _ = model.project_ac_hat(model.hat(smooth_datum))
+    ghat, _ = model.project_ac_hat(np.fft.rfft2(smooth_datum.values.real))
     nodes, wts = contour.nodes()
     weights = wts * np.exp(nodes) / (2j * np.pi)
     bpair = model._bin_pair(ghat)
@@ -220,7 +265,7 @@ def test_correction_hat_memory_bounded(params, grid256):
     model = grid_model(params, grid256)
     flow = Flow(model, 50.0, contour=ContourSpec.for_time(params, 50.0))
     g = gaussian_field(grid256, sigma=2.0)
-    ghat = model.hat(g)
+    ghat = np.fft.rfft2(g.values.real)
     tracemalloc.start()
     try:
         flow.apply(ghat)
@@ -235,9 +280,9 @@ def test_holder_pairing_bound(params, grid128, smooth_datum):
     # ||G_lam||_2^2 = (pi/2 + atan(-Re lam / |Im lam|)) / (4 pi |Im lam|);
     # the |lam|^(-1/2) scaling form carries an absorbed arg-dependent
     # constant, sampled here to stay below 1.5 on the working contour
-    model = grid_model(params, grid128)
+    ref = _FullLattice(params, grid128)
     gac = project_ac(smooth_datum, params)
-    ghat = model.hat(gac)
+    ghat = np.fft.fft2(gac.values)
     gq = lp_norm(gac, 2)
     g1 = green_lp_norm(1.0, 2)
 
@@ -250,7 +295,7 @@ def test_holder_pairing_bound(params, grid128, smooth_datum):
     contour = ContourSpec.for_time(params, 1.0)
     nodes, _ = contour.nodes()
     for lam in nodes[:: len(nodes) // 16]:
-        pair = abs(model.wlat * np.vdot(model.delta_hat, ghat / (lam + model.xi2)))
+        pair = abs(ref.wlat * np.vdot(ref.delta_hat, ghat / (lam + ref.xi2)))
         assert pair <= gq * kernel_l2(lam) * 1.02
         assert pair <= 1.5 * abs(lam) ** (-0.5) * gq * g1
 
@@ -295,17 +340,17 @@ def test_backward_euler_matches_lattice_recurrence(alpha, t, steps):
     params = AlphaParams.for_alpha(alpha, 2)
     grid = Grid(40.0, 128)
     g = gaussian_field(grid, sigma=2.0)
-    model = grid_model(params, grid)
+    ref = _FullLattice(params, grid)
     lam = steps / t
-    r = 1.0 / (lam + model.xi2)
-    green = model.delta_hat * r
-    denom = model.denominator(lam)
-    uhat, _ = model.project_ac_hat(model.hat(g))
+    r = 1.0 / (lam + ref.xi2)
+    green = ref.delta_hat * r
+    denom = ref.denominator(lam)
+    uhat = ref.project(np.fft.fft2(g.values))
     for _ in range(steps):
-        uhat = lam * (uhat * r + (model.wlat * np.vdot(green, uhat) / denom) * green)
-    ref = model.unhat(uhat)
+        uhat = lam * (uhat * r + (ref.wlat * np.vdot(green, uhat) / denom) * green)
+    expect = Field(grid, np.fft.ifft2(uhat))
     out = backward_euler_oracle(t, g, params, steps)
-    assert lp_norm(out - ref, 2) <= 1e-13 * lp_norm(ref, 2)
+    assert lp_norm(out - expect, 2) <= 1e-13 * lp_norm(expect, 2)
 
 
 def test_backward_euler_validation(params, smooth_datum):
@@ -313,19 +358,29 @@ def test_backward_euler_validation(params, smooth_datum):
         backward_euler_oracle(1.0, smooth_datum, params, 5)
     with pytest.raises(ValueError):
         backward_euler_oracle(-1.0, smooth_datum, params, 100)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="backward_euler_oracle requires a finite t"):
+            backward_euler_oracle(bad, smooth_datum, params, 100)
 
 
 def test_resolvent_matches_direct_formula(params, grid128, smooth_datum):
-    # the one-node rule against the resolvent written out term by term, at
-    # interleaved real and complex lambdas
+    # the one-node rule against the resolvent written out term by term over
+    # the full lattice, at interleaved real and complex lambdas: at complex
+    # lambda R(lambda) g is complex, and resolvent_hat returns the half
+    # spectra of its real and imaginary parts
     model = grid_model(params, grid128)
-    ghat = model.hat(smooth_datum)
-    for lam in (2.0, 5.0, 2.0, 3.0 + 1.0j, 1000.0, 2.0):
-        free = ghat / (lam + model.xi2)
-        pair = model.wlat * np.sum(ghat * np.conj(model.delta_hat) / (lam + model.xi2))
-        full = free + pair / model.denominator(lam) * model.delta_hat / (lam + model.xi2)
-        out = model.resolvent_hat(lam, ghat)
-        assert np.linalg.norm(out - full) <= 1e-14 * np.linalg.norm(full)
+    ref = _FullLattice(params, grid128)
+    gfull = np.fft.fft2(smooth_datum.values.real)
+    ghalf = np.fft.rfft2(smooth_datum.values.real)
+    for lam in (2.0, 5.0, 2.0, 3.0 + 1.0j, 1000.0, 2.0, -1.0 + 0.5j):
+        free = gfull / (lam + ref.xi2)
+        pair = ref.wlat * np.sum(gfull * np.conj(ref.delta_hat) / (lam + ref.xi2))
+        full = free + pair / ref.denominator(lam) * ref.delta_hat / (lam + ref.xi2)
+        expect = np.fft.ifft2(full)
+        re, im = model.resolvent_hat(lam, ghalf)
+        assert (im is None) == (complex(lam).imag == 0.0)
+        out = np.fft.irfft2(re) + (0.0 if im is None else 1j * np.fft.irfft2(im))
+        assert np.linalg.norm(out - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
 def test_regression_bands(params, grid128):
@@ -369,102 +424,187 @@ def _rel(a, b):
     return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
 
 
+def _full_bin_pair(ref, gfull):
+    """Bin sums of gfull conj(delta_hat) over the full lattice's integer |k|^2, by np.bincount."""
+    n = ref.grid.n
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    ksq = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
+    _, index = np.unique(ksq, return_inverse=True)
+    prod = (gfull * np.conj(ref.delta_hat)).ravel()
+    return np.bincount(index, weights=prod.real) + 1j * np.bincount(index, weights=prod.imag)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
 def test_half_spectrum_pairings_match_full_lattice(alpha):
-    # Hermitian-weighted pairings on the half spectrum against the real part
-    # of the full-lattice ones, for a field whose energy is spread over the
-    # lattice and for one with most of it in column 0 and the Nyquist column
+    # Hermitian-weighted pairings on the half spectrum against the pairings
+    # written out over the full lattice, for a field whose energy is spread
+    # over the lattice and for one with most of it in column 0 and the
+    # Nyquist column
     for edges in (False, True):
         model, ghalf, gfull = _half_and_full(alpha, 11, edges)
-        m = ghalf.shape[1]
+        ref = _FullLattice(model.params, model.grid)
         if edges:
             assert np.linalg.norm(ghalf[:, [0, -1]]) > 0.9 * np.linalg.norm(ghalf)
         out_half, coef_half = model.project_ac_hat(ghalf)
-        out_full, coef_full = model.project_ac_hat(gfull)
+        coef_full = ref.wlat * np.vdot(ref.psi_hat, gfull)
         assert isinstance(coef_half, float)
-        assert abs(coef_half - coef_full.real) <= 1e-13 * abs(coef_full)
-        assert _rel(out_half, out_full[:, :m]) <= 1e-13
+        assert abs(coef_half - coef_full) <= 1e-13 * abs(coef_full)
+        assert _rel(out_half, _half(ref.project(gfull))) <= 1e-13
         q_half = model.coupling_coefficient(ghalf)
-        q_full = model.coupling_coefficient(gfull)
+        q_full = ref.wlat * np.vdot(ref.delta_hat, gfull) / ref.S_at_E
         assert isinstance(q_half, float)
-        assert abs(q_half - q_full.real) <= 1e-13 * abs(q_full)
+        assert abs(q_half - q_full) <= 1e-13 * abs(q_full)
         bins_half = model._bin_pair(ghalf)
         assert bins_half.dtype == np.float64
-        assert _rel(bins_half, model._bin_pair(gfull).real) <= 1e-13
+        assert _rel(bins_half, _full_bin_pair(ref, gfull)) <= 1e-13
         # paired with itself plus a second field, so the pairing is far from 0
         _, bhalf, bfull = _half_and_full(alpha, 13, edges)
-        dot_half = model.layout(ghalf).dot(ghalf, ghalf + bhalf)
-        dot_full = model.layout(gfull).dot(gfull, gfull + bfull)
+        dot_half = _dot(ghalf, ghalf + bhalf)
+        dot_full = np.vdot(gfull + bfull, gfull)
         assert isinstance(dot_half, float)
-        assert abs(dot_half - dot_full.real) <= 1e-13 * abs(dot_full)
-        h1_full = _h1_proxy_hat(model.grid, gfull, 0.3)
+        assert abs(dot_half - dot_full) <= 1e-13 * abs(dot_full)
+        h1_full = np.sqrt(ref.wlat * np.sum((1.0 + ref.xi2) * np.abs(gfull) ** 2) + 0.3 ** 2)
         assert abs(_h1_proxy_hat(model.grid, ghalf, 0.3) - h1_full) <= 1e-13 * h1_full
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
 @pytest.mark.parametrize("full", [False, True])
 def test_half_spectrum_flow_matches_full_lattice(alpha, full):
-    # Flow.apply on the half spectrum, with its folded rule, is the first
-    # n/2 + 1 columns of the full-lattice flow of the same real field
+    # Flow.apply with its folded rule is the first n/2 + 1 columns of the
+    # flow of the same real field written out over the full lattice with the
+    # whole rule: heat P_ac g + the rank-one sum (+ e^{tE} <g, psi> psi)
     model, ghalf, gfull = _half_and_full(alpha, 12)
-    m = ghalf.shape[1]
-    flows = [Flow(model, t, full=full) for t in (0.02, 1.0)]
+    ref = _FullLattice(model.params, model.grid)
+    gac = ref.project(gfull)
+    coef = ref.wlat * np.vdot(ref.psi_hat, gfull)
+    sigma, swts = _talbot_nodes(32)
+    rules = [(t, sigma / t, (swts / t) * np.exp(sigma), None) for t in (0.02, 1.0)]
     # the cut-hugging rule at t = 1 folds to its upper nodes and one real
     # arc node, more than one chunk of them
-    contour = Flow(model, 1.0, full=full, contour=ContourSpec.for_time(model.params, 1.0))
-    for flow in flows + [contour]:
-        out_half = flow.apply(ghalf)
-        out_full = flow.apply(gfull)
-        assert out_half.shape == ghalf.shape
-        assert _rel(out_half, out_full[:, :m]) <= 1e-13
-    _, nodes, _, chunks = contour._layout(ghalf)
-    assert chunks is None and nodes.size > CHUNK
-    assert np.count_nonzero(nodes.imag == 0) == 1 and np.all(nodes.imag >= 0)
-    assert 2 * nodes.size - 1 == contour.nodes.size
+    spec = ContourSpec.for_time(model.params, 1.0)
+    nodes, wts = spec.nodes()
+    assert spec.truncation < 3.0 * model.rho[-1]  # no moment cancellation
+    rules.append((1.0, nodes, wts * np.exp(nodes) / (2j * np.pi), spec))
+    for t, nodes, weights, contour in rules:
+        expect = np.exp(-t * ref.xi2) * gac + ref.rank_one(nodes, weights, gac)
+        if full:
+            expect += math.exp(model.E * t) * coef * ref.psi_hat
+        flow = Flow(model, t, full=full, contour=contour)
+        out = flow.apply(ghalf)
+        assert out.shape == ghalf.shape
+        assert _rel(out, _half(expect)) <= 1e-13
+    assert flow._chunks is None and flow.nodes.size > CHUNK
+    assert np.count_nonzero(flow.nodes.imag == 0) == 1 and np.all(flow.nodes.imag >= 0)
+    assert 2 * flow.nodes.size - 1 == spec.nodes()[0].size
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
 def test_rules_are_conjugate_closed(alpha):
     # folding keeps the upper nodes with doubled weights: every node with
-    # Im < 0 must be the conjugate of one with Im > 0, weight included
-    model, _, _ = _half_and_full(alpha, 12)
-    flows = [Flow(model, 0.02), Flow(model, 1.0, contour=ContourSpec.for_time(model.params, 1.0))]
-    for flow in flows:
-        nodes, weights = flow.nodes, flow.weights
+    # Im < 0 of the unfolded rules (the Talbot rule at t = 0.02 and the
+    # cut-hugging one at t = 1, as a Flow weighs them) must be the conjugate
+    # of one with Im > 0, weight included
+    sigma, swts = _talbot_nodes(32)
+    nodes, wts = ContourSpec.for_time(AlphaParams.for_alpha(alpha, 2), 1.0).nodes()
+    rules = [
+        (sigma / 0.02, (swts / 0.02) * np.exp(sigma)),
+        (nodes, wts * np.exp(nodes) / (2j * np.pi)),
+    ]
+    for nodes, weights in rules:
         up, lo = nodes.imag > 0, nodes.imag < 0
+        assert np.count_nonzero(up) == np.count_nonzero(lo) > 0
         iu = np.argsort(nodes[up])
         il = np.argsort(np.conj(nodes[lo]))
         assert _rel(np.conj(nodes[lo])[il], nodes[up][iu]) <= 1e-15
         assert _rel(np.conj(weights[lo])[il], weights[up][iu]) <= 1e-14
 
 
-def _bincount_pair(model, ghalf):
-    """The weighted bin sums of Re(ghat conj(delta_hat)) by np.bincount, as a reference."""
-    lay = model.half
-    prod = (ghalf.real * lay.delta_hat.real + ghalf.imag * lay.delta_hat.imag) * lay.weights
-    return np.bincount(lay.bin_index.ravel(), weights=prod.ravel())
-
-
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
 def test_sparse_bin_pair_matches_bincount(alpha):
-    # the one CSR product of the half spectrum against the bincount scatter,
-    # on data spread over the lattice and on data in the edge columns, and
-    # on a Fortran-ordered copy
+    # the one CSR product against the bincount scatter over the full
+    # lattice, on data spread over the lattice and on data in the edge
+    # columns, and on a Fortran-ordered copy
     for edges in (False, True):
-        model, ghalf, _ = _half_and_full(alpha, 14, edges)
-        ref = _bincount_pair(model, ghalf)
-        assert _rel(model._bin_pair(ghalf), ref) <= 1e-13
-        assert _rel(model._bin_pair(np.asfortranarray(ghalf)), ref) <= 1e-13
+        model, ghalf, gfull = _half_and_full(alpha, 14, edges)
+        ref = _full_bin_pair(_FullLattice(model.params, model.grid), gfull)
+        assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
+        assert _rel(model._bin_pair(ghalf), ref.real) <= 1e-13
+        assert _rel(model._bin_pair(np.asfortranarray(ghalf)), ref.real) <= 1e-13
 
 
 def test_half_spectrum_talbot_rows_folded(params, grid256):
-    # the half spectrum's Talbot flow keeps half the rule's resolvent rows:
+    # a Talbot flow keeps half the rule's resolvent rows:
     # 16 x 5924 complex rows at n = 256, 1.5 MB
     model = grid_model(params, grid256)
     flow = Flow(model, 0.02)
-    ghalf = np.fft.rfft2(gaussian_field(grid256, sigma=2.0).values.real)
-    flow.apply(ghalf)
-    chunks = flow._layout(ghalf)[3]
-    rows = sum(r.shape[0] for r, _ in chunks)
-    nbytes = sum(r.nbytes for r, _ in chunks)
+    rows = sum(r.shape[0] for r, _ in flow._chunks)
+    nbytes = sum(r.nbytes for r, _ in flow._chunks)
     assert rows <= 16 and nbytes <= 16 * model.rho.size * 16 <= 1.6e6
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+def test_complex_input_is_linear(alpha):
+    # each public operator is real, so on g = a + ib it is S a + i S b; the
+    # resolvent at complex lambda also against its formula written out over
+    # the full lattice for the complex g
+    params = AlphaParams.for_alpha(alpha, 2)
+    grid = Grid(40.0, 128)
+    a = gaussian_field(grid, sigma=2.0, center=(0.5, -0.3))
+    b = Field(grid, np.random.default_rng(3).standard_normal((128, 128)))
+    g = a + 1j * b
+    for t in (0.02, 1.0):
+        out = semigroup_pac(t, g, params)
+        parts = [semigroup_pac(t, f, params) for f in (a, b)]
+        expect = parts[0].field + 1j * parts[1].field
+        assert lp_norm(out.field - expect, 2) <= 1e-14 * lp_norm(expect, 2)
+        assert abs(out.imag_residue * lp_norm(g, 2) - lp_norm(parts[1].field, 2)) <= (
+            1e-13 * lp_norm(parts[1].field, 2)
+        )
+        assert parts[0].imag_residue == 0.0
+        full = semigroup_full(t, g, params)
+        expect = semigroup_full(t, a, params) + 1j * semigroup_full(t, b, params)
+        assert lp_norm(full - expect, 2) <= 1e-14 * lp_norm(expect, 2)
+    ref = _FullLattice(params, grid)
+    gfull = np.fft.fft2(g.values)
+    for lam in (3.0 + 1.0j, -1.0 + 0.5j, 2.0):
+        out = krein_resolvent(lam, g, params)
+        expect = krein_resolvent(lam, a, params) + 1j * krein_resolvent(lam, b, params)
+        assert lp_norm(out - expect, 2) <= 1e-14 * lp_norm(expect, 2)
+        pair = ref.wlat * np.sum(gfull * np.conj(ref.delta_hat) / (lam + ref.xi2))
+        direct = gfull / (lam + ref.xi2) + pair / ref.denominator(lam) * ref.delta_hat / (
+            lam + ref.xi2
+        )
+        direct = Field(grid, np.fft.ifft2(direct))
+        assert lp_norm(out - direct, 2) <= 1e-13 * lp_norm(direct, 2)
+    oracle = backward_euler_oracle(1.0, g, params, 20)
+    expect = backward_euler_oracle(1.0, a, params, 20) + 1j * backward_euler_oracle(
+        1.0, b, params, 20
+    )
+    assert lp_norm(oracle - expect, 2) <= 1e-14 * lp_norm(expect, 2)
+
+
+def test_flows_run_without_full_lattice_transforms(params, grid128, monkeypatch):
+    # the model, its flows, the resolvent, the oracle and the solver work on
+    # the rfft2 half spectrum alone: with fft2 and ifft2 raising, they all run
+    import scipy.fft
+
+    from pideq import DecomposedField, SolverConfig, solve_global_projected
+
+    grid = Grid(36.0, 64)  # no other test builds this model, so its build is covered too
+    g = gaussian_field(grid, sigma=2.0) + 0.5j * gaussian_field(grid, sigma=1.0)
+    u0 = DecomposedField.from_field(gaussian_field(grid, sigma=1.5, amplitude=0.01), params)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("full-lattice transform")
+
+    monkeypatch.setattr(scipy.fft, "fft2", banned)
+    monkeypatch.setattr(scipy.fft, "ifft2", banned)
+    semigroup_pac(1.0, g, params)
+    semigroup_full(0.5, g, params)
+    semigroup_pac(1.0, g, params, ContourSpec.for_time(params, 1.0))
+    semigroup_gradient_pac(1.0, g, params)
+    krein_resolvent(2.0 + 1.0j, g, params)
+    backward_euler_oracle(1.0, g, params, 10)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.04, dt=0.02)
+    traj = solve_global_projected(u0, cfg)
+    assert len(traj.states) == 2
