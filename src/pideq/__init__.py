@@ -5,12 +5,10 @@ equation on the absolutely continuous subspace."""
 from .fields import (
     Field,
     Grid,
-    fourier,
     gaussian_field,
     gradient,
     heat_free,
     inner_product,
-    inverse_fourier,
     load_field,
     lp_norm,
     save_field,
@@ -22,7 +20,6 @@ from .spectral import (
     eigenvalue,
     green_field,
     green_gradient_field,
-    green_gradient_lp_norm,
     green_lp_norm,
     h1_alpha_norm,
     project_ac,
@@ -43,7 +40,6 @@ from .solver import (
     total_field,
     SolverConfig,
     Trajectory,
-    duhamel_integral,
     lagrange_multiplier,
     nonlinearity,
     residual_check,
@@ -58,11 +54,10 @@ from .decay import (
     critical_datum,
     fit_rate,
     run_gradient_decay,
-    run_l2_bound,
     run_nonlinear_decay,
     run_semigroup_decay,
     verify_convolution_lemma,
 )
-from .special import bessel_k0, bessel_k0_complex, bessel_k1, euler_gamma
+from .special import bessel_k0, bessel_k1, euler_gamma
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft, integrate
+from scipy import fft, special
 
 from .fields import Field, Grid, gaussian_field, lp_norm
 from .semigroup import semigroup_gradient_pac, semigroup_pac
@@ -37,7 +37,6 @@ __all__ = [
     "make_datum",
     "run_semigroup_decay",
     "run_gradient_decay",
-    "run_l2_bound",
     "run_nonlinear_decay",
     "admissible_exponents",
     "verify_convolution_lemma",
@@ -106,17 +105,12 @@ def fit_rate(samples, theoretical=math.nan):
 
 @lru_cache(maxsize=16)
 def _cell_average(beta):
-    """Mean of |u|^(-beta) over the unit square cell centred at the origin."""
-    val, _ = integrate.dblquad(
-        lambda y, x: (x * x + y * y) ** (-beta / 2.0),
-        0.0,
-        0.5,
-        0.0,
-        0.5,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-    return 4.0 * val
+    """Mean of |u|^(-beta) over the unit square cell centred at the origin, beta < 2.
+
+    In polar form it is 8/(2 - beta) integral_0^(pi/4) (2 cos theta)^(beta - 2)
+    dtheta, and s = sin^2 theta turns that integral into a hypergeometric value.
+    """
+    return 2.0 ** (beta + 0.5) / (2.0 - beta) * special.hyp2f1(0.5, (3.0 - beta) / 2.0, 1.5, 0.5)
 
 
 def critical_datum(grid, q, envelope=0.25):
@@ -126,8 +120,8 @@ def critical_datum(grid, q, envelope=0.25):
     the singular profile over its frequency cell, so the box does not starve
     the infrared before t ~ (L/pi)^2.
     """
-    if not 1.0 < q:
-        raise ValueError("q must exceed 1")
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"q must be a finite number > 1; got {q!r}")
     beta = 2.0 - 2.0 / q
     xi2 = grid.wavenumber_sq()
     with np.errstate(divide="ignore"):
@@ -181,18 +175,11 @@ def run_semigroup_decay(spec):
     if not (1.0 < spec.q < spec.p < math.inf):
         raise ValueError(
             "semigroup decay requires 1 < q < p < inf; equal exponents have no "
-            "decay rate (see run_l2_bound for the p = q = 2 boundedness check)"
+            "decay rate"
         )
     theo = -(1.0) * (1.0 / spec.q - 1.0 / spec.p)  # N = 2
     return _linear_fit(
         spec, lambda t, g, params: lp_norm(semigroup_pac(t, g, params).field, spec.p), theo
-    )
-
-
-def run_l2_bound(spec):
-    """Uniform L^2 boundedness of the projected flow: fitted slope <= 0."""
-    return _linear_fit(
-        spec, lambda t, g, params: lp_norm(semigroup_pac(t, g, params).field, 2.0), 0.0
     )
 
 
@@ -266,37 +253,21 @@ def admissible_exponents(h1, h2, resolution=1e-3):
     return float(thetas[i]), float(thetas[j])
 
 
-def verify_convolution_lemma(alpha_exp, beta_exp, t_grid, epsrel=1e-10):
+def verify_convolution_lemma(alpha_exp, beta_exp, t_grid):
     """max over t of integral_1^t (t-tau)^(-alpha) tau^(-beta) dtau / t^(1-alpha-beta).
 
-    The weak endpoint singularity at tau = t is integrated with an algebraic
-    weight after splitting at the midpoint; the ratio must stay bounded for
-    alpha < 1.
+    The substitution tau = t (1 - y) makes each ratio the incomplete beta
+    integral B(1 - alpha, 1 - beta) I_(1 - 1/t)(1 - alpha, 1 - beta), so it
+    stays below the lemma's constant B(1 - alpha, 1 - beta).  Needs finite
+    alpha < 1 and beta < 1 (for beta >= 1 the ratio grows like t^(beta - 1))
+    and every t above 1.
     """
-    if alpha_exp >= 1.0:
-        raise ValueError("convolution bound requires alpha < 1")
-    worst = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        if t <= 1.0:
-            raise ValueError("t grid must lie strictly above 1")
-        mid = 0.5 * (1.0 + t)
-        part1, _ = integrate.quad(
-            lambda tau: (t - tau) ** (-alpha_exp) * tau ** (-beta_exp),
-            1.0,
-            mid,
-            epsrel=epsrel,
-            limit=300,
-        )
-        # tau = t - s on [mid, t]: weight s^(-alpha) handled algebraically
-        part2, _ = integrate.quad(
-            lambda s: (t - s) ** (-beta_exp),
-            0.0,
-            t - mid,
-            weight="alg",
-            wvar=(-alpha_exp, 0.0),
-            epsrel=epsrel,
-            limit=300,
-        )
-        ratio = (part1 + part2) / t ** (1.0 - alpha_exp - beta_exp)
-        worst = max(worst, ratio)
-    return float(worst)
+    for name, value in (("alpha", alpha_exp), ("beta", beta_exp)):
+        if not -math.inf < value < 1.0:
+            raise ValueError(f"convolution bound requires a finite {name} < 1; got {value!r}")
+    t = np.asarray(t_grid, dtype=float)
+    if not np.all(t > 1.0):
+        raise ValueError("t grid must lie strictly above 1")
+    a, b = 1.0 - alpha_exp, 1.0 - beta_exp
+    ratios = special.beta(a, b) * special.betainc(a, b, 1.0 - 1.0 / t)
+    return float(np.max(ratios, initial=0.0))

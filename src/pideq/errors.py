@@ -21,10 +21,6 @@ class NoEigenfunctionError(ValueError):
     """Eigenfunction requested for a parameter set without a point eigenvalue."""
 
 
-class SchedulingError(ValueError):
-    """Time-indexed source samples do not cover the requested integration window."""
-
-
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration did not reach the requested tolerance."""
 

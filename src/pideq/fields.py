@@ -10,11 +10,6 @@ Conventions
 * All L^p norms and inner products are unweighted Riemann sums with cell
   area h^2 (h = 2L/n).  Summation uses numpy's pairwise reduction, which is
   deterministic for a fixed shape.
-* :func:`fourier` approximates the continuous transform
-  F(xi) = integral f(x) exp(-i xi . x) dx on the angular frequency lattice
-  xi = 2 pi k / (2L).  The returned field lives on the *ordinary* frequency
-  grid nu = xi / (2 pi) (spacing 1/(2L)), which makes the Riemann-sum
-  Plancherel identity ||f||_2 = ||fourier(f)||_2 exact up to rounding.
 * Operations that are diagonal in Fourier space (heat flow, derivatives,
   resolvent multipliers) act through plain unshifted FFTs; the absolute
   phase bookkeeping of the offset grid cancels in all such products.
@@ -34,8 +29,6 @@ __all__ = [
     "Field",
     "lp_norm",
     "inner_product",
-    "fourier",
-    "inverse_fourier",
     "heat_free",
     "gradient",
     "gaussian_field",
@@ -57,16 +50,11 @@ class Grid:
         Points per axis; a power of two, at least 16.
     offset : bool
         If True, nodes sit at half-cell centres so x = 0 is not a node.
-    freq : bool
-        Marks a frequency-domain grid produced by :func:`fourier`.  Its
-        coordinate lattice always contains 0; ``offset`` then records the
-        convention of the originating spatial grid.
     """
 
     half_width: float
     n: int
     offset: bool = True
-    freq: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0.0):
@@ -85,7 +73,7 @@ class Grid:
 
     def axis(self):
         """1D coordinate lattice along one axis."""
-        shift = 0.5 if (self.offset and not self.freq) else 0.0
+        shift = 0.5 if self.offset else 0.0
         return (np.arange(self.n) + shift) * self.spacing - self.half_width
 
     def mesh(self):
@@ -193,8 +181,8 @@ def lp_norm(f, p):
     """Riemann-sum L^p norm, (sum |f|^p h^2)^(1/p); p = inf gives the max.
 
     Grid norms of fields with integrable point singularities (Green
-    functions) converge slowly; use the radial quadratures in
-    ``pideq.spectral`` when singular parts must be resolved accurately.
+    functions) converge slowly; use :func:`pideq.spectral.green_lp_norm`
+    when a Green function's norm must be resolved accurately.
     """
     if p != np.inf and p < 1:
         raise ValueError("lp_norm requires p >= 1 or p = inf")
@@ -209,32 +197,6 @@ def inner_product(f, g):
     if f.grid != g.grid:
         raise GridMismatchError("inner_product requires identical grids")
     return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_area)
-
-
-def fourier(f):
-    """Continuous-transform approximation of f, as a field on the nu-grid.
-
-    Values are F(xi) = h^2 sum_j f(x_j) exp(-i xi x_j) at xi = 2 pi nu,
-    stored in increasing-nu order.
-    """
-    g = f.grid
-    if g.freq:
-        raise ValueError("field is already in the frequency domain")
-    hat = g.cell_area * _phase(g) * fft.fft2(f.values)
-    fgrid = Grid(g.n / (4.0 * g.half_width), g.n, offset=g.offset, freq=True)
-    return Field(fgrid, fft.fftshift(hat))
-
-
-def inverse_fourier(F):
-    """Invert :func:`fourier`; exact round trip up to rounding."""
-    fg = F.grid
-    if not fg.freq:
-        raise ValueError("inverse_fourier expects a frequency-domain field")
-    L = fg.n / (4.0 * fg.half_width)
-    grid = Grid(L, fg.n, offset=fg.offset, freq=False)
-    hat = fft.ifftshift(F.values)
-    vals = fft.ifft2(hat / (_phase(grid) * grid.cell_area))
-    return Field(grid, vals)
 
 
 def heat_free(f, t):
@@ -257,7 +219,11 @@ def gradient(f):
 
 
 def gaussian_field(grid, sigma=1.0, amplitude=1.0, center=(0.0, 0.0)):
-    """amplitude * exp(-|x - center|^2 / (2 sigma^2)) as a Field."""
+    """amplitude * exp(-|x - center|^2 / (2 sigma^2)) as a Field; finite sigma > 0, finite amplitude."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"gaussian sigma must be a finite number > 0; got {sigma!r}")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"gaussian amplitude must be a finite number; got {amplitude!r}")
     X, Y = grid.mesh()
     r2 = (X - center[0]) ** 2 + (Y - center[1]) ** 2
     return Field(grid, amplitude * np.exp(-r2 / (2.0 * sigma ** 2)))
@@ -269,14 +235,18 @@ _MAGIC = b"PIDF"
 
 
 def save_field(f, path):
-    """Binary container: magic, L, n, offset, freq, row-major complex64."""
+    """Binary container: magic, L, n, offset, a zero byte, row-major complex64.
+
+    The zero byte is the frequency-domain flag of earlier versions, which
+    wrote 1 there for a transformed field.
+    """
     import struct
 
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(
             struct.pack(
-                "<dQBB", f.grid.half_width, f.grid.n, int(f.grid.offset), int(f.grid.freq)
+                "<dQBB", f.grid.half_width, f.grid.n, int(f.grid.offset), 0
             )
         )
         fh.write(np.ascontiguousarray(f.values, dtype=np.complex64).tobytes())
@@ -285,7 +255,8 @@ def save_field(f, path):
 def load_field(path):
     """Read a field written by :func:`save_field` (complex64 precision).
 
-    A file that is not a whole field container raises ValueError.
+    A file that is not a whole field container, or holds a frequency-domain
+    field (flag byte not 0), raises ValueError.
     """
     import struct
 
@@ -297,10 +268,12 @@ def load_field(path):
         if len(header) != 18:
             raise ValueError(f"{path}: truncated field header")
         L, n, offset, freq = struct.unpack("<dQBB", header)
+        if freq:
+            raise ValueError(f"{path}: frequency-domain field containers are not supported")
         raw = np.frombuffer(fh.read(), dtype=np.complex64)
     if raw.size != n * n:
         raise ValueError(f"{path}: truncated field payload")
-    grid = Grid(L, int(n), offset=bool(offset), freq=bool(freq))
+    grid = Grid(L, int(n), offset=bool(offset))
     return Field(grid, raw.reshape(n, n).astype(np.complex128))
 
 

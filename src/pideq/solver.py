@@ -40,8 +40,8 @@ gamma |u|^(gamma-2) u (a . grad u), which equals a . grad(|u|^gamma) only
 for real u.  Real data, a real vector a and the real self-adjoint A keep
 every state real, so the solver holds u as its rfft2 half spectrum, the
 grid model's one transform layout (see :mod:`pideq.semigroup`), and q as a
-real float, and steps, forces, splits and pairs there.  A state or source
-enters the half spectrum in one place, which raises ValueError when its
+real float, and steps, forces, splits and pairs there.  A state enters
+the half spectrum in one place, which raises ValueError when its
 imaginary part exceeds ``IMAG_TOL`` of its size and drops it otherwise.  A
 solver state's ``regular`` is an inverse rfft2, so its imaginary part is
 exactly 0.  The spectral derivative i xi_k, the grid model's derivative
@@ -62,9 +62,8 @@ one list of states swept in place, measuring contraction) or marches it.
 A local solve is one probed window covering [0, T] with the full
 semigroup.  A global solve probes its first window, marches the rest, and
 probes again any window whose march leaves the largest H^1 proxy of the
-last probed window.  :func:`duhamel_integral` runs both of its schemes on
-the same sweep (the second-order midpoint one at half steps), so the sweep
-is the only loop over time steps, and its flow the only projector.
+last probed window.  The sweep is the only loop over time steps, and its
+flow the only projector.
 """
 
 import math
@@ -80,10 +79,9 @@ from .errors import (
     ConvergenceError,
     DataTooLargeError,
     HorizonTooLargeError,
-    SchedulingError,
 )
 from .fields import Field, inner_product, lp_norm
-from .semigroup import MIN_TIME, Flow, grid_model
+from .semigroup import Flow, grid_model
 from .spectral import (
     DecomposedField,
     _h1_kernel,
@@ -97,7 +95,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "nonlinearity",
-    "duhamel_integral",
     "solve_local",
     "solve_global_projected",
     "lagrange_multiplier",
@@ -107,7 +104,7 @@ __all__ = [
 ]
 
 IMAG_TOL = 1e-12
-"""Largest imaginary part of a state or source, relative to its size, taken as real."""
+"""Largest imaginary part of a state, relative to its size, taken as real."""
 
 
 def _positive(value, kind):
@@ -299,19 +296,13 @@ def lagrange_multiplier(u, cfg):
 
 
 def _state_hat(model, u):
-    """(u_hat, coeff) of a real state u = phi + coeff G_omega: u's half spectrum, its own coeff."""
-    phat, q = _half_spectrum(model.grid, u.regular.values, u.coeff)
-    return phat + q * model.green_omega_hat, q
+    """(u_hat, coeff) of a real state u = phi + coeff G_omega: u's half spectrum, its own coeff.
 
-
-def _half_spectrum(grid, values, coeff=0.0):
-    """(rfft2 of values, coeff) of real data: where states and sources enter the half spectrum.
-
-    Raises ValueError when the imaginary parts of values and coeff exceed
-    ``IMAG_TOL`` of the data's size (||values||_2^2 + |coeff|^2)^(1/2);
-    otherwise they are dropped.
+    This is where states enter the half spectrum.  Raises ValueError when
+    the imaginary parts of phi's values and coeff exceed ``IMAG_TOL`` of the
+    state's size (||phi||_2^2 + |coeff|^2)^(1/2); otherwise they are dropped.
     """
-    q = complex(coeff)
+    grid, values, q = model.grid, u.regular.values, complex(u.coeff)
     size = math.sqrt(grid.cell_area * float(np.sum(np.abs(values) ** 2)) + abs(q) ** 2)
     imag = math.sqrt(grid.cell_area * float(np.sum(values.imag ** 2)) + q.imag ** 2)
     if imag > IMAG_TOL * size:
@@ -319,7 +310,7 @@ def _half_spectrum(grid, values, coeff=0.0):
             f"complex data (imaginary part {imag / size:.1e} of its size): the solver's "
             "forcing a . grad(|u|^gamma) is written for real u"
         )
-    return fft.rfft2(values.real), q.real
+    return fft.rfft2(values.real) + q.real * model.green_omega_hat, q.real
 
 
 def _split(model, uhat):
@@ -350,49 +341,6 @@ def _proxy(model, uhat):
 def _to_decomposed(model, uhat):
     phat, q = _split(model, uhat)
     return DecomposedField(Field(model.grid, fft.irfft2(phat)), float(q), model.params)
-
-
-def duhamel_integral(source, t, params, contour=None, projected=True, scheme="midpoint"):
-    """Quadrature of integral_0^t S(t - tau) f(tau) dtau.
-
-    ``source`` samples f uniformly on [0, t], both endpoints included, at
-    spacing dt.  Either scheme is one sweep u_{k+1} = S(h)[u_k + h F_k]
-    from zero.  The default midpoint scheme takes h = dt/2 and F alternating
-    between none and 2 f_{j+1/2} (end-sample average), i.e.
-    acc <- S(dt) acc + dt S(dt/2) f_{j+1/2}: second order.  ``scheme='left'``
-    takes h = dt and F_j = f_j: first order.  ``contour`` selects the
-    cut-hugging rule of the flow.  The samples must be real (ValueError
-    otherwise, as for solver states).
-    """
-    if len(source) < 2:
-        raise SchedulingError("need at least two source samples covering [0, t]")
-    m = len(source) - 1
-    dt = t / m
-    grid = source[0].grid
-    for f in source:
-        if f.grid != grid:
-            raise SchedulingError("source samples live on different grids")
-    if scheme == "midpoint":
-        sub = 2
-        kicks = (
-            kick
-            for j in range(m)
-            for kick in (None, _half_spectrum(grid, source[j].values + source[j + 1].values)[0])
-        )
-    elif scheme == "left":
-        sub = 1
-        kicks = (_half_spectrum(grid, f.values)[0] for f in source[:m])
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if dt / sub < MIN_TIME - 1e-12:
-        raise SchedulingError(f"{scheme} scheme needs dt >= {sub * MIN_TIME}; got dt = {dt}")
-    model = grid_model(params, grid)
-    flow = Flow(model, dt / sub, full=not projected, contour=contour)
-    zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
-    # the k-th call of the forcing returns the k-th kick
-    for _, uhat in _sweep(flow, zero, sub * m, lambda uhat: next(kicks)):
-        pass
-    return Field(grid, fft.irfft2(uhat))
 
 
 def _forcing_hat(model, uhat, cfg):

@@ -5,19 +5,15 @@ K0 gives the 2D Helmholtz kernel, K0' = -K1 gives its gradient, and the
 Euler-Mascheroni constant enters the small-argument behaviour of K0 and
 hence the scalar function ``c_lambda``.
 
-Real arguments are evaluated with the cephes routines wrapped by
-scipy.special (relative error well below 1e-13 over the whole axis);
-the complex-argument K0 uses the AMOS bindings restricted to the
-principal branch arg(z) in (-pi, pi].  The test-suite checks both
-against independent quadrature / series oracles.
+Arguments are real and evaluated with the cephes routines wrapped by
+scipy.special (relative error well below 1e-13 over the whole axis).  The
+test-suite checks them against independent quadrature oracles.
 """
 
 import numpy as np
 from scipy import special as _sp
 
-from .errors import BranchCutError
-
-__all__ = ["bessel_k0", "bessel_k1", "bessel_k0_complex", "euler_gamma"]
+__all__ = ["bessel_k0", "bessel_k1", "euler_gamma"]
 
 
 def euler_gamma():
@@ -42,17 +38,3 @@ def bessel_k1(x):
     out = _sp.k1(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-
-def bessel_k0_complex(z):
-    """K0(z) for complex z off the branch cut (-inf, 0].
-
-    Principal branch: arg(z) in (-pi, pi].  On the positive real axis this
-    reduces to :func:`bessel_k0`; conjugation symmetry K0(conj z) = conj K0(z)
-    holds by the reflection principle.
-    """
-    zc = complex(z)
-    if not (np.isfinite(zc.real) and np.isfinite(zc.imag)):
-        raise ValueError("bessel_k0_complex requires finite z")
-    if zc.imag == 0.0 and zc.real <= 0.0:
-        raise BranchCutError("K0 is not defined on the branch cut (-inf, 0]")
-    return complex(_sp.kv(0, zc))

@@ -16,9 +16,9 @@ exists iff alpha < 0.  The normalized eigenfunction is
 psi = G_E / ||G_E||_2 with G_lambda(x) = K0(sqrt(lambda) |x|)/(2 pi) in 2D.
 
 Grid Riemann sums of G-type fields converge slowly near the logarithmic
-singularity, so the exact L^p sizes of G_lambda and its gradient are
-exposed through radial quadratures (:func:`green_lp_norm`,
-:func:`green_gradient_lp_norm`) instead of grid sums.
+singularity, so the exact L^p size of G_lambda is exposed through its
+radial integral (:func:`green_lp_norm`, in closed form at p = 2) instead of
+a grid sum.
 """
 
 import cmath
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft, integrate
+from scipy import fft
 
 from .errors import BranchCutError, NoEigenfunctionError
 from .fields import Field, inner_product, lp_norm
@@ -42,7 +42,6 @@ __all__ = [
     "green_field",
     "green_gradient_field",
     "green_lp_norm",
-    "green_gradient_lp_norm",
     "psi_alpha_field",
     "project_d",
     "project_ac",
@@ -56,8 +55,11 @@ def eigenvalue(alpha, dim=2):
     """Point eigenvalue of the perturbed Laplacian, or None if absent.
 
     2D: 4 exp(-4 pi alpha - 2 gamma), None at alpha = +inf (the free
-    Laplacian).  3D: (4 pi alpha)^2 iff alpha < 0, else None.
+    Laplacian).  3D: (4 pi alpha)^2 iff alpha < 0, else None.  alpha must
+    lie in (-inf, +inf]; nan and -inf raise ValueError.
     """
+    if not -math.inf < alpha <= math.inf:
+        raise ValueError(f"alpha must lie in (-inf, +inf]; got {alpha!r}")
     if dim == 2:
         if alpha == math.inf:
             return None
@@ -92,8 +94,8 @@ class AlphaParams:
     """Spectral record: dimension, alpha, eigenvalue E, and ||G_E||_{L^2}.
 
     ``psi_norm`` is the continuum normalization constant of the
-    eigenfunction (None when the eigenvalue is absent).  It is computed by
-    radial quadrature, not by a grid sum.
+    eigenfunction (None when the eigenvalue is absent).  It is computed from
+    the closed form of the radial integral, not by a grid sum.
     """
 
     dimension: int
@@ -185,7 +187,11 @@ def green_gradient_field(lam, grid):
 
 @lru_cache(maxsize=64)
 def _k0_power_moment(p):
-    """integral_0^inf K0(s)^p s ds by adaptive quadrature."""
+    """integral_0^inf K0(s)^p s ds: exactly 1/2 at p = 2, else adaptive quadrature."""
+    if p == 2.0:
+        return 0.5
+    from scipy import integrate
+
     val1, _ = integrate.quad(
         lambda s: bessel_k0(s) ** p * s, 0.0, 1.0, limit=200, epsabs=1e-13, epsrel=1e-12
     )
@@ -196,23 +202,8 @@ def _k0_power_moment(p):
     return val1 + val2
 
 
-@lru_cache(maxsize=64)
-def _k1_power_moment(p):
-    """integral_0^inf K1(s)^p s ds; finite iff p < 2."""
-    if p >= 2:
-        raise ValueError("|grad G| is not p-integrable for p >= 2 in 2D")
-    val1, _ = integrate.quad(
-        lambda s: bessel_k1(s) ** p * s, 0.0, 1.0, limit=300, epsabs=1e-13, epsrel=1e-12
-    )
-    val2, _ = integrate.quad(
-        lambda s: bessel_k1(s) ** p * s, 1.0, 60.0 / max(p, 1.0) + 5.0, limit=200,
-        epsabs=1e-14, epsrel=1e-12,
-    )
-    return val1 + val2
-
-
 def green_lp_norm(lam, p, dim=2):
-    """Exact (radial quadrature) L^p(R^2) norm of G_lambda, real lambda > 0.
+    """Exact (radial integral) L^p(R^2) norm of G_lambda, real lambda > 0, finite p >= 1.
 
     Handles the singular part analytically; obeys the rescaling law
     ||G_lam||_p = lam^(N/2 - 1 - N/(2p)) ||G_1||_p by construction.
@@ -222,21 +213,11 @@ def green_lp_norm(lam, p, dim=2):
         raise ValueError("green_lp_norm requires real lambda > 0")
     if dim != 2:
         raise ValueError("radial quadrature implemented for dim = 2 only")
-    if p < 1:
-        raise ValueError("p >= 1 required")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"green_lp_norm requires a finite p >= 1; got {p!r}")
     moment = _k0_power_moment(float(p))
     # ||G||_p^p = 2 pi (2 pi)^-p lam^-1 int K0(s)^p s ds
     return float((2.0 * np.pi * (2.0 * np.pi) ** (-p) / lam * moment) ** (1.0 / p))
-
-
-def green_gradient_lp_norm(lam, p):
-    """Exact L^p(R^2) norm of grad G_lambda (finite iff p < 2)."""
-    lam = float(lam)
-    if lam <= 0:
-        raise ValueError("green_gradient_lp_norm requires real lambda > 0")
-    moment = _k1_power_moment(float(p))
-    pw = p / 2.0 - 1.0  # lam^(p/2) from K1, lam^-1 from rescaling the measure
-    return float((2.0 * np.pi * (2.0 * np.pi) ** (-p) * lam ** pw * moment) ** (1.0 / p))
 
 
 @lru_cache(maxsize=8)

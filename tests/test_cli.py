@@ -41,6 +41,11 @@ def test_spectral_subcommand_alpha_inf(capsys):
     assert out[1] == "inf,2,none,none"
     assert out[2] == "lambda,c_re,c_im"
     assert len(out) == 5
+    # nan and -inf are no coupling: one error line, exit 2
+    for bad in ("nan", "-inf"):
+        assert main(["spectral", f"--alpha={bad}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"pideq: error: alpha must lie in (-inf, +inf]; got {bad}\n"
 
 
 def test_simulate_rejects_nonfinite_drift(tmp_path):
@@ -66,6 +71,10 @@ def test_simulate_rejects_nonfinite_drift(tmp_path):
         (["resolve", "--lambda", "inf"], "lambda must be finite"),
         (["semigroup", "--u0", "nosuchfile"], "No such file"),
         (["--config", "nosuch.cfg", "semigroup"], "No such file"),
+        (["semigroup", "--alpha", "nan"], "alpha must lie in (-inf, +inf]; got nan"),
+        (["resolve", "--alpha=-inf"], "alpha must lie in (-inf, +inf]; got -inf"),
+        (["semigroup", "--u0", "gaussian:-1"], "gaussian sigma must be a finite number > 0"),
+        (["resolve", "--u0", "gaussian:2,nan"], "gaussian amplitude must be a finite number"),
     ],
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):
@@ -222,3 +231,24 @@ def test_datum_descriptor_and_file(tmp_path, capsys):
     # a saved field on another grid is a rejected input like any other
     assert main(["--out", str(tmp_path), "resolve", "--u0", str(path), "--grid-n", "128"]) == 2
     assert "does not match requested grid" in capsys.readouterr().err
+
+
+def test_run_paths_do_not_import_scipy_integrate():
+    # the closed forms of the three scalar integrals keep scipy.integrate
+    # (and the scipy.optimize / scipy.linalg it pulls in) out of every run
+    script = """
+import sys
+import pideq
+from pideq import cli, verify
+verify.run_checks(pideq.Grid(40.0, 64))
+params = pideq.AlphaParams.for_alpha(0.0, 2)
+u0 = pideq.DecomposedField.from_field(
+    pideq.gaussian_field(pideq.Grid(40.0, 64), sigma=1.5, amplitude=0.02), params
+)
+pideq.solve_global_projected(u0, pideq.SolverConfig(T=0.04, dt=0.02))
+cli.main(["spectral"])
+assert "scipy.integrate" not in sys.modules, "scipy.integrate imported"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

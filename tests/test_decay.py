@@ -4,21 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad, quad
 
 from pideq import (
+    AlphaParams,
     ExperimentSpec,
     Grid,
     admissible_exponents,
     critical_datum,
     fit_rate,
     gaussian_field,
+    lp_norm,
     run_gradient_decay,
-    run_l2_bound,
     run_nonlinear_decay,
     run_semigroup_decay,
+    semigroup_pac,
     verify_convolution_lemma,
 )
-from pideq.decay import make_datum
+from pideq.decay import _cell_average, make_datum
 
 
 def test_fit_rate_exact_power_law():
@@ -99,6 +102,44 @@ def test_convolution_bound_validation():
         verify_convolution_lemma(1.0, 0.0, (2.0,))
     with pytest.raises(ValueError):
         verify_convolution_lemma(0.5, 0.0, (0.5,))
+    # for beta >= 1 the ratio grows like t^(beta - 1): no bound to check
+    for a, b, name in (
+        (0.5, 1.5, "beta"), (0.5, 1.0, "beta"), (0.5, math.nan, "beta"),
+        (math.nan, 0.0, "alpha"), (-math.inf, 0.0, "alpha"), (0.5, -math.inf, "beta"),
+    ):
+        with pytest.raises(ValueError, match=f"finite {name} < 1"):
+            verify_convolution_lemma(a, b, (2.0,))
+
+
+def _convolution_ratio_by_quadrature(a, b, t):
+    """The lemma's ratio by adaptive quadrature, the tau = t singularity weighted algebraically."""
+    mid = 0.5 * (1.0 + t)
+    head, _ = quad(
+        lambda tau: (t - tau) ** (-a) * tau ** (-b), 1.0, mid, epsabs=0.0, epsrel=1e-13, limit=300
+    )
+    tail, _ = quad(
+        lambda s: (t - s) ** (-b), 0.0, t - mid, weight="alg", wvar=(-a, 0.0),
+        epsabs=0.0, epsrel=1e-13, limit=300,
+    )
+    return (head + tail) / t ** (1.0 - a - b)
+
+
+def test_convolution_lemma_matches_quadrature():
+    # the incomplete-beta closed form at the 27 points of the verify check
+    for a in (0.25, 0.5, 0.75):
+        for b in (-0.5, 0.0, 0.5):
+            for t in (2.0, 10.0, 100.0):
+                ref = _convolution_ratio_by_quadrature(a, b, t)
+                assert abs(verify_convolution_lemma(a, b, (t,)) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 1.5])
+def test_cell_average_matches_quadrature(beta):
+    val, _ = dblquad(
+        lambda y, x: (x * x + y * y) ** (-beta / 2.0), 0.0, 0.5, 0.0, 0.5,
+        epsabs=1e-14, epsrel=1e-13,
+    )
+    assert abs(_cell_average(beta) - 4.0 * val) <= 1e-12 * 4.0 * val
 
 
 def test_critical_datum_structure():
@@ -108,6 +149,10 @@ def test_critical_datum_structure():
     hat = np.fft.fft2(f.values) * grid.cell_area
     # infrared-heavy: low modes dominate high modes strongly
     assert abs(hat[0, 0]) > 10 * abs(hat[10, 10])
+    # q = inf puts beta = 2, where the cell average diverges
+    for bad in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="q must be a finite number > 1"):
+            critical_datum(grid, bad)
 
 
 def test_make_datum_descriptors():
@@ -122,6 +167,13 @@ def test_make_datum_descriptors():
     # would drop one
     for bad in ("gaussian:1,2,3", "gaussian:1,2,3,4,5"):
         with pytest.raises(ValueError, match="0, 1, 2 or 4 values"):
+            make_datum(bad, grid)
+    # sigma is a finite number > 0 and the amplitude a finite number
+    for bad, what in (
+        ("gaussian:-1", "sigma"), ("gaussian:0", "sigma"), ("gaussian:nan", "sigma"),
+        ("gaussian:inf", "sigma"), ("gaussian:1,inf", "amplitude"), ("gaussian:1,nan", "amplitude"),
+    ):
+        with pytest.raises(ValueError, match=f"gaussian {what} must be a finite number"):
             make_datum(bad, grid)
 
 
@@ -138,11 +190,14 @@ def test_gradient_decay_exponent_window():
 
 
 def test_l2_boundedness_slope():
+    # the projected flow is uniformly bounded in L^2: ||S(t) P_ac g||_2 of
+    # the critical datum does not grow over t in [1, 30]
+    grid = Grid(40.0, 128)
+    params = AlphaParams.for_alpha(0.0, 2)
+    g = critical_datum(grid, 2.0)
     ts = np.geomspace(1.0, 30.0, 8)
-    spec = ExperimentSpec(grid=Grid(40.0, 128), q=2.0, p=2.0, t_grid=ts)
-    fit = run_l2_bound(spec)
+    fit = fit_rate([(t, lp_norm(semigroup_pac(t, g, params).field, 2.0)) for t in ts])
     assert fit.slope <= 1e-6
-    assert fit.theoretical == 0.0
 
 
 def test_semigroup_decay_grid_stability():

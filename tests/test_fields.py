@@ -1,4 +1,4 @@
-"""Grid, norm, transform and free-heat checks."""
+"""Grid, norm, derivative, free-heat and I/O checks."""
 
 import io
 import math
@@ -9,12 +9,10 @@ import pytest
 from pideq import (
     Field,
     Grid,
-    fourier,
     gaussian_field,
     gradient,
     heat_free,
     inner_product,
-    inverse_fourier,
     load_field,
     lp_norm,
     save_field,
@@ -75,33 +73,6 @@ def test_field_arithmetic_grid_mismatch():
     g = Field(Grid(20.0, 32), np.ones((32, 32)))
     with pytest.raises(GridMismatchError):
         _ = f + g
-
-
-def test_fourier_round_trip(grid128, rng):
-    vals = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-    f = Field(grid128, vals)
-    back = inverse_fourier(fourier(f))
-    assert back.grid == grid128
-    err = np.abs(back.values - f.values).max() / np.abs(f.values).max()
-    assert err < 1e-12
-
-
-def test_fourier_plancherel(grid128, rng):
-    vals = rng.standard_normal((128, 128))
-    f = Field(grid128, vals)
-    assert abs(lp_norm(f, 2) - lp_norm(fourier(f), 2)) < 1e-10 * lp_norm(f, 2)
-
-
-def test_fourier_gaussian_reciprocal_width():
-    # transform of exp(-|x|^2/(2 s^2)) is 2 pi s^2 exp(-s^2 |xi|^2 / 2)
-    g = Grid(40.0, 256)
-    sigma = 1.5
-    F = fourier(gaussian_field(g, sigma=sigma))
-    nu = F.grid.axis()
-    NU1, NU2 = np.meshgrid(nu, nu, indexing="ij")
-    xi2 = (2 * np.pi) ** 2 * (NU1**2 + NU2**2)
-    expect = 2 * np.pi * sigma**2 * np.exp(-(sigma**2) * xi2 / 2)
-    assert np.abs(F.values - expect).max() < 1e-8
 
 
 def test_heat_free_identity_and_domain(smooth_datum):

@@ -12,9 +12,7 @@ from pideq import (
     Field,
     Grid,
     SolverConfig,
-    fourier,
     gaussian_field,
-    inverse_fourier,
     krein_resolvent,
     load_field,
     lp_norm,
@@ -93,13 +91,18 @@ def test_field_values_immutable(grid128):
         f.values[0, 0] = 1.0
 
 
-def test_fourier_domain_flags(grid128):
-    f = gaussian_field(grid128)
-    F = fourier(f)
-    with pytest.raises(ValueError):
-        fourier(F)
-    with pytest.raises(ValueError):
-        inverse_fourier(f)
+def test_fourier_domain_flags(tmp_path, grid128):
+    # the container's flag byte after offset marks a frequency-domain field;
+    # fields are written with it 0, and a file with it set is refused
+    path = tmp_path / "f.pidf"
+    save_field(gaussian_field(grid128), path)
+    payload = bytearray(path.read_bytes())
+    flag = len(b"PIDF") + 8 + 8 + 1
+    assert payload[flag] == 0
+    payload[flag] = 1
+    (tmp_path / "freq.pidf").write_bytes(bytes(payload))
+    with pytest.raises(ValueError, match="frequency-domain"):
+        load_field(tmp_path / "freq.pidf")
 
 
 def test_load_field_error_branches(tmp_path, grid128):

@@ -1,4 +1,4 @@
-"""Nonlinearity, Duhamel quadrature, and Picard solver checks."""
+"""Nonlinearity, Duhamel sweep, and Picard solver checks."""
 
 import math
 import tracemalloc
@@ -14,7 +14,7 @@ from pideq import (
     Field,
     Grid,
     SolverConfig,
-    duhamel_integral,
+    Trajectory,
     gaussian_field,
     gradient,
     green_gradient_field,
@@ -34,7 +34,7 @@ from pideq import (
     total_field,
 )
 from pideq import solver
-from pideq.errors import DataTooLargeError, SchedulingError
+from pideq.errors import DataTooLargeError
 from pideq.solver import (
     _drift,
     _forcing_hat,
@@ -44,7 +44,7 @@ from pideq.solver import (
     _state_hat,
     _sweep,
 )
-from pideq.semigroup import MIN_TIME, Flow, grid_model
+from pideq.semigroup import Flow, grid_model
 
 
 def small_state(grid, params, amplitude=0.01):
@@ -138,43 +138,55 @@ def test_nonlinearity_clamp_counter(params, grid128):
     assert counts[0] == counts[1] > 0
 
 
+def _duhamel(flow, kicks):
+    """Half spectrum of the solver's sweep from 0 whose k-th forcing is kicks[k].
+
+    A kick is a half spectrum or None.  With the samples f_j of a source as
+    kicks this is the left-endpoint rule for integral_0^t S(t - tau) f dtau
+    at the flow's step; with kicks alternating None and f_j + f_(j+1) at half
+    steps, it is the midpoint rule at twice the flow's step.
+    """
+    it = iter(kicks)
+
+    def force(_):
+        kick = next(it)
+        return None if kick is None else kick.copy()  # the sweep writes into it
+
+    n = flow.model.grid.n
+    uhat = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    for _, uhat in _sweep(flow, uhat, len(kicks), force):
+        pass
+    return uhat
+
+
+def _midpoint_kicks(src):
+    return [
+        kick for j in range(len(src) - 1)
+        for kick in (None, np.fft.rfft2(src[j].values.real + src[j + 1].values.real))
+    ]
+
+
 def test_duhamel_zero_source(params, grid128):
-    zero = Field(grid128, np.zeros((128, 128)))
-    out = duhamel_integral([zero] * 11, 1.0, params)
-    assert lp_norm(out, 2) == 0.0
+    zero = np.zeros((128, 65), dtype=np.complex128)
+    out = _duhamel(Flow(grid_model(params, grid128), 0.1), [zero] * 10)
+    assert not np.any(out)
 
 
 def test_duhamel_eigenmode_unprojected(params, grid128):
+    # constant forcing psi: the left-endpoint sum dt sum_k e^{k dt E} psi
     psi = psi_alpha_field(params, grid128)
-    ev = params.eigenvalue
-    out = duhamel_integral([psi] * 51, 1.0, params, projected=False)
-    expect = (math.exp(ev) - 1.0) / ev
-    assert lp_norm(out - expect * psi, 2) / expect < 1e-3
+    ev, dt, m = params.eigenvalue, 0.02, 50
+    flow = Flow(grid_model(params, grid128), dt, full=True)
+    out = Field(grid128, np.fft.irfft2(_duhamel(flow, [np.fft.rfft2(psi.values.real)] * m)))
+    expect = dt * sum(math.exp(k * dt * ev) for k in range(1, m + 1))
+    assert lp_norm(out - expect * psi, 2) / expect < 1e-12
 
 
 def test_duhamel_eigenmode_projected(params, grid128):
     psi = psi_alpha_field(params, grid128)
-    out = duhamel_integral([psi] * 26, 1.0, params, projected=True)
-    assert lp_norm(out, 2) <= 1e-8
-
-
-def test_duhamel_scheduling_errors(params, grid128):
-    psi = psi_alpha_field(params, grid128)
-    with pytest.raises(SchedulingError):
-        duhamel_integral([psi], 1.0, params)
-    other = gaussian_field(Grid(20.0, 128))
-    with pytest.raises(SchedulingError):
-        duhamel_integral([psi, other, psi], 1.0, params)
-
-
-def test_duhamel_step_floor(params, grid128):
-    # each scheme's sweep step must stay at or above MIN_TIME
-    psi = psi_alpha_field(params, grid128)
-    with pytest.raises(SchedulingError, match=rf"midpoint scheme needs dt >= {2 * MIN_TIME}"):
-        duhamel_integral([psi] * 2, 1.5 * MIN_TIME, params)
-    duhamel_integral([psi] * 2, 1.5 * MIN_TIME, params, scheme="left")
-    with pytest.raises(SchedulingError, match=rf"left scheme needs dt >= {MIN_TIME}"):
-        duhamel_integral([psi] * 2, 0.5 * MIN_TIME, params, scheme="left")
+    flow = Flow(grid_model(params, grid128), 0.04)
+    out = _duhamel(flow, [np.fft.rfft2(psi.values.real)] * 25)
+    assert lp_norm(Field(grid128, np.fft.irfft2(out)), 2) <= 1e-8
 
 
 @pytest.mark.parametrize("projected", [True, False])
@@ -196,31 +208,28 @@ def test_duhamel_midpoint_recurrence(params, grid128, projected):
         acc = full.apply(acc)
         kick = half.apply(np.fft.rfft2(0.5 * (src[j].values.real + src[j + 1].values.real)))
         acc = acc + dt * kick
-    expect = Field(grid128, np.fft.irfft2(acc))
-    out = duhamel_integral(src, t, params, projected=projected)
-    assert lp_norm(out - expect, 2) <= 1e-12 * lp_norm(expect, 2)
+    out = _duhamel(half, _midpoint_kicks(src))
+    assert np.linalg.norm(out - acc) <= 1e-12 * np.linalg.norm(acc)
 
 
 def test_duhamel_schemes_consistent(params, grid128):
     # left-endpoint (first order) approaches the midpoint-kernel value
     src = [gaussian_field(grid128, sigma=1.5, amplitude=0.1)] * 26
-    mid = duhamel_integral(src, 1.0, params, scheme="midpoint")
-    left = duhamel_integral(src, 1.0, params, scheme="left")
-    assert lp_norm(mid - left, 2) < 0.05 * lp_norm(mid, 2)
-    with pytest.raises(ValueError):
-        duhamel_integral(src, 1.0, params, scheme="simpson")
+    model = grid_model(params, grid128)
+    mid = _duhamel(Flow(model, 0.02), _midpoint_kicks(src))
+    left = _duhamel(Flow(model, 0.04), [np.fft.rfft2(f.values.real) for f in src[:-1]])
+    assert np.linalg.norm(mid - left) < 0.05 * np.linalg.norm(mid)
 
 
 def test_duhamel_explicit_contour_path(params, grid128):
     # forcing an explicit cut-hugging contour agrees with the default
     # winding-contour stepping at the former's micro-step accuracy
-    from pideq import ContourSpec
-
     src = [gaussian_field(grid128, sigma=1.5, amplitude=0.1)] * 26
-    default = duhamel_integral(src, 1.0, params)
+    model = grid_model(params, grid128)
+    default = _duhamel(Flow(model, 0.02), _midpoint_kicks(src))
     spec = ContourSpec.for_time(params, 0.04)
-    explicit = duhamel_integral(src, 1.0, params, contour=spec)
-    assert lp_norm(default - explicit, 2) < 5e-3 * lp_norm(default, 2)
+    explicit = _duhamel(Flow(model, 0.02, contour=spec), _midpoint_kicks(src))
+    assert np.linalg.norm(default - explicit) < 5e-3 * np.linalg.norm(default)
 
 
 def test_solve_local_zero_datum(params, grid128):
@@ -612,12 +621,15 @@ def test_complex_data_rejected(params, grid128):
     f = gaussian_field(grid128, sigma=1.5, amplitude=0.01)
     rotated = DecomposedField.from_field(np.exp(0.7j) * f, params)
     cfg = SolverConfig(gamma=3.0, a=(1.0, 0.0), T=0.04, dt=0.02)
+    # one complex state among real ones in a stored trajectory
+    real, times = DecomposedField.from_field(f, params), np.array([0.0, 0.02, 0.04])
     for call in (
         lambda: solve_local(rotated, cfg),
         lambda: solve_global_projected(rotated, cfg),
         lambda: nonlinearity(rotated, cfg),
-        lambda: duhamel_integral([rotated.regular] * 3, 0.04, params),
-        lambda: duhamel_integral([f, rotated.regular, f], 0.02, params, scheme="left"),
+        lambda: lagrange_multiplier(rotated, cfg),
+        lambda: state_fields(rotated),
+        lambda: residual_check(Trajectory(times, [real, rotated, real], np.array([]), {}), cfg),
         lambda: solve_local(DecomposedField(f, 0.01 + 1e-6j, params), cfg),
     ):
         with pytest.raises(ValueError, match="complex data"):
@@ -635,4 +647,4 @@ def test_rounding_imaginary_part_accepted(params, grid128):
             assert not np.any(st.regular.values.imag)
             assert isinstance(st.coeff, float)
         assert not np.any(nonlinearity(traj.states[-1], cfg).values.imag)
-    assert lp_norm(duhamel_integral([u0.regular] * 3, 0.04, params), 2) > 0
+    assert not np.any(state_fields(u0)[0].values.imag)

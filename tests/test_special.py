@@ -1,14 +1,12 @@
 """Bessel-K and Euler-Mascheroni checks against independent oracles."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pideq import bessel_k0, bessel_k0_complex, bessel_k1, euler_gamma, eigenvalue
-from pideq.errors import BranchCutError
+from pideq import bessel_k0, bessel_k1, euler_gamma, eigenvalue
 
 # frozen from the integral representations K0(x) = int_0^inf e^{-x cosh t} dt
 # and K1(x) = int_0^inf e^{-x cosh t} cosh t dt (adaptive quadrature)
@@ -25,22 +23,6 @@ def gamma_oracle(n=200):
     """Euler-Maclaurin acceleration of H_n - ln n."""
     h = sum(1.0 / k for k in range(1, n + 1))
     return h - math.log(n) - 1 / (2 * n) + 1 / (12 * n**2) - 1 / (120 * n**4) + 1 / (252 * n**6)
-
-
-def series_k0(z, terms=40):
-    """Ascending series for |z| <= 2: independent oracle for the complex value."""
-    zz = complex(z)
-    i0 = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    acc = 0.0 + 0.0j
-    harmonic = 0.0
-    w = zz * zz / 4.0
-    for k in range(1, terms):
-        term *= w / (k * k)
-        harmonic += 1.0 / k
-        acc += term * harmonic
-        i0 += term
-    return -(cmath.log(zz / 2.0) + gamma_oracle()) * i0 + acc
 
 
 def test_k0_at_one_vs_quadrature():
@@ -100,33 +82,6 @@ def test_domain_errors():
             bessel_k0(bad)
         with pytest.raises(ValueError):
             bessel_k1(bad)
-
-
-def test_complex_matches_real_axis():
-    xs = np.geomspace(1e-3, 50, 100)
-    for x in xs:
-        z = bessel_k0_complex(complex(x, 0.0))
-        assert abs(z.imag) < 1e-14
-        ref = bessel_k0(float(x))
-        assert abs(z.real - ref) <= 1e-10 * abs(ref)
-
-
-def test_complex_schwarz_reflection():
-    for z in (1 + 1j, 0.3 - 2j, 5 + 0.01j):
-        a = bessel_k0_complex(z)
-        b = bessel_k0_complex(z.conjugate())
-        assert abs(a - b.conjugate()) < 1e-13 * abs(a)
-
-
-def test_complex_against_series_oracle():
-    z = 1 + 1j
-    assert abs(bessel_k0_complex(z) - series_k0(z)) < 1e-8
-
-
-def test_complex_branch_cut_rejected():
-    for z in (-1.0 + 0j, 0j, -0.5):
-        with pytest.raises(BranchCutError):
-            bessel_k0_complex(z)
 
 
 def test_euler_gamma_digits():

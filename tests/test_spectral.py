@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import k0 as scipy_k0
+from scipy.special import k0 as scipy_k0, k1 as scipy_k1
 
 from pideq import (
     AlphaParams,
@@ -18,7 +18,6 @@ from pideq import (
     gaussian_field,
     green_field,
     green_gradient_field,
-    green_gradient_lp_norm,
     green_lp_norm,
     h1_alpha_norm,
     krein_resolvent,
@@ -28,7 +27,8 @@ from pideq import (
     psi_alpha_field,
 )
 from pideq.errors import BranchCutError, NoEigenfunctionError
-from pideq.fields import fourier
+from pideq.fields import _phase
+from pideq.spectral import _k0_power_moment
 
 
 def test_eigenvalue_2d_formula():
@@ -37,6 +37,18 @@ def test_eigenvalue_2d_formula():
     for alpha in (-1.0, 0.0, 1.0):
         ev = eigenvalue(alpha, 2)
         assert abs(alpha + c_lambda(ev, 2).real) < 1e-12
+
+
+def test_eigenvalue_rejects_alpha_outside_range():
+    # alpha lies in (-inf, +inf]: +inf is the free Laplacian, nan and -inf
+    # have no operator
+    for bad in (math.nan, -math.inf):
+        for dim in (2, 3):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(-inf, \+inf\]"):
+                eigenvalue(bad, dim)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            AlphaParams.for_alpha(bad, 2)
+    assert AlphaParams.for_alpha(math.inf, 2).eigenvalue is None
 
 
 def test_eigenvalue_3d():
@@ -60,13 +72,27 @@ def test_c_lambda_values():
 
 
 def test_alpha_params_psi_norm_oracle(params):
-    # oracle: int_0^inf x K0(x)^2 dx = 1/2 by quadrature, then rescale
-    moment, _ = quad(lambda s: s * scipy_k0(s) ** 2, 0, 40, limit=300)
-    assert abs(moment - 0.5) < 1e-10
+    # oracle: int_0^inf x K0(x)^2 dx = 1/2 by quadrature split at x = 1,
+    # against the closed form the moment uses; then rescale
+    head, _ = quad(lambda s: s * scipy_k0(s) ** 2, 0, 1, limit=200, epsabs=1e-14, epsrel=1e-13)
+    tail, _ = quad(lambda s: s * scipy_k0(s) ** 2, 1, 40, limit=200, epsabs=1e-15, epsrel=1e-13)
+    moment = head + tail
+    assert _k0_power_moment(2.0) == 0.5
+    assert abs(moment - 0.5) < 1e-12
+    assert params.psi_norm == 0.25121562644357126
     oracle = math.sqrt(2 * math.pi * moment / (4 * math.pi**2) / params.eigenvalue)
     assert abs(params.psi_norm - oracle) < 1e-6
     closed = 1.0 / math.sqrt(4.0 * math.pi * params.eigenvalue)
     assert abs(params.psi_norm - closed) < 1e-4 * closed
+
+
+def test_green_lp_norm_validation():
+    # G_lambda is log-singular at 0, so it has no finite sup norm
+    for bad in (math.inf, math.nan, 0.5):
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            green_lp_norm(1.0, bad)
+    with pytest.raises(ValueError):
+        green_lp_norm(-1.0, 2.0)
 
 
 def test_alpha_params_rejects_inconsistent_eigenvalue():
@@ -103,16 +129,14 @@ def test_green_field_direct_positive_and_grid_norm(grid256):
 def test_green_field_fourier_helmholtz_identity(grid128):
     lam = 2.0
     g = green_field(lam, grid128, method="fourier")
-    F = fourier(g)
-    nu = F.grid.axis()
-    NU1, NU2 = np.meshgrid(nu, nu, indexing="ij")
-    xi2 = (2 * np.pi) ** 2 * (NU1**2 + NU2**2)
-    resid = (lam + xi2) * F.values - 1.0
+    # continuous-transform approximation h^2 sum_j g(x_j) exp(-i xi . x_j)
+    F = grid128.cell_area * _phase(grid128) * np.fft.fft2(g.values)
+    resid = (lam + grid128.wavenumber_sq()) * F - 1.0
     n = grid128.n
     interior = np.ones((n, n), dtype=bool)
-    # Nyquist lines are zeroed by convention; fftshifted layout puts them first
-    interior[0, :] = False
-    interior[:, 0] = False
+    # Nyquist lines are zeroed by convention
+    interior[n // 2, :] = False
+    interior[:, n // 2] = False
     assert np.abs(resid[interior]).max() < 1e-8
 
 
@@ -146,10 +170,17 @@ def test_green_gradient_radial_symmetry(grid128):
     assert np.abs(vals - vals.T).max() < 1e-12
 
 
+def _gradient_lp_norm(lam, grid, p):
+    gx, gy = green_gradient_field(lam, grid)
+    return lp_norm(Field(grid, np.hypot(np.abs(gx.values), np.abs(gy.values))), p)
+
+
 def test_green_gradient_rescaling():
-    # ||grad G_lam||_p = lam^(1/2 - 1/p) ||grad G_1||_p; p = 3/2, lam = 4
-    ratio = green_gradient_lp_norm(4.0, 1.5) / green_gradient_lp_norm(1.0, 1.5)
-    assert abs(ratio - 2.0 ** (2 * (0.5 - 2.0 / 3.0))) < 1e-3
+    # grad G_4 (x) = 2 grad G_1 (2x), so its samples on [-L, L]^2 are twice
+    # those of grad G_1 on [-2L, 2L]^2 and the grid norms obey the continuum
+    # law ||grad G_lam||_p = lam^(1/2 - 1/p) ||grad G_1||_p; p = 3/2, lam = 4
+    ratio = _gradient_lp_norm(4.0, Grid(20.0, 128), 1.5) / _gradient_lp_norm(1.0, Grid(40.0, 128), 1.5)
+    assert abs(ratio - 2.0 ** (2 * (0.5 - 2.0 / 3.0))) < 1e-12
 
 
 def test_green_gradient_integrability_window():
@@ -157,19 +188,18 @@ def test_green_gradient_integrability_window():
     norms2, norms32 = [], []
     for n in (128, 256, 512):
         grid = Grid(40.0, n)
-        gx, gy = green_gradient_field(1.0, grid)
-        mag = Field(grid, np.hypot(np.abs(gx.values), np.abs(gy.values)))
-        norms2.append(lp_norm(mag, 2.0))
-        norms32.append(lp_norm(mag, 1.5))
+        norms2.append(_gradient_lp_norm(1.0, grid, 2.0))
+        norms32.append(_gradient_lp_norm(1.0, grid, 1.5))
     assert norms2[0] < norms2[1] < norms2[2]
     assert norms2[2] - norms2[0] > 0.05 * norms2[0]
     rel_drift = abs(norms32[2] - norms32[1]) / norms32[2]
     assert rel_drift < abs(norms32[1] - norms32[0]) / norms32[1]
-    # Riemann sums crawl up towards the quadrature value from below
-    exact = green_gradient_lp_norm(1.0, 1.5)
+    # Riemann sums crawl up from below towards the continuum norm
+    # ||grad G_1||_p^p = (2 pi)^(1-p) int_0^inf K1(s)^p s ds
+    head, _ = quad(lambda s: scipy_k1(s) ** 1.5 * s, 0, 1, limit=300)
+    tail, _ = quad(lambda s: scipy_k1(s) ** 1.5 * s, 1, 45, limit=200)
+    exact = ((2 * math.pi) ** (-0.5) * (head + tail)) ** (1 / 1.5)
     assert norms32[0] < norms32[1] < norms32[2] < exact
-    with pytest.raises(ValueError):
-        green_gradient_lp_norm(1.0, 2.0)
 
 
 def test_psi_field_unit_norm_and_positivity(params, grid128):
