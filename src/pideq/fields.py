@@ -184,8 +184,8 @@ def lp_norm(f, p):
     functions) converge slowly; use :func:`pideq.spectral.green_lp_norm`
     when a Green function's norm must be resolved accurately.
     """
-    if p != np.inf and p < 1:
-        raise ValueError("lp_norm requires p >= 1 or p = inf")
+    if not p >= 1:
+        raise ValueError(f"lp_norm requires p >= 1 or p = inf; got p = {p!r}")
     a = np.abs(f.values)
     if p == np.inf:
         return float(a.max())

@@ -97,6 +97,7 @@ R(lambda) g for a real g, and the resolvent of a complex g combines them.
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -612,14 +613,21 @@ def backward_euler_oracle(t, g, params, steps):
     """Independent oracle: ((I - (t/steps) A)^{-1})^steps applied to P_ac g.
 
     Steps with lambda R(lambda), lambda = steps/t, and uses no contour code.
-    The free multiplier s = lambda/(lambda + |xi|^2) and the rank-one term
-    are constant on each |k|^2 bin, so after k steps u = s^k u_0 +
-    delta_hat v[bin], whose bin pairing with delta_hat is p + |delta|^2_bins v
-    with p = s^k <u_0, delta>_bins: a step updates only v and p, over the
-    bins.  First-order accurate in t/steps.
+    ``steps`` is an integer >= 10.  The free multiplier
+    s = lambda/(lambda + |xi|^2) and the rank-one term are constant on each
+    |k|^2 bin, so after k steps u = s^k u_0 + delta_hat v[bin], whose bin
+    pairing with delta_hat is p + |delta|^2_bins v with
+    p = s^k <u_0, delta>_bins: a step updates only v and p, over the bins.
+    With r = 1/(lambda + rho) and v = r y, one step is the stacked
+    recurrence on z = [p; y] (2 x bins, y a view of z)
+
+        sigma = w . z,   z *= [s; s],   y += sigma,
+        w = lambda wlat / D(lambda) [r; r^2 |delta|^2_bins],
+
+    and v = r y at the end.  First-order accurate in t/steps.
     """
-    if steps < 10:
-        raise ValueError("backward_euler_oracle requires steps >= 10")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 10:
+        raise ValueError(f"backward_euler_oracle requires an integer steps >= 10; got {steps!r}")
     _check_time("backward_euler_oracle", t)
     lam = steps / t
     ev = params.eigenvalue or 0.0
@@ -628,17 +636,21 @@ def backward_euler_oracle(t, g, params, steps):
         lam = steps / t
         warnings.warn("resolvent shift hit the eigenvalue; stepping count bumped by one")
     model = grid_model(params, g.grid)
+    bins = model.rho.size
     r = 1.0 / (lam + model.rho)
-    s = lam / (lam + model.rho)
     coef = lam * model.wlat / model.denominator(lam)
+    w = coef * np.concatenate([r, r * r * model.delta_sq_bins])
+    ss = np.tile(lam / (lam + model.rho), 2)
     free = (lam / (lam + model.xi2)) ** steps
     outs = []
     for ghat in _real_parts(g.values):
         uhat, _ = model.project_ac_hat(ghat)
-        p = model._bin_pair(uhat)
-        v = np.zeros_like(p)
+        z = np.zeros(2 * bins)
+        z[:bins] = model._bin_pair(uhat)
+        y = z[bins:]
         for _ in range(steps):
-            v = s * v + (coef * np.dot(r, p + model.delta_sq_bins * v)) * r
-            p = s * p
-        outs.append(free * uhat + model.delta_hat * np.take(v, model.bin_index))
+            sigma = w @ z
+            z *= ss
+            y += sigma
+        outs.append(free * uhat + model.delta_hat * np.take(r * y, model.bin_index))
     return _field(g.grid, *outs)

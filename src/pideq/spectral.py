@@ -209,8 +209,8 @@ def green_lp_norm(lam, p, dim=2):
     ||G_lam||_p = lam^(N/2 - 1 - N/(2p)) ||G_1||_p by construction.
     """
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError("green_lp_norm requires real lambda > 0")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"green_lp_norm requires a finite real lambda > 0; got {lam!r}")
     if dim != 2:
         raise ValueError("radial quadrature implemented for dim = 2 only")
     if not 1.0 <= p < math.inf:

@@ -9,6 +9,7 @@ from scipy.integrate import dblquad, quad
 from pideq import (
     AlphaParams,
     ExperimentSpec,
+    Field,
     Grid,
     admissible_exponents,
     critical_datum,
@@ -18,10 +19,13 @@ from pideq import (
     run_gradient_decay,
     run_nonlinear_decay,
     run_semigroup_decay,
+    semigroup_gradient_pac,
     semigroup_pac,
     verify_convolution_lemma,
 )
+from pideq import decay
 from pideq.decay import _cell_average, make_datum
+from pideq.semigroup import grid_model
 
 
 def test_fit_rate_exact_power_law():
@@ -214,3 +218,62 @@ def test_nonlinear_decay_validation(params, grid128):
     spec = ExperimentSpec(grid=grid128, h1=4.0, h2=2.5)
     with pytest.raises(ValueError):
         run_nonlinear_decay(spec, None)
+
+
+def _fit_samples(monkeypatch, run, spec):
+    # the (t, value) pairs a linear fit hands to fit_rate
+    seen = []
+    monkeypatch.setattr(decay, "fit_rate", lambda samples, theo: seen.extend(samples))
+    run(spec)
+    return seen
+
+
+def test_linear_fit_samples_match_public_flows(monkeypatch, params, grid128):
+    # one transform and one Flow per t against one public call per t
+    ts = [1.0, 7.3, 50.0]
+    spec = ExperimentSpec(grid=grid128, q=2.0, p=4.0, t_grid=np.array(ts))
+    g = critical_datum(grid128, 2.0)
+    for (t, value), tref in zip(_fit_samples(monkeypatch, run_semigroup_decay, spec), ts):
+        expect = lp_norm(semigroup_pac(tref, g, params).field, 4.0)
+        assert t == tref and abs(value - expect) <= 1e-12 * expect
+    spec = ExperimentSpec(grid=grid128, q=4.0 / 3.0, p=1.5, t_grid=np.array(ts))
+    g = critical_datum(grid128, 4.0 / 3.0)
+    for (t, value), tref in zip(_fit_samples(monkeypatch, run_gradient_decay, spec), ts):
+        dx, dy = semigroup_gradient_pac(tref, g, params)
+        expect = lp_norm(Field(grid128, np.hypot(dx.values.real, dy.values.real)), 1.5)
+        assert t == tref and abs(value - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize(
+    "run, q, p", [(run_semigroup_decay, 2.0, 4.0), (run_gradient_decay, 4.0 / 3.0, 1.5)]
+)
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, 0.5])
+def test_linear_fit_rejects_t_grid_before_any_flow(monkeypatch, grid128, run, q, p, bad):
+    def banned(*args, **kwargs):
+        raise AssertionError("flow built before t_grid was checked")
+
+    monkeypatch.setattr(decay, "Flow", banned)
+    ts = np.geomspace(1.0, 50.0, 8)
+    ts[3] = bad
+    with pytest.raises(ValueError, match="t_grid"):
+        run(ExperimentSpec(grid=grid128, q=q, p=p, t_grid=ts))
+
+
+def test_semigroup_decay_transforms_datum_once(monkeypatch, params, grid128):
+    # 16 t-values share one rfft2 of the datum; each sample is one irfft2
+    import scipy.fft
+
+    grid_model(params, grid128)  # the model build transforms its kernel
+    counts = {"rfft2": 0, "irfft2": 0}
+    for name in counts:
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    spec = ExperimentSpec(grid=grid128, q=2.0, p=4.0)
+    assert len(spec.t_grid) == 16
+    run_semigroup_decay(spec)
+    assert counts == {"rfft2": 1, "irfft2": 16}

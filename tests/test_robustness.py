@@ -13,6 +13,7 @@ from pideq import (
     Grid,
     SolverConfig,
     gaussian_field,
+    green_lp_norm,
     krein_resolvent,
     load_field,
     lp_norm,
@@ -149,3 +150,14 @@ def test_total_field_round_trip(params, grid128):
     v = DecomposedField(u.regular, 0.5, params)
     tot = total_field(v)
     assert lp_norm(tot - u.regular, 2) > 0.01  # kernel part present
+
+
+def test_non_finite_exponent_and_lambda_rejected(grid128):
+    # a NaN p compares false against every bound, so it once slipped through
+    # to a NaN norm; a non-finite lambda gave nan (lambda = nan) or 0.0 (inf)
+    f = gaussian_field(grid128)
+    with pytest.raises(ValueError, match="p = nan"):
+        lp_norm(f, math.nan)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite real lambda"):
+            green_lp_norm(bad, 2)

@@ -353,9 +353,41 @@ def test_backward_euler_matches_lattice_recurrence(alpha, t, steps):
     assert lp_norm(out - expect, 2) <= 1e-13 * lp_norm(expect, 2)
 
 
+def _seven_op_oracle(t, g, params, steps):
+    # the bin-space oracle as it stepped before the stacked recurrence: per
+    # step, v = s v + (coef r . (p + |delta|^2_bins v)) r and p = s p
+    model = grid_model(params, g.grid)
+    lam = steps / t
+    r = 1.0 / (lam + model.rho)
+    s = lam / (lam + model.rho)
+    coef = lam * model.wlat / model.denominator(lam)
+    uhat, _ = model.project_ac_hat(np.fft.rfft2(g.values.real))
+    p = model._bin_pair(uhat)
+    v = np.zeros_like(p)
+    for _ in range(steps):
+        v = s * v + (coef * np.dot(r, p + model.delta_sq_bins * v)) * r
+        p = s * p
+    out = (lam / (lam + model.xi2)) ** steps * uhat + model.delta_hat * np.take(
+        v, model.bin_index
+    )
+    return Field(g.grid, np.fft.irfft2(out))
+
+
+@pytest.mark.parametrize("steps", [10, 1000])
+def test_backward_euler_stacked_recurrence_matches_seven_op_loop(params, steps):
+    g = gaussian_field(Grid(40.0, 64), sigma=2.0)
+    expect = _seven_op_oracle(1.0, g, params, steps)
+    out = backward_euler_oracle(1.0, g, params, steps)
+    assert lp_norm(out - expect, 2) <= 1e-12 * lp_norm(expect, 2)
+
+
 def test_backward_euler_validation(params, smooth_datum):
     with pytest.raises(ValueError):
         backward_euler_oracle(1.0, smooth_datum, params, 5)
+    for bad in (10.5, 100.0, True, "100", None, 9, -10):
+        with pytest.raises(ValueError, match="backward_euler_oracle requires an integer steps"):
+            backward_euler_oracle(1.0, smooth_datum, params, bad)
+    backward_euler_oracle(1.0, smooth_datum, params, np.int64(10))
     with pytest.raises(ValueError):
         backward_euler_oracle(-1.0, smooth_datum, params, 100)
     for bad in (math.inf, math.nan):
