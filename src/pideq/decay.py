@@ -28,9 +28,9 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft, special
+from numpy import fft
 
-from .fields import Field, Grid, gaussian_field, lp_norm
+from .fields import Field, Grid, _irfft2, _rfft2, gaussian_field, lp_norm
 from .semigroup import Flow, grid_model
 from .spectral import AlphaParams
 from .solver import state_fields
@@ -114,9 +114,21 @@ def _cell_average(beta):
     """Mean of |u|^(-beta) over the unit square cell centred at the origin, beta < 2.
 
     In polar form it is 8/(2 - beta) integral_0^(pi/4) (2 cos theta)^(beta - 2)
-    dtheta, and s = sin^2 theta turns that integral into a hypergeometric value.
+    dtheta, and s = sin^2 theta turns that integral into the hypergeometric
+    value 2F1(1/2, b; 3/2; 1/2) = sum_k (b)_k / (k! (2k + 1)) 2^-k with
+    b = (3 - beta)/2 > 1/2, whose terms are positive and fall by about half
+    per k; the sum stops at the first term below 1e-17 of it.
     """
-    return 2.0 ** (beta + 0.5) / (2.0 - beta) * special.hyp2f1(0.5, (3.0 - beta) / 2.0, 1.5, 0.5)
+    b = (3.0 - beta) / 2.0
+    total, coef, k = 0.0, 1.0, 0
+    while True:
+        term = coef / (2 * k + 1)
+        total += term
+        if term <= 1e-17 * total:
+            break
+        coef *= 0.5 * (b + k) / (k + 1)
+        k += 1
+    return 2.0 ** (beta + 0.5) / (2.0 - beta) * total
 
 
 def critical_datum(grid, q, envelope=0.25):
@@ -176,7 +188,7 @@ def _linear_fit(spec, sample, theoretical):
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 1.0)):
         raise ValueError(f"t_grid must hold finite times t >= 1; got {spec.t_grid!r}")
     model = grid_model(AlphaParams.for_alpha(spec.alpha, 2), spec.grid)
-    ghat = fft.rfft2(critical_datum(spec.grid, spec.q or 2.0).values.real)
+    ghat = _rfft2(critical_datum(spec.grid, spec.q or 2.0).values.real)
     return fit_rate(
         [(t, sample(model, Flow(model, t).apply(ghat))) for t in t_grid], theoretical
     )
@@ -205,7 +217,7 @@ def run_semigroup_decay(spec):
         )
     theo = -(1.0) * (1.0 / spec.q - 1.0 / spec.p)  # N = 2
     return _linear_fit(
-        spec, lambda model, out: _lp(fft.irfft2(out), spec.grid, spec.p), theo
+        spec, lambda model, out: _lp(_irfft2(out), spec.grid, spec.p), theo
     )
 
 
@@ -221,7 +233,7 @@ def run_gradient_decay(spec):
 
     def sample(model, out):
         d1, d2 = model.derivative
-        return _lp(np.hypot(fft.irfft2(d1 * out), fft.irfft2(d2 * out)), spec.grid, spec.p)
+        return _lp(np.hypot(_irfft2(d1 * out), _irfft2(d2 * out)), spec.grid, spec.p)
 
     return _linear_fit(spec, sample, -0.5 - (1.0 / spec.q - 1.0 / spec.p))
 
@@ -285,7 +297,7 @@ def verify_convolution_lemma(alpha_exp, beta_exp, t_grid):
     """max over t of integral_1^t (t-tau)^(-alpha) tau^(-beta) dtau / t^(1-alpha-beta).
 
     The substitution tau = t (1 - y) makes each ratio the incomplete beta
-    integral B(1 - alpha, 1 - beta) I_(1 - 1/t)(1 - alpha, 1 - beta), so it
+    integral B_(1 - 1/t)(1 - alpha, 1 - beta) (:func:`_incomplete_beta`), so it
     stays below the lemma's constant B(1 - alpha, 1 - beta).  Needs finite
     alpha < 1 and beta < 1 (for beta >= 1 the ratio grows like t^(beta - 1))
     and every t above 1.
@@ -296,6 +308,32 @@ def verify_convolution_lemma(alpha_exp, beta_exp, t_grid):
     t = np.asarray(t_grid, dtype=float)
     if not np.all(t > 1.0):
         raise ValueError("t grid must lie strictly above 1")
-    a, b = 1.0 - alpha_exp, 1.0 - beta_exp
-    ratios = special.beta(a, b) * special.betainc(a, b, 1.0 - 1.0 / t)
+    ratios = _incomplete_beta(1.0 - alpha_exp, 1.0 - beta_exp, 1.0 - 1.0 / t)
     return float(np.max(ratios, initial=0.0))
+
+
+def _beta(a, b):
+    """Euler's beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _incomplete_beta(a, b, x):
+    """B_x(a, b) = integral_0^x y^(a - 1) (1 - y)^(b - 1) dy for a, b > 0 and an array x in [0, 1].
+
+    Below x = (a + 1)/(a + b + 2) it sums the hypergeometric form
+    (DLMF 8.17.8) B_x(a, b) = x^a (1 - x)^b / a sum_k (a + b)_k / (a + 1)_k x^k,
+    whose terms are positive and fall at least like
+    max(x, (a + b)/(a + b + 2))^k; above, it takes B(a, b) - B_{1-x}(b, a),
+    where 1 - x lies below (b + 1)/(a + b + 2), the same point for (b, a).
+    """
+    x = np.asarray(x, dtype=float)
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    p, q = np.where(flip, b, a), np.where(flip, a, b)
+    y = np.where(flip, 1.0 - x, x)
+    total, term, k = np.ones_like(y), np.ones_like(y), 0
+    while np.any(term > 1e-17 * total):
+        term = term * (p + q + k) / (p + 1.0 + k) * y
+        total += term
+        k += 1
+    part = y ** p * (1.0 - y) ** q / p * total
+    return np.where(flip, _beta(a, b) - part, part)

@@ -64,7 +64,7 @@ projection's -<g, psi> e^{-t|xi|^2} psi and the full flow's
 e^{tE} <g, psi> psi join the correction's bin profile V.  A flow step is
 then heat g_hat + delta_hat V[bin]: one pairing, two small matrix-vector
 products, one gather and one heat multiply, with no projected copy of g.
-Two-dimensional transforms use ``scipy.fft``.
+Two-dimensional transforms use ``numpy.fft``.
 
 One transform layout
 --------------------
@@ -77,8 +77,8 @@ bins are the same.  A pairing sum f_hat conj(g_hat) takes the Hermitian
 column weights 1 for column 0 and the Nyquist column and 2 for the
 columns between, which stand for their mirrors too; the result is the
 full-lattice pairing of the two real fields.  The same holds bin by bin:
-the bin pairing is one sparse matrix-vector product, the bins x 2 n (n/2 + 1)
-CSR matrix of the weighted delta_hat against the float64 view of g_hat.
+the bin pairing is one ``np.bincount`` over the bin index of
+Re g_hat Re(w delta_hat) + Im g_hat Im(w delta_hat), w the column weights.
 The Talbot and cut-hugging rules are closed under conjugation (the Talbot
 nodes come in 16 + 16 pairs, the cut-hugging ones in pairs plus one real
 arc node), and a real datum's rank-one sum over a conjugate pair is
@@ -103,10 +103,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft, sparse
+from numpy import fft
 
 from .errors import BranchCutError, ContourError, PoleError
-from .fields import Field, lp_norm
+from .fields import Field, _irfft2, _rfft2, lp_norm
 from .spectral import _hermitian_weights, _real_parts, green_field, reference_lambda
 
 __all__ = [
@@ -128,6 +128,15 @@ TALBOT_NODES = 32
 
 CHUNK = 64
 """Nodes per block of resolvent rows; a flow whose rule fits in one keeps it."""
+
+MAX_KERNEL_DECAY = 400.0
+"""Largest sqrt(E) h a grid model accepts.
+
+The largest sample of G_E is about exp(-sqrt(E) h / sqrt(2)), at the nodes
+nearest the origin, and the lattice sums S ~ |delta_hat|^2 hold its square:
+past sqrt(E) h = 400 that is below 1e-245, and the rank-one denominators
+D(lambda) leave the double range (at n = 64 and 256 they did from about 500).
+"""
 
 
 @dataclass(frozen=True)
@@ -256,9 +265,9 @@ def _dot(ahat, bhat):
 
 def _field(grid, re_hat, im_hat=None):
     """The Field whose real part has half spectrum re_hat and imaginary part im_hat."""
-    values = fft.irfft2(re_hat)
+    values = _irfft2(re_hat)
     if im_hat is not None:
-        values = values + 1j * fft.irfft2(im_hat)
+        values = values + 1j * _irfft2(im_hat)
     return Field(grid, values)
 
 
@@ -270,10 +279,9 @@ class PointHeatModel:
     ``psi_hat``, ``delta_hat``, ``green_omega_hat``, the Hermitian column
     ``weights``, and ``derivative``, the pair (i xi1, i xi2) as n x 1 and
     1 x (n/2 + 1) arrays, each zero on the Nyquist line of its own axis.
-    ``pairing`` is the bins x 2 n (n/2 + 1) CSR matrix of the weighted
-    delta_hat, real and imaginary parts interleaved as in the float64 view
-    of a half spectrum, so that one matrix-vector product gives the bin
-    sums of Re(ghat conj(delta_hat)) w.
+    ``pairing`` holds the real and the imaginary part of the weighted
+    delta_hat w as two contiguous arrays, so that one ``np.bincount`` over
+    ``bin_index`` gives the bin sums of Re(ghat conj(delta_hat)) w.
     """
 
     def __init__(self, params, grid):
@@ -299,6 +307,12 @@ class PointHeatModel:
         self.derivative = (d1, d2)
 
         sq_ev = math.sqrt(self.E)
+        if sq_ev * grid.spacing > MAX_KERNEL_DECAY:
+            raise ValueError(
+                f"alpha = {params.alpha}: its eigenvalue E = {self.E:.3e} is beyond this grid: "
+                f"sqrt(E) h = {sq_ev * grid.spacing:.3g} exceeds {MAX_KERNEL_DECAY:g}, where the "
+                "sampled kernel G_E underflows; raise alpha or refine the grid"
+            )
         if sq_ev * grid.spacing > 1.5:
             warnings.warn(
                 "eigenfunction scale 1/sqrt(E) is below the mesh size; "
@@ -323,7 +337,7 @@ class PointHeatModel:
 
         gE = green_field(self.E, grid, method="direct")
         self.green_ref_norm = lp_norm(gE, 2)
-        self.psi_hat = fft.rfft2(gE.values.real) / self.green_ref_norm
+        self.psi_hat = _rfft2(gE.values.real) / self.green_ref_norm
         self.delta_hat = (self.E + self.xi2) * self.psi_hat * self.green_ref_norm
         self.weights = _hermitian_weights(n)
         self.delta_sq_bins = np.bincount(
@@ -337,21 +351,8 @@ class PointHeatModel:
         self.psi_bins = 1.0 / ((self.E + self.rho) * self.green_ref_norm)
         self.psi_pair = self.psi_bins * self.delta_sq_bins
 
-        # row b of the pairing holds the points of bin b in lattice order,
-        # each as two columns: its real and its imaginary part
-        order = np.argsort(bin_index, kind="stable").astype(np.int32)
-        indptr = np.zeros(self.rho.size + 1, dtype=np.int32)
-        np.cumsum(2 * np.bincount(bin_index, minlength=self.rho.size), out=indptr[1:])
-        indices = np.empty(2 * order.size, dtype=np.int32)
-        indices[0::2] = 2 * order
-        indices[1::2] = 2 * order + 1
-        wdelta = (self.delta_hat * self.weights).ravel()[order]
-        data = np.empty(2 * order.size)
-        data[0::2] = wdelta.real
-        data[1::2] = wdelta.imag
-        self.pairing = sparse.csr_array(
-            (data, indices, indptr), shape=(self.rho.size, 2 * order.size)
-        )
+        wdelta = self.delta_hat * self.weights
+        self.pairing = (np.ascontiguousarray(wdelta.real), np.ascontiguousarray(wdelta.imag))
 
     # -- scalar lattice functions --------------------------------------------
 
@@ -365,8 +366,11 @@ class PointHeatModel:
     # -- pairings --------------------------------------------------------------
 
     def _bin_pair(self, ghat):
-        """Bin sums of Re(ghat conj(delta_hat)) w: one sparse product with ghat's float64 view."""
-        return self.pairing @ np.ascontiguousarray(ghat).view(np.float64).reshape(-1)
+        """Bin sums of Re(ghat conj(delta_hat)) w: one bincount of the weighted real products."""
+        w_re, w_im = self.pairing
+        prod = ghat.real * w_re
+        prod += ghat.imag * w_im
+        return np.bincount(self.bin_index.ravel(), weights=prod.ravel())
 
     def coupling_coefficient(self, ghat):
         """Kernel coefficient <g, delta>/S(E) of the domain decomposition.

@@ -73,20 +73,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft
 
 from .errors import (
     ConvergenceError,
     DataTooLargeError,
     HorizonTooLargeError,
 )
-from .fields import Field, inner_product, lp_norm
+from .fields import Field, _irfft2, _rfft2, inner_product, lp_norm
 from .semigroup import Flow, grid_model
 from .spectral import (
     DecomposedField,
+    _green_gradient,
     _h1_kernel,
     _h1_proxy_hat,
-    green_gradient_field,
     psi_alpha_field,
     reference_lambda,
 )
@@ -206,9 +205,9 @@ def _drift_kernels(params, grid, a):
     d1, d2 = model.derivative
     a1, a2 = a
     kernel = a1 * d1 + a2 * d2
-    gx, gy = green_gradient_field(reference_lambda(params), grid)
-    closed = a1 * gx.values.real + a2 * gy.values.real
-    kernels = (kernel, closed - fft.irfft2(kernel * model.green_omega_hat))
+    gx, gy = _green_gradient(reference_lambda(params), grid)
+    closed = a1 * gx + a2 * gy
+    kernels = (kernel, closed - _irfft2(kernel * model.green_omega_hat))
     # shared by every caller of the cache
     for arr in kernels:
         arr.setflags(write=False)
@@ -218,7 +217,7 @@ def _drift_kernels(params, grid, a):
 def _drift(model, uhat, q, a):
     """Real samples of a . grad u for u = phi + q G_omega given by u_hat and q: one irfft2."""
     kernel, corr = _drift_kernels(model.params, model.grid, a)
-    drift = fft.irfft2(kernel * uhat)
+    drift = _irfft2(kernel * uhat)
     drift += q * corr
     return drift
 
@@ -230,7 +229,7 @@ def _nonlinear_values(model, uhat, q, cfg):
     """
     if cfg.a == (0.0, 0.0):
         return np.zeros((model.grid.n, model.grid.n)), 0
-    vals = fft.irfft2(uhat)
+    vals = _irfft2(uhat)
     drift = _drift(model, uhat, q, cfg.a)
     clamped = 0
     if cfg.gamma != 2.0:
@@ -253,7 +252,7 @@ def total_field(u):
     representation (the grid model's transform-side kernel); the values of
     :func:`state_fields`."""
     model = grid_model(u.params, u.regular.grid)
-    return Field(u.regular.grid, fft.irfft2(_state_hat(model, u)[0]))
+    return Field(u.regular.grid, _irfft2(_state_hat(model, u)[0]))
 
 
 def state_fields(u):
@@ -268,7 +267,7 @@ def state_fields(u):
     uhat, q = _state_hat(model, u)
     du1 = _drift(model, uhat, q, (1.0, 0.0))
     du2 = _drift(model, uhat, q, (0.0, 1.0))
-    return Field(grid, fft.irfft2(uhat)), Field(grid, np.hypot(du1, du2))
+    return Field(grid, _irfft2(uhat)), Field(grid, np.hypot(du1, du2))
 
 
 def nonlinearity(u, cfg):
@@ -310,7 +309,7 @@ def _state_hat(model, u):
             f"complex data (imaginary part {imag / size:.1e} of its size): the solver's "
             "forcing a . grad(|u|^gamma) is written for real u"
         )
-    return fft.rfft2(values.real) + q.real * model.green_omega_hat, q.real
+    return _rfft2(values.real) + q.real * model.green_omega_hat, q.real
 
 
 def _split(model, uhat):
@@ -332,53 +331,66 @@ def _proxy_kernel(params, grid):
     return _h1_kernel(grid, grid_model(params, grid).green_omega_hat)
 
 
-def _proxy(model, uhat):
-    """H^1 proxy of the state u_hat: phi's, with q read off the coupling, phi_hat never formed."""
-    q = model.coupling_coefficient(uhat)
+def _proxy(model, uhat, q=None):
+    """H^1 proxy of the state u_hat: phi's, phi_hat never formed.
+
+    q is u's coupling coefficient, read off the coupling when not given.
+    """
+    if q is None:
+        q = model.coupling_coefficient(uhat)
     return _h1_proxy_hat(model.grid, uhat, q, _proxy_kernel(model.params, model.grid))
 
 
 def _to_decomposed(model, uhat):
     phat, q = _split(model, uhat)
-    return DecomposedField(Field(model.grid, fft.irfft2(phat)), float(q), model.params)
+    return DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params)
 
 
-def _forcing_hat(model, uhat, cfg):
+def _forcing_hat(model, uhat, cfg, q=None):
     """(unprojected F transform, clamp count) of the state u_hat; (None, 0) if a = 0.
 
-    q is read off the coupling.  Two irfft2 (u and a . grad u) and one rfft2.
+    q is u's coupling coefficient, read off the coupling when not given.
+    Two irfft2 (u and a . grad u) and one rfft2.
     """
     if cfg.a == (0.0, 0.0):
         return None, 0
-    q = model.coupling_coefficient(uhat)
+    if q is None:
+        q = model.coupling_coefficient(uhat)
     values, clamped = _nonlinear_values(model, uhat, q, cfg)
-    return fft.rfft2(values), clamped
+    return _rfft2(values), clamped
 
 
-def _sweep(flow, start, steps, force, prev=None):
+def _sweep(flow, start, steps, force=None, prev=None):
     """Exponential-Euler sweep over one window: u_{j+1} = S(dt)[u_j + dt F(v_j)].
 
     S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt.  States
     are half spectra u_hat of the total.  ``start`` is u_0; ``force`` maps
-    one state to F's transform, a fresh array that the sweep overwrites
-    with u_j + dt F, or to None for no forcing, and is called exactly
-    ``steps`` times, in order.  Yields (j, u_hat) for u_1 ..
-    u_steps.  Without ``prev``, v_j = u_j: the march.  With ``prev``, the
+    one state and its coupling coefficient q (None: the forcing reads it)
+    to F's transform, a fresh array that the sweep overwrites with
+    u_j + dt F, or to None for no forcing, and is called exactly ``steps``
+    times, in order; without ``force`` the sweep is the linear evolution.
+    Yields (j, u_hat, q) for u_1 .. u_steps.  Without ``prev``, v_j = u_j:
+    the march, where q is u_j's coupling coefficient, read once for the
+    caller and for F(u_j) (None without ``force``).  With ``prev``, the
     previous Picard iterate as a list of steps + 1 states starting at u_0,
-    v_j = prev[j] and the sweep is one Picard iterate written over ``prev``
-    in place: prev[j] is replaced by u_j only after u_j has been yielded
-    and F(prev[j]) built, so the caller can still compare the two.
+    v_j = prev[j], q is None, and the sweep is one Picard iterate written
+    over ``prev`` in place: prev[j] is replaced by u_j only after u_j has
+    been yielded and F(prev[j]) built, so the caller can still compare the
+    two.
     """
+    coupling = flow.model.coupling_coefficient
+    march = prev is None and force is not None
     cur = start
-    fhat = force(cur)
+    fhat = None if force is None else force(cur, None)
     for j in range(1, steps + 1):
         if fhat is not None:
             fhat *= flow.t
             fhat += cur
         cur = flow.apply(cur if fhat is None else fhat)
-        yield j, cur
-        if j < steps:
-            fhat = force(prev[j] if prev is not None else cur)
+        q = coupling(cur) if march else None
+        yield j, cur, q
+        if j < steps and force is not None:
+            fhat = force(cur, q) if march else force(prev[j], None)
         if prev is not None:
             prev[j] = cur
 
@@ -396,15 +408,14 @@ def _picard_window(model, flow, start, steps, cfg, force, init, label):
     if init == "frozen":
         states = [start] * (steps + 1)
     else:
-        linear = _sweep(flow, start, steps, lambda uhat: None)
-        states = [start] + [uhat for _, uhat in linear]
+        states = [start] + [uhat for _, uhat, _ in _sweep(flow, start, steps)]
     scale = max(1.0, _proxy(model, start))
     ratios = []
     distance = None
     bad_streak = 0
     for it in range(1, cfg.picard_max + 1):
         dist = 0.0
-        for j, uhat in _sweep(flow, start, steps, force, states):
+        for j, uhat, _ in _sweep(flow, start, steps, force, states):
             dist = max(dist, _proxy(model, uhat - states[j]))
         if distance is not None and distance > 0:
             ratio = dist / distance
@@ -462,9 +473,9 @@ def _solve(u0, cfg, projected, window, default_stride, init):
 
     clamps = 0
 
-    def force(uhat):
+    def force(uhat, q):
         nonlocal clamps
-        fhat, clamped = _forcing_hat(model, uhat, cfg)
+        fhat, clamped = _forcing_hat(model, uhat, cfg, q)
         clamps += clamped
         return fhat
 
@@ -486,8 +497,8 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         kept = None
         if probe_top is not None:
             kept = []
-            for j, uhat in _sweep(flow, start, steps, force):
-                if not _proxy(model, uhat) <= probe_top:
+            for j, uhat, q in _sweep(flow, start, steps, force):
+                if not _proxy(model, uhat, q) <= probe_top:
                     kept = None
                     break
                 if j in want:
@@ -616,10 +627,10 @@ def residual_check(traj, cfg, t_min=0.0):
         # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
         au_hat = model.omega * uc - (model.omega + model.xi2) * (uc - qc * ghat)
         f_vals, _ = _nonlinear_values(model, uc, qc, cfg)
-        resid = fft.irfft2(du_hat - au_hat) - f_vals
+        resid = _irfft2(du_hat - au_hat) - f_vals
         if projected:
             resid = resid + traj.rho[k] * psi_vals
-        unorm = lp_norm(Field(grid, fft.irfft2(uc)), 2)
+        unorm = lp_norm(Field(grid, _irfft2(uc)), 2)
         rnorm = math.sqrt(float(np.sum(resid ** 2)) * grid.cell_area)
         if unorm > 0:
             worst = max(worst, rnorm / unorm)

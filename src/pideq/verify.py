@@ -12,9 +12,13 @@ import math
 import time
 from dataclasses import dataclass
 
-from scipy.special import beta
-
-from .decay import ExperimentSpec, run_gradient_decay, run_semigroup_decay, verify_convolution_lemma
+from .decay import (
+    ExperimentSpec,
+    _beta,
+    run_gradient_decay,
+    run_semigroup_decay,
+    verify_convolution_lemma,
+)
 from .fields import Grid, gaussian_field, lp_norm
 from .semigroup import ContourSpec, backward_euler_oracle, krein_resolvent, semigroup_full, semigroup_pac
 from .special import euler_gamma
@@ -143,7 +147,7 @@ def check_convolution_bound():
         for b in (-0.5, 0.0, 0.5):
             ratio = verify_convolution_lemma(a, b, (2.0, 10.0, 100.0))
             worst = max(worst, ratio)
-            share = max(share, ratio / float(beta(1.0 - a, 1.0 - b)))
+            share = max(share, ratio / _beta(1.0 - a, 1.0 - b))
     ok = math.isfinite(worst) and share <= 1.0
     return ok, f"max ratio {worst:.3f}, largest ratio/constant {share:.4f}"
 

@@ -252,3 +252,43 @@ assert "scipy.integrate" not in sys.modules, "scipy.integrate imported"
     env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_paths_run_without_scipy(tmp_path):
+    # every run path needs numpy alone: with each scipy import refused, the
+    # package, the verify checks, a projected solve and five subcommands run
+    script = """
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import pideq
+from pideq import cli, verify
+
+# at n = 64 contour independence misses its 1e-6 gate; no check may raise
+results = verify.run_checks(pideq.Grid(40.0, 64))
+assert not [r.detail for r in results if r.detail.startswith("raised")]
+params = pideq.AlphaParams.for_alpha(0.0, 2)
+u0 = pideq.DecomposedField.from_field(
+    pideq.gaussian_field(pideq.Grid(40.0, 64), sigma=1.5, amplitude=0.02), params
+)
+pideq.solve_global_projected(u0, pideq.SolverConfig(T=0.04, dt=0.02))
+for argv in (["spectral"], ["semigroup"], ["resolve"], ["simulate", "--T", "0.1"], ["decay"]):
+    grid = [] if argv == ["spectral"] else ["--grid-n", "64"]
+    code = cli.main(["--out", sys.argv[1], *argv, *grid])
+    assert code == 0, (argv, code)
+assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -146,6 +146,25 @@ def test_cell_average_matches_quadrature(beta):
     assert abs(_cell_average(beta) - 4.0 * val) <= 1e-12 * 4.0 * val
 
 
+@pytest.mark.parametrize("beta", [1e-3, 0.5, 2.0 / 3.0, 1.0, 1.5, 1.99])
+def test_cell_average_matches_scipy_hyp2f1(beta):
+    from scipy import special
+
+    ref = 2.0 ** (beta + 0.5) / (2.0 - beta) * special.hyp2f1(0.5, (3.0 - beta) / 2.0, 1.5, 0.5)
+    assert abs(_cell_average(beta) - ref) <= 1e-14 * ref
+
+
+def test_convolution_lemma_matches_scipy_betainc():
+    # the series form of B_x(a, b) at the 27 points of the verify check
+    from scipy import special
+
+    for a in (0.25, 0.5, 0.75):
+        for b in (-0.5, 0.0, 0.5):
+            for t in (2.0, 10.0, 100.0):
+                ref = special.beta(1.0 - a, 1.0 - b) * special.betainc(1.0 - a, 1.0 - b, 1.0 - 1.0 / t)
+                assert abs(verify_convolution_lemma(a, b, (t,)) - ref) <= 1e-13 * ref
+
+
 def test_critical_datum_structure():
     grid = Grid(40.0, 128)
     f = critical_datum(grid, 2.0)
@@ -260,20 +279,19 @@ def test_linear_fit_rejects_t_grid_before_any_flow(monkeypatch, grid128, run, q,
 
 
 def test_semigroup_decay_transforms_datum_once(monkeypatch, params, grid128):
-    # 16 t-values share one rfft2 of the datum; each sample is one irfft2
-    import scipy.fft
-
+    # 16 t-values share one rfft2 of the datum; each sample is one irfft2,
+    # and each of those makes one numpy rfft or irfft pass
     grid_model(params, grid128)  # the model build transforms its kernel
-    counts = {"rfft2": 0, "irfft2": 0}
+    counts = {"rfft": 0, "irfft": 0}
     for name in counts:
-        original = getattr(scipy.fft, name)
+        original = getattr(np.fft, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     spec = ExperimentSpec(grid=grid128, q=2.0, p=4.0)
     assert len(spec.t_grid) == 16
     run_semigroup_decay(spec)
-    assert counts == {"rfft2": 1, "irfft2": 16}
+    assert counts == {"rfft": 1, "irfft": 16}

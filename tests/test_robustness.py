@@ -12,6 +12,7 @@ from pideq import (
     Field,
     Grid,
     SolverConfig,
+    c_lambda,
     gaussian_field,
     green_lp_norm,
     krein_resolvent,
@@ -23,6 +24,7 @@ from pideq import (
     solve_local,
     total_field,
 )
+from pideq.cli import main
 from pideq.semigroup import Flow, grid_model
 
 
@@ -161,3 +163,28 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite real lambda"):
             green_lp_norm(bad, 2)
+
+
+def test_grid_rejects_float_n():
+    # a float n once raised TypeError from the power-of-two bit test
+    with pytest.raises(ValueError, match="n must be an int power of two"):
+        Grid(40.0, 64.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_c_lambda_rejects_non_finite_lambda(lam):
+    # a non-finite lambda once returned nan+nanj
+    with pytest.raises(ValueError, match="finite lambda"):
+        c_lambda(lam)
+
+
+def test_grid_model_rejects_eigenvalue_beyond_grid(tmp_path, capsys):
+    # alpha = -5 gives E = 2.4e27: the sampled kernel underflows, and the
+    # model once divided by zero and ended in "field values must be finite"
+    params = AlphaParams.for_alpha(-5.0, 2)
+    with pytest.raises(ValueError, match=r"alpha = -5\.0: its eigenvalue E = 2\.445e\+27"):
+        grid_model(params, Grid(40.0, 64))
+    argv = ["--out", str(tmp_path), "semigroup", "--alpha=-5", "--grid-n", "64", "--t", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pideq: error: alpha = -5.0: its eigenvalue E = 2.445e+27")

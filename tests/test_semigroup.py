@@ -551,11 +551,23 @@ def test_rules_are_conjugate_closed(alpha):
         assert _rel(np.conj(weights[lo])[il], weights[up][iu]) <= 1e-14
 
 
+def test_bin_pair_matches_dense_sum(params):
+    # the bincount scatter against a dense bins x lattice indicator product
+    model = grid_model(params, Grid(40.0, 64))
+    rng = np.random.default_rng(3)
+    ghat = np.fft.rfft2(rng.standard_normal((64, 64)))
+    bins = np.arange(model.rho.size)[:, None]
+    indicator = (model.bin_index.ravel()[None, :] == bins).astype(float)
+    prod = (ghat * np.conj(model.delta_hat) * model.weights).real.ravel()
+    dense = indicator @ prod
+    assert _rel(model._bin_pair(ghat), dense) <= 1e-14
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
 def test_sparse_bin_pair_matches_bincount(alpha):
-    # the one CSR product against the bincount scatter over the full
-    # lattice, on data spread over the lattice and on data in the edge
-    # columns, and on a Fortran-ordered copy
+    # the bin pairing against the bincount scatter over the full lattice,
+    # on data spread over the lattice and on data in the edge columns, and
+    # on a Fortran-ordered copy
     for edges in (False, True):
         model, ghalf, gfull = _half_and_full(alpha, 14, edges)
         ref = _full_bin_pair(_FullLattice(model.params, model.grid), gfull)
@@ -618,8 +630,6 @@ def test_complex_input_is_linear(alpha):
 def test_flows_run_without_full_lattice_transforms(params, grid128, monkeypatch):
     # the model, its flows, the resolvent, the oracle and the solver work on
     # the rfft2 half spectrum alone: with fft2 and ifft2 raising, they all run
-    import scipy.fft
-
     from pideq import DecomposedField, SolverConfig, solve_global_projected
 
     grid = Grid(36.0, 64)  # no other test builds this model, so its build is covered too
@@ -629,8 +639,8 @@ def test_flows_run_without_full_lattice_transforms(params, grid128, monkeypatch)
     def banned(*args, **kwargs):
         raise AssertionError("full-lattice transform")
 
-    monkeypatch.setattr(scipy.fft, "fft2", banned)
-    monkeypatch.setattr(scipy.fft, "ifft2", banned)
+    monkeypatch.setattr(np.fft, "fft2", banned)
+    monkeypatch.setattr(np.fft, "ifft2", banned)
     semigroup_pac(1.0, g, params)
     semigroup_full(0.5, g, params)
     semigroup_pac(1.0, g, params, ContourSpec.for_time(params, 1.0))

@@ -148,13 +148,13 @@ def _duhamel(flow, kicks):
     """
     it = iter(kicks)
 
-    def force(_):
+    def force(_, __):
         kick = next(it)
         return None if kick is None else kick.copy()  # the sweep writes into it
 
     n = flow.model.grid.n
     uhat = np.zeros((n, n // 2 + 1), dtype=np.complex128)
-    for _, uhat in _sweep(flow, uhat, len(kicks), force):
+    for _, uhat, _ in _sweep(flow, uhat, len(kicks), force):
         pass
     return uhat
 
@@ -286,8 +286,8 @@ def test_solve_local_fixed_point_property(params, grid128):
     prop = Flow(model, cfg.dt, full=True)
     states = [_state_hat(model, st)[0] for st in traj.states]
 
-    def force(uhat):
-        return _forcing_hat(model, uhat, cfg)[0]
+    def force(uhat, q):
+        return _forcing_hat(model, uhat, cfg, q)[0]
 
     # one Picard iterate from the solution, swept over a copy of it
     swept = list(states)
@@ -389,8 +389,8 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     uhat, _ = _state_hat(model, traj.states[0])
     ref = [uhat]
 
-    def force(uhat):
-        return _forcing_hat(model, uhat, cfg)[0]
+    def force(uhat, q):
+        return _forcing_hat(model, uhat, cfg, q)[0]
 
     for win in range(windows):
         states, _, _ = _picard_window(
@@ -544,7 +544,7 @@ def test_forcing_samples_drift_derivative(params, grid128, a):
     cfg = SolverConfig(gamma=2.0, a=a)
     model = grid_model(params, grid128)
     uhat, q = _state_hat(model, u)
-    vals = solver.fft.irfft2(uhat)
+    vals = np.fft.irfft2(uhat)
     du1, du2 = (_drift(model, uhat, q, e) for e in ((1.0, 0.0), (0.0, 1.0)))
     expect = 2.0 * vals * (a[0] * du1 + a[1] * du2)
     got = nonlinearity(u, cfg).values
@@ -554,28 +554,29 @@ def test_forcing_samples_drift_derivative(params, grid128, a):
 
 
 def test_transform_budget(params, grid128, monkeypatch):
-    # a forcing is two irfft2 (u and a . grad u) and one rfft2; a flow
-    # step on the half spectrum runs no transform, and neither does the sweep
+    # a forcing is two irfft2 (u and a . grad u) and one rfft2, each one numpy
+    # irfft or rfft pass; a flow step on the half spectrum runs no transform,
+    # and neither does the sweep
     model = grid_model(params, grid128)
     uhat, _ = _state_hat(model, _random_state(grid128, params, 24, q=0.3))
     cfg = SolverConfig(gamma=2.0, a=(0.3, -0.7))
     flow = Flow(model, 0.02)
     _forcing_hat(model, uhat, cfg)  # build the cached drift kernels
-    counts = {"irfft2": 0, "rfft2": 0}
+    counts = {"irfft": 0, "rfft": 0}
     for name in counts:
-        def counted(*args, _name=name, _fn=getattr(solver.fft, name), **kwargs):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(solver.fft, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     _forcing_hat(model, uhat, cfg)
-    assert counts == {"irfft2": 2, "rfft2": 1}
-    counts.update(irfft2=0, rfft2=0)
+    assert counts == {"irfft": 2, "rfft": 1}
+    counts.update(irfft=0, rfft=0)
     flow.apply(uhat)
-    assert counts == {"irfft2": 0, "rfft2": 0}
-    for _ in _sweep(flow, uhat, 5, lambda v: _forcing_hat(model, v, cfg)[0]):
+    assert counts == {"irfft": 0, "rfft": 0}
+    for _ in _sweep(flow, uhat, 5, lambda v, q: _forcing_hat(model, v, cfg, q)[0]):
         pass
-    assert counts == {"irfft2": 10, "rfft2": 5}
+    assert counts == {"irfft": 10, "rfft": 5}
 
 
 def test_stored_states_domain_compatible(params, grid128):

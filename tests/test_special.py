@@ -30,6 +30,17 @@ def test_k0_at_one_vs_quadrature():
     assert abs(bessel_k0(1.0) - quad_k0(1.0)) < 1e-11
 
 
+def test_k0_k1_match_scipy():
+    # the numpy series (x <= 2) and trapezoid rule (x > 2) against the cephes
+    # routines, densely around the switch at x = 2
+    from scipy import special as sp
+
+    xs = np.concatenate([np.geomspace(1e-4, 700.0, 20001), np.linspace(1.9, 2.1, 2001)])
+    for ours, ref in ((bessel_k0, sp.k0), (bessel_k1, sp.k1)):
+        want = ref(xs)
+        assert np.max(np.abs(ours(xs) - want) / want) <= 1e-14
+
+
 def test_k1_at_one_vs_quadrature():
     assert abs(bessel_k1(1.0) - K1_AT_1) < 1e-12
 
