@@ -48,14 +48,15 @@ Talbot rule agrees to 2e-11 and 1.4e-9.
 All inner node sums are accelerated by binning the wavenumber lattice by
 the integer |k|^2, which is exact.  Every rule feeds one rank-one kernel,
 ``PointHeatModel.correction``: from the datum's bin pairing it accumulates,
-per chunk of at most ``CHUNK`` nodes, the bin profile from the resolvent
+per block of at most ``CHUNK`` = 16 nodes, the bin profile from the resolvent
 rows 1/(lambda_k + |xi|^2) over the bins, with the denominators D(lambda_k)
-read off the same rows.  A rule that fits in one chunk (Talbot's always
-does) keeps its rows for the flow's lifetime; a longer rule rebuilds its
-rows chunk by chunk on every application, so no nodes x bins matrix larger
-than one chunk is held.  The resolvent is the one-node rule of the same
-kernel (node lambda, weight 1), so every rank-one quantity is delta_hat
-times a bin profile, and the backward-Euler oracle steps on the bins alone.
+read off the same rows.  The folded Talbot rule is one block, which its flow
+keeps for its lifetime.  A longer rule refills one reused block buffer on
+every application, so its working memory is one 16 x bins complex block
+(1.5 MB at n = 256, 5.6 MB at n = 512) however many nodes it has.  The
+resolvent is the one-node rule of the same kernel (node lambda, weight 1),
+so every rank-one quantity is delta_hat times a bin profile, and the
+backward-Euler oracle steps on the bins alone.
 
 The projection is bin-space bookkeeping too: psi_hat = delta_hat r_E[bin]
 with r_E = 1/((E + |xi|^2) ||G_E||), so <g, psi> = wlat r_E . bp is read off
@@ -98,6 +99,7 @@ R(lambda) g for a real g, and the resolvent of a complex g combines them.
 import cmath
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -126,8 +128,11 @@ MIN_TIME = 0.01
 TALBOT_NODES = 32
 """Node count of the Talbot rule of every flow without an explicit contour."""
 
-CHUNK = 64
-"""Nodes per block of resolvent rows; a flow whose rule fits in one keeps it."""
+CHUNK = TALBOT_NODES // 2
+"""Nodes per block of resolvent rows: the folded Talbot rule, which a flow keeps whole."""
+
+MAX_EXP = math.log(sys.float_info.max)
+"""Largest E t whose full-flow growth exp(E t) is a finite double (about 709.78)."""
 
 MAX_KERNEL_DECAY = 400.0
 """Largest sqrt(E) h a grid model accepts.
@@ -156,6 +161,12 @@ class ContourSpec:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ContourError("contour radius must be positive")
+        if not math.isfinite(self.truncation):
+            raise ContourError(f"ray truncation must be finite; got {self.truncation}")
+        for name in ("nodes_ray", "nodes_arc"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ContourError(f"{name} must be an integer; got {value!r}")
         if self.truncation <= self.epsilon:
             raise ContourError("ray truncation must exceed the arc radius")
         if self.nodes_ray < 32 or self.nodes_arc < 32:
@@ -408,15 +419,20 @@ class PointHeatModel:
         return re, ghat * mult.imag + self.delta_hat * np.take(prof.imag, self.bin_index)
 
     def _node_chunks(self, nodes, weights, chunk):
-        """Resolvent rows over the bins, ``chunk`` nodes at a time.
+        """Resolvent rows over the bins, ``chunk`` nodes at a time, in one reused buffer.
 
         Yields (rows, base): rows[k, b] = 1/(lambda_k + rho_b) and
         base = weights / D(lambda), with the denominators read off the same
-        rows, so memory stays at one chunk x bins.  The rows are inverted in
-        place.
+        rows.  Each call allocates one min(chunk, nodes) x bins buffer and
+        fills every block into it in place, so a yielded block is valid only
+        until the next one is requested, and memory stays at one block
+        however long the rule.  A rule of one block gets the whole buffer,
+        which no later call touches.
         """
+        buf = np.empty((min(chunk, nodes.size), self.rho.size), dtype=np.complex128)
         for lo in range(0, nodes.size, chunk):
-            rows = nodes[lo:lo + chunk, None] + self.rho
+            rows = buf[:min(chunk, nodes.size - lo)]
+            np.add(nodes[lo:lo + chunk, None], self.rho, out=rows)
             np.reciprocal(rows, out=rows)
             denom = self.S_at_E - self.wlat * (rows @ self.delta_sq_bins)
             yield rows, weights[lo:lo + chunk] / denom
@@ -470,12 +486,17 @@ class Flow:
     (``_fold``) nodes and weights of one quadrature rule at t: the
     ``TALBOT_NODES``-node Talbot rule, or the cut-hugging ``contour`` when
     one is given.  A folded rule that fits in one ``CHUNK`` (Talbot's does)
-    also keeps its resolvent rows and base weights, so a caller stepping
-    with one t builds them once; a longer rule rebuilds them chunk by chunk
-    on every application.
+    also keeps its resolvent rows and base weights, in a buffer of its own,
+    so a caller stepping with one t builds them once; a longer rule refills
+    one block buffer chunk by chunk on every application.
     """
 
     def __init__(self, model, t, full=False, contour=None):
+        if full and model.E * t > MAX_EXP:
+            raise ValueError(
+                f"full flow at t = {t}: the eigenmode growth exp(E t) with E = {model.E:.6g} "
+                f"overflows (E t = {model.E * t:.6g} > {MAX_EXP:.2f}); use a shorter t"
+            )
         self.model = model
         self.t = t
         if contour is None:

@@ -20,11 +20,13 @@ from pideq import (
     lp_norm,
     psi_alpha_field,
     save_field,
+    semigroup_full,
     semigroup_pac,
     solve_local,
     total_field,
 )
 from pideq.cli import main
+from pideq.errors import ContourError
 from pideq.semigroup import Flow, grid_model
 
 
@@ -188,3 +190,32 @@ def test_grid_model_rejects_eigenvalue_beyond_grid(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("pideq: error: alpha = -5.0: its eigenvalue E = 2.445e+27")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"truncation": math.nan}, "ray truncation must be finite; got nan"),
+        ({"truncation": math.inf}, "ray truncation must be finite; got inf"),
+        ({"nodes_ray": 64.5}, "nodes_ray must be an integer; got 64.5"),
+        ({"nodes_arc": 64.0}, "nodes_arc must be an integer; got 64.0"),
+        ({"nodes_ray": True}, "nodes_ray must be an integer; got True"),
+    ],
+)
+def test_contour_spec_rejects_bad_arguments(kwargs, message):
+    # a non-finite truncation once ended in a RuntimeWarning from the node
+    # builder, and a float node count in a TypeError from leggauss
+    args = {"epsilon": 0.5, "truncation": 50.0, **kwargs}
+    with pytest.raises(ContourError, match=message):
+        ContourSpec(**args)
+
+
+@pytest.mark.filterwarnings("ignore:eigenfunction scale")
+def test_full_flow_growth_overflow_rejected():
+    # E = 675 at alpha = -0.5: exp(E t) leaves the double range past
+    # E t = 709.78, where math.exp once raised OverflowError
+    params = AlphaParams.for_alpha(-0.5, 2)
+    g = gaussian_field(Grid(40.0, 64), sigma=2.0)
+    with pytest.raises(ValueError, match=r"full flow at t = 2\.0: .* E = 675\.227"):
+        semigroup_full(2.0, g, params)
+    assert np.isfinite(semigroup_full(1.0, g, params).values).all()

@@ -24,6 +24,7 @@ from pideq import (
     semigroup_gradient_pac,
     semigroup_pac,
 )
+from pideq import verify
 from pideq.errors import BranchCutError, ContourError, PoleError
 from pideq.semigroup import CHUNK, Flow, _dot, _talbot_nodes, grid_model
 from pideq.spectral import _h1_proxy_hat, green_field
@@ -260,19 +261,51 @@ def test_correction_chunk_invariance(params, grid128, smooth_datum):
         assert np.linalg.norm(corr - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_correction_hat_memory_bounded(params, grid256):
-    # 2113 nodes x 5924 bins at t = 50: the full matrix alone is 200 MB
-    model = grid_model(params, grid256)
-    flow = Flow(model, 50.0, contour=ContourSpec.for_time(params, 50.0))
-    g = gaussian_field(grid256, sigma=2.0)
-    ghat = np.fft.rfft2(g.values.real)
+def _traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn() runs."""
     tracemalloc.start()
     try:
-        flow.apply(ghat)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+
+
+def test_flow_apply_memory_bounded(params, grid256):
+    # 2113 nodes x 5924 bins at t = 50: the full matrix alone is 200 MB, and
+    # one block of CHUNK = 16 folded nodes is 1.5 MB, refilled in place
+    model = grid_model(params, grid256)
+    flow = Flow(model, 50.0, contour=ContourSpec.for_time(params, 50.0))
+    assert CHUNK == 16 and flow._chunks is None
+    g = gaussian_field(grid256, sigma=2.0)
+    ghat = np.fft.rfft2(g.values.real)
+    assert _traced_peak(lambda: flow.apply(ghat)) <= 8e6
+
+
+def test_contour_check_memory_bounded(params, grid256):
+    # verify's contour check runs two cut-hugging rules of 289 folded nodes,
+    # each through one reused block; its traced peak is about 6.4 MB once the
+    # untraced first call has built the grid model
+    ok, _ = verify.check_contour_independence(grid256)
+    assert ok
+    assert _traced_peak(lambda: verify.check_contour_independence(grid256)) <= 8e6
+
+
+def test_flow_rows_not_aliased(params):
+    # every _node_chunks call fills its own buffer: two Talbot flows keep
+    # disjoint rows, and a multi-block rule applied in between leaves them alone
+    model = grid_model(params, Grid(40.0, 64))
+    ghat = np.fft.rfft2(gaussian_field(model.grid, sigma=2.0).values.real)
+    a, b = Flow(model, 0.5), Flow(model, 2.0)
+    (rows_a, _), = a._chunks
+    (rows_b, _), = b._chunks
+    assert not np.shares_memory(rows_a, rows_b)
+    before = a.apply(ghat)
+    long = Flow(model, 1.0, contour=ContourSpec.for_time(params, 1.0))
+    assert long._chunks is None and long.nodes.size > 2 * CHUNK
+    long.apply(ghat)
+    b.apply(ghat)
+    assert np.array_equal(a.apply(ghat), before)
 
 
 def test_holder_pairing_bound(params, grid128, smooth_datum):
