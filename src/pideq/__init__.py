@@ -22,6 +22,7 @@ from .spectral import (
     green_gradient_field,
     green_lp_norm,
     h1_alpha_norm,
+    load_state,
     project_ac,
     project_d,
     psi_alpha_field,

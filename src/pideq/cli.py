@@ -7,6 +7,10 @@ dt, T, tol) and --out DIR for emitted files.  Command-line flags override
 config values.  An input the library rejects (ValueError, or a
 ConvergenceError) and a file that cannot be read or written (OSError)
 print ``pideq: error: <message>`` to stderr and exit 2.
+``simulate --snapshots`` writes one lossless state container per stored
+time (``state_#####.pidf``: phi, q, alpha and t); given back as ``--u0``
+it resumes the run from that state, and the printed times continue from
+its t.  Elsewhere a state file's phi is read as a plain field datum.
 All CSV output is full-precision scientific notation with '.' decimals,
 ',' separators and LF line endings.
 """
@@ -25,9 +29,17 @@ from .decay import (
     run_semigroup_decay,
 )
 from .errors import ConvergenceError
-from .fields import Grid, field_to_csv, gaussian_field, load_field, lp_norm, save_field
+from .fields import (
+    Grid,
+    _is_state_container,
+    field_to_csv,
+    gaussian_field,
+    load_field,
+    lp_norm,
+    save_field,
+)
 from .semigroup import ContourSpec, krein_resolvent, semigroup_pac
-from .spectral import AlphaParams, DecomposedField, c_lambda
+from .spectral import AlphaParams, DecomposedField, c_lambda, load_state
 from .solver import SolverConfig, solve_global_projected, solve_local, state_fields
 
 CONFIG_KEYS = {
@@ -117,6 +129,25 @@ def _load_datum(descriptor, grid):
     return f
 
 
+def _initial_state(descriptor, grid, params):
+    """(u0, t0) of ``simulate``: a datum or field file at t0 = 0, or a saved state at its t.
+
+    A state container (``simulate --snapshots`` writes one per stored time)
+    restores phi and q exactly; its alpha must be the run's.
+    """
+    if descriptor.partition(":")[0] in DATUM_KINDS or not _is_state_container(descriptor):
+        return DecomposedField.from_field(_load_datum(descriptor, grid), params), 0.0
+    u0, t0 = load_state(descriptor)
+    if u0.params.alpha != params.alpha:
+        raise ValueError(
+            f"state {descriptor} has alpha = {u0.params.alpha!r}; "
+            f"the run has alpha = {params.alpha!r}"
+        )
+    if u0.regular.grid != grid:
+        raise ValueError(f"datum grid {u0.regular.grid} does not match requested grid {grid}")
+    return u0, t0
+
+
 def cmd_spectral(args, config):
     params = _params(args, config)
     out = sys.stdout
@@ -177,7 +208,7 @@ def cmd_simulate(args, config):
         dt=_merged(args, config, "dt", 0.01),
         picard_tol=_merged(args, config, "tol", 1e-9),
     )
-    u0 = DecomposedField.from_field(_load_datum(args.u0, grid), params)
+    u0, t0 = _initial_state(args.u0, grid, params)
     if args.projected:
         traj = solve_global_projected(u0, cfg)
     else:
@@ -186,7 +217,7 @@ def cmd_simulate(args, config):
     manifest = out / "trajectory.csv"
     with open(manifest, "w", newline="\n") as fh:
         fh.write("t,l2,l4,grad_l32,q_abs,rho\n")
-        for k, (t, st) in enumerate(zip(traj.times, traj.states)):
+        for k, (t, st) in enumerate(zip(t0 + traj.times, traj.states)):
             u, grad = state_fields(st)
             l2, l4 = lp_norm(u, 2), lp_norm(u, 4)
             g32 = lp_norm(grad, 1.5)
@@ -196,7 +227,7 @@ def cmd_simulate(args, config):
                 f"{_sci(abs(st.coeff))},{_sci(rho)}\n"
             )
             if args.snapshots:
-                save_field(st.regular, out / f"state_{k:05d}.pidf")
+                save_field(st, out / f"state_{k:05d}.pidf", t=t)
     print(f"written,{manifest}")
     return 0
 

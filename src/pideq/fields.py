@@ -1,9 +1,10 @@
-"""Grid-sampled complex fields on [-L, L]^2 with Fourier-spectral operations.
+"""Grid-sampled fields on [-L, L]^2 with Fourier-spectral operations.
 
 A :class:`Grid` is a uniform periodic n x n mesh on the square [-L, L]^2.
 With the half-cell ``offset`` switched on (the default) the origin is not a
 mesh node, which keeps logarithmically singular kernels finite everywhere.
-A :class:`Field` is an immutable complex array together with its grid.
+A :class:`Field` is an immutable array together with its grid: float64 when
+its data are real, complex128 otherwise.
 
 Conventions
 -----------
@@ -17,6 +18,8 @@ Conventions
 
 import math
 import numbers
+import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,55 +81,32 @@ class Grid:
         shift = 0.5 if self.offset else 0.0
         return (np.arange(self.n) + shift) * self.spacing - self.half_width
 
+    # The four n x n arrays below are built on each call, not cached: a
+    # cache would keep 3 MiB alive for the process at n = 256, while
+    # building one takes well under a millisecond and every lasting
+    # consumer (the Green samples, the grid model) keeps only what it
+    # derives from them.
+
     def mesh(self):
         """Coordinate arrays X, Y with 'ij' indexing."""
-        return _mesh(self)
+        x = self.axis()
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        return X, Y
 
     def radius(self):
         """Distance from the origin at every node."""
-        return _radius(self)
+        return np.hypot(*self.mesh())
 
     def wavenumbers(self):
         """Angular wavenumber arrays (XI1, XI2), unshifted FFT order."""
-        return _wavenumbers(self)
+        xi = 2.0 * np.pi * fft.fftfreq(self.n, d=self.spacing)
+        XI1, XI2 = np.meshgrid(xi, xi, indexing="ij")
+        return XI1, XI2
 
     def wavenumber_sq(self):
         """|xi|^2 on the unshifted FFT lattice."""
-        return _wavenumber_sq(self)
-
-
-@lru_cache(maxsize=16)
-def _mesh(grid):
-    x = grid.axis()
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    X.setflags(write=False)
-    Y.setflags(write=False)
-    return X, Y
-
-
-@lru_cache(maxsize=16)
-def _radius(grid):
-    X, Y = _mesh(grid)
-    r = np.hypot(X, Y)
-    r.setflags(write=False)
-    return r
-
-
-@lru_cache(maxsize=16)
-def _wavenumbers(grid):
-    xi = 2.0 * np.pi * fft.fftfreq(grid.n, d=grid.spacing)
-    XI1, XI2 = np.meshgrid(xi, xi, indexing="ij")
-    XI1.setflags(write=False)
-    XI2.setflags(write=False)
-    return XI1, XI2
-
-
-@lru_cache(maxsize=16)
-def _wavenumber_sq(grid):
-    XI1, XI2 = _wavenumbers(grid)
-    s = XI1 ** 2 + XI2 ** 2
-    s.setflags(write=False)
-    return s
+        XI1, XI2 = self.wavenumbers()
+        return XI1 ** 2 + XI2 ** 2
 
 
 @lru_cache(maxsize=16)
@@ -164,13 +144,24 @@ def _irfft2(hat):
 
 @dataclass(frozen=True)
 class Field:
-    """A complex-valued function sampled on a :class:`Grid`."""
+    """A function sampled on a :class:`Grid`, real or complex.
+
+    The dtype follows the input: complex values are held as complex128 and
+    every other input as float64, so real data carry no imaginary half.
+    Arithmetic promotes as numpy does (a real field times a real scalar
+    stays real; a complex scalar or a complex operand makes it complex).
+    ``values`` is read-only; an input that already has the held dtype and
+    C layout is kept without a copy, and frozen.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
+        vals = np.ascontiguousarray(
+            vals, dtype=np.complex128 if np.iscomplexobj(vals) else np.float64
+        )
         if vals.shape != (self.grid.n, self.grid.n):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid n={self.grid.n}"
@@ -193,7 +184,9 @@ class Field:
         return Field(self.grid, self.values - other.values)
 
     def __mul__(self, scalar):
-        return Field(self.grid, self.values * complex(scalar))
+        if not isinstance(scalar, numbers.Complex):
+            return NotImplemented
+        return Field(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -213,7 +206,17 @@ def lp_norm(f, p):
     a = np.abs(f.values)
     if p == np.inf:
         return float(a.max())
-    return float((np.sum(a ** p) * f.grid.cell_area) ** (1.0 / p))
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(a ** p)
+    if sys.float_info.min <= total < math.inf:
+        return float((total * f.grid.cell_area) ** (1.0 / p))
+    # the plain sum left the normal doubles: scale by the largest |value|
+    top = a.max()
+    if top == 0.0:
+        return 0.0
+    a /= top
+    with np.errstate(over="ignore", under="ignore"):
+        return float(top * (np.sum(a ** p) * f.grid.cell_area) ** (1.0 / p))
 
 
 def inner_product(f, g):
@@ -256,49 +259,106 @@ def gaussian_field(grid, sigma=1.0, amplitude=1.0, center=(0.0, 0.0)):
 # --- serialization -----------------------------------------------------------
 
 _MAGIC = b"PIDF"
+_HEADER = struct.Struct("<dQBB")  # L, n, offset, frequency-domain flag
+
+_STATE_MAGIC = b"PIDS"
+_STATE_VERSION = 1
+_STATE_HEADER = struct.Struct("<dQBddd")  # L, n, offset, q, alpha, t
 
 
-def save_field(f, path):
-    """Binary container: magic, L, n, offset, a zero byte, row-major complex64.
+def save_field(f, path, t=None):
+    """Write a Field, or a real solver state at time t, to a binary container.
 
-    The zero byte is the frequency-domain flag of earlier versions, which
-    wrote 1 there for a transformed field.
+    A :class:`Field` is written as magic ``PIDF``, L, n, offset, a zero
+    byte, then its values as row-major complex64.  The zero byte is the
+    frequency-domain flag of earlier versions, which wrote 1 there for a
+    transformed field.  ``t`` must then be None.
+
+    A state u = phi + q G_omega (a :class:`pideq.spectral.DecomposedField`
+    of a 2-D parameter set) is written losslessly as magic ``PIDS``, a
+    version byte (1), L, n, offset, q, alpha and t (0 when None) as
+    float64, then phi as row-major float64: 8 bytes a point.  Its phi and q
+    must be real; :func:`pideq.spectral.load_state` reads it back.
     """
-    import struct
-
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<dQBB", f.grid.half_width, f.grid.n, int(f.grid.offset), 0
-            )
+    if isinstance(f, Field):
+        if t is not None:
+            raise ValueError("a time t is written with a state, not with a plain field")
+        head = _MAGIC + _HEADER.pack(f.grid.half_width, f.grid.n, int(f.grid.offset), 0)
+        payload = np.ascontiguousarray(f.values, dtype=np.complex64)
+    else:
+        values, q, params = f.regular.values, complex(f.coeff), f.params
+        if q.imag or (np.iscomplexobj(values) and np.any(values.imag)):
+            raise ValueError("a state container holds real states; this one is complex")
+        if params.dimension != 2:
+            raise ValueError("a state container holds 2-D states")
+        grid = f.regular.grid
+        head = _STATE_MAGIC + bytes([_STATE_VERSION]) + _STATE_HEADER.pack(
+            grid.half_width, grid.n, int(grid.offset), q.real, params.alpha,
+            0.0 if t is None else float(t),
         )
-        fh.write(np.ascontiguousarray(f.values, dtype=np.complex64).tobytes())
+        payload = np.ascontiguousarray(values.real, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(payload.tobytes())
+
+
+def _read_container(path):
+    """(grid, values, state) of a container; state is (q, alpha, t), or None for a field.
+
+    A file that is not a whole container, holds a frequency-domain field
+    (flag byte not 0) or a state container of another version raises
+    ValueError.
+    """
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic == _MAGIC:
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise ValueError(f"{path}: truncated field header")
+            L, n, offset, freq = _HEADER.unpack(header)
+            if freq:
+                raise ValueError(f"{path}: frequency-domain field containers are not supported")
+            state, dtype = None, np.complex64
+        elif magic == _STATE_MAGIC:
+            version = fh.read(1)
+            if version != bytes([_STATE_VERSION]):
+                raise ValueError(f"{path}: unsupported state container version {version!r}")
+            header = fh.read(_STATE_HEADER.size)
+            if len(header) != _STATE_HEADER.size:
+                raise ValueError(f"{path}: truncated field header")
+            L, n, offset, *state = _STATE_HEADER.unpack(header)
+            state = tuple(state)
+            dtype = np.dtype("<f8")
+        else:
+            raise ValueError(f"{path}: not a field container")
+        raw = np.frombuffer(fh.read(), dtype=dtype)
+    if raw.size != n * n:
+        raise ValueError(f"{path}: truncated field payload")
+    values = raw.reshape(n, n)
+    if state is None:
+        values = values.astype(np.complex128)
+    return Grid(L, int(n), offset=bool(offset)), values, state
+
+
+def _is_state_container(path):
+    """Whether path is a readable file that starts as a state container."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(len(_STATE_MAGIC)) == _STATE_MAGIC
+    except OSError:
+        return False
 
 
 def load_field(path):
-    """Read a field written by :func:`save_field` (complex64 precision).
+    """The field of a container written by :func:`save_field`.
 
-    A file that is not a whole field container, or holds a frequency-domain
-    field (flag byte not 0), raises ValueError.
+    A field container gives its values as complex128 (complex64
+    precision); a state container gives the state's real phi, exactly.
+    A file that is not a whole container, or holds a frequency-domain field
+    (flag byte not 0), raises ValueError.
     """
-    import struct
-
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a field container")
-        header = fh.read(18)
-        if len(header) != 18:
-            raise ValueError(f"{path}: truncated field header")
-        L, n, offset, freq = struct.unpack("<dQBB", header)
-        if freq:
-            raise ValueError(f"{path}: frequency-domain field containers are not supported")
-        raw = np.frombuffer(fh.read(), dtype=np.complex64)
-    if raw.size != n * n:
-        raise ValueError(f"{path}: truncated field payload")
-    grid = Grid(L, int(n), offset=bool(offset))
-    return Field(grid, raw.reshape(n, n).astype(np.complex128))
+    grid, values, _ = _read_container(path)
+    return Field(grid, values)
 
 
 _CSV_BLOCK = 4096

@@ -88,10 +88,11 @@ Im lambda > 0 at doubled weight and the real ones at their own, and takes
 the real part of the folded sum.  That halves the rows a flow holds (the
 Talbot rows at n = 256 are 1.5 MB, inside a 2 MiB L2 cache).
 
-The public functions take complex fields.  Each applies its real operator
-to the real part and, when that is not zero, to the imaginary part, each
-through its half spectrum (``spectral._real_parts``), and joins the two
-outputs as real and imaginary parts.  R(lambda) at complex lambda is not
+The public functions take real or complex fields.  Each applies its real
+operator to a real (float64) field's half spectrum, whose output is real
+again, or to a complex field's real and imaginary parts, each through its
+half spectrum (``spectral._real_parts``), and joins the two outputs as real
+and imaginary parts.  R(lambda) at complex lambda is not
 real: its half-spectrum form returns the real and imaginary parts of
 R(lambda) g for a real g, and the resolvent of a complex g combines them.
 """
@@ -348,7 +349,7 @@ class PointHeatModel:
 
         gE = green_field(self.E, grid, method="direct")
         self.green_ref_norm = lp_norm(gE, 2)
-        self.psi_hat = _rfft2(gE.values.real) / self.green_ref_norm
+        self.psi_hat = _rfft2(gE.values) / self.green_ref_norm
         self.delta_hat = (self.E + self.xi2) * self.psi_hat * self.green_ref_norm
         self.weights = _hermitian_weights(n)
         self.delta_sq_bins = np.bincount(

@@ -41,14 +41,15 @@ for real u.  Real data, a real vector a and the real self-adjoint A keep
 every state real, so the solver holds u as its rfft2 half spectrum, the
 grid model's one transform layout (see :mod:`pideq.semigroup`), and q as a
 real float, and steps, forces, splits and pairs there.  A state enters
-the half spectrum in one place, which raises ValueError when its
-imaginary part exceeds ``IMAG_TOL`` of its size and drops it otherwise.  A
-solver state's ``regular`` is an inverse rfft2, so its imaginary part is
-exactly 0.  The spectral derivative i xi_k, the grid model's derivative
-pair, is zero on the Nyquist line of its own axis (row n/2 for x1, the
-last half-spectrum column for x2): there the full-lattice derivative of a
-real field is purely imaginary, so the real derivative has no such mode
-(S. G. Johnson, "Notes on FFT-based differentiation", MIT, 2011).
+the half spectrum in one place, which raises ValueError when a complex
+state's imaginary part exceeds ``IMAG_TOL`` of its size and drops it
+otherwise.  A solver state's ``regular`` is an inverse rfft2, a real
+(float64) Field, and its coeff a float.  The spectral derivative i xi_k,
+the grid model's derivative pair, is zero on the Nyquist line of its own
+axis (row n/2 for x1, the last half-spectrum column for x2): there the
+full-lattice derivative of a real field is purely imaginary, so the real
+derivative has no such mode (S. G. Johnson, "Notes on FFT-based
+differentiation", MIT, 2011).
 
 Time quadrature is left-endpoint product integration (exponential Euler).
 One sweep over a window steps u_{j+1} = S(dt)[u_j + dt F(v_j)]: with v_j
@@ -297,18 +298,20 @@ def lagrange_multiplier(u, cfg):
 def _state_hat(model, u):
     """(u_hat, coeff) of a real state u = phi + coeff G_omega: u's half spectrum, its own coeff.
 
-    This is where states enter the half spectrum.  Raises ValueError when
-    the imaginary parts of phi's values and coeff exceed ``IMAG_TOL`` of the
-    state's size (||phi||_2^2 + |coeff|^2)^(1/2); otherwise they are dropped.
+    This is where states enter the half spectrum.  A real phi (float64) and
+    a real coeff pass as they are.  Otherwise raises ValueError when the
+    imaginary parts of phi's values and coeff exceed ``IMAG_TOL`` of the
+    state's size (||phi||_2^2 + |coeff|^2)^(1/2), and drops them when not.
     """
     grid, values, q = model.grid, u.regular.values, complex(u.coeff)
-    size = math.sqrt(grid.cell_area * float(np.sum(np.abs(values) ** 2)) + abs(q) ** 2)
-    imag = math.sqrt(grid.cell_area * float(np.sum(values.imag ** 2)) + q.imag ** 2)
-    if imag > IMAG_TOL * size:
-        raise ValueError(
-            f"complex data (imaginary part {imag / size:.1e} of its size): the solver's "
-            "forcing a . grad(|u|^gamma) is written for real u"
-        )
+    if np.iscomplexobj(values) or q.imag:
+        size = math.sqrt(grid.cell_area * float(np.sum(np.abs(values) ** 2)) + abs(q) ** 2)
+        imag = math.sqrt(grid.cell_area * float(np.sum(np.imag(values) ** 2)) + q.imag ** 2)
+        if imag > IMAG_TOL * size:
+            raise ValueError(
+                f"complex data (imaginary part {imag / size:.1e} of its size): the solver's "
+                "forcing a . grad(|u|^gamma) is written for real u"
+            )
     return _rfft2(values.real) + q.real * model.green_omega_hat, q.real
 
 
@@ -455,7 +458,9 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     probe covers every state.  ``iterations`` has one entry per window, 0
     for a marched one.  States are stored every ``cfg.store_stride`` steps
     (``default_stride`` when unset, every window end when that is None),
-    and at T.  ``clamps`` counts the forcings' clamped samples; ``cfg`` is only read.
+    and at T, and made into :class:`DecomposedField` states (float64 phi) at
+    the end, one at a time.  ``clamps`` counts the forcings' clamped
+    samples; ``cfg`` is only read.
     """
     if init not in ("linear", "frozen"):
         raise ValueError("init must be 'linear' or 'frozen'")
@@ -527,7 +532,12 @@ def _solve(u0, cfg, projected, window, default_stride, init):
         start = end
         step += steps
 
-    states = [_to_decomposed(model, uhat) for uhat in stored]
+    # each half spectrum is dropped as its state is made, so the stored half
+    # spectra and the states are never all alive at once
+    stored.reverse()
+    states = []
+    while stored:
+        states.append(_to_decomposed(model, stored.pop()))
     return np.array(times), states, iterations, ratios, ortho_max, clamps
 
 
@@ -612,7 +622,7 @@ def residual_check(traj, cfg, t_min=0.0):
     params = traj.states[0].params
     grid = traj.states[0].regular.grid
     model = grid_model(params, grid)
-    psi_vals = psi_alpha_field(params, grid).values.real
+    psi_vals = psi_alpha_field(params, grid).values
     projected = traj.rho.size > 0
 
     ghat = model.green_omega_hat

@@ -23,6 +23,8 @@ a grid sum.
 
 import cmath
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +32,7 @@ import numpy as np
 from numpy import fft
 
 from .errors import BranchCutError, NoEigenfunctionError
-from .fields import Field, _rfft2, inner_product, lp_norm
+from .fields import Field, _read_container, _rfft2, inner_product, lp_norm
 from .special import bessel_k0, bessel_k1, euler_gamma
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "project_d",
     "project_ac",
     "h1_alpha_norm",
+    "load_state",
 ]
 
 _EG = euler_gamma()
@@ -56,19 +59,33 @@ def eigenvalue(alpha, dim=2):
 
     2D: 4 exp(-4 pi alpha - 2 gamma), None at alpha = +inf (the free
     Laplacian).  3D: (4 pi alpha)^2 iff alpha < 0, else None.  alpha must
-    lie in (-inf, +inf]; nan and -inf raise ValueError.
+    be a real number in (-inf, +inf]; anything else (a string, nan, -inf)
+    raises ValueError, and so does an alpha whose eigenvalue is not a
+    finite, normal, positive double (in 2D, alpha above about 56.39 or below
+    about -56.46).
     """
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a real number; got {alpha!r}")
     if not -math.inf < alpha <= math.inf:
         raise ValueError(f"alpha must lie in (-inf, +inf]; got {alpha!r}")
-    if dim == 2:
-        if alpha == math.inf:
-            return None
-        return float(4.0 * np.exp(-4.0 * np.pi * alpha - 2.0 * _EG))
-    if dim == 3:
-        if alpha < 0:
-            return float((4.0 * np.pi * alpha) ** 2)
+    if dim not in (2, 3):
+        raise ValueError("dimension must be 2 or 3")
+    if alpha == math.inf or (dim == 3 and not alpha < 0):
         return None
-    raise ValueError("dimension must be 2 or 3")
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            if dim == 2:
+                ev = float(4.0 * np.exp(-4.0 * np.pi * alpha - 2.0 * _EG))
+            else:
+                ev = float((4.0 * np.pi * alpha) ** 2)
+        except OverflowError:
+            ev = math.inf
+    if not sys.float_info.min <= ev < math.inf:
+        raise ValueError(
+            f"alpha = {alpha!r} has the eigenvalue E = {ev!r}, outside the finite, "
+            "normal, positive doubles"
+        )
+    return ev
 
 
 def _on_cut(lam):
@@ -111,7 +128,7 @@ class AlphaParams:
         if ev is None:
             return cls(dimension, float(alpha), None, None)
         if dimension == 2:
-            pn = green_lp_norm(ev, 2.0, dim=2) if ev > 0 else None
+            pn = green_lp_norm(ev, 2.0, dim=2)
         else:
             # ||G_E||^2 = 1/(8 pi sqrt(E)) for the 3D kernel
             pn = math.sqrt(1.0 / (8.0 * np.pi * math.sqrt(ev)))
@@ -267,11 +284,15 @@ def psi_alpha_field(params, grid):
 
 
 def project_d(f, params):
-    """Rank-one projection onto the eigenfunction; zero if no eigenvalue."""
+    """Rank-one projection onto the eigenfunction; zero if no eigenvalue.
+
+    psi is real, so a real f has a real coefficient and a real projection.
+    """
     if params.eigenvalue is None:
         return Field(f.grid, np.zeros_like(f.values))
     psi = psi_alpha_field(params, f.grid)
-    return inner_product(f, psi) * psi
+    coef = inner_product(f, psi)
+    return (coef if np.iscomplexobj(f.values) else coef.real) * psi
 
 
 def project_ac(f, params):
@@ -302,6 +323,20 @@ class DecomposedField:
         return cls(f, 0.0 + 0.0j, params)
 
 
+def load_state(path):
+    """(state, t) of a state container written by ``save_field(state, path, t=t)``.
+
+    The state is the :class:`DecomposedField` (phi, q, AlphaParams of the
+    stored alpha) exactly as written: phi as float64, q as a float.  A field
+    container, or a file that is not a whole container, raises ValueError.
+    """
+    grid, values, state = _read_container(path)
+    if state is None:
+        raise ValueError(f"{path}: a field container, not a state container")
+    q, alpha, t = state
+    return DecomposedField(Field(grid, values), q, AlphaParams.for_alpha(alpha, 2)), t
+
+
 @lru_cache(maxsize=8)
 def _hermitian_weights(n):
     """Column weights of the rfft2 half spectrum of a real n x n field.
@@ -316,16 +351,16 @@ def _hermitian_weights(n):
 
 
 def _real_parts(values):
-    """rfft2 half spectra of Re values and, when it is not zero, of Im values.
+    """rfft2 half spectra of a field's values: one for a real array, Re and Im for a complex one.
 
     Every operator of the package is real, so it acts on a complex field
     part by part: applied to each half spectrum, it gives the transforms of
-    the real and the imaginary part of its output.
+    the real and the imaginary part of its output.  The dtype decides, so a
+    real field costs one transform and its output is real again.
     """
-    parts = [_rfft2(values.real)]
-    if np.any(values.imag):
-        parts.append(_rfft2(values.imag))
-    return parts
+    if not np.iscomplexobj(values):
+        return [_rfft2(values)]
+    return [_rfft2(values.real), _rfft2(values.imag)]
 
 
 @lru_cache(maxsize=4)

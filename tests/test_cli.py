@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pideq
@@ -292,3 +293,65 @@ assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
         [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_spectral_rejects_alpha_without_normal_eigenvalue(capsys):
+    # alpha = 300 once printed eigenvalue 0 and psi_norm none, and exited 0
+    assert main(["spectral", "--alpha", "300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pideq: error: alpha = 300.0 has the eigenvalue E = 0.0")
+    assert err.count("\n") == 1
+
+
+def _trajectory(out):
+    lines = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
+def test_simulate_resumes_from_snapshot(tmp_path, capsys):
+    # each snapshot holds phi, q, alpha and t; a run resumed from its t = 2
+    # snapshot continues the times and reproduces t = 3..5 (its first window
+    # is probed where the whole run marched, so not bit for bit)
+    from pideq import load_state
+
+    run = ["simulate", "--dt", "0.02", "--tol", "1e-10", "--grid-n", "64", "--snapshots"]
+    assert main(["--out", str(tmp_path / "full"), *run, "--T", "5"]) == 0
+    full = _trajectory(tmp_path / "full")
+    snap = tmp_path / "full" / "state_00002.pidf"
+    state, t = load_state(snap)
+    assert t == 2.0 and abs(state.coeff) == full[2][4]
+    assert main(["--out", str(tmp_path / "resumed"), *run, "--T", "3", "--u0", str(snap)]) == 0
+    resumed = _trajectory(tmp_path / "resumed")
+    assert [row[0] for row in resumed] == [2.0, 3.0, 4.0, 5.0]
+    for a, b in zip(resumed[1:], full[3:]):
+        assert all(abs(x - y) <= 1e-9 * abs(y) for x, y in zip(a, b))
+    assert load_state(tmp_path / "resumed" / "state_00003.pidf")[1] == 5.0
+    # a state of another alpha is refused
+    argv = ["--out", str(tmp_path / "x"), *run, "--T", "1", "--alpha", "0.1", "--u0", str(snap)]
+    assert main(argv) == 2
+    assert "has alpha = 0.0; the run has alpha = 0.1" in capsys.readouterr().err
+
+
+def test_real_csv_keeps_zero_im_column(tmp_path):
+    # a real result is written with its im column as 0, byte for byte the
+    # CSV of the same values held as complex128
+    import io
+
+    from pideq import AlphaParams, krein_resolvent, semigroup_pac
+    from pideq.fields import Field, field_to_csv
+
+    grid = Grid(40.0, 64)
+    params = AlphaParams.for_alpha(0.0, 2)
+    g = gaussian_field(grid, sigma=2.0, amplitude=1.0)
+    cases = (
+        (["semigroup", "--t", "1"], "semigroup.csv", semigroup_pac(1.0, g, params).field),
+        (["resolve", "--lambda", "2"], "resolvent.csv", krein_resolvent(2.0, g, params)),
+    )
+    for argv, name, field in cases:
+        assert field.values.dtype == np.float64
+        assert main(["--out", str(tmp_path), *argv, "--grid-n", "64"]) == 0
+        ref = io.StringIO()
+        field_to_csv(Field(grid, field.values.astype(np.complex128)), ref)
+        text = (tmp_path / name).read_text()
+        assert text == ref.getvalue()
+        assert all(row.endswith(",0.0000000000000000e+00") for row in text.split("\n")[1:-1])

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,3 +199,54 @@ def test_csv_export_matches_per_value_writer():
     field_to_csv(f, buf)
     assert buf.getvalue() == "".join(ref)
     assert "-0.0000000000000000e+00" in buf.getvalue()
+
+
+def test_field_dtype_follows_data(grid128, rng):
+    # real input is held as float64 and complex input as complex128;
+    # arithmetic promotes as numpy does
+    data = rng.standard_normal((128, 128))
+    real = Field(grid128, data)
+    assert real.values.dtype == np.float64
+    assert Field(grid128, np.ones((128, 128), dtype=np.int32)).values.dtype == np.float64
+    # a float64 C array is kept without a copy, and frozen
+    assert np.shares_memory(real.values, data) and not data.flags.writeable
+    cplx = Field(grid128, real.values + 1j)
+    assert cplx.values.dtype == np.complex128
+    for f in (real * 2.0, 2.0 * real, real * 3, -real, real + real, real - real):
+        assert f.values.dtype == np.float64
+    assert np.array_equal((real * 2.0).values, 2.0 * data)
+    for f in (real * 1j, 1j * real, real + cplx, cplx - real, cplx * 2.0):
+        assert f.values.dtype == np.complex128
+    with pytest.raises(TypeError):
+        real * real
+
+
+def test_real_parts_one_transform_for_real_field(grid128, monkeypatch):
+    # the dtype decides: a float64 field is one rfft2, a complex one two
+    import pideq.spectral as spectral
+
+    calls = []
+    rfft2 = spectral._rfft2
+    monkeypatch.setattr(spectral, "_rfft2", lambda v: calls.append(v.dtype) or rfft2(v))
+    f = gaussian_field(grid128, sigma=2.0)
+    assert len(spectral._real_parts(f.values)) == 1 and calls == [np.float64]
+    calls.clear()
+    assert len(spectral._real_parts((1j * f).values)) == 2 and len(calls) == 2
+
+
+def test_lp_norm_near_the_double_range(grid128, rng):
+    # squares of finite samples near the double range leave it; the norm is
+    # taken scaled by the largest |value| then, with no RuntimeWarning
+    cases = ((1e300, 2.0), (1e-300, 2.0), (1e200, 4.0), (1e-170, 1.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value, p in cases:
+            f = Field(grid128, np.full((128, 128), value))
+            expect = value * (2.0 * grid128.half_width) ** (2.0 / p)
+            assert abs(lp_norm(f, p) - expect) <= 1e-13 * expect
+        assert lp_norm(Field(grid128, np.zeros((128, 128))), 2) == 0.0
+    # inside the range the plain sum is kept, bit for bit
+    f = Field(grid128, rng.standard_normal((128, 128)))
+    for p in (1.0, 1.5, 2.0, 4.0):
+        plain = float((np.sum(np.abs(f.values) ** p) * grid128.cell_area) ** (1.0 / p))
+        assert lp_norm(f, p) == plain

@@ -219,3 +219,17 @@ def test_full_flow_growth_overflow_rejected():
     with pytest.raises(ValueError, match=r"full flow at t = 2\.0: .* E = 675\.227"):
         semigroup_full(2.0, g, params)
     assert np.isfinite(semigroup_full(1.0, g, params).values).all()
+
+
+@pytest.mark.filterwarnings("ignore:eigenfunction scale")
+def test_lp_norm_of_full_flow_near_the_double_range():
+    # E t = 675: the largest sample is about 1.6e293 and every sample is
+    # finite, so the L^2 norm is finite too (the plain sum of squares was inf)
+    params = AlphaParams.for_alpha(-0.5, 2)
+    out = semigroup_full(1.0, gaussian_field(Grid(40.0, 64), sigma=2.0), params)
+    top = np.abs(out.values).max()
+    assert 1e293 < top < 1e294
+    norm = lp_norm(out, 2)
+    scaled = out.values / top
+    expect = top * math.sqrt(np.sum(scaled**2) * out.grid.cell_area)
+    assert math.isfinite(norm) and abs(norm - expect) <= 1e-14 * expect

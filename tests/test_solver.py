@@ -468,6 +468,38 @@ def test_global_probe_holds_one_iterate(params, grid128):
     assert peak < 100 * field_bytes
 
 
+def test_stored_states_memory_guard(params, grid128):
+    # 101 stored states at n = 128: each is a float64 phi (128 KiB), and the
+    # stored half spectra are dropped as their states are made, so the solve
+    # peaks at 24 MiB and keeps 15 MiB (39.0 and 25.3 MiB with complex128
+    # states made while every half spectrum was still alive)
+    u0 = small_state(grid128, params, amplitude=0.02)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, store_stride=1)
+    solve_global_projected(u0, cfg)  # warm the grid-model, contour and kernel caches
+    tracemalloc.start()
+    try:
+        traj = solve_global_projected(u0, cfg)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == 101
+    assert peak <= 24 * 2**20 and retained <= 15 * 2**20
+
+
+def test_solver_states_are_float64(params, grid128):
+    # a real datum gives real states all the way: phi float64, coeff float,
+    # and every field the public solver functions return is float64
+    u0 = small_state(grid128, params)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.1, dt=0.02)
+    for traj in (solve_local(u0, cfg), solve_global_projected(u0, cfg)):
+        for st in traj.states:
+            assert st.regular.values.dtype == np.float64
+            assert type(st.coeff) is float
+    st = traj.states[-1]
+    for f in (total_field(st), *state_fields(st), nonlinearity(st, cfg)):
+        assert f.values.dtype == np.float64
+
+
 def test_global_solver_ball_radius(params, grid128):
     u0 = small_state(grid128, params)
     cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.4, dt=0.02, window=0.2, ball_radius=1e-9)
@@ -649,3 +681,38 @@ def test_rounding_imaginary_part_accepted(params, grid128):
             assert isinstance(st.coeff, float)
         assert not np.any(nonlinearity(traj.states[-1], cfg).values.imag)
     assert not np.any(state_fields(u0)[0].values.imag)
+
+
+def test_state_container_round_trip(params, grid128, tmp_path):
+    # a solver state and its time come back bit for bit; load_field reads
+    # phi; the container holds 8 bytes a point
+    from pideq import load_field, load_state, save_field
+
+    traj = solve_global_projected(
+        small_state(grid128, params), SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.1, dt=0.02)
+    )
+    st, t = traj.states[-1], float(traj.times[-1])
+    path = tmp_path / "state_00001.pidf"
+    save_field(st, path, t=t)
+    back, back_t = load_state(path)
+    assert back_t == t and back.params == st.params and back.coeff == st.coeff
+    assert back.regular.grid == grid128 and back.regular.values.dtype == np.float64
+    assert np.array_equal(back.regular.values, st.regular.values)
+    assert np.array_equal(load_field(path).values, st.regular.values)
+    assert path.stat().st_size == 8 * grid128.n**2 + 46
+    # a plain field container is no state; a complex state is not written
+    save_field(st.regular, tmp_path / "field.pidf")
+    with pytest.raises(ValueError, match="not a state container"):
+        load_state(tmp_path / "field.pidf")
+    with pytest.raises(ValueError, match="real states"):
+        save_field(DecomposedField(st.regular, 1j, params), tmp_path / "c.pidf")
+    with pytest.raises(ValueError, match="a time t"):
+        save_field(st.regular, tmp_path / "field.pidf", t=1.0)
+    payload = bytearray(path.read_bytes())
+    payload[4] = 2
+    (tmp_path / "v2.pidf").write_bytes(bytes(payload))
+    with pytest.raises(ValueError, match="version"):
+        load_state(tmp_path / "v2.pidf")
+    (tmp_path / "short.pidf").write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="truncated"):
+        load_field(tmp_path / "short.pidf")

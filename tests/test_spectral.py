@@ -1,6 +1,7 @@
 """Spectral scalars, Green fields, projections, decompositions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,38 @@ def test_eigenvalue_rejects_alpha_outside_range():
         with pytest.raises(ValueError, match="alpha must lie"):
             AlphaParams.for_alpha(bad, 2)
     assert AlphaParams.for_alpha(math.inf, 2).eigenvalue is None
+
+
+def test_eigenvalue_rejects_non_real_alpha():
+    for bad in ("x", True, 1j, None):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            AlphaParams.for_alpha(bad, 2)
+
+
+@pytest.mark.parametrize("alpha, shown", [(57.0, "1.054"), (60.0, "0.0"), (300.0, "0.0")])
+def test_eigenvalue_rejects_underflowing_eigenvalue(alpha, shown):
+    # E = 4 exp(-4 pi alpha - 2 gamma) is subnormal at alpha = 57 (and psi_norm
+    # was inf) and 0 from about alpha = 59.3
+    with pytest.raises(ValueError, match=rf"alpha = {alpha}.* E = {shown}"):
+        AlphaParams.for_alpha(alpha, 2)
+
+
+def test_eigenvalue_rejects_overflowing_eigenvalue():
+    # exp overflowed with a RuntimeWarning at alpha = -60; now one ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, dim in ((-60.0, 2), (-1e200, 3)):
+            with pytest.raises(ValueError, match=r"alpha = .* E = inf"):
+                AlphaParams.for_alpha(alpha, dim)
+
+
+def test_eigenvalue_range_edges():
+    # the normal doubles hold E for alpha in about [-56.46, 56.39]; alpha = inf
+    # is still the free Laplacian
+    for alpha in (56.0, -56.0):
+        params = AlphaParams.for_alpha(alpha, 2)
+        assert math.isfinite(params.psi_norm) and params.eigenvalue > 0.0
+    assert eigenvalue(math.inf) is None
 
 
 def test_eigenvalue_3d():
@@ -226,6 +259,20 @@ def test_projections_idempotent_complementary(params, grid128, rng):
     pac = project_ac(f, params)
     assert lp_norm(project_d(pd, params) - pd, 2) < 1e-12 * max(lp_norm(pd, 2), 1e-30)
     assert lp_norm((pd + pac) - f, 2) < 1e-12 * lp_norm(f, 2)
+
+
+def test_projections_keep_the_dtype(params, grid128, rng):
+    # psi is real, so a real field's projections are float64 and a complex
+    # field's complex128, each the real and imaginary parts' projections
+    f = Field(grid128, rng.standard_normal((128, 128)))
+    g = Field(grid128, rng.standard_normal((128, 128)))
+    assert psi_alpha_field(params, grid128).values.dtype == np.float64
+    for proj in (project_d, project_ac):
+        assert proj(f, params).values.dtype == np.float64
+        both = proj(f + 1j * g, params)
+        assert both.values.dtype == np.complex128
+        expect = proj(f, params) + 1j * proj(g, params)
+        assert lp_norm(both - expect, 2) <= 1e-14 * lp_norm(expect, 2)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
