@@ -28,7 +28,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
-from numpy import fft
 
 from .fields import Field, Grid, _irfft2, _rfft2, gaussian_field, lp_norm
 from .semigroup import Flow, grid_model
@@ -141,14 +140,13 @@ def critical_datum(grid, q, envelope=0.25):
     if not 1.0 < q < math.inf:
         raise ValueError(f"q must be a finite number > 1; got {q!r}")
     beta = 2.0 - 2.0 / q
-    xi2 = grid.wavenumber_sq()
+    xi2 = grid.wavenumber_sq()[:, :grid.n // 2 + 1]
     with np.errstate(divide="ignore"):
         prof = np.where(xi2 > 0.0, np.sqrt(xi2), 1.0) ** (-beta)
     dxi = 2.0 * np.pi / (2.0 * grid.half_width)
     prof[0, 0] = _cell_average(beta) * dxi ** (-beta)
     hat = prof * np.exp(-envelope * xi2)
-    vals = fft.ifft2(hat) * (grid.n / (2.0 * grid.half_width)) ** 2
-    return Field(grid, vals.real)
+    return Field(grid, _irfft2(hat) * (grid.n / (2.0 * grid.half_width)) ** 2)
 
 
 DATUM_KINDS = ("critical", "gaussian")

@@ -12,8 +12,9 @@ Conventions
   area h^2 (h = 2L/n).  Summation uses numpy's pairwise reduction, which is
   deterministic for a fixed shape.
 * Operations that are diagonal in Fourier space (heat flow, derivatives,
-  resolvent multipliers) act through plain unshifted FFTs; the absolute
-  phase bookkeeping of the offset grid cancels in all such products.
+  resolvent multipliers) act through plain unshifted FFTs on the rfft2 half
+  spectrum, one per real part; the absolute phase bookkeeping of the offset
+  grid cancels in all such products.
 """
 
 import math
@@ -21,7 +22,6 @@ import numbers
 import struct
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy import fft
@@ -109,17 +109,6 @@ class Grid:
         return XI1 ** 2 + XI2 ** 2
 
 
-@lru_cache(maxsize=16)
-def _phase(grid):
-    # e^{-i xi x0} per axis; x0 is the first node coordinate.
-    x0 = grid.axis()[0]
-    xi = 2.0 * np.pi * fft.fftfreq(grid.n, d=grid.spacing)
-    p = np.exp(-1j * xi * x0)
-    ph = np.outer(p, p)
-    ph.setflags(write=False)
-    return ph
-
-
 def _rfft2(values):
     """rfft2 half spectrum, n x (n/2 + 1), of a real n x n array.
 
@@ -140,6 +129,39 @@ def _irfft2(hat):
     without numpy's n-d argument handling (about 7 % of a call at n = 256).
     """
     return fft.irfft(fft.ifft(hat, axis=0), 2 * (hat.shape[1] - 1), axis=1)
+
+
+def _real_parts(values):
+    """rfft2 half spectra of a field's values: one for a real array, Re and Im for a complex one.
+
+    Every operator of the package is real, so it acts on a complex field
+    part by part: applied to each half spectrum, it gives the transforms of
+    the real and the imaginary part of its output.  The dtype decides, so a
+    real field costs one transform and its output is real again.
+    """
+    if not np.iscomplexobj(values):
+        return [_rfft2(values)]
+    return [_rfft2(values.real), _rfft2(values.imag)]
+
+
+def _from_parts(grid, re_hat, im_hat=None):
+    """The Field whose real part has half spectrum re_hat and imaginary part im_hat."""
+    values = _irfft2(re_hat)
+    if im_hat is not None:
+        values = values + 1j * _irfft2(im_hat)
+    return Field(grid, values)
+
+
+def _real_derivative(grid):
+    """The real derivative pair (i xi1, i xi2) on the rfft2 half spectrum.
+
+    n x 1 and 1 x (n/2 + 1) arrays, each zero on the Nyquist line of its
+    own axis: there the full-lattice derivative of a real field is purely
+    imaginary, so a real field's derivative has no such mode.
+    """
+    xi = 2.0 * np.pi * fft.fftfreq(grid.n, d=grid.spacing)
+    xi[grid.n // 2] = 0.0
+    return 1j * xi[:, None], 1j * xi[None, :grid.n // 2 + 1]
 
 
 @dataclass(frozen=True)
@@ -232,17 +254,19 @@ def heat_free(f, t):
         raise ValueError("heat_free requires t >= 0")
     if t == 0:
         return f
-    mult = np.exp(-t * f.grid.wavenumber_sq())
-    return Field(f.grid, fft.ifft2(mult * fft.fft2(f.values)))
+    mult = np.exp(-t * f.grid.wavenumber_sq()[:, :f.grid.n // 2 + 1])
+    return _from_parts(f.grid, *(mult * hat for hat in _real_parts(f.values)))
 
 
 def gradient(f):
-    """Spectral partial derivatives (d/dx1 f, d/dx2 f)."""
-    XI1, XI2 = f.grid.wavenumbers()
-    hat = fft.fft2(f.values)
-    dx = Field(f.grid, fft.ifft2(1j * XI1 * hat))
-    dy = Field(f.grid, fft.ifft2(1j * XI2 * hat))
-    return dx, dy
+    """Spectral partial derivatives (d/dx1 f, d/dx2 f), real for a real f.
+
+    The derivative is the real pair of :func:`_real_derivative`.
+    """
+    parts = _real_parts(f.values)
+    return tuple(
+        _from_parts(f.grid, *(d * hat for hat in parts)) for d in _real_derivative(f.grid)
+    )
 
 
 def gaussian_field(grid, sigma=1.0, amplitude=1.0, center=(0.0, 0.0)):

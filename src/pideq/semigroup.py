@@ -91,7 +91,7 @@ Talbot rows at n = 256 are 1.5 MB, inside a 2 MiB L2 cache).
 The public functions take real or complex fields.  Each applies its real
 operator to a real (float64) field's half spectrum, whose output is real
 again, or to a complex field's real and imaginary parts, each through its
-half spectrum (``spectral._real_parts``), and joins the two outputs as real
+half spectrum (``fields._real_parts``), and joins the two outputs as real
 and imaginary parts.  R(lambda) at complex lambda is not
 real: its half-spectrum form returns the real and imaginary parts of
 R(lambda) g for a real g, and the resolvent of a complex g combines them.
@@ -109,8 +109,8 @@ import numpy as np
 from numpy import fft
 
 from .errors import BranchCutError, ContourError, PoleError
-from .fields import Field, _irfft2, _rfft2, lp_norm
-from .spectral import _hermitian_weights, _real_parts, green_field, reference_lambda
+from .fields import Field, _from_parts, _real_derivative, _real_parts, _rfft2, lp_norm
+from .spectral import _hermitian_weights, green_field, reference_lambda
 
 __all__ = [
     "ContourSpec",
@@ -275,14 +275,6 @@ def _dot(ahat, bhat):
     return 2.0 * np.vdot(bhat, ahat).real - edges.real
 
 
-def _field(grid, re_hat, im_hat=None):
-    """The Field whose real part has half spectrum re_hat and imaginary part im_hat."""
-    values = _irfft2(re_hat)
-    if im_hat is not None:
-        values = values + 1j * _irfft2(im_hat)
-    return Field(grid, values)
-
-
 class PointHeatModel:
     """Cached grid realization of the perturbed operator for one (params, grid).
 
@@ -306,17 +298,10 @@ class PointHeatModel:
         self.E = params.eigenvalue
         n = grid.n
         m = n // 2 + 1
-        XI1, XI2 = grid.wavenumbers()
         self.xi2 = np.ascontiguousarray(grid.wavenumber_sq()[:, :m])
         # lattice Parseval weight: <f,g> h^2 = wlat * sum fhat conj(ghat)
         self.wlat = grid.cell_area / n ** 2
-        # the real derivative has no mode on its own axis' Nyquist line,
-        # where the full-lattice derivative of a real field is imaginary
-        d1 = 1j * XI1[:, :1]
-        d2 = 1j * XI2[:1, :m]
-        d1[n // 2, 0] = 0.0
-        d2[0, -1] = 0.0
-        self.derivative = (d1, d2)
+        self.derivative = _real_derivative(grid)
 
         sq_ev = math.sqrt(self.E)
         if sq_ev * grid.spacing > MAX_KERNEL_DECAY:
@@ -347,7 +332,7 @@ class PointHeatModel:
         dxi = 2.0 * np.pi / (2.0 * grid.half_width)
         self.rho = self.bin_values * dxi ** 2  # |xi|^2 per bin
 
-        gE = green_field(self.E, grid, method="direct")
+        gE = green_field(self.E, grid)
         self.green_ref_norm = lp_norm(gE, 2)
         self.psi_hat = _rfft2(gE.values) / self.green_ref_norm
         self.delta_hat = (self.E + self.xi2) * self.psi_hat * self.green_ref_norm
@@ -569,7 +554,7 @@ def krein_resolvent(lam, g, params):
         b_re, b_im = rest[0]
         re = re if b_im is None else re - b_im
         im = b_re if im is None else im + b_re
-    return _field(g.grid, re, im)
+    return _from_parts(g.grid, re, im)
 
 
 def _check_time(name, t):
@@ -606,7 +591,7 @@ def semigroup_pac(t, g, params, contour=None):
     gnorm = lp_norm(g, 2)
     imag = model.l2_hat(outs[1]) if len(outs) > 1 else 0.0
     return SemigroupResult(
-        field=_field(g.grid, *outs),
+        field=_from_parts(g.grid, *outs),
         free_part_norm=math.hypot(*map(model.l2_hat, frees)),
         correction_norm=math.hypot(*(model.l2_hat(o - f) for o, f in zip(outs, frees))),
         imag_residue=imag / gnorm if gnorm > 0 else 0.0,
@@ -616,7 +601,7 @@ def semigroup_pac(t, g, params, contour=None):
 def semigroup_full(t, g, params, contour=None):
     """Full flow: projected semigroup plus the explicit eigenmode e^{tE}."""
     flow = _public_flow("semigroup_full", t, g, params, contour, full=True)
-    return _field(g.grid, *(flow.apply(ghat) for ghat in _real_parts(g.values)))
+    return _from_parts(g.grid, *(flow.apply(ghat) for ghat in _real_parts(g.values)))
 
 
 def semigroup_gradient_pac(t, g, params, contour=None):
@@ -632,7 +617,7 @@ def semigroup_gradient_pac(t, g, params, contour=None):
         raise ValueError("semigroup gradient is not available in dimension 3")
     flow = _public_flow("semigroup_gradient_pac", t, g, params, contour)
     outs = [flow.apply(ghat) for ghat in _real_parts(g.values)]
-    return tuple(_field(g.grid, *(d * out for out in outs)) for d in flow.model.derivative)
+    return tuple(_from_parts(g.grid, *(d * out for out in outs)) for d in flow.model.derivative)
 
 
 def backward_euler_oracle(t, g, params, steps):
@@ -679,4 +664,4 @@ def backward_euler_oracle(t, g, params, steps):
             z *= ss
             y += sigma
         outs.append(free * uhat + model.delta_hat * np.take(r * y, model.bin_index))
-    return _field(g.grid, *outs)
+    return _from_parts(g.grid, *outs)

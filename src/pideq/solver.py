@@ -344,11 +344,6 @@ def _proxy(model, uhat, q=None):
     return _h1_proxy_hat(model.grid, uhat, q, _proxy_kernel(model.params, model.grid))
 
 
-def _to_decomposed(model, uhat):
-    phat, q = _split(model, uhat)
-    return DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params)
-
-
 def _forcing_hat(model, uhat, cfg, q=None):
     """(unprojected F transform, clamp count) of the state u_hat; (None, 0) if a = 0.
 
@@ -537,7 +532,8 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     stored.reverse()
     states = []
     while stored:
-        states.append(_to_decomposed(model, stored.pop()))
+        phat, q = _split(model, stored.pop())
+        states.append(DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params))
     return np.array(times), states, iterations, ratios, ortho_max, clamps
 
 

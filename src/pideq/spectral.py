@@ -13,12 +13,14 @@ the root of alpha + c(E_alpha) = 0, where
 encodes the behaviour of the Helmholtz kernel G_lambda near the origin.
 In 3D, c(lambda) = sqrt(lambda)/(4 pi) and the eigenvalue (4 pi alpha)^2
 exists iff alpha < 0.  The normalized eigenfunction is
-psi = G_E / ||G_E||_2 with G_lambda(x) = K0(sqrt(lambda) |x|)/(2 pi) in 2D.
+psi = G_E / ||G_E||_2 with G_lambda(x) = K0(sqrt(lambda) |x|)/(2 pi) in 2D,
+which :func:`green_field` samples pointwise on the offset grid.
 
 Grid Riemann sums of G-type fields converge slowly near the logarithmic
 singularity, so the exact L^p size of G_lambda is exposed through its
-radial integral (:func:`green_lp_norm`, in closed form at p = 2) instead of
-a grid sum.
+radial integral (:func:`green_lp_norm`: in closed form at p = 2, else a
+trapezoid sum in log radius) instead of a grid sum.  numpy is the only
+dependency.
 """
 
 import cmath
@@ -29,10 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy import fft
 
 from .errors import BranchCutError, NoEigenfunctionError
-from .fields import Field, _read_container, _rfft2, inner_product, lp_norm
+from .fields import Field, _read_container, _real_parts, inner_product, lp_norm
 from .special import bessel_k0, bessel_k1, euler_gamma
 
 __all__ = [
@@ -128,7 +129,7 @@ class AlphaParams:
         if ev is None:
             return cls(dimension, float(alpha), None, None)
         if dimension == 2:
-            pn = green_lp_norm(ev, 2.0, dim=2)
+            pn = green_lp_norm(ev, 2.0)
         else:
             # ||G_E||^2 = 1/(8 pi sqrt(E)) for the 3D kernel
             pn = math.sqrt(1.0 / (8.0 * np.pi * math.sqrt(ev)))
@@ -151,43 +152,23 @@ def reference_lambda(params):
     return 1.0 + ev
 
 
-def green_field(lam, grid, dim=2, method="auto"):
-    """Helmholtz kernel G_lambda sampled on the grid.
+def green_field(lam, grid):
+    """Helmholtz kernel G_lambda = K0(sqrt(lambda) |x|)/(2 pi), sampled pointwise.
 
-    Real positive lambda is sampled pointwise from the Bessel formula
-    (requires the half-cell offset so the singularity is off-mesh).
-    Complex lambda, or ``method='fourier'``, uses the band-limited inverse
-    transform of the multiplier 1/(lambda + |xi|^2) with the Nyquist lines
-    zeroed; that representation satisfies the discrete Helmholtz identity
-    exactly at interior modes but differs from pointwise sampling near the
-    origin by the band-limiting error.
+    lambda is a finite real number > 0: a real lambda <= 0 raises
+    BranchCutError and any other lambda ValueError.  The grid must carry
+    the half-cell offset, so the logarithmic singularity is off-mesh.
     """
-    if dim != 2:
-        raise ValueError("field sampling is implemented for dim = 2 only")
     if _on_cut(lam):
         raise BranchCutError("green_field requires lambda off (-inf, 0]")
     z = complex(lam)
-    if method == "auto":
-        method = "direct" if z.imag == 0.0 else "fourier"
-    if method == "direct":
-        if z.imag != 0.0:
-            raise ValueError("direct sampling requires real lambda > 0")
-        if not grid.offset:
-            raise ValueError("direct sampling needs the offset grid (origin off-mesh)")
-        r, index = _distinct_radii(grid)
-        vals = bessel_k0(np.sqrt(z.real) * r) / (2.0 * np.pi)
-        return Field(grid, vals[index])
-    if method == "fourier":
-        from .fields import _phase
-
-        mult = np.array(1.0 / (z + grid.wavenumber_sq()), dtype=np.complex128)
-        half = grid.n // 2
-        mult[half, :] = 0.0
-        mult[:, half] = 0.0
-        # inverse continuum transform sampled at the (offset) grid nodes
-        vals = fft.ifft2(mult / _phase(grid)) / grid.cell_area
-        return Field(grid, vals)
-    raise ValueError(f"unknown method {method!r}")
+    if z.imag != 0.0 or not math.isfinite(z.real):
+        raise ValueError(f"green_field requires a finite real lambda > 0; got {lam!r}")
+    if not grid.offset:
+        raise ValueError("green_field needs the offset grid (origin off-mesh)")
+    r, index = _distinct_radii(grid)
+    vals = bessel_k0(math.sqrt(z.real) * r) / (2.0 * np.pi)
+    return Field(grid, vals[index])
 
 
 @lru_cache(maxsize=16)
@@ -232,36 +213,39 @@ def green_gradient_field(lam, grid):
 
 @lru_cache(maxsize=64)
 def _k0_power_moment(p):
-    """integral_0^inf K0(s)^p s ds: exactly 1/2 at p = 2, else adaptive quadrature."""
+    """integral_0^inf K0(s)^p s ds: exactly 1/2 at p = 2, else a trapezoid sum on s = e^x.
+
+    The substitution gives the integral of K0(e^x)^p e^(2x) over the real
+    line, an analytic integrand that decays like |x|^p e^(2x) on the left
+    and double exponentially on the right, so the plain trapezoid sum with
+    step 0.1 on [min(-40, -2p), ln(60/p + 5)] converges geometrically and
+    both ends are negligible (Trefethen & Weideman, "The exponentially
+    convergent trapezoidal rule", SIAM Review 56 (2014)).  The integrand
+    peaks near x = -p/2, so the left end moves out beyond p = 20.  The nodes
+    are integer multiples of h: stepping from a float start shifts them by
+    rounding, which biased the sum by 1.4e-14 relative.
+    """
     if p == 2.0:
         return 0.5
-    from scipy import integrate
-
-    val1, _ = integrate.quad(
-        lambda s: bessel_k0(s) ** p * s, 0.0, 1.0, limit=200, epsabs=1e-13, epsrel=1e-12
-    )
-    val2, _ = integrate.quad(
-        lambda s: bessel_k0(s) ** p * s, 1.0, 60.0 / max(p, 1.0) + 5.0, limit=200,
-        epsabs=1e-14, epsrel=1e-12,
-    )
-    return val1 + val2
+    h = 0.1
+    x = h * np.arange(math.floor(min(-40.0, -2.0 * p) / h), math.log(60.0 / p + 5.0) / h + 1.0)
+    return float(h * np.sum(bessel_k0(np.exp(x)) ** p * np.exp(2.0 * x)))
 
 
-def green_lp_norm(lam, p, dim=2):
+def green_lp_norm(lam, p):
     """Exact (radial integral) L^p(R^2) norm of G_lambda, real lambda > 0, finite p >= 1.
 
-    Handles the singular part analytically; obeys the rescaling law
-    ||G_lam||_p = lam^(N/2 - 1 - N/(2p)) ||G_1||_p by construction.
+    ||G_lam||_p^p = 2 pi (2 pi)^-p lam^-1 int_0^inf K0(s)^p s ds, with the
+    moment in closed form at p = 2 and a geometrically convergent trapezoid
+    sum otherwise, so the singular part is resolved exactly and the
+    rescaling law ||G_lam||_p = lam^(-1/p) ||G_1||_p holds by construction.
     """
     lam = float(lam)
     if not 0.0 < lam < math.inf:
         raise ValueError(f"green_lp_norm requires a finite real lambda > 0; got {lam!r}")
-    if dim != 2:
-        raise ValueError("radial quadrature implemented for dim = 2 only")
     if not 1.0 <= p < math.inf:
         raise ValueError(f"green_lp_norm requires a finite p >= 1; got {p!r}")
     moment = _k0_power_moment(float(p))
-    # ||G||_p^p = 2 pi (2 pi)^-p lam^-1 int K0(s)^p s ds
     return float((2.0 * np.pi * (2.0 * np.pi) ** (-p) / lam * moment) ** (1.0 / p))
 
 
@@ -271,7 +255,7 @@ def _psi_values(params, grid):
         raise NoEigenfunctionError(
             f"alpha = {params.alpha} (dim {params.dimension}) has no eigenfunction"
         )
-    g = green_field(params.eigenvalue, grid, method="direct")
+    g = green_field(params.eigenvalue, grid)
     nrm = lp_norm(g, 2)
     vals = g.values / nrm
     vals.setflags(write=False)
@@ -348,19 +332,6 @@ def _hermitian_weights(n):
     w[0] = w[-1] = 1.0
     w.setflags(write=False)
     return w
-
-
-def _real_parts(values):
-    """rfft2 half spectra of a field's values: one for a real array, Re and Im for a complex one.
-
-    Every operator of the package is real, so it acts on a complex field
-    part by part: applied to each half spectrum, it gives the transforms of
-    the real and the imaginary part of its output.  The dtype decides, so a
-    real field costs one transform and its output is real again.
-    """
-    if not np.iscomplexobj(values):
-        return [_rfft2(values)]
-    return [_rfft2(values.real), _rfft2(values.imag)]
 
 
 @lru_cache(maxsize=4)

@@ -1,6 +1,7 @@
 """Command-line surface: config grammar, subcommands, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,7 +258,8 @@ assert "scipy.integrate" not in sys.modules, "scipy.integrate imported"
 
 def test_run_paths_run_without_scipy(tmp_path):
     # every run path needs numpy alone: with each scipy import refused, the
-    # package, the verify checks, a projected solve and five subcommands run
+    # package, the verify checks, a projected solve, five subcommands and a
+    # Green L^p norm off the p = 2 closed form run
     script = """
 import sys
 from importlib.abc import MetaPathFinder
@@ -286,6 +288,7 @@ for argv in (["spectral"], ["semigroup"], ["resolve"], ["simulate", "--T", "0.1"
     grid = [] if argv == ["spectral"] else ["--grid-n", "64"]
     code = cli.main(["--out", sys.argv[1], *argv, *grid])
     assert code == 0, (argv, code)
+assert abs(pideq.green_lp_norm(1.0, 3.0) - 0.24575756617898) < 1e-13
 assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 """
     env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
@@ -293,6 +296,18 @@ assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
         [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_dependency_is_numpy_alone():
+    # scipy only supplies the test suite's reference values
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+
+    def names(reqs):
+        return [re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower() for r in reqs]
+
+    assert names(meta["dependencies"]) == ["numpy"]
+    assert "scipy" in names(meta["optional-dependencies"]["test"])
 
 
 def test_spectral_rejects_alpha_without_normal_eigenvalue(capsys):

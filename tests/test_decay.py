@@ -178,6 +178,23 @@ def test_critical_datum_structure():
             critical_datum(grid, bad)
 
 
+def test_critical_datum_is_real_half_spectrum_transform():
+    # the half-spectrum profile gives the real part of the full-lattice
+    # inverse transform of the same even profile, to rounding
+    grid = Grid(40.0, 128)
+    for q in (2.0, 4.0 / 3.0):
+        f = critical_datum(grid, q)
+        assert f.values.dtype == np.float64
+        beta = 2.0 - 2.0 / q
+        xi2 = grid.wavenumber_sq()
+        with np.errstate(divide="ignore"):
+            prof = np.where(xi2 > 0.0, np.sqrt(xi2), 1.0) ** (-beta)
+        prof[0, 0] = _cell_average(beta) * (np.pi / grid.half_width) ** (-beta)
+        scale = (grid.n / (2.0 * grid.half_width)) ** 2
+        full = np.fft.ifft2(prof * np.exp(-0.25 * xi2)).real * scale
+        assert np.linalg.norm(f.values - full) <= 1e-13 * np.linalg.norm(full)
+
+
 def test_make_datum_descriptors():
     grid = Grid(40.0, 64)
     ref = gaussian_field(grid, sigma=2.0, amplitude=0.5, center=(1.0, -1.0))
@@ -280,7 +297,8 @@ def test_linear_fit_rejects_t_grid_before_any_flow(monkeypatch, grid128, run, q,
 
 def test_semigroup_decay_transforms_datum_once(monkeypatch, params, grid128):
     # 16 t-values share one rfft2 of the datum; each sample is one irfft2,
-    # and each of those makes one numpy rfft or irfft pass
+    # and each of those makes one numpy rfft or irfft pass; building the
+    # critical datum from its half-spectrum profile is one more irfft2
     grid_model(params, grid128)  # the model build transforms its kernel
     counts = {"rfft": 0, "irfft": 0}
     for name in counts:
@@ -294,4 +312,4 @@ def test_semigroup_decay_transforms_datum_once(monkeypatch, params, grid128):
     spec = ExperimentSpec(grid=grid128, q=2.0, p=4.0)
     assert len(spec.t_grid) == 16
     run_semigroup_decay(spec)
-    assert counts == {"rfft": 1, "irfft": 16}
+    assert counts == {"rfft": 1, "irfft": 17}

@@ -150,6 +150,35 @@ def test_gradient_gaussian_closed_form():
     assert np.abs(dy.values - (-Y / (2 * s)) * f.values).max() < 1e-8
 
 
+def _rel_l2(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_heat_free_and_gradient_keep_real_fields_real(rng):
+    # a real field stays float64 on the half spectrum; its values are the
+    # real part of the full-lattice transforms' output, whose Nyquist-line
+    # derivative term is purely imaginary
+    grid = Grid(40.0, 256)
+    for f in (gaussian_field(grid, sigma=2.0), Field(grid, rng.standard_normal((256, 256)))):
+        hat = np.fft.fft2(f.values)
+        heat = heat_free(f, 1.0)
+        assert heat.values.dtype == np.float64
+        full = np.fft.ifft2(np.exp(-grid.wavenumber_sq()) * hat)
+        assert _rel_l2(heat.values, full.real) <= 1e-14
+        for d, xi in zip(gradient(f), grid.wavenumbers()):
+            assert d.values.dtype == np.float64
+            assert _rel_l2(d.values, np.fft.ifft2(1j * xi * hat).real) <= 1e-14
+
+
+def test_heat_free_and_gradient_act_on_complex_fields_part_by_part(grid128, rng):
+    f = Field(grid128, rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
+    re, im = Field(grid128, f.values.real), Field(grid128, f.values.imag)
+    parts = (heat_free(f, 0.5), heat_free(re, 0.5), heat_free(im, 0.5))
+    for whole, a, b in (parts, *zip(gradient(f), gradient(re), gradient(im))):
+        assert whole.values.dtype == np.complex128
+        assert np.array_equal(whole.values, a.values + 1j * b.values)
+
+
 def test_inner_product_axioms(grid128, rng):
     f = Field(grid128, rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
     g = Field(grid128, rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
@@ -223,15 +252,15 @@ def test_field_dtype_follows_data(grid128, rng):
 
 def test_real_parts_one_transform_for_real_field(grid128, monkeypatch):
     # the dtype decides: a float64 field is one rfft2, a complex one two
-    import pideq.spectral as spectral
+    import pideq.fields as fields
 
     calls = []
-    rfft2 = spectral._rfft2
-    monkeypatch.setattr(spectral, "_rfft2", lambda v: calls.append(v.dtype) or rfft2(v))
+    rfft2 = fields._rfft2
+    monkeypatch.setattr(fields, "_rfft2", lambda v: calls.append(v.dtype) or rfft2(v))
     f = gaussian_field(grid128, sigma=2.0)
-    assert len(spectral._real_parts(f.values)) == 1 and calls == [np.float64]
+    assert len(fields._real_parts(f.values)) == 1 and calls == [np.float64]
     calls.clear()
-    assert len(spectral._real_parts((1j * f).values)) == 2 and len(calls) == 2
+    assert len(fields._real_parts((1j * f).values)) == 2 and len(calls) == 2
 
 
 def test_lp_norm_near_the_double_range(grid128, rng):

@@ -67,7 +67,7 @@ class _FullLattice:
         self.E = params.eigenvalue
         self.xi2 = grid.wavenumber_sq()
         self.wlat = grid.cell_area / grid.n ** 2
-        green = green_field(self.E, grid, method="direct")
+        green = green_field(self.E, grid)
         ghat = np.fft.fft2(green.values.real)
         self.delta_hat = (self.E + self.xi2) * ghat
         self.psi_hat = ghat / lp_norm(green, 2)

@@ -28,7 +28,6 @@ from pideq import (
     psi_alpha_field,
 )
 from pideq.errors import BranchCutError, NoEigenfunctionError
-from pideq.fields import _phase
 from pideq.spectral import _k0_power_moment
 
 
@@ -119,6 +118,23 @@ def test_alpha_params_psi_norm_oracle(params):
     assert abs(params.psi_norm - closed) < 1e-4 * closed
 
 
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 3.0, 4.0, 7.5, 20.0])
+def test_k0_power_moment_matches_quad(p):
+    # the trapezoid sum on s = e^x against adaptive quadrature in s
+    split = math.exp(-p / 2)
+    ref = sum(
+        quad(lambda s: scipy_k0(s) ** p * s, a, b, limit=300, epsabs=0.0, epsrel=1e-13)[0]
+        for a, b in ((0.0, split), (split, 1.0), (1.0, 60.0 / p + 5.0))
+    )
+    assert abs(_k0_power_moment(p) - ref) <= 1e-12 * ref
+
+
+def test_k0_power_moment_closed_values():
+    # int_0^inf K0(s) s ds = 1, and the p = 2 moment is the closed form 1/2
+    assert abs(_k0_power_moment(1.0) - 1.0) < 1e-13
+    assert _k0_power_moment(2.0) == 0.5
+
+
 def test_green_lp_norm_validation():
     # G_lambda is log-singular at 0, so it has no finite sup norm
     for bad in (math.inf, math.nan, 0.5):
@@ -148,29 +164,30 @@ def test_green_l2_closed_form():
 
 
 def test_green_field_direct_positive_and_grid_norm(grid256):
-    g = green_field(1.0, grid256, method="direct")
+    g = green_field(1.0, grid256)
     assert np.all(g.values.real > 0)
     # grid Riemann sums of the log-singular profile converge slowly;
     # they approach the quadrature norm from below at O(h^2 log^2 h)
-    coarse = lp_norm(green_field(1.0, Grid(40.0, 128), method="direct"), 2)
+    coarse = lp_norm(green_field(1.0, Grid(40.0, 128)), 2)
     fine = lp_norm(g, 2)
     exact = green_lp_norm(1.0, 2)
     assert abs(fine - exact) < abs(coarse - exact)
     assert abs(fine - exact) < 0.05 * exact
 
 
-def test_green_field_fourier_helmholtz_identity(grid128):
-    lam = 2.0
-    g = green_field(lam, grid128, method="fourier")
-    # continuous-transform approximation h^2 sum_j g(x_j) exp(-i xi . x_j)
-    F = grid128.cell_area * _phase(grid128) * np.fft.fft2(g.values)
-    resid = (lam + grid128.wavenumber_sq()) * F - 1.0
-    n = grid128.n
-    interior = np.ones((n, n), dtype=bool)
-    # Nyquist lines are zeroed by convention
-    interior[n // 2, :] = False
-    interior[:, n // 2] = False
-    assert np.abs(resid[interior]).max() < 1e-8
+def _band_limited_green(lam, grid):
+    """G_lam as the inverse continuum transform of 1/(lam + |xi|^2), Nyquist lines zeroed.
+
+    Sampled at the offset nodes: the lattice ifft2 of the multiplier over
+    the phase e^{-i xi x0} per axis, x0 the first node coordinate.
+    """
+    n = grid.n
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    p = np.exp(-1j * xi * grid.axis()[0])
+    mult = np.array(1.0 / (lam + grid.wavenumber_sq()), dtype=np.complex128)
+    mult[n // 2, :] = 0.0
+    mult[:, n // 2] = 0.0
+    return Field(grid, np.fft.ifft2(mult / np.outer(p, p)) / grid.cell_area)
 
 
 def test_green_field_paths_agree_at_band_limit_accuracy():
@@ -179,8 +196,8 @@ def test_green_field_paths_agree_at_band_limit_accuracy():
     errs = []
     for n in (128, 256):
         grid = Grid(40.0, n)
-        direct = green_field(1.0, grid, method="direct")
-        mult = green_field(1.0, grid, method="fourier")
+        direct = green_field(1.0, grid)
+        mult = _band_limited_green(1.0, grid)
         errs.append(lp_norm(direct - mult, 2) / lp_norm(direct, 2))
     assert errs[1] < errs[0]
     assert errs[1] < 0.1
@@ -190,7 +207,12 @@ def test_green_field_branch_and_grid_errors(grid128):
     with pytest.raises(BranchCutError):
         green_field(-1.0, grid128)
     with pytest.raises(ValueError):
-        green_field(1.0, Grid(40.0, 128, offset=False), method="direct")
+        green_field(1.0, Grid(40.0, 128, offset=False))
+    # the kernel is sampled for a finite real lambda > 0 only
+    for bad in (2.0 + 1.0j, 1j, math.inf, math.nan):
+        with pytest.raises(ValueError, match="green_field requires a finite real lambda"):
+            green_field(bad, grid128)
+    assert green_field(2.0 + 0.0j, grid128).values.dtype == np.float64
 
 
 def test_green_gradient_radial_symmetry(grid128):
