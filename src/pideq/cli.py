@@ -96,7 +96,7 @@ def _grid(args, config, default=Grid(40.0, 256)):
 
 
 def _params(args, config):
-    return AlphaParams.for_alpha(_merged(args, config, "alpha", 0.0), 2)
+    return AlphaParams.for_alpha(_merged(args, config, "alpha", 0.0))
 
 
 def _contour(args, config, params, t):
@@ -109,7 +109,6 @@ def _contour(args, config, params, t):
         eps if eps is not None else base.epsilon,
         base.truncation,
         int(nodes) if nodes is not None else base.nodes_ray,
-        base.nodes_arc,
     )
 
 
@@ -153,13 +152,13 @@ def cmd_spectral(args, config):
     out = sys.stdout
     out.write("alpha,dimension,eigenvalue,psi_norm\n")
     out.write(
-        f"{_sci(params.alpha)},{params.dimension},{_sci(params.eigenvalue)},"
+        f"{_sci(params.alpha)},2,{_sci(params.eigenvalue)},"
         f"{_sci(params.psi_norm)}\n"
     )
     lams = [float(s) for s in (args.lambdas or "0.25,0.5,1,2,4,8").split(",")]
     out.write("lambda,c_re,c_im\n")
     for lam in lams:
-        c = c_lambda(lam, params.dimension)
+        c = c_lambda(lam)
         out.write(f"{_sci(lam)},{_sci(c.real)},{_sci(c.imag)}\n")
     return 0
 
@@ -243,7 +242,7 @@ def cmd_decay(args, config):
     fit = run_gradient_decay(spec)
     rows.append(("gradient", 1.5, 4.0 / 3.0, "", "", fit))
     if args.with_nonlinear:
-        params = AlphaParams.for_alpha(alpha, 2)
+        params = AlphaParams.for_alpha(alpha)
         cfg = SolverConfig(
             gamma=_merged(args, config, "gamma", 2.0),
             a=(_merged(args, config, "ax", 1.0), _merged(args, config, "ay", 0.0)),

@@ -130,8 +130,8 @@ def _cell_average(beta):
     return 2.0 ** (beta + 0.5) / (2.0 - beta) * total
 
 
-def critical_datum(grid, q, envelope=0.25):
-    """Real datum whose transform is |xi|^(-(2-2/q)) exp(-envelope |xi|^2).
+def critical_datum(grid, q):
+    """Real datum whose transform is |xi|^(-(2-2/q)) exp(-|xi|^2/4).
 
     L^q-critical in the infrared; the zero mode carries the exact average of
     the singular profile over its frequency cell, so the box does not starve
@@ -145,7 +145,7 @@ def critical_datum(grid, q, envelope=0.25):
         prof = np.where(xi2 > 0.0, np.sqrt(xi2), 1.0) ** (-beta)
     dxi = 2.0 * np.pi / (2.0 * grid.half_width)
     prof[0, 0] = _cell_average(beta) * dxi ** (-beta)
-    hat = prof * np.exp(-envelope * xi2)
+    hat = prof * np.exp(-0.25 * xi2)
     return Field(grid, _irfft2(hat) * (grid.n / (2.0 * grid.half_width)) ** 2)
 
 
@@ -185,7 +185,7 @@ def _linear_fit(spec, sample, theoretical):
     t_grid = np.asarray(spec.t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 1.0)):
         raise ValueError(f"t_grid must hold finite times t >= 1; got {spec.t_grid!r}")
-    model = grid_model(AlphaParams.for_alpha(spec.alpha, 2), spec.grid)
+    model = grid_model(AlphaParams.for_alpha(spec.alpha), spec.grid)
     ghat = _rfft2(critical_datum(spec.grid, spec.q or 2.0).values)
     return fit_rate(
         [(t, sample(model, Flow(model, t).apply(ghat))) for t in t_grid], theoretical
@@ -259,18 +259,18 @@ def run_nonlinear_decay(spec, traj):
     )
 
 
-def admissible_exponents(h1, h2, resolution=1e-3):
+def admissible_exponents(h1, h2):
     """First (theta1, theta2) in (1/2, 1)^2 satisfying the rate conditions.
 
     Conditions: theta1 + theta2 > 3/2 and
     max(1/h1, 1/h2) < theta1/h1 + theta2/h2 + (1 - theta2)/2 < 1.
-    Returns None when no pair exists on the search lattice.
+    Returns None when no pair exists on the search lattice of step 1e-3.
     """
     if not 1.0 < h1 < math.inf:
         raise ValueError("h1 must lie in (1, inf)")
     if not 1.0 < h2 < 2.0:
         raise ValueError("h2 must lie in (1, 2)")
-    thetas = np.arange(0.5 + resolution, 1.0, resolution)
+    thetas = np.arange(0.5 + 1e-3, 1.0, 1e-3)
     t1 = thetas[:, None]
     t2 = thetas[None, :]
     mid = t1 / h1 + t2 / h2 + (1.0 - t2) / 2.0

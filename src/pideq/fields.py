@@ -1,8 +1,8 @@
 """Grid-sampled fields on [-L, L]^2 with Fourier-spectral operations.
 
-A :class:`Grid` is a uniform periodic n x n mesh on the square [-L, L]^2.
-With the half-cell ``offset`` switched on (the default) the origin is not a
-mesh node, which keeps logarithmically singular kernels finite everywhere.
+A :class:`Grid` is a uniform periodic n x n mesh on the square [-L, L]^2
+whose nodes sit at half-cell centres, so the origin is not a mesh node,
+which keeps logarithmically singular kernels finite everywhere.
 A :class:`Field` is an immutable array together with its grid: float64 when
 its data are real, complex128 otherwise.
 
@@ -13,8 +13,8 @@ Conventions
   deterministic for a fixed shape.
 * Operations that are diagonal in Fourier space (heat flow, derivatives,
   resolvent multipliers) act through plain unshifted FFTs on the rfft2 half
-  spectrum, one per real part; the absolute phase bookkeeping of the offset
-  grid cancels in all such products.
+  spectrum, one per real part; the absolute phase bookkeeping of the
+  half-cell shift cancels in all such products.
 """
 
 import math
@@ -44,24 +44,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-L, L]^2.
+    """Uniform periodic grid on [-L, L]^2, nodes at half-cell centres (x = 0 is not a node).
 
     Parameters
     ----------
     half_width : float
-        L, the half side length of the square.
+        L, the half side length of the square; a finite real number > 0.
     n : int
         Points per axis; a power of two, at least 16.
-    offset : bool
-        If True, nodes sit at half-cell centres so x = 0 is not a node.
     """
 
     half_width: float
     n: int
-    offset: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
+        if not (isinstance(self.half_width, numbers.Real) and 0.0 < self.half_width < math.inf):
             raise ValueError(f"half_width must be a finite number > 0; got {self.half_width!r}")
         n = self.n
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 16 or n & (n - 1):
@@ -77,9 +74,8 @@ class Grid:
         return self.spacing ** 2
 
     def axis(self):
-        """1D coordinate lattice along one axis."""
-        shift = 0.5 if self.offset else 0.0
-        return (np.arange(self.n) + shift) * self.spacing - self.half_width
+        """1D coordinate lattice along one axis, at the half-cell centres."""
+        return (np.arange(self.n) + 0.5) * self.spacing - self.half_width
 
     # The four n x n arrays below are built on each call, not cached: a
     # cache would keep 3 MiB alive for the process at n = 256, while
@@ -107,6 +103,17 @@ class Grid:
         """|xi|^2 on the unshifted FFT lattice."""
         XI1, XI2 = self.wavenumbers()
         return XI1 ** 2 + XI2 ** 2
+
+
+def _real_pair(name, value):
+    """value as a tuple of two floats; ValueError naming ``name`` unless it is two finite reals."""
+    try:
+        pair = tuple(value)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2 or not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in pair):
+        raise ValueError(f"{name} must be two finite real numbers; got {value!r}")
+    return float(pair[0]), float(pair[1])
 
 
 def _rfft2(values):
@@ -249,9 +256,9 @@ def inner_product(f, g):
 
 
 def heat_free(f, t):
-    """Free heat flow exp(t Laplacian) f via the multiplier exp(-t |xi|^2)."""
-    if t < 0:
-        raise ValueError("heat_free requires t >= 0")
+    """Free heat flow exp(t Laplacian) f via the multiplier exp(-t |xi|^2); t finite and >= 0."""
+    if not (isinstance(t, numbers.Real) and 0 <= t < math.inf):
+        raise ValueError(f"heat_free requires a finite t >= 0; got t = {t!r}")
     if t == 0:
         return f
     mult = np.exp(-t * f.grid.wavenumber_sq()[:, :f.grid.n // 2 + 1])
@@ -270,54 +277,58 @@ def gradient(f):
 
 
 def gaussian_field(grid, sigma=1.0, amplitude=1.0, center=(0.0, 0.0)):
-    """amplitude * exp(-|x - center|^2 / (2 sigma^2)) as a Field; finite sigma > 0, finite amplitude."""
+    """amplitude * exp(-|x - center|^2 / (2 sigma^2)) as a Field.
+
+    sigma is a finite number > 0, amplitude a finite number and center two
+    finite real numbers; anything else raises ValueError naming it.
+    """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"gaussian sigma must be a finite number > 0; got {sigma!r}")
     if not np.isfinite(amplitude):
         raise ValueError(f"gaussian amplitude must be a finite number; got {amplitude!r}")
+    x0, y0 = _real_pair("gaussian center", center)
     X, Y = grid.mesh()
-    r2 = (X - center[0]) ** 2 + (Y - center[1]) ** 2
+    r2 = (X - x0) ** 2 + (Y - y0) ** 2
     return Field(grid, amplitude * np.exp(-r2 / (2.0 * sigma ** 2)))
 
 
 # --- serialization -----------------------------------------------------------
 
 _MAGIC = b"PIDF"
-_HEADER = struct.Struct("<dQBB")  # L, n, offset, frequency-domain flag
+_HEADER = struct.Struct("<dQBB")  # L, n, offset (always 1), frequency-domain flag
 
 _STATE_MAGIC = b"PIDS"
 _STATE_VERSION = 1
-_STATE_HEADER = struct.Struct("<dQBddd")  # L, n, offset, q, alpha, t
+_STATE_HEADER = struct.Struct("<dQBddd")  # L, n, offset (always 1), q, alpha, t
 
 
 def save_field(f, path, t=None):
     """Write a Field, or a real solver state at time t, to a binary container.
 
-    A :class:`Field` is written as magic ``PIDF``, L, n, offset, a zero
-    byte, then its values as row-major complex64.  The zero byte is the
-    frequency-domain flag of earlier versions, which wrote 1 there for a
-    transformed field.  ``t`` must then be None.
+    A :class:`Field` is written as magic ``PIDF``, L, n, the offset byte 1
+    (the half-cell grid), a zero byte, then its values as row-major
+    complex64.  The zero byte is the frequency-domain flag of earlier
+    versions, which wrote 1 there for a transformed field.  ``t`` must then
+    be None.
 
-    A state u = phi + q G_omega (a :class:`pideq.spectral.DecomposedField`
-    of a 2-D parameter set) is written losslessly as magic ``PIDS``, a
-    version byte (1), L, n, offset, q, alpha and t (0 when None) as
-    float64, then phi as row-major float64: 8 bytes a point.  Its phi and q
-    must be real; :func:`pideq.spectral.load_state` reads it back.
+    A state u = phi + q G_omega (a :class:`pideq.spectral.DecomposedField`)
+    is written losslessly as magic ``PIDS``, a version byte (1), L, n, the
+    offset byte 1, q, alpha and t (0 when None) as float64, then phi as
+    row-major float64: 8 bytes a point.  Its phi and q must be real;
+    :func:`pideq.spectral.load_state` reads it back.
     """
     if isinstance(f, Field):
         if t is not None:
             raise ValueError("a time t is written with a state, not with a plain field")
-        head = _MAGIC + _HEADER.pack(f.grid.half_width, f.grid.n, int(f.grid.offset), 0)
+        head = _MAGIC + _HEADER.pack(f.grid.half_width, f.grid.n, 1, 0)
         payload = np.ascontiguousarray(f.values, dtype=np.complex64)
     else:
         values, q, params = f.regular.values, complex(f.coeff), f.params
         if q.imag or (np.iscomplexobj(values) and np.any(values.imag)):
             raise ValueError("a state container holds real states; this one is complex")
-        if params.dimension != 2:
-            raise ValueError("a state container holds 2-D states")
         grid = f.regular.grid
         head = _STATE_MAGIC + bytes([_STATE_VERSION]) + _STATE_HEADER.pack(
-            grid.half_width, grid.n, int(grid.offset), q.real, params.alpha,
+            grid.half_width, grid.n, 1, q.real, params.alpha,
             0.0 if t is None else float(t),
         )
         payload = np.ascontiguousarray(values.real, dtype="<f8")
@@ -330,7 +341,8 @@ def _read_container(path):
     """(grid, values, state) of a container; state is (q, alpha, t), or None for a field.
 
     A file that is not a whole container, holds a frequency-domain field
-    (flag byte not 0) or a state container of another version raises
+    (flag byte not 0) or a state container of another version, or whose
+    offset byte is not 1 (a grid with a node at the origin), raises
     ValueError.
     """
     with open(path, "rb") as fh:
@@ -356,12 +368,14 @@ def _read_container(path):
         else:
             raise ValueError(f"{path}: not a field container")
         raw = np.frombuffer(fh.read(), dtype=dtype)
+    if offset != 1:
+        raise ValueError(f"{path}: offset byte {offset}; only the half-cell grid (1) is supported")
     if raw.size != n * n:
         raise ValueError(f"{path}: truncated field payload")
     values = raw.reshape(n, n)
     if state is None:
         values = values.astype(np.complex128)
-    return Grid(L, int(n), offset=bool(offset)), values, state
+    return Grid(L, int(n)), values, state
 
 
 def _is_state_container(path):

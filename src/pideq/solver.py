@@ -80,7 +80,7 @@ from .errors import (
     DataTooLargeError,
     HorizonTooLargeError,
 )
-from .fields import Field, _irfft2, _rfft2, inner_product, lp_norm
+from .fields import Field, _irfft2, _real_pair, _rfft2, inner_product, lp_norm
 from .semigroup import Flow, grid_model
 from .spectral import (
     DecomposedField,
@@ -119,9 +119,7 @@ def _positive(value, kind):
 class SolverConfig:
     """Nonlinearity, horizon and iteration controls.
 
-    ``ball_radius`` is diagnostic: when set (or 'auto', twice the proxy
-    norm of the initial state) iterates leaving the ball raise a warning.  The
-    pointwise factor |u|^(gamma-2) is clamped at ``clamp_limit`` for
+    The pointwise factor |u|^(gamma-2) is clamped at ``clamp_limit`` for
     gamma < 2.  ``gamma`` must be a finite number > 1.  ``a`` must be two
     finite real numbers and is stored as a tuple of two floats.  ``dt``,
     ``picard_tol``, ``window``, ``T`` and ``clamp_limit`` must be finite and
@@ -139,7 +137,6 @@ class SolverConfig:
     dt: float = 0.01
     picard_tol: float = 1e-9
     picard_max: int = 25
-    ball_radius: float | str | None = None
     window: float = 1.0
     store_stride: int | None = None
     clamp_limit: float = 1e8
@@ -161,17 +158,7 @@ class SolverConfig:
             raise ValueError(f"picard_max must be an int >= 1; got {self.picard_max!r}")
         if self.store_stride is not None and not _positive(self.store_stride, numbers.Integral):
             raise ValueError(f"store_stride must be None or an int >= 1; got {self.store_stride!r}")
-        if self.ball_radius not in (None, "auto") and not _positive(self.ball_radius, numbers.Real):
-            raise ValueError(
-                f"ball_radius must be None, 'auto' or a finite number > 0; got {self.ball_radius!r}"
-            )
-        try:
-            a = tuple(self.a)
-        except TypeError:
-            a = ()
-        if len(a) != 2 or not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in a):
-            raise ValueError(f"a must be two finite real numbers; got {self.a!r}")
-        self.a = (float(a[0]), float(a[1]))
+        self.a = _real_pair("a", self.a)
 
 
 @dataclass
@@ -448,14 +435,13 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     sweep keeping only the stored states; it is probed instead, from its
     start state, when one of its states is not finite or has an H^1 proxy
     above the largest one the last probed window held, so growing data are
-    measured where they are largest.  Marched states never exceed that
-    largest proxy, so checking it against ``cfg.ball_radius`` after each
-    probe covers every state.  ``iterations`` has one entry per window, 0
-    for a marched one.  States are stored every ``cfg.store_stride`` steps
-    (``default_stride`` when unset, every window end when that is None),
-    and at T, and made into :class:`DecomposedField` states (float64 phi) at
-    the end, one at a time.  ``clamps`` counts the forcings' clamped
-    samples; ``cfg`` is only read.
+    measured where they are largest.  ``iterations`` has one entry per
+    window, 0 for a marched one.  States are stored every
+    ``cfg.store_stride`` steps (``default_stride`` when unset, every window
+    end when that is None), and at T, and made into
+    :class:`DecomposedField` states (float64 phi) at the end, one at a
+    time.  ``clamps`` counts the forcings' clamped samples; ``cfg`` is only
+    read.
     """
     if init not in ("linear", "frozen"):
         raise ValueError("init must be 'linear' or 'frozen'")
@@ -467,9 +453,6 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     start, _ = _state_hat(model, u0)
     if projected:
         start, _ = model.project_ac_hat(start)
-    radius = cfg.ball_radius
-    if radius == "auto":
-        radius = 2.0 * _proxy(model, start)
 
     clamps = 0
 
@@ -512,8 +495,6 @@ def _solve(u0, cfg, projected, window, default_stride, init):
             iterations.append(iters)
             ratios.extend(window_ratios)
             probe_top = max(_proxy(model, s) for s in states)
-            if radius is not None and probe_top > radius:
-                warnings.warn(f"{label}: iterate norm {probe_top:.3e} left the ball {radius:.3e}")
             kept = [(j, states[j]) for j in want]
             end = states[-1]
             del states  # a later probe builds its list without this one alive

@@ -11,16 +11,15 @@ the root of alpha + c(E_alpha) = 0, where
     c(lambda) = (gamma - ln 2)/(2 pi) + Log(sqrt(lambda))/(2 pi)
 
 encodes the behaviour of the Helmholtz kernel G_lambda near the origin.
-In 3D, c(lambda) = sqrt(lambda)/(4 pi) and the eigenvalue (4 pi alpha)^2
-exists iff alpha < 0.  The normalized eigenfunction is
-psi = G_E / ||G_E||_2 with G_lambda(x) = K0(sqrt(lambda) |x|)/(2 pi) in 2D,
-which :func:`green_field` samples pointwise on the offset grid.
+The normalized eigenfunction is psi = G_E / ||G_E||_2 with
+G_lambda(x) = K0(sqrt(lambda) |x|)/(2 pi), which :func:`green_field`
+samples pointwise at the grid's half-cell nodes.
 
 Grid Riemann sums of G-type fields converge slowly near the logarithmic
 singularity, so the exact L^p size of G_lambda is exposed through its
 radial integral (:func:`green_lp_norm`: in closed form at p = 2, else a
-trapezoid sum in log radius) instead of a grid sum.  numpy is the only
-dependency.
+trapezoid sum in log radius, summed in logs) instead of a grid sum.  numpy
+is the only dependency.
 """
 
 import cmath
@@ -55,30 +54,24 @@ __all__ = [
 _EG = euler_gamma()
 
 
-def eigenvalue(alpha, dim=2):
-    """Point eigenvalue of the perturbed Laplacian, or None if absent.
+def eigenvalue(alpha):
+    """Point eigenvalue 4 exp(-4 pi alpha - 2 gamma), or None at alpha = +inf.
 
-    2D: 4 exp(-4 pi alpha - 2 gamma), None at alpha = +inf (the free
-    Laplacian).  3D: (4 pi alpha)^2 iff alpha < 0, else None.  alpha must
+    alpha = +inf is the free Laplacian, which has no eigenvalue.  alpha must
     be a real number in (-inf, +inf]; anything else (a string, nan, -inf)
     raises ValueError, and so does an alpha whose eigenvalue is not a
-    finite, normal, positive double (in 2D, alpha above about 56.39 or below
-    about -56.46).
+    finite, normal, positive double (alpha above about 56.39 or below about
+    -56.46).
     """
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
         raise ValueError(f"alpha must be a real number; got {alpha!r}")
     if not -math.inf < alpha <= math.inf:
         raise ValueError(f"alpha must lie in (-inf, +inf]; got {alpha!r}")
-    if dim not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
-    if alpha == math.inf or (dim == 3 and not alpha < 0):
+    if alpha == math.inf:
         return None
     with np.errstate(over="ignore", under="ignore"):
         try:
-            if dim == 2:
-                ev = float(4.0 * np.exp(-4.0 * np.pi * alpha - 2.0 * _EG))
-            else:
-                ev = float((4.0 * np.pi * alpha) ** 2)
+            ev = float(4.0 * np.exp(-4.0 * np.pi * alpha - 2.0 * _EG))
         except OverflowError:
             ev = math.inf
     if not sys.float_info.min <= ev < math.inf:
@@ -89,57 +82,43 @@ def eigenvalue(alpha, dim=2):
     return ev
 
 
-def _on_cut(lam):
-    z = complex(lam)
-    return z.imag == 0.0 and z.real <= 0.0
-
-
-def c_lambda(lam, dim=2):
+def c_lambda(lam):
     """Scalar c(lambda), principal branch, for a finite lambda off (-inf, 0]."""
     z = complex(lam)
     if not cmath.isfinite(z):
         raise ValueError(f"c_lambda requires a finite lambda; got {lam!r}")
-    if _on_cut(z):
+    if z.imag == 0.0 and z.real <= 0.0:
         raise BranchCutError("c_lambda is not defined on the branch cut (-inf, 0]")
-    if dim == 2:
-        # Log sqrt(lambda) = ln sqrt|lambda| + (i/2) arg(lambda)
-        return complex((_EG - math.log(2.0) + 0.5 * cmath.log(z)) / (2.0 * np.pi))
-    if dim == 3:
-        return complex(cmath.sqrt(z) / (4.0 * np.pi))
-    raise ValueError("dimension must be 2 or 3")
+    # Log sqrt(lambda) = ln sqrt|lambda| + (i/2) arg(lambda)
+    return complex((_EG - math.log(2.0) + 0.5 * cmath.log(z)) / (2.0 * np.pi))
 
 
 @dataclass(frozen=True)
 class AlphaParams:
-    """Spectral record: dimension, alpha, eigenvalue E, and ||G_E||_{L^2}.
+    """Spectral record: alpha, eigenvalue E, and ||G_E||_{L^2}.
 
     ``psi_norm`` is the continuum normalization constant of the
     eigenfunction (None when the eigenvalue is absent).  It is computed from
     the closed form of the radial integral, not by a grid sum.
     """
 
-    dimension: int
     alpha: float
     eigenvalue: float | None
     psi_norm: float | None
 
     @classmethod
     def for_alpha(cls, alpha, dimension=2):
-        ev = eigenvalue(alpha, dimension)
+        """The record of alpha in the plane; any second argument but 2 raises ValueError."""
+        if dimension != 2:
+            raise ValueError(f"only dimension 2 is supported; got dimension = {dimension!r}")
+        ev = eigenvalue(alpha)
         if ev is None:
-            return cls(dimension, float(alpha), None, None)
-        if dimension == 2:
-            pn = green_lp_norm(ev, 2.0)
-        else:
-            # ||G_E||^2 = 1/(8 pi sqrt(E)) for the 3D kernel
-            pn = math.sqrt(1.0 / (8.0 * np.pi * math.sqrt(ev)))
-        return cls(dimension, float(alpha), float(ev), pn)
+            return cls(float(alpha), None, None)
+        return cls(float(alpha), float(ev), green_lp_norm(ev, 2.0))
 
     def __post_init__(self):
-        if self.dimension not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
         if self.eigenvalue is not None and self.eigenvalue > 0.0:
-            resid = abs(self.alpha + c_lambda(self.eigenvalue, self.dimension).real)
+            resid = abs(self.alpha + c_lambda(self.eigenvalue).real)
             if resid > 1e-10 * max(1.0, abs(self.alpha)):
                 raise ValueError(
                     f"alpha + c(E) = {resid:.3e}; eigenvalue inconsistent with alpha"
@@ -156,16 +135,14 @@ def green_field(lam, grid):
     """Helmholtz kernel G_lambda = K0(sqrt(lambda) |x|)/(2 pi), sampled pointwise.
 
     lambda is a finite real number > 0: a real lambda <= 0 raises
-    BranchCutError and any other lambda ValueError.  The grid must carry
-    the half-cell offset, so the logarithmic singularity is off-mesh.
+    BranchCutError and any other lambda ValueError.  The grid's nodes sit
+    at half-cell centres, so the logarithmic singularity is off-mesh.
     """
-    if _on_cut(lam):
-        raise BranchCutError("green_field requires lambda off (-inf, 0]")
     z = complex(lam)
+    if z.imag == 0.0 and z.real <= 0.0:
+        raise BranchCutError("green_field requires lambda off (-inf, 0]")
     if z.imag != 0.0 or not math.isfinite(z.real):
         raise ValueError(f"green_field requires a finite real lambda > 0; got {lam!r}")
-    if not grid.offset:
-        raise ValueError("green_field needs the offset grid (origin off-mesh)")
     r, index = _distinct_radii(grid)
     vals = bessel_k0(math.sqrt(z.real) * r) / (2.0 * np.pi)
     return Field(grid, vals[index])
@@ -194,8 +171,6 @@ def _green_gradient(lam, grid):
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"green_gradient_field requires a finite real lambda > 0; got {lam!r}")
-    if not grid.offset:
-        raise ValueError("gradient sampling needs the offset grid")
     X, Y = grid.mesh()
     r, index = _distinct_radii(grid)
     s = math.sqrt(lam)
@@ -211,9 +186,13 @@ def green_gradient_field(lam, grid):
     return tuple(Field(grid, g) for g in _green_gradient(float(lam), grid))
 
 
+MAX_P = 350.0
+"""Largest p of :func:`green_lp_norm`: its rule starts at x = -2p, and e^(-2p) must stay normal."""
+
+
 @lru_cache(maxsize=64)
-def _k0_power_moment(p):
-    """integral_0^inf K0(s)^p s ds: exactly 1/2 at p = 2, else a trapezoid sum on s = e^x.
+def _log_k0_moment(p):
+    """ln integral_0^inf K0(s)^p s ds, p != 2, by a trapezoid sum on s = e^x summed in logs.
 
     The substitution gives the integral of K0(e^x)^p e^(2x) over the real
     line, an analytic integrand that decays like |x|^p e^(2x) on the left
@@ -223,38 +202,45 @@ def _k0_power_moment(p):
     convergent trapezoidal rule", SIAM Review 56 (2014)).  The integrand
     peaks near x = -p/2, so the left end moves out beyond p = 20.  The nodes
     are integer multiples of h: stepping from a float start shifts them by
-    rounding, which biased the sum by 1.4e-14 relative.
+    rounding, which biased the sum by 1.4e-14 relative.  Each term is
+    exp(p ln K0(e^x) + 2x - m), m the largest exponent, so no power
+    overflows: from about p = 130 K0(e^x)^p does, and the moment itself
+    leaves the doubles near p = 190.
     """
-    if p == 2.0:
-        return 0.5
     h = 0.1
     x = h * np.arange(math.floor(min(-40.0, -2.0 * p) / h), math.log(60.0 / p + 5.0) / h + 1.0)
-    return float(h * np.sum(bessel_k0(np.exp(x)) ** p * np.exp(2.0 * x)))
+    expo = p * np.log(bessel_k0(np.exp(x))) + 2.0 * x
+    top = expo.max()
+    return float(top + math.log(h * np.sum(np.exp(expo - top))))
 
 
 def green_lp_norm(lam, p):
-    """Exact (radial integral) L^p(R^2) norm of G_lambda, real lambda > 0, finite p >= 1.
+    """Exact (radial integral) L^p(R^2) norm of G_lambda, real lambda > 0, 1 <= p <= ``MAX_P``.
 
-    ||G_lam||_p^p = 2 pi (2 pi)^-p lam^-1 int_0^inf K0(s)^p s ds, with the
-    moment in closed form at p = 2 and a geometrically convergent trapezoid
-    sum otherwise, so the singular part is resolved exactly and the
-    rescaling law ||G_lam||_p = lam^(-1/p) ||G_1||_p holds by construction.
+    ||G_lam||_p^p = 2 pi (2 pi)^-p lam^-1 M_p, M_p = int_0^inf K0(s)^p s ds,
+    with M_2 = 1/2 in closed form and, for p != 2, ||G_1||_p taken in logs
+    from the geometrically convergent trapezoid sum ln M_p
+    (:func:`_log_k0_moment`) and scaled by the rescaling law
+    ||G_lam||_p = lam^(-1/p) ||G_1||_p, so the singular part is resolved
+    exactly.
     """
     lam = float(lam)
     if not 0.0 < lam < math.inf:
         raise ValueError(f"green_lp_norm requires a finite real lambda > 0; got {lam!r}")
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"green_lp_norm requires a finite p >= 1; got {p!r}")
-    moment = _k0_power_moment(float(p))
-    return float((2.0 * np.pi * (2.0 * np.pi) ** (-p) / lam * moment) ** (1.0 / p))
+    if not 1.0 <= p <= MAX_P:
+        raise ValueError(f"green_lp_norm requires a finite p >= 1 and <= {MAX_P:g}; got p = {p!r}")
+    if p == 2.0:
+        return float((2.0 * np.pi * (2.0 * np.pi) ** (-p) / lam * 0.5) ** (1.0 / p))
+    # ||G_1||_p from logs (M_p leaves the doubles near p = 190), then the
+    # rescaling law, which keeps full precision for any lambda
+    log_2pi = math.log(2.0 * np.pi)
+    return math.exp((log_2pi - p * log_2pi + _log_k0_moment(float(p))) / p) / lam ** (1.0 / p)
 
 
 @lru_cache(maxsize=8)
 def _psi_values(params, grid):
     if params.eigenvalue is None or params.eigenvalue <= 0.0:
-        raise NoEigenfunctionError(
-            f"alpha = {params.alpha} (dim {params.dimension}) has no eigenfunction"
-        )
+        raise NoEigenfunctionError(f"alpha = {params.alpha} has no eigenfunction")
     g = green_field(params.eigenvalue, grid)
     nrm = lp_norm(g, 2)
     vals = g.values / nrm
@@ -318,7 +304,7 @@ def load_state(path):
     if state is None:
         raise ValueError(f"{path}: a field container, not a state container")
     q, alpha, t = state
-    return DecomposedField(Field(grid, values), q, AlphaParams.for_alpha(alpha, 2)), t
+    return DecomposedField(Field(grid, values), q, AlphaParams.for_alpha(alpha)), t
 
 
 @lru_cache(maxsize=8)

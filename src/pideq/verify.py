@@ -48,14 +48,14 @@ def _check(name, fn, results):
 
 def check_spectral_scalars():
     eg = euler_gamma()
-    e0 = eigenvalue(0.0, 2)
+    e0 = eigenvalue(0.0)
     ref = 4.0 * math.exp(-2.0 * eg)
     err_e = abs(e0 - ref) / ref
     worst_root = 0.0
     for alpha in (-1.0, 0.0, 1.0):
-        ev = eigenvalue(alpha, 2)
-        worst_root = max(worst_root, abs(alpha + c_lambda(ev, 2).real))
-    params = AlphaParams.for_alpha(0.0, 2)
+        ev = eigenvalue(alpha)
+        worst_root = max(worst_root, abs(alpha + c_lambda(ev).real))
+    params = AlphaParams.for_alpha(0.0)
     oracle = 1.0 / math.sqrt(4.0 * math.pi * params.eigenvalue)
     err_n = abs(params.psi_norm - oracle) / oracle
     ok = err_e <= 1e-12 and worst_root <= 1e-12 and err_n <= 1e-4
@@ -66,7 +66,7 @@ def check_spectral_scalars():
 
 
 def check_resolvent(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0, 2)
+    params = AlphaParams.for_alpha(0.0)
     g = gaussian_field(grid, sigma=2.0)
     lam, mu = 2.0, 5.0
     r_lam = krein_resolvent(lam, g, params)
@@ -82,7 +82,7 @@ def check_resolvent(grid=DEFAULT_GRID):
 
 
 def check_eigenmode_growth(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0, 2)
+    params = AlphaParams.for_alpha(0.0)
     psi = psi_alpha_field(params, grid)
     evolved = semigroup_full(1.0, psi, params)
     growth = math.exp(params.eigenvalue)
@@ -91,7 +91,7 @@ def check_eigenmode_growth(grid=DEFAULT_GRID):
 
 
 def check_semigroup_law(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0, 2)
+    params = AlphaParams.for_alpha(0.0)
     g = gaussian_field(grid, sigma=2.0)
     one = semigroup_full(1.0, g, params)
     half = semigroup_full(0.5, semigroup_full(0.5, g, params), params)
@@ -100,7 +100,7 @@ def check_semigroup_law(grid=DEFAULT_GRID):
 
 
 def check_backward_euler(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0, 2)
+    params = AlphaParams.for_alpha(0.0)
     g = gaussian_field(grid, sigma=2.0)
     ref = semigroup_pac(1.0, g, params).field
     nref = lp_norm(ref, 2)
@@ -130,7 +130,7 @@ def check_gradient_decay(grid=DEFAULT_GRID):
 
 
 def check_contour_independence(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0, 2)
+    params = AlphaParams.for_alpha(0.0)
     g = gaussian_field(grid, sigma=2.0)
     ev = params.eigenvalue
     trunc = max(50.0, 2.0 * ev)

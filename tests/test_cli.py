@@ -36,6 +36,26 @@ def test_spectral_subcommand(capsys):
     assert len(out) == 5
 
 
+SPECTRAL_DEFAULT = """\
+alpha,dimension,eigenvalue,psi_norm
+0.0000000000000000e+00,2,1.2609470067487736e+00,2.5121562644357126e-01
+lambda,c_re,c_im
+2.5000000000000000e-01,-1.2876887385349761e-01,0.0000000000000000e+00
+5.0000000000000000e-01,-7.3609973815334698e-02,0.0000000000000000e+00
+1.0000000000000000e+00,-1.8451073777171801e-02,0.0000000000000000e+00
+2.0000000000000000e+00,3.6707826260991096e-02,0.0000000000000000e+00
+4.0000000000000000e+00,9.1866726299153989e-02,0.0000000000000000e+00
+8.0000000000000000e+00,1.4702562633731689e-01,0.0000000000000000e+00
+"""
+
+
+def test_spectral_output_bytes(capsys):
+    # the whole default output, pinned: the header keeps its dimension
+    # column, which reads 2 (the model is planar)
+    assert main(["spectral"]) == 0
+    assert capsys.readouterr().out == SPECTRAL_DEFAULT
+
+
 def test_spectral_subcommand_alpha_inf(capsys):
     # the free Laplacian has no eigenvalue and no psi norm; the c table stays
     assert main(["spectral", "--alpha", "inf", "--lambdas", "1,2"]) == 0
@@ -77,6 +97,7 @@ def test_simulate_rejects_nonfinite_drift(tmp_path):
         (["resolve", "--alpha=-inf"], "alpha must lie in (-inf, +inf]; got -inf"),
         (["semigroup", "--u0", "gaussian:-1"], "gaussian sigma must be a finite number > 0"),
         (["resolve", "--u0", "gaussian:2,nan"], "gaussian amplitude must be a finite number"),
+        (["resolve", "--u0", "gaussian:2,1,nan,0"], "gaussian center must be two finite real"),
     ],
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):
@@ -199,6 +220,16 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--grid-n", "128"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 9
+    assert "9/9 checks passed" in out
+
+
+def test_verify_passes_at_grid_n_64(capsys):
+    # criterion 8's contours (truncation 50) cover the whole n = 64 lattice
+    # spectrum; subtracting the t = 0 moment there once put their two radii
+    # 7.7e-5 apart, and the check failed
+    assert main(["verify", "--grid-n", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS contour independence" in out
     assert "9/9 checks passed" in out
 
 

@@ -29,7 +29,8 @@ def test_grid_validation():
         Grid(40.0, 8)
     with pytest.raises(ValueError):
         Grid(-1.0, 64)
-    for bad in (math.inf, math.nan):
+    # a string once raised TypeError from math.isfinite
+    for bad in (math.inf, math.nan, "a", None):
         with pytest.raises(ValueError, match="half_width must be a finite number"):
             Grid(bad, 64)
 
@@ -37,8 +38,6 @@ def test_grid_validation():
 def test_offset_keeps_origin_off_mesh():
     g = Grid(10.0, 32)
     assert np.abs(g.axis()).min() > 0
-    g0 = Grid(10.0, 32, offset=False)
-    assert np.abs(g0.axis()).min() == 0.0
 
 
 def test_lp_norm_single_cell():
@@ -80,6 +79,21 @@ def test_heat_free_identity_and_domain(smooth_datum):
     assert heat_free(smooth_datum, 0.0) is smooth_datum
     with pytest.raises(ValueError):
         heat_free(smooth_datum, -0.1)
+    # t = inf raised a RuntimeWarning from 0 * inf at the zero mode, and
+    # t = nan "field values must be finite", which did not name t
+    for bad in (math.inf, math.nan, -math.inf, "1"):
+        with pytest.raises(ValueError, match="heat_free requires a finite t >= 0; got t = "):
+            heat_free(smooth_datum, bad)
+
+
+def test_gaussian_field_rejects_bad_center(grid128):
+    # "ab" raised numpy's UFuncTypeError, and a 3-vector was accepted
+    for bad in ("ab", (0.0, 0.0, 0.0), (0.0,), (math.nan, 0.0), (0.0, math.inf), 1.0, None):
+        with pytest.raises(ValueError, match="gaussian center must be two finite real numbers"):
+            gaussian_field(grid128, center=bad)
+    shifted = gaussian_field(grid128, center=np.array([1, -2]))
+    assert shifted.values.dtype == np.float64
+    assert shifted.values.max() == gaussian_field(grid128, center=(1.0, -2.0)).values.max()
 
 
 def test_heat_free_gaussian_closed_form():

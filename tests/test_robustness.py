@@ -11,7 +11,6 @@ from pideq import (
     DecomposedField,
     Field,
     Grid,
-    SolverConfig,
     c_lambda,
     gaussian_field,
     green_lp_norm,
@@ -22,7 +21,6 @@ from pideq import (
     save_field,
     semigroup_full,
     semigroup_pac,
-    solve_local,
     total_field,
 )
 from pideq.cli import main
@@ -127,19 +125,20 @@ def test_load_field_error_branches(tmp_path, grid128):
         load_field(tmp_path / "short.pidf")
 
 
-def test_ball_radius_warning(params, grid128):
-    u0 = DecomposedField.from_field(
-        gaussian_field(grid128, sigma=1.5, amplitude=0.01), params
-    )
-    cfg = SolverConfig(
-        gamma=2.0,
-        a=(1.0, 0.0),
-        T=0.1,
-        dt=0.02,
-        ball_radius=1e-9,
-    )
-    with pytest.warns(UserWarning, match="left the ball"):
-        solve_local(u0, cfg)
+@pytest.mark.parametrize("header, offset_at", [(b"PIDF", 4 + 8 + 8), (b"PIDS\x01", 5 + 8 + 8)])
+def test_container_offset_byte_zero_rejected(tmp_path, grid128, params, header, offset_at):
+    # every container is written on the half-cell grid (offset byte 1); a
+    # file claiming a node at the origin is refused, naming the path
+    path = tmp_path / "c.pidf"
+    f = gaussian_field(grid128)
+    save_field(f if header == b"PIDF" else DecomposedField.from_field(f, params), path)
+    payload = bytearray(path.read_bytes())
+    assert payload.startswith(header) and payload[offset_at] == 1
+    payload[offset_at] = 0
+    bad = tmp_path / "unshifted.pidf"
+    bad.write_bytes(bytes(payload))
+    with pytest.raises(ValueError, match=r"unshifted\.pidf: offset byte 0"):
+        load_field(bad)
 
 
 def test_model_warns_outside_resolvable_window():
@@ -198,7 +197,7 @@ def test_grid_model_rejects_eigenvalue_beyond_grid(tmp_path, capsys):
         ({"truncation": math.nan}, "ray truncation must be finite; got nan"),
         ({"truncation": math.inf}, "ray truncation must be finite; got inf"),
         ({"nodes_ray": 64.5}, "nodes_ray must be an integer; got 64.5"),
-        ({"nodes_arc": 64.0}, "nodes_arc must be an integer; got 64.0"),
+        ({"nodes_ray": 64.0}, "nodes_ray must be an integer; got 64.0"),
         ({"nodes_ray": True}, "nodes_ray must be an integer; got True"),
     ],
 )

@@ -126,8 +126,8 @@ def test_resolvent_free_laplacian_limit(grid128, smooth_datum):
     # the scalar Krein coefficient 1/(alpha + c) decays like 1/alpha
     from pideq import c_lambda
 
-    c1 = abs(1.0 / (1.0 + c_lambda(2.0, 2)))
-    c1000 = abs(1.0 / (1000.0 + c_lambda(2.0, 2)))
+    c1 = abs(1.0 / (1.0 + c_lambda(2.0)))
+    c1000 = abs(1.0 / (1000.0 + c_lambda(2.0)))
     assert c1000 < c1 / 500
     # grid level, within the box-resolvable alpha window: larger alpha means
     # a smaller rank-one correction on top of the free resolvent
@@ -240,11 +240,23 @@ def test_contour_flow_matches_direct_sum(params, grid128):
     contour = ContourSpec.for_time(params, t)
     nodes, wts = contour.nodes()
     weights = wts * np.exp(t * nodes) / (2j * np.pi)
-    assert contour.truncation < 3.0 * model.rho[-1]  # no moment cancellation
     direct = _half(ref.rank_one(nodes, weights, gfull))
     flow = Flow(model, t, contour=contour)
     corr = flow.apply(ghalf) - flow.heat * ghalf
     assert np.linalg.norm(corr - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_cut_hugging_flow_matches_talbot_on_coarse_grid(params):
+    # at n = 64 the t = 1 contour's truncation (50) exceeds 3 rho_max (37.9):
+    # with its plain weights the flow matches the Talbot flow to 2.9e-13,
+    # where subtracting the t = 0 moment left a 1.4e-4 gap
+    grid = Grid(40.0, 64)
+    spec = ContourSpec.for_time(params, 1.0)
+    assert spec.truncation >= 3.0 * grid_model(params, grid).rho[-1]
+    g = gaussian_field(grid, sigma=2.0)
+    talbot = semigroup_pac(1.0, g, params).field
+    contour = semigroup_pac(1.0, g, params, spec).field
+    assert lp_norm(contour - talbot, 2) <= 1e-10 * lp_norm(talbot, 2)
 
 
 def test_correction_chunk_invariance(params, grid128, smooth_datum):
@@ -341,12 +353,11 @@ def test_semigroup_gradient_consistency(params, grid128, smooth_datum):
 
 
 def test_semigroup_gradient_zero_and_3d(params, grid128):
+    # the gradient of the zero datum is zero (the package is planar: the
+    # 3-D half of this test left with the 3-D parameter sets)
     zero = Field(grid128, np.zeros((128, 128)))
     dx, dy = semigroup_gradient_pac(1.0, zero, params)
     assert lp_norm(dx, 2) == 0.0 and lp_norm(dy, 2) == 0.0
-    p3 = AlphaParams.for_alpha(-1.0, 3)
-    with pytest.raises(ValueError):
-        semigroup_gradient_pac(1.0, zero, p3)
 
 
 def test_backward_euler_first_order(params, grid256):
@@ -548,7 +559,6 @@ def test_half_spectrum_flow_matches_full_lattice(alpha, full):
     # arc node, more than one chunk of them
     spec = ContourSpec.for_time(model.params, 1.0)
     nodes, wts = spec.nodes()
-    assert spec.truncation < 3.0 * model.rho[-1]  # no moment cancellation
     rules.append((1.0, nodes, wts * np.exp(nodes) / (2j * np.pi), spec))
     for t, nodes, weights, contour in rules:
         expect = np.exp(-t * ref.xi2) * gac + ref.rank_one(nodes, weights, gac)

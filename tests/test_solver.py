@@ -72,14 +72,13 @@ def test_config_validation():
         dict(picard_max=0), dict(picard_max=2.5), dict(window=0), dict(window=-1),
         dict(store_stride=-3), dict(store_stride=0), dict(store_stride=1.5),
         dict(dt=math.nan), dict(picard_tol=math.nan), dict(T=math.inf), dict(T=0.0),
-        dict(clamp_limit=-1), dict(clamp_limit=math.inf), dict(ball_radius=0.0),
-        dict(ball_radius=math.nan), dict(ball_radius="big"),
+        dict(clamp_limit=-1), dict(clamp_limit=math.inf),
         dict(gamma=math.inf), dict(gamma=math.nan), dict(gamma="3"),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverConfig(**bad)
-    for good in (dict(store_stride=None), dict(store_stride=3), dict(ball_radius="auto"),
-                 dict(ball_radius=2), dict(picard_max=1), dict(window=0.5)):
+    for good in (dict(store_stride=None), dict(store_stride=3), dict(picard_max=1),
+                 dict(window=0.5)):
         SolverConfig(**good)
 
 
@@ -299,22 +298,6 @@ def test_solve_local_fixed_point_property(params, grid128):
     assert moved < 2 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
 
 
-def test_solve_local_auto_radius_per_datum(params, grid128):
-    # 'auto' is resolved per solve: a reused config keeps reading 'auto', and
-    # each datum is measured against twice its own initial norm.  Eigenmode
-    # data grow like e^{E t}, past 2x by t = 0.8, so both solves must warn
-    # (a radius kept from the larger first datum would silence the second).
-    psi = psi_alpha_field(params, grid128)
-    cfg = SolverConfig(
-        gamma=2.0, a=(0.0, 0.0), T=0.8, dt=0.02, ball_radius="auto"
-    )
-    for amplitude in (0.1, 0.001):
-        u0 = DecomposedField.from_field(amplitude * psi, params)
-        with pytest.warns(UserWarning, match="left the ball"):
-            solve_local(u0, cfg)
-        assert cfg.ball_radius == "auto"
-
-
 def test_lagrange_multiplier_zero_cases(params, grid128):
     zero = DecomposedField.from_field(Field(grid128, np.zeros((128, 128))), params)
     cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0))
@@ -498,19 +481,6 @@ def test_solver_states_are_float64(params, grid128):
     st = traj.states[-1]
     for f in (total_field(st), *state_fields(st), nonlinearity(st, cfg)):
         assert f.values.dtype == np.float64
-
-
-def test_global_solver_ball_radius(params, grid128):
-    u0 = small_state(grid128, params)
-    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.4, dt=0.02, window=0.2, ball_radius=1e-9)
-    with pytest.warns(UserWarning, match="left the ball"):
-        solve_global_projected(u0, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        solve_global_projected(u0, SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.4, dt=0.02))
-    cfg_auto = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.4, dt=0.02, ball_radius="auto")
-    solve_global_projected(u0, cfg_auto)
-    assert cfg_auto.ball_radius == "auto"
 
 
 def test_residual_check_validation(params, grid128):

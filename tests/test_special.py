@@ -101,5 +101,5 @@ def test_euler_gamma_digits():
 
 
 def test_euler_gamma_eigenvalue_consistency():
-    assert abs(4.0 * math.exp(-2.0 * euler_gamma()) - eigenvalue(0.0, 2)) < 1e-14
-    assert abs(eigenvalue(0.0, 2) - 1.2609470067487736) < 1e-12
+    assert abs(4.0 * math.exp(-2.0 * euler_gamma()) - eigenvalue(0.0)) < 1e-14
+    assert abs(eigenvalue(0.0) - 1.2609470067487736) < 1e-12

@@ -28,24 +28,23 @@ from pideq import (
     psi_alpha_field,
 )
 from pideq.errors import BranchCutError, NoEigenfunctionError
-from pideq.spectral import _k0_power_moment
+from pideq.spectral import _log_k0_moment
 
 
 def test_eigenvalue_2d_formula():
-    e0 = eigenvalue(0.0, 2)
+    e0 = eigenvalue(0.0)
     assert abs(e0 - 4.0 * math.exp(-2.0 * euler_gamma())) < 1e-14
     for alpha in (-1.0, 0.0, 1.0):
-        ev = eigenvalue(alpha, 2)
-        assert abs(alpha + c_lambda(ev, 2).real) < 1e-12
+        ev = eigenvalue(alpha)
+        assert abs(alpha + c_lambda(ev).real) < 1e-12
 
 
 def test_eigenvalue_rejects_alpha_outside_range():
     # alpha lies in (-inf, +inf]: +inf is the free Laplacian, nan and -inf
     # have no operator
     for bad in (math.nan, -math.inf):
-        for dim in (2, 3):
-            with pytest.raises(ValueError, match=r"alpha must lie in \(-inf, \+inf\]"):
-                eigenvalue(bad, dim)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(-inf, \+inf\]"):
+            eigenvalue(bad)
         with pytest.raises(ValueError, match="alpha must lie"):
             AlphaParams.for_alpha(bad, 2)
     assert AlphaParams.for_alpha(math.inf, 2).eigenvalue is None
@@ -69,9 +68,8 @@ def test_eigenvalue_rejects_overflowing_eigenvalue():
     # exp overflowed with a RuntimeWarning at alpha = -60; now one ValueError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for alpha, dim in ((-60.0, 2), (-1e200, 3)):
-            with pytest.raises(ValueError, match=r"alpha = .* E = inf"):
-                AlphaParams.for_alpha(alpha, dim)
+        with pytest.raises(ValueError, match=r"alpha = .* E = inf"):
+            AlphaParams.for_alpha(-60.0, 2)
 
 
 def test_eigenvalue_range_edges():
@@ -83,24 +81,22 @@ def test_eigenvalue_range_edges():
     assert eigenvalue(math.inf) is None
 
 
-def test_eigenvalue_3d():
-    assert abs(eigenvalue(-1.0, 3) - (4.0 * math.pi) ** 2) < 1e-10
-    assert eigenvalue(0.5, 3) is None
-    assert eigenvalue(0.0, 3) is None
-    # 3D normalization constant ||G_E||_2 = (8 pi sqrt(E))^(-1/2)
-    p3 = AlphaParams.for_alpha(-1.0, 3)
-    assert abs(p3.psi_norm - math.sqrt(1.0 / (32.0 * math.pi**2))) < 1e-12
-    assert AlphaParams.for_alpha(0.5, 3).psi_norm is None
+def test_for_alpha_rejects_other_dimensions():
+    # the model lives in the plane; the second argument stays for callers
+    # that pass 2
+    for bad in (3, 1, "2"):
+        with pytest.raises(ValueError, match=f"got dimension = {bad!r}"):
+            AlphaParams.for_alpha(0.0, bad)
+    assert AlphaParams.for_alpha(0.0, 2) == AlphaParams.for_alpha(0.0)
 
 
 def test_c_lambda_values():
-    assert abs(c_lambda(4.0, 3) - 1.0 / (2.0 * math.pi)) < 1e-14
     expected = (euler_gamma() - math.log(2.0)) / (2 * math.pi) + 1.0 / (2 * math.pi)
-    assert abs(c_lambda(math.e**2, 2) - expected) < 1e-14
+    assert abs(c_lambda(math.e**2) - expected) < 1e-14
     # principal branch: conjugate symmetry and cut rejection
-    assert abs(c_lambda(1 + 1j, 2) - c_lambda(1 - 1j, 2).conjugate()) < 1e-15
+    assert abs(c_lambda(1 + 1j) - c_lambda(1 - 1j).conjugate()) < 1e-15
     with pytest.raises(BranchCutError):
-        c_lambda(-2.0, 2)
+        c_lambda(-2.0)
 
 
 def test_alpha_params_psi_norm_oracle(params):
@@ -109,7 +105,6 @@ def test_alpha_params_psi_norm_oracle(params):
     head, _ = quad(lambda s: s * scipy_k0(s) ** 2, 0, 1, limit=200, epsabs=1e-14, epsrel=1e-13)
     tail, _ = quad(lambda s: s * scipy_k0(s) ** 2, 1, 40, limit=200, epsabs=1e-15, epsrel=1e-13)
     moment = head + tail
-    assert _k0_power_moment(2.0) == 0.5
     assert abs(moment - 0.5) < 1e-12
     assert params.psi_norm == 0.25121562644357126
     oracle = math.sqrt(2 * math.pi * moment / (4 * math.pi**2) / params.eigenvalue)
@@ -126,18 +121,40 @@ def test_k0_power_moment_matches_quad(p):
         quad(lambda s: scipy_k0(s) ** p * s, a, b, limit=300, epsabs=0.0, epsrel=1e-13)[0]
         for a, b in ((0.0, split), (split, 1.0), (1.0, 60.0 / p + 5.0))
     )
-    assert abs(_k0_power_moment(p) - ref) <= 1e-12 * ref
+    assert abs(math.exp(_log_k0_moment(p)) - ref) <= 1e-12 * ref
 
 
 def test_k0_power_moment_closed_values():
-    # int_0^inf K0(s) s ds = 1, and the p = 2 moment is the closed form 1/2
-    assert abs(_k0_power_moment(1.0) - 1.0) < 1e-13
-    assert _k0_power_moment(2.0) == 0.5
+    # int_0^inf K0(s) s ds = 1
+    assert abs(math.exp(_log_k0_moment(1.0)) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("p", [130.0, 200.0, 300.0, 350.0])
+def test_green_lp_norm_large_p_finite(p):
+    # K0(e^x)^p overflows from about p = 130 and the moment itself near
+    # p = 190; the norm is summed in logs.  Reference: adaptive quadrature
+    # of the same integrand shifted by its largest exponent m
+    def expo(x):
+        return p * math.log(scipy_k0(math.exp(x))) + 2.0 * x
+
+    a, b = -2.0 * p, math.log(60.0 / p + 5.0)
+    top = max(expo(x) for x in np.linspace(a, b, 20001))
+    shifted = quad(
+        lambda x: math.exp(expo(x) - top), a, b, points=[-p / 2.0], limit=400,
+        epsabs=0.0, epsrel=1e-13,
+    )[0]
+    log_2pi = math.log(2.0 * math.pi)
+    ref = math.exp((log_2pi - p * log_2pi + top + math.log(shifted)) / p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = green_lp_norm(1.0, p)
+    assert abs(value - ref) <= 1e-13 * ref
 
 
 def test_green_lp_norm_validation():
-    # G_lambda is log-singular at 0, so it has no finite sup norm
-    for bad in (math.inf, math.nan, 0.5):
+    # G_lambda is log-singular at 0, so it has no finite sup norm; past
+    # p = 350 the rule's left end e^(-2p) leaves the normal doubles
+    for bad in (math.inf, math.nan, 0.5, 351, 1000):
         with pytest.raises(ValueError, match="finite p >= 1"):
             green_lp_norm(1.0, bad)
     with pytest.raises(ValueError):
@@ -146,7 +163,7 @@ def test_green_lp_norm_validation():
 
 def test_alpha_params_rejects_inconsistent_eigenvalue():
     with pytest.raises(ValueError):
-        AlphaParams(2, 0.0, 2.0, 0.3)
+        AlphaParams(0.0, 2.0, 0.3)
 
 
 def test_green_rescaling_law():
@@ -178,7 +195,7 @@ def test_green_field_direct_positive_and_grid_norm(grid256):
 def _band_limited_green(lam, grid):
     """G_lam as the inverse continuum transform of 1/(lam + |xi|^2), Nyquist lines zeroed.
 
-    Sampled at the offset nodes: the lattice ifft2 of the multiplier over
+    Sampled at the half-cell nodes: the lattice ifft2 of the multiplier over
     the phase e^{-i xi x0} per axis, x0 the first node coordinate.
     """
     n = grid.n
@@ -206,8 +223,6 @@ def test_green_field_paths_agree_at_band_limit_accuracy():
 def test_green_field_branch_and_grid_errors(grid128):
     with pytest.raises(BranchCutError):
         green_field(-1.0, grid128)
-    with pytest.raises(ValueError):
-        green_field(1.0, Grid(40.0, 128, offset=False))
     # the kernel is sampled for a finite real lambda > 0 only
     for bad in (2.0 + 1.0j, 1j, math.inf, math.nan):
         with pytest.raises(ValueError, match="green_field requires a finite real lambda"):
@@ -219,7 +234,7 @@ def test_green_gradient_radial_symmetry(grid128):
     gx, gy = green_gradient_field(1.0, grid128)
     vals = np.hypot(np.abs(gx.values), np.abs(gy.values))
     n = grid128.n
-    # reflection symmetry of the modulus on the offset grid
+    # reflection symmetry of the modulus on the half-cell grid
     assert np.abs(vals - vals[::-1, :]).max() < 1e-12
     assert np.abs(vals - vals[:, ::-1]).max() < 1e-12
     assert np.abs(vals - vals.T).max() < 1e-12
@@ -264,9 +279,10 @@ def test_psi_field_unit_norm_and_positivity(params, grid128):
 
 
 def test_psi_field_absent_eigenvalue():
-    p3 = AlphaParams.for_alpha(0.5, 3)
-    with pytest.raises(NoEigenfunctionError):
-        psi_alpha_field(p3, Grid(40.0, 128))
+    # alpha = +inf, the free Laplacian, has no eigenvalue
+    pinf = AlphaParams.for_alpha(math.inf)
+    with pytest.raises(NoEigenfunctionError, match="alpha = inf has no eigenfunction"):
+        psi_alpha_field(pinf, Grid(40.0, 128))
 
 
 def test_projections_rank_one(params, grid128):
@@ -305,13 +321,6 @@ def test_projection_lp_bound_with_constant(params, grid128, rng, p):
     for _ in range(3):
         f = Field(grid128, rng.standard_normal((128, 128)))
         assert lp_norm(project_ac(f, params), p) <= const * lp_norm(f, p) * (1 + 1e-12)
-
-
-def test_projection_absent_eigenvalue_convention(grid128, rng):
-    p3 = AlphaParams.for_alpha(0.5, 3)
-    f = Field(grid128, rng.standard_normal((128, 128)))
-    assert lp_norm(project_d(f, p3), 2) == 0.0
-    assert project_ac(f, p3) is f
 
 
 def test_projection_free_laplacian_alpha_inf(grid128):
