@@ -23,9 +23,6 @@ from .spectral import (
     green_lp_norm,
     h1_alpha_norm,
     load_state,
-    project_ac,
-    project_d,
-    psi_alpha_field,
     reference_lambda,
 )
 from .semigroup import (
@@ -33,6 +30,9 @@ from .semigroup import (
     SemigroupResult,
     backward_euler_oracle,
     krein_resolvent,
+    project_ac,
+    project_d,
+    psi_alpha_field,
     semigroup_full,
     semigroup_gradient_pac,
     semigroup_pac,

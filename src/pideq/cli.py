@@ -149,16 +149,18 @@ def _initial_state(descriptor, grid, params):
 
 def cmd_spectral(args, config):
     params = _params(args, config)
+    # every value is computed before the first line is written, so a
+    # rejected lambda leaves stdout empty
+    lams = [float(s) for s in (args.lambdas or "0.25,0.5,1,2,4,8").split(",")]
+    table = [(lam, c_lambda(lam)) for lam in lams]
     out = sys.stdout
     out.write("alpha,dimension,eigenvalue,psi_norm\n")
     out.write(
         f"{_sci(params.alpha)},2,{_sci(params.eigenvalue)},"
         f"{_sci(params.psi_norm)}\n"
     )
-    lams = [float(s) for s in (args.lambdas or "0.25,0.5,1,2,4,8").split(",")]
     out.write("lambda,c_re,c_im\n")
-    for lam in lams:
-        c = c_lambda(lam)
+    for lam, c in table:
         out.write(f"{_sci(lam)},{_sci(c.real)},{_sci(c.imag)}\n")
     return 0
 

@@ -25,7 +25,6 @@ measured slack, never imposed.
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 
 import numpy as np
 
@@ -108,7 +107,6 @@ def fit_rate(samples, theoretical=math.nan):
     return RateFit(float(sol[0]), float(sol[1]), r2, theoretical)
 
 
-@lru_cache(maxsize=16)
 def _cell_average(beta):
     """Mean of |u|^(-beta) over the unit square cell centred at the origin, beta < 2.
 

@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types and the warning helper shared across the package."""
+
+import sys
+import warnings
+
+
+def _warn(message):
+    """Issue a UserWarning attributed to the caller's line: the first frame outside pideq.
+
+    A fixed ``stacklevel`` names a package line whenever the warning is
+    reached through more package frames than its author counted (the
+    cached ``grid_model``, a dataclass-generated ``__init__``, which runs
+    in its module's globals).
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "pideq":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class BranchCutError(ValueError):

@@ -103,16 +103,30 @@ import cmath
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy import fft
 
-from .errors import BranchCutError, ContourError, PoleError
-from .fields import Field, _from_parts, _real_derivative, _real_parts, _rfft2, lp_norm
-from .spectral import _hermitian_weights, green_field, reference_lambda
+from .errors import BranchCutError, ContourError, NoEigenfunctionError, PoleError, _warn
+from .fields import (
+    Field,
+    _from_parts,
+    _irfft2,
+    _real_derivative,
+    _real_parts,
+    _rfft2,
+    inner_product,
+    lp_norm,
+)
+from .spectral import (
+    _green_gradient,
+    _h1_weights,
+    _hermitian_weights,
+    green_field,
+    reference_lambda,
+)
 
 __all__ = [
     "ContourSpec",
@@ -123,6 +137,9 @@ __all__ = [
     "semigroup_gradient_pac",
     "backward_euler_oracle",
     "grid_model",
+    "psi_alpha_field",
+    "project_d",
+    "project_ac",
 ]
 
 MIN_TIME = 0.01
@@ -223,34 +240,28 @@ class ContourSpec:
 
     def nodes(self):
         """Contour nodes and complex quadrature weights (d lambda included)."""
-        return _contour_nodes(self)
+        eps, S = self.epsilon, self.truncation
+        panels = 4
+        wmax = math.asinh(S / eps)
+        edges = wmax * np.linspace(0.0, 1.0, panels + 1) ** 1.5
+        per_panel = max(8, self.nodes_ray // panels)
+        xg, wg = np.polynomial.legendre.leggauss(per_panel)
+        ws, tws = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            ws.append(0.5 * (b - a) * xg + 0.5 * (a + b))
+            tws.append(0.5 * (b - a) * wg)
+        w = np.concatenate(ws)
+        tw = np.concatenate(tws)
+        s = eps * np.sinh(w)
+        ds = eps * np.cosh(w) * tw
+        thg, thw = np.polynomial.legendre.leggauss(ARC_NODES)
+        th = thg * (np.pi / 2.0)
+        arc = eps * np.exp(1j * th)
+        nodes = np.concatenate([-s - 1j * eps, -s + 1j * eps, arc])
+        wts = np.concatenate([ds, -ds, 1j * arc * thw * (np.pi / 2.0)])
+        return nodes, wts
 
 
-@lru_cache(maxsize=32)
-def _contour_nodes(spec):
-    eps, S = spec.epsilon, spec.truncation
-    panels = 4
-    wmax = math.asinh(S / eps)
-    edges = wmax * np.linspace(0.0, 1.0, panels + 1) ** 1.5
-    per_panel = max(8, spec.nodes_ray // panels)
-    xg, wg = np.polynomial.legendre.leggauss(per_panel)
-    ws, tws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ws.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        tws.append(0.5 * (b - a) * wg)
-    w = np.concatenate(ws)
-    tw = np.concatenate(tws)
-    s = eps * np.sinh(w)
-    ds = eps * np.cosh(w) * tw
-    thg, thw = np.polynomial.legendre.leggauss(ARC_NODES)
-    th = thg * (np.pi / 2.0)
-    arc = eps * np.exp(1j * th)
-    nodes = np.concatenate([-s - 1j * eps, -s + 1j * eps, arc])
-    wts = np.concatenate([ds, -ds, 1j * arc * thw * (np.pi / 2.0)])
-    return nodes, wts
-
-
-@lru_cache(maxsize=32)
 def _talbot_nodes(num):
     """Midpoint nodes/weights of the scaled Talbot contour (cot variant).
 
@@ -267,6 +278,10 @@ def _talbot_nodes(num):
     sigma = n * (-0.6122 + 0.2645j * theta + 0.5017 * theta * cot)
     dsigma = n * (0.2645j + 0.5017 * (cot + theta * dcot))
     return sigma, dsigma * (2.0 * np.pi / num) / (2j * np.pi)
+
+
+TALBOT_RULE = _talbot_nodes(TALBOT_NODES)
+"""(sigma, dsigma) of the ``TALBOT_NODES``-node Talbot rule, the only one any flow uses."""
 
 
 @dataclass(frozen=True)
@@ -306,6 +321,13 @@ class PointHeatModel:
     ``pairing`` holds the real and the imaginary part of the weighted
     delta_hat w as two contiguous arrays, so that one ``np.bincount`` over
     ``bin_index`` gives the bin sums of Re(ghat conj(delta_hat)) w.
+
+    The model is the one owner of every array derived from its pair, so
+    they live and go with it (``grid_model`` keeps the last four models).
+    Three are built on first use: ``psi_values``, the samples of psi;
+    ``drift_parts``, the solver's per-axis drift derivative and kernel
+    correction; and ``h1_kernel``, the H^1 proxy's weights and form
+    constants of G_omega.
     """
 
     def __init__(self, params, grid):
@@ -329,16 +351,14 @@ class PointHeatModel:
                 "sampled kernel G_E underflows; raise alpha or refine the grid"
             )
         if sq_ev * grid.spacing > 1.5:
-            warnings.warn(
+            _warn(
                 "eigenfunction scale 1/sqrt(E) is below the mesh size; "
-                "grid operator will be poorly resolved",
-                stacklevel=3,
+                "grid operator will be poorly resolved"
             )
         if sq_ev * grid.half_width < 3.0:
-            warnings.warn(
+            _warn(
                 "eigenfunction scale 1/sqrt(E) exceeds the box; the kernel "
-                "tail is truncated and the grid operator degrades",
-                stacklevel=3,
+                "tail is truncated and the grid operator degrades"
             )
 
         # integer |k|^2 binning of the half lattice (exact); it holds every
@@ -368,6 +388,38 @@ class PointHeatModel:
 
         wdelta = self.delta_hat * self.weights
         self.pairing = (np.ascontiguousarray(wdelta.real), np.ascontiguousarray(wdelta.imag))
+
+    # -- arrays built on first use -------------------------------------------
+
+    @cached_property
+    def psi_values(self):
+        """Samples of psi = G_E / ||G_E||: G_E sampled anew, as the build keeps its transform."""
+        return green_field(self.E, self.grid).values / self.green_ref_norm
+
+    @cached_property
+    def drift_parts(self):
+        """((d1, c1), (d2, c2)): per axis, the real derivative i xi_k and its kernel correction.
+
+        c_k is the closed Bessel form of d_k G_omega less the spectral
+        derivative irfft2(i xi_k G_omega_hat), so irfft2(i xi_k u_hat) + q c_k
+        is d_k phi plus q times the closed form for u = phi + q G_omega.
+        The drift a . grad is linear in a: its pair is a1 (d1, c1) + a2 (d2, c2).
+        """
+        closed = _green_gradient(self.omega, self.grid)
+        return tuple(
+            (d, g - _irfft2(d * self.green_omega_hat)) for d, g in zip(self.derivative, closed)
+        )
+
+    @cached_property
+    def h1_kernel(self):
+        """(w, w G_omega_hat, C): the H^1 proxy's weights and form constants of G_omega.
+
+        w is :func:`pideq.spectral._h1_weights` and C = wlat sum w |G_omega_hat|^2,
+        G_omega's own squared proxy part; the ``kernel`` of
+        :func:`pideq.spectral._h1_proxy_hat`.
+        """
+        w, khat = _h1_weights(self.grid), self.green_omega_hat
+        return w, w * khat, self.wlat * float(np.vdot(w, khat.real ** 2 + khat.imag ** 2))
 
     # -- scalar lattice functions --------------------------------------------
 
@@ -466,8 +518,34 @@ class PointHeatModel:
 
 @lru_cache(maxsize=4)
 def grid_model(params, grid):
-    """Cached PointHeatModel for a (params, grid) pair."""
+    """Cached PointHeatModel for a (params, grid) pair: the package's one cache."""
     return PointHeatModel(params, grid)
+
+
+def psi_alpha_field(params, grid):
+    """Normalized eigenfunction sampled on the grid (unit grid L^2 norm): the model's samples."""
+    if params.eigenvalue is None or params.eigenvalue <= 0.0:
+        raise NoEigenfunctionError(f"alpha = {params.alpha} has no eigenfunction")
+    return Field(grid, grid_model(params, grid).psi_values)
+
+
+def project_d(f, params):
+    """Rank-one projection onto the eigenfunction; zero if no eigenvalue.
+
+    psi is real, so a real f has a real coefficient and a real projection.
+    """
+    if params.eigenvalue is None:
+        return Field(f.grid, np.zeros_like(f.values))
+    psi = psi_alpha_field(params, f.grid)
+    coef = inner_product(f, psi)
+    return (coef if np.iscomplexobj(f.values) else coef.real) * psi
+
+
+def project_ac(f, params):
+    """Projection onto the absolutely continuous subspace, I - P_d."""
+    if params.eigenvalue is None:
+        return f
+    return f - project_d(f, params)
 
 
 def _fold(nodes, weights):
@@ -504,7 +582,7 @@ class Flow:
         self.model = model
         self.t = t
         if contour is None:
-            sigma, swts = _talbot_nodes(TALBOT_NODES)
+            sigma, swts = TALBOT_RULE
             nodes, weights = sigma / t, (swts / t) * np.exp(sigma)
         else:
             contour.validate(model.params)
@@ -652,7 +730,7 @@ def backward_euler_oracle(t, g, params, steps):
     if abs(lam - ev) <= 1e-9 * max(1.0, ev):
         steps += 1
         lam = steps / t
-        warnings.warn("resolvent shift hit the eigenvalue; stepping count bumped by one")
+        _warn("resolvent shift hit the eigenvalue; stepping count bumped by one")
     model = grid_model(params, g.grid)
     bins = model.rho.size
     r = 1.0 / (lam + model.rho)

@@ -31,9 +31,14 @@ One sampler serves the forcing and :func:`state_fields`: the drift
 derivative a . grad u, which is linear in u, is one inverse transform of
 (a1 i xi1 + a2 i xi2) u_hat plus q times the closed Bessel form of
 a . grad G_omega less its spectral derivative, so the kernel part is
-pointwise faithful at the singularity.  A forcing is two irfft2 (u and
-a . grad u) and one rfft2; :func:`state_fields` samples the drifts along
-(1, 0) and (0, 1), as (u, |grad u|).
+pointwise faithful at the singularity.  The grid model holds that pair
+per axis (``PointHeatModel.drift_parts``); a solve combines it along its
+a once, and :func:`state_fields` samples the two axes, as
+(u, |grad u|).  A forcing is two irfft2 (u and a . grad u) and one rfft2.
+The H^1 proxy reads its form constants of G_omega off the model too
+(``PointHeatModel.h1_kernel``).  The window driver runs with numpy's
+overflow and invalid-value errors raised: an iterate that leaves the
+double range ends the solve with :class:`pideq.errors.HorizonTooLargeError`.
 
 The problem is posed for real u: the forcing is computed as
 gamma |u|^(gamma-2) u (a . grad u), which equals a . grad(|u|^gamma) only
@@ -69,27 +74,14 @@ flow the only projector.
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DataTooLargeError,
-    HorizonTooLargeError,
-)
+from .errors import ConvergenceError, DataTooLargeError, HorizonTooLargeError, _warn
 from .fields import Field, _irfft2, _real_pair, _rfft2, inner_product, lp_norm
-from .semigroup import Flow, grid_model
-from .spectral import (
-    DecomposedField,
-    _green_gradient,
-    _h1_kernel,
-    _h1_proxy_hat,
-    psi_alpha_field,
-    reference_lambda,
-)
+from .semigroup import Flow, grid_model, psi_alpha_field
+from .spectral import DecomposedField, _h1_proxy_hat
 
 __all__ = [
     "SolverConfig",
@@ -115,7 +107,7 @@ def _positive(value, kind):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Nonlinearity, horizon and iteration controls.
 
@@ -124,9 +116,9 @@ class SolverConfig:
     finite real numbers and is stored as a tuple of two floats.  ``dt``,
     ``picard_tol``, ``window``, ``T`` and ``clamp_limit`` must be finite and
     > 0, ``picard_max`` an int >= 1 and ``store_stride`` None or an int
-    >= 1; other values raise ValueError.  A
-    config holds settings only: solves never write to it, and each reports
-    its own clamp count in its trajectory's diagnostics.
+    >= 1; other values raise ValueError.  A config is frozen: it holds
+    settings only, and each solve reports its own clamp count in its
+    trajectory's diagnostics.
     Projection is chosen by the solve function, not by the config:
     :func:`solve_global_projected` projects, :func:`solve_local` does not.
     """
@@ -146,10 +138,9 @@ class SolverConfig:
         if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma) and gamma > 1.0):
             raise ValueError(f"gamma must be a finite number > 1; got {gamma!r}")
         if gamma < 2.0:
-            warnings.warn(
+            _warn(
                 "gamma in (1, 2) is outside the solver's safe default regime; "
-                "degenerate |u|^(gamma-2) factors are clamped",
-                stacklevel=2,
+                "degenerate |u|^(gamma-2) factors are clamped"
             )
         for name in ("dt", "picard_tol", "window", "T", "clamp_limit"):
             if not _positive(getattr(self, name), numbers.Real):
@@ -158,7 +149,7 @@ class SolverConfig:
             raise ValueError(f"picard_max must be an int >= 1; got {self.picard_max!r}")
         if self.store_stride is not None and not _positive(self.store_stride, numbers.Integral):
             raise ValueError(f"store_stride must be None or an int >= 1; got {self.store_stride!r}")
-        self.a = _real_pair("a", self.a)
+        object.__setattr__(self, "a", _real_pair("a", self.a))
 
 
 @dataclass
@@ -179,46 +170,42 @@ class Trajectory:
 
 # --- nonlinearity ------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _drift_kernels(params, grid, a):
-    """(K_a, c_a) of the drift derivative a . grad, for a tuple a of two floats; read-only.
+def _drift_kernel(model, a):
+    """(K_a, c_a) of the drift derivative a . grad, for a tuple a of two floats.
 
-    K_a = a1 i xi1 + a2 i xi2 on the rfft2 half spectrum, from the model's
-    real derivative pair.  c_a is the closed Bessel form of a . grad G_omega
-    less the spectral derivative irfft2(K_a G_omega_hat), so that
-    irfft2(K_a u_hat) + q c_a is the spectral derivative of phi plus q
-    times the closed form.
+    The model's per-axis ``drift_parts`` (d_k, c_k) combined:
+    K_a = a1 d1 + a2 d2 = a1 i xi1 + a2 i xi2 on the rfft2 half spectrum and
+    c_a = a1 c1 + a2 c2, the closed Bessel form of a . grad G_omega less
+    the spectral derivative irfft2(K_a G_omega_hat).
     """
-    model = grid_model(params, grid)
-    d1, d2 = model.derivative
+    (d1, c1), (d2, c2) = model.drift_parts
     a1, a2 = a
-    kernel = a1 * d1 + a2 * d2
-    gx, gy = _green_gradient(reference_lambda(params), grid)
-    closed = a1 * gx + a2 * gy
-    kernels = (kernel, closed - _irfft2(kernel * model.green_omega_hat))
-    # shared by every caller of the cache
-    for arr in kernels:
-        arr.setflags(write=False)
-    return kernels
+    return a1 * d1 + a2 * d2, a1 * c1 + a2 * c2
 
 
-def _drift(model, uhat, q, a):
-    """Real samples of a . grad u for u = phi + q G_omega given by u_hat and q: one irfft2."""
-    kernel, corr = _drift_kernels(model.params, model.grid, a)
-    drift = _irfft2(kernel * uhat)
+def _drift(kernel, uhat, q):
+    """Real samples of a . grad u for u = phi + q G_omega given by u_hat and q: one irfft2.
+
+    ``kernel`` is the drift's pair (K_a, c_a) (``_drift_kernel``, or one
+    axis' ``drift_parts``): the spectral derivative of phi plus q times the
+    closed form is irfft2(K_a u_hat) + q c_a.
+    """
+    k, corr = kernel
+    drift = _irfft2(k * uhat)
     drift += q * corr
     return drift
 
 
-def _nonlinear_values(model, uhat, q, cfg):
+def _nonlinear_values(model, kernel, uhat, q, cfg):
     """(a . grad(|u|^gamma) samples, number of clamped |u|^(gamma-2) samples).
 
-    u = phi + q G_omega is given by its half spectrum and q.
+    u = phi + q G_omega is given by its half spectrum and q, and ``kernel``
+    is cfg.a's (K_a, c_a) (``_drift_kernel``).
     """
     if cfg.a == (0.0, 0.0):
         return np.zeros((model.grid.n, model.grid.n)), 0
     vals = _irfft2(uhat)
-    drift = _drift(model, uhat, q, cfg.a)
+    drift = _drift(kernel, uhat, q)
     clamped = 0
     if cfg.gamma != 2.0:
         mag = np.abs(vals)
@@ -253,8 +240,7 @@ def state_fields(u):
     grid = u.regular.grid
     model = grid_model(u.params, grid)
     uhat, q = _state_hat(model, u)
-    du1 = _drift(model, uhat, q, (1.0, 0.0))
-    du2 = _drift(model, uhat, q, (0.0, 1.0))
+    du1, du2 = (_drift(part, uhat, q) for part in model.drift_parts)
     return Field(grid, _irfft2(uhat)), Field(grid, np.hypot(du1, du2))
 
 
@@ -265,10 +251,8 @@ def nonlinearity(u, cfg):
     closed Bessel form.  |u|^(gamma-2) u is extended by 0 at u = 0.  u must
     be real: complex data raise ValueError.
     """
-    if not cfg.gamma > 1.0:
-        raise ValueError("gamma must exceed 1")
     model = grid_model(u.params, u.regular.grid)
-    values, _ = _nonlinear_values(model, *_state_hat(model, u), cfg)
+    values, _ = _nonlinear_values(model, _drift_kernel(model, cfg.a), *_state_hat(model, u), cfg)
     return Field(u.regular.grid, values)
 
 
@@ -315,12 +299,6 @@ def _split(model, uhat):
     return uhat - q * model.green_omega_hat, q
 
 
-@lru_cache(maxsize=8)
-def _proxy_kernel(params, grid):
-    """The H^1 proxy's form constants of G_omega on the half spectrum (``_h1_kernel``)."""
-    return _h1_kernel(grid, grid_model(params, grid).green_omega_hat)
-
-
 def _proxy(model, uhat, q=None):
     """H^1 proxy of the state u_hat: phi's, phi_hat never formed.
 
@@ -328,20 +306,23 @@ def _proxy(model, uhat, q=None):
     """
     if q is None:
         q = model.coupling_coefficient(uhat)
-    return _h1_proxy_hat(model.grid, uhat, q, _proxy_kernel(model.params, model.grid))
+    return _h1_proxy_hat(model.grid, uhat, q, model.h1_kernel)
 
 
-def _forcing_hat(model, uhat, cfg, q=None):
+def _forcing_hat(model, uhat, cfg, q=None, kernel=None):
     """(unprojected F transform, clamp count) of the state u_hat; (None, 0) if a = 0.
 
-    q is u's coupling coefficient, read off the coupling when not given.
-    Two irfft2 (u and a . grad u) and one rfft2.
+    q is u's coupling coefficient, read off the coupling when not given,
+    and ``kernel`` cfg.a's (K_a, c_a), formed when not given.  Two irfft2
+    (u and a . grad u) and one rfft2.
     """
     if cfg.a == (0.0, 0.0):
         return None, 0
     if q is None:
         q = model.coupling_coefficient(uhat)
-    values, clamped = _nonlinear_values(model, uhat, q, cfg)
+    if kernel is None:
+        kernel = _drift_kernel(model, cfg.a)
+    values, clamped = _nonlinear_values(model, kernel, uhat, q, cfg)
     return _rfft2(values), clamped
 
 
@@ -450,63 +431,72 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     if total_steps < 1 or abs(total_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ValueError("T must be an integer multiple of dt")
     flow = Flow(model, cfg.dt, full=not projected)
-    start, _ = _state_hat(model, u0)
-    if projected:
-        start, _ = model.project_ac_hat(start)
-
     clamps = 0
+    kernel = _drift_kernel(model, cfg.a)
 
     def force(uhat, q):
         nonlocal clamps
-        fhat, clamped = _forcing_hat(model, uhat, cfg, q)
+        fhat, clamped = _forcing_hat(model, uhat, cfg, q, kernel)
         clamps += clamped
         return fhat
 
     steps_per_window = max(1, int(round(window / cfg.dt)))
     stride = cfg.store_stride or default_stride or steps_per_window
     times = [0.0]
-    stored = [start]
     iterations = []
     ratios = []
     ortho_max = 0.0
     probe_top = None
     step = 0
-    while step < total_steps:
-        steps = min(steps_per_window, total_steps - step)
-        want = [
-            j for j in range(1, steps + 1)
-            if (step + j) % stride == 0 or step + j == total_steps
-        ]
-        kept = None
-        if probe_top is not None:
-            kept = []
-            for j, uhat, q in _sweep(flow, start, steps, force):
-                if not _proxy(model, uhat, q) <= probe_top:
-                    kept = None
-                    break
-                if j in want:
-                    kept.append((j, uhat))
-            end = uhat
-        if kept is None:
-            label = f"window {len(iterations)} ({init} start)"
-            states, iters, window_ratios = _picard_window(
-                model, flow, start, steps, cfg, force, init, label
-            )
-            iterations.append(iters)
-            ratios.extend(window_ratios)
-            probe_top = max(_proxy(model, s) for s in states)
-            kept = [(j, states[j]) for j in want]
-            end = states[-1]
-            del states  # a later probe builds its list without this one alive
-        else:
-            iterations.append(0)
-        for j, state in kept:
-            times.append((step + j) * cfg.dt)
-            stored.append(state)
-        _, eig = model.project_ac_hat(end)
-        ortho_max = max(ortho_max, abs(eig))
-        start = end
-        step += steps
+    # an iterate that leaves the double range raises where it first does,
+    # instead of warning and ending as a non-finite state
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            start, _ = _state_hat(model, u0)
+            if projected:
+                start, _ = model.project_ac_hat(start)
+            stored = [start]
+            while step < total_steps:
+                steps = min(steps_per_window, total_steps - step)
+                want = [
+                    j for j in range(1, steps + 1)
+                    if (step + j) % stride == 0 or step + j == total_steps
+                ]
+                kept = None
+                if probe_top is not None:
+                    kept = []
+                    for j, uhat, q in _sweep(flow, start, steps, force):
+                        if not _proxy(model, uhat, q) <= probe_top:
+                            kept = None
+                            break
+                        if j in want:
+                            kept.append((j, uhat))
+                    end = uhat
+                if kept is None:
+                    label = f"window {len(iterations)} ({init} start)"
+                    states, iters, window_ratios = _picard_window(
+                        model, flow, start, steps, cfg, force, init, label
+                    )
+                    iterations.append(iters)
+                    ratios.extend(window_ratios)
+                    probe_top = max(_proxy(model, s) for s in states)
+                    kept = [(j, states[j]) for j in want]
+                    end = states[-1]
+                    del states  # a later probe builds its list without this one alive
+                else:
+                    iterations.append(0)
+                for j, state in kept:
+                    times.append((step + j) * cfg.dt)
+                    stored.append(state)
+                _, eig = model.project_ac_hat(end)
+                ortho_max = max(ortho_max, abs(eig))
+                start = end
+                step += steps
+    except FloatingPointError as exc:
+        raise HorizonTooLargeError(
+            f"the iterates left the double range ({exc}); shrink the horizon or the datum",
+            math.inf,
+        ) from exc
 
     # each half spectrum is dropped as its state is made, so the stored half
     # spectra and the states are never all alive at once
@@ -603,6 +593,7 @@ def residual_check(traj, cfg, t_min=0.0):
     projected = traj.rho.size > 0
 
     ghat = model.green_omega_hat
+    kernel = _drift_kernel(model, cfg.a)
     totals = [_state_hat(model, st) for st in traj.states]
 
     worst = 0.0
@@ -613,7 +604,7 @@ def residual_check(traj, cfg, t_min=0.0):
         du_hat = (totals[k + 1][0] - totals[k - 1][0]) / (2.0 * dt)
         # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
         au_hat = model.omega * uc - (model.omega + model.xi2) * (uc - qc * ghat)
-        f_vals, _ = _nonlinear_values(model, uc, qc, cfg)
+        f_vals, _ = _nonlinear_values(model, kernel, uc, qc, cfg)
         resid = _irfft2(du_hat - au_hat) - f_vals
         if projected:
             resid = resid + traj.rho[k] * psi_vals

@@ -13,7 +13,9 @@ the root of alpha + c(E_alpha) = 0, where
 encodes the behaviour of the Helmholtz kernel G_lambda near the origin.
 The normalized eigenfunction is psi = G_E / ||G_E||_2 with
 G_lambda(x) = K0(sqrt(lambda) |x|)/(2 pi), which :func:`green_field`
-samples pointwise at the grid's half-cell nodes.
+samples pointwise at the grid's half-cell nodes.  psi's grid samples and
+the projections P_d and P_ac are fixed by the pair (alpha, grid), so they
+live with the grid model in :mod:`pideq.semigroup`.
 
 Grid Riemann sums of G-type fields converge slowly near the logarithmic
 singularity, so the exact L^p size of G_lambda is exposed through its
@@ -27,12 +29,11 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import BranchCutError, NoEigenfunctionError
-from .fields import Field, _read_container, _real_parts, inner_product, lp_norm
+from .errors import BranchCutError
+from .fields import Field, _read_container, _real_parts
 from .special import bessel_k0, bessel_k1, euler_gamma
 
 __all__ = [
@@ -44,9 +45,6 @@ __all__ = [
     "green_field",
     "green_gradient_field",
     "green_lp_norm",
-    "psi_alpha_field",
-    "project_d",
-    "project_ac",
     "h1_alpha_norm",
     "load_state",
 ]
@@ -148,37 +146,25 @@ def green_field(lam, grid):
     return Field(grid, vals[index])
 
 
-@lru_cache(maxsize=16)
 def _distinct_radii(grid):
-    """(r, index): the distinct node radii of the grid and each node's index into r, read-only.
+    """(r, index): the distinct node radii of the grid and each node's index into r.
 
     The Bessel kernels are evaluated once per distinct radius (5487 of the
     65536 nodes at n = 256) and gathered back onto the grid.
     """
     r, index = np.unique(grid.radius(), return_inverse=True)
-    index = index.reshape(grid.n, grid.n)
-    r.setflags(write=False)
-    index.setflags(write=False)
-    return r, index
+    return r, index.reshape(grid.n, grid.n)
 
 
-@lru_cache(maxsize=4)
 def _green_gradient(lam, grid):
-    """(d1 G_lam, d2 G_lam) sampled from the closed form, as read-only real arrays; lam a float.
-
-    Cached per (lam, grid): the solver's drift kernels along every direction
-    and :func:`green_gradient_field` share one K1 evaluation.
-    """
+    """(d1 G_lam, d2 G_lam) sampled from the closed form, as real arrays; lam a float."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"green_gradient_field requires a finite real lambda > 0; got {lam!r}")
     X, Y = grid.mesh()
     r, index = _distinct_radii(grid)
     s = math.sqrt(lam)
     radial = (-s * bessel_k1(s * r) / (2.0 * np.pi * r))[index]
-    grads = (radial * X, radial * Y)
-    for arr in grads:
-        arr.setflags(write=False)
-    return grads
+    return radial * X, radial * Y
 
 
 def green_gradient_field(lam, grid):
@@ -190,7 +176,6 @@ MAX_P = 350.0
 """Largest p of :func:`green_lp_norm`: its rule starts at x = -2p, and e^(-2p) must stay normal."""
 
 
-@lru_cache(maxsize=64)
 def _log_k0_moment(p):
     """ln integral_0^inf K0(s)^p s ds, p != 2, by a trapezoid sum on s = e^x summed in logs.
 
@@ -237,41 +222,6 @@ def green_lp_norm(lam, p):
     return math.exp((log_2pi - p * log_2pi + _log_k0_moment(float(p))) / p) / lam ** (1.0 / p)
 
 
-@lru_cache(maxsize=8)
-def _psi_values(params, grid):
-    if params.eigenvalue is None or params.eigenvalue <= 0.0:
-        raise NoEigenfunctionError(f"alpha = {params.alpha} has no eigenfunction")
-    g = green_field(params.eigenvalue, grid)
-    nrm = lp_norm(g, 2)
-    vals = g.values / nrm
-    vals.setflags(write=False)
-    return vals
-
-
-def psi_alpha_field(params, grid):
-    """Normalized eigenfunction sampled on the grid (unit grid L^2 norm)."""
-    return Field(grid, _psi_values(params, grid))
-
-
-def project_d(f, params):
-    """Rank-one projection onto the eigenfunction; zero if no eigenvalue.
-
-    psi is real, so a real f has a real coefficient and a real projection.
-    """
-    if params.eigenvalue is None:
-        return Field(f.grid, np.zeros_like(f.values))
-    psi = psi_alpha_field(params, f.grid)
-    coef = inner_product(f, psi)
-    return (coef if np.iscomplexobj(f.values) else coef.real) * psi
-
-
-def project_ac(f, params):
-    """Projection onto the absolutely continuous subspace, I - P_d."""
-    if params.eigenvalue is None:
-        return f
-    return f - project_d(f, params)
-
-
 @dataclass(frozen=True)
 class DecomposedField:
     """State u = regular + coeff * G_omega with regular in H^1.
@@ -307,7 +257,6 @@ def load_state(path):
     return DecomposedField(Field(grid, values), q, AlphaParams.for_alpha(alpha)), t
 
 
-@lru_cache(maxsize=8)
 def _hermitian_weights(n):
     """Column weights of the rfft2 half spectrum of a real n x n field.
 
@@ -316,46 +265,33 @@ def _hermitian_weights(n):
     """
     w = np.full(n // 2 + 1, 2.0)
     w[0] = w[-1] = 1.0
-    w.setflags(write=False)
     return w
 
 
-@lru_cache(maxsize=4)
 def _h1_weights(grid):
-    """(1 + |xi|^2) times the Hermitian column weights on the rfft2 half spectrum, read-only."""
+    """(1 + |xi|^2) times the Hermitian column weights on the rfft2 half spectrum."""
     w = 1.0 + grid.wavenumber_sq()[:, :grid.n // 2 + 1]
     w *= _hermitian_weights(grid.n)
-    w.setflags(write=False)
     return w
-
-
-def _h1_kernel(grid, khat):
-    """(w khat, C) of a kernel G given by its half spectrum: the constants of the proxy's form.
-
-    w is :func:`_h1_weights` and C = wlat sum w |khat|^2, G's own squared
-    proxy part; both read-only inputs of :func:`_h1_proxy_hat`.
-    """
-    w = _h1_weights(grid)
-    wk = w * khat
-    wk.setflags(write=False)
-    wlat = grid.cell_area / grid.n ** 2
-    return wk, wlat * float(np.vdot(w, khat.real ** 2 + khat.imag ** 2))
 
 
 def _h1_proxy_hat(grid, uhat, q, kernel=None):
     """(||phi||_2^2 + ||grad phi||_2^2 + q^2)^(1/2) for phi = u - q G, by Parseval.
 
     ``uhat`` is the rfft2 half spectrum of a real u and q is real; the sum
-    of re^2 + im^2 is taken against :func:`_h1_weights`.  Without
-    ``kernel``, phi = u.  With ``kernel`` = :func:`_h1_kernel` of G, phi's
-    transform is never formed: ||phi||^2 = A - 2 q Re X + q^2 C, with A the
-    weighted |u_hat|^2 and X the weighted sum u_hat conj(G_hat), clamped at
+    of re^2 + im^2 is taken against :func:`_h1_weights`, built here only
+    without ``kernel``, where phi = u.  With ``kernel`` = (w, w G_hat, C),
+    the weights and the form constants of a kernel G (the grid model's
+    ``h1_kernel`` holds G_omega's), phi's transform is never formed:
+    ||phi||^2 = A - 2 q Re X + q^2 C, with A the weighted |u_hat|^2, X the
+    weighted sum u_hat conj(G_hat) and C = wlat sum w |G_hat|^2, clamped at
     0 against cancellation.
     """
     wlat = grid.cell_area / grid.n ** 2
-    dens = wlat * float(np.vdot(_h1_weights(grid), uhat.real ** 2 + uhat.imag ** 2))
+    w = _h1_weights(grid) if kernel is None else kernel[0]
+    dens = wlat * float(np.vdot(w, uhat.real ** 2 + uhat.imag ** 2))
     if kernel is not None:
-        wk, cc = kernel
+        _, wk, cc = kernel
         cross = wlat * q * np.vdot(wk, uhat).real
         dens = max(dens - 2.0 * cross + q * q * cc, 0.0)
     return math.sqrt(dens + q * q)

@@ -20,9 +20,16 @@ from .decay import (
     verify_convolution_lemma,
 )
 from .fields import Grid, gaussian_field, lp_norm
-from .semigroup import ContourSpec, backward_euler_oracle, krein_resolvent, semigroup_full, semigroup_pac
+from .semigroup import (
+    ContourSpec,
+    backward_euler_oracle,
+    krein_resolvent,
+    psi_alpha_field,
+    semigroup_full,
+    semigroup_pac,
+)
 from .special import euler_gamma
-from .spectral import AlphaParams, c_lambda, eigenvalue, psi_alpha_field
+from .spectral import AlphaParams, c_lambda, eigenvalue
 
 __all__ = ["CheckResult", "run_checks", "DEFAULT_GRID"]
 

@@ -56,6 +56,14 @@ def test_spectral_output_bytes(capsys):
     assert capsys.readouterr().out == SPECTRAL_DEFAULT
 
 
+def test_spectral_writes_nothing_before_an_error(capsys):
+    # every c(lambda) is computed before the first line: a rejected lambda
+    # once came after the header and the rows before it
+    assert main(["spectral", "--lambdas", "1,nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("pideq: error: ") and err.count("\n") == 1
+
+
 def test_spectral_subcommand_alpha_inf(capsys):
     # the free Laplacian has no eigenvalue and no psi norm; the c table stays
     assert main(["spectral", "--alpha", "inf", "--lambdas", "1,2"]) == 0

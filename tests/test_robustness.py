@@ -1,17 +1,27 @@
 """Cross-cutting robustness: nonzero alpha, boundaries, error branches."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pideq
 from pideq import (
     AlphaParams,
     ContourSpec,
     DecomposedField,
     Field,
     Grid,
+    SolverConfig,
+    backward_euler_oracle,
     c_lambda,
+    eigenvalue,
     gaussian_field,
     green_lp_norm,
     krein_resolvent,
@@ -21,10 +31,12 @@ from pideq import (
     save_field,
     semigroup_full,
     semigroup_pac,
+    solve_global_projected,
+    solve_local,
     total_field,
 )
 from pideq.cli import main
-from pideq.errors import ContourError
+from pideq.errors import ContourError, DataTooLargeError, HorizonTooLargeError
 from pideq.semigroup import Flow, grid_model
 
 
@@ -232,3 +244,75 @@ def test_lp_norm_of_full_flow_near_the_double_range():
     scaled = out.values / top
     expect = top * math.sqrt(np.sum(scaled**2) * out.grid.cell_area)
     assert math.isfinite(norm) and abs(norm - expect) <= 1e-14 * expect
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: krein_resolvent(
+                2.0, gaussian_field(Grid(40.0, 32)), AlphaParams.for_alpha(-0.2, 2)
+            ),
+            "below the mesh size",
+        ),
+        (
+            lambda: krein_resolvent(
+                2.0, gaussian_field(Grid(40.0, 64)), AlphaParams.for_alpha(0.6, 2)
+            ),
+            "exceeds the box",
+        ),
+        (
+            lambda: backward_euler_oracle(
+                10.0 / eigenvalue(0.0), gaussian_field(Grid(40.0, 64)),
+                AlphaParams.for_alpha(0.0, 2), 10,
+            ),
+            "stepping count bumped",
+        ),
+        (lambda: SolverConfig(gamma=1.5), r"gamma in \(1, 2\)"),
+    ],
+    ids=["mesh", "box", "oracle", "gamma"],
+)
+def test_warnings_name_the_callers_line(call, message):
+    # each warning names the line that called into pideq, however many
+    # package frames lie between: the cached grid_model, or the
+    # dataclass-generated __init__ (whose code reads as <string>)
+    grid_model.cache_clear()
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        call()
+    hits = [w for w in rec if re.search(message, str(w.message))]
+    assert hits and all(w.filename == __file__ for w in hits)
+
+
+@pytest.mark.parametrize("amplitude", [1e100, 1e200])
+def test_overflowing_data_raise_named_errors(params, amplitude):
+    # iterates that leave the double range once warned 'overflow encountered
+    # in square' from the H^1 proxy and ended in 'field values must be
+    # finite' or in a non-finite trajectory
+    u0 = DecomposedField.from_field(gaussian_field(Grid(40.0, 64), 1.0, amplitude), params)
+    cfg = SolverConfig(T=0.04, dt=0.02)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataTooLargeError, match="left the double range"):
+            solve_global_projected(u0, cfg)
+        with pytest.raises(HorizonTooLargeError, match="left the double range") as exc:
+            solve_local(u0, cfg)
+    assert not isinstance(exc.value, DataTooLargeError)
+
+
+def test_large_finite_data_still_solve(params):
+    u0 = DecomposedField.from_field(gaussian_field(Grid(40.0, 64), 1.0, 1e20), params)
+    traj = solve_local(u0, SolverConfig(T=0.04, dt=0.02))
+    assert all(np.isfinite(st.regular.values).all() for st in traj.states)
+
+
+def test_simulate_overflowing_datum_exits_2(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
+    argv = ["--out", str(tmp_path), "simulate", "--u0", "gaussian:1,1e200",
+            "--T", "0.04", "--dt", "0.02", "--grid-n", "64"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pideq.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("pideq: error: ") and proc.stderr.count("\n") == 1
+    assert "left the double range" in proc.stderr

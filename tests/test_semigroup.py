@@ -1,11 +1,14 @@
 """Resolvent algebra and contour-semigroup checks."""
 
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import pideq
 from pideq import (
     AlphaParams,
     ContourSpec,
@@ -693,3 +696,25 @@ def test_flows_run_without_full_lattice_transforms(params, grid128, monkeypatch)
     cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.04, dt=0.02)
     traj = solve_global_projected(u0, cfg)
     assert len(traj.states) == 2
+
+
+def test_grid_model_is_the_only_cache():
+    # every array derived from a (params, grid) pair lives on the grid model,
+    # so no module holds a memoized function but grid_model itself
+    cached = []
+    for info in pkgutil.iter_modules(pideq.__path__):
+        module = importlib.import_module(f"pideq.{info.name}")
+        cached += [obj for obj in vars(module).values() if hasattr(obj, "cache_info")]
+    cached += [obj for obj in vars(pideq).values() if hasattr(obj, "cache_info")]
+    assert cached and all(obj is grid_model for obj in cached)
+
+
+def test_psi_is_the_models_samples(params, grid128):
+    # psi = G_E / ||G_E|| to the bit, held once by the grid model
+    g = green_field(params.eigenvalue, grid128)
+    psi = psi_alpha_field(params, grid128)
+    assert psi.values.tobytes() == (g.values / lp_norm(g, 2)).tobytes()
+    model = grid_model(params, grid128)
+    assert psi.values is model.psi_values
+    assert psi_alpha_field(params, grid128).values is model.psi_values
+    assert not psi.values.flags.writeable

@@ -1,5 +1,6 @@
 """Nonlinearity, Duhamel sweep, and Picard solver checks."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -35,8 +36,10 @@ from pideq import (
 )
 from pideq import solver
 from pideq.errors import DataTooLargeError
+from pideq.fields import _irfft2
 from pideq.solver import (
     _drift,
+    _drift_kernel,
     _forcing_hat,
     _h1_proxy_hat,
     _picard_window,
@@ -547,12 +550,41 @@ def test_forcing_samples_drift_derivative(params, grid128, a):
     model = grid_model(params, grid128)
     uhat, q = _state_hat(model, u)
     vals = np.fft.irfft2(uhat)
-    du1, du2 = (_drift(model, uhat, q, e) for e in ((1.0, 0.0), (0.0, 1.0)))
+    du1, du2 = (_drift(_drift_kernel(model, e), uhat, q) for e in ((1.0, 0.0), (0.0, 1.0)))
     expect = 2.0 * vals * (a[0] * du1 + a[1] * du2)
     got = nonlinearity(u, cfg).values
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
     zero = nonlinearity(u, SolverConfig(gamma=2.0, a=(0.0, 0.0))).values
     assert zero.shape == got.shape and not np.any(zero)
+
+
+@pytest.mark.parametrize("a", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
+def test_drift_parts_give_the_direct_kernel(params, grid128, a):
+    # (K_a, c_a) combined from the model's per-axis drift_parts against the
+    # direct formula K_a = a1 i xi1 + a2 i xi2, c_a = a . (closed gradient of
+    # G_omega) - irfft2(K_a G_omega_hat): equal along an axis, where one
+    # term of each sum is an exact zero
+    model = grid_model(params, grid128)
+    d1, d2 = model.derivative
+    kernel = a[0] * d1 + a[1] * d2
+    gx, gy = green_gradient_field(reference_lambda(params), grid128)
+    closed = a[0] * gx.values + a[1] * gy.values
+    direct = closed - _irfft2(kernel * model.green_omega_hat)
+    k, c = _drift_kernel(model, a)
+    assert np.array_equal(k, kernel)
+    if 0.0 in a:
+        assert np.array_equal(c, direct)
+    else:
+        assert np.abs(c - direct).max() <= 1e-15 * np.abs(direct).max()
+
+
+def test_solver_config_is_frozen():
+    cfg = SolverConfig(a=(1, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.a = (0.0, 1.0)
+    assert cfg.a == (1.0, 0.0) and cfg.dt == 0.01
 
 
 def test_transform_budget(params, grid128, monkeypatch):
