@@ -19,7 +19,6 @@ from .spectral import (
     c_lambda,
     eigenvalue,
     green_field,
-    green_gradient_field,
     green_lp_norm,
     h1_alpha_norm,
     load_state,
@@ -30,7 +29,6 @@ from .semigroup import (
     SemigroupResult,
     backward_euler_oracle,
     krein_resolvent,
-    project_ac,
     project_d,
     psi_alpha_field,
     semigroup_full,

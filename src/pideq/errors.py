@@ -8,9 +8,8 @@ def _warn(message):
     """Issue a UserWarning attributed to the caller's line: the first frame outside pideq.
 
     A fixed ``stacklevel`` names a package line whenever the warning is
-    reached through more package frames than its author counted (the
-    cached ``grid_model``, a dataclass-generated ``__init__``, which runs
-    in its module's globals).
+    reached through more package frames than its author counted, such as
+    the cached ``grid_model``.
     """
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "pideq":

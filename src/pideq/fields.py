@@ -105,6 +105,11 @@ class Grid:
         return XI1 ** 2 + XI2 ** 2
 
 
+def _real(value, kind=numbers.Real):
+    """Whether value is a number of ``kind`` (numbers.Real or numbers.Integral) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _real_pair(name, value):
     """value as a tuple of two floats; ValueError naming ``name`` unless it is two finite reals."""
     try:
@@ -228,9 +233,10 @@ def lp_norm(f, p):
 
     Grid norms of fields with integrable point singularities (Green
     functions) converge slowly; use :func:`pideq.spectral.green_lp_norm`
-    when a Green function's norm must be resolved accurately.
+    when a Green function's L^2 norm must be resolved accurately.  p must
+    be a real number >= 1 or inf; anything else raises ValueError.
     """
-    if not p >= 1:
+    if not (_real(p) and p >= 1):
         raise ValueError(f"lp_norm requires p >= 1 or p = inf; got p = {p!r}")
     a = np.abs(f.values)
     if p == np.inf:
@@ -257,7 +263,7 @@ def inner_product(f, g):
 
 def heat_free(f, t):
     """Free heat flow exp(t Laplacian) f via the multiplier exp(-t |xi|^2); t finite and >= 0."""
-    if not (isinstance(t, numbers.Real) and 0 <= t < math.inf):
+    if not (_real(t) and 0 <= t < math.inf):
         raise ValueError(f"heat_free requires a finite t >= 0; got t = {t!r}")
     if t == 0:
         return f
@@ -282,9 +288,9 @@ def gaussian_field(grid, sigma=1.0, amplitude=1.0, center=(0.0, 0.0)):
     sigma is a finite number > 0, amplitude a finite number and center two
     finite real numbers; anything else raises ValueError naming it.
     """
-    if not 0.0 < sigma < math.inf:
+    if not (_real(sigma) and 0.0 < sigma < math.inf):
         raise ValueError(f"gaussian sigma must be a finite number > 0; got {sigma!r}")
-    if not np.isfinite(amplitude):
+    if not (_real(amplitude) and math.isfinite(amplitude)):
         raise ValueError(f"gaussian amplitude must be a finite number; got {amplitude!r}")
     x0, y0 = _real_pair("gaussian center", center)
     X, Y = grid.mesh()

@@ -114,6 +114,7 @@ from .fields import (
     Field,
     _from_parts,
     _irfft2,
+    _real,
     _real_derivative,
     _real_parts,
     _rfft2,
@@ -139,7 +140,6 @@ __all__ = [
     "grid_model",
     "psi_alpha_field",
     "project_d",
-    "project_ac",
 ]
 
 MIN_TIME = 0.01
@@ -541,13 +541,6 @@ def project_d(f, params):
     return (coef if np.iscomplexobj(f.values) else coef.real) * psi
 
 
-def project_ac(f, params):
-    """Projection onto the absolutely continuous subspace, I - P_d."""
-    if params.eigenvalue is None:
-        return f
-    return f - project_d(f, params)
-
-
 def _fold(nodes, weights):
     """The nodes with Im >= 0 of a conjugation-closed rule, conjugate-pair weights doubled.
 
@@ -646,8 +639,8 @@ def krein_resolvent(lam, g, params):
 
 
 def _check_time(name, t):
-    if not math.isfinite(t):
-        raise ValueError(f"{name} requires a finite t; got {t}")
+    if not (_real(t) and math.isfinite(t)):
+        raise ValueError(f"{name} requires a finite t; got {t!r}")
     if t <= 0:
         raise ValueError(f"{name} requires t > 0")
 

@@ -41,11 +41,13 @@ overflow and invalid-value errors raised: an iterate that leaves the
 double range ends the solve with :class:`pideq.errors.HorizonTooLargeError`.
 
 The problem is posed for real u: the forcing is computed as
-gamma |u|^(gamma-2) u (a . grad u), which equals a . grad(|u|^gamma) only
-for real u.  Real data, a real vector a and the real self-adjoint A keep
-every state real, so the solver holds u as its rfft2 half spectrum, the
-grid model's one transform layout (see :mod:`pideq.semigroup`), and q as a
-real float, and steps, forces, splits and pairs there.  A state enters
+gamma sign(u) |u|^(gamma-1) (a . grad u) (2 u (a . grad u) at gamma = 2),
+which equals a . grad(|u|^gamma) only for real u and, as gamma > 1, is
+bounded wherever u and a . grad u are.  Real data, a real vector a and the
+real self-adjoint A keep every state real, so the solver holds u as its
+rfft2 half spectrum, the grid model's one transform layout (see
+:mod:`pideq.semigroup`), and q as a real float, and steps, forces, splits
+and pairs there.  A state enters
 the half spectrum in one place, which raises ValueError when a complex
 state's imaginary part exceeds ``IMAG_TOL`` of its size and drops it
 otherwise.  A solver state's ``regular`` is an inverse rfft2, a real
@@ -68,8 +70,10 @@ one list of states swept in place, measuring contraction) or marches it.
 A local solve is one probed window covering [0, T] with the full
 semigroup.  A global solve probes its first window, marches the rest, and
 probes again any window whose march leaves the largest H^1 proxy of the
-last probed window.  The sweep is the only loop over time steps, and its
-flow the only projector.
+last probed window.  A probe starts from the linear evolution of its start
+state and iterates at most ``PICARD_MAX`` times.  The sweep is the only
+loop over time steps, and its flow the only projector; it reads each new
+state's q once, and the probe keeps it beside the state.
 """
 
 import math
@@ -78,8 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataTooLargeError, HorizonTooLargeError, _warn
-from .fields import Field, _irfft2, _real_pair, _rfft2, inner_product, lp_norm
+from .errors import ConvergenceError, DataTooLargeError, HorizonTooLargeError
+from .fields import Field, _irfft2, _real, _real_pair, _rfft2, inner_product, lp_norm
 from .semigroup import Flow, grid_model, psi_alpha_field
 from .spectral import DecomposedField, _h1_proxy_hat
 
@@ -98,27 +102,20 @@ __all__ = [
 IMAG_TOL = 1e-12
 """Largest imaginary part of a state, relative to its size, taken as real."""
 
-
-def _positive(value, kind):
-    """Whether value is a finite number of ``kind`` (numbers.Real or numbers.Integral) above 0."""
-    return (
-        isinstance(value, kind) and not isinstance(value, bool)
-        and math.isfinite(value) and value > 0
-    )
+PICARD_MAX = 25
+"""Most Picard iterates of one probed window; more raise ConvergenceError."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Nonlinearity, horizon and iteration controls.
 
-    The pointwise factor |u|^(gamma-2) is clamped at ``clamp_limit`` for
-    gamma < 2.  ``gamma`` must be a finite number > 1.  ``a`` must be two
-    finite real numbers and is stored as a tuple of two floats.  ``dt``,
-    ``picard_tol``, ``window``, ``T`` and ``clamp_limit`` must be finite and
-    > 0, ``picard_max`` an int >= 1 and ``store_stride`` None or an int
-    >= 1; other values raise ValueError.  A config is frozen: it holds
-    settings only, and each solve reports its own clamp count in its
-    trajectory's diagnostics.
+    ``gamma`` must be a finite number > 1.  ``a`` must be two finite real
+    numbers and is stored as a tuple of two floats.  ``dt``,
+    ``picard_tol``, ``window`` and ``T`` must be finite and > 0 and
+    ``store_stride`` None or an int >= 1; other values raise ValueError.
+    ``window`` and ``store_stride`` choose which states a global solve
+    probes and stores.  A config is frozen: it holds settings only.
     Projection is chosen by the solve function, not by the config:
     :func:`solve_global_projected` projects, :func:`solve_local` does not.
     """
@@ -128,27 +125,20 @@ class SolverConfig:
     T: float = 1.0
     dt: float = 0.01
     picard_tol: float = 1e-9
-    picard_max: int = 25
     window: float = 1.0
     store_stride: int | None = None
-    clamp_limit: float = 1e8
 
     def __post_init__(self):
         gamma = self.gamma
         if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma) and gamma > 1.0):
             raise ValueError(f"gamma must be a finite number > 1; got {gamma!r}")
-        if gamma < 2.0:
-            _warn(
-                "gamma in (1, 2) is outside the solver's safe default regime; "
-                "degenerate |u|^(gamma-2) factors are clamped"
-            )
-        for name in ("dt", "picard_tol", "window", "T", "clamp_limit"):
-            if not _positive(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a finite number > 0; got {getattr(self, name)!r}")
-        if not _positive(self.picard_max, numbers.Integral):
-            raise ValueError(f"picard_max must be an int >= 1; got {self.picard_max!r}")
-        if self.store_stride is not None and not _positive(self.store_stride, numbers.Integral):
-            raise ValueError(f"store_stride must be None or an int >= 1; got {self.store_stride!r}")
+        for name in ("dt", "picard_tol", "window", "T"):
+            value = getattr(self, name)
+            if not (_real(value) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be a finite number > 0; got {value!r}")
+        stride = self.store_stride
+        if stride is not None and not (_real(stride, numbers.Integral) and stride > 0):
+            raise ValueError(f"store_stride must be None or an int >= 1; got {stride!r}")
         object.__setattr__(self, "a", _real_pair("a", self.a))
 
 
@@ -157,9 +147,8 @@ class Trajectory:
     """Sampled solution: times, decomposed states, and the multiplier rho.
 
     ``rho`` is empty for unprojected runs.  ``diagnostics`` carries the
-    measured contraction ratios, iteration counts, the maximum eigenmode
-    component seen along the run (global solves), and ``clamp_events``: the
-    number of clamped |u|^(gamma-2) samples in the forcings this solve built.
+    measured contraction ratios, iteration counts and the maximum eigenmode
+    component seen along the run (global solves).
     """
 
     times: np.ndarray
@@ -197,29 +186,22 @@ def _drift(kernel, uhat, q):
 
 
 def _nonlinear_values(model, kernel, uhat, q, cfg):
-    """(a . grad(|u|^gamma) samples, number of clamped |u|^(gamma-2) samples).
+    """Samples of a . grad(|u|^gamma) = gamma sign(u) |u|^(gamma-1) (a . grad u).
 
     u = phi + q G_omega is given by its half spectrum and q, and ``kernel``
     is cfg.a's (K_a, c_a) (``_drift_kernel``).
     """
     if cfg.a == (0.0, 0.0):
-        return np.zeros((model.grid.n, model.grid.n)), 0
+        return np.zeros((model.grid.n, model.grid.n))
     vals = _irfft2(uhat)
     drift = _drift(kernel, uhat, q)
-    clamped = 0
-    if cfg.gamma != 2.0:
-        mag = np.abs(vals)
-        with np.errstate(divide="ignore"):
-            power = np.where(mag > 0.0, mag ** (cfg.gamma - 2.0), 0.0)
-        if cfg.gamma < 2.0:
-            clamped = int(np.count_nonzero(power > cfg.clamp_limit))
-            if clamped:
-                power = np.minimum(power, cfg.clamp_limit)
-        drift *= power
-    # gamma |u|^(gamma-2) u (a . grad u), built in the drift's array
-    drift *= vals
+    # built in the drift's array; sign(u) |u| = u at gamma = 2
+    if cfg.gamma == 2.0:
+        drift *= vals
+    else:
+        drift *= np.sign(vals) * np.abs(vals) ** (cfg.gamma - 1.0)
     drift *= cfg.gamma
-    return drift, clamped
+    return drift
 
 
 def total_field(u):
@@ -248,11 +230,12 @@ def nonlinearity(u, cfg):
     """a . grad(|u|^gamma) with grad u = grad phi + coeff grad G_omega.
 
     The regular part is differentiated spectrally; the kernel part uses the
-    closed Bessel form.  |u|^(gamma-2) u is extended by 0 at u = 0.  u must
-    be real: complex data raise ValueError.
+    closed Bessel form.  The forcing is gamma sign(u) |u|^(gamma-1)
+    (a . grad u), 0 where u is.  u must be real: complex data raise
+    ValueError.
     """
     model = grid_model(u.params, u.regular.grid)
-    values, _ = _nonlinear_values(model, _drift_kernel(model, cfg.a), *_state_hat(model, u), cfg)
+    values = _nonlinear_values(model, _drift_kernel(model, cfg.a), *_state_hat(model, u), cfg)
     return Field(u.regular.grid, values)
 
 
@@ -299,90 +282,76 @@ def _split(model, uhat):
     return uhat - q * model.green_omega_hat, q
 
 
-def _proxy(model, uhat, q=None):
-    """H^1 proxy of the state u_hat: phi's, phi_hat never formed.
-
-    q is u's coupling coefficient, read off the coupling when not given.
-    """
-    if q is None:
-        q = model.coupling_coefficient(uhat)
+def _proxy(model, uhat, q):
+    """H^1 proxy of the state u_hat with coupling coefficient q: phi's, phi_hat never formed."""
     return _h1_proxy_hat(model.grid, uhat, q, model.h1_kernel)
 
 
-def _forcing_hat(model, uhat, cfg, q=None, kernel=None):
-    """(unprojected F transform, clamp count) of the state u_hat; (None, 0) if a = 0.
+def _forcing_hat(model, kernel, uhat, q, cfg):
+    """Unprojected F transform of the state (u_hat, q); None if a = 0.
 
-    q is u's coupling coefficient, read off the coupling when not given,
-    and ``kernel`` cfg.a's (K_a, c_a), formed when not given.  Two irfft2
+    ``kernel`` is cfg.a's (K_a, c_a) (``_drift_kernel``).  Two irfft2
     (u and a . grad u) and one rfft2.
     """
     if cfg.a == (0.0, 0.0):
-        return None, 0
-    if q is None:
-        q = model.coupling_coefficient(uhat)
-    if kernel is None:
-        kernel = _drift_kernel(model, cfg.a)
-    values, clamped = _nonlinear_values(model, kernel, uhat, q, cfg)
-    return _rfft2(values), clamped
+        return None
+    return _rfft2(_nonlinear_values(model, kernel, uhat, q, cfg))
 
 
 def _sweep(flow, start, steps, force=None, prev=None):
     """Exponential-Euler sweep over one window: u_{j+1} = S(dt)[u_j + dt F(v_j)].
 
-    S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt.  States
-    are half spectra u_hat of the total.  ``start`` is u_0; ``force`` maps
-    one state and its coupling coefficient q (None: the forcing reads it)
+    S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt.  A state
+    is a pair (u_hat, q): the half spectrum of the total and its coupling
+    coefficient.  ``start`` is u_0's pair; ``force`` maps one state's pair
     to F's transform, a fresh array that the sweep overwrites with
     u_j + dt F, or to None for no forcing, and is called exactly ``steps``
     times, in order; without ``force`` the sweep is the linear evolution.
-    Yields (j, u_hat, q) for u_1 .. u_steps.  Without ``prev``, v_j = u_j:
-    the march, where q is u_j's coupling coefficient, read once for the
-    caller and for F(u_j) (None without ``force``).  With ``prev``, the
-    previous Picard iterate as a list of steps + 1 states starting at u_0,
-    v_j = prev[j], q is None, and the sweep is one Picard iterate written
-    over ``prev`` in place: prev[j] is replaced by u_j only after u_j has
-    been yielded and F(prev[j]) built, so the caller can still compare the
-    two.
+    Yields (j, u_hat, q) for u_1 .. u_steps, q read off the coupling once
+    per step.  Without ``prev``, v_j = u_j: the march.  With ``prev``, the
+    previous Picard iterate as a list of steps + 1 pairs starting at
+    ``start``, v_j = prev[j], and the sweep is one Picard iterate written
+    over ``prev`` in place: prev[j] is replaced by u_j's pair only after
+    u_j has been yielded and F(prev[j]) built, so the caller can still
+    compare the two.
     """
     coupling = flow.model.coupling_coefficient
-    march = prev is None and force is not None
-    cur = start
-    fhat = None if force is None else force(cur, None)
+    cur, q = start
+    fhat = None if force is None else force(cur, q)
     for j in range(1, steps + 1):
         if fhat is not None:
             fhat *= flow.t
             fhat += cur
         cur = flow.apply(cur if fhat is None else fhat)
-        q = coupling(cur) if march else None
+        q = coupling(cur)
         yield j, cur, q
         if j < steps and force is not None:
-            fhat = force(cur, q) if march else force(prev[j], None)
+            fhat = force(*(prev[j] if prev is not None else (cur, q)))
         if prev is not None:
-            prev[j] = cur
+            prev[j] = cur, q
 
 
-def _picard_window(model, flow, start, steps, cfg, force, init, label):
+def _picard_window(model, flow, start, steps, cfg, force, label):
     """Iterate the window map to tolerance; returns (states, iterations, ratios).
 
-    The starting iterate is the linear evolution of the window's start
-    state ``start`` (``init="linear"``) or that state frozen in time
-    (``"frozen"``).  The window holds one iterate: a list of steps + 1
-    states u_hat that each Picard sweep overwrites in place, ending as the
-    converged states.  The distance of two iterates is the H^1 proxy of
-    their difference.
+    ``start`` is the window's start state as a (u_hat, q) pair, and the
+    starting iterate is its linear evolution.  The window holds one
+    iterate: a list of steps + 1 (u_hat, q) pairs that each Picard sweep
+    overwrites in place, ending as the converged states.  The distance of
+    two iterates is the H^1 proxy of their difference, whose q is the
+    difference of theirs, as q is linear in u.  At most ``PICARD_MAX``
+    iterates are taken.
     """
-    if init == "frozen":
-        states = [start] * (steps + 1)
-    else:
-        states = [start] + [uhat for _, uhat, _ in _sweep(flow, start, steps)]
-    scale = max(1.0, _proxy(model, start))
+    states = [start] + [(uhat, q) for _, uhat, q in _sweep(flow, start, steps)]
+    scale = max(1.0, _proxy(model, *start))
     ratios = []
     distance = None
     bad_streak = 0
-    for it in range(1, cfg.picard_max + 1):
+    for it in range(1, PICARD_MAX + 1):
         dist = 0.0
-        for j, uhat, _ in _sweep(flow, start, steps, force, states):
-            dist = max(dist, _proxy(model, uhat - states[j]))
+        for j, uhat, q in _sweep(flow, start, steps, force, states):
+            prev, prev_q = states[j]
+            dist = max(dist, _proxy(model, uhat - prev, q - prev_q))
         if distance is not None and distance > 0:
             ratio = dist / distance
             ratios.append(ratio)
@@ -400,45 +369,37 @@ def _picard_window(model, flow, start, steps, cfg, force, init, label):
         if dist <= cfg.picard_tol * scale:
             return states, it, ratios
     raise ConvergenceError(
-        f"{label}: Picard did not reach tol {cfg.picard_tol} in {cfg.picard_max} iterates "
-        f"(last distance {distance:.3e})"
+        f"{label}: Picard did not reach tol {cfg.picard_tol} in PICARD_MAX = {PICARD_MAX} "
+        f"iterates (last distance {distance:.3e})"
     )
 
 
-def _solve(u0, cfg, projected, window, default_stride, init):
-    """Both solves' window driver: (times, states, iterations, ratios, ortho_max, clamps).
+def _solve(u0, cfg, projected, window, default_stride):
+    """Both solves' window driver: (times, states, iterations, ratios, ortho_max).
 
     The horizon [0, cfg.T] is cut into windows of ``window`` time.  A window
-    is probed: Picard is iterated to ``cfg.picard_tol`` from ``init`` (the
-    linear evolution of the window's start state, or that state frozen in
-    time), its converged states are the window's states and its ratios are
-    recorded.  Once a window has been probed, the next is marched in one
-    sweep keeping only the stored states; it is probed instead, from its
-    start state, when one of its states is not finite or has an H^1 proxy
-    above the largest one the last probed window held, so growing data are
-    measured where they are largest.  ``iterations`` has one entry per
-    window, 0 for a marched one.  States are stored every
-    ``cfg.store_stride`` steps (``default_stride`` when unset, every window
-    end when that is None), and at T, and made into
-    :class:`DecomposedField` states (float64 phi) at the end, one at a
-    time.  ``clamps`` counts the forcings' clamped samples; ``cfg`` is only
-    read.
+    is probed: Picard is iterated to ``cfg.picard_tol`` from the linear
+    evolution of the window's start state, its converged states are the
+    window's states and its ratios are recorded.  Once a window has been
+    probed, the next is marched in one sweep keeping only the stored
+    states; it is probed instead, from its start state, when one of its
+    states is not finite or has an H^1 proxy above the largest one the last
+    probed window held, so growing data are measured where they are
+    largest.  ``iterations`` has one entry per window, 0 for a marched one.
+    States are stored every ``cfg.store_stride`` steps (``default_stride``
+    when unset, every window end when that is None), and at T, and made
+    into :class:`DecomposedField` states (float64 phi) at the end, one at a
+    time.  ``cfg`` is only read.
     """
-    if init not in ("linear", "frozen"):
-        raise ValueError("init must be 'linear' or 'frozen'")
     model = grid_model(u0.params, u0.regular.grid)
     total_steps = int(round(cfg.T / cfg.dt))
     if total_steps < 1 or abs(total_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ValueError("T must be an integer multiple of dt")
     flow = Flow(model, cfg.dt, full=not projected)
-    clamps = 0
     kernel = _drift_kernel(model, cfg.a)
 
     def force(uhat, q):
-        nonlocal clamps
-        fhat, clamped = _forcing_hat(model, uhat, cfg, q, kernel)
-        clamps += clamped
-        return fhat
+        return _forcing_hat(model, kernel, uhat, q, cfg)
 
     steps_per_window = max(1, int(round(window / cfg.dt)))
     stride = cfg.store_stride or default_stride or steps_per_window
@@ -456,6 +417,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
             if projected:
                 start, _ = model.project_ac_hat(start)
             stored = [start]
+            start = start, model.coupling_coefficient(start)
             while step < total_steps:
                 steps = min(steps_per_window, total_steps - step)
                 want = [
@@ -471,16 +433,16 @@ def _solve(u0, cfg, projected, window, default_stride, init):
                             break
                         if j in want:
                             kept.append((j, uhat))
-                    end = uhat
+                    end = uhat, q
                 if kept is None:
-                    label = f"window {len(iterations)} ({init} start)"
+                    label = f"window {len(iterations)}"
                     states, iters, window_ratios = _picard_window(
-                        model, flow, start, steps, cfg, force, init, label
+                        model, flow, start, steps, cfg, force, label
                     )
                     iterations.append(iters)
                     ratios.extend(window_ratios)
-                    probe_top = max(_proxy(model, s) for s in states)
-                    kept = [(j, states[j]) for j in want]
+                    probe_top = max(_proxy(model, *s) for s in states)
+                    kept = [(j, states[j][0]) for j in want]
                     end = states[-1]
                     del states  # a later probe builds its list without this one alive
                 else:
@@ -488,7 +450,7 @@ def _solve(u0, cfg, projected, window, default_stride, init):
                 for j, state in kept:
                     times.append((step + j) * cfg.dt)
                     stored.append(state)
-                _, eig = model.project_ac_hat(end)
+                _, eig = model.project_ac_hat(end[0])
                 ortho_max = max(ortho_max, abs(eig))
                 start = end
                 step += steps
@@ -505,28 +467,23 @@ def _solve(u0, cfg, projected, window, default_stride, init):
     while stored:
         phat, q = _split(model, stored.pop())
         states.append(DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params))
-    return np.array(times), states, iterations, ratios, ortho_max, clamps
+    return np.array(times), states, iterations, ratios, ortho_max
 
 
-def solve_local(u0, cfg, init="linear"):
+def solve_local(u0, cfg):
     """Picard solution on the finite horizon [0, T] with the full semigroup.
 
     Runs the window driver of :func:`solve_global_projected` without
     projection, with one window of length T and every step stored (unless
     ``cfg.store_stride`` says otherwise): the whole horizon is one probed
-    window.  ``init`` selects the probe's starting iterate: the linear
-    evolution of u0 (default) or u0 frozen in time; both must converge to
-    the same trajectory.  Raises :class:`HorizonTooLargeError` when three
-    successive iterates fail to contract.
+    window, started from the linear evolution of u0.  Raises
+    :class:`HorizonTooLargeError` when three successive iterates fail to
+    contract.
     """
-    times, states, iterations, ratios, _, clamps = _solve(
-        u0, cfg, projected=False, window=cfg.T, default_stride=1, init=init
+    times, states, iterations, ratios, _ = _solve(
+        u0, cfg, projected=False, window=cfg.T, default_stride=1
     )
-    diag = {
-        "iterations": iterations[0],
-        "contraction_ratios": ratios,
-        "clamp_events": clamps,
-    }
+    diag = {"iterations": iterations[0], "contraction_ratios": ratios}
     return Trajectory(times, states, np.array([]), diag)
 
 
@@ -550,20 +507,15 @@ def solve_global_projected(u0, cfg):
     entry per window: the probe's iterate count, or 0 for a marched window.
     """
     try:
-        times, states, iterations, ratios, ortho_max, clamps = _solve(
-            u0, cfg, projected=True, window=cfg.window, default_stride=None, init="linear"
+        times, states, iterations, ratios, ortho_max = _solve(
+            u0, cfg, projected=True, window=cfg.window, default_stride=None
         )
     except HorizonTooLargeError as exc:
         raise DataTooLargeError(
             f"initial datum too large for global solve: {exc}", exc.ratio
         ) from exc
     rho = np.array([lagrange_multiplier(st, cfg) for st in states])
-    diag = {
-        "iterations": iterations,
-        "contraction_ratios": ratios,
-        "ortho_max": ortho_max,
-        "clamp_events": clamps,
-    }
+    diag = {"iterations": iterations, "contraction_ratios": ratios, "ortho_max": ortho_max}
     return Trajectory(times, states, rho, diag)
 
 
@@ -604,7 +556,7 @@ def residual_check(traj, cfg, t_min=0.0):
         du_hat = (totals[k + 1][0] - totals[k - 1][0]) / (2.0 * dt)
         # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
         au_hat = model.omega * uc - (model.omega + model.xi2) * (uc - qc * ghat)
-        f_vals, _ = _nonlinear_values(model, kernel, uc, qc, cfg)
+        f_vals = _nonlinear_values(model, kernel, uc, qc, cfg)
         resid = _irfft2(du_hat - au_hat) - f_vals
         if projected:
             resid = resid + traj.rho[k] * psi_vals

@@ -18,10 +18,9 @@ the projections P_d and P_ac are fixed by the pair (alpha, grid), so they
 live with the grid model in :mod:`pideq.semigroup`.
 
 Grid Riemann sums of G-type fields converge slowly near the logarithmic
-singularity, so the exact L^p size of G_lambda is exposed through its
-radial integral (:func:`green_lp_norm`: in closed form at p = 2, else a
-trapezoid sum in log radius, summed in logs) instead of a grid sum.  numpy
-is the only dependency.
+singularity, so the exact L^2 size of G_lambda, which normalizes psi, is
+exposed in closed form (:func:`green_lp_norm`) instead of a grid sum.
+numpy is the only dependency.
 """
 
 import cmath
@@ -43,7 +42,6 @@ __all__ = [
     "c_lambda",
     "reference_lambda",
     "green_field",
-    "green_gradient_field",
     "green_lp_norm",
     "h1_alpha_norm",
     "load_state",
@@ -159,7 +157,7 @@ def _distinct_radii(grid):
 def _green_gradient(lam, grid):
     """(d1 G_lam, d2 G_lam) sampled from the closed form, as real arrays; lam a float."""
     if not 0.0 < lam < math.inf:
-        raise ValueError(f"green_gradient_field requires a finite real lambda > 0; got {lam!r}")
+        raise ValueError(f"the Green gradient requires a finite real lambda > 0; got {lam!r}")
     X, Y = grid.mesh()
     r, index = _distinct_radii(grid)
     s = math.sqrt(lam)
@@ -167,59 +165,19 @@ def _green_gradient(lam, grid):
     return radial * X, radial * Y
 
 
-def green_gradient_field(lam, grid):
-    """Gradient of G_lambda from the closed form -sqrt(lam) K1(sqrt(lam) r) x/(2 pi r)."""
-    return tuple(Field(grid, g) for g in _green_gradient(float(lam), grid))
-
-
-MAX_P = 350.0
-"""Largest p of :func:`green_lp_norm`: its rule starts at x = -2p, and e^(-2p) must stay normal."""
-
-
-def _log_k0_moment(p):
-    """ln integral_0^inf K0(s)^p s ds, p != 2, by a trapezoid sum on s = e^x summed in logs.
-
-    The substitution gives the integral of K0(e^x)^p e^(2x) over the real
-    line, an analytic integrand that decays like |x|^p e^(2x) on the left
-    and double exponentially on the right, so the plain trapezoid sum with
-    step 0.1 on [min(-40, -2p), ln(60/p + 5)] converges geometrically and
-    both ends are negligible (Trefethen & Weideman, "The exponentially
-    convergent trapezoidal rule", SIAM Review 56 (2014)).  The integrand
-    peaks near x = -p/2, so the left end moves out beyond p = 20.  The nodes
-    are integer multiples of h: stepping from a float start shifts them by
-    rounding, which biased the sum by 1.4e-14 relative.  Each term is
-    exp(p ln K0(e^x) + 2x - m), m the largest exponent, so no power
-    overflows: from about p = 130 K0(e^x)^p does, and the moment itself
-    leaves the doubles near p = 190.
-    """
-    h = 0.1
-    x = h * np.arange(math.floor(min(-40.0, -2.0 * p) / h), math.log(60.0 / p + 5.0) / h + 1.0)
-    expo = p * np.log(bessel_k0(np.exp(x))) + 2.0 * x
-    top = expo.max()
-    return float(top + math.log(h * np.sum(np.exp(expo - top))))
-
-
 def green_lp_norm(lam, p):
-    """Exact (radial integral) L^p(R^2) norm of G_lambda, real lambda > 0, 1 <= p <= ``MAX_P``.
+    """Exact L^2(R^2) norm of G_lambda, real lambda > 0: 1/(2 sqrt(pi lambda)).
 
     ||G_lam||_p^p = 2 pi (2 pi)^-p lam^-1 M_p, M_p = int_0^inf K0(s)^p s ds,
-    with M_2 = 1/2 in closed form and, for p != 2, ||G_1||_p taken in logs
-    from the geometrically convergent trapezoid sum ln M_p
-    (:func:`_log_k0_moment`) and scaled by the rescaling law
-    ||G_lam||_p = lam^(-1/p) ||G_1||_p, so the singular part is resolved
-    exactly.
+    with M_2 = 1/2 in closed form, so the singular part is resolved
+    exactly.  p must be 2; any other p raises ValueError.
     """
     lam = float(lam)
     if not 0.0 < lam < math.inf:
         raise ValueError(f"green_lp_norm requires a finite real lambda > 0; got {lam!r}")
-    if not 1.0 <= p <= MAX_P:
-        raise ValueError(f"green_lp_norm requires a finite p >= 1 and <= {MAX_P:g}; got p = {p!r}")
-    if p == 2.0:
-        return float((2.0 * np.pi * (2.0 * np.pi) ** (-p) / lam * 0.5) ** (1.0 / p))
-    # ||G_1||_p from logs (M_p leaves the doubles near p = 190), then the
-    # rescaling law, which keeps full precision for any lambda
-    log_2pi = math.log(2.0 * np.pi)
-    return math.exp((log_2pi - p * log_2pi + _log_k0_moment(float(p))) / p) / lam ** (1.0 / p)
+    if p != 2:
+        raise ValueError(f"green_lp_norm has the closed form at p = 2 only; got p = {p!r}")
+    return float((2.0 * np.pi * (2.0 * np.pi) ** (-p) / lam * 0.5) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -284,8 +242,8 @@ def _h1_proxy_hat(grid, uhat, q, kernel=None):
     the weights and the form constants of a kernel G (the grid model's
     ``h1_kernel`` holds G_omega's), phi's transform is never formed:
     ||phi||^2 = A - 2 q Re X + q^2 C, with A the weighted |u_hat|^2, X the
-    weighted sum u_hat conj(G_hat) and C = wlat sum w |G_hat|^2, clamped at
-    0 against cancellation.
+    weighted sum u_hat conj(G_hat) and C = wlat sum w |G_hat|^2, held at or
+    above 0 against cancellation.
     """
     wlat = grid.cell_area / grid.n ** 2
     w = _h1_weights(grid) if kernel is None else kernel[0]

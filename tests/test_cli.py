@@ -327,7 +327,7 @@ for argv in (["spectral"], ["semigroup"], ["resolve"], ["simulate", "--T", "0.1"
     grid = [] if argv == ["spectral"] else ["--grid-n", "64"]
     code = cli.main(["--out", sys.argv[1], *argv, *grid])
     assert code == 0, (argv, code)
-assert abs(pideq.green_lp_norm(1.0, 3.0) - 0.24575756617898) < 1e-13
+assert abs(pideq.green_lp_norm(1.0, 2) - 0.28209479177387814) < 1e-16
 assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 """
     env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))

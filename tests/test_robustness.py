@@ -24,12 +24,14 @@ from pideq import (
     eigenvalue,
     gaussian_field,
     green_lp_norm,
+    heat_free,
     krein_resolvent,
     load_field,
     lp_norm,
     psi_alpha_field,
     save_field,
     semigroup_full,
+    semigroup_gradient_pac,
     semigroup_pac,
     solve_global_projected,
     solve_local,
@@ -38,6 +40,8 @@ from pideq import (
 from pideq.cli import main
 from pideq.errors import ContourError, DataTooLargeError, HorizonTooLargeError
 from pideq.semigroup import Flow, grid_model
+
+PARAMS = AlphaParams.for_alpha(0.0, 2)
 
 
 @pytest.mark.filterwarnings("ignore:eigenfunction scale")
@@ -73,9 +77,9 @@ def test_semigroup_at_minimum_time(params, grid128, smooth_datum=None):
     res = semigroup_pac(0.01, g, params)
     assert math.isfinite(res.free_part_norm)
     # at tiny times the flow is close to the projection of the datum
-    from pideq import project_ac
+    from pideq import project_d
 
-    assert lp_norm(res.field - project_ac(g, params), 2) < 0.05 * lp_norm(g, 2)
+    assert lp_norm(res.field - (g - project_d(g, params)), 2) < 0.05 * lp_norm(g, 2)
 
 
 def test_stepper_matches_public_semigroup(params, grid128):
@@ -178,6 +182,35 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
             green_lp_norm(bad, 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: lp_norm(g, "2"), "lp_norm requires p >= 1"),
+        (lambda g: lp_norm(g, True), "lp_norm requires p >= 1"),
+        (lambda g: semigroup_pac("1", g, PARAMS), "semigroup_pac requires a finite t"),
+        (lambda g: semigroup_pac(True, g, PARAMS), "semigroup_pac requires a finite t"),
+        (lambda g: semigroup_full("1", g, PARAMS), "semigroup_full requires a finite t"),
+        (lambda g: semigroup_gradient_pac(True, g, PARAMS),
+         "semigroup_gradient_pac requires a finite t"),
+        (lambda g: backward_euler_oracle("1", g, PARAMS, 10),
+         "backward_euler_oracle requires a finite t"),
+        (lambda g: gaussian_field(g.grid, 1.0, "a"), "gaussian amplitude must be a finite number"),
+        (lambda g: gaussian_field(g.grid, "a"), "gaussian sigma must be a finite number"),
+        (lambda g: heat_free(g, True), "heat_free requires a finite t"),
+    ],
+    ids=[
+        "lp_norm-str", "lp_norm-bool", "semigroup_pac-str", "semigroup_pac-bool",
+        "semigroup_full-str", "semigroup_gradient_pac-bool", "oracle-str",
+        "gaussian-amplitude-str", "gaussian-sigma-str", "heat_free-bool",
+    ],
+)
+def test_contract_rejects_wrong_types(grid128, call, message):
+    # a string once raised TypeError (numpy's UFuncTypeError for the
+    # amplitude), and True was taken as the number 1
+    with pytest.raises(ValueError, match=message):
+        call(gaussian_field(grid128, sigma=2.0))
+
+
 def test_grid_rejects_float_n():
     # a float n once raised TypeError from the power-of-two bit test
     with pytest.raises(ValueError, match="n must be an int power of two"):
@@ -268,14 +301,12 @@ def test_lp_norm_of_full_flow_near_the_double_range():
             ),
             "stepping count bumped",
         ),
-        (lambda: SolverConfig(gamma=1.5), r"gamma in \(1, 2\)"),
     ],
-    ids=["mesh", "box", "oracle", "gamma"],
+    ids=["mesh", "box", "oracle"],
 )
 def test_warnings_name_the_callers_line(call, message):
     # each warning names the line that called into pideq, however many
-    # package frames lie between: the cached grid_model, or the
-    # dataclass-generated __init__ (whose code reads as <string>)
+    # package frames lie between, such as the cached grid_model
     grid_model.cache_clear()
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")

@@ -21,7 +21,7 @@ from pideq import (
     inner_product,
     krein_resolvent,
     lp_norm,
-    project_ac,
+    project_d,
     psi_alpha_field,
     semigroup_full,
     semigroup_gradient_pac,
@@ -329,7 +329,7 @@ def test_holder_pairing_bound(params, grid128, smooth_datum):
     # the |lam|^(-1/2) scaling form carries an absorbed arg-dependent
     # constant, sampled here to stay below 1.5 on the working contour
     ref = _FullLattice(params, grid128)
-    gac = project_ac(smooth_datum, params)
+    gac = smooth_datum - project_d(smooth_datum, params)
     ghat = np.fft.fft2(gac.values)
     gq = lp_norm(gac, 2)
     g1 = green_lp_norm(1.0, 2)

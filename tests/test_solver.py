@@ -1,6 +1,7 @@
 """Nonlinearity, Duhamel sweep, and Picard solver checks."""
 
 import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -18,7 +19,6 @@ from pideq import (
     Trajectory,
     gaussian_field,
     gradient,
-    green_gradient_field,
     h1_alpha_norm,
     inner_product,
     lagrange_multiplier,
@@ -35,19 +35,21 @@ from pideq import (
     total_field,
 )
 from pideq import solver
-from pideq.errors import DataTooLargeError
+from pideq.errors import ConvergenceError, DataTooLargeError
 from pideq.fields import _irfft2
 from pideq.solver import (
     _drift,
     _drift_kernel,
     _forcing_hat,
     _h1_proxy_hat,
+    _nonlinear_values,
     _picard_window,
     _split,
     _state_hat,
     _sweep,
 )
 from pideq.semigroup import Flow, grid_model
+from pideq.spectral import _green_gradient
 
 
 def small_state(grid, params, amplitude=0.01):
@@ -59,8 +61,6 @@ def small_state(grid, params, amplitude=0.01):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(gamma=1.0)
-    with pytest.warns(UserWarning):
-        SolverConfig(gamma=1.5)
     with pytest.raises(ValueError):
         SolverConfig(dt=-0.1)
     # a is two finite reals, stored as floats, so (1, 0) and (1.0, 0.0) share
@@ -72,17 +72,48 @@ def test_config_validation():
     assert a == (1.0, 0.0) and all(type(x) is float for x in a)
     # every step, horizon and iteration control is checked on construction
     for bad in (
-        dict(picard_max=0), dict(picard_max=2.5), dict(window=0), dict(window=-1),
+        dict(window=0), dict(window=-1),
         dict(store_stride=-3), dict(store_stride=0), dict(store_stride=1.5),
         dict(dt=math.nan), dict(picard_tol=math.nan), dict(T=math.inf), dict(T=0.0),
-        dict(clamp_limit=-1), dict(clamp_limit=math.inf),
         dict(gamma=math.inf), dict(gamma=math.nan), dict(gamma="3"),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverConfig(**bad)
-    for good in (dict(store_stride=None), dict(store_stride=3), dict(picard_max=1),
-                 dict(window=0.5)):
+    for good in (dict(store_stride=None), dict(store_stride=3), dict(window=0.5)):
         SolverConfig(**good)
+
+
+def test_solver_settings():
+    # the config holds the equation, the horizon and the probe tolerance, and
+    # which states a global solve probes and stores; nothing else
+    names = tuple(f.name for f in dataclasses.fields(SolverConfig))
+    assert names == ("gamma", "a", "T", "dt", "picard_tol", "window", "store_stride")
+    assert list(inspect.signature(solve_local).parameters) == ["u0", "cfg"]
+    # gamma in (1, 2) needs no clamp, so it draws no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SolverConfig(gamma=1.5)
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-300, -1e-300, 1e-8, -1e-8])
+def test_forcing_exact_form_below_gamma_2(params, grid128, value):
+    # gamma sign(u) |u|^(gamma-1) (a . grad u) is bounded wherever u is: a
+    # constant u (one DC mode, sampled exactly) with a kernel part q, whose
+    # drift is q c_a, gives a finite forcing with no clamp at u -> 0
+    model = grid_model(params, grid128)
+    cfg = SolverConfig(gamma=1.5, a=(0.6, 0.8))
+    kernel = _drift_kernel(model, cfg.a)
+    uhat = np.zeros((128, 65), dtype=np.complex128)
+    uhat[0, 0] = value * 128**2
+    q = 0.7
+    assert np.all(_irfft2(uhat) == value)
+    drift = _drift(kernel, uhat, q)
+    got = _nonlinear_values(model, kernel, uhat, q, cfg)
+    expect = 1.5 * math.copysign(abs(value) ** 0.5, value) * drift
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max(initial=0.0)
+    if value == 0.0:
+        assert not np.any(got)
 
 
 def test_nonlinearity_zero_cases(params, grid128):
@@ -122,24 +153,6 @@ def test_state_fields_sampler(params, grid128):
     assert err <= 1e-12 * expect.max()
 
 
-def test_nonlinearity_clamp_counter(params, grid128):
-    # clamps are counted per solve; the config only holds settings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = SolverConfig(gamma=1.5, a=(1.0, 0.0), clamp_limit=1e2, T=0.04, dt=0.02)
-    vals = np.zeros((128, 128))
-    vals[10, 10] = 1e-8  # |u|^(gamma-2) = 1e4 > clamp
-    u = DecomposedField.from_field(Field(grid128, vals), params)
-    before = repr(cfg)
-    nonlinearity(u, cfg)
-    assert repr(cfg) == before
-    counts = [
-        solve_local(small_state(grid128, params), cfg).diagnostics["clamp_events"]
-        for _ in range(2)
-    ]
-    assert counts[0] == counts[1] > 0
-
-
 def _duhamel(flow, kicks):
     """Half spectrum of the solver's sweep from 0 whose k-th forcing is kicks[k].
 
@@ -156,7 +169,7 @@ def _duhamel(flow, kicks):
 
     n = flow.model.grid.n
     uhat = np.zeros((n, n // 2 + 1), dtype=np.complex128)
-    for _, uhat, _ in _sweep(flow, uhat, len(kicks), force):
+    for _, uhat, _ in _sweep(flow, (uhat, 0.0), len(kicks), force):
         pass
     return uhat
 
@@ -262,20 +275,6 @@ def test_solve_local_contraction_and_uniqueness(params, grid128):
     traj = solve_local(u0, cfg)
     ratios = traj.diagnostics["contraction_ratios"]
     assert ratios and all(r < 1.0 for r in ratios)
-    # same fixed point from the frozen-in-time starting iterate
-    cfg2 = SolverConfig(
-        gamma=2.0, a=(1.0, 0.0), T=0.3, dt=0.01, picard_tol=1e-11
-    )
-    traj2 = solve_local(u0, cfg2, init="frozen")
-    dist = max(
-        h1_alpha_norm(
-            DecomposedField(
-                a.regular - b.regular, a.coeff - b.coeff, params
-            )
-        )
-        for a, b in zip(traj.states, traj2.states)
-    )
-    assert dist <= 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
 
 
 def test_solve_local_fixed_point_property(params, grid128):
@@ -286,17 +285,18 @@ def test_solve_local_fixed_point_property(params, grid128):
     traj = solve_local(u0, cfg)
     model = grid_model(params, grid128)
     prop = Flow(model, cfg.dt, full=True)
-    states = [_state_hat(model, st)[0] for st in traj.states]
+    states = [_state_hat(model, st) for st in traj.states]
+    kernel = _drift_kernel(model, cfg.a)
 
     def force(uhat, q):
-        return _forcing_hat(model, uhat, cfg, q)[0]
+        return _forcing_hat(model, kernel, uhat, q, cfg)
 
     # one Picard iterate from the solution, swept over a copy of it
     swept = list(states)
     for _ in _sweep(prop, states[0], len(states) - 1, force, swept):
         pass
     moved = max(
-        _h1_proxy_hat(model.grid, *_split(model, a - b)) for a, b in zip(swept, states)
+        _h1_proxy_hat(model.grid, *_split(model, a[0] - b[0])) for a, b in zip(swept, states)
     )
     assert moved < 2 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
 
@@ -363,27 +363,38 @@ def test_global_solver_rejects_large_data(params, grid128):
     big = DecomposedField.from_field(
         gaussian_field(grid128, sigma=1.0, amplitude=400.0), params
     )
-    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=1.0, dt=0.02, picard_max=12)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=1.0, dt=0.02)
     with pytest.raises(DataTooLargeError):
         solve_global_projected(big, cfg)
+
+
+def test_picard_cap_names_itself(params, monkeypatch):
+    # the iterate cap is a module constant; a probe that misses its
+    # tolerance within it raises ConvergenceError naming the cap
+    assert solver.PICARD_MAX == 25
+    monkeypatch.setattr(solver, "PICARD_MAX", 1)
+    u0 = small_state(Grid(40.0, 64), params)
+    with pytest.raises(ConvergenceError, match="PICARD_MAX = 1 iterates"):
+        solve_local(u0, SolverConfig(T=0.04, dt=0.02, picard_tol=1e-300))
 
 
 def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     """Every stored state matches Picard iterated to tolerance on each window."""
     model = grid_model(u0.params, u0.regular.grid)
     prop = Flow(model, cfg.dt, full=False)
-    uhat, _ = _state_hat(model, traj.states[0])
-    ref = [uhat]
+    start = _state_hat(model, traj.states[0])
+    ref = [start[0]]
+    kernel = _drift_kernel(model, cfg.a)
 
     def force(uhat, q):
-        return _forcing_hat(model, uhat, cfg, q)[0]
+        return _forcing_hat(model, kernel, uhat, q, cfg)
 
     for win in range(windows):
         states, _, _ = _picard_window(
-            model, prop, uhat, steps, cfg, force, "linear", label=f"window {win}"
+            model, prop, start, steps, cfg, force, label=f"window {win}"
         )
-        ref.extend(states[1:])
-        uhat = states[-1]
+        ref.extend(uhat for uhat, _ in states[1:])
+        start = states[-1]
     stride = cfg.store_stride or steps
     assert len(traj.states) == windows * steps // stride + 1
     tol = 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
@@ -432,7 +443,7 @@ def test_global_solver_rejects_large_data_over_windows(params, grid128):
         gaussian_field(grid128, sigma=1.0, amplitude=400.0), params
     )
     cfg = SolverConfig(
-        gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=0.5, picard_max=12
+        gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=0.5
     )
     with pytest.raises(DataTooLargeError):
         solve_global_projected(big, cfg)
@@ -533,9 +544,9 @@ def test_state_fields_gradient_is_real_part_of_full_lattice(alpha):
     u = _random_state(grid, params, 21, q=0.3)
     phi = u.regular.values.real
     XI1, XI2 = grid.wavenumbers()
-    gx, gy = green_gradient_field(reference_lambda(params), grid)
-    d1 = np.fft.ifft2(1j * XI1 * np.fft.fft2(phi)).real + 0.3 * gx.values.real
-    d2 = np.fft.ifft2(1j * XI2 * np.fft.fft2(phi)).real + 0.3 * gy.values.real
+    gx, gy = _green_gradient(reference_lambda(params), grid)
+    d1 = np.fft.ifft2(1j * XI1 * np.fft.fft2(phi)).real + 0.3 * gx
+    d2 = np.fft.ifft2(1j * XI2 * np.fft.fft2(phi)).real + 0.3 * gy
     expect = np.hypot(d1, d2)
     grad = state_fields(u)[1].values
     assert np.abs(grad - expect).max() <= 1e-13 * expect.max()
@@ -567,8 +578,8 @@ def test_drift_parts_give_the_direct_kernel(params, grid128, a):
     model = grid_model(params, grid128)
     d1, d2 = model.derivative
     kernel = a[0] * d1 + a[1] * d2
-    gx, gy = green_gradient_field(reference_lambda(params), grid128)
-    closed = a[0] * gx.values + a[1] * gy.values
+    gx, gy = _green_gradient(reference_lambda(params), grid128)
+    closed = a[0] * gx + a[1] * gy
     direct = closed - _irfft2(kernel * model.green_omega_hat)
     k, c = _drift_kernel(model, a)
     assert np.array_equal(k, kernel)
@@ -592,10 +603,10 @@ def test_transform_budget(params, grid128, monkeypatch):
     # irfft or rfft pass; a flow step on the half spectrum runs no transform,
     # and neither does the sweep
     model = grid_model(params, grid128)
-    uhat, _ = _state_hat(model, _random_state(grid128, params, 24, q=0.3))
+    uhat, q = _state_hat(model, _random_state(grid128, params, 24, q=0.3))
     cfg = SolverConfig(gamma=2.0, a=(0.3, -0.7))
     flow = Flow(model, 0.02)
-    _forcing_hat(model, uhat, cfg)  # build the cached drift kernels
+    kernel = _drift_kernel(model, cfg.a)  # builds the model's drift parts
     counts = {"irfft": 0, "rfft": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
@@ -603,12 +614,12 @@ def test_transform_budget(params, grid128, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    _forcing_hat(model, uhat, cfg)
+    _forcing_hat(model, kernel, uhat, q, cfg)
     assert counts == {"irfft": 2, "rfft": 1}
     counts.update(irfft=0, rfft=0)
     flow.apply(uhat)
     assert counts == {"irfft": 0, "rfft": 0}
-    for _ in _sweep(flow, uhat, 5, lambda v, q: _forcing_hat(model, v, cfg, q)[0]):
+    for _ in _sweep(flow, (uhat, q), 5, lambda v, q: _forcing_hat(model, kernel, v, q, cfg)):
         pass
     assert counts == {"irfft": 10, "rfft": 5}
 
@@ -647,12 +658,13 @@ def test_h1_proxy_form_matches_explicit_split(params, grid128):
     b = a + 1e-7 * noise
     for uhat in (_state_hat(model, _random_state(grid128, params, 24, q=0.3))[0], near, a - b):
         explicit = _h1_proxy_hat(grid128, *_split(model, uhat))
-        assert abs(solver._proxy(model, uhat) - explicit) <= 1e-13 * explicit
+        proxy = solver._proxy(model, uhat, model.coupling_coefficient(uhat))
+        assert abs(proxy - explicit) <= 1e-13 * explicit
 
 
 def test_complex_data_rejected(params, grid128):
-    # the forcing gamma |u|^(gamma-2) u (a . grad u) is a . grad(|u|^gamma)
-    # only for real u: for u = e^{0.7i} times a Gaussian it is 129 % off
+    # the forcing gamma sign(u) |u|^(gamma-1) (a . grad u) is
+    # a . grad(|u|^gamma) only for real u
     f = gaussian_field(grid128, sigma=1.5, amplitude=0.01)
     rotated = DecomposedField.from_field(np.exp(0.7j) * f, params)
     cfg = SolverConfig(gamma=3.0, a=(1.0, 0.0), T=0.04, dt=0.02)

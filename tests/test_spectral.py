@@ -18,17 +18,15 @@ from pideq import (
     euler_gamma,
     gaussian_field,
     green_field,
-    green_gradient_field,
     green_lp_norm,
     h1_alpha_norm,
     krein_resolvent,
     lp_norm,
-    project_ac,
     project_d,
     psi_alpha_field,
 )
 from pideq.errors import BranchCutError, NoEigenfunctionError
-from pideq.spectral import _log_k0_moment
+from pideq.spectral import _green_gradient
 
 
 def test_eigenvalue_2d_formula():
@@ -113,50 +111,12 @@ def test_alpha_params_psi_norm_oracle(params):
     assert abs(params.psi_norm - closed) < 1e-4 * closed
 
 
-@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 3.0, 4.0, 7.5, 20.0])
-def test_k0_power_moment_matches_quad(p):
-    # the trapezoid sum on s = e^x against adaptive quadrature in s
-    split = math.exp(-p / 2)
-    ref = sum(
-        quad(lambda s: scipy_k0(s) ** p * s, a, b, limit=300, epsabs=0.0, epsrel=1e-13)[0]
-        for a, b in ((0.0, split), (split, 1.0), (1.0, 60.0 / p + 5.0))
-    )
-    assert abs(math.exp(_log_k0_moment(p)) - ref) <= 1e-12 * ref
-
-
-def test_k0_power_moment_closed_values():
-    # int_0^inf K0(s) s ds = 1
-    assert abs(math.exp(_log_k0_moment(1.0)) - 1.0) < 1e-13
-
-
-@pytest.mark.parametrize("p", [130.0, 200.0, 300.0, 350.0])
-def test_green_lp_norm_large_p_finite(p):
-    # K0(e^x)^p overflows from about p = 130 and the moment itself near
-    # p = 190; the norm is summed in logs.  Reference: adaptive quadrature
-    # of the same integrand shifted by its largest exponent m
-    def expo(x):
-        return p * math.log(scipy_k0(math.exp(x))) + 2.0 * x
-
-    a, b = -2.0 * p, math.log(60.0 / p + 5.0)
-    top = max(expo(x) for x in np.linspace(a, b, 20001))
-    shifted = quad(
-        lambda x: math.exp(expo(x) - top), a, b, points=[-p / 2.0], limit=400,
-        epsabs=0.0, epsrel=1e-13,
-    )[0]
-    log_2pi = math.log(2.0 * math.pi)
-    ref = math.exp((log_2pi - p * log_2pi + top + math.log(shifted)) / p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        value = green_lp_norm(1.0, p)
-    assert abs(value - ref) <= 1e-13 * ref
-
-
 def test_green_lp_norm_validation():
-    # G_lambda is log-singular at 0, so it has no finite sup norm; past
-    # p = 350 the rule's left end e^(-2p) leaves the normal doubles
-    for bad in (math.inf, math.nan, 0.5, 351, 1000):
-        with pytest.raises(ValueError, match="finite p >= 1"):
+    # only the closed form at p = 2 is kept: psi's normalization is its one use
+    for bad in (1.0, 1.5, 3.0, 4, 351, math.inf, math.nan, "2"):
+        with pytest.raises(ValueError, match=f"p = {bad!r}"):
             green_lp_norm(1.0, bad)
+    assert green_lp_norm(1.0, 2) == green_lp_norm(1.0, 2.0) == green_lp_norm(1, np.float64(2))
     with pytest.raises(ValueError):
         green_lp_norm(-1.0, 2.0)
 
@@ -167,12 +127,11 @@ def test_alpha_params_rejects_inconsistent_eigenvalue():
 
 
 def test_green_rescaling_law():
-    # ||G_lam||_p = lam^(-1/p) ||G_1||_p in 2D
-    for p in (1.5, 2.0, 3.0):
-        base = green_lp_norm(1.0, p)
-        for lam in (0.25, 4.0, 16.0):
-            ratio = green_lp_norm(lam, p) / base
-            assert abs(ratio - lam ** (-1.0 / p)) < 1e-3 * ratio
+    # ||G_lam||_2 = lam^(-1/2) ||G_1||_2 in 2D
+    base = green_lp_norm(1.0, 2)
+    for lam in (0.25, 4.0, 16.0):
+        ratio = green_lp_norm(lam, 2) / base
+        assert abs(ratio - lam ** (-0.5)) < 1e-14 * ratio
     assert abs(green_lp_norm(4.0, 2) / green_lp_norm(1.0, 2) - 0.5) < 1e-4
 
 
@@ -231,8 +190,8 @@ def test_green_field_branch_and_grid_errors(grid128):
 
 
 def test_green_gradient_radial_symmetry(grid128):
-    gx, gy = green_gradient_field(1.0, grid128)
-    vals = np.hypot(np.abs(gx.values), np.abs(gy.values))
+    gx, gy = _green_gradient(1.0, grid128)
+    vals = np.hypot(gx, gy)
     n = grid128.n
     # reflection symmetry of the modulus on the half-cell grid
     assert np.abs(vals - vals[::-1, :]).max() < 1e-12
@@ -241,8 +200,8 @@ def test_green_gradient_radial_symmetry(grid128):
 
 
 def _gradient_lp_norm(lam, grid, p):
-    gx, gy = green_gradient_field(lam, grid)
-    return lp_norm(Field(grid, np.hypot(np.abs(gx.values), np.abs(gy.values))), p)
+    gx, gy = _green_gradient(lam, grid)
+    return lp_norm(Field(grid, np.hypot(gx, gy)), p)
 
 
 def test_green_gradient_rescaling():
@@ -288,13 +247,13 @@ def test_psi_field_absent_eigenvalue():
 def test_projections_rank_one(params, grid128):
     psi = psi_alpha_field(params, grid128)
     assert lp_norm(project_d(psi, params) - psi, 2) < 1e-10
-    assert lp_norm(project_ac(psi, params), 2) < 1e-10
+    assert lp_norm(psi - project_d(psi, params), 2) < 1e-10
 
 
 def test_projections_idempotent_complementary(params, grid128, rng):
     f = Field(grid128, rng.standard_normal((128, 128)))
     pd = project_d(f, params)
-    pac = project_ac(f, params)
+    pac = f - project_d(f, params)
     assert lp_norm(project_d(pd, params) - pd, 2) < 1e-12 * max(lp_norm(pd, 2), 1e-30)
     assert lp_norm((pd + pac) - f, 2) < 1e-12 * lp_norm(f, 2)
 
@@ -305,7 +264,7 @@ def test_projections_keep_the_dtype(params, grid128, rng):
     f = Field(grid128, rng.standard_normal((128, 128)))
     g = Field(grid128, rng.standard_normal((128, 128)))
     assert psi_alpha_field(params, grid128).values.dtype == np.float64
-    for proj in (project_d, project_ac):
+    for proj in (project_d, lambda f, params: f - project_d(f, params)):
         assert proj(f, params).values.dtype == np.float64
         both = proj(f + 1j * g, params)
         assert both.values.dtype == np.complex128
@@ -320,7 +279,7 @@ def test_projection_lp_bound_with_constant(params, grid128, rng, p):
     const = 1.0 + lp_norm(psi, p) * lp_norm(psi, pprime)
     for _ in range(3):
         f = Field(grid128, rng.standard_normal((128, 128)))
-        assert lp_norm(project_ac(f, params), p) <= const * lp_norm(f, p) * (1 + 1e-12)
+        assert lp_norm(f - project_d(f, params), p) <= const * lp_norm(f, p) * (1 + 1e-12)
 
 
 def test_projection_free_laplacian_alpha_inf(grid128):
@@ -332,15 +291,15 @@ def test_projection_free_laplacian_alpha_inf(grid128):
     assert pinf.eigenvalue is None and pinf.psi_norm is None
     f = Field(grid128, np.random.default_rng(5).standard_normal((128, 128)))
     assert lp_norm(project_d(f, pinf), 2) == 0.0
-    assert project_ac(f, pinf) is f
     with pytest.raises(ValueError, match="positive eigenvalue"):
         PointHeatModel(pinf, grid128)
 
 
 def test_projection_commutes_with_resolvent(params, grid128, rng):
     f = Field(grid128, rng.standard_normal((128, 128)))
-    a = project_ac(krein_resolvent(2.0, f, params), params)
-    b = krein_resolvent(2.0, project_ac(f, params), params)
+    r = krein_resolvent(2.0, f, params)
+    a = r - project_d(r, params)
+    b = krein_resolvent(2.0, f - project_d(f, params), params)
     assert lp_norm(a - b, 2) <= 1e-8 * lp_norm(f, 2)
 
 
