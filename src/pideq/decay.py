@@ -13,7 +13,10 @@ A linear fit transforms its datum once, with one rfft2, and applies one
 ``Flow`` per t to that half spectrum, as the solver does; each sample is
 one irfft2 (two for the gradient, joined by hypot as in ``state_fields``).
 The public ``semigroup_pac`` and ``semigroup_gradient_pac`` compute the same
-samples one call at a time.
+samples one call at a time.  A fit owns its lattice arrays for its whole
+t-grid: each t's flow is built over the last one's heat multiplier, rows
+and temporaries, flows into one half spectrum, and is sampled into one
+n x n array (two for the gradient), whose L^p sum runs in place.
 
 Datum: rate saturation needs data that are L^q-critical in the infrared.
 The default 'critical' profile has transform |xi|^(-(2 - 2/q)) under a
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .fields import Field, Grid, _irfft2, _rfft2, gaussian_field, lp_norm
+from .fields import Field, Grid, _irfft2, _lp_sum, _rfft2, gaussian_field, lp_norm
 from .semigroup import Flow, grid_model
 from .spectral import AlphaParams
 from .solver import state_fields
@@ -82,10 +85,21 @@ class ExperimentSpec:
     )
 
 
+def _check_times(t, name):
+    """ValueError naming ``name`` unless the times t are at least 5, of at least 2 distinct values.
+
+    A slope needs two distinct times: at one time the fit is a point.
+    """
+    if t.shape[0] < 5:
+        raise ValueError(f"{name} needs at least 5 samples; got {t.shape[0]}")
+    if t.min() == t.max():
+        raise ValueError(f"{name} needs at least 2 distinct times; got only t = {t[0]!r}")
+
+
 def fit_rate(samples, theoretical=math.nan):
     """RateFit from (t, value) pairs against the ``theoretical`` slope.
 
-    Needs >= 5 finite, positive samples with t >= 1.
+    Needs >= 5 finite, positive samples with t >= 1, at >= 2 distinct t.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
@@ -95,6 +109,7 @@ def fit_rate(samples, theoretical=math.nan):
     t, v = arr[:, 0], arr[:, 1]
     if np.any(t < 1.0):
         raise ValueError("fit_rate uses the decay window t >= 1 only")
+    _check_times(t, "fit_rate")
     if np.any(v <= 0.0):
         raise ValueError("fit_rate requires positive values")
     lt, lv = np.log(t), np.log(v)
@@ -175,25 +190,33 @@ def make_datum(descriptor, grid, q=2.0):
 def _linear_fit(spec, sample, theoretical):
     """Fit of sample(model, out) over ``spec.t_grid`` for the critical datum g.
 
-    The datum is transformed once; for each t, ``Flow(model, t)`` maps its
-    half spectrum to out, that of S(t) P_ac g (the flow projects g itself),
-    and ``sample`` returns the norm fitted at t.  Every t must be finite and
-    >= 1, which is checked before any work.
+    The datum is transformed once; for each t, a flow built over the last
+    t's (``Flow``'s ``_over``) maps its half spectrum into out, one array
+    for the whole t-grid, that of S(t) P_ac g (the flow projects g
+    itself), and ``sample`` returns the norm fitted at t; it may overwrite
+    out.  Every t must be finite and >= 1, with at least 5 of them and 2
+    distinct, which is checked before any work.
     """
     t_grid = np.asarray(spec.t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 1.0)):
         raise ValueError(f"t_grid must hold finite times t >= 1; got {spec.t_grid!r}")
+    _check_times(t_grid, "t_grid")
     model = grid_model(AlphaParams.for_alpha(spec.alpha), spec.grid)
     ghat = _rfft2(critical_datum(spec.grid, spec.q or 2.0).values)
-    return fit_rate(
-        [(t, sample(model, Flow(model, t).apply(ghat))) for t in t_grid], theoretical
-    )
+    out = np.empty_like(ghat)
+    samples = []
+    flow = None
+    for t in t_grid:
+        flow = Flow(model, t, _over=flow)
+        samples.append((t, sample(model, flow.apply(ghat, out))))
+    return fit_rate(samples, theoretical)
 
 
 def run_semigroup_decay(spec):
     """Fit of ||S(t) P_ac g||_p over the t-grid; needs 1 < q < p < infinity.
 
-    Each sample is one irfft2 of the flowed half spectrum.
+    Each sample is one irfft2 of the flowed half spectrum, into one array
+    the fit keeps.
     """
     if spec.q is None or spec.p is None:
         raise ValueError("semigroup experiment needs exponents (q, p)")
@@ -203,24 +226,37 @@ def run_semigroup_decay(spec):
             "decay rate"
         )
     theo = -(1.0) * (1.0 / spec.q - 1.0 / spec.p)  # N = 2
-    return _linear_fit(
-        spec, lambda model, out: lp_norm(Field(spec.grid, _irfft2(out)), spec.p), theo
-    )
+    vals = np.empty((spec.grid.n, spec.grid.n))
+
+    def sample(model, out):
+        _irfft2(out, vals, work=out)
+        return _lp_sum(np.abs(vals, out=vals), spec.p, spec.grid.cell_area)
+
+    return _linear_fit(spec, sample, theo)
 
 
 def run_gradient_decay(spec):
     """Fit of ||grad S(t) P_ac g||_p; the admissible window is 1 < q < p < 2.
 
-    |grad| is the hypot of the two derivative irfft2s, as in ``state_fields``.
+    |grad| is the hypot of the two derivative irfft2s, as in ``state_fields``,
+    into two n x n arrays the fit keeps: the first its own, the second in
+    the memory of the first derivative's half spectrum, free once that is
+    transformed.  The second derivative is formed in the flowed half
+    spectrum's own array.
     """
     if spec.q is None or spec.p is None:
         raise ValueError("gradient experiment needs exponents (q, p)")
     if not (1.0 < spec.q < spec.p < 2.0):
         raise ValueError("gradient decay requires 1 < q < p < 2")
+    n = spec.grid.n
+    d1_hat = np.empty((n, n // 2 + 1), dtype=np.complex128)
+    du1, du2 = np.empty((n, n)), d1_hat.view(np.float64).reshape(-1)[:n * n].reshape(n, n)
 
     def sample(model, out):
         d1, d2 = model.derivative
-        return lp_norm(Field(spec.grid, np.hypot(_irfft2(d1 * out), _irfft2(d2 * out))), spec.p)
+        _irfft2(np.multiply(d1, out, out=d1_hat), du1, work=d1_hat)
+        _irfft2(np.multiply(d2, out, out=out), du2, work=out)
+        return _lp_sum(np.hypot(du1, du2, out=du1), spec.p, spec.grid.cell_area)
 
     return _linear_fit(spec, sample, -0.5 - (1.0 / spec.q - 1.0 / spec.p))
 

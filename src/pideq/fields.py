@@ -105,6 +105,11 @@ class Grid:
         return XI1 ** 2 + XI2 ** 2
 
 
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max) - 1.0
+"""Bounds on log(a^p) of :func:`_lp_sum`'s plain sum, the upper one with a margin for rounding."""
+
+
 def _real(value, kind=numbers.Real):
     """Whether value is a number of ``kind`` (numbers.Real or numbers.Integral) and not a bool."""
     return isinstance(value, kind) and not isinstance(value, bool)
@@ -121,26 +126,30 @@ def _real_pair(name, value):
     return float(pair[0]), float(pair[1])
 
 
-def _rfft2(values):
-    """rfft2 half spectrum, n x (n/2 + 1), of a real n x n array.
+def _rfft2(values, out=None):
+    """rfft2 half spectrum, n x (n/2 + 1), of a real n x n array, into ``out`` if given.
 
     The two passes of ``numpy.fft.rfft2``, so the same result bit for bit:
     an rfft along the last axis, then the complex fft along the first, here
     in place.  numpy's own call writes the second pass into a second new
-    array, which made it about twice as slow at n = 256.
+    array, which made it about twice as slow at n = 256.  This and
+    :func:`_irfft2` are the package's only transforms.
     """
-    out = fft.rfft(values, axis=1)
+    out = fft.rfft(values, axis=1, out=out)
     return fft.fft(out, axis=0, out=out)
 
 
-def _irfft2(hat):
-    """Real n x n array of an rfft2 half spectrum, n x (n/2 + 1).
+def _irfft2(hat, out=None, work=None):
+    """Real n x n array of an rfft2 half spectrum, n x (n/2 + 1), into ``out`` if given.
 
     The two passes of ``numpy.fft.irfft2``, so the same result bit for bit:
     the complex ifft along the first axis, then an irfft along the last,
     without numpy's n-d argument handling (about 7 % of a call at n = 256).
+    ``work`` receives the first pass, a complex array of hat's shape; it
+    may be hat itself when hat is not needed again.
     """
-    return fft.irfft(fft.ifft(hat, axis=0), 2 * (hat.shape[1] - 1), axis=1)
+    work = fft.ifft(hat, axis=0, out=work)
+    return fft.irfft(work, 2 * (hat.shape[1] - 1), axis=1, out=out)
 
 
 def _real_parts(values):
@@ -241,17 +250,27 @@ def lp_norm(f, p):
     a = np.abs(f.values)
     if p == np.inf:
         return float(a.max())
-    with np.errstate(over="ignore", under="ignore"):
-        total = np.sum(a ** p)
-    if sys.float_info.min <= total < math.inf:
-        return float((total * f.grid.cell_area) ** (1.0 / p))
-    # the plain sum left the normal doubles: scale by the largest |value|
-    top = a.max()
+    return _lp_sum(a, p, f.grid.cell_area)
+
+
+def _lp_sum(a, p, cell_area):
+    """(sum a^p h^2)^(1/p) for an array a >= 0 and a finite p >= 1, computed in a's own array.
+
+    a is overwritten.  The plain sum is taken unless the largest a^p, times
+    the number of terms, could leave the normal doubles; then a is first
+    scaled by its largest value, which the result multiplies back.
+    """
+    top = float(a.max())
     if top == 0.0:
         return 0.0
-    a /= top
+    scale = 1.0
+    log_top = p * math.log(top)
+    if not _LOG_TINY <= log_top < _LOG_HUGE - math.log(a.size):
+        a /= top
+        scale = top
     with np.errstate(over="ignore", under="ignore"):
-        return float(top * (np.sum(a ** p) * f.grid.cell_area) ** (1.0 / p))
+        a **= p
+    return float(scale * (np.sum(a) * cell_area) ** (1.0 / p))
 
 
 def inner_product(f, g):

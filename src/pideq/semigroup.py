@@ -432,11 +432,16 @@ class PointHeatModel:
 
     # -- pairings --------------------------------------------------------------
 
-    def _bin_pair(self, ghat):
-        """Bin sums of Re(ghat conj(delta_hat)) w: one bincount of the weighted real products."""
+    def _bin_pair(self, ghat, work=None):
+        """Bin sums of Re(ghat conj(delta_hat)) w: one bincount of the weighted real products.
+
+        ``work`` is a pair of real half-spectrum arrays that receive the two
+        products; None allocates them.
+        """
         w_re, w_im = self.pairing
-        prod = ghat.real * w_re
-        prod += ghat.imag * w_im
+        prod, other = (None, None) if work is None else work
+        prod = np.multiply(ghat.real, w_re, out=prod)
+        prod += np.multiply(ghat.imag, w_im, out=other)
         return np.bincount(self.bin_index.ravel(), weights=prod.ravel())
 
     def coupling_coefficient(self, ghat):
@@ -449,9 +454,13 @@ class PointHeatModel:
         """
         return self.wlat * _dot(ghat, self.delta_hat) / self.S_at_E
 
+    def psi_coefficient(self, ghat):
+        """<g, psi> of the real field with half spectrum ghat."""
+        return self.wlat * _dot(ghat, self.psi_hat)
+
     def project_ac_hat(self, ghat):
         """(P_ac g half spectrum, <g, psi>)."""
-        coef = self.wlat * _dot(ghat, self.psi_hat)
+        coef = self.psi_coefficient(ghat)
         return ghat - coef * self.psi_hat, coef
 
     # -- resolvent and semigroup ----------------------------------------------
@@ -474,18 +483,19 @@ class PointHeatModel:
             return re, None
         return re, ghat * mult.imag + self.delta_hat * np.take(prof.imag, self.bin_index)
 
-    def _node_chunks(self, nodes, weights, chunk):
+    def _node_chunks(self, nodes, weights, chunk, buf=None):
         """Resolvent rows over the bins, ``chunk`` nodes at a time, in one reused buffer.
 
         Yields (rows, base): rows[k, b] = 1/(lambda_k + rho_b) and
         base = weights / D(lambda), with the denominators read off the same
-        rows.  Each call allocates one min(chunk, nodes) x bins buffer and
-        fills every block into it in place, so a yielded block is valid only
-        until the next one is requested, and memory stays at one block
-        however long the rule.  A rule of one block gets the whole buffer,
-        which no later call touches.
+        rows.  Each call fills every block into one min(chunk, nodes) x bins
+        buffer in place, ``buf`` when given and a new one otherwise, so a
+        yielded block is valid only until the next one is requested, and
+        memory stays at one block however long the rule.  A rule of one
+        block gets the whole buffer, which no later call touches.
         """
-        buf = np.empty((min(chunk, nodes.size), self.rho.size), dtype=np.complex128)
+        if buf is None:
+            buf = np.empty((min(chunk, nodes.size), self.rho.size), dtype=np.complex128)
         for lo in range(0, nodes.size, chunk):
             rows = buf[:min(chunk, nodes.size - lo)]
             np.add(nodes[lo:lo + chunk, None], self.rho, out=rows)
@@ -564,9 +574,18 @@ class Flow:
     also keeps its resolvent rows and base weights, in a buffer of its own,
     so a caller stepping with one t builds them once; a longer rule refills
     one block buffer chunk by chunk on every application.
+
+    A caller that passes ``out`` to :meth:`apply` owns a loop, so the flow
+    keeps that call's one lattice temporary for the next: a complex half
+    spectrum (0.5 MB at n = 256) whose memory first holds the bin pairing's
+    two real products and then the correction delta_hat V[bin].  A call
+    without ``out`` builds it afresh.  A caller moving on to another time passes its old flow as
+    ``_over``: the new flow rebuilds t's heat multiplier, and the rows of a
+    one-block rule, in the old flow's arrays and takes its temporaries, and
+    the old flow is not applied again.
     """
 
-    def __init__(self, model, t, full=False, contour=None):
+    def __init__(self, model, t, full=False, contour=None, _over=None):
         if full and model.E * t > MAX_EXP:
             raise ValueError(
                 f"full flow at t = {t}: the eigenmode growth exp(E t) with E = {model.E:.6g} "
@@ -582,9 +601,14 @@ class Flow:
             nodes, wts = contour.nodes()
             weights = wts * np.exp(t * nodes) / (2j * np.pi)
         self.nodes, self.weights = _fold(nodes, weights)
-        self.heat = np.exp(-t * model.xi2)
+        heat = rows = self._work = None
+        if _over is not None:
+            heat, self._work = _over.heat, _over._work
+            if _over._chunks is not None and _over.nodes.size == self.nodes.size:
+                rows = _over._chunks[0][0]
+        self.heat = np.exp(np.multiply(-t, model.xi2, out=heat), out=heat)
         self._chunks = (
-            list(model._node_chunks(self.nodes, self.weights, CHUNK))
+            list(model._node_chunks(self.nodes, self.weights, CHUNK, rows))
             if self.nodes.size <= CHUNK else None
         )
         # the eigenmode's bin profile per unit <g, psi>: the projection's
@@ -592,8 +616,8 @@ class Flow:
         growth = math.exp(model.E * t) if full else 0.0
         self._eig_profile = (growth - np.exp(-t * model.rho)) * model.psi_bins
 
-    def apply(self, ghat):
-        """The evolved half spectrum of the real field with half spectrum ghat.
+    def apply(self, ghat, out=None):
+        """The evolved half spectrum of the real field with half spectrum ghat, into ``out``.
 
         With c = <g, psi> = wlat psi_bins . bp read off the bin pairing bp
         of g, the projected pairing is bp - c psi_bins |delta|^2_bins, and
@@ -601,16 +625,29 @@ class Flow:
         c e^{tE} psi join the correction's bin profile, since psi_hat is
         delta_hat times the bin profile psi_bins: the output is
         heat g_hat + delta_hat V[bin], with no projected copy of g.
+        ``out`` may be ghat itself; None returns a new array.
         """
         m = self.model
-        bpair = m._bin_pair(ghat)
+        corr = self._work
+        if corr is None:
+            corr = np.empty(m.xi2.shape, np.complex128)
+            if out is not None:
+                self._work = corr
+        # the buffer's two real halves, free until the correction is formed
+        bpair = m._bin_pair(ghat, corr.view(np.float64).reshape(2, *m.xi2.shape))
         coef = m.wlat * np.dot(bpair, m.psi_bins)
         bpair -= coef * m.psi_pair
         chunks = self._chunks or m._node_chunks(self.nodes, self.weights, CHUNK)
-        prof = m.correction(bpair, chunks).real
-        prof += coef * self._eig_profile
-        out = self.heat * ghat
-        out += m.delta_hat * np.take(prof, m.bin_index)
+        prof = m.correction(bpair, chunks)
+        prof.real += coef * self._eig_profile
+        # V + 0j, the complex value numpy would cast V[bin] to, so the product
+        # below needs no casting buffer; mode 'clip' writes straight into corr
+        # where 'raise' would buffer (every index is a bin)
+        prof.imag = 0.0
+        np.take(prof, m.bin_index, out=corr, mode="clip")
+        np.multiply(m.delta_hat, corr, out=corr)
+        out = np.multiply(self.heat, ghat, out=out)
+        out += corr
         return out
 
 

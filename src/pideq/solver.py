@@ -79,6 +79,7 @@ state's q once, and the probe keeps it beside the state.
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -172,34 +173,69 @@ def _drift_kernel(model, a):
     return a1 * d1 + a2 * d2, a1 * c1 + a2 * c2
 
 
-def _drift(kernel, uhat, q):
+class _Work:
+    """The lattice arrays one solve reuses at every step, so a step allocates none.
+
+    ``spec`` is a complex half spectrum: the first pass of every irfft2,
+    then the Picard distance.  ``vals`` and ``drift`` are real n x n: the
+    samples of u (after q c_a) and of a . grad u, then the forcing.
+    ``squares`` are the H^1 proxy's two real half spectra, held in the
+    fronts of ``vals`` and ``drift``, which are free whenever the proxy
+    runs.  ``pair`` holds the march's two states, built when the solve
+    first marches.  At n = 256 that is 1.5 MB, and 1 MB more for ``pair``.
+    """
+
+    def __init__(self, grid):
+        n, m = grid.n, grid.n // 2 + 1
+        self.spec = np.empty((n, m), dtype=np.complex128)
+        self.vals = np.empty((n, n))
+        self.drift = np.empty((n, n))
+        self.squares = tuple(a.reshape(-1)[:n * m].reshape(n, m) for a in (self.vals, self.drift))
+
+    @cached_property
+    def pair(self):
+        return np.empty_like(self.spec), np.empty_like(self.spec)
+
+
+def _drift(kernel, uhat, q, work=None):
     """Real samples of a . grad u for u = phi + q G_omega given by u_hat and q: one irfft2.
 
     ``kernel`` is the drift's pair (K_a, c_a) (``_drift_kernel``, or one
     axis' ``drift_parts``): the spectral derivative of phi plus q times the
-    closed form is irfft2(K_a u_hat) + q c_a.
+    closed form is irfft2(K_a u_hat) + q c_a.  With a :class:`_Work` the
+    samples are its ``drift`` and q c_a passes through its ``vals``;
+    without, every array is new.
     """
     k, corr = kernel
-    drift = _irfft2(k * uhat)
-    drift += q * corr
+    spec, out, qc = (None, None, None) if work is None else (work.spec, work.drift, work.vals)
+    drift = _irfft2(np.multiply(k, uhat, out=spec), out, work=spec)
+    drift += np.multiply(q, corr, out=qc)
     return drift
 
 
-def _nonlinear_values(model, kernel, uhat, q, cfg):
+def _nonlinear_values(model, kernel, uhat, q, cfg, work=None):
     """Samples of a . grad(|u|^gamma) = gamma sign(u) |u|^(gamma-1) (a . grad u).
 
     u = phi + q G_omega is given by its half spectrum and q, and ``kernel``
-    is cfg.a's (K_a, c_a) (``_drift_kernel``).
+    is cfg.a's (K_a, c_a) (``_drift_kernel``).  The samples are those of
+    the :class:`_Work` ``work`` (a new one when None): its ``drift``, with
+    u sampled into its ``vals`` and spare room in its ``spec``.
     """
     if cfg.a == (0.0, 0.0):
         return np.zeros((model.grid.n, model.grid.n))
-    vals = _irfft2(uhat)
-    drift = _drift(kernel, uhat, q)
+    work = _Work(model.grid) if work is None else work
+    drift = _drift(kernel, uhat, q, work)
+    vals = _irfft2(uhat, work.vals, work=work.spec)
     # built in the drift's array; sign(u) |u| = u at gamma = 2
     if cfg.gamma == 2.0:
         drift *= vals
     else:
-        drift *= np.sign(vals) * np.abs(vals) ** (cfg.gamma - 1.0)
+        n = model.grid.n
+        sign = np.sign(vals, out=work.spec.view(np.float64).reshape(-1)[:n * n].reshape(n, n))
+        vals = np.abs(vals, out=vals)
+        vals **= cfg.gamma - 1.0
+        sign *= vals
+        drift *= sign
     drift *= cfg.gamma
     return drift
 
@@ -282,56 +318,72 @@ def _split(model, uhat):
     return uhat - q * model.green_omega_hat, q
 
 
-def _proxy(model, uhat, q):
-    """H^1 proxy of the state u_hat with coupling coefficient q: phi's, phi_hat never formed."""
-    return _h1_proxy_hat(model.grid, uhat, q, model.h1_kernel)
+def _proxy(model, uhat, q, work):
+    """H^1 proxy of the state u_hat with coupling coefficient q: phi's, phi_hat never formed.
+
+    Its squares go through the :class:`_Work` ``work``; uhat may be its ``spec``.
+    """
+    return _h1_proxy_hat(model.grid, uhat, q, model.h1_kernel, work.squares)
 
 
-def _forcing_hat(model, kernel, uhat, q, cfg):
-    """Unprojected F transform of the state (u_hat, q); None if a = 0.
+def _forcing_hat(model, kernel, uhat, q, cfg, work, out):
+    """Unprojected F transform of the state (u_hat, q), written into out; None if a = 0.
 
-    ``kernel`` is cfg.a's (K_a, c_a) (``_drift_kernel``).  Two irfft2
-    (u and a . grad u) and one rfft2.
+    ``kernel`` is cfg.a's (K_a, c_a) (``_drift_kernel``) and ``work`` the
+    solve's :class:`_Work`.  Two irfft2 (u and a . grad u) and one rfft2,
+    which comes last, so out may be uhat itself.
     """
     if cfg.a == (0.0, 0.0):
         return None
-    return _rfft2(_nonlinear_values(model, kernel, uhat, q, cfg))
+    return _rfft2(_nonlinear_values(model, kernel, uhat, q, cfg, work), out)
 
 
-def _sweep(flow, start, steps, force=None, prev=None):
+def _sweep(flow, start, steps, force=None, prev=None, pair=None):
     """Exponential-Euler sweep over one window: u_{j+1} = S(dt)[u_j + dt F(v_j)].
 
     S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt.  A state
     is a pair (u_hat, q): the half spectrum of the total and its coupling
-    coefficient.  ``start`` is u_0's pair; ``force`` maps one state's pair
-    to F's transform, a fresh array that the sweep overwrites with
-    u_j + dt F, or to None for no forcing, and is called exactly ``steps``
-    times, in order; without ``force`` the sweep is the linear evolution.
-    Yields (j, u_hat, q) for u_1 .. u_steps, q read off the coupling once
-    per step.  Without ``prev``, v_j = u_j: the march.  With ``prev``, the
+    coefficient.  ``start`` is u_0's pair, which the sweep never writes.
+    ``force(u_hat, q, out)`` writes one state's F transform into out and
+    returns it, or returns None for no forcing; the sweep overwrites out
+    with u_j + dt F and flows it in place, and calls ``force`` exactly
+    ``steps`` times, in order.  Without ``force`` the sweep is the linear
+    evolution.  Yields (j, u_hat, q) for u_1 .. u_steps, q read off the
+    coupling once per step.
+
+    Without ``prev``, v_j = u_j: the march.  Its states alternate between
+    the two arrays of ``pair``, so a yielded u_hat is overwritten two steps
+    later; without ``pair`` each state is a new array.  With ``prev``, the
     previous Picard iterate as a list of steps + 1 pairs starting at
     ``start``, v_j = prev[j], and the sweep is one Picard iterate written
-    over ``prev`` in place: prev[j] is replaced by u_j's pair only after
-    u_j has been yielded and F(prev[j]) built, so the caller can still
-    compare the two.
+    over ``prev`` in place: u_j is written over the array of prev[j - 1]
+    once F(prev[j - 1]) is built (u_1 into one new array), and prev[j] is
+    replaced by u_j's pair only after u_j has been yielded, so the caller
+    can still compare the two.
     """
     coupling = flow.model.coupling_coefficient
     cur, q = start
-    fhat = None if force is None else force(cur, q)
     for j in range(1, steps + 1):
+        if prev is None:
+            v, qv = cur, q
+            nxt = np.empty_like(cur) if pair is None else pair[j % 2]
+        else:
+            v, qv = prev[j - 1]
+            nxt = np.empty_like(cur) if j == 1 else v
+        fhat = None if force is None else force(v, qv, nxt)
         if fhat is not None:
             fhat *= flow.t
             fhat += cur
-        cur = flow.apply(cur if fhat is None else fhat)
-        q = coupling(cur)
+        flow.apply(nxt if fhat is not None else cur, nxt)
+        if prev is not None and j > 1:
+            prev[j - 1] = cur, q
+        cur, q = nxt, coupling(nxt)
         yield j, cur, q
-        if j < steps and force is not None:
-            fhat = force(*(prev[j] if prev is not None else (cur, q)))
-        if prev is not None:
-            prev[j] = cur, q
+    if prev is not None:
+        prev[steps] = cur, q
 
 
-def _picard_window(model, flow, start, steps, cfg, force, label):
+def _picard_window(model, flow, start, steps, cfg, force, label, work):
     """Iterate the window map to tolerance; returns (states, iterations, ratios).
 
     ``start`` is the window's start state as a (u_hat, q) pair, and the
@@ -339,11 +391,12 @@ def _picard_window(model, flow, start, steps, cfg, force, label):
     iterate: a list of steps + 1 (u_hat, q) pairs that each Picard sweep
     overwrites in place, ending as the converged states.  The distance of
     two iterates is the H^1 proxy of their difference, whose q is the
-    difference of theirs, as q is linear in u.  At most ``PICARD_MAX``
-    iterates are taken.
+    difference of theirs, as q is linear in u; the difference is formed in
+    the :class:`_Work` ``work``'s ``spec``.  At most ``PICARD_MAX`` iterates
+    are taken.
     """
     states = [start] + [(uhat, q) for _, uhat, q in _sweep(flow, start, steps)]
-    scale = max(1.0, _proxy(model, *start))
+    scale = max(1.0, _proxy(model, *start, work))
     ratios = []
     distance = None
     bad_streak = 0
@@ -351,7 +404,8 @@ def _picard_window(model, flow, start, steps, cfg, force, label):
         dist = 0.0
         for j, uhat, q in _sweep(flow, start, steps, force, states):
             prev, prev_q = states[j]
-            dist = max(dist, _proxy(model, uhat - prev, q - prev_q))
+            diff = np.subtract(uhat, prev, out=work.spec)
+            dist = max(dist, _proxy(model, diff, q - prev_q, work))
         if distance is not None and distance > 0:
             ratio = dist / distance
             ratios.append(ratio)
@@ -389,7 +443,8 @@ def _solve(u0, cfg, projected, window, default_stride):
     States are stored every ``cfg.store_stride`` steps (``default_stride``
     when unset, every window end when that is None), and at T, and made
     into :class:`DecomposedField` states (float64 phi) at the end, one at a
-    time.  ``cfg`` is only read.
+    time.  ``cfg`` is only read.  The solve owns one :class:`_Work`, and a
+    march copies out only the states it stores and its end state.
     """
     model = grid_model(u0.params, u0.regular.grid)
     total_steps = int(round(cfg.T / cfg.dt))
@@ -397,9 +452,10 @@ def _solve(u0, cfg, projected, window, default_stride):
         raise ValueError("T must be an integer multiple of dt")
     flow = Flow(model, cfg.dt, full=not projected)
     kernel = _drift_kernel(model, cfg.a)
+    work = _Work(model.grid)
 
-    def force(uhat, q):
-        return _forcing_hat(model, kernel, uhat, q, cfg)
+    def force(uhat, q, out):
+        return _forcing_hat(model, kernel, uhat, q, cfg, work, out)
 
     steps_per_window = max(1, int(round(window / cfg.dt)))
     stride = cfg.store_stride or default_stride or steps_per_window
@@ -427,21 +483,23 @@ def _solve(u0, cfg, projected, window, default_stride):
                 kept = None
                 if probe_top is not None:
                     kept = []
-                    for j, uhat, q in _sweep(flow, start, steps, force):
-                        if not _proxy(model, uhat, q) <= probe_top:
+                    for j, uhat, q in _sweep(flow, start, steps, force, pair=work.pair):
+                        if not _proxy(model, uhat, q, work) <= probe_top:
                             kept = None
                             break
                         if j in want:
-                            kept.append((j, uhat))
-                    end = uhat, q
+                            kept.append((j, uhat.copy()))
+                    if kept is not None:
+                        end = kept[-1][1] if kept and kept[-1][0] == steps else uhat.copy()
+                        end = end, q
                 if kept is None:
                     label = f"window {len(iterations)}"
                     states, iters, window_ratios = _picard_window(
-                        model, flow, start, steps, cfg, force, label
+                        model, flow, start, steps, cfg, force, label, work
                     )
                     iterations.append(iters)
                     ratios.extend(window_ratios)
-                    probe_top = max(_proxy(model, *s) for s in states)
+                    probe_top = max(_proxy(model, *s, work) for s in states)
                     kept = [(j, states[j][0]) for j in want]
                     end = states[-1]
                     del states  # a later probe builds its list without this one alive
@@ -450,8 +508,7 @@ def _solve(u0, cfg, projected, window, default_stride):
                 for j, state in kept:
                     times.append((step + j) * cfg.dt)
                     stored.append(state)
-                _, eig = model.project_ac_hat(end[0])
-                ortho_max = max(ortho_max, abs(eig))
+                ortho_max = max(ortho_max, abs(model.psi_coefficient(end[0])))
                 start = end
                 step += steps
     except FloatingPointError as exc:

@@ -233,7 +233,7 @@ def _h1_weights(grid):
     return w
 
 
-def _h1_proxy_hat(grid, uhat, q, kernel=None):
+def _h1_proxy_hat(grid, uhat, q, kernel=None, work=None):
     """(||phi||_2^2 + ||grad phi||_2^2 + q^2)^(1/2) for phi = u - q G, by Parseval.
 
     ``uhat`` is the rfft2 half spectrum of a real u and q is real; the sum
@@ -243,11 +243,15 @@ def _h1_proxy_hat(grid, uhat, q, kernel=None):
     ``h1_kernel`` holds G_omega's), phi's transform is never formed:
     ||phi||^2 = A - 2 q Re X + q^2 C, with A the weighted |u_hat|^2, X the
     weighted sum u_hat conj(G_hat) and C = wlat sum w |G_hat|^2, held at or
-    above 0 against cancellation.
+    above 0 against cancellation.  ``work`` is two real arrays of uhat's
+    shape, which take re^2 + im^2 and im^2; None allocates them.
     """
     wlat = grid.cell_area / grid.n ** 2
     w = _h1_weights(grid) if kernel is None else kernel[0]
-    dens = wlat * float(np.vdot(w, uhat.real ** 2 + uhat.imag ** 2))
+    squares, imag_sq = (None, None) if work is None else work
+    squares = np.square(uhat.real, out=squares)
+    squares += np.square(uhat.imag, out=imag_sq)
+    dens = wlat * float(np.vdot(w, squares))
     if kernel is not None:
         _, wk, cc = kernel
         cross = wlat * q * np.vdot(wk, uhat).real

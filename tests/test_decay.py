@@ -266,7 +266,7 @@ def _fit_samples(monkeypatch, run, spec):
 
 def test_linear_fit_samples_match_public_flows(monkeypatch, params, grid128):
     # one transform and one Flow per t against one public call per t
-    ts = [1.0, 7.3, 50.0]
+    ts = [1.0, 2.5, 7.3, 20.0, 50.0]
     spec = ExperimentSpec(grid=grid128, q=2.0, p=4.0, t_grid=np.array(ts))
     g = critical_datum(grid128, 2.0)
     for (t, value), tref in zip(_fit_samples(monkeypatch, run_semigroup_decay, spec), ts):

@@ -38,6 +38,7 @@ from pideq import solver
 from pideq.errors import ConvergenceError, DataTooLargeError
 from pideq.fields import _irfft2
 from pideq.solver import (
+    _Work,
     _drift,
     _drift_kernel,
     _forcing_hat,
@@ -163,9 +164,12 @@ def _duhamel(flow, kicks):
     """
     it = iter(kicks)
 
-    def force(_, __):
+    def force(_, __, out):
         kick = next(it)
-        return None if kick is None else kick.copy()  # the sweep writes into it
+        if kick is None:
+            return None
+        out[...] = kick  # the sweep writes u_j + dt F over it
+        return out
 
     n = flow.model.grid.n
     uhat = np.zeros((n, n // 2 + 1), dtype=np.complex128)
@@ -287,12 +291,13 @@ def test_solve_local_fixed_point_property(params, grid128):
     prop = Flow(model, cfg.dt, full=True)
     states = [_state_hat(model, st) for st in traj.states]
     kernel = _drift_kernel(model, cfg.a)
+    work = _Work(grid128)
 
-    def force(uhat, q):
-        return _forcing_hat(model, kernel, uhat, q, cfg)
+    def force(uhat, q, out):
+        return _forcing_hat(model, kernel, uhat, q, cfg, work, out)
 
     # one Picard iterate from the solution, swept over a copy of it
-    swept = list(states)
+    swept = [(uhat.copy(), q) for uhat, q in states]
     for _ in _sweep(prop, states[0], len(states) - 1, force, swept):
         pass
     moved = max(
@@ -385,13 +390,14 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     start = _state_hat(model, traj.states[0])
     ref = [start[0]]
     kernel = _drift_kernel(model, cfg.a)
+    work = _Work(model.grid)
 
-    def force(uhat, q):
-        return _forcing_hat(model, kernel, uhat, q, cfg)
+    def force(uhat, q, out):
+        return _forcing_hat(model, kernel, uhat, q, cfg, work, out)
 
     for win in range(windows):
         states, _, _ = _picard_window(
-            model, prop, start, steps, cfg, force, label=f"window {win}"
+            model, prop, start, steps, cfg, force, f"window {win}", work
         )
         ref.extend(uhat for uhat, _ in states[1:])
         start = states[-1]
@@ -614,12 +620,17 @@ def test_transform_budget(params, grid128, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    _forcing_hat(model, kernel, uhat, q, cfg)
+    work = _Work(grid128)
+
+    def force(v, q, out):
+        return _forcing_hat(model, kernel, v, q, cfg, work, out)
+
+    force(uhat, q, np.empty_like(uhat))
     assert counts == {"irfft": 2, "rfft": 1}
     counts.update(irfft=0, rfft=0)
     flow.apply(uhat)
     assert counts == {"irfft": 0, "rfft": 0}
-    for _ in _sweep(flow, (uhat, q), 5, lambda v, q: _forcing_hat(model, kernel, v, q, cfg)):
+    for _ in _sweep(flow, (uhat, q), 5, force):
         pass
     assert counts == {"irfft": 10, "rfft": 5}
 
@@ -658,7 +669,7 @@ def test_h1_proxy_form_matches_explicit_split(params, grid128):
     b = a + 1e-7 * noise
     for uhat in (_state_hat(model, _random_state(grid128, params, 24, q=0.3))[0], near, a - b):
         explicit = _h1_proxy_hat(grid128, *_split(model, uhat))
-        proxy = solver._proxy(model, uhat, model.coupling_coefficient(uhat))
+        proxy = solver._proxy(model, uhat, model.coupling_coefficient(uhat), _Work(grid128))
         assert abs(proxy - explicit) <= 1e-13 * explicit
 
 
