@@ -295,6 +295,26 @@ def test_linear_fit_rejects_t_grid_before_any_flow(monkeypatch, grid128, run, q,
         run(ExperimentSpec(grid=grid128, q=q, p=p, t_grid=ts))
 
 
+@pytest.mark.parametrize(
+    "run, q, p", [(run_semigroup_decay, 2.0, 4.0), (run_gradient_decay, 4.0 / 3.0, 1.5)]
+)
+@pytest.mark.parametrize(
+    "ts, message",
+    [([1.0], "at least 5 samples; got 1"), ([3.0] * 5, "at least 2 distinct times")],
+)
+def test_linear_fit_needs_two_distinct_times_before_any_flow(
+    monkeypatch, grid128, run, q, p, ts, message
+):
+    # a single t once flowed the datum and then failed inside fit_rate, or,
+    # repeated five times, fitted slope -0.873 at r2 = 1
+    def banned(*args, **kwargs):
+        raise AssertionError("flow built before t_grid was checked")
+
+    monkeypatch.setattr(decay, "Flow", banned)
+    with pytest.raises(ValueError, match=f"t_grid needs {message}"):
+        run(ExperimentSpec(grid=grid128, q=q, p=p, t_grid=ts))
+
+
 def test_semigroup_decay_transforms_datum_once(monkeypatch, params, grid128):
     # 16 t-values share one rfft2 of the datum; each sample is one irfft2,
     # and each of those makes one numpy rfft or irfft pass; building the

@@ -38,6 +38,7 @@ from pideq import (
     total_field,
 )
 from pideq.cli import main
+from pideq.decay import ExperimentSpec, fit_rate, run_semigroup_decay
 from pideq.errors import ContourError, DataTooLargeError, HorizonTooLargeError
 from pideq.semigroup import Flow, grid_model
 
@@ -197,11 +198,17 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
         (lambda g: gaussian_field(g.grid, 1.0, "a"), "gaussian amplitude must be a finite number"),
         (lambda g: gaussian_field(g.grid, "a"), "gaussian sigma must be a finite number"),
         (lambda g: heat_free(g, True), "heat_free requires a finite t"),
+        # one time repeated is a point, not a slope
+        (lambda g: fit_rate([(2.0, 1.0)] * 5), r"fit_rate needs at least 2 distinct times.*2\.0"),
+        (lambda g: run_semigroup_decay(
+            ExperimentSpec(grid=Grid(40, 64), q=2, p=4, t_grid=[3.0] * 5)
+        ), r"t_grid needs at least 2 distinct times.*3\.0"),
     ],
     ids=[
         "lp_norm-str", "lp_norm-bool", "semigroup_pac-str", "semigroup_pac-bool",
         "semigroup_full-str", "semigroup_gradient_pac-bool", "oracle-str",
         "gaussian-amplitude-str", "gaussian-sigma-str", "heat_free-bool",
+        "fit_rate-one-time", "semigroup_decay-one-time",
     ],
 )
 def test_contract_rejects_wrong_types(grid128, call, message):
