@@ -73,7 +73,15 @@ probes again any window whose march leaves the largest H^1 proxy of the
 last probed window.  A probe starts from the linear evolution of its start
 state and iterates at most ``PICARD_MAX`` times.  The sweep is the only
 loop over time steps, and its flow the only projector; it reads each new
-state's q once, and the probe keeps it beside the state.
+state's q once, and the driver keeps it beside every state it holds or
+stores, so a stored state's phi and rho come from that (u_hat, q).
+
+A solve owns its lattice arrays (:class:`_Work`, the flow's temporary and
+the march's two states), so a step allocates none: the forcing transforms
+into the array that becomes the next state, the march alternates two
+arrays and copies out only the states it stores, and a Picard sweep
+writes u_j over the old iterate's state j - 1 once F of that state is
+built, with one new array per sweep.
 """
 
 import math
@@ -84,7 +92,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DataTooLargeError, HorizonTooLargeError
-from .fields import Field, _irfft2, _real, _real_pair, _rfft2, inner_product, lp_norm
+from .fields import Field, _irfft2, _real, _real_pair, _rfft2, lp_norm
 from .semigroup import Flow, grid_model, psi_alpha_field
 from .spectral import DecomposedField, _h1_proxy_hat
 
@@ -275,11 +283,21 @@ def nonlinearity(u, cfg):
     return Field(u.regular.grid, values)
 
 
+def _rho(model, kernel, uhat, q, cfg, work=None):
+    """rho = < a . grad(|u|^gamma), psi > of the state (u_hat, q), a pairing of two real fields.
+
+    The forcing's samples are those of :func:`_nonlinear_values` (in the
+    :class:`_Work` ``work`` when given) and are overwritten.
+    """
+    values = _nonlinear_values(model, kernel, uhat, q, cfg, work)
+    values *= model.psi_values
+    return float(np.sum(values) * model.grid.cell_area)
+
+
 def lagrange_multiplier(u, cfg):
     """rho = < a . grad(|u|^gamma), psi >, a pairing of two real fields."""
-    psi = psi_alpha_field(u.params, u.regular.grid)
-    val = inner_product(nonlinearity(u, cfg), psi)
-    return float(val.real)
+    model = grid_model(u.params, u.regular.grid)
+    return _rho(model, _drift_kernel(model, cfg.a), *_state_hat(model, u), cfg)
 
 
 # --- stepping engine ----------------------------------------------------------
@@ -303,19 +321,6 @@ def _state_hat(model, u):
                 "forcing a . grad(|u|^gamma) is written for real u"
             )
     return _rfft2(values.real) + q.real * model.green_omega_hat, q.real
-
-
-def _split(model, uhat):
-    """(phi_hat, q): the domain-compatible split of u's half spectrum, q from the coupling.
-
-    q is the exact domain-coupling functional <u, delta>/S(E); with it the
-    split u = phi + q G_omega satisfies (omega - A) u = (omega - Laplacian)
-    phi, so phi is genuinely the regular part (the contour coefficient
-    alone misses the kernel content of the heat part).  The split is linear
-    in u.
-    """
-    q = model.coupling_coefficient(uhat)
-    return uhat - q * model.green_omega_hat, q
 
 
 def _proxy(model, uhat, q, work):
@@ -429,7 +434,7 @@ def _picard_window(model, flow, start, steps, cfg, force, label, work):
 
 
 def _solve(u0, cfg, projected, window, default_stride):
-    """Both solves' window driver: (times, states, iterations, ratios, ortho_max).
+    """Both solves' window driver: (times, states, rho, iterations, ratios, ortho_max).
 
     The horizon [0, cfg.T] is cut into windows of ``window`` time.  A window
     is probed: Picard is iterated to ``cfg.picard_tol`` from the linear
@@ -443,8 +448,10 @@ def _solve(u0, cfg, projected, window, default_stride):
     States are stored every ``cfg.store_stride`` steps (``default_stride``
     when unset, every window end when that is None), and at T, and made
     into :class:`DecomposedField` states (float64 phi) at the end, one at a
-    time.  ``cfg`` is only read.  The solve owns one :class:`_Work`, and a
-    march copies out only the states it stores and its end state.
+    time.  A projected solve pairs each stored state's forcing with psi
+    for rho, empty otherwise.  ``cfg`` is only read.  The solve owns one
+    :class:`_Work`, and a march copies out only the states it stores and
+    its end state.
     """
     model = grid_model(u0.params, u0.regular.grid)
     total_steps = int(round(cfg.T / cfg.dt))
@@ -472,8 +479,8 @@ def _solve(u0, cfg, projected, window, default_stride):
             start, _ = _state_hat(model, u0)
             if projected:
                 start, _ = model.project_ac_hat(start)
-            stored = [start]
             start = start, model.coupling_coefficient(start)
+            stored = [start]
             while step < total_steps:
                 steps = min(steps_per_window, total_steps - step)
                 want = [
@@ -488,10 +495,9 @@ def _solve(u0, cfg, projected, window, default_stride):
                             kept = None
                             break
                         if j in want:
-                            kept.append((j, uhat.copy()))
+                            kept.append((j, (uhat.copy(), q)))
                     if kept is not None:
-                        end = kept[-1][1] if kept and kept[-1][0] == steps else uhat.copy()
-                        end = end, q
+                        end = kept[-1][1] if kept and kept[-1][0] == steps else (uhat.copy(), q)
                 if kept is None:
                     label = f"window {len(iterations)}"
                     states, iters, window_ratios = _picard_window(
@@ -500,7 +506,7 @@ def _solve(u0, cfg, projected, window, default_stride):
                     iterations.append(iters)
                     ratios.extend(window_ratios)
                     probe_top = max(_proxy(model, *s, work) for s in states)
-                    kept = [(j, states[j][0]) for j in want]
+                    kept = [(j, states[j]) for j in want]
                     end = states[-1]
                     del states  # a later probe builds its list without this one alive
                 else:
@@ -518,13 +524,18 @@ def _solve(u0, cfg, projected, window, default_stride):
         ) from exc
 
     # each half spectrum is dropped as its state is made, so the stored half
-    # spectra and the states are never all alive at once
+    # spectra and the states are never all alive at once; rho and phi come
+    # from the stored (u_hat, q), q as the sweep read it
     stored.reverse()
     states = []
+    rho = []
     while stored:
-        phat, q = _split(model, stored.pop())
+        uhat, q = stored.pop()
+        if projected:
+            rho.append(_rho(model, kernel, uhat, q, cfg, work))
+        phat = uhat - q * model.green_omega_hat
         states.append(DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params))
-    return np.array(times), states, iterations, ratios, ortho_max
+    return np.array(times), states, np.array(rho), iterations, ratios, ortho_max
 
 
 def solve_local(u0, cfg):
@@ -537,11 +548,11 @@ def solve_local(u0, cfg):
     :class:`HorizonTooLargeError` when three successive iterates fail to
     contract.
     """
-    times, states, iterations, ratios, _ = _solve(
+    times, states, rho, iterations, ratios, _ = _solve(
         u0, cfg, projected=False, window=cfg.T, default_stride=1
     )
     diag = {"iterations": iterations[0], "contraction_ratios": ratios}
-    return Trajectory(times, states, np.array([]), diag)
+    return Trajectory(times, states, rho, diag)
 
 
 def solve_global_projected(u0, cfg):
@@ -564,14 +575,13 @@ def solve_global_projected(u0, cfg):
     entry per window: the probe's iterate count, or 0 for a marched window.
     """
     try:
-        times, states, iterations, ratios, ortho_max = _solve(
+        times, states, rho, iterations, ratios, ortho_max = _solve(
             u0, cfg, projected=True, window=cfg.window, default_stride=None
         )
     except HorizonTooLargeError as exc:
         raise DataTooLargeError(
             f"initial datum too large for global solve: {exc}", exc.ratio
         ) from exc
-    rho = np.array([lagrange_multiplier(st, cfg) for st in states])
     diag = {"iterations": iterations, "contraction_ratios": ratios, "ortho_max": ortho_max}
     return Trajectory(times, states, rho, diag)
 

@@ -45,12 +45,17 @@ from pideq.solver import (
     _h1_proxy_hat,
     _nonlinear_values,
     _picard_window,
-    _split,
     _state_hat,
     _sweep,
 )
 from pideq.semigroup import Flow, grid_model
 from pideq.spectral import _green_gradient
+
+
+def _split(model, uhat):
+    """(phi_hat, q) of u's half spectrum, q read off the coupling: the explicit split."""
+    q = model.coupling_coefficient(uhat)
+    return uhat - q * model.green_omega_hat, q
 
 
 def small_state(grid, params, amplitude=0.01):

@@ -20,15 +20,17 @@ from pideq.semigroup import Flow, PointHeatModel
 
 # Window 0 is probed (its linear start and 3 Picard sweeps of 50 steps) and
 # window 1 is marched (one sweep): 250 flow steps and 200 forcings.  q is
-# read once per new state (1 + 50 + 150 + 50) and once per stored state (3).
-# A forcing is two irfft2 and one rfft2.  The rest are the datum's rfft2
-# and, per stored state, one irfft2 for its phi and, for rho, one rfft2 back
-# to the half spectrum and two irfft2 for the forcing's samples.
+# read once per new state (1 + 50 + 150 + 50), and the driver keeps it
+# beside each of the 3 stored states.  A forcing is two irfft2 and one
+# rfft2.  The rest are the datum's rfft2 and, per stored state, one irfft2
+# for its phi and, for rho, two irfft2 for the forcing's samples of the
+# held half spectrum.  (rho once re-entered the half spectrum from each
+# finished state, one more rfft2 and one more q read per stored state.)
 EXPECTED = {
     "Flow.apply": 250,
     "_forcing_hat": 200,
-    "coupling_coefficient": 254,
-    "_rfft2": 204,
+    "coupling_coefficient": 251,
+    "_rfft2": 201,
     "_irfft2": 409,
 }
 
