@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .fields import Field, Grid, _irfft2, _lp_sum, _rfft2, gaussian_field, lp_norm
+from .fields import Field, Grid, _front, _irfft2, _lp_sum, _rfft2, gaussian_field, lp_norm
 from .semigroup import Flow, grid_model
 from .spectral import AlphaParams
 from .solver import state_fields
@@ -250,7 +250,7 @@ def run_gradient_decay(spec):
         raise ValueError("gradient decay requires 1 < q < p < 2")
     n = spec.grid.n
     d1_hat = np.empty((n, n // 2 + 1), dtype=np.complex128)
-    du1, du2 = np.empty((n, n)), d1_hat.view(np.float64).reshape(-1)[:n * n].reshape(n, n)
+    du1, du2 = np.empty((n, n)), _front(d1_hat, (n, n))
 
     def sample(model, out):
         d1, d2 = model.derivative

@@ -152,6 +152,16 @@ def _irfft2(hat, out=None, work=None):
     return fft.irfft(work, 2 * (hat.shape[1] - 1), axis=1, out=out)
 
 
+def _front(buf, shape):
+    """A float64 array of ``shape`` over the front of the contiguous array buf's memory.
+
+    Lets a buffer that is free at that moment serve as scratch of another
+    shape, such as a complex half spectrum as a real n x n array; buf must
+    hold at least that many bytes.
+    """
+    return buf.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
+
+
 def _real_parts(values):
     """rfft2 half spectra of a field's values: one for a real array, Re and Im for a complex one.
 

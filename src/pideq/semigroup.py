@@ -113,6 +113,7 @@ from .errors import BranchCutError, ContourError, NoEigenfunctionError, PoleErro
 from .fields import (
     Field,
     _from_parts,
+    _front,
     _irfft2,
     _real,
     _real_derivative,
@@ -579,10 +580,10 @@ class Flow:
     keeps that call's one lattice temporary for the next: a complex half
     spectrum (0.5 MB at n = 256) whose memory first holds the bin pairing's
     two real products and then the correction delta_hat V[bin].  A call
-    without ``out`` builds it afresh.  A caller moving on to another time passes its old flow as
-    ``_over``: the new flow rebuilds t's heat multiplier, and the rows of a
-    one-block rule, in the old flow's arrays and takes its temporaries, and
-    the old flow is not applied again.
+    without ``out`` builds it afresh.  A caller moving on to another time
+    passes its old flow as ``_over``: the new flow rebuilds t's heat
+    multiplier, and the rows of a one-block rule, in the old flow's arrays
+    and takes its temporary, and the old flow is not applied again.
     """
 
     def __init__(self, model, t, full=False, contour=None, _over=None):
@@ -634,7 +635,7 @@ class Flow:
             if out is not None:
                 self._work = corr
         # the buffer's two real halves, free until the correction is formed
-        bpair = m._bin_pair(ghat, corr.view(np.float64).reshape(2, *m.xi2.shape))
+        bpair = m._bin_pair(ghat, _front(corr, (2, *m.xi2.shape)))
         coef = m.wlat * np.dot(bpair, m.psi_bins)
         bpair -= coef * m.psi_pair
         chunks = self._chunks or m._node_chunks(self.nodes, self.weights, CHUNK)

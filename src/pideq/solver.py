@@ -92,7 +92,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DataTooLargeError, HorizonTooLargeError
-from .fields import Field, _irfft2, _real, _real_pair, _rfft2, lp_norm
+from .fields import Field, _front, _irfft2, _real, _real_pair, _rfft2, lp_norm
 from .semigroup import Flow, grid_model, psi_alpha_field
 from .spectral import DecomposedField, _h1_proxy_hat
 
@@ -198,7 +198,7 @@ class _Work:
         self.spec = np.empty((n, m), dtype=np.complex128)
         self.vals = np.empty((n, n))
         self.drift = np.empty((n, n))
-        self.squares = tuple(a.reshape(-1)[:n * m].reshape(n, m) for a in (self.vals, self.drift))
+        self.squares = _front(self.vals, (n, m)), _front(self.drift, (n, m))
 
     @cached_property
     def pair(self):
@@ -238,8 +238,7 @@ def _nonlinear_values(model, kernel, uhat, q, cfg, work=None):
     if cfg.gamma == 2.0:
         drift *= vals
     else:
-        n = model.grid.n
-        sign = np.sign(vals, out=work.spec.view(np.float64).reshape(-1)[:n * n].reshape(n, n))
+        sign = np.sign(vals, out=_front(work.spec, vals.shape))
         vals = np.abs(vals, out=vals)
         vals **= cfg.gamma - 1.0
         sign *= vals
