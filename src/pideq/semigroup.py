@@ -455,13 +455,13 @@ class PointHeatModel:
         """
         return self.wlat * _dot(ghat, self.delta_hat) / self.S_at_E
 
-    def psi_coefficient(self, ghat):
+    def _psi_coefficient(self, ghat):
         """<g, psi> of the real field with half spectrum ghat."""
         return self.wlat * _dot(ghat, self.psi_hat)
 
     def project_ac_hat(self, ghat):
         """(P_ac g half spectrum, <g, psi>)."""
-        coef = self.psi_coefficient(ghat)
+        coef = self._psi_coefficient(ghat)
         return ghat - coef * self.psi_hat, coef
 
     # -- resolvent and semigroup ----------------------------------------------

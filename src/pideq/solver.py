@@ -513,7 +513,7 @@ def _solve(u0, cfg, projected, window, default_stride):
                 for j, state in kept:
                     times.append((step + j) * cfg.dt)
                     stored.append(state)
-                ortho_max = max(ortho_max, abs(model.psi_coefficient(end[0])))
+                ortho_max = max(ortho_max, abs(model._psi_coefficient(end[0])))
                 start = end
                 step += steps
     except FloatingPointError as exc:
