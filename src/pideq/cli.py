@@ -3,10 +3,21 @@
 Subcommands: spectral | resolve | semigroup | simulate | decay | verify.
 Global options: --config FILE (line-oriented ``key = value``; recognised
 keys: alpha, grid_n, grid_L, contour_eps, contour_nodes, gamma, ax, ay,
-dt, T, tol) and --out DIR for emitted files.  Command-line flags override
-config values.  An input the library rejects (ValueError, or a
-ConvergenceError) and a file that cannot be read or written (OSError)
-print ``pideq: error: <message>`` to stderr and exit 2.
+dt, T, tol) and --out DIR for emitted files.  The config file's values
+replace the chosen subcommand's defaults and command-line flags override
+them.  Each subcommand reads these keys and ignores the others:
+
+- ``spectral``: alpha;
+- ``resolve``: alpha, grid_n, grid_L;
+- ``semigroup``: alpha, grid_n, grid_L, contour_eps, contour_nodes;
+- ``simulate``: alpha, grid_n, grid_L, gamma, ax, ay, dt, T, tol;
+- ``decay``: alpha, grid_n, grid_L, and with ``--with-nonlinear`` gamma,
+  ax, ay, dt and tol (which have no flags there; the run ends at T = 50);
+- ``verify``: grid_n, grid_L.
+
+An input the library rejects (ValueError, or a ConvergenceError), a
+config value or flag that cannot be read, and a file that cannot be read
+or written (OSError) print ``pideq: error: <message>`` to stderr and exit 2.
 ``simulate --snapshots`` writes one lossless state container per stored
 time (``state_#####.pidf``: phi, q, alpha and t); given back as ``--u0``
 it resumes the run from that state, and the printed times continue from
@@ -70,7 +81,11 @@ def read_config(path):
         key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = CONFIG_KEYS[key](val)
+        try:
+            values[key] = CONFIG_KEYS[key](val)
+        except ValueError:
+            kind = "an integer" if CONFIG_KEYS[key] is int else "a number"
+            raise ValueError(f"{path}:{lineno}: {key} must be {kind}; got {val!r}") from None
     return values
 
 
@@ -79,36 +94,27 @@ def _sci(x):
     return "none" if x is None else f"{x:.16e}"
 
 
-def _merged(args, config, key, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _grid(args):
+    return Grid(args.grid_L, args.grid_n)
 
 
-def _grid(args, config, default=Grid(40.0, 256)):
-    return Grid(
-        _merged(args, config, "grid_L", default.half_width),
-        int(_merged(args, config, "grid_n", default.n)),
-    )
-
-
-def _params(args, config):
-    return AlphaParams.for_alpha(_merged(args, config, "alpha", 0.0))
-
-
-def _contour(args, config, params, t):
-    eps = _merged(args, config, "contour_eps", None)
-    nodes = _merged(args, config, "contour_nodes", None)
+def _contour(args, params):
+    """The explicit cut-hugging contour when --contour-eps or --nodes is set, else None (Talbot)."""
+    eps, nodes = args.contour_eps, args.contour_nodes
     if eps is None and nodes is None:
         return None
-    base = ContourSpec.for_time(params, t)
+    base = ContourSpec.for_time(params, args.t)
     return ContourSpec(
         eps if eps is not None else base.epsilon,
         base.truncation,
-        int(nodes) if nodes is not None else base.nodes_ray,
+        nodes if nodes is not None else base.nodes_ray,
+    )
+
+
+def _solver_config(args, T):
+    """The solver settings of ``simulate`` and ``decay --with-nonlinear``, run to time T."""
+    return SolverConfig(
+        gamma=args.gamma, a=(args.ax, args.ay), T=T, dt=args.dt, picard_tol=args.tol
     )
 
 
@@ -118,76 +124,63 @@ def _outdir(args):
     return out
 
 
-def _load_datum(descriptor, grid):
-    """A :func:`pideq.decay.make_datum` descriptor, else a saved field file."""
-    if descriptor.partition(":")[0] in DATUM_KINDS:
-        return make_datum(descriptor, grid)
-    f = load_field(descriptor)
-    if f.grid != grid:
-        raise ValueError(f"datum grid {f.grid} does not match requested grid {grid}")
-    return f
+def _read_u0(descriptor, grid, params):
+    """(u0, t0) of ``--u0``: the state u0 as a :class:`DecomposedField` and its time.
 
-
-def _initial_state(descriptor, grid, params):
-    """(u0, t0) of ``simulate``: a datum or field file at t0 = 0, or a saved state at its t.
-
-    A state container (``simulate --snapshots`` writes one per stored time)
-    restores phi and q exactly; its alpha must be the run's.
+    A :func:`pideq.decay.make_datum` descriptor or a saved field file is
+    u0 = phi with q = 0 at t0 = 0.  A state container (``simulate
+    --snapshots`` writes one per stored time) gives its phi, q, alpha and t
+    exactly.  Its grid must be ``grid``.
     """
-    if descriptor.partition(":")[0] in DATUM_KINDS or not _is_state_container(descriptor):
-        return DecomposedField.from_field(_load_datum(descriptor, grid), params), 0.0
-    u0, t0 = load_state(descriptor)
-    if u0.params.alpha != params.alpha:
-        raise ValueError(
-            f"state {descriptor} has alpha = {u0.params.alpha!r}; "
-            f"the run has alpha = {params.alpha!r}"
-        )
+    if descriptor.partition(":")[0] in DATUM_KINDS:
+        u0, t0 = DecomposedField.from_field(make_datum(descriptor, grid), params), 0.0
+    elif _is_state_container(descriptor):
+        u0, t0 = load_state(descriptor)
+    else:
+        u0, t0 = DecomposedField.from_field(load_field(descriptor), params), 0.0
     if u0.regular.grid != grid:
         raise ValueError(f"datum grid {u0.regular.grid} does not match requested grid {grid}")
     return u0, t0
 
 
-def cmd_spectral(args, config):
-    params = _params(args, config)
+def cmd_spectral(args):
+    params = AlphaParams.for_alpha(args.alpha)
     # every value is computed before the first line is written, so a
     # rejected lambda leaves stdout empty
-    lams = [float(s) for s in (args.lambdas or "0.25,0.5,1,2,4,8").split(",")]
+    try:
+        lams = [float(s) for s in args.lambdas.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--lambdas must be comma-separated numbers; got {args.lambdas!r}"
+        ) from None
     table = [(lam, c_lambda(lam)) for lam in lams]
     out = sys.stdout
     out.write("alpha,dimension,eigenvalue,psi_norm\n")
-    out.write(
-        f"{_sci(params.alpha)},2,{_sci(params.eigenvalue)},"
-        f"{_sci(params.psi_norm)}\n"
-    )
+    out.write(f"{_sci(params.alpha)},2,{_sci(params.eigenvalue)},{_sci(params.psi_norm)}\n")
     out.write("lambda,c_re,c_im\n")
     for lam, c in table:
         out.write(f"{_sci(lam)},{_sci(c.real)},{_sci(c.imag)}\n")
     return 0
 
 
-def cmd_resolve(args, config):
-    params = _params(args, config)
-    grid = _grid(args, config)
-    g = _load_datum(args.u0, grid)
-    lam = args.lam if args.lam is not None else 2.0
-    res = krein_resolvent(lam, g, params)
+def cmd_resolve(args):
+    params = AlphaParams.for_alpha(args.alpha)
+    g, _ = _read_u0(args.u0, _grid(args), params)
+    res = krein_resolvent(args.lam, g.regular, params)
     out = _outdir(args)
     path = out / "resolvent.csv"
     with open(path, "w", newline="\n") as fh:
         field_to_csv(res, fh)
-    print(f"lambda,{_sci(lam)}")
+    print(f"lambda,{_sci(args.lam)}")
     print(f"output_l2,{_sci(lp_norm(res, 2))}")
     print(f"written,{path}")
     return 0
 
 
-def cmd_semigroup(args, config):
-    params = _params(args, config)
-    grid = _grid(args, config)
-    g = _load_datum(args.u0, grid)
-    t = args.t if args.t is not None else 1.0
-    contour = _contour(args, config, params, t)
-    res = semigroup_pac(t, g, params, contour)
+def cmd_semigroup(args):
+    params = AlphaParams.for_alpha(args.alpha)
+    g, _ = _read_u0(args.u0, _grid(args), params)
+    res = semigroup_pac(args.t, g.regular, params, _contour(args, params))
     out = _outdir(args)
     path = out / "semigroup.csv"
     with open(path, "w", newline="\n") as fh:
@@ -199,67 +192,50 @@ def cmd_semigroup(args, config):
     return 0
 
 
-def cmd_simulate(args, config):
-    params = _params(args, config)
-    grid = _grid(args, config)
-    cfg = SolverConfig(
-        gamma=_merged(args, config, "gamma", 2.0),
-        a=(_merged(args, config, "ax", 1.0), _merged(args, config, "ay", 0.0)),
-        T=_merged(args, config, "T", 1.0),
-        dt=_merged(args, config, "dt", 0.01),
-        picard_tol=_merged(args, config, "tol", 1e-9),
-    )
-    u0, t0 = _initial_state(args.u0, grid, params)
-    if args.projected:
-        traj = solve_global_projected(u0, cfg)
-    else:
-        traj = solve_local(u0, cfg)
+def cmd_simulate(args):
+    params = AlphaParams.for_alpha(args.alpha)
+    grid = _grid(args)
+    cfg = _solver_config(args, args.T)
+    u0, t0 = _read_u0(args.u0, grid, params)
+    if u0.params.alpha != params.alpha:
+        raise ValueError(
+            f"state {args.u0} has alpha = {u0.params.alpha!r}; "
+            f"the run has alpha = {params.alpha!r}"
+        )
+    traj = (solve_global_projected if args.projected else solve_local)(u0, cfg)
     out = _outdir(args)
     manifest = out / "trajectory.csv"
     with open(manifest, "w", newline="\n") as fh:
         fh.write("t,l2,l4,grad_l32,q_abs,rho\n")
         for k, (t, st) in enumerate(zip(t0 + traj.times, traj.states)):
             u, grad = state_fields(st)
-            l2, l4 = lp_norm(u, 2), lp_norm(u, 4)
-            g32 = lp_norm(grad, 1.5)
             rho = traj.rho[k] if traj.rho.size else 0.0
-            fh.write(
-                f"{_sci(t)},{_sci(l2)},{_sci(l4)},{_sci(g32)},"
-                f"{_sci(abs(st.coeff))},{_sci(rho)}\n"
-            )
+            row = (t, lp_norm(u, 2), lp_norm(u, 4), lp_norm(grad, 1.5), abs(st.coeff), rho)
+            fh.write(",".join(map(_sci, row)) + "\n")
             if args.snapshots:
                 save_field(st, out / f"state_{k:05d}.pidf", t=t)
     print(f"written,{manifest}")
     return 0
 
 
-def cmd_decay(args, config):
-    grid = _grid(args, config)
-    alpha = _merged(args, config, "alpha", 0.0)
+def cmd_decay(args):
+    grid, alpha = _grid(args), args.alpha
     rows = []
-    spec = ExperimentSpec(grid=grid, alpha=alpha, q=2.0, p=4.0)
-    fit = run_semigroup_decay(spec)
-    rows.append(("semigroup", 4.0, 2.0, "", "", fit))
-    spec = ExperimentSpec(grid=grid, alpha=alpha, q=4.0 / 3.0, p=1.5)
-    fit = run_gradient_decay(spec)
-    rows.append(("gradient", 1.5, 4.0 / 3.0, "", "", fit))
+    linear = (("semigroup", run_semigroup_decay, 4.0, 2.0),
+              ("gradient", run_gradient_decay, 1.5, 4.0 / 3.0))
+    for kind, run, p, q in linear:
+        rows.append((kind, p, q, "", "", run(ExperimentSpec(grid=grid, alpha=alpha, q=q, p=p))))
     if args.with_nonlinear:
         params = AlphaParams.for_alpha(alpha)
-        cfg = SolverConfig(
-            gamma=_merged(args, config, "gamma", 2.0),
-            a=(_merged(args, config, "ax", 1.0), _merged(args, config, "ay", 0.0)),
-            T=50.0,
-            dt=_merged(args, config, "dt", 0.02),
-        )
+        # the nonlinear fits need t >= 20, so the run's end is fixed
+        cfg = _solver_config(args, 50.0)
         u0 = DecomposedField.from_field(
             gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
         )
         traj = solve_global_projected(u0, cfg)
-        nspec = ExperimentSpec(grid=grid, alpha=alpha, h1=4.0, h2=1.5)
-        fu, fg, fr = run_nonlinear_decay(nspec, traj)
-        rows.append(("nonlinear_u", "", "", 4.0, 1.5, fu))
-        rows.append(("nonlinear_grad", "", "", 4.0, 1.5, fg))
-        rows.append(("nonlinear_rho", "", "", 4.0, 1.5, fr))
+        fits = run_nonlinear_decay(ExperimentSpec(grid=grid, alpha=alpha, h1=4.0, h2=1.5), traj)
+        for kind, fit in zip(("nonlinear_u", "nonlinear_grad", "nonlinear_rho"), fits):
+            rows.append((kind, "", "", 4.0, 1.5, fit))
     out = _outdir(args)
     path = out / "report.csv"
     with open(path, "w", newline="\n") as fh:
@@ -273,18 +249,30 @@ def cmd_decay(args, config):
     return 0
 
 
-def cmd_verify(args, config):
-    results = verify_mod.run_checks(_grid(args, config, verify_mod.DEFAULT_GRID))
-    failed = 0
+def cmd_verify(args):
+    results = verify_mod.run_checks(_grid(args))
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name}: {res.detail} ({res.seconds:.1f}s)")
-        failed += 0 if res.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail} ({res.seconds:.1f}s)")
+    passed = sum(res.passed for res in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
+
+
+def _grid_options(default):
+    """A parent parser of --grid-n and --grid-L, defaulting to the Grid ``default``."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=default.n)
+    p.add_argument("--grid-L", dest="grid_L", type=float, default=default.half_width)
+    return p
 
 
 def build_parser():
+    """(parser, subcommand parsers by name); each setting's default sits on its subcommand.
+
+    argparse shares a parent parser's actions among its children, so a
+    ``set_defaults`` on one subcommand moves the default of every
+    subcommand with that parent: a parser serves one parse and one config.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config", default=argparse.SUPPRESS, help="key = value configuration file"
@@ -292,6 +280,9 @@ def build_parser():
     common.add_argument(
         "--out", default=argparse.SUPPRESS, help="output directory (default ./out)"
     )
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument("--alpha", type=float, default=0.0)
+    run = [common, alpha, _grid_options(Grid(40.0, 256))]
     parser = argparse.ArgumentParser(
         prog="pideq",
         description="Point-interaction Laplacian: spectral data, semigroup, solver",
@@ -299,68 +290,65 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectral", parents=[common], help="print spectral scalars as CSV")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambdas", help="comma-separated lambda values for the c table")
+    p = sub.add_parser("spectral", parents=[common, alpha], help="print spectral scalars as CSV")
+    p.add_argument(
+        "--lambdas", default="0.25,0.5,1,2,4,8",
+        help="comma-separated lambda values for the c table",
+    )
     p.set_defaults(fn=cmd_spectral)
 
-    p = sub.add_parser("resolve", parents=[common], help="apply the resolvent to a datum")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-L", dest="grid_L", type=float)
+    p = sub.add_parser("resolve", parents=run, help="apply the resolvent to a datum")
+    p.add_argument("--lambda", dest="lam", type=float, default=2.0)
     p.add_argument("--u0", default="gaussian:2,1")
     p.set_defaults(fn=cmd_resolve)
 
-    p = sub.add_parser("semigroup", parents=[common], help="projected semigroup at time t")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-L", dest="grid_L", type=float)
+    p = sub.add_parser("semigroup", parents=run, help="projected semigroup at time t")
+    p.add_argument("--t", type=float, default=1.0)
     explicit = "; selects the explicit cut-hugging contour (default: the Talbot rule)"
     p.add_argument("--contour-eps", dest="contour_eps", type=float, help="arc radius" + explicit)
     p.add_argument("--nodes", dest="contour_nodes", type=int, help="nodes per ray" + explicit)
     p.add_argument("--u0", default="gaussian:2,1")
     p.set_defaults(fn=cmd_semigroup)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the nonlinear solver")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--ax", type=float)
-    p.add_argument("--ay", type=float)
+    p = sub.add_parser("simulate", parents=run, help="run the nonlinear solver")
+    p.add_argument("--gamma", type=float, default=2.0)
+    p.add_argument("--ax", type=float, default=1.0)
+    p.add_argument("--ay", type=float, default=0.0)
     p.add_argument("--u0", default="gaussian:1.5,0.02,1.0,0.5")
-    p.add_argument("--T", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-L", dest="grid_L", type=float)
+    p.add_argument("--T", type=float, default=1.0)
+    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--projected", action="store_true", default=True)
     p.add_argument("--unprojected", dest="projected", action="store_false")
     p.add_argument("--snapshots", action="store_true")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("decay", parents=[common], help="decay-rate report")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-L", dest="grid_L", type=float)
+    p = sub.add_parser("decay", parents=run, help="decay-rate report")
     p.add_argument("--with-nonlinear", action="store_true")
-    p.set_defaults(fn=cmd_decay)
+    # the nonlinear run's solver settings come from the config file alone
+    p.set_defaults(fn=cmd_decay, gamma=2.0, ax=1.0, ay=0.0, dt=0.02, tol=1e-9)
 
-    p = sub.add_parser("verify", parents=[common], help="run the acceptance checks, exit 0/1")
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-L", dest="grid_L", type=float)
+    p = sub.add_parser(
+        "verify", parents=[common, _grid_options(verify_mod.DEFAULT_GRID)],
+        help="run the acceptance checks, exit 0/1",
+    )
     p.set_defaults(fn=cmd_verify)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    """Run one subcommand; a rejected input or a file error exits 2 with one stderr line."""
-    parser = build_parser()
+    """Run one subcommand; a rejected input or a file error exits 2 with one stderr line.
+
+    A --config file's values replace the chosen subcommand's defaults and
+    the arguments are parsed again, so flags win over the file.
+    """
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        config = read_config(config_path) if config_path else {}
-        return args.fn(args, config)
+        if getattr(args, "config", None):
+            commands[args.command].set_defaults(**read_config(args.config))
+            args = parser.parse_args(argv)
+        return args.fn(args)
     except (ValueError, ConvergenceError, OSError) as exc:
         print(f"pideq: error: {exc}", file=sys.stderr)
         return 2

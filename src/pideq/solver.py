@@ -310,10 +310,10 @@ def _state_hat(model, u):
     imaginary parts of phi's values and coeff exceed ``IMAG_TOL`` of the
     state's size (||phi||_2^2 + |coeff|^2)^(1/2), and drops them when not.
     """
-    grid, values, q = model.grid, u.regular.values, complex(u.coeff)
+    values, q = u.regular.values, complex(u.coeff)
     if np.iscomplexobj(values) or q.imag:
-        size = math.sqrt(grid.cell_area * float(np.sum(np.abs(values) ** 2)) + abs(q) ** 2)
-        imag = math.sqrt(grid.cell_area * float(np.sum(np.imag(values) ** 2)) + q.imag ** 2)
+        size = math.hypot(lp_norm(u.regular, 2), abs(q))
+        imag = math.hypot(lp_norm(Field(model.grid, values.imag), 2), q.imag)
         if imag > IMAG_TOL * size:
             raise ValueError(
                 f"complex data (imaginary part {imag / size:.1e} of its size): the solver's "
@@ -627,7 +627,7 @@ def residual_check(traj, cfg, t_min=0.0):
         if projected:
             resid = resid + traj.rho[k] * psi_vals
         unorm = lp_norm(Field(grid, _irfft2(uc)), 2)
-        rnorm = math.sqrt(float(np.sum(resid ** 2)) * grid.cell_area)
+        rnorm = lp_norm(Field(grid, resid), 2)
         if unorm > 0:
             worst = max(worst, rnorm / unorm)
     return worst

@@ -24,6 +24,13 @@ def test_config_grammar(tmp_path):
     bad.write_text("mystery = 1\n")
     with pytest.raises(ValueError):
         read_config(bad)
+    # a value of the wrong type names the file, the line and the key
+    bad.write_text("alpha = 0\n\ngrid_n = 128.0\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:3: grid_n must be an integer; got '128\.0'"):
+        read_config(bad)
+    bad.write_text("dt = fast\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:1: dt must be a number; got 'fast'"):
+        read_config(bad)
 
 
 def test_spectral_subcommand(capsys):
@@ -409,3 +416,148 @@ def test_real_csv_keeps_zero_im_column(tmp_path):
         text = (tmp_path / name).read_text()
         assert text == ref.getvalue()
         assert all(row.endswith(",0.0000000000000000e+00") for row in text.split("\n")[1:-1])
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["spectral", "--lambdas", "1,abc"], None, "--lambdas must be comma-separated numbers"),
+        (["spectral", "--lambdas", ""], None, "--lambdas must be comma-separated numbers; got ''"),
+        (["verify"], "grid_n = 128.0\n", "run.cfg:1: grid_n must be an integer; got '128.0'"),
+        (["semigroup"], "\nalpha = zero\n", "run.cfg:2: alpha must be a number; got 'zero'"),
+    ],
+)
+def test_setting_errors_name_their_flag_or_key(tmp_path, capsys, argv, config, message):
+    # a setting that cannot be read is one stderr line naming its flag or
+    # config key, and exit code 2
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = ["--config", str(tmp_path / "run.cfg"), *argv]
+    assert main(["--out", str(tmp_path), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("pideq: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+# Every setting each subcommand reads: its built-in default and its flag
+# (None where the setting is read from the config file alone).
+SETTINGS = {
+    "spectral": {"alpha": (0.0, "--alpha")},
+    "resolve": {"alpha": (0.0, "--alpha"), "grid_n": (256, "--grid-n"), "grid_L": (40.0, "--grid-L")},
+    "semigroup": {
+        "alpha": (0.0, "--alpha"), "grid_n": (256, "--grid-n"), "grid_L": (40.0, "--grid-L"),
+        "contour_eps": (None, "--contour-eps"), "contour_nodes": (None, "--nodes"),
+    },
+    "simulate": {
+        "alpha": (0.0, "--alpha"), "grid_n": (256, "--grid-n"), "grid_L": (40.0, "--grid-L"),
+        "gamma": (2.0, "--gamma"), "ax": (1.0, "--ax"), "ay": (0.0, "--ay"),
+        "dt": (0.01, "--dt"), "T": (1.0, "--T"), "tol": (1e-9, "--tol"),
+    },
+    "decay --with-nonlinear": {
+        "alpha": (0.0, "--alpha"), "grid_n": (256, "--grid-n"), "grid_L": (40.0, "--grid-L"),
+        "gamma": (2.0, None), "ax": (1.0, None), "ay": (0.0, None),
+        "dt": (0.02, None), "tol": (1e-9, None),
+    },
+    "verify": {"grid_n": (512, "--grid-n"), "grid_L": (40.0, "--grid-L")},
+}
+CONFIG_VALUES = {
+    "alpha": 0.125, "grid_n": 32, "grid_L": 30.0, "contour_eps": 0.2, "contour_nodes": 300,
+    "gamma": 3.0, "ax": 0.5, "ay": 0.25, "dt": 0.05, "T": 2.0, "tol": 1e-7,
+}
+FLAG_VALUES = {
+    "alpha": 0.25, "grid_n": 16, "grid_L": 20.0, "contour_eps": 0.3, "contour_nodes": 400,
+    "gamma": 1.5, "ax": -1.0, "ay": 0.75, "dt": 0.1, "T": 3.0, "tol": 1e-6,
+}
+
+
+def _record_settings(monkeypatch):
+    """Replace the library calls of every subcommand by recorders of the settings they get."""
+    from types import SimpleNamespace
+
+    from pideq import cli
+
+    seen = {}
+    fit = SimpleNamespace(slope=-1.0, theoretical=-1.0, delta=0.0, r_squared=1.0)
+
+    def grid(g):
+        seen.update(grid_n=g.n, grid_L=g.half_width)
+
+    def solve(u0, cfg):
+        grid(u0.regular.grid)
+        seen.update(alpha=u0.params.alpha, gamma=cfg.gamma, ax=cfg.a[0], ay=cfg.a[1])
+        seen.update(dt=cfg.dt, T=cfg.T, tol=cfg.picard_tol)
+        return SimpleNamespace(times=np.zeros(0), states=[], rho=np.zeros(0))
+
+    def resolvent(lam, g, params):
+        grid(g.grid)
+        seen.update(alpha=params.alpha)
+        return g
+
+    def semigroup(t, g, params, contour):
+        grid(g.grid)
+        seen.update(alpha=params.alpha, contour_eps=contour and contour.epsilon)
+        seen.update(contour_nodes=contour and contour.nodes_ray)
+        return SimpleNamespace(field=g, free_part_norm=0.0, correction_norm=0.0, imag_residue=0.0)
+
+    def linear_fit(spec):
+        grid(spec.grid)
+        seen.update(alpha=spec.alpha)
+        return fit
+
+    def c_lambda(lam):
+        return 0j
+
+    real_params = cli.AlphaParams.for_alpha
+
+    def params(alpha):
+        seen.update(alpha=alpha)
+        return real_params(alpha)
+
+    monkeypatch.setattr(cli, "solve_global_projected", solve)
+    monkeypatch.setattr(cli, "solve_local", solve)
+    monkeypatch.setattr(cli, "krein_resolvent", resolvent)
+    monkeypatch.setattr(cli, "semigroup_pac", semigroup)
+    monkeypatch.setattr(cli, "run_semigroup_decay", linear_fit)
+    monkeypatch.setattr(cli, "run_gradient_decay", linear_fit)
+    monkeypatch.setattr(cli, "run_nonlinear_decay", lambda spec, traj: (fit, fit, fit))
+    monkeypatch.setattr(cli, "field_to_csv", lambda f, fh: None)
+    monkeypatch.setattr(cli, "c_lambda", c_lambda)
+    monkeypatch.setattr(cli.AlphaParams, "for_alpha", params)
+    monkeypatch.setattr(verify_mod, "run_checks", lambda g: grid(g) or [])
+    return seen
+
+
+@pytest.mark.parametrize("command", list(SETTINGS))
+def test_settings_default_config_flag(tmp_path, monkeypatch, capsys, command):
+    # each setting a subcommand reads reaches its library call as the
+    # built-in default, replaced by a config value, which a flag beats;
+    # the config keys the subcommand does not read change nothing
+    from pideq.cli import CONFIG_KEYS
+
+    seen = _record_settings(monkeypatch)
+    settings = SETTINGS[command]
+
+    def run(config, flags=()):
+        seen.clear()
+        argv = ["--out", str(tmp_path / "out")]
+        if config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+            argv += ["--config", str(cfg)]
+        assert main([*argv, *command.split(), *flags]) in (0, 1)
+        capsys.readouterr()
+        return dict(seen)
+
+    defaults = run({})
+    assert {key: defaults[key] for key in settings} == {
+        key: default for key, (default, _) in settings.items()
+    }
+    configured = run(CONFIG_VALUES)
+    assert {key: configured[key] for key in settings} == {key: CONFIG_VALUES[key] for key in settings}
+    for key, (_, flag) in settings.items():
+        if flag is not None:
+            flagged = run(CONFIG_VALUES, [flag, str(FLAG_VALUES[key])])
+            assert flagged == dict(configured, **{key: FLAG_VALUES[key]}), key
+    unread = {key: value for key, value in CONFIG_VALUES.items() if key not in settings}
+    assert set(unread) | set(settings) == set(CONFIG_KEYS)
+    assert run(unread) == defaults
