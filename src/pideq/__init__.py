@@ -47,7 +47,6 @@ from .solver import (
     state_fields,
 )
 from .decay import (
-    ExperimentSpec,
     RateFit,
     admissible_exponents,
     critical_datum,

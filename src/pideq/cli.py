@@ -16,8 +16,10 @@ them.  Each subcommand reads these keys and ignores the others:
 - ``verify``: grid_n, grid_L.
 
 An input the library rejects (ValueError, or a ConvergenceError), a
-config value or flag that cannot be read, and a file that cannot be read
-or written (OSError) print ``pideq: error: <message>`` to stderr and exit 2.
+config value, flag or subcommand that cannot be read, and a file that
+cannot be read or written (OSError) print ``pideq: error: <message>`` to
+stderr and exit 2.  A stdout whose reader has gone (a closed pipe) ends
+the run with status 141 (128 + SIGPIPE) and nothing on stderr.
 ``simulate --snapshots`` writes one lossless state container per stored
 time (``state_#####.pidf``: phi, q, alpha and t); given back as ``--u0``
 it resumes the run from that state, and the printed times continue from
@@ -27,13 +29,13 @@ All CSV output is full-precision scientific notation with '.' decimals,
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from . import verify as verify_mod
 from .decay import (
     DATUM_KINDS,
-    ExperimentSpec,
     make_datum,
     run_gradient_decay,
     run_nonlinear_decay,
@@ -224,7 +226,7 @@ def cmd_decay(args):
     linear = (("semigroup", run_semigroup_decay, 4.0, 2.0),
               ("gradient", run_gradient_decay, 1.5, 4.0 / 3.0))
     for kind, run, p, q in linear:
-        rows.append((kind, p, q, "", "", run(ExperimentSpec(grid=grid, alpha=alpha, q=q, p=p))))
+        rows.append((kind, p, q, "", "", run(grid, q=q, p=p, alpha=alpha)))
     if args.with_nonlinear:
         params = AlphaParams.for_alpha(alpha)
         # the nonlinear fits need t >= 20, so the run's end is fixed
@@ -233,7 +235,7 @@ def cmd_decay(args):
             gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
         )
         traj = solve_global_projected(u0, cfg)
-        fits = run_nonlinear_decay(ExperimentSpec(grid=grid, alpha=alpha, h1=4.0, h2=1.5), traj)
+        fits = run_nonlinear_decay(traj, h1=4.0, h2=1.5)
         for kind, fit in zip(("nonlinear_u", "nonlinear_grad", "nonlinear_rho"), fits):
             rows.append((kind, "", "", 4.0, 1.5, fit))
     out = _outdir(args)
@@ -256,6 +258,16 @@ def cmd_verify(args):
     passed = sum(res.passed for res in results)
     print(f"{passed}/{len(results)} checks passed")
     return 0 if passed == len(results) else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, for ``main``'s one error line.
+
+    ``add_subparsers`` builds the subcommand parsers of this class too.
+    """
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _grid_options(default):
@@ -283,7 +295,7 @@ def build_parser():
     alpha = argparse.ArgumentParser(add_help=False)
     alpha.add_argument("--alpha", type=float, default=0.0)
     run = [common, alpha, _grid_options(Grid(40.0, 256))]
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pideq",
         description="Point-interaction Laplacian: spectral data, semigroup, solver",
         parents=[common],
@@ -340,15 +352,23 @@ def main(argv=None):
     """Run one subcommand; a rejected input or a file error exits 2 with one stderr line.
 
     A --config file's values replace the chosen subcommand's defaults and
-    the arguments are parsed again, so flags win over the file.
+    the arguments are parsed again, so flags win over the file.  A closed
+    stdout returns 141 and writes nothing more.
     """
     parser, commands = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
             commands[args.command].set_defaults(**read_config(args.config))
             args = parser.parse_args(argv)
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # what stdout still buffers goes to devnull, so the flush at exit
+        # cannot fail again (the SIGPIPE note of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ConvergenceError, OSError) as exc:
         print(f"pideq: error: {exc}", file=sys.stderr)
         return 2

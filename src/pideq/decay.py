@@ -9,6 +9,13 @@ on [1, 50] and compare with the theoretical exponents
 the nonlinear experiments fit the solver trajectory norms against the
 family t^(-1 + 1/h1 + delta), t^(-3/2 + 1/h2 + delta) and |rho| ~ t^(-1-delta).
 
+Each experiment is one function of the inputs it reads, and checks its
+exponents where they enter: ``run_semigroup_decay`` and
+``run_gradient_decay`` take (grid, q, p, alpha, t_grid), with the
+read-only ``T_GRID`` as the default t-grid, and ``run_nonlinear_decay``
+takes (traj, h1, h2), since the trajectory carries its own grid and
+coupling.
+
 A linear fit transforms its datum once, with one rfft2, and applies one
 ``Flow`` per t to that half spectrum, as the solver does; each sample is
 one irfft2 (two for the gradient, joined by hypot as in ``state_fields``).
@@ -27,17 +34,17 @@ measured slack, never imposed.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, Grid, _front, _irfft2, _lp_sum, _rfft2, gaussian_field, lp_norm
+from .fields import Field, _front, _irfft2, _lp_sum, _real, _rfft2, gaussian_field, lp_norm
 from .semigroup import Flow, grid_model
 from .spectral import AlphaParams
 from .solver import state_fields
 
 __all__ = [
-    "ExperimentSpec",
+    "T_GRID",
     "RateFit",
     "fit_rate",
     "critical_datum",
@@ -65,24 +72,9 @@ class RateFit:
         return self.slope - self.theoretical
 
 
-@dataclass
-class ExperimentSpec:
-    """Grid, coupling, exponents and t-grid of one decay experiment.
-
-    The runner it is passed to selects the experiment.  Linear runs read the
-    Lebesgue exponents (p, q) and fit the critical datum of exponent q;
-    nonlinear runs use (h1, h2).  Fits only use t >= 1.
-    """
-
-    grid: Grid
-    alpha: float = 0.0
-    p: float | None = None
-    q: float | None = None
-    h1: float | None = None
-    h2: float | None = None
-    t_grid: np.ndarray = dataclass_field(
-        default_factory=lambda: np.geomspace(1.0, 50.0, 16)
-    )
+T_GRID = np.geomspace(1.0, 50.0, 16)
+T_GRID.flags.writeable = False
+"""The linear fits' default t-grid: 16 geometric times on [1, 50], read-only."""
 
 
 def _check_times(t, name):
@@ -150,7 +142,7 @@ def critical_datum(grid, q):
     the singular profile over its frequency cell, so the box does not starve
     the infrared before t ~ (L/pi)^2.
     """
-    if not 1.0 < q < math.inf:
+    if not (_real(q) and 1.0 < q < math.inf):
         raise ValueError(f"q must be a finite number > 1; got {q!r}")
     beta = 2.0 - 2.0 / q
     xi2 = grid.wavenumber_sq()[:, :grid.n // 2 + 1]
@@ -187,8 +179,8 @@ def make_datum(descriptor, grid, q=2.0):
     raise ValueError(f"unknown datum descriptor {descriptor!r}")
 
 
-def _linear_fit(spec, sample, theoretical):
-    """Fit of sample(model, out) over ``spec.t_grid`` for the critical datum g.
+def _linear_fit(grid, q, alpha, t_grid, sample, theoretical):
+    """Fit of sample(model, out) over ``t_grid`` for the critical datum g of exponent q.
 
     The datum is transformed once; for each t, a flow built over the last
     t's (``Flow``'s ``_over``) maps its half spectrum into out, one array
@@ -197,46 +189,44 @@ def _linear_fit(spec, sample, theoretical):
     out.  Every t must be finite and >= 1, with at least 5 of them and 2
     distinct, which is checked before any work.
     """
-    t_grid = np.asarray(spec.t_grid, dtype=float)
-    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 1.0)):
-        raise ValueError(f"t_grid must hold finite times t >= 1; got {spec.t_grid!r}")
-    _check_times(t_grid, "t_grid")
-    model = grid_model(AlphaParams.for_alpha(spec.alpha), spec.grid)
-    ghat = _rfft2(critical_datum(spec.grid, spec.q or 2.0).values)
+    times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 1.0)):
+        raise ValueError(f"t_grid must hold finite times t >= 1; got {t_grid!r}")
+    _check_times(times, "t_grid")
+    model = grid_model(AlphaParams.for_alpha(alpha), grid)
+    ghat = _rfft2(critical_datum(grid, q).values)
     out = np.empty_like(ghat)
     samples = []
     flow = None
-    for t in t_grid:
+    for t in times:
         flow = Flow(model, t, _over=flow)
         samples.append((t, sample(model, flow.apply(ghat, out))))
     return fit_rate(samples, theoretical)
 
 
-def run_semigroup_decay(spec):
-    """Fit of ||S(t) P_ac g||_p over the t-grid; needs 1 < q < p < infinity.
+def run_semigroup_decay(grid, q, p, alpha=0.0, t_grid=T_GRID):
+    """Fit of ||S(t) P_ac g||_p over ``t_grid``; needs real 1 < q < p < infinity.
 
-    Each sample is one irfft2 of the flowed half spectrum, into one array
-    the fit keeps.
+    g is the critical datum of exponent q on ``grid`` and S the projected
+    flow at coupling ``alpha``.  Each sample is one irfft2 of the flowed
+    half spectrum, into one array the fit keeps.
     """
-    if spec.q is None or spec.p is None:
-        raise ValueError("semigroup experiment needs exponents (q, p)")
-    if not (1.0 < spec.q < spec.p < math.inf):
+    if not (_real(q) and _real(p) and 1.0 < q < p < math.inf):
         raise ValueError(
-            "semigroup decay requires 1 < q < p < inf; equal exponents have no "
-            "decay rate"
+            "semigroup decay requires real 1 < q < p < inf (equal exponents have no "
+            f"decay rate); got q = {q!r}, p = {p!r}"
         )
-    theo = -(1.0) * (1.0 / spec.q - 1.0 / spec.p)  # N = 2
-    vals = np.empty((spec.grid.n, spec.grid.n))
+    vals = np.empty((grid.n, grid.n))
 
     def sample(model, out):
         _irfft2(out, vals, work=out)
-        return _lp_sum(np.abs(vals, out=vals), spec.p, spec.grid.cell_area)
+        return _lp_sum(np.abs(vals, out=vals), p, grid.cell_area)
 
-    return _linear_fit(spec, sample, theo)
+    return _linear_fit(grid, q, alpha, t_grid, sample, -(1.0 / q - 1.0 / p))  # N = 2
 
 
-def run_gradient_decay(spec):
-    """Fit of ||grad S(t) P_ac g||_p; the admissible window is 1 < q < p < 2.
+def run_gradient_decay(grid, q, p, alpha=0.0, t_grid=T_GRID):
+    """Fit of ||grad S(t) P_ac g||_p, as :func:`run_semigroup_decay`; needs real 1 < q < p < 2.
 
     |grad| is the hypot of the two derivative irfft2s, as in ``state_fields``,
     into two n x n arrays the fit keeps: the first its own, the second in
@@ -244,11 +234,9 @@ def run_gradient_decay(spec):
     transformed.  The second derivative is formed in the flowed half
     spectrum's own array.
     """
-    if spec.q is None or spec.p is None:
-        raise ValueError("gradient experiment needs exponents (q, p)")
-    if not (1.0 < spec.q < spec.p < 2.0):
-        raise ValueError("gradient decay requires 1 < q < p < 2")
-    n = spec.grid.n
+    if not (_real(q) and _real(p) and 1.0 < q < p < 2.0):
+        raise ValueError(f"gradient decay requires real 1 < q < p < 2; got q = {q!r}, p = {p!r}")
+    n = grid.n
     d1_hat = np.empty((n, n // 2 + 1), dtype=np.complex128)
     du1, du2 = np.empty((n, n)), _front(d1_hat, (n, n))
 
@@ -256,22 +244,20 @@ def run_gradient_decay(spec):
         d1, d2 = model.derivative
         _irfft2(np.multiply(d1, out, out=d1_hat), du1, work=d1_hat)
         _irfft2(np.multiply(d2, out, out=out), du2, work=out)
-        return _lp_sum(np.hypot(du1, du2, out=du1), spec.p, spec.grid.cell_area)
+        return _lp_sum(np.hypot(du1, du2, out=du1), p, grid.cell_area)
 
-    return _linear_fit(spec, sample, -0.5 - (1.0 / spec.q - 1.0 / spec.p))
+    return _linear_fit(grid, q, alpha, t_grid, sample, -0.5 - (1.0 / q - 1.0 / p))
 
 
-def run_nonlinear_decay(spec, traj):
+def run_nonlinear_decay(traj, h1, h2):
     """Three fits from a projected trajectory: u in L^h1, grad u in L^h2, |rho|.
 
     Theoretical exponents -1 + 1/h1, -3/2 + 1/h2 and -1 (upper-bound rates;
     generic data decay at least this fast, so the measured slopes sit at or
     below them).  Requires an admissible (h1, h2) pair and t_max >= 20.
     """
-    if spec.h1 is None or spec.h2 is None:
-        raise ValueError("nonlinear experiment needs exponents (h1, h2)")
-    if admissible_exponents(spec.h1, spec.h2) is None:
-        raise ValueError(f"(h1, h2) = ({spec.h1}, {spec.h2}) is not admissible")
+    if admissible_exponents(h1, h2) is None:
+        raise ValueError(f"(h1, h2) = ({h1}, {h2}) is not admissible")
     if traj.times[-1] < 20.0:
         raise ValueError("nonlinear decay needs a trajectory reaching t >= 20")
     if traj.rho.size == 0:
@@ -282,13 +268,13 @@ def run_nonlinear_decay(spec, traj):
         if not keep:
             continue
         u, grad = state_fields(st)
-        u_samples.append((t, lp_norm(u, spec.h1)))
-        g_samples.append((t, lp_norm(grad, spec.h2)))
+        u_samples.append((t, lp_norm(u, h1)))
+        g_samples.append((t, lp_norm(grad, h2)))
         r_samples.append((t, abs(rho)))
     floor = max(r for _, r in r_samples) * 1e-14
     return (
-        fit_rate(u_samples, -1.0 + 1.0 / spec.h1),
-        fit_rate(g_samples, -1.5 + 1.0 / spec.h2),
+        fit_rate(u_samples, -1.0 + 1.0 / h1),
+        fit_rate(g_samples, -1.5 + 1.0 / h2),
         fit_rate([(t, max(r, floor)) for t, r in r_samples], -1.0),
     )
 
@@ -300,10 +286,10 @@ def admissible_exponents(h1, h2):
     max(1/h1, 1/h2) < theta1/h1 + theta2/h2 + (1 - theta2)/2 < 1.
     Returns None when no pair exists on the search lattice of step 1e-3.
     """
-    if not 1.0 < h1 < math.inf:
-        raise ValueError("h1 must lie in (1, inf)")
-    if not 1.0 < h2 < 2.0:
-        raise ValueError("h2 must lie in (1, 2)")
+    if not (_real(h1) and 1.0 < h1 < math.inf):
+        raise ValueError(f"h1 must lie in (1, inf); got {h1!r}")
+    if not (_real(h2) and 1.0 < h2 < 2.0):
+        raise ValueError(f"h2 must lie in (1, 2); got {h2!r}")
     thetas = np.arange(0.5 + 1e-3, 1.0, 1e-3)
     t1 = thetas[:, None]
     t2 = thetas[None, :]

@@ -156,8 +156,10 @@ class Trajectory:
     """Sampled solution: times, decomposed states, and the multiplier rho.
 
     ``rho`` is empty for unprojected runs.  ``diagnostics`` carries the
-    measured contraction ratios, iteration counts and the maximum eigenmode
-    component seen along the run (global solves).
+    measured ``contraction_ratios``, the ``iterations`` (the one window's
+    count for a local solve, one per window for a global one) and, for a
+    global solve, ``ortho_max``: the largest eigenmode component |<u, psi>|
+    of a window's end state.
     """
 
     times: np.ndarray
@@ -433,7 +435,7 @@ def _picard_window(model, flow, start, steps, cfg, force, label, work):
 
 
 def _solve(u0, cfg, projected, window, default_stride):
-    """Both solves' window driver: (times, states, rho, iterations, ratios, ortho_max).
+    """Both solves' window driver: the :class:`Trajectory` of a global or a local solve.
 
     The horizon [0, cfg.T] is cut into windows of ``window`` time.  A window
     is probed: Picard is iterated to ``cfg.picard_tol`` from the linear
@@ -450,7 +452,10 @@ def _solve(u0, cfg, projected, window, default_stride):
     time.  A projected solve pairs each stored state's forcing with psi
     for rho, empty otherwise.  ``cfg`` is only read.  The solve owns one
     :class:`_Work`, and a march copies out only the states it stores and
-    its end state.
+    its end state.  The diagnostics hold the iterations, all windows'
+    ratios and, for a projected solve, ``ortho_max``: the largest
+    |<u, psi>| of a window's end state.  An unprojected solve is local, one
+    window, so its iterations are that window's count.
     """
     model = grid_model(u0.params, u0.regular.grid)
     total_steps = int(round(cfg.T / cfg.dt))
@@ -534,7 +539,10 @@ def _solve(u0, cfg, projected, window, default_stride):
             rho.append(_rho(model, kernel, uhat, q, cfg, work))
         phat = uhat - q * model.green_omega_hat
         states.append(DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params))
-    return np.array(times), states, np.array(rho), iterations, ratios, ortho_max
+    diag = {"iterations": iterations if projected else iterations[0], "contraction_ratios": ratios}
+    if projected:
+        diag["ortho_max"] = ortho_max
+    return Trajectory(np.array(times), states, np.array(rho), diag)
 
 
 def solve_local(u0, cfg):
@@ -547,11 +555,7 @@ def solve_local(u0, cfg):
     :class:`HorizonTooLargeError` when three successive iterates fail to
     contract.
     """
-    times, states, rho, iterations, ratios, _ = _solve(
-        u0, cfg, projected=False, window=cfg.T, default_stride=1
-    )
-    diag = {"iterations": iterations[0], "contraction_ratios": ratios}
-    return Trajectory(times, states, rho, diag)
+    return _solve(u0, cfg, projected=False, window=cfg.T, default_stride=1)
 
 
 def solve_global_projected(u0, cfg):
@@ -574,15 +578,11 @@ def solve_global_projected(u0, cfg):
     entry per window: the probe's iterate count, or 0 for a marched window.
     """
     try:
-        times, states, rho, iterations, ratios, ortho_max = _solve(
-            u0, cfg, projected=True, window=cfg.window, default_stride=None
-        )
+        return _solve(u0, cfg, projected=True, window=cfg.window, default_stride=None)
     except HorizonTooLargeError as exc:
         raise DataTooLargeError(
             f"initial datum too large for global solve: {exc}", exc.ratio
         ) from exc
-    diag = {"iterations": iterations, "contraction_ratios": ratios, "ortho_max": ortho_max}
-    return Trajectory(times, states, rho, diag)
 
 
 def residual_check(traj, cfg, t_min=0.0):

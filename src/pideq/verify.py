@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 from .decay import (
-    ExperimentSpec,
     _beta,
     run_gradient_decay,
     run_semigroup_decay,
@@ -118,18 +117,9 @@ def check_backward_euler(grid=DEFAULT_GRID):
     return ok, f"error(1000) {err1:.2e}, error(2000) {err2:.2e}, gain {gain:.2f}x"
 
 
-def check_semigroup_decay(grid=DEFAULT_GRID):
-    spec = ExperimentSpec(grid=grid, q=2.0, p=4.0)
-    fit = run_semigroup_decay(spec)
-    ok = abs(fit.slope - fit.theoretical) <= 0.05 and fit.r_squared >= 0.98
-    return ok, (
-        f"slope {fit.slope:.4f} vs {fit.theoretical:.4f}, r2 {fit.r_squared:.4f}"
-    )
-
-
-def check_gradient_decay(grid=DEFAULT_GRID):
-    spec = ExperimentSpec(grid=grid, q=4.0 / 3.0, p=1.5)
-    fit = run_gradient_decay(spec)
+def check_decay_rate(run, grid, q, p):
+    """Slope and r2 of the linear decay fit ``run`` (a :mod:`pideq.decay` runner) at (q, p)."""
+    fit = run(grid, q=q, p=p)
     ok = abs(fit.slope - fit.theoretical) <= 0.05 and fit.r_squared >= 0.98
     return ok, (
         f"slope {fit.slope:.4f} vs {fit.theoretical:.4f}, r2 {fit.r_squared:.4f}"
@@ -167,8 +157,10 @@ def run_checks(grid=DEFAULT_GRID):
     _check("eigenmode growth", lambda: check_eigenmode_growth(grid), results)
     _check("semigroup law", lambda: check_semigroup_law(grid), results)
     _check("backward-Euler oracle", lambda: check_backward_euler(grid), results)
-    _check("L2->L4 decay rate", lambda: check_semigroup_decay(grid), results)
-    _check("gradient decay rate", lambda: check_gradient_decay(grid), results)
+    _check("L2->L4 decay rate",
+           lambda: check_decay_rate(run_semigroup_decay, grid, 2.0, 4.0), results)
+    _check("gradient decay rate",
+           lambda: check_decay_rate(run_gradient_decay, grid, 4.0 / 3.0, 1.5), results)
     _check("contour independence", lambda: check_contour_independence(grid), results)
     _check("convolution bound", check_convolution_bound, results)
     return results

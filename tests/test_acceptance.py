@@ -153,8 +153,7 @@ def test_criterion_10_global_orthogonality(global_run):
 
 def test_criterion_11_nonlinear_decay(global_run):
     params, grid, u0, cfg, traj = global_run
-    spec = pq.ExperimentSpec(grid=grid, h1=4.0, h2=1.5)
-    fit_u, fit_g, fit_r = pq.run_nonlinear_decay(spec, traj)
+    fit_u, fit_g, fit_r = pq.run_nonlinear_decay(traj, h1=4.0, h2=1.5)
     assert abs(fit_u.theoretical + 0.75) < 1e-12
     assert abs(fit_g.theoretical + 5.0 / 6.0) < 1e-12
     assert abs(fit_r.theoretical + 1.0) < 1e-12

@@ -141,6 +141,54 @@ def test_input_error_has_no_traceback(tmp_path):
         assert proc.stderr.startswith("pideq: error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--grid-n", "128.0"], "argument --grid-n: invalid int value: '128.0'"),
+        (["simulate", "--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
+        (["semigroup", "--nodes", "1.5"], "argument --nodes: invalid int value: '1.5'"),
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--bogus", "spectral"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        (["--config", "nosuch.cfg", "simulate", "--dt", "x"], "argument --dt: invalid float"),
+    ],
+)
+def test_argparse_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    # argparse once printed its usage block and `pideq <subcommand>: error:`,
+    # then raised SystemExit(2) out of main
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"pideq: error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: pideq") and err == ""
+
+
+def test_closed_stdout_exits_141_silently(tmp_path):
+    # a stdout whose reader had gone once printed "pideq: error: [Errno 32]
+    # Broken pipe" and exited 2, the status of an input error
+    env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pideq.cli", "spectral"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b""
+
+
 def test_semigroup_subcommand(tmp_path, capsys):
     code = main(
         [
@@ -499,9 +547,9 @@ def _record_settings(monkeypatch):
         seen.update(contour_nodes=contour and contour.nodes_ray)
         return SimpleNamespace(field=g, free_part_norm=0.0, correction_norm=0.0, imag_residue=0.0)
 
-    def linear_fit(spec):
-        grid(spec.grid)
-        seen.update(alpha=spec.alpha)
+    def linear_fit(g, q, p, alpha=0.0):
+        grid(g)
+        seen.update(alpha=alpha)
         return fit
 
     def c_lambda(lam):
@@ -519,7 +567,7 @@ def _record_settings(monkeypatch):
     monkeypatch.setattr(cli, "semigroup_pac", semigroup)
     monkeypatch.setattr(cli, "run_semigroup_decay", linear_fit)
     monkeypatch.setattr(cli, "run_gradient_decay", linear_fit)
-    monkeypatch.setattr(cli, "run_nonlinear_decay", lambda spec, traj: (fit, fit, fit))
+    monkeypatch.setattr(cli, "run_nonlinear_decay", lambda traj, h1, h2: (fit, fit, fit))
     monkeypatch.setattr(cli, "field_to_csv", lambda f, fh: None)
     monkeypatch.setattr(cli, "c_lambda", c_lambda)
     monkeypatch.setattr(cli.AlphaParams, "for_alpha", params)

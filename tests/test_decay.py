@@ -8,7 +8,6 @@ from scipy.integrate import dblquad, quad
 
 from pideq import (
     AlphaParams,
-    ExperimentSpec,
     Field,
     Grid,
     admissible_exponents,
@@ -218,15 +217,13 @@ def test_make_datum_descriptors():
 
 
 def test_semigroup_decay_rejects_equal_exponents():
-    spec = ExperimentSpec(grid=Grid(40.0, 128), q=2.0, p=2.0)
     with pytest.raises(ValueError):
-        run_semigroup_decay(spec)
+        run_semigroup_decay(Grid(40.0, 128), q=2.0, p=2.0)
 
 
 def test_gradient_decay_exponent_window():
-    spec = ExperimentSpec(grid=Grid(40.0, 128), q=2.0, p=3.0)
     with pytest.raises(ValueError):
-        run_gradient_decay(spec)
+        run_gradient_decay(Grid(40.0, 128), q=2.0, p=3.0)
 
 
 def test_l2_boundedness_slope():
@@ -245,36 +242,34 @@ def test_semigroup_decay_grid_stability():
     ts = np.geomspace(1.0, 50.0, 10)
     slopes = []
     for n in (128, 256):
-        spec = ExperimentSpec(grid=Grid(40.0, n), q=2.0, p=4.0, t_grid=ts)
-        slopes.append(run_semigroup_decay(spec).slope)
+        slopes.append(run_semigroup_decay(Grid(40.0, n), q=2.0, p=4.0, t_grid=ts).slope)
     assert abs(slopes[1] - slopes[0]) <= 0.02
 
 
 def test_nonlinear_decay_validation(params, grid128):
-    spec = ExperimentSpec(grid=grid128, h1=4.0, h2=2.5)
     with pytest.raises(ValueError):
-        run_nonlinear_decay(spec, None)
+        run_nonlinear_decay(None, h1=4.0, h2=2.5)
 
 
-def _fit_samples(monkeypatch, run, spec):
+def _fit_samples(monkeypatch, run, grid, q, p, t_grid):
     # the (t, value) pairs a linear fit hands to fit_rate
     seen = []
     monkeypatch.setattr(decay, "fit_rate", lambda samples, theo: seen.extend(samples))
-    run(spec)
+    run(grid, q=q, p=p, t_grid=t_grid)
     return seen
 
 
 def test_linear_fit_samples_match_public_flows(monkeypatch, params, grid128):
     # one transform and one Flow per t against one public call per t
     ts = [1.0, 2.5, 7.3, 20.0, 50.0]
-    spec = ExperimentSpec(grid=grid128, q=2.0, p=4.0, t_grid=np.array(ts))
     g = critical_datum(grid128, 2.0)
-    for (t, value), tref in zip(_fit_samples(monkeypatch, run_semigroup_decay, spec), ts):
+    samples = _fit_samples(monkeypatch, run_semigroup_decay, grid128, 2.0, 4.0, np.array(ts))
+    for (t, value), tref in zip(samples, ts):
         expect = lp_norm(semigroup_pac(tref, g, params).field, 4.0)
         assert t == tref and abs(value - expect) <= 1e-12 * expect
-    spec = ExperimentSpec(grid=grid128, q=4.0 / 3.0, p=1.5, t_grid=np.array(ts))
     g = critical_datum(grid128, 4.0 / 3.0)
-    for (t, value), tref in zip(_fit_samples(monkeypatch, run_gradient_decay, spec), ts):
+    samples = _fit_samples(monkeypatch, run_gradient_decay, grid128, 4.0 / 3.0, 1.5, np.array(ts))
+    for (t, value), tref in zip(samples, ts):
         dx, dy = semigroup_gradient_pac(tref, g, params)
         expect = lp_norm(Field(grid128, np.hypot(dx.values.real, dy.values.real)), 1.5)
         assert t == tref and abs(value - expect) <= 1e-12 * expect
@@ -292,7 +287,7 @@ def test_linear_fit_rejects_t_grid_before_any_flow(monkeypatch, grid128, run, q,
     ts = np.geomspace(1.0, 50.0, 8)
     ts[3] = bad
     with pytest.raises(ValueError, match="t_grid"):
-        run(ExperimentSpec(grid=grid128, q=q, p=p, t_grid=ts))
+        run(grid128, q=q, p=p, t_grid=ts)
 
 
 @pytest.mark.parametrize(
@@ -312,7 +307,14 @@ def test_linear_fit_needs_two_distinct_times_before_any_flow(
 
     monkeypatch.setattr(decay, "Flow", banned)
     with pytest.raises(ValueError, match=f"t_grid needs {message}"):
-        run(ExperimentSpec(grid=grid128, q=q, p=p, t_grid=ts))
+        run(grid128, q=q, p=p, t_grid=ts)
+
+
+def test_default_t_grid_is_read_only():
+    # every linear fit shares the default t-grid, so no caller may write it
+    assert np.array_equal(decay.T_GRID, np.geomspace(1.0, 50.0, 16))
+    with pytest.raises(ValueError, match="read-only"):
+        decay.T_GRID[0] = 2.0
 
 
 def test_semigroup_decay_transforms_datum_once(monkeypatch, params, grid128):
@@ -329,7 +331,6 @@ def test_semigroup_decay_transforms_datum_once(monkeypatch, params, grid128):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    spec = ExperimentSpec(grid=grid128, q=2.0, p=4.0)
-    assert len(spec.t_grid) == 16
-    run_semigroup_decay(spec)
+    assert len(decay.T_GRID) == 16
+    run_semigroup_decay(grid128, q=2.0, p=4.0)
     assert counts == {"rfft": 1, "irfft": 17}

@@ -38,7 +38,14 @@ from pideq import (
     total_field,
 )
 from pideq.cli import main
-from pideq.decay import ExperimentSpec, fit_rate, run_semigroup_decay
+from pideq.decay import (
+    admissible_exponents,
+    critical_datum,
+    fit_rate,
+    run_gradient_decay,
+    run_nonlinear_decay,
+    run_semigroup_decay,
+)
 from pideq.errors import ContourError, DataTooLargeError, HorizonTooLargeError
 from pideq.semigroup import Flow, grid_model
 
@@ -200,15 +207,30 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
         (lambda g: heat_free(g, True), "heat_free requires a finite t"),
         # one time repeated is a point, not a slope
         (lambda g: fit_rate([(2.0, 1.0)] * 5), r"fit_rate needs at least 2 distinct times.*2\.0"),
-        (lambda g: run_semigroup_decay(
-            ExperimentSpec(grid=Grid(40, 64), q=2, p=4, t_grid=[3.0] * 5)
-        ), r"t_grid needs at least 2 distinct times.*3\.0"),
+        (lambda g: run_semigroup_decay(Grid(40, 64), q=2, p=4, t_grid=[3.0] * 5),
+         r"t_grid needs at least 2 distinct times.*3\.0"),
+        # a string exponent once raised TypeError from its range test, and
+        # True was taken as the number 1
+        (lambda g: run_semigroup_decay(g.grid, q="2", p=4), "q = '2', p = 4"),
+        (lambda g: run_semigroup_decay(g.grid, q=2, p=True), "q = 2, p = True"),
+        (lambda g: run_gradient_decay(g.grid, q=True, p=1.5), "q = True, p = 1.5"),
+        (lambda g: run_gradient_decay(g.grid, q=1.25, p="1.5"), "q = 1.25, p = '1.5'"),
+        (lambda g: critical_datum(g.grid, "2"), "q must be a finite number > 1; got '2'"),
+        (lambda g: admissible_exponents("4", 1.5), r"h1 must lie in \(1, inf\); got '4'"),
+        (lambda g: admissible_exponents(4.0, True), r"h2 must lie in \(1, 2\); got True"),
+        (lambda g: run_nonlinear_decay(None, h1="4", h2=1.5),
+         r"h1 must lie in \(1, inf\); got '4'"),
+        (lambda g: run_nonlinear_decay(None, h1=4.0, h2=[1.5]),
+         r"h2 must lie in \(1, 2\); got \[1\.5\]"),
     ],
     ids=[
         "lp_norm-str", "lp_norm-bool", "semigroup_pac-str", "semigroup_pac-bool",
         "semigroup_full-str", "semigroup_gradient_pac-bool", "oracle-str",
         "gaussian-amplitude-str", "gaussian-sigma-str", "heat_free-bool",
         "fit_rate-one-time", "semigroup_decay-one-time",
+        "semigroup_decay-q-str", "semigroup_decay-p-bool", "gradient_decay-q-bool",
+        "gradient_decay-p-str", "critical_datum-q-str", "admissible-h1-str",
+        "admissible-h2-bool", "nonlinear_decay-h1-str", "nonlinear_decay-h2-list",
     ],
 )
 def test_contract_rejects_wrong_types(grid128, call, message):

@@ -429,6 +429,21 @@ def test_global_march_is_picard_fixed_point(params, grid128):
     assert ratios and all(r < 1.0 for r in ratios)
 
 
+def test_global_solve_reports_ortho_max(params):
+    # the largest |<u, psi>| of a window's end state stays within criterion
+    # 10's bound 1e-6 ||u0||_2; a local solve does not project and has none
+    grid = Grid(40.0, 64)
+    u0 = DecomposedField.from_field(
+        gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
+    )
+    traj = solve_global_projected(u0, SolverConfig(T=2.0, dt=0.02))
+    assert traj.diagnostics["iterations"] == [3, 0]
+    ortho = traj.diagnostics["ortho_max"]
+    assert math.isfinite(ortho) and ortho <= 1e-6 * lp_norm(total_field(u0), 2)
+    local = solve_local(u0, SolverConfig(T=0.1, dt=0.02))
+    assert "ortho_max" not in local.diagnostics
+
+
 def test_global_march_reprobes_growing_data(params):
     # Under-resolved steepening on a coarse grid: the H1 proxy dips, then
     # passes window 0's largest value in window 6, so windows 6-9 are probed.

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from pideq import AlphaParams, DecomposedField, Grid, SolverConfig, gaussian_field
 from pideq import solve_global_projected
-from pideq.decay import ExperimentSpec, run_gradient_decay, run_semigroup_decay
+from pideq.decay import run_gradient_decay, run_semigroup_decay
 from pideq.semigroup import Flow, PointHeatModel
 
 # Window 0 is probed (its linear start and 3 Picard sweeps of 50 steps) and
@@ -82,15 +82,13 @@ def test_linear_fit_work(monkeypatch):
     # irfft2 of the flowed half spectrum (two for the gradient); once per
     # fit the datum's rfft2 and the irfft2 that builds it
     grid = Grid(40.0, 64)
-    semigroup = ExperimentSpec(grid=grid, q=2.0, p=4.0)
-    gradient = ExperimentSpec(grid=grid, q=4.0 / 3.0, p=1.5)
-    run_semigroup_decay(semigroup)  # build the grid model
+    run_semigroup_decay(grid, q=2.0, p=4.0)  # build the grid model
     counts = Counter()
     _count(monkeypatch, counts)
-    run_semigroup_decay(semigroup)
+    run_semigroup_decay(grid, q=2.0, p=4.0)
     assert dict(counts) == {"Flow()": 16, "Flow.apply": 16, "_rfft2": 1, "_irfft2": 17}
     counts.clear()
-    run_gradient_decay(gradient)
+    run_gradient_decay(grid, q=4.0 / 3.0, p=1.5)
     assert dict(counts) == {"Flow()": 16, "Flow.apply": 16, "_rfft2": 1, "_irfft2": 33}
 
 
