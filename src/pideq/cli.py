@@ -2,18 +2,23 @@
 
 Subcommands: spectral | resolve | semigroup | simulate | decay | verify.
 Global options: --config FILE (line-oriented ``key = value``; recognised
-keys: alpha, grid_n, grid_L, contour_eps, contour_nodes, gamma, ax, ay,
-dt, T, tol) and --out DIR for emitted files.  The config file's values
-replace the chosen subcommand's defaults and command-line flags override
-them.  Each subcommand reads these keys and ignores the others:
+keys: alpha, grid_n, grid_L, gamma, ax, ay, dt, T, tol) and --out DIR for
+emitted files.  The config file's values replace the chosen subcommand's
+defaults and command-line flags override them.  Each subcommand reads
+these keys and ignores the others:
 
 - ``spectral``: alpha;
 - ``resolve``: alpha, grid_n, grid_L;
-- ``semigroup``: alpha, grid_n, grid_L, contour_eps, contour_nodes;
+- ``semigroup``: alpha, grid_n, grid_L;
 - ``simulate``: alpha, grid_n, grid_L, gamma, ax, ay, dt, T, tol;
 - ``decay``: alpha, grid_n, grid_L, and with ``--with-nonlinear`` gamma,
   ax, ay, dt and tol (which have no flags there; the run ends at T = 50);
 - ``verify``: grid_n, grid_L.
+
+``semigroup`` evaluates e^{tA} P_ac with the Talbot rule, as every flow
+does.  The cut-hugging contour is a library cross-check: ``verify``'s
+contour-independence check runs it, and so does
+``semigroup_pac(..., contour=ContourSpec(...))``.
 
 An input the library rejects (ValueError, or a ConvergenceError), a
 config value, flag or subcommand that cannot be read, and a file that
@@ -51,7 +56,7 @@ from .fields import (
     lp_norm,
     save_field,
 )
-from .semigroup import ContourSpec, krein_resolvent, semigroup_pac
+from .semigroup import krein_resolvent, semigroup_pac
 from .spectral import AlphaParams, DecomposedField, c_lambda, load_state
 from .solver import SolverConfig, solve_global_projected, solve_local, state_fields
 
@@ -59,8 +64,6 @@ CONFIG_KEYS = {
     "alpha": float,
     "grid_n": int,
     "grid_L": float,
-    "contour_eps": float,
-    "contour_nodes": int,
     "gamma": float,
     "ax": float,
     "ay": float,
@@ -98,19 +101,6 @@ def _sci(x):
 
 def _grid(args):
     return Grid(args.grid_L, args.grid_n)
-
-
-def _contour(args, params):
-    """The explicit cut-hugging contour when --contour-eps or --nodes is set, else None (Talbot)."""
-    eps, nodes = args.contour_eps, args.contour_nodes
-    if eps is None and nodes is None:
-        return None
-    base = ContourSpec.for_time(params, args.t)
-    return ContourSpec(
-        eps if eps is not None else base.epsilon,
-        base.truncation,
-        nodes if nodes is not None else base.nodes_ray,
-    )
 
 
 def _solver_config(args, T):
@@ -182,7 +172,7 @@ def cmd_resolve(args):
 def cmd_semigroup(args):
     params = AlphaParams.for_alpha(args.alpha)
     g, _ = _read_u0(args.u0, _grid(args), params)
-    res = semigroup_pac(args.t, g.regular, params, _contour(args, params))
+    res = semigroup_pac(args.t, g.regular, params)
     out = _outdir(args)
     path = out / "semigroup.csv"
     with open(path, "w", newline="\n") as fh:
@@ -316,9 +306,6 @@ def build_parser():
 
     p = sub.add_parser("semigroup", parents=run, help="projected semigroup at time t")
     p.add_argument("--t", type=float, default=1.0)
-    explicit = "; selects the explicit cut-hugging contour (default: the Talbot rule)"
-    p.add_argument("--contour-eps", dest="contour_eps", type=float, help="arc radius" + explicit)
-    p.add_argument("--nodes", dest="contour_nodes", type=int, help="nodes per ray" + explicit)
     p.add_argument("--u0", default="gaussian:2,1")
     p.set_defaults(fn=cmd_semigroup)
 
@@ -330,7 +317,6 @@ def build_parser():
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--projected", action="store_true", default=True)
     p.add_argument("--unprojected", dest="projected", action="store_false")
     p.add_argument("--snapshots", action="store_true")
     p.set_defaults(fn=cmd_simulate)

@@ -140,11 +140,14 @@ def critical_datum(grid, q):
 
     L^q-critical in the infrared; the zero mode carries the exact average of
     the singular profile over its frequency cell, so the box does not starve
-    the infrared before t ~ (L/pi)^2.
+    the infrared before t ~ (L/pi)^2.  q is a real number > 1; a q so large
+    that 2 - 2/q rounds to 2 raises ValueError.
     """
     if not (_real(q) and 1.0 < q < math.inf):
         raise ValueError(f"q must be a finite number > 1; got {q!r}")
     beta = 2.0 - 2.0 / q
+    if beta == 2.0:
+        raise ValueError(f"q = {q!r} is too large: its exponent 2 - 2/q rounds to 2")
     xi2 = grid.wavenumber_sq()[:, :grid.n // 2 + 1]
     with np.errstate(divide="ignore"):
         prof = np.where(xi2 > 0.0, np.sqrt(xi2), 1.0) ** (-beta)
@@ -158,14 +161,15 @@ DATUM_KINDS = ("critical", "gaussian")
 """The kinds of :func:`make_datum` descriptors: the part before any ':'."""
 
 
-def make_datum(descriptor, grid, q=2.0):
+def make_datum(descriptor, grid):
     """Datum factory: 'critical', 'gaussian' or 'gaussian:sigma[,amp[,x0,y0]]'.
 
-    A Gaussian takes 0, 1, 2 or 4 values; unset ones default to sigma = 1,
+    'critical' is the L^2-critical datum ``critical_datum(grid, 2.0)``.  A
+    Gaussian takes 0, 1, 2 or 4 values; unset ones default to sigma = 1,
     amp = 1 and centre (0, 0).  Raises ValueError on any other descriptor.
     """
     if descriptor == "critical":
-        return critical_datum(grid, q)
+        return critical_datum(grid, 2.0)
     kind, _, args = descriptor.partition(":")
     if kind == "gaussian":
         vals = [float(s) for s in args.split(",")] if args else []
@@ -312,7 +316,7 @@ def verify_convolution_lemma(alpha_exp, beta_exp, t_grid):
     and every t above 1.
     """
     for name, value in (("alpha", alpha_exp), ("beta", beta_exp)):
-        if not -math.inf < value < 1.0:
+        if not (_real(value) and -math.inf < value < 1.0):
             raise ValueError(f"convolution bound requires a finite {name} < 1; got {value!r}")
     t = np.asarray(t_grid, dtype=float)
     if not np.all(t > 1.0):

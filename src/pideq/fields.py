@@ -314,17 +314,22 @@ def gradient(f):
 def gaussian_field(grid, sigma=1.0, amplitude=1.0, center=(0.0, 0.0)):
     """amplitude * exp(-|x - center|^2 / (2 sigma^2)) as a Field.
 
-    sigma is a finite number > 0, amplitude a finite number and center two
-    finite real numbers; anything else raises ValueError naming it.
+    sigma is a finite number > 0 whose 2 sigma^2 is a normal double,
+    amplitude a finite number and center two finite real numbers; anything
+    else raises ValueError naming it.  A node so far from the centre that
+    |x - center|^2 / (2 sigma^2) overflows gets exp(-inf) = 0.
     """
     if not (_real(sigma) and 0.0 < sigma < math.inf):
         raise ValueError(f"gaussian sigma must be a finite number > 0; got {sigma!r}")
+    if not sys.float_info.min <= 2.0 * float(sigma) * float(sigma) < math.inf:
+        raise ValueError(f"gaussian sigma = {sigma!r} has 2 sigma^2 outside the normal doubles")
     if not (_real(amplitude) and math.isfinite(amplitude)):
         raise ValueError(f"gaussian amplitude must be a finite number; got {amplitude!r}")
     x0, y0 = _real_pair("gaussian center", center)
     X, Y = grid.mesh()
-    r2 = (X - x0) ** 2 + (Y - y0) ** 2
-    return Field(grid, amplitude * np.exp(-r2 / (2.0 * sigma ** 2)))
+    with np.errstate(over="ignore"):
+        r2 = (X - x0) ** 2 + (Y - y0) ** 2
+        return Field(grid, amplitude * np.exp(-r2 / (2.0 * sigma ** 2)))
 
 
 # --- serialization -----------------------------------------------------------

@@ -215,8 +215,8 @@ class ContourSpec:
     def for_time(cls, params, t):
         """Base cut-hugging contour for time t: radius min(E/2, 1/t), cutoff ~50/t.
 
-        Explicit contours (cross-checks, the CLI's ``--contour-eps`` and
-        ``--nodes``) start from it; the default flow uses the Talbot rule.
+        It sizes the explicit contours of the cross-checks against the
+        Talbot rule, which every flow without a ``contour`` uses.
 
         The cutoff is capped at 2.5e4; below t ~ 2e-3 the neglected ray tail
         is still under exp(-50) relative to the (O(t)-small) correction.

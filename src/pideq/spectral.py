@@ -27,7 +27,7 @@ import cmath
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,34 +91,31 @@ def c_lambda(lam):
 
 @dataclass(frozen=True)
 class AlphaParams:
-    """Spectral record: alpha, eigenvalue E, and ||G_E||_{L^2}.
+    """Spectral record of alpha: ``AlphaParams(alpha)`` holds alpha, E and ||G_E||_{L^2}.
 
-    ``psi_norm`` is the continuum normalization constant of the
-    eigenfunction (None when the eigenvalue is absent).  It is computed from
-    the closed form of the radial integral, not by a grid sum.
+    alpha is the one argument; the other two are functions of it:
+    ``eigenvalue`` is :func:`eigenvalue` (alpha) and ``psi_norm``, the
+    continuum normalization constant of the eigenfunction, is
+    :func:`green_lp_norm` (E, 2), the closed form of the radial integral,
+    not a grid sum.  Both are None at alpha = +inf, which has no eigenvalue.
     """
 
     alpha: float
-    eigenvalue: float | None
-    psi_norm: float | None
+    eigenvalue: float | None = field(init=False)
+    psi_norm: float | None = field(init=False)
 
     @classmethod
     def for_alpha(cls, alpha, dimension=2):
         """The record of alpha in the plane; any second argument but 2 raises ValueError."""
         if dimension != 2:
             raise ValueError(f"only dimension 2 is supported; got dimension = {dimension!r}")
-        ev = eigenvalue(alpha)
-        if ev is None:
-            return cls(float(alpha), None, None)
-        return cls(float(alpha), float(ev), green_lp_norm(ev, 2.0))
+        return cls(alpha)
 
     def __post_init__(self):
-        if self.eigenvalue is not None and self.eigenvalue > 0.0:
-            resid = abs(self.alpha + c_lambda(self.eigenvalue).real)
-            if resid > 1e-10 * max(1.0, abs(self.alpha)):
-                raise ValueError(
-                    f"alpha + c(E) = {resid:.3e}; eigenvalue inconsistent with alpha"
-                )
+        ev = eigenvalue(self.alpha)
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "eigenvalue", ev)
+        object.__setattr__(self, "psi_norm", None if ev is None else green_lp_norm(ev, 2.0))
 
 
 def reference_lambda(params):
@@ -170,13 +167,16 @@ def green_lp_norm(lam, p):
 
     ||G_lam||_p^p = 2 pi (2 pi)^-p lam^-1 M_p, M_p = int_0^inf K0(s)^p s ds,
     with M_2 = 1/2 in closed form, so the singular part is resolved
-    exactly.  p must be 2; any other p raises ValueError.
+    exactly.  p must be 2; any other p raises ValueError.  A subnormal
+    lambda, whose 1/lambda overflows, is scaled by 2^54 first, exactly.
     """
     lam = float(lam)
     if not 0.0 < lam < math.inf:
         raise ValueError(f"green_lp_norm requires a finite real lambda > 0; got {lam!r}")
     if p != 2:
         raise ValueError(f"green_lp_norm has the closed form at p = 2 only; got p = {p!r}")
+    if lam < sys.float_info.min:
+        return green_lp_norm(lam * 2.0 ** 54, p) * 2.0 ** 27
     return float((2.0 * np.pi * (2.0 * np.pi) ** (-p) / lam * 0.5) ** (1.0 / p))
 
 
@@ -262,8 +262,9 @@ def _h1_proxy_hat(grid, uhat, q, kernel=None, work=None):
 def h1_alpha_norm(u):
     """Norm proxy (||phi||_2^2 + ||grad phi||_2^2 + |coeff|^2)^(1/2), the solver's measure.
 
-    A complex phi's proxy sums those of its real and imaginary parts.
+    A complex phi's proxy sums those of its real and imaginary parts.  The
+    sum runs through ``math.hypot``, so a large coefficient cannot overflow it.
     """
     grid = u.regular.grid
-    dens = sum(_h1_proxy_hat(grid, part, 0.0) ** 2 for part in _real_parts(u.regular.values))
-    return math.sqrt(dens + abs(u.coeff) ** 2)
+    parts = (_h1_proxy_hat(grid, part, 0.0) for part in _real_parts(u.regular.values))
+    return math.hypot(*parts, abs(u.coeff))

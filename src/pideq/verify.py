@@ -12,6 +12,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .decay import (
     _beta,
     run_gradient_decay,
@@ -27,7 +29,7 @@ from .semigroup import (
     semigroup_full,
     semigroup_pac,
 )
-from .special import euler_gamma
+from .special import bessel_k0, euler_gamma
 from .spectral import AlphaParams, c_lambda, eigenvalue
 
 __all__ = ["CheckResult", "run_checks", "DEFAULT_GRID"]
@@ -62,9 +64,15 @@ def check_spectral_scalars():
         ev = eigenvalue(alpha)
         worst_root = max(worst_root, abs(alpha + c_lambda(ev).real))
     params = AlphaParams.for_alpha(0.0)
-    oracle = 1.0 / math.sqrt(4.0 * math.pi * params.eigenvalue)
+    # ||G_E||_2^2 = M / (2 pi E) with M = int_0^inf s K0(s)^2 ds, by the
+    # trapezoid rule in u = ln s, against psi_norm's closed form M = 1/2
+    u = np.linspace(-30.0, 4.0, 200)
+    s = np.exp(u)
+    f = np.square(s * bessel_k0(s))
+    moment = (u[1] - u[0]) * (f.sum() - 0.5 * (f[0] + f[-1]))
+    oracle = math.sqrt(moment / (2.0 * math.pi * params.eigenvalue))
     err_n = abs(params.psi_norm - oracle) / oracle
-    ok = err_e <= 1e-12 and worst_root <= 1e-12 and err_n <= 1e-4
+    ok = err_e <= 1e-12 and worst_root <= 1e-12 and err_n <= 1e-12
     return ok, (
         f"eigenvalue rel err {err_e:.2e}, root residual {worst_root:.2e}, "
         f"kernel-norm rel err {err_n:.2e}"

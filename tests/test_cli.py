@@ -146,12 +146,16 @@ def test_input_error_has_no_traceback(tmp_path):
     [
         (["simulate", "--grid-n", "128.0"], "argument --grid-n: invalid int value: '128.0'"),
         (["simulate", "--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
-        (["semigroup", "--nodes", "1.5"], "argument --nodes: invalid int value: '1.5'"),
+        # the cut-hugging contour's --nodes and --contour-eps, and the
+        # no-op --projected, are no settings
+        (["semigroup", "--nodes", "1.5"], "unrecognized arguments: --nodes 1.5"),
         (["verify", "--bogus"], "unrecognized arguments: --bogus"),
         (["--bogus", "spectral"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
         (["nosuch"], "argument command: invalid choice: 'nosuch'"),
         (["--config", "nosuch.cfg", "simulate", "--dt", "x"], "argument --dt: invalid float"),
+        (["semigroup", "--contour-eps", "0.1"], "unrecognized arguments: --contour-eps 0.1"),
+        (["simulate", "--projected"], "unrecognized arguments: --projected"),
     ],
 )
 def test_argparse_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -487,6 +491,37 @@ def test_setting_errors_name_their_flag_or_key(tmp_path, capsys, argv, config, m
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["contour_eps", "contour_nodes"])
+def test_contour_config_keys_are_unknown(tmp_path, capsys, key):
+    # the cut-hugging contour is a library cross-check, not a setting
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = 0\n{key} = 0.1\n")
+    assert main(["--out", str(tmp_path), "--config", str(cfg), "semigroup"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"pideq: error: {cfg}:2: unknown key {key!r}\n"
+
+
+def test_readme_lists_the_config_keys():
+    # README's key list equals CONFIG_KEYS, and each row of its table of
+    # the keys a subcommand reads equals the keys that subcommand's parser
+    # declares (a flag's dest or a set_defaults entry)
+    from pideq.cli import CONFIG_KEYS, build_parser
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"\(keys: ([^)]*)\)", text).group(1)
+    assert re.split(r",\s*", listed.strip()) == list(CONFIG_KEYS)
+    table = text.split("| subcommand | config keys it reads |\n|---|---|\n", 1)[1]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table.split("\n\n", 1)[0], re.M))
+    _, commands = build_parser()
+    assert set(rows) == set(commands)
+    for name, cell in rows.items():
+        # the last word of each ',' or ';' piece, with (notes) and `flags` cut
+        cell = re.sub(r"\([^)]*\)|`[^`]*`", "", cell)
+        keys = {piece.split()[-1] for piece in re.split(r"[,;]", cell)}
+        declared = set(vars(commands[name].parse_args([]))) & set(CONFIG_KEYS)
+        assert keys == declared, name
+
+
 # Every setting each subcommand reads: its built-in default and its flag
 # (None where the setting is read from the config file alone).
 SETTINGS = {
@@ -494,7 +529,6 @@ SETTINGS = {
     "resolve": {"alpha": (0.0, "--alpha"), "grid_n": (256, "--grid-n"), "grid_L": (40.0, "--grid-L")},
     "semigroup": {
         "alpha": (0.0, "--alpha"), "grid_n": (256, "--grid-n"), "grid_L": (40.0, "--grid-L"),
-        "contour_eps": (None, "--contour-eps"), "contour_nodes": (None, "--nodes"),
     },
     "simulate": {
         "alpha": (0.0, "--alpha"), "grid_n": (256, "--grid-n"), "grid_L": (40.0, "--grid-L"),
@@ -509,11 +543,11 @@ SETTINGS = {
     "verify": {"grid_n": (512, "--grid-n"), "grid_L": (40.0, "--grid-L")},
 }
 CONFIG_VALUES = {
-    "alpha": 0.125, "grid_n": 32, "grid_L": 30.0, "contour_eps": 0.2, "contour_nodes": 300,
+    "alpha": 0.125, "grid_n": 32, "grid_L": 30.0,
     "gamma": 3.0, "ax": 0.5, "ay": 0.25, "dt": 0.05, "T": 2.0, "tol": 1e-7,
 }
 FLAG_VALUES = {
-    "alpha": 0.25, "grid_n": 16, "grid_L": 20.0, "contour_eps": 0.3, "contour_nodes": 400,
+    "alpha": 0.25, "grid_n": 16, "grid_L": 20.0,
     "gamma": 1.5, "ax": -1.0, "ay": 0.75, "dt": 0.1, "T": 3.0, "tol": 1e-6,
 }
 
@@ -541,10 +575,9 @@ def _record_settings(monkeypatch):
         seen.update(alpha=params.alpha)
         return g
 
-    def semigroup(t, g, params, contour):
+    def semigroup(t, g, params):
         grid(g.grid)
-        seen.update(alpha=params.alpha, contour_eps=contour and contour.epsilon)
-        seen.update(contour_nodes=contour and contour.nodes_ray)
+        seen.update(alpha=params.alpha)
         return SimpleNamespace(field=g, free_part_norm=0.0, correction_norm=0.0, imag_residue=0.0)
 
     def linear_fit(g, q, p, alpha=0.0):

@@ -216,6 +216,11 @@ def test_make_datum_descriptors():
             make_datum(bad, grid)
 
 
+def test_make_datum_critical_is_the_l2_critical_datum():
+    grid = Grid(40.0, 64)
+    assert np.array_equal(make_datum("critical", grid).values, critical_datum(grid, 2.0).values)
+
+
 def test_semigroup_decay_rejects_equal_exponents():
     with pytest.raises(ValueError):
         run_semigroup_decay(Grid(40.0, 128), q=2.0, p=2.0)

@@ -24,6 +24,7 @@ from pideq import (
     eigenvalue,
     gaussian_field,
     green_lp_norm,
+    h1_alpha_norm,
     heat_free,
     krein_resolvent,
     load_field,
@@ -45,6 +46,7 @@ from pideq.decay import (
     run_gradient_decay,
     run_nonlinear_decay,
     run_semigroup_decay,
+    verify_convolution_lemma,
 )
 from pideq.errors import ContourError, DataTooLargeError, HorizonTooLargeError
 from pideq.semigroup import Flow, grid_model
@@ -238,6 +240,39 @@ def test_contract_rejects_wrong_types(grid128, call, message):
     # amplitude), and True was taken as the number 1
     with pytest.raises(ValueError, match=message):
         call(gaussian_field(grid128, sigma=2.0))
+
+
+@pytest.mark.parametrize(
+    "call, expect",
+    [
+        (lambda g: gaussian_field(g.grid, sigma=1e-200),
+         r"gaussian sigma = 1e-200 has 2 sigma\^2 outside the normal doubles"),
+        # every sample is exp(-inf) = 0
+        (lambda g: lp_norm(gaussian_field(g.grid, center=(1e308, 0.0)), 2), 0.0),
+        (lambda g: verify_convolution_lemma("0.5", 0.5, [2.0]),
+         "requires a finite alpha < 1; got '0.5'"),
+        (lambda g: green_lp_norm(1e-310, 2), 1.0 / (2.0 * math.sqrt(math.pi) * math.sqrt(1e-310))),
+        (lambda g: h1_alpha_norm(DecomposedField(g, 1e200, PARAMS)), 1e200),
+        (lambda g: critical_datum(g.grid, 1e300),
+         r"q = 1e\+300 is too large: its exponent 2 - 2/q rounds to 2"),
+    ],
+    ids=[
+        "gaussian-sigma-tiny", "gaussian-center-far", "convolution-alpha-str",
+        "green_lp_norm-subnormal", "h1_alpha_norm-huge-coeff", "critical_datum-q-huge",
+    ],
+)
+def test_contract_holds_at_extreme_values(grid128, call, expect):
+    # each call once warned divide by zero or overflow, raised TypeError,
+    # OverflowError or ZeroDivisionError, or returned inf; a float expect
+    # is the finite value, a string the ValueError's message
+    g = gaussian_field(grid128, sigma=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expect, str):
+            with pytest.raises(ValueError, match=expect):
+                call(g)
+        else:
+            assert call(g) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
 
 def test_grid_rejects_float_n():

@@ -121,9 +121,28 @@ def test_green_lp_norm_validation():
         green_lp_norm(-1.0, 2.0)
 
 
-def test_alpha_params_rejects_inconsistent_eigenvalue():
-    with pytest.raises(ValueError):
+def test_alpha_params_takes_alpha_alone():
+    # E and ||G_E||_2 are functions of alpha: the record is built from alpha
+    # alone, so it cannot hold an eigenvalue inconsistent with it
+    from pideq.semigroup import grid_model
+
+    for alpha in (-1.0, 0.0, 0.5, math.inf):
+        params = AlphaParams(alpha)
+        assert params == AlphaParams.for_alpha(alpha, 2)
+        ev = eigenvalue(alpha)
+        assert params.eigenvalue == ev
+        if ev is None:
+            assert params.psi_norm is None
+        else:
+            assert params.psi_norm == green_lp_norm(ev, 2)
+    with pytest.raises(TypeError):
         AlphaParams(0.0, 2.0, 0.3)
+    grid = Grid(40.0, 64)
+    grid_model.cache_clear()
+    model = grid_model(AlphaParams(0.0), grid)
+    assert grid_model(AlphaParams.for_alpha(0.0, 2), grid) is model
+    info = grid_model.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_green_rescaling_law():
