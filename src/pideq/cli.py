@@ -48,16 +48,16 @@ from .decay import (
 )
 from .errors import ConvergenceError
 from .fields import (
+    Field,
     Grid,
-    _is_state_container,
+    _read_container,
     field_to_csv,
     gaussian_field,
-    load_field,
     lp_norm,
     save_field,
 )
 from .semigroup import krein_resolvent, semigroup_pac
-from .spectral import AlphaParams, DecomposedField, c_lambda, load_state
+from .spectral import AlphaParams, DecomposedField, _container_state, c_lambda
 from .solver import SolverConfig, solve_global_projected, solve_local, state_fields
 
 CONFIG_KEYS = {
@@ -122,14 +122,16 @@ def _read_u0(descriptor, grid, params):
     A :func:`pideq.decay.make_datum` descriptor or a saved field file is
     u0 = phi with q = 0 at t0 = 0.  A state container (``simulate
     --snapshots`` writes one per stored time) gives its phi, q, alpha and t
-    exactly.  Its grid must be ``grid``.
+    exactly.  A file is read once.  Its grid must be ``grid``.
     """
     if descriptor.partition(":")[0] in DATUM_KINDS:
         u0, t0 = DecomposedField.from_field(make_datum(descriptor, grid), params), 0.0
-    elif _is_state_container(descriptor):
-        u0, t0 = load_state(descriptor)
     else:
-        u0, t0 = DecomposedField.from_field(load_field(descriptor), params), 0.0
+        file_grid, values, state = _read_container(descriptor)
+        if state is None:
+            u0, t0 = DecomposedField.from_field(Field(file_grid, values), params), 0.0
+        else:
+            u0, t0 = _container_state(file_grid, values, state)
     if u0.regular.grid != grid:
         raise ValueError(f"datum grid {u0.regular.grid} does not match requested grid {grid}")
     return u0, t0

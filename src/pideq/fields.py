@@ -263,21 +263,30 @@ def lp_norm(f, p):
     return _lp_sum(a, p, f.grid.cell_area)
 
 
+def _sum_scale(top, p, weight):
+    """1.0 when terms a^p with a <= top and total weight ``weight`` sum within the normal doubles, else top.
+
+    A caller divides its array by a scale other than 1.0 before the sum and
+    multiplies the result back, so data whose sum fits keep their bits.
+    """
+    if top == 0.0 or _LOG_TINY <= p * math.log(top) < _LOG_HUGE - math.log(weight):
+        return 1.0
+    return top
+
+
 def _lp_sum(a, p, cell_area):
     """(sum a^p h^2)^(1/p) for an array a >= 0 and a finite p >= 1, computed in a's own array.
 
-    a is overwritten.  The plain sum is taken unless the largest a^p, times
-    the number of terms, could leave the normal doubles; then a is first
-    scaled by its largest value, which the result multiplies back.
+    a is overwritten.  The plain sum is taken unless :func:`_sum_scale`
+    finds that it could leave the normal doubles; then a is first scaled by
+    its largest value, which the result multiplies back.
     """
     top = float(a.max())
     if top == 0.0:
         return 0.0
-    scale = 1.0
-    log_top = p * math.log(top)
-    if not _LOG_TINY <= log_top < _LOG_HUGE - math.log(a.size):
-        a /= top
-        scale = top
+    scale = _sum_scale(top, p, a.size)
+    if scale != 1.0:
+        a /= scale
     with np.errstate(over="ignore", under="ignore"):
         a **= p
     return float(scale * (np.sum(a) * cell_area) ** (1.0 / p))
@@ -416,15 +425,6 @@ def _read_container(path):
     if state is None:
         values = values.astype(np.complex128)
     return Grid(L, int(n)), values, state
-
-
-def _is_state_container(path):
-    """Whether path is a readable file that starts as a state container."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(_STATE_MAGIC)) == _STATE_MAGIC
-    except OSError:
-        return False
 
 
 def load_field(path):

@@ -119,6 +119,7 @@ from .fields import (
     _real_derivative,
     _real_parts,
     _rfft2,
+    _sum_scale,
     inner_product,
     lp_norm,
 )
@@ -523,8 +524,14 @@ class PointHeatModel:
         return prof
 
     def l2_hat(self, hat_values):
-        """L^2 norm of the real field with this half spectrum."""
-        return math.sqrt(self.wlat * _dot(hat_values, hat_values))
+        """L^2 norm of the real field with this half spectrum.
+
+        The spectrum is scaled by its largest modulus first only when the
+        plain pairing could leave the normal doubles (``fields._sum_scale``).
+        """
+        scale = _sum_scale(float(np.abs(hat_values).max()), 2.0, 2 * hat_values.size)
+        hat = hat_values if scale == 1.0 else hat_values / scale
+        return scale * math.sqrt(self.wlat * _dot(hat, hat))
 
 
 @lru_cache(maxsize=4)
@@ -683,7 +690,7 @@ def _check_time(name, t):
         raise ValueError(f"{name} requires t > 0")
 
 
-def _public_flow(name, t, g, params, contour, full=False):
+def _public_flow(name, t, g, params, contour=None, full=False):
     """The flow of one public call, after checking its time."""
     _check_time(name, t)
     if t < MIN_TIME:
@@ -723,15 +730,15 @@ def semigroup_full(t, g, params, contour=None):
     return _from_parts(g.grid, *(flow.apply(ghat) for ghat in _real_parts(g.values)))
 
 
-def semigroup_gradient_pac(t, g, params, contour=None):
+def semigroup_gradient_pac(t, g, params):
     """Gradient of the projected flow, evaluated spectrally.
 
     Commutes exactly with :func:`semigroup_pac` on the grid (both act by
     multipliers on the same transform).  The derivative is the real one,
     zero on each axis' Nyquist line, so the gradient of a real datum is
-    real.
+    real.  It always runs the Talbot flow.
     """
-    flow = _public_flow("semigroup_gradient_pac", t, g, params, contour)
+    flow = _public_flow("semigroup_gradient_pac", t, g, params)
     outs = [flow.apply(ghat) for ghat in _real_parts(g.values)]
     return tuple(_from_parts(g.grid, *(d * out for out in outs)) for d in flow.model.derivative)
 

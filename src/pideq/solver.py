@@ -79,7 +79,7 @@ stores, so a stored state's phi and rho come from that (u_hat, q).
 A solve owns its lattice arrays (:class:`_Work`, the flow's temporary and
 the march's two states), so a step allocates none: the forcing transforms
 into the array that becomes the next state, the march alternates two
-arrays and copies out only the states it stores, and a Picard sweep
+arrays and copies out only its end state, and a Picard sweep
 writes u_j over the old iterate's state j - 1 once F of that state is
 built, with one new array per sweep.
 """
@@ -121,12 +121,13 @@ class SolverConfig:
 
     ``gamma`` must be a finite number > 1.  ``a`` must be two finite real
     numbers and is stored as a tuple of two floats.  ``dt``,
-    ``picard_tol``, ``window`` and ``T`` must be finite and > 0 and
-    ``store_stride`` None or an int >= 1; other values raise ValueError.
-    ``window`` and ``store_stride`` choose which states a global solve
-    probes and stores.  A config is frozen: it holds settings only.
-    Projection is chosen by the solve function, not by the config:
-    :func:`solve_global_projected` projects, :func:`solve_local` does not.
+    ``picard_tol``, ``window`` and ``T`` must be finite and > 0; other
+    values raise ValueError.  ``window`` chooses which states a global
+    solve probes and stores: it stores t = 0, every window end and T, so a
+    shorter window gives denser output.  A config is frozen: it holds
+    settings only.  Projection is chosen by the solve function, not by the
+    config: :func:`solve_global_projected` projects, :func:`solve_local`
+    does not.
     """
 
     gamma: float = 2.0
@@ -135,7 +136,6 @@ class SolverConfig:
     dt: float = 0.01
     picard_tol: float = 1e-9
     window: float = 1.0
-    store_stride: int | None = None
 
     def __post_init__(self):
         gamma = self.gamma
@@ -145,9 +145,6 @@ class SolverConfig:
             value = getattr(self, name)
             if not (_real(value) and 0 < value < math.inf):
                 raise ValueError(f"{name} must be a finite number > 0; got {value!r}")
-        stride = self.store_stride
-        if stride is not None and not (_real(stride, numbers.Integral) and stride > 0):
-            raise ValueError(f"store_stride must be None or an int >= 1; got {stride!r}")
         object.__setattr__(self, "a", _real_pair("a", self.a))
 
 
@@ -155,11 +152,12 @@ class SolverConfig:
 class Trajectory:
     """Sampled solution: times, decomposed states, and the multiplier rho.
 
-    ``rho`` is empty for unprojected runs.  ``diagnostics`` carries the
-    measured ``contraction_ratios``, the ``iterations`` (the one window's
-    count for a local solve, one per window for a global one) and, for a
-    global solve, ``ortho_max``: the largest eigenmode component |<u, psi>|
-    of a window's end state.
+    A local solve stores every step; a global solve stores t = 0, every
+    window end and T.  ``rho`` is empty for unprojected runs.
+    ``diagnostics`` carries the measured ``contraction_ratios``, the
+    ``iterations`` (the one window's count for a local solve, one per
+    window for a global one) and, for a global solve, ``ortho_max``: the
+    largest eigenmode component |<u, psi>| of a window's end state.
     """
 
     times: np.ndarray
@@ -434,28 +432,29 @@ def _picard_window(model, flow, start, steps, cfg, force, label, work):
     )
 
 
-def _solve(u0, cfg, projected, window, default_stride):
+def _solve(u0, cfg, projected):
     """Both solves' window driver: the :class:`Trajectory` of a global or a local solve.
 
-    The horizon [0, cfg.T] is cut into windows of ``window`` time.  A window
-    is probed: Picard is iterated to ``cfg.picard_tol`` from the linear
-    evolution of the window's start state, its converged states are the
-    window's states and its ratios are recorded.  Once a window has been
-    probed, the next is marched in one sweep keeping only the stored
-    states; it is probed instead, from its start state, when one of its
+    A projected (global) solve cuts the horizon [0, cfg.T] into windows of
+    ``cfg.window`` time; an unprojected (local) solve is one window over
+    [0, cfg.T].  A window is probed: Picard is iterated to
+    ``cfg.picard_tol`` from the linear evolution of the window's start
+    state, its converged states are the window's states and its ratios are
+    recorded.  Once a window has been probed, the next is marched in one
+    sweep; it is probed instead, from its start state, when one of its
     states is not finite or has an H^1 proxy above the largest one the last
     probed window held, so growing data are measured where they are
     largest.  ``iterations`` has one entry per window, 0 for a marched one.
-    States are stored every ``cfg.store_stride`` steps (``default_stride``
-    when unset, every window end when that is None), and at T, and made
-    into :class:`DecomposedField` states (float64 phi) at the end, one at a
-    time.  A projected solve pairs each stored state's forcing with psi
-    for rho, empty otherwise.  ``cfg`` is only read.  The solve owns one
-    :class:`_Work`, and a march copies out only the states it stores and
-    its end state.  The diagnostics hold the iterations, all windows'
-    ratios and, for a projected solve, ``ortho_max``: the largest
-    |<u, psi>| of a window's end state.  An unprojected solve is local, one
-    window, so its iterations are that window's count.
+    One storage rule: t = 0 and every window end (T last) are stored, and
+    a local solve, being one window, stores every step.  The stored states
+    are made into :class:`DecomposedField` states (float64 phi) at the
+    end, one at a time.  A projected solve pairs each stored state's
+    forcing with psi for rho, empty otherwise.  ``cfg`` is only read.  The
+    solve owns one :class:`_Work`, and a march copies out only its end
+    state.  The diagnostics hold the iterations, all windows' ratios and,
+    for a projected solve, ``ortho_max``: the largest |<u, psi>| of a
+    window's end state.  An unprojected solve is local, one window, so its
+    iterations are that window's count.
     """
     model = grid_model(u0.params, u0.regular.grid)
     total_steps = int(round(cfg.T / cfg.dt))
@@ -468,8 +467,7 @@ def _solve(u0, cfg, projected, window, default_stride):
     def force(uhat, q, out):
         return _forcing_hat(model, kernel, uhat, q, cfg, work, out)
 
-    steps_per_window = max(1, int(round(window / cfg.dt)))
-    stride = cfg.store_stride or default_stride or steps_per_window
+    steps_per_window = max(1, int(round(cfg.window / cfg.dt))) if projected else total_steps
     times = [0.0]
     iterations = []
     ratios = []
@@ -487,22 +485,15 @@ def _solve(u0, cfg, projected, window, default_stride):
             stored = [start]
             while step < total_steps:
                 steps = min(steps_per_window, total_steps - step)
-                want = [
-                    j for j in range(1, steps + 1)
-                    if (step + j) % stride == 0 or step + j == total_steps
-                ]
-                kept = None
+                end = None
                 if probe_top is not None:
-                    kept = []
-                    for j, uhat, q in _sweep(flow, start, steps, force, pair=work.pair):
+                    for _, uhat, q in _sweep(flow, start, steps, force, pair=work.pair):
                         if not _proxy(model, uhat, q, work) <= probe_top:
-                            kept = None
                             break
-                        if j in want:
-                            kept.append((j, (uhat.copy(), q)))
-                    if kept is not None:
-                        end = kept[-1][1] if kept and kept[-1][0] == steps else (uhat.copy(), q)
-                if kept is None:
+                    else:
+                        end = uhat.copy(), q
+                        iterations.append(0)
+                if end is None:
                     label = f"window {len(iterations)}"
                     states, iters, window_ratios = _picard_window(
                         model, flow, start, steps, cfg, force, label, work
@@ -510,17 +501,16 @@ def _solve(u0, cfg, projected, window, default_stride):
                     iterations.append(iters)
                     ratios.extend(window_ratios)
                     probe_top = max(_proxy(model, *s, work) for s in states)
-                    kept = [(j, states[j]) for j in want]
                     end = states[-1]
+                    if not projected:  # a local solve is this one window: keep every step
+                        times.extend(j * cfg.dt for j in range(1, steps))
+                        stored.extend(states[1:-1])
                     del states  # a later probe builds its list without this one alive
-                else:
-                    iterations.append(0)
-                for j, state in kept:
-                    times.append((step + j) * cfg.dt)
-                    stored.append(state)
                 ortho_max = max(ortho_max, abs(model._psi_coefficient(end[0])))
-                start = end
                 step += steps
+                times.append(step * cfg.dt)
+                stored.append(end)
+                start = end
     except FloatingPointError as exc:
         raise HorizonTooLargeError(
             f"the iterates left the double range ({exc}); shrink the horizon or the datum",
@@ -549,13 +539,13 @@ def solve_local(u0, cfg):
     """Picard solution on the finite horizon [0, T] with the full semigroup.
 
     Runs the window driver of :func:`solve_global_projected` without
-    projection, with one window of length T and every step stored (unless
-    ``cfg.store_stride`` says otherwise): the whole horizon is one probed
-    window, started from the linear evolution of u0.  Raises
+    projection, with one window of length T and every step stored: the
+    whole horizon is one probed window, started from the linear evolution
+    of u0 (``cfg.window`` is not read).  Raises
     :class:`HorizonTooLargeError` when three successive iterates fail to
     contract.
     """
-    return _solve(u0, cfg, projected=False, window=cfg.T, default_stride=1)
+    return _solve(u0, cfg, projected=False)
 
 
 def solve_global_projected(u0, cfg):
@@ -566,19 +556,20 @@ def solve_global_projected(u0, cfg):
     the absolutely continuous subspace, so the eigenmode carries no
     dynamics; the multiplier rho is recorded at every stored time.  Runs
     the window driver shared with :func:`solve_local` on windows of length
-    ``cfg.window``, storing every window end unless ``cfg.store_stride`` is
-    set.  Window 0 is probed: the Picard map is iterated to
-    ``cfg.picard_tol`` from the linear evolution, and its ratios are
-    ``diagnostics["contraction_ratios"]``.  Every later window is marched
-    with exponential Euler, u_{j+1} = S(dt)[u_j + dt F(u_j)], which is that
-    map's fixed point, unless its march leaves the largest H^1 proxy of the
-    last probed window; it is then probed from its start state.  A probe
-    that fails to contract (ratio >= 1 over three iterates) raises
-    :class:`DataTooLargeError`.  ``diagnostics["iterations"]`` holds one
-    entry per window: the probe's iterate count, or 0 for a marched window.
+    ``cfg.window``, storing t = 0, every window end and T; a shorter
+    window gives denser output.  Window 0 is probed: the Picard map is
+    iterated to ``cfg.picard_tol`` from the linear evolution, and its
+    ratios are ``diagnostics["contraction_ratios"]``.  Every later window
+    is marched with exponential Euler, u_{j+1} = S(dt)[u_j + dt F(u_j)],
+    which is that map's fixed point, unless its march leaves the largest
+    H^1 proxy of the last probed window; it is then probed from its start
+    state.  A probe that fails to contract (ratio >= 1 over three iterates)
+    raises :class:`DataTooLargeError`.  ``diagnostics["iterations"]`` holds
+    one entry per window: the probe's iterate count, or 0 for a marched
+    window.
     """
     try:
-        return _solve(u0, cfg, projected=True, window=cfg.window, default_stride=None)
+        return _solve(u0, cfg, projected=True)
     except HorizonTooLargeError as exc:
         raise DataTooLargeError(
             f"initial datum too large for global solve: {exc}", exc.ratio

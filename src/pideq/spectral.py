@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchCutError
-from .fields import Field, _read_container, _real_parts
+from .fields import Field, _read_container, _real_parts, _sum_scale
 from .special import bessel_k0, bessel_k1, euler_gamma
 
 __all__ = [
@@ -211,6 +211,11 @@ def load_state(path):
     grid, values, state = _read_container(path)
     if state is None:
         raise ValueError(f"{path}: a field container, not a state container")
+    return _container_state(grid, values, state)
+
+
+def _container_state(grid, values, state):
+    """(state, t) of a state container read by ``fields._read_container``: phi, q, alpha and t."""
     q, alpha, t = state
     return DecomposedField(Field(grid, values), q, AlphaParams.for_alpha(alpha)), t
 
@@ -263,8 +268,14 @@ def h1_alpha_norm(u):
     """Norm proxy (||phi||_2^2 + ||grad phi||_2^2 + |coeff|^2)^(1/2), the solver's measure.
 
     A complex phi's proxy sums those of its real and imaginary parts.  The
-    sum runs through ``math.hypot``, so a large coefficient cannot overflow it.
+    sum runs through ``math.hypot``, so a large coefficient cannot overflow
+    it, and a part is scaled by its largest modulus first only when its
+    weighted sum could leave the normal doubles (``fields._sum_scale``).
     """
     grid = u.regular.grid
-    parts = (_h1_proxy_hat(grid, part, 0.0) for part in _real_parts(u.regular.values))
+    top_weight = 2.0 * (1.0 + 2.0 * (math.pi / grid.spacing) ** 2)
+    parts = []
+    for part in _real_parts(u.regular.values):
+        scale = _sum_scale(float(np.abs(part).max()), 2.0, top_weight * part.size)
+        parts.append(scale * _h1_proxy_hat(grid, part if scale == 1.0 else part / scale, 0.0))
     return math.hypot(*parts, abs(u.coeff))

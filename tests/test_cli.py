@@ -1,5 +1,6 @@
 """Command-line surface: config grammar, subcommands, exit codes."""
 
+import builtins
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import pideq
 from pideq import Grid, gaussian_field, save_field
 from pideq import verify as verify_mod
-from pideq.cli import main, read_config
+from pideq.cli import _read_u0, main, read_config
 
 
 def test_config_grammar(tmp_path):
@@ -331,6 +332,31 @@ def test_datum_descriptor_and_file(tmp_path, capsys):
     # a saved field on another grid is a rejected input like any other
     assert main(["--out", str(tmp_path), "resolve", "--u0", str(path), "--grid-n", "128"]) == 2
     assert "does not match requested grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["field", "state"])
+def test_u0_file_is_opened_once(tmp_path, monkeypatch, kind):
+    # a --u0 file is read in one pass, whichever container it is
+    grid = Grid(40.0, 64)
+    params = pideq.AlphaParams(0.0)
+    datum = gaussian_field(grid, sigma=3.0, amplitude=2.0)
+    path = tmp_path / f"{kind}.pidf"
+    if kind == "field":
+        save_field(datum, path)
+    else:
+        save_field(pideq.DecomposedField(pideq.Field(grid, datum.values.real), 0.25, params), path, t=1.5)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    u0, t0 = _read_u0(str(path), grid, params)
+    monkeypatch.undo()
+    assert opened == [str(path)]
+    assert (u0.coeff, t0) == ((0.0, 0.0) if kind == "field" else (0.25, 1.5))
 
 
 def test_run_paths_do_not_import_scipy_integrate():

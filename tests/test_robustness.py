@@ -255,10 +255,17 @@ def test_contract_rejects_wrong_types(grid128, call, message):
         (lambda g: h1_alpha_norm(DecomposedField(g, 1e200, PARAMS)), 1e200),
         (lambda g: critical_datum(g.grid, 1e300),
          r"q = 1e\+300 is too large: its exponent 2 - 2/q rounds to 2"),
+        # a half spectrum's pairing overflowed, and 2 inf - inf is nan; a
+        # power of two scales the flow exactly, so only the norm may round
+        (lambda g: semigroup_pac(1.0, gaussian_field(g.grid, 2.0, 2.0 ** 996), PARAMS)
+         .correction_norm / semigroup_pac(1.0, g, PARAMS).correction_norm, 2.0 ** 996),
+        (lambda g: h1_alpha_norm(DecomposedField(gaussian_field(g.grid, 2.0, 1e200), 0.0, PARAMS))
+         / h1_alpha_norm(DecomposedField(g, 0.0, PARAMS)), 1e200),
     ],
     ids=[
         "gaussian-sigma-tiny", "gaussian-center-far", "convolution-alpha-str",
         "green_lp_norm-subnormal", "h1_alpha_norm-huge-coeff", "critical_datum-q-huge",
+        "semigroup_pac-huge-datum", "h1_alpha_norm-huge-phi",
     ],
 )
 def test_contract_holds_at_extreme_values(grid128, call, expect):

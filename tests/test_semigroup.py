@@ -1,6 +1,7 @@
 """Resolvent algebra and contour-semigroup checks."""
 
 import importlib
+import inspect
 import math
 import pkgutil
 import tracemalloc
@@ -151,6 +152,12 @@ def test_semigroup_time_domain(params, smooth_datum):
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{fn.__name__} requires a finite t"):
                 fn(bad, smooth_datum, params)
+
+
+def test_gradient_flow_takes_no_contour():
+    # the gradient always runs the Talbot flow; semigroup_pac and
+    # semigroup_full keep contour= for the cut-hugging cross-check
+    assert list(inspect.signature(semigroup_gradient_pac).parameters) == ["t", "g", "params"]
 
 
 def test_semigroup_annihilates_eigenfunction(params, grid128):

@@ -79,21 +79,19 @@ def test_config_validation():
     # every step, horizon and iteration control is checked on construction
     for bad in (
         dict(window=0), dict(window=-1),
-        dict(store_stride=-3), dict(store_stride=0), dict(store_stride=1.5),
         dict(dt=math.nan), dict(picard_tol=math.nan), dict(T=math.inf), dict(T=0.0),
         dict(gamma=math.inf), dict(gamma=math.nan), dict(gamma="3"),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverConfig(**bad)
-    for good in (dict(store_stride=None), dict(store_stride=3), dict(window=0.5)):
-        SolverConfig(**good)
+    SolverConfig(window=0.5)
 
 
 def test_solver_settings():
     # the config holds the equation, the horizon and the probe tolerance, and
     # which states a global solve probes and stores; nothing else
     names = tuple(f.name for f in dataclasses.fields(SolverConfig))
-    assert names == ("gamma", "a", "T", "dt", "picard_tol", "window", "store_stride")
+    assert names == ("gamma", "a", "T", "dt", "picard_tol", "window")
     assert list(inspect.signature(solve_local).parameters) == ["u0", "cfg"]
     # gamma in (1, 2) needs no clamp, so it draws no warning
     with warnings.catch_warnings():
@@ -406,7 +404,7 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
         )
         ref.extend(uhat for uhat, _ in states[1:])
         start = states[-1]
-    stride = cfg.store_stride or steps
+    stride = steps
     assert len(traj.states) == windows * steps // stride + 1
     tol = 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
     for k, st in zip(range(0, windows * steps + 1, stride), traj.states):
@@ -418,15 +416,36 @@ def test_global_march_is_picard_fixed_point(params, grid128):
     # windows >= 1 are marched; the reference iterates Picard on every window
     u0 = small_state(grid128, params, amplitude=0.02)
     cfg = SolverConfig(
-        gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=0.5, picard_tol=1e-11,
-        store_stride=5,
+        gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=0.1, picard_tol=1e-11,
     )
     traj = solve_global_projected(u0, cfg)
-    _assert_picard_fixed_point(traj, u0, cfg, windows=4, steps=25)
+    _assert_picard_fixed_point(traj, u0, cfg, windows=20, steps=5)
     iters = traj.diagnostics["iterations"]
-    assert len(iters) == 4 and iters[0] >= 1 and iters[1:] == [0, 0, 0]
+    assert len(iters) == 20 and iters[0] >= 1 and iters[1:] == [0] * 19
     ratios = traj.diagnostics["contraction_ratios"]
     assert ratios and all(r < 1.0 for r in ratios)
+
+
+def test_storage_rule(params):
+    # one rule per solve: a global solve stores t = 0, every window end and
+    # T; a local solve, one window over [0, T], stores every step
+    grid = Grid(40.0, 64)
+    u0 = small_state(grid, params, amplitude=0.02)
+    cfg = SolverConfig(T=1.0, dt=0.02, window=0.3)
+    traj = solve_global_projected(u0, cfg)
+    np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0, atol=1e-12)
+    assert len(traj.states) == traj.rho.size == 5
+    local = solve_local(u0, cfg)
+    np.testing.assert_allclose(local.times, np.arange(51) * 0.02, rtol=0, atol=1e-12)
+    assert len(local.states) == 51
+
+
+def test_storage_rule_has_no_setting():
+    # the window is the one storage setting: no stride, and the driver
+    # takes no storage argument
+    with pytest.raises(TypeError):
+        SolverConfig(store_stride=1)
+    assert list(inspect.signature(solver._solve).parameters) == ["u0", "cfg", "projected"]
 
 
 def test_global_solve_reports_ortho_max(params):
@@ -497,7 +516,7 @@ def test_stored_states_memory_guard(params, grid128):
     # peaks at 24 MiB and keeps 15 MiB (39.0 and 25.3 MiB with complex128
     # states made while every half spectrum was still alive)
     u0 = small_state(grid128, params, amplitude=0.02)
-    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, store_stride=1)
+    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=0.02)
     solve_global_projected(u0, cfg)  # warm the grid-model, contour and kernel caches
     tracemalloc.start()
     try:
@@ -549,7 +568,7 @@ def test_residual_projected_small_data(params, grid128):
         gaussian_field(grid128, sigma=1.5, amplitude=0.01, center=(1.0, 0.5)), params
     )
     cfg = SolverConfig(
-        gamma=2.0, a=(1.0, 0.0), T=0.2, dt=1e-3, picard_tol=1e-11, store_stride=1
+        gamma=2.0, a=(1.0, 0.0), T=0.2, dt=1e-3, picard_tol=1e-11, window=1e-3
     )
     traj = solve_global_projected(u0, cfg)
     assert residual_check(traj, cfg) <= 1e-2
