@@ -20,10 +20,9 @@ A linear fit transforms its datum once, with one rfft2, and applies one
 ``Flow`` per t to that half spectrum, as the solver does; each sample is
 one irfft2 (two for the gradient, joined by hypot as in ``state_fields``).
 The public ``semigroup_pac`` and ``semigroup_gradient_pac`` compute the same
-samples one call at a time.  A fit owns its lattice arrays for its whole
-t-grid: each t's flow is built over the last one's heat multiplier, rows
-and temporaries, flows into one half spectrum, and is sampled into one
-n x n array (two for the gradient), whose L^p sum runs in place.
+samples one call at a time.  Each t's flow is built after the last one is
+released, flows into the one half spectrum the fit keeps, and is sampled
+into one n x n array (two for the gradient), whose L^p sum runs in place.
 
 Datum: rate saturation needs data that are L^q-critical in the infrared.
 The default 'critical' profile has transform |xi|^(-(2 - 2/q)) under a
@@ -186,9 +185,9 @@ def make_datum(descriptor, grid):
 def _linear_fit(grid, q, alpha, t_grid, sample, theoretical):
     """Fit of sample(model, out) over ``t_grid`` for the critical datum g of exponent q.
 
-    The datum is transformed once; for each t, a flow built over the last
-    t's (``Flow``'s ``_over``) maps its half spectrum into out, one array
-    for the whole t-grid, that of S(t) P_ac g (the flow projects g
+    The datum is transformed once; for each t, a flow of its own, released
+    before the next t's is built, maps its half spectrum into out, one
+    array for the whole t-grid, that of S(t) P_ac g (the flow projects g
     itself), and ``sample`` returns the norm fitted at t; it may overwrite
     out.  Every t must be finite and >= 1, with at least 5 of them and 2
     distinct, which is checked before any work.
@@ -200,11 +199,7 @@ def _linear_fit(grid, q, alpha, t_grid, sample, theoretical):
     model = grid_model(AlphaParams.for_alpha(alpha), grid)
     ghat = _rfft2(critical_datum(grid, q).values)
     out = np.empty_like(ghat)
-    samples = []
-    flow = None
-    for t in times:
-        flow = Flow(model, t, _over=flow)
-        samples.append((t, sample(model, flow.apply(ghat, out))))
+    samples = [(t, sample(model, Flow(model, t).apply(ghat, out))) for t in times]
     return fit_rate(samples, theoretical)
 
 

@@ -58,10 +58,10 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.half_width, numbers.Real) and 0.0 < self.half_width < math.inf):
+        if not (_real(self.half_width) and 0.0 < self.half_width < math.inf):
             raise ValueError(f"half_width must be a finite number > 0; got {self.half_width!r}")
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 16 or n & (n - 1):
+        if not _real(n, numbers.Integral) or n < 16 or n & (n - 1):
             raise ValueError(f"n must be an int power of two with n >= 16; got {n!r}")
 
     @property
@@ -121,7 +121,7 @@ def _real_pair(name, value):
         pair = tuple(value)
     except TypeError:
         pair = ()
-    if len(pair) != 2 or not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in pair):
+    if len(pair) != 2 or not all(_real(x) and math.isfinite(x) for x in pair):
         raise ValueError(f"{name} must be two finite real numbers; got {value!r}")
     return float(pair[0]), float(pair[1])
 
@@ -362,10 +362,13 @@ def save_field(f, path, t=None):
 
     A state u = phi + q G_omega (a :class:`pideq.spectral.DecomposedField`)
     is written losslessly as magic ``PIDS``, a version byte (1), L, n, the
-    offset byte 1, q, alpha and t (0 when None) as float64, then phi as
-    row-major float64: 8 bytes a point.  Its phi and q must be real;
-    :func:`pideq.spectral.load_state` reads it back.
+    offset byte 1, q, alpha and t (0 when None; otherwise a finite real
+    number) as float64, then phi as row-major float64: 8 bytes a point.
+    Its phi and q must be real; :func:`pideq.spectral.load_state` reads it
+    back.
     """
+    if not (t is None or (_real(t) and math.isfinite(t))):
+        raise ValueError(f"save_field t must be None or a finite real number; got {t!r}")
     if isinstance(f, Field):
         if t is not None:
             raise ValueError("a time t is written with a state, not with a plain field")

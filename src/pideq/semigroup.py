@@ -201,11 +201,11 @@ class ContourSpec:
     nodes_ray: int = 256
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ContourError("contour radius must be positive")
-        if not math.isfinite(self.truncation):
-            raise ContourError(f"ray truncation must be finite; got {self.truncation}")
-        if isinstance(self.nodes_ray, bool) or not isinstance(self.nodes_ray, numbers.Integral):
+        if not (_real(self.epsilon) and self.epsilon > 0):
+            raise ContourError(f"contour radius must be a positive number; got {self.epsilon!r}")
+        if not (_real(self.truncation) and math.isfinite(self.truncation)):
+            raise ContourError(f"ray truncation must be finite; got {self.truncation!r}")
+        if not _real(self.nodes_ray, numbers.Integral):
             raise ContourError(f"nodes_ray must be an integer; got {self.nodes_ray!r}")
         if self.truncation <= self.epsilon:
             raise ContourError("ray truncation must exceed the arc radius")
@@ -485,19 +485,18 @@ class PointHeatModel:
             return re, None
         return re, ghat * mult.imag + self.delta_hat * np.take(prof.imag, self.bin_index)
 
-    def _node_chunks(self, nodes, weights, chunk, buf=None):
+    def _node_chunks(self, nodes, weights, chunk):
         """Resolvent rows over the bins, ``chunk`` nodes at a time, in one reused buffer.
 
         Yields (rows, base): rows[k, b] = 1/(lambda_k + rho_b) and
         base = weights / D(lambda), with the denominators read off the same
-        rows.  Each call fills every block into one min(chunk, nodes) x bins
-        buffer in place, ``buf`` when given and a new one otherwise, so a
-        yielded block is valid only until the next one is requested, and
-        memory stays at one block however long the rule.  A rule of one
-        block gets the whole buffer, which no later call touches.
+        rows.  Each call fills every block into one new min(chunk, nodes) x
+        bins buffer in place, so a yielded block is valid only until the next
+        one is requested, and memory stays at one block however long the
+        rule.  A rule of one block gets the whole buffer, which no later call
+        touches.
         """
-        if buf is None:
-            buf = np.empty((min(chunk, nodes.size), self.rho.size), dtype=np.complex128)
+        buf = np.empty((min(chunk, nodes.size), self.rho.size), dtype=np.complex128)
         for lo in range(0, nodes.size, chunk):
             rows = buf[:min(chunk, nodes.size - lo)]
             np.add(nodes[lo:lo + chunk, None], self.rho, out=rows)
@@ -587,13 +586,10 @@ class Flow:
     keeps that call's one lattice temporary for the next: a complex half
     spectrum (0.5 MB at n = 256) whose memory first holds the bin pairing's
     two real products and then the correction delta_hat V[bin].  A call
-    without ``out`` builds it afresh.  A caller moving on to another time
-    passes its old flow as ``_over``: the new flow rebuilds t's heat
-    multiplier, and the rows of a one-block rule, in the old flow's arrays
-    and takes its temporary, and the old flow is not applied again.
+    without ``out`` builds it afresh.
     """
 
-    def __init__(self, model, t, full=False, contour=None, _over=None):
+    def __init__(self, model, t, full=False, contour=None):
         if full and model.E * t > MAX_EXP:
             raise ValueError(
                 f"full flow at t = {t}: the eigenmode growth exp(E t) with E = {model.E:.6g} "
@@ -609,14 +605,10 @@ class Flow:
             nodes, wts = contour.nodes()
             weights = wts * np.exp(t * nodes) / (2j * np.pi)
         self.nodes, self.weights = _fold(nodes, weights)
-        heat = rows = self._work = None
-        if _over is not None:
-            heat, self._work = _over.heat, _over._work
-            if _over._chunks is not None and _over.nodes.size == self.nodes.size:
-                rows = _over._chunks[0][0]
-        self.heat = np.exp(np.multiply(-t, model.xi2, out=heat), out=heat)
+        self._work = None
+        self.heat = np.exp(-t * model.xi2)
         self._chunks = (
-            list(model._node_chunks(self.nodes, self.weights, CHUNK, rows))
+            list(model._node_chunks(self.nodes, self.weights, CHUNK))
             if self.nodes.size <= CHUNK else None
         )
         # the eigenmode's bin profile per unit <g, psi>: the projection's
@@ -660,9 +652,9 @@ class Flow:
 
 
 def _check_lambda(lam, params):
+    if not (_real(lam, numbers.Complex) and cmath.isfinite(lam)):
+        raise ValueError(f"resolvent argument lambda must be finite; got {lam!r}")
     z = complex(lam)
-    if not cmath.isfinite(z):
-        raise ValueError(f"resolvent argument lambda must be finite; got {lam}")
     if z.imag == 0.0 and z.real <= 0.0:
         raise BranchCutError("resolvent argument lies on the branch cut (-inf, 0]")
     ev = params.eigenvalue
@@ -760,7 +752,7 @@ def backward_euler_oracle(t, g, params, steps):
 
     and v = r y at the end.  First-order accurate in t/steps.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 10:
+    if not _real(steps, numbers.Integral) or steps < 10:
         raise ValueError(f"backward_euler_oracle requires an integer steps >= 10; got {steps!r}")
     _check_time("backward_euler_oracle", t)
     lam = steps / t

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchCutError
-from .fields import Field, _read_container, _real_parts, _sum_scale
+from .fields import Field, _read_container, _real, _real_parts, _sum_scale
 from .special import bessel_k0, bessel_k1, euler_gamma
 
 __all__ = [
@@ -59,7 +59,7 @@ def eigenvalue(alpha):
     finite, normal, positive double (alpha above about 56.39 or below about
     -56.46).
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+    if not _real(alpha):
         raise ValueError(f"alpha must be a real number; got {alpha!r}")
     if not -math.inf < alpha <= math.inf:
         raise ValueError(f"alpha must lie in (-inf, +inf]; got {alpha!r}")
@@ -80,9 +80,9 @@ def eigenvalue(alpha):
 
 def c_lambda(lam):
     """Scalar c(lambda), principal branch, for a finite lambda off (-inf, 0]."""
-    z = complex(lam)
-    if not cmath.isfinite(z):
+    if not (_real(lam, numbers.Complex) and cmath.isfinite(lam)):
         raise ValueError(f"c_lambda requires a finite lambda; got {lam!r}")
+    z = complex(lam)
     if z.imag == 0.0 and z.real <= 0.0:
         raise BranchCutError("c_lambda is not defined on the branch cut (-inf, 0]")
     # Log sqrt(lambda) = ln sqrt|lambda| + (i/2) arg(lambda)
@@ -131,6 +131,8 @@ def green_field(lam, grid):
     BranchCutError and any other lambda ValueError.  The grid's nodes sit
     at half-cell centres, so the logarithmic singularity is off-mesh.
     """
+    if not _real(lam, numbers.Complex):
+        raise ValueError(f"green_field requires a finite real lambda > 0; got {lam!r}")
     z = complex(lam)
     if z.imag == 0.0 and z.real <= 0.0:
         raise BranchCutError("green_field requires lambda off (-inf, 0]")
@@ -170,9 +172,9 @@ def green_lp_norm(lam, p):
     exactly.  p must be 2; any other p raises ValueError.  A subnormal
     lambda, whose 1/lambda overflows, is scaled by 2^54 first, exactly.
     """
-    lam = float(lam)
-    if not 0.0 < lam < math.inf:
+    if not (_real(lam) and 0.0 < lam < math.inf):
         raise ValueError(f"green_lp_norm requires a finite real lambda > 0; got {lam!r}")
+    lam = float(lam)
     if p != 2:
         raise ValueError(f"green_lp_norm has the closed form at p = 2 only; got p = {p!r}")
     if lam < sys.float_info.min:
@@ -188,12 +190,16 @@ class DecomposedField:
     1 + E: for any admissible lambda the split describes the same function,
     so one fixed reference suffices.  The singular coefficient is tracked
     constructively by the operators that produce states; it is never fitted
-    from samples.
+    from samples.  It must be a finite number, complex allowed.
     """
 
     regular: Field
     coeff: complex
     params: AlphaParams
+
+    def __post_init__(self):
+        if not (_real(self.coeff, numbers.Complex) and cmath.isfinite(self.coeff)):
+            raise ValueError(f"a state's coeff must be a finite number; got {self.coeff!r}")
 
     @classmethod
     def from_field(cls, f, params):

@@ -23,6 +23,7 @@ from pideq import (
     c_lambda,
     eigenvalue,
     gaussian_field,
+    green_field,
     green_lp_norm,
     h1_alpha_norm,
     heat_free,
@@ -224,6 +225,54 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
          r"h1 must lie in \(1, inf\); got '4'"),
         (lambda g: run_nonlinear_decay(None, h1=4.0, h2=[1.5]),
          r"h2 must lie in \(1, 2\); got \[1\.5\]"),
+        # lambda was coerced by complex() or float(), so True and '1' were
+        # lambda = 1 and None raised TypeError
+        (lambda g: c_lambda(True), "c_lambda requires a finite lambda; got True"),
+        (lambda g: c_lambda("1"), "c_lambda requires a finite lambda; got '1'"),
+        (lambda g: c_lambda(None), "c_lambda requires a finite lambda; got None"),
+        (lambda g: green_field(True, g.grid),
+         "green_field requires a finite real lambda > 0; got True"),
+        (lambda g: green_field("1", g.grid),
+         "green_field requires a finite real lambda > 0; got '1'"),
+        (lambda g: green_field(None, g.grid),
+         "green_field requires a finite real lambda > 0; got None"),
+        (lambda g: green_lp_norm(True, 2),
+         "green_lp_norm requires a finite real lambda > 0; got True"),
+        (lambda g: green_lp_norm("1", 2),
+         "green_lp_norm requires a finite real lambda > 0; got '1'"),
+        (lambda g: green_lp_norm(None, 2),
+         "green_lp_norm requires a finite real lambda > 0; got None"),
+        (lambda g: green_lp_norm(1 + 0j, 2),
+         r"green_lp_norm requires a finite real lambda > 0; got \(1\+0j\)"),
+        (lambda g: krein_resolvent(True, g, PARAMS), "lambda must be finite; got True"),
+        (lambda g: krein_resolvent("1", g, PARAMS), "lambda must be finite; got '1'"),
+        (lambda g: krein_resolvent(None, g, PARAMS), "lambda must be finite; got None"),
+        # a bool passed these real-number tests, and ContourSpec's raised
+        # TypeError on a string
+        (lambda g: Grid(True, 64), "half_width must be a finite number > 0; got True"),
+        (lambda g: SolverConfig(a=(True, False)),
+         r"a must be two finite real numbers; got \(True, False\)"),
+        (lambda g: gaussian_field(g.grid, center=(True, 0.0)),
+         r"gaussian center must be two finite real numbers; got \(True, 0\.0\)"),
+        (lambda g: ContourSpec(True, 50.0), "contour radius must be a positive number; got True"),
+        (lambda g: ContourSpec("1", 50.0), "contour radius must be a positive number; got '1'"),
+        (lambda g: ContourSpec(0.5, True), "ray truncation must be finite; got True"),
+        (lambda g: ContourSpec(0.5, "60"), "ray truncation must be finite; got '60'"),
+        # a state's coefficient and a container's time were never checked
+        (lambda g: h1_alpha_norm(DecomposedField(g, math.nan, PARAMS)),
+         "a state's coeff must be a finite number; got nan"),
+        (lambda g: total_field(DecomposedField(g, math.inf, PARAMS)),
+         "a state's coeff must be a finite number; got inf"),
+        (lambda g: total_field(DecomposedField(g, "1", PARAMS)),
+         "a state's coeff must be a finite number; got '1'"),
+        (lambda g: save_field(DecomposedField.from_field(g, PARAMS), os.devnull, t=math.nan),
+         "save_field t must be None or a finite real number; got nan"),
+        (lambda g: save_field(DecomposedField.from_field(g, PARAMS), os.devnull, t=math.inf),
+         "save_field t must be None or a finite real number; got inf"),
+        (lambda g: save_field(DecomposedField.from_field(g, PARAMS), os.devnull, t=True),
+         "save_field t must be None or a finite real number; got True"),
+        (lambda g: save_field(DecomposedField.from_field(g, PARAMS), os.devnull, t="1"),
+         "save_field t must be None or a finite real number; got '1'"),
     ],
     ids=[
         "lp_norm-str", "lp_norm-bool", "semigroup_pac-str", "semigroup_pac-bool",
@@ -233,6 +282,15 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
         "semigroup_decay-q-str", "semigroup_decay-p-bool", "gradient_decay-q-bool",
         "gradient_decay-p-str", "critical_datum-q-str", "admissible-h1-str",
         "admissible-h2-bool", "nonlinear_decay-h1-str", "nonlinear_decay-h2-list",
+        "c_lambda-bool", "c_lambda-str", "c_lambda-none",
+        "green_field-bool", "green_field-str", "green_field-none",
+        "green_lp_norm-bool", "green_lp_norm-str", "green_lp_norm-none", "green_lp_norm-complex",
+        "krein_resolvent-bool", "krein_resolvent-str", "krein_resolvent-none",
+        "grid-half_width-bool", "solver_config-a-bool", "gaussian-center-bool",
+        "contour-epsilon-bool", "contour-epsilon-str",
+        "contour-truncation-bool", "contour-truncation-str",
+        "state-coeff-nan", "state-coeff-inf", "state-coeff-str",
+        "save_field-t-nan", "save_field-t-inf", "save_field-t-bool", "save_field-t-str",
     ],
 )
 def test_contract_rejects_wrong_types(grid128, call, message):

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import itertools
 import math
 import pkgutil
 import tracemalloc
@@ -28,7 +29,7 @@ from pideq import (
     semigroup_gradient_pac,
     semigroup_pac,
 )
-from pideq import verify
+from pideq import decay, verify
 from pideq.errors import BranchCutError, ContourError, PoleError
 from pideq.semigroup import CHUNK, Flow, _dot, _talbot_nodes, grid_model
 from pideq.spectral import _h1_proxy_hat, green_field
@@ -328,6 +329,27 @@ def test_flow_rows_not_aliased(params):
     long.apply(ghat)
     b.apply(ghat)
     assert np.array_equal(a.apply(ghat), before)
+
+
+def test_decay_fit_flows_own_their_arrays(monkeypatch):
+    # a linear decay fit builds one plain flow per time: no two share their
+    # heat multiplier, rows or temporary, so the first flow, applied after
+    # the fit, still gives what a fresh flow at its time gives
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(Flow(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(decay, "Flow", record)
+    decay.run_semigroup_decay(Grid(40.0, 64), q=2, p=4, t_grid=[1, 2, 4, 8, 16])
+    assert [flow.t for flow in built] == [1, 2, 4, 8, 16]
+    owned = [(flow.heat, flow._chunks[0][0], flow._work) for flow in built]
+    for one, other in itertools.combinations(owned, 2):
+        assert not any(np.shares_memory(x, y) for x in one for y in other)
+    first = built[0]
+    ghat = np.fft.rfft2(gaussian_field(first.model.grid, sigma=2.0).values.real)
+    assert np.array_equal(first.apply(ghat), Flow(first.model, 1.0).apply(ghat))
 
 
 def test_holder_pairing_bound(params, grid128, smooth_datum):
