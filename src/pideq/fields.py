@@ -111,8 +111,18 @@ _LOG_HUGE = math.log(sys.float_info.max) - 1.0
 
 
 def _real(value, kind=numbers.Real):
-    """Whether value is a number of ``kind`` (numbers.Real or numbers.Integral) and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether value is a number of ``kind`` (numbers.Real, Integral or Complex), not a bool.
+
+    A number whose conversion to a double overflows, such as an int past the
+    double range, is not.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        complex(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _real_pair(name, value):

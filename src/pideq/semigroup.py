@@ -326,7 +326,9 @@ class PointHeatModel:
 
     The model is the one owner of every array derived from its pair, so
     they live and go with it (``grid_model`` keeps the last four models).
-    Three are built on first use: ``psi_values``, the samples of psi;
+    Three are built on first use: ``psi_values``, the samples of psi, which
+    serve :func:`psi_alpha_field` only (every pairing with psi, the
+    solver's rho included, takes ``psi_hat``);
     ``drift_parts``, the solver's per-axis drift derivative and kernel
     correction; and ``h1_kernel``, the H^1 proxy's weights and form
     constants of G_omega.
@@ -716,9 +718,12 @@ def semigroup_pac(t, g, params, contour=None):
     )
 
 
-def semigroup_full(t, g, params, contour=None):
-    """Full flow: projected semigroup plus the explicit eigenmode e^{tE}."""
-    flow = _public_flow("semigroup_full", t, g, params, contour, full=True)
+def semigroup_full(t, g, params):
+    """Full flow: projected semigroup plus the explicit eigenmode e^{tE}, by the Talbot rule.
+
+    A cut-hugging full flow is ``Flow(model, t, full=True, contour=...)``.
+    """
+    flow = _public_flow("semigroup_full", t, g, params, full=True)
     return _from_parts(g.grid, *(flow.apply(ghat) for ghat in _real_parts(g.values)))
 
 

@@ -12,7 +12,11 @@ eigenmode removed from data and forcing).  The scalar multiplier
     rho(t) = < a . grad(|u|^gamma), psi >
 
 reconstructs the unprojected formulation; it is the Lagrange multiplier of
-the constraint P_ac u = u.
+the constraint P_ac u = u.  It is the forcing's transform paired with
+psi_hat (``PointHeatModel._psi_coefficient``), the pairing the flow's
+projection takes, so no solve samples psi.  A solve with a = 0 has no
+forcing: the driver decides that once, its sweeps are the linear
+evolution and its rho is 0.
 
 The engine holds a state as one array, u_hat, the transform of the total
 u = phi + q G_omega with the global reference omega = 1 + E; the flow acts
@@ -93,7 +97,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DataTooLargeError, HorizonTooLargeError
 from .fields import Field, _front, _irfft2, _real, _real_pair, _rfft2, lp_norm
-from .semigroup import Flow, grid_model, psi_alpha_field
+from .semigroup import Flow, grid_model
 from .spectral import DecomposedField, _h1_proxy_hat
 
 __all__ = [
@@ -227,10 +231,9 @@ def _nonlinear_values(model, kernel, uhat, q, cfg, work=None):
     u = phi + q G_omega is given by its half spectrum and q, and ``kernel``
     is cfg.a's (K_a, c_a) (``_drift_kernel``).  The samples are those of
     the :class:`_Work` ``work`` (a new one when None): its ``drift``, with
-    u sampled into its ``vals`` and spare room in its ``spec``.
+    u sampled into its ``vals`` and spare room in its ``spec``.  a = 0
+    needs no shortcut: its kernel is zero, and so are the samples.
     """
-    if cfg.a == (0.0, 0.0):
-        return np.zeros((model.grid.n, model.grid.n))
     work = _Work(model.grid) if work is None else work
     drift = _drift(kernel, uhat, q, work)
     vals = _irfft2(uhat, work.vals, work=work.spec)
@@ -282,21 +285,12 @@ def nonlinearity(u, cfg):
     return Field(u.regular.grid, values)
 
 
-def _rho(model, kernel, uhat, q, cfg, work=None):
-    """rho = < a . grad(|u|^gamma), psi > of the state (u_hat, q), a pairing of two real fields.
-
-    The forcing's samples are those of :func:`_nonlinear_values` (in the
-    :class:`_Work` ``work`` when given) and are overwritten.
-    """
-    values = _nonlinear_values(model, kernel, uhat, q, cfg, work)
-    values *= model.psi_values
-    return float(np.sum(values) * model.grid.cell_area)
-
-
 def lagrange_multiplier(u, cfg):
-    """rho = < a . grad(|u|^gamma), psi >, a pairing of two real fields."""
+    """rho = < a . grad(|u|^gamma), psi >: the forcing's half spectrum paired with psi's."""
     model = grid_model(u.params, u.regular.grid)
-    return _rho(model, _drift_kernel(model, cfg.a), *_state_hat(model, u), cfg)
+    uhat, q = _state_hat(model, u)
+    fhat = _forcing_hat(model, _drift_kernel(model, cfg.a), uhat, q, cfg, out=uhat)
+    return float(model._psi_coefficient(fhat))
 
 
 # --- stepping engine ----------------------------------------------------------
@@ -330,15 +324,15 @@ def _proxy(model, uhat, q, work):
     return _h1_proxy_hat(model.grid, uhat, q, model.h1_kernel, work.squares)
 
 
-def _forcing_hat(model, kernel, uhat, q, cfg, work, out):
-    """Unprojected F transform of the state (u_hat, q), written into out; None if a = 0.
+def _forcing_hat(model, kernel, uhat, q, cfg, work=None, out=None):
+    """Unprojected F transform of the state (u_hat, q), written into out (a new array if None).
 
     ``kernel`` is cfg.a's (K_a, c_a) (``_drift_kernel``) and ``work`` the
-    solve's :class:`_Work`.  Two irfft2 (u and a . grad u) and one rfft2,
-    which comes last, so out may be uhat itself.
+    solve's :class:`_Work` (a new one if None).  Two irfft2 (u and
+    a . grad u) and one rfft2, which comes last, so out may be uhat itself
+    or ``work.spec``.  It is the one forcing transform: the sweep steps
+    with it, and rho and :func:`residual_check` pair it with psi_hat.
     """
-    if cfg.a == (0.0, 0.0):
-        return None
     return _rfft2(_nonlinear_values(model, kernel, uhat, q, cfg, work), out)
 
 
@@ -349,11 +343,10 @@ def _sweep(flow, start, steps, force=None, prev=None, pair=None):
     is a pair (u_hat, q): the half spectrum of the total and its coupling
     coefficient.  ``start`` is u_0's pair, which the sweep never writes.
     ``force(u_hat, q, out)`` writes one state's F transform into out and
-    returns it, or returns None for no forcing; the sweep overwrites out
-    with u_j + dt F and flows it in place, and calls ``force`` exactly
-    ``steps`` times, in order.  Without ``force`` the sweep is the linear
-    evolution.  Yields (j, u_hat, q) for u_1 .. u_steps, q read off the
-    coupling once per step.
+    returns it; the sweep overwrites out with u_j + dt F and flows it in
+    place, and calls ``force`` exactly ``steps`` times, in order.  Without
+    ``force`` the sweep is the linear evolution.  Yields (j, u_hat, q) for
+    u_1 .. u_steps, q read off the coupling once per step.
 
     Without ``prev``, v_j = u_j: the march.  Its states alternate between
     the two arrays of ``pair``, so a yielded u_hat is overwritten two steps
@@ -374,11 +367,12 @@ def _sweep(flow, start, steps, force=None, prev=None, pair=None):
         else:
             v, qv = prev[j - 1]
             nxt = np.empty_like(cur) if j == 1 else v
-        fhat = None if force is None else force(v, qv, nxt)
-        if fhat is not None:
-            fhat *= flow.t
-            fhat += cur
-        flow.apply(nxt if fhat is not None else cur, nxt)
+        src = cur
+        if force is not None:
+            src = force(v, qv, nxt)
+            src *= flow.t
+            src += cur
+        flow.apply(src, nxt)
         if prev is not None and j > 1:
             prev[j - 1] = cur, q
         cur, q = nxt, coupling(nxt)
@@ -449,12 +443,13 @@ def _solve(u0, cfg, projected):
     a local solve, being one window, stores every step.  The stored states
     are made into :class:`DecomposedField` states (float64 phi) at the
     end, one at a time.  A projected solve pairs each stored state's
-    forcing with psi for rho, empty otherwise.  ``cfg`` is only read.  The
-    solve owns one :class:`_Work`, and a march copies out only its end
-    state.  The diagnostics hold the iterations, all windows' ratios and,
-    for a projected solve, ``ortho_max``: the largest |<u, psi>| of a
-    window's end state.  An unprojected solve is local, one window, so its
-    iterations are that window's count.
+    forcing transform with psi_hat for rho, empty otherwise.  a = 0 is
+    decided here once: the sweeps get no forcing and rho is 0.  ``cfg`` is
+    only read.  The solve owns one :class:`_Work`, and a march copies out
+    only its end state.  The diagnostics hold the iterations, all windows'
+    ratios and, for a projected solve, ``ortho_max``: the largest
+    |<u, psi>| of a window's end state.  An unprojected solve is local, one
+    window, so its iterations are that window's count.
     """
     model = grid_model(u0.params, u0.regular.grid)
     total_steps = int(round(cfg.T / cfg.dt))
@@ -466,6 +461,9 @@ def _solve(u0, cfg, projected):
 
     def force(uhat, q, out):
         return _forcing_hat(model, kernel, uhat, q, cfg, work, out)
+
+    if cfg.a == (0.0, 0.0):  # no forcing: every sweep is the linear evolution
+        force = None
 
     steps_per_window = max(1, int(round(cfg.window / cfg.dt))) if projected else total_steps
     times = [0.0]
@@ -526,7 +524,7 @@ def _solve(u0, cfg, projected):
     while stored:
         uhat, q = stored.pop()
         if projected:
-            rho.append(_rho(model, kernel, uhat, q, cfg, work))
+            rho.append(0.0 if force is None else model._psi_coefficient(force(uhat, q, work.spec)))
         phat = uhat - q * model.green_omega_hat
         states.append(DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params))
     diag = {"iterations": iterations if projected else iterations[0], "contraction_ratios": ratios}
@@ -577,48 +575,53 @@ def solve_global_projected(u0, cfg):
 
 
 def residual_check(traj, cfg, t_min=0.0):
-    """A-posteriori PDE residual on a uniformly stored trajectory.
+    """A-posteriori PDE residual on a trajectory stored at uniformly spaced, increasing times.
 
-    max over interior stored times of
+    max over interior stored times t >= t_min of
     || (u(t+dt) - u(t-dt))/(2 dt) - A u(t) - a.grad(|u|^gamma)(t)
        + rho(t) psi ||_2 / ||u(t)||_2,
-    with A u = omega u - (omega - Laplacian) phi evaluated spectrally.
+    with A u = omega u - (omega - Laplacian) phi.  The residual is formed
+    on the half spectrum: the forcing is the solve's own transform and
+    rho psi is rho psi_hat, and both norms are ``PointHeatModel.l2_hat``.
+    Three states are held at a time.
 
     Generic initial data do not satisfy the kernel coupling of the operator
     domain, so the flow develops its singular component in an O(dt) initial
     layer where the difference quotient cannot be consistent; ``t_min``
-    excludes that layer when measuring bulk convergence orders.
+    excludes that layer when measuring bulk convergence orders.  It must be
+    a finite real number at or below the last interior stored time;
+    otherwise raises ValueError, as nothing would be measured.
     """
     if len(traj.states) < 3:
         raise ValueError("residual_check needs at least three stored samples")
     dts = np.diff(traj.times)
     dt = dts[0]
-    if not np.allclose(dts, dt, rtol=1e-8):
-        raise ValueError("residual_check needs uniformly spaced samples")
-    params = traj.states[0].params
-    grid = traj.states[0].regular.grid
-    model = grid_model(params, grid)
-    psi_vals = psi_alpha_field(params, grid).values
-    projected = traj.rho.size > 0
-
-    ghat = model.green_omega_hat
+    if not (dt > 0 and np.allclose(dts, dt, rtol=1e-8)):
+        raise ValueError("residual_check needs uniformly spaced, increasing sample times")
+    if not (_real(t_min) and math.isfinite(t_min)):
+        raise ValueError(f"residual_check t_min must be a finite real number; got {t_min!r}")
+    measured = [k for k in range(1, len(traj.states) - 1) if traj.times[k] >= t_min]
+    if not measured:
+        raise ValueError(
+            f"residual_check: no interior stored time is at or after t_min = {t_min!r}"
+        )
+    model = grid_model(traj.states[0].params, traj.states[0].regular.grid)
     kernel = _drift_kernel(model, cfg.a)
-    totals = [_state_hat(model, st) for st in traj.states]
+    work = _Work(model.grid)
 
     worst = 0.0
-    for k in range(1, len(traj.states) - 1):
-        if traj.times[k] < t_min:
-            continue
-        uc, qc = totals[k]
-        du_hat = (totals[k + 1][0] - totals[k - 1][0]) / (2.0 * dt)
+    hats = {}
+    for k in measured:
+        # the three states the quotient at k reads, each entering the half spectrum once
+        hats = {j: hats.get(j) or _state_hat(model, traj.states[j]) for j in (k - 1, k, k + 1)}
+        (uprev, _), (uc, qc), (unext, _) = hats.values()
         # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
-        au_hat = model.omega * uc - (model.omega + model.xi2) * (uc - qc * ghat)
-        f_vals = _nonlinear_values(model, kernel, uc, qc, cfg)
-        resid = _irfft2(du_hat - au_hat) - f_vals
-        if projected:
-            resid = resid + traj.rho[k] * psi_vals
-        unorm = lp_norm(Field(grid, _irfft2(uc)), 2)
-        rnorm = lp_norm(Field(grid, resid), 2)
+        resid = (unext - uprev) / (2.0 * dt)
+        resid -= model.omega * uc - (model.omega + model.xi2) * (uc - qc * model.green_omega_hat)
+        resid -= _forcing_hat(model, kernel, uc, qc, cfg, work, work.spec)
+        if traj.rho.size:
+            resid += traj.rho[k] * model.psi_hat
+        unorm = model.l2_hat(uc)
         if unorm > 0:
-            worst = max(worst, rnorm / unorm)
+            worst = max(worst, model.l2_hat(resid) / unorm)
     return worst

@@ -66,10 +66,7 @@ def eigenvalue(alpha):
     if alpha == math.inf:
         return None
     with np.errstate(over="ignore", under="ignore"):
-        try:
-            ev = float(4.0 * np.exp(-4.0 * np.pi * alpha - 2.0 * _EG))
-        except OverflowError:
-            ev = math.inf
+        ev = float(4.0 * np.exp(-4.0 * np.pi * alpha - 2.0 * _EG))
     if not sys.float_info.min <= ev < math.inf:
         raise ValueError(
             f"alpha = {alpha!r} has the eigenvalue E = {ev!r}, outside the finite, "

@@ -1,5 +1,6 @@
 """Cross-cutting robustness: nonzero alpha, boundaries, error branches."""
 
+import functools
 import math
 import os
 import re
@@ -19,6 +20,7 @@ from pideq import (
     Field,
     Grid,
     SolverConfig,
+    Trajectory,
     backward_euler_oracle,
     c_lambda,
     eigenvalue,
@@ -31,6 +33,7 @@ from pideq import (
     load_field,
     lp_norm,
     psi_alpha_field,
+    residual_check,
     save_field,
     semigroup_full,
     semigroup_gradient_pac,
@@ -53,6 +56,18 @@ from pideq.errors import ContourError, DataTooLargeError, HorizonTooLargeError
 from pideq.semigroup import Flow, grid_model
 
 PARAMS = AlphaParams.for_alpha(0.0, 2)
+BIG = 10**400
+"""An int past the double range: float(BIG) raises OverflowError."""
+
+
+@functools.cache
+def _short_solve():
+    """(trajectory, config) of a local solve storing t = 0, 0.01, ..., 0.04."""
+    u0 = DecomposedField.from_field(
+        gaussian_field(Grid(40.0, 64), sigma=1.5, amplitude=0.01), PARAMS
+    )
+    cfg = SolverConfig(T=0.04, dt=0.01)
+    return solve_local(u0, cfg), cfg
 
 
 @pytest.mark.filterwarnings("ignore:eigenfunction scale")
@@ -273,6 +288,47 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
          "save_field t must be None or a finite real number; got True"),
         (lambda g: save_field(DecomposedField.from_field(g, PARAMS), os.devnull, t="1"),
          "save_field t must be None or a finite real number; got '1'"),
+        # an int past the double range raised OverflowError or was accepted
+        (lambda g: green_lp_norm(BIG, 2),
+         "green_lp_norm requires a finite real lambda > 0; got 10"),
+        (lambda g: c_lambda(BIG), "c_lambda requires a finite lambda; got 10"),
+        (lambda g: lp_norm(g, BIG), "lp_norm requires p >= 1 or p = inf; got p = 10"),
+        (lambda g: semigroup_pac(BIG, g, PARAMS), "semigroup_pac requires a finite t; got 10"),
+        (lambda g: krein_resolvent(BIG, g, PARAMS), "lambda must be finite; got 10"),
+        (lambda g: green_field(BIG, g.grid),
+         "green_field requires a finite real lambda > 0; got 10"),
+        (lambda g: gaussian_field(g.grid, BIG),
+         "gaussian sigma must be a finite number > 0; got 10"),
+        (lambda g: gaussian_field(g.grid, 1.0, BIG),
+         "gaussian amplitude must be a finite number; got 10"),
+        (lambda g: critical_datum(g.grid, BIG), "q must be a finite number > 1; got 10"),
+        (lambda g: ContourSpec(BIG, 50.0), "contour radius must be a positive number; got 10"),
+        (lambda g: total_field(DecomposedField(g, BIG, PARAMS)),
+         "a state's coeff must be a finite number; got 10"),
+        (lambda g: save_field(DecomposedField.from_field(g, PARAMS), os.devnull, t=BIG),
+         "save_field t must be None or a finite real number; got 10"),
+        (lambda g: backward_euler_oracle(1.0, g, PARAMS, BIG),
+         "backward_euler_oracle requires an integer steps >= 10; got 10"),
+        (lambda g: Grid(BIG, 64), "half_width must be a finite number > 0; got 10"),
+        (lambda g: SolverConfig(T=BIG), "T must be a finite number > 0; got 10"),
+        # t_min once returned a vacuous 0.0 (inf, True, past the last interior
+        # time), was taken as no cutoff (nan) or raised TypeError ('0', None)
+        (lambda g: residual_check(*_short_solve(), t_min=math.inf),
+         "residual_check t_min must be a finite real number; got inf"),
+        (lambda g: residual_check(*_short_solve(), t_min=math.nan),
+         "residual_check t_min must be a finite real number; got nan"),
+        (lambda g: residual_check(*_short_solve(), t_min=True),
+         "residual_check t_min must be a finite real number; got True"),
+        (lambda g: residual_check(*_short_solve(), t_min="0"),
+         "residual_check t_min must be a finite real number; got '0'"),
+        (lambda g: residual_check(*_short_solve(), t_min=None),
+         "residual_check t_min must be a finite real number; got None"),
+        (lambda g: residual_check(*_short_solve(), t_min=0.035),
+         r"no interior stored time is at or after t_min = 0\.035"),
+        # a repeated time divided by dt = 0, and the nan residual read as 0.0
+        (lambda g: residual_check(
+            Trajectory(np.zeros(3), _short_solve()[0].states[:3], np.array([]), {}),
+            _short_solve()[1]), "needs uniformly spaced, increasing sample times"),
     ],
     ids=[
         "lp_norm-str", "lp_norm-bool", "semigroup_pac-str", "semigroup_pac-bool",
@@ -291,6 +347,12 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
         "contour-truncation-bool", "contour-truncation-str",
         "state-coeff-nan", "state-coeff-inf", "state-coeff-str",
         "save_field-t-nan", "save_field-t-inf", "save_field-t-bool", "save_field-t-str",
+        "green_lp_norm-big", "c_lambda-big", "lp_norm-big", "semigroup_pac-big",
+        "krein_resolvent-big", "green_field-big", "gaussian-sigma-big", "gaussian-amplitude-big",
+        "critical_datum-big", "contour-epsilon-big", "state-coeff-big", "save_field-t-big",
+        "oracle-steps-big", "grid-half_width-big", "solver_config-T-big",
+        "residual-t_min-inf", "residual-t_min-nan", "residual-t_min-bool", "residual-t_min-str",
+        "residual-t_min-none", "residual-t_min-past", "residual-times-repeated",
     ],
 )
 def test_contract_rejects_wrong_types(grid128, call, message):

@@ -156,9 +156,11 @@ def test_semigroup_time_domain(params, smooth_datum):
 
 
 def test_gradient_flow_takes_no_contour():
-    # the gradient always runs the Talbot flow; semigroup_pac and
-    # semigroup_full keep contour= for the cut-hugging cross-check
-    assert list(inspect.signature(semigroup_gradient_pac).parameters) == ["t", "g", "params"]
+    # the gradient and the full flow always run the Talbot rule; semigroup_pac
+    # keeps contour= for the cut-hugging cross-check, and a cut-hugging full
+    # flow is Flow(model, t, full=True, contour=...)
+    for fn in (semigroup_gradient_pac, semigroup_full):
+        assert list(inspect.signature(fn).parameters) == ["t", "g", "params"]
 
 
 def test_semigroup_annihilates_eigenfunction(params, grid128):

@@ -28,7 +28,6 @@ from pideq import (
     psi_alpha_field,
     reference_lambda,
     residual_check,
-    semigroup_full,
     solve_global_projected,
     solve_local,
     state_fields,
@@ -160,18 +159,17 @@ def test_state_fields_sampler(params, grid128):
 def _duhamel(flow, kicks):
     """Half spectrum of the solver's sweep from 0 whose k-th forcing is kicks[k].
 
-    A kick is a half spectrum or None.  With the samples f_j of a source as
-    kicks this is the left-endpoint rule for integral_0^t S(t - tau) f dtau
-    at the flow's step; with kicks alternating None and f_j + f_(j+1) at half
-    steps, it is the midpoint rule at twice the flow's step.
+    A kick is a half spectrum or None, a zero forcing.  With the samples f_j
+    of a source as kicks this is the left-endpoint rule for
+    integral_0^t S(t - tau) f dtau at the flow's step; with kicks
+    alternating None and f_j + f_(j+1) at half steps, it is the midpoint
+    rule at twice the flow's step.
     """
     it = iter(kicks)
 
     def force(_, __, out):
         kick = next(it)
-        if kick is None:
-            return None
-        out[...] = kick  # the sweep writes u_j + dt F over it
+        out[...] = 0.0 if kick is None else kick  # the sweep writes u_j + dt F over it
         return out
 
     n = flow.model.grid.n
@@ -267,7 +265,9 @@ def test_solve_local_linear_flow(params, grid128):
     cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=0.2, dt=0.02)
     traj = solve_local(u0, cfg)
     assert traj.diagnostics["iterations"] == 1
-    direct = semigroup_full(0.2, total_field(u0), params, ContourSpec.for_time(params, 0.2))
+    model = grid_model(params, grid128)
+    flow = Flow(model, 0.2, full=True, contour=ContourSpec.for_time(params, 0.2))
+    direct = Field(grid128, _irfft2(flow.apply(_state_hat(model, u0)[0])))
     # stepper (winding contour) vs public semigroup (cut-hugging contour):
     # two independent quadratures of the same flow
     assert lp_norm(total_field(traj.states[-1]) - direct, 2) < 1e-3 * lp_norm(direct, 2)
@@ -316,6 +316,26 @@ def test_lagrange_multiplier_zero_cases(params, grid128):
     cfg0 = SolverConfig(gamma=2.0, a=(0.0, 0.0))
     u = small_state(grid128, params)
     assert lagrange_multiplier(u, cfg0) == 0.0
+
+
+def test_rho_is_the_real_space_pairing(params, grid128):
+    # rho pairs the forcing's half spectrum with psi_hat; by Parseval it is
+    # the real-space sum of the forcing's samples times psi's, cell area h^2
+    psi = psi_alpha_field(params, grid128).values
+
+    def real_space(u, cfg):
+        return float(np.sum(nonlinearity(u, cfg).values * psi) * grid128.cell_area)
+
+    u0 = DecomposedField.from_field(
+        gaussian_field(grid128, sigma=1.5, amplitude=0.05, center=(1.0, 0.5)), params
+    )
+    for cfg in (SolverConfig(a=(1.0, 0.0)), SolverConfig(gamma=1.5, a=(0.6, -0.8))):
+        expect = real_space(u0, cfg)
+        assert abs(lagrange_multiplier(u0, cfg) - expect) <= 1e-13 * abs(expect)
+    cfg = SolverConfig(a=(1.0, 0.0), T=0.2, dt=0.02, window=0.1)
+    traj = solve_global_projected(u0, cfg)
+    expect = np.array([real_space(st, cfg) for st in traj.states])
+    assert np.abs(traj.rho - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_lagrange_multiplier_odd_datum_vanishes(params, grid128):
@@ -572,6 +592,45 @@ def test_residual_projected_small_data(params, grid128):
     )
     traj = solve_global_projected(u0, cfg)
     assert residual_check(traj, cfg) <= 1e-2
+
+
+def _residual_real_space(traj, cfg, t_min=0.0):
+    """residual_check's formula with its forcing and rho psi in real space, as
+    samples, and every stored state's half spectrum held at once."""
+    params, grid = traj.states[0].params, traj.states[0].regular.grid
+    model = grid_model(params, grid)
+    psi = psi_alpha_field(params, grid).values
+    dt = traj.times[1] - traj.times[0]
+    totals = [_state_hat(model, st) for st in traj.states]
+    worst = 0.0
+    for k in range(1, len(totals) - 1):
+        if traj.times[k] < t_min:
+            continue
+        uc, qc = totals[k]
+        du = (totals[k + 1][0] - totals[k - 1][0]) / (2.0 * dt)
+        au = model.omega * uc - (model.omega + model.xi2) * (uc - qc * model.green_omega_hat)
+        resid = _irfft2(du - au) - nonlinearity(traj.states[k], cfg).values
+        if traj.rho.size:
+            resid = resid + traj.rho[k] * psi
+        unorm = lp_norm(Field(grid, _irfft2(uc)), 2)
+        worst = max(worst, lp_norm(Field(grid, resid), 2) / unorm)
+    return worst
+
+
+def test_residual_matches_real_space_formula(params):
+    # the half-spectrum residual against its real-space form, projected and
+    # not, at gamma = 2 and below
+    grid = Grid(40.0, 64)
+    u0 = DecomposedField.from_field(
+        gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
+    )
+    for solve, cfg, t_min in (
+        (solve_global_projected, SolverConfig(a=(1.0, 0.0), T=0.1, dt=0.01, window=0.01), 0.0),
+        (solve_local, SolverConfig(gamma=1.5, a=(0.6, -0.8), T=0.1, dt=0.01), 0.035),
+    ):
+        traj = solve(u0, cfg)
+        got, expect = residual_check(traj, cfg, t_min), _residual_real_space(traj, cfg, t_min)
+        assert expect > 0 and abs(got - expect) <= 1e-12 * expect
 
 
 def _random_state(grid, params, seed, q=0.0):

@@ -1,6 +1,7 @@
 """Work guards: the exact number of flow steps, forcings, coupling reads
 and transforms one small global solve and one linear decay fit perform, the
-memory one marched step allocates, and the one module that transforms.
+memory one marched step and one residual check allocate, the psi samples no
+solve builds, and the one module that transforms.
 
 A change that adds work per step moves these counts; it must re-pin them in
 the same change and say why.
@@ -13,24 +14,27 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from pideq import AlphaParams, DecomposedField, Grid, SolverConfig, gaussian_field
-from pideq import solve_global_projected
+from pideq import residual_check, solve_global_projected, solve_local
 from pideq.decay import run_gradient_decay, run_semigroup_decay
-from pideq.semigroup import Flow, PointHeatModel
+from pideq.semigroup import Flow, PointHeatModel, grid_model
 
 # Window 0 is probed (its linear start and 3 Picard sweeps of 50 steps) and
 # window 1 is marched (one sweep): 250 flow steps and 200 forcings.  q is
 # read once per new state (1 + 50 + 150 + 50), and the driver keeps it
 # beside each of the 3 stored states.  A forcing is two irfft2 and one
 # rfft2.  The rest are the datum's rfft2 and, per stored state, one irfft2
-# for its phi and, for rho, two irfft2 for the forcing's samples of the
-# held half spectrum.  (rho once re-entered the half spectrum from each
-# finished state, one more rfft2 and one more q read per stored state.)
+# for its phi and, for rho, one forcing transform of the held half
+# spectrum, paired with psi_hat: 203 forcings in all.  (rho once paired the
+# forcing's samples with psi's, two irfft2 and no rfft2 per stored state,
+# and before that re-entered the half spectrum from each finished state.)
 EXPECTED = {
     "Flow.apply": 250,
-    "_forcing_hat": 200,
+    "_forcing_hat": 203,
     "coupling_coefficient": 251,
-    "_rfft2": 201,
+    "_rfft2": 204,
     "_irfft2": 409,
 }
 
@@ -57,13 +61,13 @@ def _count(monkeypatch, counts):
                     wrap(module, attr, attr)
 
 
-def _two_window_solve():
+def _two_window_solve(a=(1.0, 0.0)):
     grid = Grid(40.0, 64)
     params = AlphaParams.for_alpha(0.0, 2)
     u0 = DecomposedField.from_field(
         gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
     )
-    cfg = SolverConfig(T=2.0, dt=0.02)
+    cfg = SolverConfig(a=a, T=2.0, dt=0.02)
     return lambda: solve_global_projected(u0, cfg)
 
 
@@ -75,6 +79,50 @@ def test_two_window_global_solve_work(monkeypatch):
     traj = solve()
     assert traj.diagnostics["iterations"] == [3, 0]
     assert dict(counts) == {"Flow()": 1, **EXPECTED}
+
+
+def test_unforced_global_solve_takes_no_forcing(monkeypatch):
+    # a = 0 is decided once, by the driver: no sweep forces and rho is 0
+    solve = _two_window_solve(a=(0.0, 0.0))
+    solve()
+    counts = Counter()
+    _count(monkeypatch, counts)
+    traj = solve()
+    assert counts["_forcing_hat"] == 0
+    assert traj.rho.shape == (3,) and not np.any(traj.rho)
+
+
+def test_global_solve_samples_no_psi():
+    # rho pairs the forcing's transform with psi_hat, so a solve never builds
+    # the model's psi samples; the grid is one no other test builds
+    grid = Grid(38.0, 64)
+    params = AlphaParams.for_alpha(0.0, 2)
+    u0 = DecomposedField.from_field(gaussian_field(grid, sigma=1.5, amplitude=0.02), params)
+    model = grid_model(params, grid)
+    assert "psi_values" not in model.__dict__
+    traj = solve_global_projected(u0, SolverConfig(T=0.2, dt=0.02, window=0.1))
+    assert traj.rho.size == 3
+    assert "psi_values" not in model.__dict__
+
+
+def test_residual_check_memory_is_flat_in_the_stored_states():
+    # 101 stored states on Grid(40, 128), 133 kB of half spectrum each: the
+    # check holds three states and a few lattice temporaries at a time
+    grid = Grid(40.0, 128)
+    params = AlphaParams.for_alpha(0.0, 2)
+    u0 = DecomposedField.from_field(gaussian_field(grid, sigma=1.5, amplitude=0.01), params)
+    cfg = SolverConfig(a=(0.0, 0.0), T=1.0, dt=0.01)
+    traj = solve_local(u0, cfg)
+    assert len(traj.states) == 101
+    residual_check(traj, cfg)  # build the grid model's members
+    tracemalloc.start()
+    try:
+        residual_check(traj, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    half_spectrum = 128 * 65 * 16
+    assert peak < 20 * half_spectrum
 
 
 def test_linear_fit_work(monkeypatch):
