@@ -64,34 +64,35 @@ differentiation", MIT, 2011).
 
 Time quadrature is left-endpoint product integration (exponential Euler).
 One sweep over a window steps u_{j+1} = S(dt)[u_j + dt F(v_j)]: with v_j
-the previous Picard iterate's state j it is one Picard iterate, and with
-v_j = u_j it is the explicit march.  Because F_j depends on u_j alone, the
-march is exactly the fixed point of the Picard map (Hochbruck & Ostermann,
-"Exponential integrators", Acta Numerica 19 (2010)).  S(dt) is one
-:class:`pideq.semigroup.Flow`, built once per solve.  Both solves run
-through one window driver, which probes a window (Picard to tolerance on
-one list of states swept in place, measuring contraction) or marches it.
-A local solve is one probed window covering [0, T] with the full
-semigroup.  A global solve probes its first window, marches the rest, and
-probes again any window whose march leaves the largest H^1 proxy of the
-last probed window.  A probe starts from the linear evolution of its start
-state and iterates at most ``PICARD_MAX`` times.  The sweep is the only
+the state j of a driving sweep it is one Picard iterate of that sweep, and
+with v_j = u_j it is the explicit march.  Because F_j depends on u_j
+alone, the march is exactly the fixed point of the Picard map (Hochbruck &
+Ostermann, "Exponential integrators", Acta Numerica 19 (2010)).  S(dt) is
+one :class:`pideq.semigroup.Flow`, built once per solve.  Both solves run
+through one window driver, which probes a window or marches it.  A probe
+is one pass that advances the march, the linear evolution of the window's
+start state and ``PROBE_ITERATES`` Picard iterates from it together, one
+time step at a time, each iterate driven by the current state of the one
+before; the iterates' distances to the march measure the contraction, and
+the window's states are the march's.  A local solve is one probed window
+covering [0, T] with the full semigroup.  A global solve probes its first
+window, marches the rest, and probes again any window whose march leaves
+the largest H^1 proxy of the last probed window.  The sweep is the only
 loop over time steps, and its flow the only projector; it reads each new
 state's q once, and the driver keeps it beside every state it holds or
 stores, so a stored state's phi and rho come from that (u_hat, q).
 
-A solve owns its lattice arrays (:class:`_Work`, the flow's temporary and
-the march's two states), so a step allocates none: the forcing transforms
-into the array that becomes the next state, the march alternates two
-arrays and copies out only its end state, and a Picard sweep
-writes u_j over the old iterate's state j - 1 once F of that state is
-built, with one new array per sweep.
+A solve owns its lattice arrays (:class:`_Work` and the flow's
+temporary), so a step allocates none: a sweep steps one array of its own
+in place, the forcing and u_j + dt F are formed in the work's ``spec``,
+and a march's array becomes its window's end state.  A probe holds
+``PROBE_ITERATES`` + 2 states whatever the window's length, and a local
+solve's probe also keeps a copy of every march state, its output.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,10 @@ IMAG_TOL = 1e-12
 """Largest imaginary part of a state, relative to its size, taken as real."""
 
 PICARD_MAX = 25
-"""Most Picard iterates of one probed window; more raise ConvergenceError."""
+"""Most Picard iterates a probe may count or estimate; more raise ConvergenceError."""
+
+PROBE_ITERATES = 3
+"""Picard iterates a probe advances beside its march; later ones are estimated."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,12 @@ class SolverConfig:
     ``gamma`` must be a finite number > 1.  ``a`` must be two finite real
     numbers and is stored as a tuple of two floats.  ``dt``,
     ``picard_tol``, ``window`` and ``T`` must be finite and > 0; other
-    values raise ValueError.  ``window`` chooses which states a global
-    solve probes and stores: it stores t = 0, every window end and T, so a
-    shorter window gives denser output.  A config is frozen: it holds
+    values raise ValueError.  ``picard_tol`` sets a probe's iterate count:
+    the first Picard iterate whose largest H^1-proxy distance to the march
+    is at most picard_tol max(1, proxy of the start state).  ``window``
+    chooses which states a global solve probes and stores: it stores
+    t = 0, every window end and T, so a shorter window gives denser
+    output.  A config is frozen: it holds
     settings only.  Projection is chosen by the solve function, not by the
     config: :func:`solve_global_projected` projects, :func:`solve_local`
     does not.
@@ -161,7 +168,13 @@ class Trajectory:
     ``diagnostics`` carries the measured ``contraction_ratios``, the
     ``iterations`` (the one window's count for a local solve, one per
     window for a global one) and, for a global solve, ``ortho_max``: the
-    largest eigenmode component |<u, psi>| of a window's end state.
+    largest eigenmode component |<u, psi>| of a window's end state.  A
+    probe's ratios are e_k / e_(k-1), k = 1 .. ``PROBE_ITERATES``, where
+    e_k is the largest H^1 proxy of the k-th Picard iterate's distance to
+    the march over the window (e_0 the linear evolution's); a zero e_(k-1)
+    gives no ratio.  Its iteration count is the first k with e_k within
+    ``picard_tol``, past the last iterate the contraction-mapping estimate
+    e_K r^(k-K) with r the last ratio; a marched window counts 0.
     """
 
     times: np.ndarray
@@ -189,12 +202,12 @@ class _Work:
     """The lattice arrays one solve reuses at every step, so a step allocates none.
 
     ``spec`` is a complex half spectrum: the first pass of every irfft2,
-    then the Picard distance.  ``vals`` and ``drift`` are real n x n: the
+    then a forcing's transform and a sweep's u_j + dt F, or a probe's
+    difference of two states.  ``vals`` and ``drift`` are real n x n: the
     samples of u (after q c_a) and of a . grad u, then the forcing.
     ``squares`` are the H^1 proxy's two real half spectra, held in the
     fronts of ``vals`` and ``drift``, which are free whenever the proxy
-    runs.  ``pair`` holds the march's two states, built when the solve
-    first marches.  At n = 256 that is 1.5 MB, and 1 MB more for ``pair``.
+    runs.  At n = 256 that is 1.5 MB.
     """
 
     def __init__(self, grid):
@@ -203,10 +216,6 @@ class _Work:
         self.vals = np.empty((n, n))
         self.drift = np.empty((n, n))
         self.squares = _front(self.vals, (n, m)), _front(self.drift, (n, m))
-
-    @cached_property
-    def pair(self):
-        return np.empty_like(self.spec), np.empty_like(self.spec)
 
 
 def _drift(kernel, uhat, q, work=None):
@@ -336,94 +345,101 @@ def _forcing_hat(model, kernel, uhat, q, cfg, work=None, out=None):
     return _rfft2(_nonlinear_values(model, kernel, uhat, q, cfg, work), out)
 
 
-def _sweep(flow, start, steps, force=None, prev=None, pair=None):
+def _sweep(flow, start, steps, force=None, drive=None):
     """Exponential-Euler sweep over one window: u_{j+1} = S(dt)[u_j + dt F(v_j)].
 
     S(dt) is ``flow``, a :class:`pideq.semigroup.Flow` at t = dt.  A state
     is a pair (u_hat, q): the half spectrum of the total and its coupling
-    coefficient.  ``start`` is u_0's pair, which the sweep never writes.
-    ``force(u_hat, q, out)`` writes one state's F transform into out and
-    returns it; the sweep overwrites out with u_j + dt F and flows it in
-    place, and calls ``force`` exactly ``steps`` times, in order.  Without
-    ``force`` the sweep is the linear evolution.  Yields (j, u_hat, q) for
-    u_1 .. u_steps, q read off the coupling once per step.
+    coefficient.  ``start`` is u_0's pair, and the sweep writes every u_j
+    over its array, so a caller that keeps u_0 passes a copy.
+    ``force(u_hat, q)`` returns one state's F transform in an array the
+    sweep may overwrite (the solve's ``_Work.spec``): the sweep forms
+    u_j + dt F there and flows it into its own array.  ``force`` is called
+    exactly ``steps`` times, in order; without it the sweep is the linear
+    evolution.  Yields (j, u_hat, q) for u_1 .. u_steps, q read off the
+    coupling once per step, u_hat always the one array.
 
-    Without ``prev``, v_j = u_j: the march.  Its states alternate between
-    the two arrays of ``pair``, so a yielded u_hat is overwritten two steps
-    later; without ``pair`` each state is a new array.  With ``prev``, the
-    previous Picard iterate as a list of steps + 1 pairs starting at
-    ``start``, v_j = prev[j], and the sweep is one Picard iterate written
-    over ``prev`` in place: u_j is written over the array of prev[j - 1]
-    once F(prev[j - 1]) is built (u_1 into one new array), and prev[j] is
-    replaced by u_j's pair only after u_j has been yielded, so the caller
-    can still compare the two.
+    Without ``drive``, v_j = u_j: the march.  With it, ``drive()`` returns
+    v_j as a pair, once per forced step: the current state of a driving
+    sweep that has not yet stepped past j, so the sweep is one Picard
+    iterate of the driving one.
     """
     coupling = flow.model.coupling_coefficient
     cur, q = start
     for j in range(1, steps + 1):
-        if prev is None:
-            v, qv = cur, q
-            nxt = np.empty_like(cur) if pair is None else pair[j % 2]
-        else:
-            v, qv = prev[j - 1]
-            nxt = np.empty_like(cur) if j == 1 else v
         src = cur
         if force is not None:
-            src = force(v, qv, nxt)
+            src = force(*(drive() if drive else (cur, q)))
             src *= flow.t
             src += cur
-        flow.apply(src, nxt)
-        if prev is not None and j > 1:
-            prev[j - 1] = cur, q
-        cur, q = nxt, coupling(nxt)
+        flow.apply(src, cur)
+        q = coupling(cur)
         yield j, cur, q
-    if prev is not None:
-        prev[steps] = cur, q
 
 
-def _picard_window(model, flow, start, steps, cfg, force, label, work):
-    """Iterate the window map to tolerance; returns (states, iterations, ratios).
+def _probe(model, flow, start, steps, cfg, force, label, work, keep):
+    """Probe one window against its march; returns (states, top, iterations, ratios).
 
-    ``start`` is the window's start state as a (u_hat, q) pair, and the
-    starting iterate is its linear evolution.  The window holds one
-    iterate: a list of steps + 1 (u_hat, q) pairs that each Picard sweep
-    overwrites in place, ending as the converged states.  The distance of
-    two iterates is the H^1 proxy of their difference, whose q is the
-    difference of theirs, as q is linear in u; the difference is formed in
-    the :class:`_Work` ``work``'s ``spec``.  At most ``PICARD_MAX`` iterates
-    are taken.
+    ``start`` is the window's start state as a (u_hat, q) pair, which the
+    probe never writes.  One pass advances the march m, the linear
+    evolution l = p^0 and the Picard iterates
+    p^k_{j+1} = S(dt)[p^k_j + dt F(p^(k-1)_j)], k = 1 .. ``PROBE_ITERATES``,
+    a step at a time, each iterate stepping before the one that drives it.
+    p^k_j = m_j for j <= k, so p^k joins at step k from a copy of m_k and
+    those forcings are skipped.  e_k is the largest H^1 proxy of
+    p^k_j - m_j over the window (q of a difference is the difference of
+    the q's, as q is linear in u), formed in the :class:`_Work` ``work``'s
+    ``spec``; the ratios are e_k / e_(k-1), a zero e_(k-1) skipped.  The
+    iteration count is the first k with
+    e_k <= ``cfg.picard_tol`` max(1, proxy(start)), past the last iterate
+    the contraction-mapping estimate e_K r^(k-K) with r = e_K / e_(K-1).
+    A probe that misses the tolerance does not contract when r >= 1, or
+    when ``PICARD_MAX`` iterates at r would leave its distance above
+    max(1, proxy(start)), as a relative tolerance of 1 would still be
+    missed: it raises :class:`HorizonTooLargeError`.  A count above
+    ``PICARD_MAX`` raises :class:`ConvergenceError`; both name ``label``.
+    ``states`` are the march's: u_1 .. u_steps with ``keep``, u_steps
+    alone without it.  ``top`` is the largest proxy of u_0 .. u_steps.
     """
-    states = [start] + [(uhat, q) for _, uhat, q in _sweep(flow, start, steps)]
-    scale = max(1.0, _proxy(model, *start, work))
-    ratios = []
-    distance = None
-    bad_streak = 0
-    for it in range(1, PICARD_MAX + 1):
-        dist = 0.0
-        for j, uhat, q in _sweep(flow, start, steps, force, states):
-            prev, prev_q = states[j]
-            diff = np.subtract(uhat, prev, out=work.spec)
-            dist = max(dist, _proxy(model, diff, q - prev_q, work))
-        if distance is not None and distance > 0:
-            ratio = dist / distance
-            ratios.append(ratio)
-            if ratio >= 1.0:
-                bad_streak += 1
-                if bad_streak >= 3:
-                    raise HorizonTooLargeError(
-                        f"{label}: no contraction (ratio {ratio:.3f} over 3 iterates); "
-                        "shrink the horizon or the datum",
-                        ratio,
-                    )
-            else:
-                bad_streak = 0
-        distance = dist
-        if dist <= cfg.picard_tol * scale:
-            return states, it, ratios
-    raise ConvergenceError(
-        f"{label}: Picard did not reach tol {cfg.picard_tol} in PICARD_MAX = {PICARD_MAX} "
-        f"iterates (last distance {distance:.3e})"
-    )
+    u0, q0 = start
+    top = _proxy(model, u0, q0, work)
+    scale = max(1.0, top)
+    tol = cfg.picard_tol * scale
+    cur = [start]  # the current states of l, p^1, p^2, ...
+    sweeps = [_sweep(flow, (u0.copy(), q0), steps)]
+    errors = [0.0] * (PROBE_ITERATES + 1)
+    states = []
+    for j, m, qm in _sweep(flow, (u0.copy(), q0), steps, force):
+        for k in reversed(range(len(sweeps))):  # p^k reads p^(k-1)_(j-1) through cur
+            cur[k] = next(sweeps[k])[1:]
+        for k, (u, q) in enumerate(cur):
+            diff = np.subtract(u, m, out=work.spec)
+            errors[k] = max(errors[k], _proxy(model, diff, q - qm, work))
+        if j <= PROBE_ITERATES:
+            cur.append((m.copy(), qm))
+            sweeps.append(_sweep(flow, cur[j], steps - j, force, lambda k=j: cur[k - 1]))
+        top = max(top, _proxy(model, m, qm, work))
+        if keep or j == steps:
+            states.append((m.copy() if j < steps else m, qm))
+    ratios = [e / prev for prev, e in zip(errors, errors[1:]) if prev > 0]
+    iterations = next((k for k, e in enumerate(errors) if e <= tol), None)
+    if iterations is None:
+        ratio, iterations, e = ratios[-1], PROBE_ITERATES, errors[-1]
+        if not (ratio < 1.0 and e * ratio ** (PICARD_MAX - PROBE_ITERATES) <= scale):
+            raise HorizonTooLargeError(
+                f"{label}: no contraction (ratio {ratio:.3f}, distance {e:.3e} to the march "
+                f"after {PROBE_ITERATES} iterates); shrink the horizon or the datum",
+                ratio,
+            )
+        while e > tol and iterations <= PICARD_MAX:
+            e *= ratio
+            iterations += 1
+    if iterations > PICARD_MAX:
+        raise ConvergenceError(
+            f"{label}: Picard does not reach tol {cfg.picard_tol} in PICARD_MAX = {PICARD_MAX} "
+            f"iterates (distances to the march {', '.join(f'{e:.3e}' for e in errors)})"
+        )
+    return states, top, iterations, ratios
 
 
 def _solve(u0, cfg, projected):
@@ -431,23 +447,24 @@ def _solve(u0, cfg, projected):
 
     A projected (global) solve cuts the horizon [0, cfg.T] into windows of
     ``cfg.window`` time; an unprojected (local) solve is one window over
-    [0, cfg.T].  A window is probed: Picard is iterated to
-    ``cfg.picard_tol`` from the linear evolution of the window's start
-    state, its converged states are the window's states and its ratios are
-    recorded.  Once a window has been probed, the next is marched in one
-    sweep; it is probed instead, from its start state, when one of its
-    states is not finite or has an H^1 proxy above the largest one the last
-    probed window held, so growing data are measured where they are
-    largest.  ``iterations`` has one entry per window, 0 for a marched one.
-    One storage rule: t = 0 and every window end (T last) are stored, and
+    [0, cfg.T].  A window is probed (:func:`_probe`): its states are its
+    march's, and its Picard iterates from the linear evolution of its start
+    state give its ratios and its iteration count.  Once a window has been
+    probed, the next is marched in one sweep; it is probed instead, from
+    its start state, when one of its states has an H^1 proxy above the
+    largest one the last probed window held, so growing data are measured
+    where they are largest.  ``iterations`` has one entry per window, 0
+    for a marched one.  One storage rule: t = 0 and every window end (T last) are stored, and
     a local solve, being one window, stores every step.  The stored states
     are made into :class:`DecomposedField` states (float64 phi) at the
     end, one at a time.  A projected solve pairs each stored state's
     forcing transform with psi_hat for rho, empty otherwise.  a = 0 is
     decided here once: the sweeps get no forcing and rho is 0.  ``cfg`` is
-    only read.  The solve owns one :class:`_Work`, and a march copies out
-    only its end state.  The diagnostics hold the iterations, all windows'
-    ratios and, for a projected solve, ``ortho_max``: the largest
+    only read.  The solve owns one :class:`_Work`, and a march's one array
+    becomes its end state.  A global solve's probe keeps its end state
+    alone.  An iterate that leaves the double range raises
+    :class:`HorizonTooLargeError` naming its window.  The diagnostics hold
+    the iterations, all windows' ratios and, for a projected solve, ``ortho_max``: the largest
     |<u, psi>| of a window's end state.  An unprojected solve is local, one
     window, so its iterations are that window's count.
     """
@@ -459,8 +476,8 @@ def _solve(u0, cfg, projected):
     kernel = _drift_kernel(model, cfg.a)
     work = _Work(model.grid)
 
-    def force(uhat, q, out):
-        return _forcing_hat(model, kernel, uhat, q, cfg, work, out)
+    def force(uhat, q):
+        return _forcing_hat(model, kernel, uhat, q, cfg, work, work.spec)
 
     if cfg.a == (0.0, 0.0):  # no forcing: every sweep is the linear evolution
         force = None
@@ -472,6 +489,7 @@ def _solve(u0, cfg, projected):
     ortho_max = 0.0
     probe_top = None
     step = 0
+    label = "window 0"
     # an iterate that leaves the double range raises where it first does,
     # instead of warning and ending as a non-finite state
     try:
@@ -483,27 +501,25 @@ def _solve(u0, cfg, projected):
             stored = [start]
             while step < total_steps:
                 steps = min(steps_per_window, total_steps - step)
+                label = f"window {len(iterations)}"
                 end = None
                 if probe_top is not None:
-                    for _, uhat, q in _sweep(flow, start, steps, force, pair=work.pair):
+                    for _, uhat, q in _sweep(flow, (start[0].copy(), start[1]), steps, force):
                         if not _proxy(model, uhat, q, work) <= probe_top:
                             break
                     else:
-                        end = uhat.copy(), q
+                        end = uhat, q
                         iterations.append(0)
                 if end is None:
-                    label = f"window {len(iterations)}"
-                    states, iters, window_ratios = _picard_window(
-                        model, flow, start, steps, cfg, force, label, work
+                    states, probe_top, iters, window_ratios = _probe(
+                        model, flow, start, steps, cfg, force, label, work, keep=not projected
                     )
                     iterations.append(iters)
                     ratios.extend(window_ratios)
-                    probe_top = max(_proxy(model, *s, work) for s in states)
-                    end = states[-1]
+                    end = states.pop()
                     if not projected:  # a local solve is this one window: keep every step
                         times.extend(j * cfg.dt for j in range(1, steps))
-                        stored.extend(states[1:-1])
-                    del states  # a later probe builds its list without this one alive
+                        stored.extend(states)
                 ortho_max = max(ortho_max, abs(model._psi_coefficient(end[0])))
                 step += steps
                 times.append(step * cfg.dt)
@@ -511,7 +527,8 @@ def _solve(u0, cfg, projected):
                 start = end
     except FloatingPointError as exc:
         raise HorizonTooLargeError(
-            f"the iterates left the double range ({exc}); shrink the horizon or the datum",
+            f"{label}: the iterates left the double range ({exc}); "
+            "shrink the horizon or the datum",
             math.inf,
         ) from exc
 
@@ -524,7 +541,7 @@ def _solve(u0, cfg, projected):
     while stored:
         uhat, q = stored.pop()
         if projected:
-            rho.append(0.0 if force is None else model._psi_coefficient(force(uhat, q, work.spec)))
+            rho.append(0.0 if force is None else model._psi_coefficient(force(uhat, q)))
         phat = uhat - q * model.green_omega_hat
         states.append(DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params))
     diag = {"iterations": iterations if projected else iterations[0], "contraction_ratios": ratios}
@@ -538,10 +555,10 @@ def solve_local(u0, cfg):
 
     Runs the window driver of :func:`solve_global_projected` without
     projection, with one window of length T and every step stored: the
-    whole horizon is one probed window, started from the linear evolution
-    of u0 (``cfg.window`` is not read).  Raises
-    :class:`HorizonTooLargeError` when three successive iterates fail to
-    contract.
+    whole horizon is one probed window, whose states are the march from u0
+    and whose Picard iterates start from the linear evolution of u0
+    (``cfg.window`` is not read).  Raises :class:`HorizonTooLargeError`
+    when the iterates fail to contract.
     """
     return _solve(u0, cfg, projected=False)
 
@@ -555,14 +572,15 @@ def solve_global_projected(u0, cfg):
     dynamics; the multiplier rho is recorded at every stored time.  Runs
     the window driver shared with :func:`solve_local` on windows of length
     ``cfg.window``, storing t = 0, every window end and T; a shorter
-    window gives denser output.  Window 0 is probed: the Picard map is
-    iterated to ``cfg.picard_tol`` from the linear evolution, and its
-    ratios are ``diagnostics["contraction_ratios"]``.  Every later window
-    is marched with exponential Euler, u_{j+1} = S(dt)[u_j + dt F(u_j)],
-    which is that map's fixed point, unless its march leaves the largest
-    H^1 proxy of the last probed window; it is then probed from its start
-    state.  A probe that fails to contract (ratio >= 1 over three iterates)
-    raises :class:`DataTooLargeError`.  ``diagnostics["iterations"]`` holds
+    window gives denser output.  Every window is marched with exponential
+    Euler, u_{j+1} = S(dt)[u_j + dt F(u_j)], the fixed point of the
+    window's Picard map.  Window 0 is probed: its Picard iterates from the
+    linear evolution are measured against that march, and their ratios are
+    ``diagnostics["contraction_ratios"]``.  A later window is probed too
+    when its march leaves the largest H^1 proxy of the last probed window.
+    A probe that fails to contract (a last ratio >= 1 above
+    ``cfg.picard_tol``) or leaves the double range raises
+    :class:`DataTooLargeError`.  ``diagnostics["iterations"]`` holds
     one entry per window: the probe's iterate count, or 0 for a marched
     window.
     """

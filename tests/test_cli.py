@@ -449,8 +449,9 @@ def _trajectory(out):
 
 def test_simulate_resumes_from_snapshot(tmp_path, capsys):
     # each snapshot holds phi, q, alpha and t; a run resumed from its t = 2
-    # snapshot continues the times and reproduces t = 3..5 (its first window
-    # is probed where the whole run marched, so not bit for bit)
+    # snapshot continues the times and reproduces t = 3..5 to rounding: its
+    # first window is probed where the whole run marched, and a probed
+    # window's states are its march's
     from pideq import load_state
 
     run = ["simulate", "--dt", "0.02", "--tol", "1e-10", "--grid-n", "64", "--snapshots"]
@@ -463,7 +464,7 @@ def test_simulate_resumes_from_snapshot(tmp_path, capsys):
     resumed = _trajectory(tmp_path / "resumed")
     assert [row[0] for row in resumed] == [2.0, 3.0, 4.0, 5.0]
     for a, b in zip(resumed[1:], full[3:]):
-        assert all(abs(x - y) <= 1e-9 * abs(y) for x, y in zip(a, b))
+        assert all(abs(x - y) <= 1e-14 * abs(y) for x, y in zip(a, b))
     assert load_state(tmp_path / "resumed" / "state_00003.pidf")[1] == 5.0
     # a state of another alpha is refused
     argv = ["--out", str(tmp_path / "x"), *run, "--T", "1", "--alpha", "0.1", "--u0", str(snap)]

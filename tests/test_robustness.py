@@ -510,14 +510,14 @@ def test_warnings_name_the_callers_line(call, message):
 def test_overflowing_data_raise_named_errors(params, amplitude):
     # iterates that leave the double range once warned 'overflow encountered
     # in square' from the H^1 proxy and ended in 'field values must be
-    # finite' or in a non-finite trajectory
+    # finite' or in a non-finite trajectory; the error names the window
     u0 = DecomposedField.from_field(gaussian_field(Grid(40.0, 64), 1.0, amplitude), params)
     cfg = SolverConfig(T=0.04, dt=0.02)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DataTooLargeError, match="left the double range"):
+        with pytest.raises(DataTooLargeError, match="window 0: the iterates left the double"):
             solve_global_projected(u0, cfg)
-        with pytest.raises(HorizonTooLargeError, match="left the double range") as exc:
+        with pytest.raises(HorizonTooLargeError, match="window 0: the iterates left the") as exc:
             solve_local(u0, cfg)
     assert not isinstance(exc.value, DataTooLargeError)
 

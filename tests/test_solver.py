@@ -34,7 +34,7 @@ from pideq import (
     total_field,
 )
 from pideq import solver
-from pideq.errors import ConvergenceError, DataTooLargeError
+from pideq.errors import ConvergenceError, DataTooLargeError, HorizonTooLargeError
 from pideq.fields import _irfft2
 from pideq.solver import (
     _Work,
@@ -43,7 +43,6 @@ from pideq.solver import (
     _forcing_hat,
     _h1_proxy_hat,
     _nonlinear_values,
-    _picard_window,
     _state_hat,
     _sweep,
 )
@@ -166,14 +165,13 @@ def _duhamel(flow, kicks):
     rule at twice the flow's step.
     """
     it = iter(kicks)
-
-    def force(_, __, out):
-        kick = next(it)
-        out[...] = 0.0 if kick is None else kick  # the sweep writes u_j + dt F over it
-        return out
-
     n = flow.model.grid.n
     uhat = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+
+    def force(_, __):
+        kick = next(it)  # a copy: the sweep writes u_j + dt F over it
+        return np.zeros_like(uhat) if kick is None else kick.copy()
+
     for _, uhat, _ in _sweep(flow, (uhat, 0.0), len(kicks), force):
         pass
     return uhat
@@ -260,11 +258,12 @@ def test_solve_local_zero_datum(params, grid128):
 
 
 def test_solve_local_linear_flow(params, grid128):
-    # a = 0: the Picard map is constant; one iterate, exact linear flow
+    # a = 0: the Picard map is constant and the linear evolution is its
+    # fixed point, so the probe needs no iterate; exact linear flow
     u0 = small_state(grid128, params)
     cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=0.2, dt=0.02)
     traj = solve_local(u0, cfg)
-    assert traj.diagnostics["iterations"] == 1
+    assert traj.diagnostics["iterations"] == 0
     model = grid_model(params, grid128)
     flow = Flow(model, 0.2, full=True, contour=ContourSpec.for_time(params, 0.2))
     direct = Field(grid128, _irfft2(flow.apply(_state_hat(model, u0)[0])))
@@ -296,13 +295,13 @@ def test_solve_local_fixed_point_property(params, grid128):
     kernel = _drift_kernel(model, cfg.a)
     work = _Work(grid128)
 
-    def force(uhat, q, out):
-        return _forcing_hat(model, kernel, uhat, q, cfg, work, out)
+    def force(uhat, q):
+        return _forcing_hat(model, kernel, uhat, q, cfg, work, work.spec)
 
-    # one Picard iterate from the solution, swept over a copy of it
-    swept = [(uhat.copy(), q) for uhat, q in states]
-    for _ in _sweep(prop, states[0], len(states) - 1, force, swept):
-        pass
+    # one Picard iterate from the solution, driven by its stored states
+    uhat0, q0 = states[0]
+    sweep = _sweep(prop, (uhat0.copy(), q0), len(states) - 1, force, iter(states).__next__)
+    swept = [states[0]] + [(uhat.copy(), q) for _, uhat, q in sweep]
     moved = max(
         _h1_proxy_hat(model.grid, *_split(model, a[0] - b[0])) for a, b in zip(swept, states)
     )
@@ -406,24 +405,82 @@ def test_picard_cap_names_itself(params, monkeypatch):
         solve_local(u0, SolverConfig(T=0.04, dt=0.02, picard_tol=1e-300))
 
 
+def test_probe_count_is_measured_then_estimated(params):
+    # the count is the first iterate within picard_tol of the march and,
+    # past the third, the contraction-mapping estimate e_3 r^(k-3): with
+    # e_3 = 4.0e-14 and r = 2.9e-4, tol 1e-20 needs 5 iterates and 1e-40
+    # needs 11; a tolerance no 25 iterates reach is a ConvergenceError, not
+    # a failure to contract
+    u0 = small_state(Grid(40.0, 64), params)
+    counts = [
+        solve_local(u0, SolverConfig(T=0.2, dt=0.02, picard_tol=tol)).diagnostics["iterations"]
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12, 1e-20, 1e-40)
+    ]
+    assert counts == [0, 1, 2, 3, 5, 11]
+    with pytest.raises(ConvergenceError, match="PICARD_MAX = 25 iterates") as exc:
+        solve_local(u0, SolverConfig(T=0.2, dt=0.02, picard_tol=1e-300))
+    assert not isinstance(exc.value, HorizonTooLargeError)
+
+
+def _picard_reference(model, flow, start, steps, cfg, force):
+    """Picard iterated to tolerance on one window, one list of states per iterate.
+
+    The solver's list-based probe, kept as a reference: from the linear
+    evolution of ``start``, each iterate sweeps the window driven by the
+    previous iterate's steps + 1 states until the largest H^1 proxy of two
+    successive iterates' difference is at most ``cfg.picard_tol``
+    max(1, proxy(start)).  Returns (states, iterations, ratios), the
+    ratios of successive distances.
+    """
+    def sweep(f=None, drive=None):
+        run = _sweep(flow, (start[0].copy(), start[1]), steps, f, drive)
+        return [start] + [(uhat.copy(), q) for _, uhat, q in run]
+
+    def proxy(uhat):
+        return _h1_proxy_hat(model.grid, *_split(model, uhat))
+
+    states = sweep()
+    scale = max(1.0, proxy(start[0]))
+    distances = []
+    for it in range(1, solver.PICARD_MAX + 1):
+        new = sweep(force, iter(states).__next__)
+        distances.append(max(proxy(a[0] - b[0]) for a, b in zip(new, states)))
+        states = new
+        if distances[-1] <= cfg.picard_tol * scale:
+            ratios = [d / prev for prev, d in zip(distances, distances[1:]) if prev > 0]
+            return states, it, ratios
+    raise AssertionError(f"reference Picard missed tol {cfg.picard_tol}: {distances}")
+
+
 def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
-    """Every stored state matches Picard iterated to tolerance on each window."""
+    """Every stored state matches Picard iterated to tolerance on each window.
+
+    Each probed window's ratios rho_k = e_k / e_(k-1), taken against its
+    march, match the first three successive-distance ratios of the
+    reference within 5 % plus 2 rho / (1 - rho): by the triangle inequality
+    the k-th distance is e_(k-1) (1 +- rho_k), so the two ratios part by a
+    relative gap of order 2 rho where the contraction is slow.
+    """
     model = grid_model(u0.params, u0.regular.grid)
     prop = Flow(model, cfg.dt, full=False)
     start = _state_hat(model, traj.states[0])
     ref = [start[0]]
+    ref_ratios = []
     kernel = _drift_kernel(model, cfg.a)
     work = _Work(model.grid)
 
-    def force(uhat, q, out):
-        return _forcing_hat(model, kernel, uhat, q, cfg, work, out)
+    def force(uhat, q):
+        return _forcing_hat(model, kernel, uhat, q, cfg, work, work.spec)
 
-    for win in range(windows):
-        states, _, _ = _picard_window(
-            model, prop, start, steps, cfg, force, f"window {win}", work
-        )
+    for win, probed in zip(range(windows), traj.diagnostics["iterations"]):
+        states, _, ratios = _picard_reference(model, prop, start, steps, cfg, force)
+        if probed:
+            ref_ratios.extend(ratios[:solver.PROBE_ITERATES])
         ref.extend(uhat for uhat, _ in states[1:])
         start = states[-1]
+    ratios = np.array(traj.diagnostics["contraction_ratios"])
+    assert ratios.shape == (len(ref_ratios),)
+    assert np.all(np.abs(ref_ratios / ratios - 1.0) <= 0.05 + 2.0 * ratios / (1.0 - ratios))
     stride = steps
     assert len(traj.states) == windows * steps // stride + 1
     tol = 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
@@ -476,7 +533,7 @@ def test_global_solve_reports_ortho_max(params):
         gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
     )
     traj = solve_global_projected(u0, SolverConfig(T=2.0, dt=0.02))
-    assert traj.diagnostics["iterations"] == [3, 0]
+    assert traj.diagnostics["iterations"] == [2, 0]
     ortho = traj.diagnostics["ortho_max"]
     assert math.isfinite(ortho) and ortho <= 1e-6 * lp_norm(total_field(u0), 2)
     local = solve_local(u0, SolverConfig(T=0.1, dt=0.02))
@@ -514,20 +571,26 @@ def test_global_solver_rejects_large_data_over_windows(params, grid128):
         solve_global_projected(big, cfg)
 
 
-def test_global_probe_holds_one_iterate(params, grid128):
-    # a probed window of 50 steps sweeps one list of its states in place:
-    # two iterates and a forcing list would be over 150 fields
+def test_global_probe_memory_is_flat_in_the_window_length(params, grid128):
+    # a probe holds the march, the linear evolution and three Picard iterates
+    # whatever its length: a probed window of 50 steps peaks within one half
+    # spectrum of one of 10 steps.  Both peak at 17.0 half spectra: the flow
+    # (4.7 with its temporary), the drift kernel (2), the work (3), the start
+    # state, the five sweep states and 1.3 of one flow application's buffers
     u0 = small_state(grid128, params)
-    cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=2.0, dt=0.02, window=1.0, picard_tol=1e-10)
-    solve_global_projected(u0, cfg)  # warm the grid-model, contour and kernel caches
-    tracemalloc.start()
-    try:
-        solve_global_projected(u0, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    field_bytes = 16 * grid128.n**2
-    assert peak < 100 * field_bytes
+    peaks = []
+    for window in (1.0, 0.2):
+        cfg = SolverConfig(T=window, dt=0.02, window=window, picard_tol=1e-10)
+        solve_global_projected(u0, cfg)  # warm the grid-model, contour and kernel caches
+        tracemalloc.start()
+        try:
+            solve_global_projected(u0, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    half_spectrum = 16 * grid128.n * (grid128.n // 2 + 1)
+    assert abs(peaks[0] - peaks[1]) < half_spectrum
+    assert max(peaks) < 18 * half_spectrum
 
 
 def test_stored_states_memory_guard(params, grid128):
@@ -720,10 +783,10 @@ def test_transform_budget(params, grid128, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     work = _Work(grid128)
 
-    def force(v, q, out):
-        return _forcing_hat(model, kernel, v, q, cfg, work, out)
+    def force(v, q):
+        return _forcing_hat(model, kernel, v, q, cfg, work, work.spec)
 
-    force(uhat, q, np.empty_like(uhat))
+    force(uhat, q)
     assert counts == {"irfft": 2, "rfft": 1}
     counts.update(irfft=0, rfft=0)
     flow.apply(uhat)

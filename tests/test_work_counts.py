@@ -21,21 +21,21 @@ from pideq import residual_check, solve_global_projected, solve_local
 from pideq.decay import run_gradient_decay, run_semigroup_decay
 from pideq.semigroup import Flow, PointHeatModel, grid_model
 
-# Window 0 is probed (its linear start and 3 Picard sweeps of 50 steps) and
-# window 1 is marched (one sweep): 250 flow steps and 200 forcings.  q is
-# read once per new state (1 + 50 + 150 + 50), and the driver keeps it
-# beside each of the 3 stored states.  A forcing is two irfft2 and one
-# rfft2.  The rest are the datum's rfft2 and, per stored state, one irfft2
-# for its phi and, for rho, one forcing transform of the held half
-# spectrum, paired with psi_hat: 203 forcings in all.  (rho once paired the
-# forcing's samples with psi's, two irfft2 and no rfft2 per stored state,
-# and before that re-entered the half spectrum from each finished state.)
+# Window 0 is probed and window 1 is marched (one sweep of 50 steps).  The
+# probe advances its march (50 steps), the linear evolution (50) and three
+# Picard iterates, which join at steps 1, 2 and 3, where they equal the
+# march (49, 48 and 47 steps): 244 flow steps and 194 forcings, and 294
+# with the marched window.  q is read once per new state (1 + 244 + 50),
+# and the driver keeps it beside each of the 3 stored states.  A forcing is
+# two irfft2 and one rfft2.  The rest are the datum's rfft2 and, per stored
+# state, one irfft2 for its phi and, for rho, one forcing transform of the
+# held half spectrum, paired with psi_hat: 247 forcings in all.
 EXPECTED = {
-    "Flow.apply": 250,
-    "_forcing_hat": 203,
-    "coupling_coefficient": 251,
-    "_rfft2": 204,
-    "_irfft2": 409,
+    "Flow.apply": 294,
+    "_forcing_hat": 247,
+    "coupling_coefficient": 295,
+    "_rfft2": 248,
+    "_irfft2": 497,
 }
 
 
@@ -77,7 +77,7 @@ def test_two_window_global_solve_work(monkeypatch):
     counts = Counter()
     _count(monkeypatch, counts)
     traj = solve()
-    assert traj.diagnostics["iterations"] == [3, 0]
+    assert traj.diagnostics["iterations"] == [2, 0]
     assert dict(counts) == {"Flow()": 1, **EXPECTED}
 
 
@@ -141,27 +141,31 @@ def test_linear_fit_work(monkeypatch):
 
 
 def test_marched_step_allocates_no_lattice_array(monkeypatch):
-    # From the start of one marched step (forcing, flow, coupling read and
-    # the driver's H^1 proxy) to the start of the next, the traced peak
-    # stays below 1.5 half spectra: the solve owns the forcing's, the
-    # flow's and the proxy's arrays, and the march alternates two states.
-    # Window ends copy their stored state and are left out.
+    # From the start of one march step (forcing, flow, coupling read and the
+    # driver's H^1 proxy) to the start of the next, the traced peak stays
+    # below 1.5 half spectra: the solve owns the forcing's, the flow's and
+    # the proxy's arrays, and a sweep steps one array in place.  The march
+    # inside window 0's probe counts too: between two of its steps the
+    # linear evolution and three Picard iterates step and five proxies run.
+    # The first steps, where the iterates join the probe from copies, are
+    # left out.
     from pideq import solver
 
     sweep, peaks = solver._sweep, []
 
-    def measured(*args, pair=None, **kwargs):
-        steps = args[2]
-        gen = sweep(*args, pair=pair, **kwargs)
+    def measured(flow, start, steps, force=None, drive=None):
+        gen = sweep(flow, start, steps, force, drive)
+        marched = force is not None and drive is None
         while True:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
+            if marched:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
             try:
                 j, uhat, q = next(gen)
             except StopIteration:
                 return
             yield j, uhat, q
-            if pair is not None and 2 < j < steps:
+            if marched and solver.PROBE_ITERATES < j < steps:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
 
     solve = _two_window_solve()
@@ -173,7 +177,7 @@ def test_marched_step_allocates_no_lattice_array(monkeypatch):
     finally:
         tracemalloc.stop()
     half_spectrum = 64 * 33 * 16
-    assert len(peaks) == 47
+    assert len(peaks) == 2 * 46
     assert statistics.median(peaks) < 1.5 * half_spectrum
     assert max(peaks) < 1.5 * half_spectrum
 
