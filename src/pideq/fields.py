@@ -452,16 +452,22 @@ def load_field(path):
     return Field(grid, values)
 
 
-_CSV_BLOCK = 4096
-"""Rows formatted per string by :func:`field_to_csv`."""
-
-
 def field_to_csv(f, stream):
-    """Write rows x,y,Re,Im in full-precision scientific notation, row-major."""
-    X, Y = f.grid.mesh()
-    v = f.values
-    rows = np.stack([X.ravel(), Y.ravel(), v.real.ravel(), v.imag.ravel()], axis=1)
+    """Write rows x,y,Re,Im in full-precision scientific notation, row-major.
+
+    The n x and n y coordinates are formatted once each, and every mesh
+    row is written from one template filled with its values.  A row whose
+    imaginary parts are all +0.0, as every row of a real field is, takes
+    a template with that string in place and is filled from its real
+    parts alone; any other row, -0.0 included, formats both parts.
+    """
+    coords = ["%.16e" % c for c in f.grid.axis().tolist()]
+    zero_im = [f",{y},%.16e,{0.0:.16e}\n" for y in coords]
+    both = [f",{y},%.16e,%.16e\n" for y in coords]
     stream.write("x,y,re,im\n")
-    for lo in range(0, len(rows), _CSV_BLOCK):
-        block = rows[lo:lo + _CSV_BLOCK]
-        stream.write(("%.16e,%.16e,%.16e,%.16e\n" * len(block)) % tuple(block.ravel().tolist()))
+    for x, row in zip(coords, f.values):
+        if np.iscomplexobj(row) and (row.imag.any() or np.signbit(row.imag).any()):
+            values, tails = np.stack((row.real, row.imag), axis=1), both
+        else:
+            values, tails = row.real, zero_im
+        stream.write((x + x.join(tails)) % tuple(values.ravel().tolist()))

@@ -36,10 +36,13 @@ derivative a . grad u, which is linear in u, is one inverse transform of
 (a1 i xi1 + a2 i xi2) u_hat plus q times the closed Bessel form of
 a . grad G_omega less its spectral derivative, so the kernel part is
 pointwise faithful at the singularity.  The grid model holds that pair
-per axis (``PointHeatModel.drift_parts``); a solve combines it along its
-a once, and :func:`state_fields` samples the two axes, as
-(u, |grad u|).  A forcing is two irfft2 (u and a . grad u) and one rfft2.
-The H^1 proxy reads its form constants of G_omega off the model too
+per axis (``PointHeatModel.drift_parts``): the 1-D derivative i xi_k and
+the correction c_k.  The sampler reads them there on every call, forms
+a1 i xi1 + a2 i xi2 in the half spectrum it multiplies and adds q a_k c_k
+for each nonzero a_k, so no caller builds or keeps a lattice-sized
+kernel; :func:`state_fields` samples the two axes, as (u, |grad u|).  A
+forcing is two irfft2 (u and a . grad u) and one rfft2.  The H^1 proxy
+reads its form constants of G_omega off the model too
 (``PointHeatModel.h1_kernel``).  The window driver runs with numpy's
 overflow and invalid-value errors raised: an iterate that leaves the
 double range ends the solve with :class:`pideq.errors.HorizonTooLargeError`.
@@ -87,7 +90,9 @@ temporary), so a step allocates none: a sweep steps one array of its own
 in place, the forcing and u_j + dt F are formed in the work's ``spec``,
 and a march's array becomes its window's end state.  A probe holds
 ``PROBE_ITERATES`` + 2 states whatever the window's length, and a local
-solve's probe also keeps a copy of every march state, its output.
+solve's probe also keeps a copy of every march state, its output.  The
+flow and the work are released before the stored states are formed, and
+each state's phi is formed in the half spectrum it came from.
 """
 
 import math
@@ -185,29 +190,17 @@ class Trajectory:
 
 # --- nonlinearity ------------------------------------------------------------
 
-def _drift_kernel(model, a):
-    """(K_a, c_a) of the drift derivative a . grad, for a tuple a of two floats.
-
-    The model's per-axis ``drift_parts`` (d_k, c_k) combined:
-    K_a = a1 d1 + a2 d2 = a1 i xi1 + a2 i xi2 on the rfft2 half spectrum and
-    c_a = a1 c1 + a2 c2, the closed Bessel form of a . grad G_omega less
-    the spectral derivative irfft2(K_a G_omega_hat).
-    """
-    (d1, c1), (d2, c2) = model.drift_parts
-    a1, a2 = a
-    return a1 * d1 + a2 * d2, a1 * c1 + a2 * c2
-
-
 class _Work:
     """The lattice arrays one solve reuses at every step, so a step allocates none.
 
-    ``spec`` is a complex half spectrum: the first pass of every irfft2,
-    then a forcing's transform and a sweep's u_j + dt F, or a probe's
+    ``spec`` is a complex half spectrum: the drift's K_a u_hat, the first
+    pass of every irfft2 and, over its front, the drift's q a_k c_k; then
+    a forcing's transform and a sweep's u_j + dt F, or a probe's
     difference of two states.  ``vals`` and ``drift`` are real n x n: the
-    samples of u (after q c_a) and of a . grad u, then the forcing.
-    ``squares`` are the H^1 proxy's two real half spectra, held in the
-    fronts of ``vals`` and ``drift``, which are free whenever the proxy
-    runs.  At n = 256 that is 1.5 MB.
+    samples of u and of a . grad u, then the forcing.  ``squares`` are the
+    H^1 proxy's two real half spectra, held in the fronts of ``vals`` and
+    ``drift``, which are free whenever the proxy runs.  At n = 256 that
+    is 1.5 MB.
     """
 
     def __init__(self, grid):
@@ -218,33 +211,46 @@ class _Work:
         self.squares = _front(self.vals, (n, m)), _front(self.drift, (n, m))
 
 
-def _drift(kernel, uhat, q, work=None):
+def _drift(model, a, uhat, q, spec=None, out=None):
     """Real samples of a . grad u for u = phi + q G_omega given by u_hat and q: one irfft2.
 
-    ``kernel`` is the drift's pair (K_a, c_a) (``_drift_kernel``, or one
-    axis' ``drift_parts``): the spectral derivative of phi plus q times the
-    closed form is irfft2(K_a u_hat) + q c_a.  With a :class:`_Work` the
-    samples are its ``drift`` and q c_a passes through its ``vals``;
-    without, every array is new.
+    ``a`` is a pair of floats.  With the model's per-axis ``drift_parts``
+    (d_k, c_k), the spectral derivative of phi plus q times the closed form
+    is irfft2(K_a u_hat) + q a1 c1 + q a2 c2, K_a = a1 d1 + a2 d2.  The d_k
+    are 1-D (n x 1 and 1 x (n/2 + 1)), so K_a is copied into the half
+    spectrum ``spec`` by broadcasting and multiplied by u_hat there: a
+    broadcast copy needs no ufunc buffer, where a broadcast product takes
+    numpy's 128 KiB one.  A zero component adds no term, and a second
+    nonzero one is added in place (one such buffer).  ``spec`` then takes
+    the irfft2's first pass and, over its front, each nonzero q a_k c_k,
+    and ``out`` the samples; either is new when None.
     """
-    k, corr = kernel
-    spec, out, qc = (None, None, None) if work is None else (work.spec, work.drift, work.vals)
-    drift = _irfft2(np.multiply(k, uhat, out=spec), out, work=spec)
-    drift += np.multiply(q, corr, out=qc)
+    (d1, c1), (d2, c2) = model.drift_parts
+    a1, a2 = a
+    khat = np.empty_like(uhat) if spec is None else spec
+    np.copyto(khat, a1 * d1 if a1 else a2 * d2)
+    if a1 and a2:
+        khat += a2 * d2
+    khat *= uhat
+    drift = _irfft2(khat, out, work=khat)
+    qc = _front(khat, drift.shape)
+    for ak, ck in ((a1, c1), (a2, c2)):
+        if ak:
+            drift += np.multiply(q * ak, ck, out=qc)
     return drift
 
 
-def _nonlinear_values(model, kernel, uhat, q, cfg, work=None):
+def _nonlinear_values(model, uhat, q, cfg, work=None):
     """Samples of a . grad(|u|^gamma) = gamma sign(u) |u|^(gamma-1) (a . grad u).
 
-    u = phi + q G_omega is given by its half spectrum and q, and ``kernel``
-    is cfg.a's (K_a, c_a) (``_drift_kernel``).  The samples are those of
-    the :class:`_Work` ``work`` (a new one when None): its ``drift``, with
-    u sampled into its ``vals`` and spare room in its ``spec``.  a = 0
-    needs no shortcut: its kernel is zero, and so are the samples.
+    u = phi + q G_omega is given by its half spectrum and q.  The samples
+    are those of the :class:`_Work` ``work`` (a new one when None): its
+    ``drift``, with u sampled into its ``vals`` and spare room in its
+    ``spec``.  a = 0 needs no shortcut: its drift samples are zero, and
+    so are these.
     """
     work = _Work(model.grid) if work is None else work
-    drift = _drift(kernel, uhat, q, work)
+    drift = _drift(model, cfg.a, uhat, q, work.spec, work.drift)
     vals = _irfft2(uhat, work.vals, work=work.spec)
     # built in the drift's array; sign(u) |u| = u at gamma = 2
     if cfg.gamma == 2.0:
@@ -272,13 +278,17 @@ def state_fields(u):
 
     The values are :func:`total_field`'s; d1 u and d2 u are the forcing's
     drift derivatives along (1, 0) and (0, 1): the spectral derivative of
-    phi plus coeff times the closed Bessel form of grad G_omega.
+    phi plus coeff times the closed Bessel form of grad G_omega.  Both run
+    through one half-spectrum scratch; |grad u| is written over d1 u and
+    the values over d2 u.
     """
     grid = u.regular.grid
     model = grid_model(u.params, grid)
     uhat, q = _state_hat(model, u)
-    du1, du2 = (_drift(part, uhat, q) for part in model.drift_parts)
-    return Field(grid, _irfft2(uhat)), Field(grid, np.hypot(du1, du2))
+    spec = np.empty_like(uhat)
+    du1, du2 = (_drift(model, a, uhat, q, spec) for a in ((1.0, 0.0), (0.0, 1.0)))
+    grad = np.hypot(du1, du2, out=du1)
+    return Field(grid, _irfft2(uhat, du2, work=uhat)), Field(grid, grad)
 
 
 def nonlinearity(u, cfg):
@@ -290,7 +300,7 @@ def nonlinearity(u, cfg):
     ValueError.
     """
     model = grid_model(u.params, u.regular.grid)
-    values = _nonlinear_values(model, _drift_kernel(model, cfg.a), *_state_hat(model, u), cfg)
+    values = _nonlinear_values(model, *_state_hat(model, u), cfg)
     return Field(u.regular.grid, values)
 
 
@@ -298,7 +308,7 @@ def lagrange_multiplier(u, cfg):
     """rho = < a . grad(|u|^gamma), psi >: the forcing's half spectrum paired with psi's."""
     model = grid_model(u.params, u.regular.grid)
     uhat, q = _state_hat(model, u)
-    fhat = _forcing_hat(model, _drift_kernel(model, cfg.a), uhat, q, cfg, out=uhat)
+    fhat = _forcing_hat(model, uhat, q, cfg, out=uhat)
     return float(model._psi_coefficient(fhat))
 
 
@@ -322,7 +332,9 @@ def _state_hat(model, u):
                 f"complex data (imaginary part {imag / size:.1e} of its size): the solver's "
                 "forcing a . grad(|u|^gamma) is written for real u"
             )
-    return _rfft2(values.real) + q.real * model.green_omega_hat, q.real
+    uhat = _rfft2(values.real)
+    uhat += q.real * model.green_omega_hat
+    return uhat, q.real
 
 
 def _proxy(model, uhat, q, work):
@@ -333,16 +345,16 @@ def _proxy(model, uhat, q, work):
     return _h1_proxy_hat(model.grid, uhat, q, model.h1_kernel, work.squares)
 
 
-def _forcing_hat(model, kernel, uhat, q, cfg, work=None, out=None):
+def _forcing_hat(model, uhat, q, cfg, work=None, out=None):
     """Unprojected F transform of the state (u_hat, q), written into out (a new array if None).
 
-    ``kernel`` is cfg.a's (K_a, c_a) (``_drift_kernel``) and ``work`` the
-    solve's :class:`_Work` (a new one if None).  Two irfft2 (u and
-    a . grad u) and one rfft2, which comes last, so out may be uhat itself
-    or ``work.spec``.  It is the one forcing transform: the sweep steps
-    with it, and rho and :func:`residual_check` pair it with psi_hat.
+    ``work`` is the solve's :class:`_Work` (a new one if None).  Two
+    irfft2 (u and a . grad u) and one rfft2, which comes last, so out may
+    be uhat itself or ``work.spec``.  It is the one forcing transform: the
+    sweep steps with it, and rho and :func:`residual_check` pair it with
+    psi_hat.
     """
-    return _rfft2(_nonlinear_values(model, kernel, uhat, q, cfg, work), out)
+    return _rfft2(_nonlinear_values(model, uhat, q, cfg, work), out)
 
 
 def _sweep(flow, start, steps, force=None, drive=None):
@@ -455,14 +467,15 @@ def _solve(u0, cfg, projected):
     largest one the last probed window held, so growing data are measured
     where they are largest.  ``iterations`` has one entry per window, 0
     for a marched one.  One storage rule: t = 0 and every window end (T last) are stored, and
-    a local solve, being one window, stores every step.  The stored states
-    are made into :class:`DecomposedField` states (float64 phi) at the
-    end, one at a time.  A projected solve pairs each stored state's
-    forcing transform with psi_hat for rho, empty otherwise.  a = 0 is
-    decided here once: the sweeps get no forcing and rho is 0.  ``cfg`` is
-    only read.  The solve owns one :class:`_Work`, and a march's one array
-    becomes its end state.  A global solve's probe keeps its end state
-    alone.  An iterate that leaves the double range raises
+    a local solve, being one window, stores every step.  At the end a
+    projected solve first pairs each stored state's forcing transform with
+    psi_hat for rho (empty otherwise); then the flow and the work are
+    released, and the stored states are made into :class:`DecomposedField`
+    states (float64 phi) one at a time, each phi formed in its own half
+    spectrum.  a = 0 is decided here once: the sweeps get no forcing and
+    rho is 0.  ``cfg`` is only read.  The solve owns one :class:`_Work`,
+    and a march's one array becomes its end state.  A global solve's probe
+    keeps its end state alone.  An iterate that leaves the double range raises
     :class:`HorizonTooLargeError` naming its window.  The diagnostics hold
     the iterations, all windows' ratios and, for a projected solve, ``ortho_max``: the largest
     |<u, psi>| of a window's end state.  An unprojected solve is local, one
@@ -473,11 +486,10 @@ def _solve(u0, cfg, projected):
     if total_steps < 1 or abs(total_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ValueError("T must be an integer multiple of dt")
     flow = Flow(model, cfg.dt, full=not projected)
-    kernel = _drift_kernel(model, cfg.a)
     work = _Work(model.grid)
 
     def force(uhat, q):
-        return _forcing_hat(model, kernel, uhat, q, cfg, work, work.spec)
+        return _forcing_hat(model, uhat, q, cfg, work, work.spec)
 
     if cfg.a == (0.0, 0.0):  # no forcing: every sweep is the linear evolution
         force = None
@@ -532,18 +544,22 @@ def _solve(u0, cfg, projected):
             math.inf,
         ) from exc
 
-    # each half spectrum is dropped as its state is made, so the stored half
-    # spectra and the states are never all alive at once; rho and phi come
-    # from the stored (u_hat, q), q as the sweep read it
+    # rho and phi come from the stored (u_hat, q), q as the sweep read it.
+    # rho is paired first, so the flow and the work are gone before any
+    # state is made; each half spectrum becomes its phi in place and is
+    # dropped as its state is made, so the stored half spectra and the
+    # states are never all alive at once
+    rho = []
+    if projected:
+        rho = [0.0 if force is None else model._psi_coefficient(force(u, q)) for u, q in stored]
+    del flow, work, force
     stored.reverse()
     states = []
-    rho = []
     while stored:
         uhat, q = stored.pop()
-        if projected:
-            rho.append(0.0 if force is None else model._psi_coefficient(force(uhat, q)))
-        phat = uhat - q * model.green_omega_hat
-        states.append(DecomposedField(Field(model.grid, _irfft2(phat)), float(q), model.params))
+        uhat -= q * model.green_omega_hat
+        phi = Field(model.grid, _irfft2(uhat, work=uhat))
+        states.append(DecomposedField(phi, float(q), model.params))
     diag = {"iterations": iterations if projected else iterations[0], "contraction_ratios": ratios}
     if projected:
         diag["ortho_max"] = ortho_max
@@ -624,7 +640,6 @@ def residual_check(traj, cfg, t_min=0.0):
             f"residual_check: no interior stored time is at or after t_min = {t_min!r}"
         )
     model = grid_model(traj.states[0].params, traj.states[0].regular.grid)
-    kernel = _drift_kernel(model, cfg.a)
     work = _Work(model.grid)
 
     worst = 0.0
@@ -636,7 +651,7 @@ def residual_check(traj, cfg, t_min=0.0):
         # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
         resid = (unext - uprev) / (2.0 * dt)
         resid -= model.omega * uc - (model.omega + model.xi2) * (uc - qc * model.green_omega_hat)
-        resid -= _forcing_hat(model, kernel, uc, qc, cfg, work, work.spec)
+        resid -= _forcing_hat(model, uc, qc, cfg, work, work.spec)
         if traj.rho.size:
             resid += traj.rho[k] * model.psi_hat
         unorm = model.l2_hat(uc)

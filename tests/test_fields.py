@@ -225,9 +225,8 @@ def test_csv_export(grid128):
 
 
 def test_csv_export_matches_per_value_writer():
-    # the block writer's bytes against one f-string per value, on a field
-    # spanning more than one block, with -0.0, a 1e-17 imaginary part and
-    # extreme exponents
+    # the writer's bytes against one f-string per value, with -0.0, a 1e-17
+    # imaginary part and extreme exponents
     grid = Grid(5.0, 128)
     vals = gaussian_field(grid, sigma=1.0).values + 1e-17j
     vals[0, :4] = [-0.0, 1e-300 - 0.0j, -2.5e200 + 1j, 0.0 - 1e-17j]
@@ -242,6 +241,45 @@ def test_csv_export_matches_per_value_writer():
     field_to_csv(f, buf)
     assert buf.getvalue() == "".join(ref)
     assert "-0.0000000000000000e+00" in buf.getvalue()
+
+
+def _block_csv(f, stream, block=4096):
+    """The four-format-per-row writer: every value formatted, 4096 rows per string."""
+    X, Y = f.grid.mesh()
+    v = f.values
+    rows = np.stack([X.ravel(), Y.ravel(), v.real.ravel(), v.imag.ravel()], axis=1)
+    stream.write("x,y,re,im\n")
+    for lo in range(0, len(rows), block):
+        chunk = rows[lo:lo + block]
+        stream.write(("%.16e,%.16e,%.16e,%.16e\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "negative_zero", "extreme"])
+def test_csv_row_templates_match_block_writer(case):
+    # the row-template writer's bytes against the block writer that formats
+    # all four values of every row: a real field, a complex one, -0.0 in
+    # real and imaginary parts (a row whose imaginary parts are 0.0 but
+    # for one -0.0 must not take the zero-im template), and values at the
+    # ends of the double range
+    grid = Grid(40.0, 64)
+    vals = gaussian_field(grid, sigma=3.0).values
+    if case == "complex":
+        vals = vals + 1j * np.random.default_rng(5).standard_normal(vals.shape)
+    elif case == "negative_zero":
+        vals = vals.astype(np.complex128)
+        vals[3, :5] = [-0.0, complex(1.0, -0.0), complex(-0.0, -0.0), 0.0, 2.0]
+        vals[7] = -0.0
+    elif case == "extreme":
+        vals = vals.copy()
+        vals[0, :6] = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
+                       2.2250738585072014e-308, -0.0]
+    f = Field(grid, vals)
+    ref, buf = io.StringIO(), io.StringIO()
+    _block_csv(f, ref)
+    field_to_csv(f, buf)
+    assert buf.getvalue() == ref.getvalue()
+    if case == "negative_zero":
+        assert "-0.0000000000000000e+00\n" in buf.getvalue()
 
 
 def test_field_dtype_follows_data(grid128, rng):

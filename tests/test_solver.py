@@ -39,7 +39,6 @@ from pideq.fields import _irfft2
 from pideq.solver import (
     _Work,
     _drift,
-    _drift_kernel,
     _forcing_hat,
     _h1_proxy_hat,
     _nonlinear_values,
@@ -67,8 +66,8 @@ def test_config_validation():
         SolverConfig(gamma=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=-0.1)
-    # a is two finite reals, stored as floats, so (1, 0) and (1.0, 0.0) share
-    # one drift-kernel cache entry
+    # a is two finite reals, stored as floats, so (1, 0) and (1.0, 0.0) are
+    # one config
     for bad in ((1.0, 0.0, 5.0), (1.0,), (math.nan, 0.0), (0.0, math.inf), (1.0, 1j)):
         with pytest.raises(ValueError, match="two finite real numbers"):
             SolverConfig(a=bad)
@@ -104,13 +103,12 @@ def test_forcing_exact_form_below_gamma_2(params, grid128, value):
     # drift is q c_a, gives a finite forcing with no clamp at u -> 0
     model = grid_model(params, grid128)
     cfg = SolverConfig(gamma=1.5, a=(0.6, 0.8))
-    kernel = _drift_kernel(model, cfg.a)
     uhat = np.zeros((128, 65), dtype=np.complex128)
     uhat[0, 0] = value * 128**2
     q = 0.7
     assert np.all(_irfft2(uhat) == value)
-    drift = _drift(kernel, uhat, q)
-    got = _nonlinear_values(model, kernel, uhat, q, cfg)
+    drift = _drift(model, cfg.a, uhat, q)
+    got = _nonlinear_values(model, uhat, q, cfg)
     expect = 1.5 * math.copysign(abs(value) ** 0.5, value) * drift
     assert np.all(np.isfinite(got))
     assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max(initial=0.0)
@@ -292,11 +290,10 @@ def test_solve_local_fixed_point_property(params, grid128):
     model = grid_model(params, grid128)
     prop = Flow(model, cfg.dt, full=True)
     states = [_state_hat(model, st) for st in traj.states]
-    kernel = _drift_kernel(model, cfg.a)
     work = _Work(grid128)
 
     def force(uhat, q):
-        return _forcing_hat(model, kernel, uhat, q, cfg, work, work.spec)
+        return _forcing_hat(model, uhat, q, cfg, work, work.spec)
 
     # one Picard iterate from the solution, driven by its stored states
     uhat0, q0 = states[0]
@@ -466,11 +463,10 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     start = _state_hat(model, traj.states[0])
     ref = [start[0]]
     ref_ratios = []
-    kernel = _drift_kernel(model, cfg.a)
     work = _Work(model.grid)
 
     def force(uhat, q):
-        return _forcing_hat(model, kernel, uhat, q, cfg, work, work.spec)
+        return _forcing_hat(model, uhat, q, cfg, work, work.spec)
 
     for win, probed in zip(range(windows), traj.diagnostics["iterations"]):
         states, _, ratios = _picard_reference(model, prop, start, steps, cfg, force)
@@ -574,9 +570,11 @@ def test_global_solver_rejects_large_data_over_windows(params, grid128):
 def test_global_probe_memory_is_flat_in_the_window_length(params, grid128):
     # a probe holds the march, the linear evolution and three Picard iterates
     # whatever its length: a probed window of 50 steps peaks within one half
-    # spectrum of one of 10 steps.  Both peak at 17.0 half spectra: the flow
-    # (4.7 with its temporary), the drift kernel (2), the work (3), the start
-    # state, the five sweep states and 1.3 of one flow application's buffers
+    # spectrum of one of 10 steps.  Both peak at 15.0 half spectra: the flow
+    # (4.7 with its temporary), the work (3), the start state, the five sweep
+    # states and 1.3 of one flow application's buffers.  The sampler reads
+    # the model's per-axis drift parts: a drift kernel built per solve (2)
+    # would pass the bound
     u0 = small_state(grid128, params)
     peaks = []
     for window in (1.0, 0.2):
@@ -590,7 +588,29 @@ def test_global_probe_memory_is_flat_in_the_window_length(params, grid128):
             tracemalloc.stop()
     half_spectrum = 16 * grid128.n * (grid128.n // 2 + 1)
     assert abs(peaks[0] - peaks[1]) < half_spectrum
-    assert max(peaks) < 18 * half_spectrum
+    assert max(peaks) < 16 * half_spectrum
+
+
+@pytest.mark.parametrize("a", [(1.0, 0.0), (0.6, 0.8)])
+def test_forcing_builds_no_drift_kernel(params, grid128, a):
+    # nonlinearity and lagrange_multiplier hold the state's half spectrum
+    # and the work (3), and read the drift from the model's per-axis parts:
+    # no n x (n/2 + 1) kernel and no n x n correction are built per call.
+    # They peak at 4.0 half spectra along an axis and 5.0 at a = (0.6, 0.8),
+    # whose second component is added through numpy's 128 KiB ufunc buffer;
+    # a kernel and a correction built per call (2) would pass the bound
+    u = _random_state(grid128, params, 28, q=0.3)
+    cfg = SolverConfig(gamma=2.0, a=a)
+    half_spectrum = 16 * grid128.n * (grid128.n // 2 + 1)
+    for call in (nonlinearity, lagrange_multiplier):
+        call(u, cfg)  # warm the grid model and its drift parts
+        tracemalloc.start()
+        try:
+            call(u, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * half_spectrum, (call.__name__, peak / half_spectrum)
 
 
 def test_stored_states_memory_guard(params, grid128):
@@ -728,7 +748,7 @@ def test_forcing_samples_drift_derivative(params, grid128, a):
     model = grid_model(params, grid128)
     uhat, q = _state_hat(model, u)
     vals = np.fft.irfft2(uhat)
-    du1, du2 = (_drift(_drift_kernel(model, e), uhat, q) for e in ((1.0, 0.0), (0.0, 1.0)))
+    du1, du2 = (_drift(model, e, uhat, q) for e in ((1.0, 0.0), (0.0, 1.0)))
     expect = 2.0 * vals * (a[0] * du1 + a[1] * du2)
     got = nonlinearity(u, cfg).values
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
@@ -736,24 +756,27 @@ def test_forcing_samples_drift_derivative(params, grid128, a):
     assert zero.shape == got.shape and not np.any(zero)
 
 
-@pytest.mark.parametrize("a", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
+@pytest.mark.parametrize("a", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.0, 0.0)])
 def test_drift_parts_give_the_direct_kernel(params, grid128, a):
-    # (K_a, c_a) combined from the model's per-axis drift_parts against the
-    # direct formula K_a = a1 i xi1 + a2 i xi2, c_a = a . (closed gradient of
-    # G_omega) - irfft2(K_a G_omega_hat): equal along an axis, where one
-    # term of each sum is an exact zero
+    # the sampler, reading the model's per-axis drift_parts, against the
+    # direct drift irfft2(K_a u_hat) + q c_a with K_a = a1 i xi1 + a2 i xi2
+    # and c_a = a . (closed gradient of G_omega) - irfft2(K_a G_omega_hat):
+    # equal along an axis, where one term of each sum is an exact zero, and
+    # exactly zero at a = 0
     model = grid_model(params, grid128)
+    uhat, q = _state_hat(model, _random_state(grid128, params, 27, q=0.3))
     d1, d2 = model.derivative
     kernel = a[0] * d1 + a[1] * d2
     gx, gy = _green_gradient(reference_lambda(params), grid128)
     closed = a[0] * gx + a[1] * gy
-    direct = closed - _irfft2(kernel * model.green_omega_hat)
-    k, c = _drift_kernel(model, a)
-    assert np.array_equal(k, kernel)
-    if 0.0 in a:
-        assert np.array_equal(c, direct)
+    direct = _irfft2(kernel * uhat) + q * (closed - _irfft2(kernel * model.green_omega_hat))
+    got = _drift(model, a, uhat, q)
+    if a == (0.0, 0.0):
+        assert not np.any(got) and not np.any(direct)
+    elif 0.0 in a:
+        assert np.array_equal(got, direct)
     else:
-        assert np.abs(c - direct).max() <= 1e-15 * np.abs(direct).max()
+        assert np.abs(got - direct).max() <= 1e-15 * np.abs(direct).max()
 
 
 def test_solver_config_is_frozen():
@@ -773,7 +796,7 @@ def test_transform_budget(params, grid128, monkeypatch):
     uhat, q = _state_hat(model, _random_state(grid128, params, 24, q=0.3))
     cfg = SolverConfig(gamma=2.0, a=(0.3, -0.7))
     flow = Flow(model, 0.02)
-    kernel = _drift_kernel(model, cfg.a)  # builds the model's drift parts
+    model.drift_parts  # built before the transforms are counted
     counts = {"irfft": 0, "rfft": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
@@ -784,7 +807,7 @@ def test_transform_budget(params, grid128, monkeypatch):
     work = _Work(grid128)
 
     def force(v, q):
-        return _forcing_hat(model, kernel, v, q, cfg, work, work.spec)
+        return _forcing_hat(model, v, q, cfg, work, work.spec)
 
     force(uhat, q)
     assert counts == {"irfft": 2, "rfft": 1}
