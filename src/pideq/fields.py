@@ -456,18 +456,17 @@ def field_to_csv(f, stream):
     """Write rows x,y,Re,Im in full-precision scientific notation, row-major.
 
     The n x and n y coordinates are formatted once each, and every mesh
-    row is written from one template filled with its values.  A row whose
-    imaginary parts are all +0.0, as every row of a real field is, takes
-    a template with that string in place and is filled from its real
-    parts alone; any other row, -0.0 included, formats both parts.
+    row is written from one template filled with its values.  A real
+    field's template holds the zero imaginary string in place and is
+    filled from the row alone; a complex field's formats both parts.
     """
     coords = ["%.16e" % c for c in f.grid.axis().tolist()]
-    zero_im = [f",{y},%.16e,{0.0:.16e}\n" for y in coords]
-    both = [f",{y},%.16e,%.16e\n" for y in coords]
+    if np.iscomplexobj(f.values):
+        tails = [f",{y},%.16e,%.16e\n" for y in coords]
+        rows = (np.stack((row.real, row.imag), axis=1) for row in f.values)
+    else:
+        tails = [f",{y},%.16e,{0.0:.16e}\n" for y in coords]
+        rows = f.values
     stream.write("x,y,re,im\n")
-    for x, row in zip(coords, f.values):
-        if np.iscomplexobj(row) and (row.imag.any() or np.signbit(row.imag).any()):
-            values, tails = np.stack((row.real, row.imag), axis=1), both
-        else:
-            values, tails = row.real, zero_im
+    for x, values in zip(coords, rows):
         stream.write((x + x.join(tails)) % tuple(values.ravel().tolist()))

@@ -222,7 +222,7 @@ def _drift(model, a, uhat, q, spec=None, out=None):
     broadcast copy needs no ufunc buffer, where a broadcast product takes
     numpy's 128 KiB one.  A zero component adds no term, and a second
     nonzero one is added in place (one such buffer).  ``spec`` then takes
-    the irfft2's first pass and, over its front, each nonzero q a_k c_k,
+    the irfft2's first pass and, over its front, each nonzero q (a_k c_k),
     and ``out`` the samples; either is new when None.
     """
     (d1, c1), (d2, c2) = model.drift_parts
@@ -236,7 +236,9 @@ def _drift(model, a, uhat, q, spec=None, out=None):
     qc = _front(khat, drift.shape)
     for ak, ck in ((a1, c1), (a2, c2)):
         if ak:
-            drift += np.multiply(q * ak, ck, out=qc)
+            np.multiply(ck, ak, out=qc)
+            qc *= q
+            drift += qc
     return drift
 
 

@@ -258,8 +258,8 @@ def _block_csv(f, stream, block=4096):
 def test_csv_row_templates_match_block_writer(case):
     # the row-template writer's bytes against the block writer that formats
     # all four values of every row: a real field, a complex one, -0.0 in
-    # real and imaginary parts (a row whose imaginary parts are 0.0 but
-    # for one -0.0 must not take the zero-im template), and values at the
+    # the real and imaginary parts of a complex field (one row all -0.0,
+    # another with imaginary parts 0.0 but for -0.0), and values at the
     # ends of the double range
     grid = Grid(40.0, 64)
     vals = gaussian_field(grid, sigma=3.0).values

@@ -574,7 +574,7 @@ def test_global_probe_memory_is_flat_in_the_window_length(params, grid128):
     # (4.7 with its temporary), the work (3), the start state, the five sweep
     # states and 1.3 of one flow application's buffers.  The sampler reads
     # the model's per-axis drift parts: a drift kernel built per solve (2)
-    # would pass the bound
+    # would exceed the bound
     u0 = small_state(grid128, params)
     peaks = []
     for window in (1.0, 0.2):
@@ -598,7 +598,7 @@ def test_forcing_builds_no_drift_kernel(params, grid128, a):
     # no n x (n/2 + 1) kernel and no n x n correction are built per call.
     # They peak at 4.0 half spectra along an axis and 5.0 at a = (0.6, 0.8),
     # whose second component is added through numpy's 128 KiB ufunc buffer;
-    # a kernel and a correction built per call (2) would pass the bound
+    # a kernel and a correction built per call (2) would exceed the bound
     u = _random_state(grid128, params, 28, q=0.3)
     cfg = SolverConfig(gamma=2.0, a=a)
     half_spectrum = 16 * grid128.n * (grid128.n // 2 + 1)
@@ -777,6 +777,18 @@ def test_drift_parts_give_the_direct_kernel(params, grid128, a):
         assert np.array_equal(got, direct)
     else:
         assert np.abs(got - direct).max() <= 1e-15 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("a", [(0.3, 0.0), (0.0, -0.7), (-2.5, 0.0)])
+def test_axis_drift_rounds_as_the_combined_kernel(params, grid128, a):
+    # along an axis at any speed the sampler equals the combined pair
+    # irfft2((a1 d1 + a2 d2) u_hat) + q (a1 c1 + a2 c2) bit for bit: the
+    # zero component's terms are exact zeros, and q multiplies a_k c_k
+    model = grid_model(params, grid128)
+    uhat, q = _state_hat(model, _random_state(grid128, params, 29, q=1.3))
+    (d1, c1), (d2, c2) = model.drift_parts
+    combined = _irfft2((a[0] * d1 + a[1] * d2) * uhat) + q * (a[0] * c1 + a[1] * c2)
+    assert np.array_equal(_drift(model, a, uhat, q), combined)
 
 
 def test_solver_config_is_frozen():
