@@ -7,7 +7,6 @@ from .fields import (
     Grid,
     gaussian_field,
     gradient,
-    heat_free,
     inner_product,
     load_field,
     lp_norm,

@@ -15,6 +15,13 @@ these keys and ignores the others:
   ax, ay, dt and tol (which have no flags there; the run ends at T = 50);
 - ``verify``: grid_n, grid_L.
 
+``--alpha`` takes any alpha in (-inf, +inf].  ``--alpha inf`` is the free
+Laplacian, which the grid model holds as zero coupling, so every
+subcommand runs it through the same code: ``simulate`` writes q and rho
+as 0 and ``semigroup`` a correction_norm of 0, while ``decay
+--with-nonlinear`` exits 2, as its rho is identically 0 and has no decay
+rate.
+
 ``semigroup`` evaluates e^{tA} P_ac with the Talbot rule, as every flow
 does.  The cut-hugging contour is a library cross-check: ``verify``'s
 contour-independence check runs it, and so does

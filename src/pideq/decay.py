@@ -253,7 +253,8 @@ def run_nonlinear_decay(traj, h1, h2):
 
     Theoretical exponents -1 + 1/h1, -3/2 + 1/h2 and -1 (upper-bound rates;
     generic data decay at least this fast, so the measured slopes sit at or
-    below them).  Requires an admissible (h1, h2) pair and t_max >= 20.
+    below them).  Requires an admissible (h1, h2) pair, t_max >= 20 and a
+    rho that is not identically 0 on the fitted times t >= 1.
     """
     if admissible_exponents(h1, h2) is None:
         raise ValueError(f"(h1, h2) = ({h1}, {h2}) is not admissible")
@@ -262,6 +263,11 @@ def run_nonlinear_decay(traj, h1, h2):
     if traj.rho.size == 0:
         raise ValueError("nonlinear decay needs a projected trajectory with rho")
     mask = traj.times >= 1.0
+    if not np.any(traj.rho[mask]):
+        raise ValueError(
+            "nonlinear decay: rho is identically 0 (no drift, or alpha = +inf, which has "
+            "no eigenmode), so it has no decay rate"
+        )
     u_samples, g_samples, r_samples = [], [], []
     for keep, t, st, rho in zip(mask, traj.times, traj.states, traj.rho):
         if not keep:

@@ -33,7 +33,6 @@ __all__ = [
     "Field",
     "lp_norm",
     "inner_product",
-    "heat_free",
     "gradient",
     "gaussian_field",
     "save_field",
@@ -307,16 +306,6 @@ def inner_product(f, g):
     if f.grid != g.grid:
         raise GridMismatchError("inner_product requires identical grids")
     return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_area)
-
-
-def heat_free(f, t):
-    """Free heat flow exp(t Laplacian) f via the multiplier exp(-t |xi|^2); t finite and >= 0."""
-    if not (_real(t) and 0 <= t < math.inf):
-        raise ValueError(f"heat_free requires a finite t >= 0; got t = {t!r}")
-    if t == 0:
-        return f
-    mult = np.exp(-t * f.grid.wavenumber_sq()[:, :f.grid.n // 2 + 1])
-    return _from_parts(f.grid, *(mult * hat for hat in _real_parts(f.values)))
 
 
 def gradient(f):

@@ -18,6 +18,14 @@ flows are invariant subspaces to machine precision.  D(lambda) is the
 lattice-consistent version of alpha + c(lambda); the two agree up to the
 grid's aliasing error and coincide in the refinement limit.
 
+alpha = +inf, the free Laplacian, is the same model with zero coupling.
+There E = 0 and d_hat = 0, so psi_hat and psi's bin profile are 0 too.
+S(E) is set to 1; any nonzero value would do, since every <g, G_lambda>
+is 0.  The reference omega = 1 + E is 1.  Every rank-one term and the
+projection then vanish: each flow is the heat multiplier exp(-t |xi|^2),
+R(lambda) is the free resolvent and q is 0, through the same code as at
+finite alpha.
+
 The semigroup on the absolutely continuous subspace is evaluated from the
 contour representation
 
@@ -332,14 +340,18 @@ class PointHeatModel:
     ``drift_parts``, the solver's per-axis drift derivative and kernel
     correction; and ``h1_kernel``, the H^1 proxy's weights and form
     constants of G_omega.
+
+    At alpha = +inf (``params.eigenvalue`` None) the model is the free
+    Laplacian as zero-coupling data: ``E`` = 0, ``delta_hat``, ``psi_hat``
+    and ``psi_bins`` all 0, ``S_at_E`` = 1 and ``omega`` = 1.  Only
+    ``psi_values`` has no such form; :func:`psi_alpha_field` rejects
+    alpha = +inf first.
     """
 
     def __init__(self, params, grid):
-        if params.eigenvalue is None or params.eigenvalue <= 0.0:
-            raise ValueError("grid operator requires a positive eigenvalue")
         self.params = params
         self.grid = grid
-        self.E = params.eigenvalue
+        self.E = params.eigenvalue or 0.0
         n = grid.n
         m = n // 2 + 1
         self.xi2 = np.ascontiguousarray(grid.wavenumber_sq()[:, :m])
@@ -359,7 +371,7 @@ class PointHeatModel:
                 "eigenfunction scale 1/sqrt(E) is below the mesh size; "
                 "grid operator will be poorly resolved"
             )
-        if sq_ev * grid.half_width < 3.0:
+        if self.E and sq_ev * grid.half_width < 3.0:
             _warn(
                 "eigenfunction scale 1/sqrt(E) exceeds the box; the kernel "
                 "tail is truncated and the grid operator degrades"
@@ -374,20 +386,26 @@ class PointHeatModel:
         dxi = 2.0 * np.pi / (2.0 * grid.half_width)
         self.rho = self.bin_values * dxi ** 2  # |xi|^2 per bin
 
-        gE = green_field(self.E, grid)
-        self.green_ref_norm = lp_norm(gE, 2)
-        self.psi_hat = _rfft2(gE.values) / self.green_ref_norm
-        self.delta_hat = (self.E + self.xi2) * self.psi_hat * self.green_ref_norm
+        if self.E:
+            gE = green_field(self.E, grid)
+            self.green_ref_norm = lp_norm(gE, 2)
+            self.psi_hat = _rfft2(gE.values) / self.green_ref_norm
+            self.delta_hat = (self.E + self.xi2) * self.psi_hat * self.green_ref_norm
+            # psi_hat = delta_hat * psi_bins[bin], so psi's bin pairing is psi_pair
+            self.psi_bins = 1.0 / ((self.E + self.rho) * self.green_ref_norm)
+        else:
+            # alpha = +inf, the free Laplacian: zero coupling, so every
+            # <g, delta> and <g, psi> is 0, P_ac = I and q = 0
+            self.psi_hat, self.delta_hat = np.zeros((2, *self.xi2.shape), np.complex128)
+            self.psi_bins = np.zeros_like(self.rho)
         self.weights = _hermitian_weights(n)
         self.delta_sq_bins = np.bincount(
             bin_index, weights=(np.abs(self.delta_hat) ** 2 * self.weights).ravel()
         )
-        self.S_at_E = self._lattice_sum(self.E)
+        self.S_at_E = self._lattice_sum(self.E) if self.E else 1.0
 
         self.omega = reference_lambda(params)
         self.green_omega_hat = self.delta_hat / (self.omega + self.xi2)
-        # psi_hat = delta_hat * psi_bins[bin], so psi's bin pairing is psi_pair
-        self.psi_bins = 1.0 / ((self.E + self.rho) * self.green_ref_norm)
         self.psi_pair = self.psi_bins * self.delta_sq_bins
 
         wdelta = self.delta_hat * self.weights
@@ -761,8 +779,8 @@ def backward_euler_oracle(t, g, params, steps):
         raise ValueError(f"backward_euler_oracle requires an integer steps >= 10; got {steps!r}")
     _check_time("backward_euler_oracle", t)
     lam = steps / t
-    ev = params.eigenvalue or 0.0
-    if abs(lam - ev) <= 1e-9 * max(1.0, ev):
+    ev = params.eigenvalue
+    if ev is not None and abs(lam - ev) <= 1e-9 * max(1.0, ev):
         steps += 1
         lam = steps / t
         _warn("resolvent shift hit the eigenvalue; stepping count bumped by one")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_simulate_rejects_nonfinite_drift(tmp_path):
     [
         (["semigroup", "--t", "0.001"], "below the supported minimum"),
         (["simulate", "--T", "0.05", "--dt", "0.02"], "integer multiple of dt"),
-        (["simulate", "--alpha", "inf"], "positive eigenvalue"),
+        (["simulate", "--alpha", "nan"], "alpha must lie in (-inf, +inf]; got nan"),
         (["simulate", "--gamma", "inf"], "gamma must be a finite number"),
         (["semigroup", "--t", "inf"], "semigroup_pac requires a finite t"),
         (["semigroup", "--t", "nan"], "semigroup_pac requires a finite t"),
@@ -470,6 +471,36 @@ def test_simulate_resumes_from_snapshot(tmp_path, capsys):
     argv = ["--out", str(tmp_path / "x"), *run, "--T", "1", "--alpha", "0.1", "--u0", str(snap)]
     assert main(argv) == 2
     assert "has alpha = 0.0; the run has alpha = 0.1" in capsys.readouterr().err
+
+
+def test_free_laplacian_runs_every_subcommand(tmp_path, capsys):
+    # --alpha inf is the free Laplacian, the grid model's zero coupling: every
+    # subcommand runs it with warnings raised as errors, q and rho are 0, the
+    # projected flow has no correction, and a snapshot resumes the run
+    inf = ["--alpha", "inf", "--grid-n", "64"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["simulate", "--T", "2", "--snapshots"], ["semigroup"], ["resolve"],
+                     ["decay"]):
+            assert main(["--out", str(tmp_path / argv[0]), *argv, *inf]) == 0
+            out = capsys.readouterr().out
+            if argv[0] == "semigroup":
+                assert "correction_norm,0.0000000000000000e+00\n" in out
+        full = _trajectory(tmp_path / "simulate")
+        assert [row[0] for row in full] == [0.0, 1.0, 2.0]
+        assert all(row[4] == row[5] == 0.0 for row in full)
+        snap = tmp_path / "simulate" / "state_00001.pidf"
+        assert main(["--out", str(tmp_path / "resumed"), "simulate", "--u0", str(snap), *inf]) == 0
+        resumed = _trajectory(tmp_path / "resumed")
+        assert [row[0] for row in resumed] == [1.0, 2.0]
+        assert all(abs(x - y) <= 1e-14 * y for x, y in zip(resumed[1][1:4], full[2][1:4]))
+        assert resumed[1][4:] == [0.0, 0.0]
+    report = (tmp_path / "decay" / "report.csv").read_text().split("\n")
+    assert [row.partition(",")[0] for row in report[1:3]] == ["semigroup", "gradient"]
+    # its rho is identically 0, which has no decay rate to fit
+    argv = ["--out", str(tmp_path / "nl"), "decay", "--with-nonlinear", *inf]
+    assert main(argv) == 2
+    assert "rho is identically 0" in capsys.readouterr().err
 
 
 def test_real_csv_keeps_zero_im_column(tmp_path):

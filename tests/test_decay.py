@@ -8,8 +8,10 @@ from scipy.integrate import dblquad, quad
 
 from pideq import (
     AlphaParams,
+    DecomposedField,
     Field,
     Grid,
+    SolverConfig,
     admissible_exponents,
     critical_datum,
     fit_rate,
@@ -20,6 +22,7 @@ from pideq import (
     run_semigroup_decay,
     semigroup_gradient_pac,
     semigroup_pac,
+    solve_global_projected,
     verify_convolution_lemma,
 )
 from pideq import decay
@@ -254,6 +257,22 @@ def test_semigroup_decay_grid_stability():
 def test_nonlinear_decay_validation(params, grid128):
     with pytest.raises(ValueError):
         run_nonlinear_decay(None, h1=4.0, h2=2.5)
+
+
+@pytest.mark.parametrize("alpha, a", [(0.0, (0.0, 0.0)), (math.inf, (1.0, 0.0))])
+def test_nonlinear_decay_rejects_a_zero_rho(monkeypatch, alpha, a):
+    # with no drift, or at alpha = +inf, which has no eigenmode, rho is
+    # identically 0: that once failed inside fit_rate with "fit_rate
+    # requires positive values", which named no input
+    grid = Grid(40.0, 64)
+    u0 = DecomposedField.from_field(
+        gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), AlphaParams(alpha)
+    )
+    traj = solve_global_projected(u0, SolverConfig(a=a, T=20.0, dt=0.1))
+    assert traj.rho.size and not np.any(traj.rho)
+    monkeypatch.setattr(decay, "fit_rate", None)  # the check comes before any fit
+    with pytest.raises(ValueError, match=r"rho is identically 0 .*alpha = \+inf.*no decay rate"):
+        run_nonlinear_decay(traj, h1=4.0, h2=1.5)
 
 
 def _fit_samples(monkeypatch, run, grid, q, p, t_grid):

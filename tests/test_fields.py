@@ -1,4 +1,8 @@
-"""Grid, norm, derivative, free-heat and I/O checks."""
+"""Grid, norm, derivative, free-heat and I/O checks.
+
+The free heat flow e^{t Laplacian} is the projected flow at alpha = +inf,
+the grid model's zero coupling (``free_flow``).
+"""
 
 import io
 import math
@@ -8,18 +12,27 @@ import numpy as np
 import pytest
 
 from pideq import (
+    AlphaParams,
     Field,
     Grid,
     gaussian_field,
     gradient,
-    heat_free,
     inner_product,
     load_field,
     lp_norm,
     save_field,
+    semigroup_pac,
 )
 from pideq.errors import GridMismatchError
 from pideq.fields import field_to_csv
+from pideq.semigroup import MIN_TIME, Flow, grid_model
+
+FREE = AlphaParams(math.inf)
+
+
+def free_flow(f, t):
+    """e^{t Laplacian} f: the projected flow of the free Laplacian, alpha = +inf."""
+    return semigroup_pac(t, f, FREE).field
 
 
 def test_grid_validation():
@@ -76,14 +89,23 @@ def test_field_arithmetic_grid_mismatch():
 
 
 def test_heat_free_identity_and_domain(smooth_datum):
-    assert heat_free(smooth_datum, 0.0) is smooth_datum
-    with pytest.raises(ValueError):
-        heat_free(smooth_datum, -0.1)
-    # t = inf raised a RuntimeWarning from 0 * inf at the zero mode, and
-    # t = nan "field values must be finite", which did not name t
+    # the public free flow takes MIN_TIME <= t < inf, as every public flow;
+    # below MIN_TIME the flow of the free grid model is the heat multiplier
+    # alone, so it tends to the identity as t -> 0
+    for bad in (0.0, -0.1):
+        with pytest.raises(ValueError, match="semigroup_pac requires t > 0"):
+            free_flow(smooth_datum, bad)
+    with pytest.raises(ValueError, match="below the supported minimum"):
+        free_flow(smooth_datum, MIN_TIME / 2)
     for bad in (math.inf, math.nan, -math.inf, "1"):
-        with pytest.raises(ValueError, match="heat_free requires a finite t >= 0; got t = "):
-            heat_free(smooth_datum, bad)
+        with pytest.raises(ValueError, match="semigroup_pac requires a finite t; got "):
+            free_flow(smooth_datum, bad)
+    ghat = np.fft.rfft2(smooth_datum.values)
+    model = grid_model(FREE, smooth_datum.grid)
+    for t in (1e-3, 1e-9):
+        out = Flow(model, t).apply(ghat)
+        assert np.array_equal(out, np.exp(-t * model.xi2) * ghat)
+    assert np.abs(out - ghat).max() <= 1e-9 * np.abs(ghat).max()
 
 
 def test_gaussian_field_rejects_bad_center(grid128):
@@ -101,7 +123,7 @@ def test_heat_free_gaussian_closed_form():
     g = Grid(40.0, 256)
     s, t = 1.0, 2.0
     f = gaussian_field(g, sigma=math.sqrt(2 * s))
-    evolved = heat_free(f, t)
+    evolved = free_flow(f, t)
     expect = (s / (s + t)) * gaussian_field(g, sigma=math.sqrt(2 * (s + t))).values
     assert np.abs(evolved.values - expect).max() < 1e-8
 
@@ -109,14 +131,14 @@ def test_heat_free_gaussian_closed_form():
 def test_heat_free_mass_conservation(grid128):
     f = gaussian_field(grid128, sigma=1.5)
     m0 = np.sum(f.values) * grid128.cell_area
-    m1 = np.sum(heat_free(f, 5.0).values) * grid128.cell_area
+    m1 = np.sum(free_flow(f, 5.0).values) * grid128.cell_area
     assert abs(m1 - m0) < 1e-10 * abs(m0)
 
 
 def test_heat_free_semigroup_property(grid128, rng):
     f = Field(grid128, rng.standard_normal((128, 128)))
-    a = heat_free(heat_free(f, 0.7), 0.3)
-    b = heat_free(f, 1.0)
+    a = free_flow(free_flow(f, 0.7), 0.3)
+    b = free_flow(f, 1.0)
     assert np.abs(a.values - b.values).max() < 1e-12 * np.abs(b.values).max()
 
 
@@ -124,7 +146,7 @@ def test_heat_free_max_principle_nonnegative(grid128):
     f = gaussian_field(grid128, sigma=1.0)
     sup = lp_norm(f, np.inf)
     for t in (0.1, 0.5, 2.0):
-        nxt = lp_norm(heat_free(f, t), np.inf)
+        nxt = lp_norm(free_flow(f, t), np.inf)
         assert nxt <= sup + 1e-12
         sup = nxt
 
@@ -136,7 +158,7 @@ def test_heat_free_l2_l4_rate():
     g = Grid(40.0, 256)
     f = critical_datum(g, 2.0)
     ts = np.geomspace(1.0, 50.0, 10)
-    vals = [lp_norm(heat_free(f, t), 4) for t in ts]
+    vals = [lp_norm(free_flow(f, t), 4) for t in ts]
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     assert abs(slope + 0.25) < 0.05
 
@@ -175,7 +197,7 @@ def test_heat_free_and_gradient_keep_real_fields_real(rng):
     grid = Grid(40.0, 256)
     for f in (gaussian_field(grid, sigma=2.0), Field(grid, rng.standard_normal((256, 256)))):
         hat = np.fft.fft2(f.values)
-        heat = heat_free(f, 1.0)
+        heat = free_flow(f, 1.0)
         assert heat.values.dtype == np.float64
         full = np.fft.ifft2(np.exp(-grid.wavenumber_sq()) * hat)
         assert _rel_l2(heat.values, full.real) <= 1e-14
@@ -187,7 +209,7 @@ def test_heat_free_and_gradient_keep_real_fields_real(rng):
 def test_heat_free_and_gradient_act_on_complex_fields_part_by_part(grid128, rng):
     f = Field(grid128, rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
     re, im = Field(grid128, f.values.real), Field(grid128, f.values.imag)
-    parts = (heat_free(f, 0.5), heat_free(re, 0.5), heat_free(im, 0.5))
+    parts = (free_flow(f, 0.5), free_flow(re, 0.5), free_flow(im, 0.5))
     for whole, a, b in (parts, *zip(gradient(f), gradient(re), gradient(im))):
         assert whole.values.dtype == np.complex128
         assert np.array_equal(whole.values, a.values + 1j * b.values)

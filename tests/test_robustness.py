@@ -28,7 +28,6 @@ from pideq import (
     green_field,
     green_lp_norm,
     h1_alpha_norm,
-    heat_free,
     krein_resolvent,
     load_field,
     lp_norm,
@@ -222,7 +221,6 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
          "backward_euler_oracle requires a finite t"),
         (lambda g: gaussian_field(g.grid, 1.0, "a"), "gaussian amplitude must be a finite number"),
         (lambda g: gaussian_field(g.grid, "a"), "gaussian sigma must be a finite number"),
-        (lambda g: heat_free(g, True), "heat_free requires a finite t"),
         # one time repeated is a point, not a slope
         (lambda g: fit_rate([(2.0, 1.0)] * 5), r"fit_rate needs at least 2 distinct times.*2\.0"),
         (lambda g: run_semigroup_decay(Grid(40, 64), q=2, p=4, t_grid=[3.0] * 5),
@@ -333,7 +331,7 @@ def test_non_finite_exponent_and_lambda_rejected(grid128):
     ids=[
         "lp_norm-str", "lp_norm-bool", "semigroup_pac-str", "semigroup_pac-bool",
         "semigroup_full-str", "semigroup_gradient_pac-bool", "oracle-str",
-        "gaussian-amplitude-str", "gaussian-sigma-str", "heat_free-bool",
+        "gaussian-amplitude-str", "gaussian-sigma-str",
         "fit_rate-one-time", "semigroup_decay-one-time",
         "semigroup_decay-q-str", "semigroup_decay-p-bool", "gradient_decay-q-bool",
         "gradient_decay-p-str", "critical_datum-q-str", "admissible-h1-str",

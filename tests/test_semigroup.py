@@ -6,6 +6,7 @@ import itertools
 import math
 import pkgutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ from pideq import decay, verify
 from pideq.errors import BranchCutError, ContourError, PoleError
 from pideq.semigroup import CHUNK, Flow, _dot, _talbot_nodes, grid_model
 from pideq.spectral import _h1_proxy_hat, green_field
+
+FREE = AlphaParams(math.inf)
+"""The free Laplacian, alpha = +inf: the grid model's zero coupling."""
 
 
 def test_contour_spec_validation(params):
@@ -142,6 +146,9 @@ def test_resolvent_free_laplacian_limit(grid128, smooth_datum):
         out = krein_resolvent(2.0, smooth_datum, AlphaParams.for_alpha(alpha, 2))
         sizes[alpha] = float(np.sqrt(np.sum(np.abs(out.values - mult) ** 2)))
     assert sizes[0.4] < 0.5 * sizes[0.0]
+    # alpha = +inf, the free Laplacian: no correction at all
+    out = krein_resolvent(2.0, smooth_datum, FREE)
+    assert np.abs(out.values - mult.real).max() <= 1e-15 * np.abs(mult).max()
 
 
 def test_semigroup_time_domain(params, smooth_datum):
@@ -402,6 +409,66 @@ def test_backward_euler_first_order(params, grid256):
     e2 = lp_norm(backward_euler_oracle(1.0, g, params, 2000) - ref, 2) / nref
     assert e1 <= 1e-2
     assert 1.5 <= e1 / e2 <= 2.5
+
+
+def test_free_laplacian_flows_are_the_heat_multiplier(grid128):
+    # at alpha = +inf the projected and the full flow are exp(-t |xi|^2),
+    # through the same flow as at finite alpha, with a zero correction
+    g = gaussian_field(grid128, sigma=1.5, center=(1.0, 0.5))
+    ghat = np.fft.rfft2(g.values)
+    xi2 = grid128.wavenumber_sq()[:, :65]
+    for t in (0.05, 1.0, 10.0):
+        heat = np.fft.irfft2(np.exp(-t * xi2) * ghat, s=(128, 128))
+        res = semigroup_pac(t, g, FREE)
+        assert res.correction_norm == 0.0
+        for out in (res.field, semigroup_full(t, g, FREE)):
+            assert np.abs(out.values - heat).max() <= 1e-15 * np.abs(heat).max()
+
+
+def test_backward_euler_converges_to_the_free_flow_at_first_order(grid128):
+    # the oracle's error to the alpha = +inf flow halves with each doubling
+    # of the step count (2.2e-3, 1.1e-3 and 5.5e-4 at 100, 200 and 400)
+    g = gaussian_field(grid128, sigma=1.5, center=(1.0, 0.5))
+    ref = semigroup_pac(1.0, g, FREE).field
+    errs = [
+        lp_norm(backward_euler_oracle(1.0, g, FREE, steps) - ref, 2) / lp_norm(ref, 2)
+        for steps in (100, 200, 400)
+    ]
+    assert errs[0] <= 5e-3
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 1.9 <= coarse / fine <= 2.1
+    # no eigenvalue, so no shift to step around: lambda = 1e-9 (t = 1e10)
+    # once bumped the step count with a "hit the eigenvalue" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        backward_euler_oracle(1e10, g, FREE, 10)
+
+
+def test_linear_layer_scale_covariance():
+    # The model on Grid(L, n) at alpha is the model on Grid(sL, n) at
+    # alpha + log(s)/(2 pi) (+inf stays +inf) with every time multiplied by
+    # s^2: E, |xi|^2 and delta_hat scale by s^-2 and the K0(sqrt(E) r)
+    # samples are the same numbers.  The scaled datum u(y/s) is the same
+    # array on the scaled grid.  A gradient scales by 1/s and a resolvent
+    # R(lambda) becomes s^2 R(lambda/s^2).
+    s, base, scaled = 3.0, Grid(40.0, 128), Grid(120.0, 128)
+    g = gaussian_field(base, sigma=1.5, center=(1.0, 0.5))
+    gs = Field(scaled, g.values)
+
+    def assert_same(a, b, factor=1.0):
+        assert np.linalg.norm(factor * a.values - b.values) <= 1e-12 * np.linalg.norm(b.values)
+
+    for alpha in (0.0, 0.2, math.inf):
+        p, ps = AlphaParams(alpha), AlphaParams(alpha + math.log(s) / (2.0 * math.pi))
+        for t in (0.05, 1.0):
+            assert_same(semigroup_pac(s * s * t, gs, ps).field, semigroup_pac(t, g, p).field)
+            for d_s, d in zip(
+                semigroup_gradient_pac(s * s * t, gs, ps), semigroup_gradient_pac(t, g, p)
+            ):
+                assert_same(d_s, d, s)
+        for lam in (2.0, 1.0 + 2.0j):
+            assert_same(krein_resolvent(lam / (s * s), gs, ps), krein_resolvent(lam, g, p), 1 / s**2)
+        assert_same(backward_euler_oracle(s * s, gs, ps, 20), backward_euler_oracle(1.0, g, p, 20))
 
 
 def test_backward_euler_preserves_projection(params, grid128, smooth_datum):

@@ -302,7 +302,9 @@ def test_projection_lp_bound_with_constant(params, grid128, rng, p):
 
 
 def test_projection_free_laplacian_alpha_inf(grid128):
-    # alpha = +inf is the free Laplacian: no eigenvalue, P_d = 0, P_ac = I
+    # alpha = +inf is the free Laplacian: no eigenvalue, P_d = 0, P_ac = I.
+    # Its grid model is zero coupling: E = 0, no kernel and no eigenmode,
+    # S(E) = 1 and omega = 1, built without the "exceeds the box" warning
     from pideq.semigroup import PointHeatModel
 
     assert eigenvalue(math.inf) is None
@@ -310,8 +312,12 @@ def test_projection_free_laplacian_alpha_inf(grid128):
     assert pinf.eigenvalue is None and pinf.psi_norm is None
     f = Field(grid128, np.random.default_rng(5).standard_normal((128, 128)))
     assert lp_norm(project_d(f, pinf), 2) == 0.0
-    with pytest.raises(ValueError, match="positive eigenvalue"):
-        PointHeatModel(pinf, grid128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = PointHeatModel(pinf, grid128)
+    assert (model.E, model.S_at_E, model.omega) == (0.0, 1.0, 1.0)
+    for zero in (model.delta_hat, model.psi_hat, model.psi_bins, model.green_omega_hat):
+        assert not np.any(zero)
 
 
 def test_projection_commutes_with_resolvent(params, grid128, rng):

@@ -8,6 +8,7 @@ the same change and say why.
 """
 
 import ast
+import math
 import statistics
 import sys
 import tracemalloc
@@ -61,9 +62,9 @@ def _count(monkeypatch, counts):
                     wrap(module, attr, attr)
 
 
-def _two_window_solve(a=(1.0, 0.0)):
+def _two_window_solve(a=(1.0, 0.0), alpha=0.0):
     grid = Grid(40.0, 64)
-    params = AlphaParams.for_alpha(0.0, 2)
+    params = AlphaParams.for_alpha(alpha, 2)
     u0 = DecomposedField.from_field(
         gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
     )
@@ -72,13 +73,21 @@ def _two_window_solve(a=(1.0, 0.0)):
 
 
 def test_two_window_global_solve_work(monkeypatch):
-    solve = _two_window_solve()
-    solve()  # build the grid model and its members
+    # alpha = +inf, the free Laplacian, is zero-coupling data in the one grid
+    # model, not a fork: its solve does exactly the work of the alpha = 0
+    # one (a probe always runs its three iterates, so the iterates it
+    # needed move no count), and its q, rho and psi pairings are 0
     counts = Counter()
     _count(monkeypatch, counts)
-    traj = solve()
-    assert traj.diagnostics["iterations"] == [2, 0]
-    assert dict(counts) == {"Flow()": 1, **EXPECTED}
+    for alpha, iterations in ((0.0, [2, 0]), (math.inf, [3, 0])):
+        solve = _two_window_solve(alpha=alpha)
+        solve()  # build the grid model and its members
+        counts.clear()
+        traj = solve()
+        assert traj.diagnostics["iterations"] == iterations
+        assert dict(counts) == {"Flow()": 1, **EXPECTED}
+    assert not np.any(traj.rho) and traj.diagnostics["ortho_max"] == 0.0
+    assert [st.coeff for st in traj.states] == [0.0] * 3
 
 
 def test_unforced_global_solve_takes_no_forcing(monkeypatch):
