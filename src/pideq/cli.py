@@ -12,7 +12,8 @@ these keys and ignores the others:
 - ``semigroup``: alpha, grid_n, grid_L;
 - ``simulate``: alpha, grid_n, grid_L, gamma, ax, ay, dt, T, tol;
 - ``decay``: alpha, grid_n, grid_L, and with ``--with-nonlinear`` gamma,
-  ax, ay, dt and tol (which have no flags there; the run ends at T = 50);
+  ax, ay, dt and tol (which have no flags there; the run starts from
+  ``simulate``'s default ``--u0`` and ends at T = 50);
 - ``verify``: grid_n, grid_L.
 
 ``--alpha`` takes any alpha in (-inf, +inf].  ``--alpha inf`` is the free
@@ -32,6 +33,10 @@ config value, flag or subcommand that cannot be read, and a file that
 cannot be read or written (OSError) print ``pideq: error: <message>`` to
 stderr and exit 2.  A stdout whose reader has gone (a closed pipe) ends
 the run with status 141 (128 + SIGPIPE) and nothing on stderr.
+``simulate`` stores t = 0, every unit time and T (its solver window is 1),
+so dt must divide T and, when T > 1, also 1: ``--dt 0.03 --T 3`` exits 2,
+where ``--dt 0.03 --T 0.99`` runs.  ``decay --with-nonlinear`` runs to
+T = 50 the same way, so its dt must divide 1.
 ``simulate --snapshots`` writes one lossless state container per stored
 time (``state_#####.pidf``: phi, q, alpha and t); given back as ``--u0``
 it resumes the run from that state, and the printed times continue from
@@ -59,7 +64,6 @@ from .fields import (
     Grid,
     _read_container,
     field_to_csv,
-    gaussian_field,
     lp_norm,
     save_field,
 )
@@ -78,6 +82,9 @@ CONFIG_KEYS = {
     "T": float,
     "tol": float,
 }
+
+DEMO_U0 = "gaussian:1.5,0.02,1.0,0.5"
+"""The small datum that ``simulate`` starts from by default and ``decay --with-nonlinear`` runs."""
 
 
 def read_config(path):
@@ -164,33 +171,39 @@ def cmd_spectral(args):
     return 0
 
 
-def cmd_resolve(args):
+def _write_field(args, name, apply, report):
+    """The body of ``resolve`` and ``semigroup``: an operator applied to ``--u0``, written out.
+
+    ``apply(g, params)`` is the operator's result for the datum's field g;
+    ``report(result)`` is (field, rows).  The field is written to
+    ``<name>.csv`` with LF endings, then each (key, value) of rows is
+    printed as a ``key,value`` line, then ``written``.
+    """
     params = AlphaParams.for_alpha(args.alpha)
     g, _ = _read_u0(args.u0, _grid(args), params)
-    res = krein_resolvent(args.lam, g.regular, params)
-    out = _outdir(args)
-    path = out / "resolvent.csv"
+    field, rows = report(apply(g.regular, params))
+    path = _outdir(args) / f"{name}.csv"
     with open(path, "w", newline="\n") as fh:
-        field_to_csv(res, fh)
-    print(f"lambda,{_sci(args.lam)}")
-    print(f"output_l2,{_sci(lp_norm(res, 2))}")
+        field_to_csv(field, fh)
+    for key, value in rows:
+        print(f"{key},{_sci(value)}")
     print(f"written,{path}")
     return 0
+
+
+def cmd_resolve(args):
+    return _write_field(
+        args, "resolvent", lambda g, params: krein_resolvent(args.lam, g, params),
+        lambda res: (res, [("lambda", args.lam), ("output_l2", lp_norm(res, 2))]),
+    )
 
 
 def cmd_semigroup(args):
-    params = AlphaParams.for_alpha(args.alpha)
-    g, _ = _read_u0(args.u0, _grid(args), params)
-    res = semigroup_pac(args.t, g.regular, params)
-    out = _outdir(args)
-    path = out / "semigroup.csv"
-    with open(path, "w", newline="\n") as fh:
-        field_to_csv(res.field, fh)
-    print(f"free_part_norm,{_sci(res.free_part_norm)}")
-    print(f"correction_norm,{_sci(res.correction_norm)}")
-    print(f"imag_residue,{_sci(res.imag_residue)}")
-    print(f"written,{path}")
-    return 0
+    keys = ("free_part_norm", "correction_norm", "imag_residue")
+    return _write_field(
+        args, "semigroup", lambda g, params: semigroup_pac(args.t, g, params),
+        lambda res: (res.field, [(key, getattr(res, key)) for key in keys]),
+    )
 
 
 def cmd_simulate(args):
@@ -230,9 +243,7 @@ def cmd_decay(args):
         params = AlphaParams.for_alpha(alpha)
         # the nonlinear fits need t >= 20, so the run's end is fixed
         cfg = _solver_config(args, 50.0)
-        u0 = DecomposedField.from_field(
-            gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
-        )
+        u0, _ = _read_u0(DEMO_U0, grid, params)
         traj = solve_global_projected(u0, cfg)
         fits = run_nonlinear_decay(traj, h1=4.0, h2=1.5)
         for kind, fit in zip(("nonlinear_u", "nonlinear_grad", "nonlinear_rho"), fits):
@@ -322,7 +333,7 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--ax", type=float, default=1.0)
     p.add_argument("--ay", type=float, default=0.0)
-    p.add_argument("--u0", default="gaussian:1.5,0.02,1.0,0.5")
+    p.add_argument("--u0", default=DEMO_U0)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=1e-9)

@@ -254,7 +254,9 @@ def run_nonlinear_decay(traj, h1, h2):
     Theoretical exponents -1 + 1/h1, -3/2 + 1/h2 and -1 (upper-bound rates;
     generic data decay at least this fast, so the measured slopes sit at or
     below them).  Requires an admissible (h1, h2) pair, t_max >= 20 and a
-    rho that is not identically 0 on the fitted times t >= 1.
+    rho that is not identically 0 on the fitted times t >= 1; a rho that is
+    exactly 0 at some fitted time raises :func:`fit_rate`'s ValueError, as
+    its logarithm does not exist.
     """
     if admissible_exponents(h1, h2) is None:
         raise ValueError(f"(h1, h2) = ({h1}, {h2}) is not admissible")
@@ -276,11 +278,10 @@ def run_nonlinear_decay(traj, h1, h2):
         u_samples.append((t, lp_norm(u, h1)))
         g_samples.append((t, lp_norm(grad, h2)))
         r_samples.append((t, abs(rho)))
-    floor = max(r for _, r in r_samples) * 1e-14
     return (
         fit_rate(u_samples, -1.0 + 1.0 / h1),
         fit_rate(g_samples, -1.5 + 1.0 / h2),
-        fit_rate([(t, max(r, floor)) for t, r in r_samples], -1.0),
+        fit_rate(r_samples, -1.0),
     )
 
 
@@ -314,16 +315,18 @@ def verify_convolution_lemma(alpha_exp, beta_exp, t_grid):
     integral B_(1 - 1/t)(1 - alpha, 1 - beta) (:func:`_incomplete_beta`), so it
     stays below the lemma's constant B(1 - alpha, 1 - beta).  Needs finite
     alpha < 1 and beta < 1 (for beta >= 1 the ratio grows like t^(beta - 1))
-    and every t above 1.
+    and a t grid of at least one t, every t above 1.
     """
     for name, value in (("alpha", alpha_exp), ("beta", beta_exp)):
         if not (_real(value) and -math.inf < value < 1.0):
             raise ValueError(f"convolution bound requires a finite {name} < 1; got {value!r}")
     t = np.asarray(t_grid, dtype=float)
+    if t.size == 0:
+        raise ValueError("convolution bound needs at least one t; an empty t grid measures nothing")
     if not np.all(t > 1.0):
         raise ValueError("t grid must lie strictly above 1")
     ratios = _incomplete_beta(1.0 - alpha_exp, 1.0 - beta_exp, 1.0 - 1.0 / t)
-    return float(np.max(ratios, initial=0.0))
+    return float(np.max(ratios))
 
 
 def _beta(a, b):

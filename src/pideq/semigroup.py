@@ -234,7 +234,7 @@ class ContourSpec:
         (which force a small radius) need proportionally more nodes.
         """
         ev = params.eigenvalue
-        if ev is None or ev <= 0:
+        if ev is None:
             raise ContourError("contour requires a positive point eigenvalue")
         eps = min(ev / 2.0, 1.0 / max(t, 1.0))
         nodes_ray = int(256 * min(4.0, max(1.0, math.sqrt(0.63 / eps))))
@@ -561,7 +561,7 @@ def grid_model(params, grid):
 
 def psi_alpha_field(params, grid):
     """Normalized eigenfunction sampled on the grid (unit grid L^2 norm): the model's samples."""
-    if params.eigenvalue is None or params.eigenvalue <= 0.0:
+    if params.eigenvalue is None:
         raise NoEigenfunctionError(f"alpha = {params.alpha} has no eigenfunction")
     return Field(grid, grid_model(params, grid).psi_values)
 

@@ -78,7 +78,9 @@ start state and ``PROBE_ITERATES`` Picard iterates from it together, one
 time step at a time, each iterate driven by the current state of the one
 before; the iterates' distances to the march measure the contraction, and
 the window's states are the march's.  A local solve is one probed window
-covering [0, T] with the full semigroup.  A global solve probes its first
+covering [0, T] with the full semigroup.  A global solve cuts [0, T] into
+windows of whole time steps (T and a window shorter than T must each be a
+whole number of steps dt, or the solve raises ValueError), probes its first
 window, marches the rest, and probes again any window whose march leaves
 the largest H^1 proxy of the last probed window.  The sweep is the only
 loop over time steps, and its flow the only projector; it reads each new
@@ -140,8 +142,10 @@ class SolverConfig:
     is at most picard_tol max(1, proxy of the start state).  ``window``
     chooses which states a global solve probes and stores: it stores
     t = 0, every window end and T, so a shorter window gives denser
-    output.  A config is frozen: it holds
-    settings only.  Projection is chosen by the solve function, not by the
+    output.  T must be a whole number of steps dt, and so must a window
+    shorter than T: a solve raises ValueError naming the two otherwise, as
+    a rounded window would store states at times it does not name.  A
+    config is frozen: it holds settings only.  Projection is chosen by the solve function, not by the
     config: :func:`solve_global_projected` projects, :func:`solve_local`
     does not.
     """
@@ -271,8 +275,7 @@ def total_field(u):
     """Full state phi + coeff G_omega as a Field, in the solver's own kernel
     representation (the grid model's transform-side kernel); the values of
     :func:`state_fields`."""
-    model = grid_model(u.params, u.regular.grid)
-    return Field(u.regular.grid, _irfft2(_state_hat(model, u)[0]))
+    return Field(u.regular.grid, _irfft2(_state(u)[1]))
 
 
 def state_fields(u):
@@ -285,8 +288,7 @@ def state_fields(u):
     the values over d2 u.
     """
     grid = u.regular.grid
-    model = grid_model(u.params, grid)
-    uhat, q = _state_hat(model, u)
+    model, uhat, q = _state(u)
     spec = np.empty_like(uhat)
     du1, du2 = (_drift(model, a, uhat, q, spec) for a in ((1.0, 0.0), (0.0, 1.0)))
     grad = np.hypot(du1, du2, out=du1)
@@ -301,15 +303,12 @@ def nonlinearity(u, cfg):
     (a . grad u), 0 where u is.  u must be real: complex data raise
     ValueError.
     """
-    model = grid_model(u.params, u.regular.grid)
-    values = _nonlinear_values(model, *_state_hat(model, u), cfg)
-    return Field(u.regular.grid, values)
+    return Field(u.regular.grid, _nonlinear_values(*_state(u), cfg))
 
 
 def lagrange_multiplier(u, cfg):
     """rho = < a . grad(|u|^gamma), psi >: the forcing's half spectrum paired with psi's."""
-    model = grid_model(u.params, u.regular.grid)
-    uhat, q = _state_hat(model, u)
+    model, uhat, q = _state(u)
     fhat = _forcing_hat(model, uhat, q, cfg, out=uhat)
     return float(model._psi_coefficient(fhat))
 
@@ -317,14 +316,16 @@ def lagrange_multiplier(u, cfg):
 # --- stepping engine ----------------------------------------------------------
 
 
-def _state_hat(model, u):
-    """(u_hat, coeff) of a real state u = phi + coeff G_omega: u's half spectrum, its own coeff.
+def _state(u):
+    """(model, u_hat, coeff) of a real state u = phi + coeff G_omega.
 
-    This is where states enter the half spectrum.  A real phi (float64) and
+    The state's grid model, u's half spectrum and its own coeff.  This is
+    where states enter the half spectrum.  A real phi (float64) and
     a real coeff pass as they are.  Otherwise raises ValueError when the
     imaginary parts of phi's values and coeff exceed ``IMAG_TOL`` of the
     state's size (||phi||_2^2 + |coeff|^2)^(1/2), and drops them when not.
     """
+    model = grid_model(u.params, u.regular.grid)
     values, q = u.regular.values, complex(u.coeff)
     if np.iscomplexobj(values) or q.imag:
         size = math.hypot(lp_norm(u.regular, 2), abs(q))
@@ -336,7 +337,7 @@ def _state_hat(model, u):
             )
     uhat = _rfft2(values.real)
     uhat += q.real * model.green_omega_hat
-    return uhat, q.real
+    return model, uhat, q.real
 
 
 def _proxy(model, uhat, q, work):
@@ -456,11 +457,20 @@ def _probe(model, flow, start, steps, cfg, force, label, work, keep):
     return states, top, iterations, ratios
 
 
+def _whole_steps(span, dt, name):
+    """span / dt as an int >= 1; ValueError naming ``name`` unless span is a whole number of dt."""
+    steps = int(round(span / dt))
+    if steps < 1 or abs(steps * dt - span) > 1e-9 * max(1.0, span):
+        raise ValueError(f"{name} = {span!r} must be an integer multiple of dt = {dt!r}")
+    return steps
+
+
 def _solve(u0, cfg, projected):
     """Both solves' window driver: the :class:`Trajectory` of a global or a local solve.
 
     A projected (global) solve cuts the horizon [0, cfg.T] into windows of
-    ``cfg.window`` time; an unprojected (local) solve is one window over
+    ``cfg.window`` time, each a whole number of steps
+    (:func:`_whole_steps`); an unprojected (local) solve is one window over
     [0, cfg.T].  A window is probed (:func:`_probe`): its states are its
     march's, and its Picard iterates from the linear evolution of its start
     state give its ratios and its iteration count.  Once a window has been
@@ -484,9 +494,9 @@ def _solve(u0, cfg, projected):
     window, so its iterations are that window's count.
     """
     model = grid_model(u0.params, u0.regular.grid)
-    total_steps = int(round(cfg.T / cfg.dt))
-    if total_steps < 1 or abs(total_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        raise ValueError("T must be an integer multiple of dt")
+    total_steps = steps_per_window = _whole_steps(cfg.T, cfg.dt, "T")
+    if projected and cfg.window < cfg.T:
+        steps_per_window = _whole_steps(cfg.window, cfg.dt, "window")
     flow = Flow(model, cfg.dt, full=not projected)
     work = _Work(model.grid)
 
@@ -496,7 +506,6 @@ def _solve(u0, cfg, projected):
     if cfg.a == (0.0, 0.0):  # no forcing: every sweep is the linear evolution
         force = None
 
-    steps_per_window = max(1, int(round(cfg.window / cfg.dt))) if projected else total_steps
     times = [0.0]
     iterations = []
     ratios = []
@@ -508,7 +517,7 @@ def _solve(u0, cfg, projected):
     # instead of warning and ending as a non-finite state
     try:
         with np.errstate(over="raise", invalid="raise"):
-            start, _ = _state_hat(model, u0)
+            _, start, _ = _state(u0)
             if projected:
                 start, _ = model.project_ac_hat(start)
             start = start, model.coupling_coefficient(start)
@@ -648,7 +657,7 @@ def residual_check(traj, cfg, t_min=0.0):
     hats = {}
     for k in measured:
         # the three states the quotient at k reads, each entering the half spectrum once
-        hats = {j: hats.get(j) or _state_hat(model, traj.states[j]) for j in (k - 1, k, k + 1)}
+        hats = {j: hats.get(j) or _state(traj.states[j])[1:] for j in (k - 1, k, k + 1)}
         (uprev, _), (uc, qc), (unext, _) = hats.values()
         # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
         resid = (unext - uprev) / (2.0 * dt)

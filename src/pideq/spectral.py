@@ -151,9 +151,7 @@ def _distinct_radii(grid):
 
 
 def _green_gradient(lam, grid):
-    """(d1 G_lam, d2 G_lam) sampled from the closed form, as real arrays; lam a float."""
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"the Green gradient requires a finite real lambda > 0; got {lam!r}")
+    """(d1 G_lam, d2 G_lam) sampled from the closed form, as real arrays; lam a finite float > 0."""
     X, Y = grid.mesh()
     r, index = _distinct_radii(grid)
     s = math.sqrt(lam)

@@ -10,7 +10,7 @@ test-suite because of their runtime).
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .spectral import AlphaParams, c_lambda, eigenvalue
 __all__ = ["CheckResult", "run_checks", "DEFAULT_GRID"]
 
 DEFAULT_GRID = Grid(40.0, 512)
+
+_PARAMS = AlphaParams.for_alpha(0.0)
+"""The coupling alpha = 0 that every check of one operator runs at."""
 
 
 @dataclass
@@ -63,15 +66,14 @@ def check_spectral_scalars():
     for alpha in (-1.0, 0.0, 1.0):
         ev = eigenvalue(alpha)
         worst_root = max(worst_root, abs(alpha + c_lambda(ev).real))
-    params = AlphaParams.for_alpha(0.0)
     # ||G_E||_2^2 = M / (2 pi E) with M = int_0^inf s K0(s)^2 ds, by the
     # trapezoid rule in u = ln s, against psi_norm's closed form M = 1/2
     u = np.linspace(-30.0, 4.0, 200)
     s = np.exp(u)
     f = np.square(s * bessel_k0(s))
     moment = (u[1] - u[0]) * (f.sum() - 0.5 * (f[0] + f[-1]))
-    oracle = math.sqrt(moment / (2.0 * math.pi * params.eigenvalue))
-    err_n = abs(params.psi_norm - oracle) / oracle
+    oracle = math.sqrt(moment / (2.0 * math.pi * _PARAMS.eigenvalue))
+    err_n = abs(_PARAMS.psi_norm - oracle) / oracle
     ok = err_e <= 1e-12 and worst_root <= 1e-12 and err_n <= 1e-12
     return ok, (
         f"eigenvalue rel err {err_e:.2e}, root residual {worst_root:.2e}, "
@@ -80,46 +82,42 @@ def check_spectral_scalars():
 
 
 def check_resolvent(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0)
     g = gaussian_field(grid, sigma=2.0)
     lam, mu = 2.0, 5.0
-    r_lam = krein_resolvent(lam, g, params)
-    r_mu = krein_resolvent(mu, g, params)
-    comp = krein_resolvent(lam, r_mu, params)
+    r_lam = krein_resolvent(lam, g, _PARAMS)
+    r_mu = krein_resolvent(mu, g, _PARAMS)
+    comp = krein_resolvent(lam, r_mu, _PARAMS)
     resid = lp_norm(r_lam - r_mu - (mu - lam) * comp, 2) / lp_norm(g, 2)
-    psi = psi_alpha_field(params, grid)
-    shift = params.eigenvalue + 1.0
-    r_psi = krein_resolvent(shift, psi, params)
-    err_eig = lp_norm(r_psi - (1.0 / (shift - params.eigenvalue)) * psi, 2)
+    psi = psi_alpha_field(_PARAMS, grid)
+    shift = _PARAMS.eigenvalue + 1.0
+    r_psi = krein_resolvent(shift, psi, _PARAMS)
+    err_eig = lp_norm(r_psi - (1.0 / (shift - _PARAMS.eigenvalue)) * psi, 2)
     ok = resid <= 1e-6 and err_eig <= 1e-3
     return ok, f"identity residual {resid:.2e}, eigenvector error {err_eig:.2e}"
 
 
 def check_eigenmode_growth(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0)
-    psi = psi_alpha_field(params, grid)
-    evolved = semigroup_full(1.0, psi, params)
-    growth = math.exp(params.eigenvalue)
+    psi = psi_alpha_field(_PARAMS, grid)
+    evolved = semigroup_full(1.0, psi, _PARAMS)
+    growth = math.exp(_PARAMS.eigenvalue)
     err = lp_norm(evolved - growth * psi, 2) / growth
     return err <= 1e-3, f"relative eigenmode error {err:.2e}"
 
 
 def check_semigroup_law(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0)
     g = gaussian_field(grid, sigma=2.0)
-    one = semigroup_full(1.0, g, params)
-    half = semigroup_full(0.5, semigroup_full(0.5, g, params), params)
+    one = semigroup_full(1.0, g, _PARAMS)
+    half = semigroup_full(0.5, semigroup_full(0.5, g, _PARAMS), _PARAMS)
     err = lp_norm(one - half, 2) / lp_norm(g, 2)
     return err <= 1e-3, f"composition error {err:.2e}"
 
 
 def check_backward_euler(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0)
     g = gaussian_field(grid, sigma=2.0)
-    ref = semigroup_pac(1.0, g, params).field
+    ref = semigroup_pac(1.0, g, _PARAMS).field
     nref = lp_norm(ref, 2)
-    err1 = lp_norm(backward_euler_oracle(1.0, g, params, 1000) - ref, 2) / nref
-    err2 = lp_norm(backward_euler_oracle(1.0, g, params, 2000) - ref, 2) / nref
+    err1 = lp_norm(backward_euler_oracle(1.0, g, _PARAMS, 1000) - ref, 2) / nref
+    err2 = lp_norm(backward_euler_oracle(1.0, g, _PARAMS, 2000) - ref, 2) / nref
     gain = err1 / err2 if err2 > 0 else math.inf
     ok = err1 <= 1e-2 and gain >= 1.5
     return ok, f"error(1000) {err1:.2e}, error(2000) {err2:.2e}, gain {gain:.2f}x"
@@ -135,12 +133,10 @@ def check_decay_rate(run, grid, q, p):
 
 
 def check_contour_independence(grid=DEFAULT_GRID):
-    params = AlphaParams.for_alpha(0.0)
     g = gaussian_field(grid, sigma=2.0)
-    ev = params.eigenvalue
-    trunc = max(50.0, 2.0 * ev)
-    res_a = semigroup_pac(1.0, g, params, ContourSpec(ev / 2.0, trunc))
-    res_b = semigroup_pac(1.0, g, params, ContourSpec(ev / 4.0, trunc))
+    spec = ContourSpec.for_time(_PARAMS, 1.0)
+    res_a = semigroup_pac(1.0, g, _PARAMS, spec)
+    res_b = semigroup_pac(1.0, g, _PARAMS, replace(spec, epsilon=spec.epsilon / 2.0))
     err = lp_norm(res_a.field - res_b.field, 2) / lp_norm(res_a.field, 2)
     return err <= 1e-6, f"radius-halving difference {err:.2e}"
 

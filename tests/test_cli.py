@@ -35,6 +35,37 @@ def test_config_grammar(tmp_path):
         read_config(bad)
 
 
+def test_config_line_without_equals_names_its_line(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("alpha = 0\nalpha 0.5\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:2: expected 'key = value'"):
+        read_config(bad)
+
+
+def test_a_check_that_raises_is_a_failed_check():
+    def crash():
+        raise RuntimeError("boom")
+
+    results = []
+    verify_mod._check("crash", crash, results)
+    [res] = results
+    assert (res.name, res.passed, res.detail) == ("crash", False, "raised RuntimeError: boom")
+    assert res.seconds >= 0.0
+
+
+def test_simulate_window_is_whole_steps(tmp_path, capsys):
+    # simulate stores unit times: at dt = 0.03 a run past T = 1 has no
+    # whole-step window and exits 2, and a run to T = 0.99 is one window
+    argv = ["--out", str(tmp_path), "simulate", "--dt", "0.03", "--grid-n", "32", "--grid-L", "8"]
+    assert main([*argv, "--T", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "pideq: error: window = 1.0 must be an integer multiple of dt = 0.03\n"
+    )
+    assert main([*argv, "--T", "0.99"]) == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == pytest.approx([0.0, 0.99], abs=1e-12)
+
+
 def test_spectral_subcommand(capsys):
     assert main(["spectral", "--alpha", "0.0", "--lambdas", "1,2"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
@@ -115,6 +146,7 @@ def test_simulate_rejects_nonfinite_drift(tmp_path):
         (["semigroup", "--u0", "gaussian:-1"], "gaussian sigma must be a finite number > 0"),
         (["resolve", "--u0", "gaussian:2,nan"], "gaussian amplitude must be a finite number"),
         (["resolve", "--u0", "gaussian:2,1,nan,0"], "gaussian center must be two finite real"),
+        (["simulate", "--T", "3", "--dt", "0.03"], "window = 1.0 must be an integer multiple"),
     ],
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):

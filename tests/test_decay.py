@@ -12,6 +12,7 @@ from pideq import (
     Field,
     Grid,
     SolverConfig,
+    Trajectory,
     admissible_exponents,
     critical_datum,
     fit_rate,
@@ -115,6 +116,13 @@ def test_convolution_bound_validation():
     ):
         with pytest.raises(ValueError, match=f"finite {name} < 1"):
             verify_convolution_lemma(a, b, (2.0,))
+
+
+def test_convolution_bound_rejects_an_empty_t_grid():
+    # an empty grid once returned 0.0, which reads as a pass
+    for empty in ([], (), np.array([])):
+        with pytest.raises(ValueError, match="an empty t grid measures nothing"):
+            verify_convolution_lemma(0.5, 0.5, empty)
 
 
 def _convolution_ratio_by_quadrature(a, b, t):
@@ -257,6 +265,37 @@ def test_semigroup_decay_grid_stability():
 def test_nonlinear_decay_validation(params, grid128):
     with pytest.raises(ValueError):
         run_nonlinear_decay(None, h1=4.0, h2=2.5)
+
+
+def test_nonlinear_decay_rejects_its_inputs():
+    # an inadmissible (h1, h2), a trajectory that ends before t = 20 and a
+    # local trajectory, which has no rho, are each refused before any fit
+    assert admissible_exponents(2.0, 1.2) is None
+    state = DecomposedField.from_field(gaussian_field(Grid(10.0, 16)), AlphaParams(0.0))
+
+    def traj(end, rho):
+        times = np.linspace(0.0, end, 11)
+        return Trajectory(times, [state] * times.size, np.array(rho), {})
+
+    with pytest.raises(ValueError, match=r"\(h1, h2\) = \(2\.0, 1\.2\) is not admissible"):
+        run_nonlinear_decay(traj(20.0, np.ones(11)), h1=2.0, h2=1.2)
+    with pytest.raises(ValueError, match="needs a trajectory reaching t >= 20"):
+        run_nonlinear_decay(traj(19.9, np.ones(11)), h1=4.0, h2=1.5)
+    with pytest.raises(ValueError, match="needs a projected trajectory with rho"):
+        run_nonlinear_decay(traj(20.0, []), h1=4.0, h2=1.5)
+
+
+def test_nonlinear_decay_refuses_a_zero_rho_at_one_time(monkeypatch):
+    # |rho| = 0 at one fitted time has no logarithm, so fit_rate refuses
+    # it; a floor of 1e-14 max |rho| once fitted a made-up value there
+    g = gaussian_field(Grid(10.0, 16))
+    monkeypatch.setattr(decay, "state_fields", lambda st: (g, g))
+    times = np.arange(0.0, 21.0)
+    rho = 1.0 / (1.0 + times)
+    rho[5] = 0.0
+    traj = Trajectory(times, [None] * times.size, rho, {})
+    with pytest.raises(ValueError, match="fit_rate requires positive values"):
+        run_nonlinear_decay(traj, h1=4.0, h2=1.5)
 
 
 @pytest.mark.parametrize("alpha, a", [(0.0, (0.0, 0.0)), (math.inf, (1.0, 0.0))])

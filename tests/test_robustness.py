@@ -28,8 +28,10 @@ from pideq import (
     green_field,
     green_lp_norm,
     h1_alpha_norm,
+    inner_product,
     krein_resolvent,
     load_field,
+    load_state,
     lp_norm,
     psi_alpha_field,
     residual_check,
@@ -51,7 +53,7 @@ from pideq.decay import (
     run_semigroup_decay,
     verify_convolution_lemma,
 )
-from pideq.errors import ContourError, DataTooLargeError, HorizonTooLargeError
+from pideq.errors import ContourError, DataTooLargeError, GridMismatchError, HorizonTooLargeError
 from pideq.semigroup import Flow, grid_model
 
 PARAMS = AlphaParams.for_alpha(0.0, 2)
@@ -164,6 +166,20 @@ def test_load_field_error_branches(tmp_path, grid128):
     (tmp_path / "short.pidf").write_bytes(payload[:10])
     with pytest.raises(ValueError, match="truncated field header"):
         load_field(tmp_path / "short.pidf")
+
+
+def test_field_grid_and_state_header_rejections(tmp_path, grid128):
+    # values of another shape, a pairing across two grids and a state
+    # container cut inside its header
+    with pytest.raises(ValueError, match=r"values shape \(64, 64\) does not match grid n=128"):
+        Field(grid128, np.zeros((64, 64)))
+    with pytest.raises(GridMismatchError, match="inner_product requires identical grids"):
+        inner_product(gaussian_field(grid128), gaussian_field(Grid(40.0, 64)))
+    path = tmp_path / "state.pidf"
+    save_field(DecomposedField.from_field(gaussian_field(Grid(10.0, 16)), PARAMS), path, t=1.0)
+    (tmp_path / "short.pidf").write_bytes(path.read_bytes()[:12])
+    with pytest.raises(ValueError, match="truncated field header"):
+        load_state(tmp_path / "short.pidf")
 
 
 @pytest.mark.parametrize("header, offset_at", [(b"PIDF", 4 + 8 + 8), (b"PIDS\x01", 5 + 8 + 8)])

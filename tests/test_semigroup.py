@@ -52,6 +52,12 @@ def test_contour_spec_validation(params):
         spec.validate(params)
 
 
+def test_contour_for_time_needs_an_eigenvalue():
+    # alpha = +inf, the free Laplacian, has no eigenvalue to size the arc by
+    with pytest.raises(ContourError, match="contour requires a positive point eigenvalue"):
+        ContourSpec.for_time(FREE, 1.0)
+
+
 def test_contour_quadrature_scalar_oracle(params):
     # (1/2 pi i) oint e^{t lam} / (lam - z) d lam = e^{tz} inside, 0 outside
     spec = ContourSpec.for_time(params, 1.0)

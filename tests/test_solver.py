@@ -42,7 +42,7 @@ from pideq.solver import (
     _forcing_hat,
     _h1_proxy_hat,
     _nonlinear_values,
-    _state_hat,
+    _state,
     _sweep,
 )
 from pideq.semigroup import Flow, grid_model
@@ -264,7 +264,7 @@ def test_solve_local_linear_flow(params, grid128):
     assert traj.diagnostics["iterations"] == 0
     model = grid_model(params, grid128)
     flow = Flow(model, 0.2, full=True, contour=ContourSpec.for_time(params, 0.2))
-    direct = Field(grid128, _irfft2(flow.apply(_state_hat(model, u0)[0])))
+    direct = Field(grid128, _irfft2(flow.apply(_state(u0)[1])))
     # stepper (winding contour) vs public semigroup (cut-hugging contour):
     # two independent quadratures of the same flow
     assert lp_norm(total_field(traj.states[-1]) - direct, 2) < 1e-3 * lp_norm(direct, 2)
@@ -289,7 +289,7 @@ def test_solve_local_fixed_point_property(params, grid128):
     traj = solve_local(u0, cfg)
     model = grid_model(params, grid128)
     prop = Flow(model, cfg.dt, full=True)
-    states = [_state_hat(model, st) for st in traj.states]
+    states = [_state(st)[1:] for st in traj.states]
     work = _Work(grid128)
 
     def force(uhat, q):
@@ -460,7 +460,7 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     """
     model = grid_model(u0.params, u0.regular.grid)
     prop = Flow(model, cfg.dt, full=False)
-    start = _state_hat(model, traj.states[0])
+    start = _state(traj.states[0])[1:]
     ref = [start[0]]
     ref_ratios = []
     work = _Work(model.grid)
@@ -481,7 +481,7 @@ def _assert_picard_fixed_point(traj, u0, cfg, windows, steps):
     assert len(traj.states) == windows * steps // stride + 1
     tol = 10 * cfg.picard_tol * max(1.0, h1_alpha_norm(u0))
     for k, st in zip(range(0, windows * steps + 1, stride), traj.states):
-        diff = _state_hat(model, st)[0] - ref[k]
+        diff = _state(st)[1] - ref[k]
         assert _h1_proxy_hat(model.grid, *_split(model, diff)) <= tol
 
 
@@ -511,6 +511,20 @@ def test_storage_rule(params):
     local = solve_local(u0, cfg)
     np.testing.assert_allclose(local.times, np.arange(51) * 0.02, rtol=0, atol=1e-12)
     assert len(local.states) == 51
+
+
+@pytest.mark.parametrize("window", [0.05, 0.07, 0.01])
+def test_window_must_be_whole_steps(params, window):
+    # at dt = 0.02 a window of 0.05 was rounded to 0.04 and one of 0.07 to
+    # 0.08, and a window below dt stored every step
+    u0 = small_state(Grid(8.0, 32), params, amplitude=0.02)
+    cfg = SolverConfig(T=1.0, dt=0.02, window=window)
+    with pytest.raises(ValueError, match=rf"window = {window} must be an integer multiple of dt = 0\.02"):
+        solve_global_projected(u0, cfg)
+    assert len(solve_local(u0, cfg).states) == 51  # a local solve reads no window
+    # a window of T or longer is the one window [0, T]
+    longer = solve_global_projected(u0, dataclasses.replace(cfg, window=1.07))
+    np.testing.assert_allclose(longer.times, [0.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_storage_rule_has_no_setting():
@@ -684,7 +698,7 @@ def _residual_real_space(traj, cfg, t_min=0.0):
     model = grid_model(params, grid)
     psi = psi_alpha_field(params, grid).values
     dt = traj.times[1] - traj.times[0]
-    totals = [_state_hat(model, st) for st in traj.states]
+    totals = [_state(st)[1:] for st in traj.states]
     worst = 0.0
     for k in range(1, len(totals) - 1):
         if traj.times[k] < t_min:
@@ -746,7 +760,7 @@ def test_forcing_samples_drift_derivative(params, grid128, a):
     u = _random_state(grid128, params, 23, q=0.3)
     cfg = SolverConfig(gamma=2.0, a=a)
     model = grid_model(params, grid128)
-    uhat, q = _state_hat(model, u)
+    uhat, q = _state(u)[1:]
     vals = np.fft.irfft2(uhat)
     du1, du2 = (_drift(model, e, uhat, q) for e in ((1.0, 0.0), (0.0, 1.0)))
     expect = 2.0 * vals * (a[0] * du1 + a[1] * du2)
@@ -764,7 +778,7 @@ def test_drift_parts_give_the_direct_kernel(params, grid128, a):
     # equal along an axis, where one term of each sum is an exact zero, and
     # exactly zero at a = 0
     model = grid_model(params, grid128)
-    uhat, q = _state_hat(model, _random_state(grid128, params, 27, q=0.3))
+    uhat, q = _state(_random_state(grid128, params, 27, q=0.3))[1:]
     d1, d2 = model.derivative
     kernel = a[0] * d1 + a[1] * d2
     gx, gy = _green_gradient(reference_lambda(params), grid128)
@@ -785,7 +799,7 @@ def test_axis_drift_rounds_as_the_combined_kernel(params, grid128, a):
     # irfft2((a1 d1 + a2 d2) u_hat) + q (a1 c1 + a2 c2) bit for bit: the
     # zero component's terms are exact zeros, and q multiplies a_k c_k
     model = grid_model(params, grid128)
-    uhat, q = _state_hat(model, _random_state(grid128, params, 29, q=1.3))
+    uhat, q = _state(_random_state(grid128, params, 29, q=1.3))[1:]
     (d1, c1), (d2, c2) = model.drift_parts
     combined = _irfft2((a[0] * d1 + a[1] * d2) * uhat) + q * (a[0] * c1 + a[1] * c2)
     assert np.array_equal(_drift(model, a, uhat, q), combined)
@@ -805,7 +819,7 @@ def test_transform_budget(params, grid128, monkeypatch):
     # irfft or rfft pass; a flow step on the half spectrum runs no transform,
     # and neither does the sweep
     model = grid_model(params, grid128)
-    uhat, q = _state_hat(model, _random_state(grid128, params, 24, q=0.3))
+    uhat, q = _state(_random_state(grid128, params, 24, q=0.3))[1:]
     cfg = SolverConfig(gamma=2.0, a=(0.3, -0.7))
     flow = Flow(model, 0.02)
     model.drift_parts  # built before the transforms are counted
@@ -859,11 +873,11 @@ def test_h1_proxy_form_matches_explicit_split(params, grid128):
     # phi_hat = u_hat - q G_omega_hat, where the form cancels most: a state
     # that is nearly all kernel, and a small difference of two states
     model = grid_model(params, grid128)
-    noise, _ = _state_hat(model, _random_state(grid128, params, 25))
+    noise, _ = _state(_random_state(grid128, params, 25))[1:]
     near = 3.0 * model.green_omega_hat + 1e-3 * noise
-    a, _ = _state_hat(model, _random_state(grid128, params, 26, q=0.3))
+    a, _ = _state(_random_state(grid128, params, 26, q=0.3))[1:]
     b = a + 1e-7 * noise
-    for uhat in (_state_hat(model, _random_state(grid128, params, 24, q=0.3))[0], near, a - b):
+    for uhat in (_state(_random_state(grid128, params, 24, q=0.3))[1], near, a - b):
         explicit = _h1_proxy_hat(grid128, *_split(model, uhat))
         proxy = solver._proxy(model, uhat, model.coupling_coefficient(uhat), _Work(grid128))
         assert abs(proxy - explicit) <= 1e-13 * explicit
