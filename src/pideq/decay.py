@@ -18,7 +18,8 @@ coupling.
 
 A linear fit transforms its datum once, with one rfft2, and applies one
 ``Flow`` per t to that half spectrum, as the solver does; each sample is
-one irfft2 (two for the gradient, joined by hypot as in ``state_fields``).
+one irfft2 (two for the gradient, joined as sqrt(d1^2 + d2^2) as in
+``state_fields``).
 The public ``semigroup_pac`` and ``semigroup_gradient_pac`` compute the same
 samples one call at a time.  Each t's flow is built after the last one is
 released, flows into the one half spectrum the fit keeps, and is sampled
@@ -37,7 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, _front, _irfft2, _lp_sum, _real, _rfft2, gaussian_field, lp_norm
+from .fields import (
+    Field, _front, _gradient_modulus, _irfft2, _lp_sum, _real, _rfft2, gaussian_field, lp_norm
+)
 from .semigroup import Flow, grid_model
 from .spectral import AlphaParams
 from .solver import state_fields
@@ -227,8 +230,9 @@ def run_semigroup_decay(grid, q, p, alpha=0.0, t_grid=T_GRID):
 def run_gradient_decay(grid, q, p, alpha=0.0, t_grid=T_GRID):
     """Fit of ||grad S(t) P_ac g||_p, as :func:`run_semigroup_decay`; needs real 1 < q < p < 2.
 
-    |grad| is the hypot of the two derivative irfft2s, as in ``state_fields``,
-    into two n x n arrays the fit keeps: the first its own, the second in
+    |grad| = sqrt(d1^2 + d2^2) of the two derivative irfft2s
+    (``fields._gradient_modulus``, as in ``state_fields``), into two n x n
+    arrays the fit keeps: the first its own, the second in
     the memory of the first derivative's half spectrum, free once that is
     transformed.  The second derivative is formed in the flowed half
     spectrum's own array.
@@ -243,7 +247,7 @@ def run_gradient_decay(grid, q, p, alpha=0.0, t_grid=T_GRID):
         d1, d2 = model.derivative
         _irfft2(np.multiply(d1, out, out=d1_hat), du1, work=d1_hat)
         _irfft2(np.multiply(d2, out, out=out), du2, work=out)
-        return _lp_sum(np.hypot(du1, du2, out=du1), p, grid.cell_area)
+        return _lp_sum(_gradient_modulus(du1, du2), p, grid.cell_area)
 
     return _linear_fit(grid, q, alpha, t_grid, sample, -0.5 - (1.0 / q - 1.0 / p))
 

@@ -283,12 +283,19 @@ def _sum_scale(top, p, weight):
     return top
 
 
+_POWER_BLOCK = 8192
+"""Elements per block of :func:`_lp_sum`'s a^1.5, so its square roots need one small buffer."""
+
+
 def _lp_sum(a, p, cell_area):
     """(sum a^p h^2)^(1/p) for an array a >= 0 and a finite p >= 1, computed in a's own array.
 
     a is overwritten.  The plain sum is taken unless :func:`_sum_scale`
     finds that it could leave the normal doubles; then a is first scaled by
-    its largest value, which the result multiplies back.
+    its largest value, which the result multiplies back.  a^4 is two
+    squares and a^1.5 is a sqrt(a), block by block, each within 1e-15 of
+    float ``np.power`` and several times faster; for p = 2 ``**=`` takes
+    numpy's own square.
     """
     top = float(a.max())
     if top == 0.0:
@@ -297,8 +304,34 @@ def _lp_sum(a, p, cell_area):
     if scale != 1.0:
         a /= scale
     with np.errstate(over="ignore", under="ignore"):
-        a **= p
+        if p == 4.0:
+            np.square(a, out=a)
+            np.square(a, out=a)
+        elif p == 1.5:
+            a = a.reshape(-1)
+            for lo in range(0, a.size, _POWER_BLOCK):
+                part = a[lo:lo + _POWER_BLOCK]
+                part *= np.sqrt(part)
+        else:
+            a **= p
     return float(scale * (np.sum(a) * cell_area) ** (1.0 / p))
+
+
+def _gradient_modulus(d1, d2):
+    """|grad| = sqrt(d1^2 + d2^2) of two real derivative arrays, written into d1; d2 is scratch.
+
+    The squares' sum is within 4e-16 of ``np.hypot`` and several times
+    faster.  Only when the largest |d| leaves [1e-150, 1e150], where a
+    square could overflow or lose digits to underflow, does hypot form it,
+    so data near the double range keep a finite, accurate modulus.
+    Returns d1.
+    """
+    top = max(-float(d1.min()), float(d1.max()), -float(d2.min()), float(d2.max()))
+    if not 1e-150 <= top <= 1e150:
+        return np.hypot(d1, d2, out=d1)
+    np.square(d1, out=d1)
+    d1 += np.square(d2, out=d2)
+    return np.sqrt(d1, out=d1)
 
 
 def inner_product(f, g):

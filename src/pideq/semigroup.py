@@ -66,7 +66,9 @@ every application, so its working memory is one 16 x bins complex block
 (1.5 MB at n = 256, 5.6 MB at n = 512) however many nodes it has.  The
 resolvent is the one-node rule of the same kernel (node lambda, weight 1),
 so every rank-one quantity is delta_hat times a bin profile, and the
-backward-Euler oracle steps on the bins alone.
+backward-Euler oracle steps on the bins alone, ``ORACLE_BLOCK`` = 16 steps
+per pair of matrix products: a block's 16 rank-one amplitudes solve one
+lower triangular Toeplitz system, inverted once per call.
 
 The projection is bin-space bookkeeping too: psi_hat = delta_hat r_E[bin]
 with r_E = 1/((E + |xi|^2) ||G_E||), so <g, psi> = wlat r_E . bp is read off
@@ -152,14 +154,14 @@ __all__ = [
     "project_d",
 ]
 
-MIN_TIME = 0.01
-"""Shortest supported semigroup time; compose steps for shorter horizons."""
-
 TALBOT_NODES = 32
 """Node count of the Talbot rule of every flow without an explicit contour."""
 
 CHUNK = TALBOT_NODES // 2
 """Nodes per block of resolvent rows: the folded Talbot rule, which a flow keeps whole."""
+
+ORACLE_BLOCK = 16
+"""Backward-Euler steps per block of :func:`backward_euler_oracle`'s bin recurrence."""
 
 MAX_EXP = math.log(sys.float_info.max)
 """Largest E t whose full-flow growth exp(E t) is a finite double (about 709.78)."""
@@ -255,7 +257,7 @@ class ContourSpec:
         wmax = math.asinh(S / eps)
         edges = wmax * np.linspace(0.0, 1.0, panels + 1) ** 1.5
         per_panel = max(8, self.nodes_ray // panels)
-        xg, wg = np.polynomial.legendre.leggauss(per_panel)
+        xg, wg = _gauss_legendre(per_panel)
         ws, tws = [], []
         for a, b in zip(edges[:-1], edges[1:]):
             ws.append(0.5 * (b - a) * xg + 0.5 * (a + b))
@@ -264,12 +266,31 @@ class ContourSpec:
         tw = np.concatenate(tws)
         s = eps * np.sinh(w)
         ds = eps * np.cosh(w) * tw
-        thg, thw = np.polynomial.legendre.leggauss(ARC_NODES)
+        thg, thw = _gauss_legendre(ARC_NODES)
         th = thg * (np.pi / 2.0)
         arc = eps * np.exp(1j * th)
         nodes = np.concatenate([-s - 1j * eps, -s + 1j * eps, arc])
         wts = np.concatenate([ds, -ds, 1j * arc * thw * (np.pi / 2.0)])
         return nodes, wts
+
+
+def _gauss_legendre(num):
+    """Nodes and weights of the num-point Gauss-Legendre rule on [-1, 1], symmetric to the bit.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Legendre Jacobi
+    matrix (off-diagonal k / sqrt(4 k^2 - 1)) and the weights twice the
+    squared first components of its eigenvectors.  Averaging each with its
+    mirror makes x_k = -x_{num-1-k} and w_k = w_{num-1-k} exactly, which
+    :func:`_fold` needs: it pairs the cut-hugging rays' nodes as exact
+    conjugates (unsymmetrized, the contour check moved from 9.15e-08 to
+    3.53e-03).  ``numpy.polynomial``'s ``leggauss`` would cost its import
+    inside every run.
+    """
+    k = np.arange(1.0, num)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * vectors[0] ** 2
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
 
 
 def _talbot_nodes(num):
@@ -292,6 +313,22 @@ def _talbot_nodes(num):
 
 TALBOT_RULE = _talbot_nodes(TALBOT_NODES)
 """(sigma, dsigma) of the ``TALBOT_NODES``-node Talbot rule, the only one any flow uses."""
+
+MIN_TIME = 2.0 * max(
+    np.abs(TALBOT_RULE[0]).max(),
+    (np.abs(TALBOT_RULE[1]) * np.maximum(1.0, np.abs(np.exp(TALBOT_RULE[0])))).max(),
+) / sys.float_info.max
+"""Shortest public semigroup time, 6.8e-307: the limit of the Talbot rule's doubles.
+
+From t = MIN_TIME on, every node sigma_k/t, weight dsigma_k/t and weight
+(dsigma_k/t) e^{sigma_k}, with each part of that complex product, is a
+finite double (the factor 2 covers a part that sums two products).  A
+flow divides its weights by D(sigma_k/t), which tends to S(E) as t -> 0,
+so a model with S(E) < 1 takes MIN_TIME / S(E) (``_public_flow``).  The
+flow is exact to rounding down there: the semigroup law holds to 1e-14 and
+the Richardson-extrapolated backward-Euler oracle agrees to 1e-10 from
+t = 1e-8 to 1e-2.
+"""
 
 
 @dataclass(frozen=True)
@@ -703,13 +740,20 @@ def _check_time(name, t):
 
 
 def _public_flow(name, t, g, params, contour=None, full=False):
-    """The flow of one public call, after checking its time."""
+    """The flow of one public call, after checking its time against the model's floor.
+
+    The floor is ``MIN_TIME``, divided by S(E) when S(E) < 1: the weights
+    over D(lambda_k) ~ S(E) must stay finite too.
+    """
     _check_time(name, t)
-    if t < MIN_TIME:
+    model = grid_model(params, g.grid)
+    shortest = MIN_TIME / min(1.0, model.S_at_E)
+    if t < shortest:
         raise ValueError(
-            f"t = {t} below the supported minimum {MIN_TIME}; compose shorter steps"
+            f"t = {t} below the supported minimum {shortest:.3g}, where the Talbot "
+            "nodes sigma/t and weights leave the doubles"
         )
-    return Flow(grid_model(params, g.grid), t, full, contour)
+    return Flow(model, t, full, contour)
 
 
 def semigroup_pac(t, g, params, contour=None):
@@ -718,7 +762,8 @@ def semigroup_pac(t, g, params, contour=None):
     The input is projected internally, so the eigenmode is annihilated
     before the rank-one correction is accumulated.  The correction uses the
     Talbot rule unless ``contour`` selects the cut-hugging one.  Times below
-    ``MIN_TIME`` are rejected; compose shorter steps if needed.
+    ``MIN_TIME`` (6.8e-307), where the Talbot nodes leave the doubles, are
+    rejected.
     """
     flow = _public_flow("semigroup_pac", t, g, params, contour)
     model = flow.model
@@ -767,13 +812,19 @@ def backward_euler_oracle(t, g, params, steps):
     |k|^2 bin, so after k steps u = s^k u_0 + delta_hat v[bin], whose bin
     pairing with delta_hat is p + |delta|^2_bins v with
     p = s^k <u_0, delta>_bins: a step updates only v and p, over the bins.
-    With r = 1/(lambda + rho) and v = r y, one step is the stacked
-    recurrence on z = [p; y] (2 x bins, y a view of z)
+    With r = 1/(lambda + rho) and v = r y, one step is the recurrence
 
-        sigma = w . z,   z *= [s; s],   y += sigma,
-        w = lambda wlat / D(lambda) [r; r^2 |delta|^2_bins],
+        sigma_k = w_p . p + w_y . y,   p <- s p,   y <- s y + sigma_k,
+        w_p = lambda wlat / D(lambda) r,   w_y = w_p r |delta|^2_bins,
 
-    and v = r y at the end.  First-order accurate in t/steps.
+    and v = r y at the end.  It runs ``ORACLE_BLOCK`` = B steps at a time.
+    With c_m = w_y . s^m, the b <= B sigmas of a block solve the unit lower
+    triangular Toeplitz system sigma_j - sum_{i<j} c_{j-1-i} sigma_i =
+    s^j . (w_p p + w_y y), whose inverse is built once per call (a shorter
+    last block takes its leading b x b part); then y <- s^b y +
+    sum_i sigma_i s^{b-1-i} and p <- s^b p.  The powers s^0..s^B are one
+    (B + 1) x bins array, so a block is two matrix-vector products over
+    the bins.  First-order accurate in t/steps.
     """
     if not _real(steps, numbers.Integral) or steps < 10:
         raise ValueError(f"backward_euler_oracle requires an integer steps >= 10; got {steps!r}")
@@ -785,21 +836,36 @@ def backward_euler_oracle(t, g, params, steps):
         lam = steps / t
         _warn("resolvent shift hit the eigenvalue; stepping count bumped by one")
     model = grid_model(params, g.grid)
-    bins = model.rho.size
     r = 1.0 / (lam + model.rho)
-    coef = lam * model.wlat / model.denominator(lam)
-    w = coef * np.concatenate([r, r * r * model.delta_sq_bins])
-    ss = np.tile(lam / (lam + model.rho), 2)
+    w_p = (lam * model.wlat / model.denominator(lam)) * r
+    w_y = w_p * r * model.delta_sq_bins
+    powers = np.empty((ORACLE_BLOCK + 1, r.size))
+    powers[0] = 1.0
+    np.divide(lam, lam + model.rho, out=powers[1])
+    for i in range(2, ORACLE_BLOCK + 1):
+        np.multiply(powers[i - 1], powers[1], out=powers[i])
+    # the inverse of a unit lower triangular Toeplitz matrix is one too, so
+    # its first column fixes it: row j is first[j - i], i <= j.  The rows
+    # are stored last to first, so rows b-1..0 give the block's sigmas
+    # reversed, the order the update of y reads them in
+    c = powers[:ORACLE_BLOCK] @ w_y
+    first = np.ones(ORACLE_BLOCK)
+    for j in range(1, ORACLE_BLOCK):
+        first[j] = c[j - 1::-1] @ first[:j]
+    flipped = np.zeros((ORACLE_BLOCK, ORACLE_BLOCK))
+    for j in range(ORACLE_BLOCK):
+        flipped[ORACLE_BLOCK - 1 - j, :j + 1] = first[j::-1]
     free = (lam / (lam + model.xi2)) ** steps
     outs = []
     for ghat in _real_parts(g.values):
         uhat, _ = model.project_ac_hat(ghat)
-        z = np.zeros(2 * bins)
-        z[:bins] = model._bin_pair(uhat)
-        y = z[bins:]
-        for _ in range(steps):
-            sigma = w @ z
-            z *= ss
-            y += sigma
+        p = model._bin_pair(uhat)
+        y = np.zeros_like(p)
+        for lo in range(0, steps, ORACLE_BLOCK):
+            b = min(ORACLE_BLOCK, steps - lo)
+            reversed_sigma = flipped[ORACLE_BLOCK - b:, :b] @ (powers[:b] @ (w_p * p + w_y * y))
+            y *= powers[b]
+            y += reversed_sigma @ powers[:b]
+            p *= powers[b]
         outs.append(free * uhat + model.delta_hat * np.take(r * y, model.bin_index))
     return _from_parts(g.grid, *outs)

@@ -104,7 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataTooLargeError, HorizonTooLargeError
-from .fields import Field, _front, _irfft2, _real, _real_pair, _rfft2, lp_norm
+from .fields import Field, _front, _gradient_modulus, _irfft2, _real, _real_pair, _rfft2, lp_norm
 from .semigroup import Flow, grid_model
 from .spectral import DecomposedField, _h1_proxy_hat
 
@@ -284,14 +284,15 @@ def state_fields(u):
     The values are :func:`total_field`'s; d1 u and d2 u are the forcing's
     drift derivatives along (1, 0) and (0, 1): the spectral derivative of
     phi plus coeff times the closed Bessel form of grad G_omega.  Both run
-    through one half-spectrum scratch; |grad u| is written over d1 u and
-    the values over d2 u.
+    through one half-spectrum scratch; |grad u| = sqrt(d1^2 + d2^2)
+    (``fields._gradient_modulus``) is written over d1 u and the values over
+    d2 u.
     """
     grid = u.regular.grid
     model, uhat, q = _state(u)
     spec = np.empty_like(uhat)
     du1, du2 = (_drift(model, a, uhat, q, spec) for a in ((1.0, 0.0), (0.0, 1.0)))
-    grad = np.hypot(du1, du2, out=du1)
+    grad = _gradient_modulus(du1, du2)
     return Field(grid, _irfft2(uhat, du2, work=uhat)), Field(grid, grad)
 
 

@@ -131,7 +131,7 @@ def test_simulate_rejects_nonfinite_drift(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["semigroup", "--t", "0.001"], "below the supported minimum"),
+        (["semigroup", "--t", "1e-320"], "below the supported minimum"),
         (["simulate", "--T", "0.05", "--dt", "0.02"], "integer multiple of dt"),
         (["simulate", "--alpha", "nan"], "alpha must lie in (-inf, +inf]; got nan"),
         (["simulate", "--gamma", "inf"], "gamma must be a finite number"),
@@ -452,6 +452,24 @@ assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_imports_neither_scipy_nor_numpy_polynomial():
+    # `pideq verify` needs numpy alone, and not numpy.polynomial either: its
+    # Gauss-Legendre rules are Golub-Welsch eigenvalue problems
+    script = """
+import sys
+from pideq import cli
+
+assert cli.main(["verify", "--grid-n", "64"]) == 0
+loaded = [
+    m for m in sys.modules if m.partition(".")[0] == "scipy" or m.startswith("numpy.polynomial")
+]
+assert not loaded, loaded
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(pideq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

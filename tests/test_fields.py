@@ -24,7 +24,7 @@ from pideq import (
     semigroup_pac,
 )
 from pideq.errors import GridMismatchError
-from pideq.fields import field_to_csv
+from pideq.fields import _gradient_modulus, _lp_sum, field_to_csv
 from pideq.semigroup import MIN_TIME, Flow, grid_model
 
 FREE = AlphaParams(math.inf)
@@ -90,8 +90,9 @@ def test_field_arithmetic_grid_mismatch():
 
 def test_heat_free_identity_and_domain(smooth_datum):
     # the public free flow takes MIN_TIME <= t < inf, as every public flow;
-    # below MIN_TIME the flow of the free grid model is the heat multiplier
-    # alone, so it tends to the identity as t -> 0
+    # MIN_TIME (6.8e-307, once 0.01) is where the Talbot nodes sigma/t leave
+    # the doubles.  The free flow is the heat multiplier alone, so it tends
+    # to the identity as t -> 0
     for bad in (0.0, -0.1):
         with pytest.raises(ValueError, match="semigroup_pac requires t > 0"):
             free_flow(smooth_datum, bad)
@@ -105,6 +106,7 @@ def test_heat_free_identity_and_domain(smooth_datum):
     for t in (1e-3, 1e-9):
         out = Flow(model, t).apply(ghat)
         assert np.array_equal(out, np.exp(-t * model.xi2) * ghat)
+        assert np.array_equal(free_flow(smooth_datum, t).values, np.fft.irfft2(out, s=(128, 128)))
     assert np.abs(out - ghat).max() <= 1e-9 * np.abs(ghat).max()
 
 
@@ -348,8 +350,51 @@ def test_lp_norm_near_the_double_range(grid128, rng):
             expect = value * (2.0 * grid128.half_width) ** (2.0 / p)
             assert abs(lp_norm(f, p) - expect) <= 1e-13 * expect
         assert lp_norm(Field(grid128, np.zeros((128, 128))), 2) == 0.0
-    # inside the range the plain sum is kept, bit for bit
+    # inside the range the plain sum is kept, bit for bit; a^1.5 and a^4 are
+    # formed as a sqrt(a) and two squares (test_lp_sum_fast_powers)
     f = Field(grid128, rng.standard_normal((128, 128)))
     for p in (1.0, 1.5, 2.0, 4.0):
-        plain = float((np.sum(np.abs(f.values) ** p) * grid128.cell_area) ** (1.0 / p))
+        plain = float((np.sum(_power(np.abs(f.values), p)) * grid128.cell_area) ** (1.0 / p))
         assert lp_norm(f, p) == plain
+
+
+def _power(a, p):
+    """a^p as ``fields._lp_sum`` forms it."""
+    if p == 4.0:
+        return np.square(np.square(a))
+    return a * np.sqrt(a) if p == 1.5 else a ** p
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_lp_sum_fast_powers(rng, p):
+    # the two fast powers against float np.power, on a length that leaves a
+    # partial block of a^1.5, and at 1e+-200.  There a^4 is scaled first, so
+    # its norm scales with the data; a^1.5 keeps the plain sum, whose final
+    # root carries the rounding of 1/p times ln(sum), 2.5e-14 relative, as
+    # the float power's sum does
+    a = np.abs(rng.standard_normal(2 * 8192 + 5))
+    expect = (np.sum(a ** p) * 0.25) ** (1.0 / p)
+    assert abs(_lp_sum(a.copy(), p, 0.25) - expect) <= 1e-15 * expect
+    assert np.abs(_power(a, p) / a ** p - 1.0).max() <= 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1e-200):
+            b = scale * a
+            ref = (np.sum(b ** p) * 0.25) ** (1.0 / p) if p == 1.5 else scale * expect
+            assert abs(_lp_sum(b, p, 0.25) - ref) <= 1e-15 * ref
+
+
+def test_gradient_modulus_matches_hypot(rng):
+    # sqrt(d1^2 + d2^2) within 4e-16 of hypot on ordinary data; hypot's own
+    # result where a square would leave the doubles, and on zeros
+    d1, d2 = rng.standard_normal((2, 128, 128))
+    expect = np.hypot(d1, d2)
+    got = _gradient_modulus(d1.copy(), d2.copy())
+    assert np.abs(got - expect).max() <= 4e-16 * expect.max()
+    assert np.all(np.abs(got - expect) <= 4e-16 * expect)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((1e200 * d1, 1e200 * d2), (1e-200 * d1, 1e-200 * d2),
+                     (1e200 * d1, np.zeros_like(d2)), (np.zeros_like(d1), np.zeros_like(d2))):
+            got = _gradient_modulus(a.copy(), b.copy())
+            assert np.isfinite(got).all() and np.array_equal(got, np.hypot(a, b))

@@ -32,7 +32,16 @@ from pideq import (
 )
 from pideq import decay, verify
 from pideq.errors import BranchCutError, ContourError, PoleError
-from pideq.semigroup import CHUNK, Flow, _dot, _talbot_nodes, grid_model
+from pideq.fields import _from_parts, _real_parts
+from pideq.semigroup import (
+    CHUNK,
+    MIN_TIME,
+    Flow,
+    _dot,
+    _gauss_legendre,
+    _talbot_nodes,
+    grid_model,
+)
 from pideq.spectral import _h1_proxy_hat, green_field
 
 FREE = AlphaParams(math.inf)
@@ -160,8 +169,10 @@ def test_resolvent_free_laplacian_limit(grid128, smooth_datum):
 def test_semigroup_time_domain(params, smooth_datum):
     with pytest.raises(ValueError):
         semigroup_pac(0.0, smooth_datum, params)
-    with pytest.raises(ValueError):
-        semigroup_pac(0.005, smooth_datum, params)
+    # the floor is where the Talbot nodes and weights leave the doubles;
+    # times down to it are exact (test_semigroup_exact_at_short_times)
+    with pytest.raises(ValueError, match="below the supported minimum"):
+        semigroup_pac(MIN_TIME / 2, smooth_datum, params)
     for fn in (semigroup_pac, semigroup_full, semigroup_gradient_pac):
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{fn.__name__} requires a finite t"):
@@ -237,6 +248,59 @@ def test_semigroup_default_matches_oracle_at_short_times():
         )
         err = lp_norm(semigroup_pac(t, g, params).field - ref, 2) / lp_norm(ref, 2)
         assert err <= 1e-7
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, 0.2, math.inf])
+def test_semigroup_exact_at_short_times(alpha):
+    # at short times the Talbot flow is as exact as at t >= 1e-2: the law
+    # to rounding, and 2 BE(4000) - BE(2000) to 1.4e-11 (5e-13 from
+    # t = 1e-4 down, the oracle's own rounding)
+    params = AlphaParams(alpha) if alpha == math.inf else AlphaParams.for_alpha(alpha, 2)
+    g = gaussian_field(Grid(40.0, 128), sigma=2.0)
+    gnorm = lp_norm(g, 2)
+    for t in (1e-8, 1e-6, 1e-4, 1e-2):
+        half = semigroup_full(t / 2, semigroup_full(t / 2, g, params), params)
+        assert lp_norm(semigroup_full(t, g, params) - half, 2) <= 1e-14 * gnorm
+        ref = 2.0 * backward_euler_oracle(t, g, params, 4000) - backward_euler_oracle(
+            t, g, params, 2000
+        )
+        assert lp_norm(semigroup_pac(t, g, params).field - ref, 2) <= 1e-10 * lp_norm(ref, 2)
+
+
+@pytest.mark.filterwarnings("ignore:eigenfunction scale")
+@pytest.mark.parametrize(
+    "alpha, grid",
+    [(math.inf, Grid(40.0, 64)), (0.0, Grid(40.0, 64)), (-0.5, Grid(1000.0, 256))],
+)
+def test_semigroup_floor_is_the_limit_of_the_doubles(alpha, grid):
+    # at its floor a flow is finite and equals its t -> 0 limit to rounding:
+    # P_ac g, and g for the full flow.  The floor is MIN_TIME over S(E) when
+    # S(E) < 1 (9.4e-124 for the last model, whose floor is 7.2e-184)
+    params = AlphaParams(alpha) if alpha == math.inf else AlphaParams.for_alpha(alpha, 2)
+    model = grid_model(params, grid)
+    floor = MIN_TIME / min(1.0, model.S_at_E)
+    g = gaussian_field(grid, sigma=2.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        projected = semigroup_pac(floor, g, params).field
+        full = semigroup_full(floor, g, params)
+    gnorm = lp_norm(g, 2)
+    assert lp_norm(projected - (g - project_d(g, params)), 2) <= 1e-15 * gnorm
+    assert lp_norm(full - g, 2) <= 1e-15 * gnorm
+    with pytest.raises(ValueError, match="below the supported minimum"):
+        semigroup_full(floor * (1.0 - 1e-9), g, params)
+
+
+def test_gauss_legendre_rule_is_symmetric_and_matches_leggauss():
+    # the Golub-Welsch rule against numpy.polynomial's: nodes to rounding,
+    # weights to 1e-10 relative (the eigenvectors' small end components),
+    # and mirror-symmetric to the bit, which _fold's conjugate pairs need
+    for num in (8, 64, 65, 90, 256):
+        x, w = _gauss_legendre(num)
+        xr, wr = np.polynomial.legendre.leggauss(num)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.abs(x - xr).max() <= 4e-16
+        assert np.abs(w / wr - 1.0).max() <= 1e-10
+        assert abs(w.sum() - 2.0) <= 1e-14
 
 
 def test_talbot_cache_matches_direct_sum(params, grid128, smooth_datum):
@@ -522,6 +586,46 @@ def _seven_op_oracle(t, g, params, steps):
         v, model.bin_index
     )
     return Field(g.grid, np.fft.irfft2(out))
+
+
+def _stepwise_oracle(t, g, params, steps):
+    # the bin-space oracle one Python step at a time, as it ran before the
+    # blocks: sigma = w . [p; y], then [p; y] *= [s; s] and y += sigma
+    model = grid_model(params, g.grid)
+    bins = model.rho.size
+    lam = steps / t
+    r = 1.0 / (lam + model.rho)
+    coef = lam * model.wlat / model.denominator(lam)
+    w = coef * np.concatenate([r, r * r * model.delta_sq_bins])
+    ss = np.tile(lam / (lam + model.rho), 2)
+    free = (lam / (lam + model.xi2)) ** steps
+    outs = []
+    for ghat in _real_parts(g.values):
+        uhat, _ = model.project_ac_hat(ghat)
+        z = np.zeros(2 * bins)
+        z[:bins] = model._bin_pair(uhat)
+        y = z[bins:]
+        for _ in range(steps):
+            sigma = w @ z
+            z *= ss
+            y += sigma
+        outs.append(free * uhat + model.delta_hat * np.take(r * y, model.bin_index))
+    return _from_parts(g.grid, *outs)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, math.inf])
+@pytest.mark.parametrize("steps", [10, 17, 1000, 1013])
+def test_backward_euler_blocks_match_the_stepwise_loop(alpha, steps):
+    # whole blocks of 16 steps, a partial last block (17, 1013) and a lone
+    # partial block (10), on a real and on a complex datum
+    params = AlphaParams(alpha) if alpha == math.inf else AlphaParams.for_alpha(alpha, 2)
+    grid = Grid(40.0, 64)
+    g = gaussian_field(grid, sigma=2.0)
+    for datum in (g, g + 1j * gaussian_field(grid, sigma=1.0, center=(1.0, -0.5))):
+        for t in (1.0, 0.02):
+            expect = _stepwise_oracle(t, datum, params, steps)
+            out = backward_euler_oracle(t, datum, params, steps)
+            assert lp_norm(out - expect, 2) <= 1e-13 * lp_norm(expect, 2)
 
 
 @pytest.mark.parametrize("steps", [10, 1000])
