@@ -16,8 +16,9 @@ read-only ``T_GRID`` as the default t-grid, and ``run_nonlinear_decay``
 takes (traj, h1, h2), since the trajectory carries its own grid and
 coupling.
 
-A linear fit transforms its datum once, with one rfft2, and applies one
-``Flow`` per t to that half spectrum, as the solver does; each sample is
+A linear fit transforms its datum once, with one rfft2, and pairs it with
+delta_hat over the |k|^2 bins once; one ``Flow`` per t maps that half
+spectrum, given its pairing, so no t re-pairs the datum.  Each sample is
 one irfft2 (two for the gradient, joined as sqrt(d1^2 + d2^2) as in
 ``state_fields``).
 The public ``semigroup_pac`` and ``semigroup_gradient_pac`` compute the same
@@ -188,21 +189,29 @@ def make_datum(descriptor, grid):
 def _linear_fit(grid, q, alpha, t_grid, sample, theoretical):
     """Fit of sample(model, out) over ``t_grid`` for the critical datum g of exponent q.
 
-    The datum is transformed once; for each t, a flow of its own, released
-    before the next t's is built, maps its half spectrum into out, one
-    array for the whole t-grid, that of S(t) P_ac g (the flow projects g
-    itself), and ``sample`` returns the norm fitted at t; it may overwrite
-    out.  Every t must be finite and >= 1, with at least 5 of them and 2
-    distinct, which is checked before any work.
+    The datum is transformed and paired with delta_hat over the bins once;
+    for each t, a flow of its own, released before the next t's is built,
+    maps its half spectrum and that pairing into out, one array for the
+    whole t-grid, that of S(t) P_ac g (the flow projects g itself), and
+    ``sample`` returns the norm fitted at t; it may overwrite out.  Every t
+    must be finite, >= 1 and at most the grid's flow ceiling
+    (``PointHeatModel.max_time``), with at least 5 of them and 2 distinct,
+    which is checked before any work but the grid model's build.
     """
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 1.0)):
         raise ValueError(f"t_grid must hold finite times t >= 1; got {t_grid!r}")
     _check_times(times, "t_grid")
     model = grid_model(AlphaParams.for_alpha(alpha), grid)
+    if times.max() > model.max_time:
+        raise ValueError(
+            f"t_grid reaches t = {times.max()!r}, above the supported maximum "
+            f"{model.max_time:.3g} of this grid's flows"
+        )
     ghat = _rfft2(critical_datum(grid, q).values)
+    pair = model._bin_pair(ghat)
     out = np.empty_like(ghat)
-    samples = [(t, sample(model, Flow(model, t).apply(ghat, out))) for t in times]
+    samples = [(t, sample(model, Flow(model, t).apply(ghat, out, _pair=pair))) for t in times]
     return fit_rate(samples, theoretical)
 
 
@@ -339,7 +348,10 @@ def _beta(a, b):
 
 
 def _incomplete_beta(a, b, x):
-    """B_x(a, b) = integral_0^x y^(a - 1) (1 - y)^(b - 1) dy for a, b > 0 and an array x in [0, 1].
+    """B_x(a, b) = integral_0^x y^(a - 1) (1 - y)^(b - 1) dy for a, b > 0 and x in [0, 1].
+
+    a, b and x broadcast against each other, so one series serves many
+    (a, b) pairs; each complete B(a, b) is one scalar :func:`_beta`.
 
     Below x = (a + 1)/(a + b + 2) it sums the hypergeometric form
     (DLMF 8.17.8) B_x(a, b) = x^a (1 - x)^b / a sum_k (a + b)_k / (a + 1)_k x^k,
@@ -357,4 +369,5 @@ def _incomplete_beta(a, b, x):
         total += term
         k += 1
     part = y ** p * (1.0 - y) ** q / p * total
-    return np.where(flip, _beta(a, b) - part, part)
+    complete = np.asarray(np.frompyfunc(_beta, 2, 1)(a, b), dtype=float)
+    return np.where(flip, complete - part, part)

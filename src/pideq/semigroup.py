@@ -56,14 +56,19 @@ e^{t lambda} w / (2 pi i); the rule is not corrected by the vanishing t = 0
 moment of the rank-one integrand (see :class:`ContourSpec`).
 
 All inner node sums are accelerated by binning the wavenumber lattice by
-the integer |k|^2, which is exact.  Every rule feeds one rank-one kernel,
+the integer |k|^2, which is exact, and every radial multiplier is a bin
+profile gathered onto the lattice: ``xi2`` is rho[bin] itself, the heat
+multiplier exp(-t rho) is taken over the bins once per flow, and R(lambda)'s
+free multiplier is its one-node row.  Every rule feeds one rank-one kernel,
 ``PointHeatModel.correction``: from the datum's bin pairing it accumulates,
 per block of at most ``CHUNK`` = 16 nodes, the bin profile from the resolvent
-rows 1/(lambda_k + |xi|^2) over the bins, with the denominators D(lambda_k)
-read off the same rows.  The folded Talbot rule is one block, which its flow
-keeps for its lifetime.  A longer rule refills one reused block buffer on
-every application, so its working memory is one 16 x bins complex block
-(1.5 MB at n = 256, 5.6 MB at n = 512) however many nodes it has.  The
+rows 1/(lambda_k + rho_b) over the bins, with the denominators D(lambda_k)
+read off the same rows.  The rows are built in real arithmetic, as two real
+planes per block (``_node_chunks``), so no complex reciprocal is taken.
+The folded Talbot rule is one block, which its flow keeps for its lifetime.
+A longer rule refills one reused block buffer on every application, so its
+working memory is one 16 x bins two-plane block (1.5 MB at n = 256, 5.6 MB
+at n = 512) however many nodes it has.  The
 resolvent is the one-node rule of the same kernel (node lambda, weight 1),
 so every rank-one quantity is delta_hat times a bin profile, and the
 backward-Euler oracle steps on the bins alone, ``ORACLE_BLOCK`` = 16 steps
@@ -243,11 +248,23 @@ class ContourSpec:
         trunc = max(min(50.0 / t, 2.5e4), 2.0 * ev)
         return cls(eps, trunc, nodes_ray)
 
-    def validate(self, params):
+    def validate(self, params, rho_max=0.0):
+        """ContourError unless E > epsilon >= 2 rho_max / ROW_RANGE, rho_max of the flow's grid.
+
+        Every node of the rule lies at distance >= epsilon from the
+        spectrum [-rho_max, 0], so the range of its resolvent row
+        (``ROW_RANGE``) is at most 2 + 2 rho_max / epsilon.
+        """
         ev = params.eigenvalue
         if ev is not None and self.epsilon >= ev:
             raise ContourError(
                 f"arc radius {self.epsilon} must stay below the eigenvalue {ev}"
+            )
+        floor = 2.0 * rho_max / ROW_RANGE
+        if self.epsilon < floor:
+            raise ContourError(
+                f"arc radius {self.epsilon} is below the supported minimum {floor:.3g} "
+                "(2 rho_max / ROW_RANGE), where the resolvent rows' range leaves the doubles"
             )
 
     def nodes(self):
@@ -330,6 +347,33 @@ the Richardson-extrapolated backward-Euler oracle agrees to 1e-10 from
 t = 1e-8 to 1e-2.
 """
 
+ROW_RANGE = 2.0 ** 500
+"""Largest range (|lambda| + rho_max) / dist(lambda, [-rho_max, 0]) of one node's resolvent row.
+
+The range bounds max_b |lambda + rho_b| / min_b |lambda + rho_b| (rho_0 = 0
+is a bin).  ``_node_chunks`` scales a row by the power of two s with
+s |lambda| in [1/2, 1), so a row of range R has scaled squared moduli in
+[1/(4 R^2), R^2] and reciprocals in [1/R^2, 4 R^2]: normal doubles while
+R <= 2^510.  2^500 leaves a factor 2^20 for the sums over the bins.
+"""
+
+TALBOT_REACH = float(np.min(
+    ROW_RANGE * np.where(TALBOT_RULE[0].real <= 0.0, np.abs(TALBOT_RULE[0].imag),
+                         np.abs(TALBOT_RULE[0]))
+    - np.abs(TALBOT_RULE[0])
+))
+"""rho_max t at the longest time of any flow: 1.8e151, so t <= 1.8e151 / rho_max.
+
+Node sigma_k / t lies at distance d_k / t from the spectrum [-rho_max, 0],
+d_k = |Im sigma_k| where Re sigma_k <= 0 and |sigma_k| where it is positive,
+once rho_max t exceeds max(-Re sigma_k) = 39.1.  Its row's range
+(|sigma_k| + rho_max t) / d_k stays within ``ROW_RANGE`` while
+rho_max t <= ROW_RANGE d_k - |sigma_k|; the smallest d_k is
+|sigma|_min = 5.50.  Every flow past the ceiling ``PointHeatModel.max_time``
+= TALBOT_REACH / rho_max is rejected (8.9e148 on ``Grid(40, 256)``); there
+the flow already equals its t -> infinity limit to rounding.
+"""
+
 
 @dataclass(frozen=True)
 class SemigroupResult:
@@ -361,7 +405,8 @@ class PointHeatModel:
     """Cached grid realization of the perturbed operator for one (params, grid).
 
     Its lattice arrays live on the rfft2 half spectrum, n x (n/2 + 1):
-    ``xi2`` (|xi|^2), ``bin_index`` (the |k|^2 bin of each point),
+    ``xi2`` (|xi|^2, gathered from the bin values ``rho``), ``bin_index``
+    (the |k|^2 bin of each point),
     ``psi_hat``, ``delta_hat``, ``green_omega_hat``, the Hermitian column
     ``weights``, and ``derivative``, the pair (i xi1, i xi2) as n x 1 and
     1 x (n/2 + 1) arrays, each zero on the Nyquist line of its own axis.
@@ -378,6 +423,8 @@ class PointHeatModel:
     correction; and ``h1_kernel``, the H^1 proxy's weights and form
     constants of G_omega.
 
+    ``max_time`` is the longest time of any flow, ``TALBOT_REACH`` / rho_max.
+
     At alpha = +inf (``params.eigenvalue`` None) the model is the free
     Laplacian as zero-coupling data: ``E`` = 0, ``delta_hat``, ``psi_hat``
     and ``psi_bins`` all 0, ``S_at_E`` = 1 and ``omega`` = 1.  Only
@@ -391,7 +438,6 @@ class PointHeatModel:
         self.E = params.eigenvalue or 0.0
         n = grid.n
         m = n // 2 + 1
-        self.xi2 = np.ascontiguousarray(grid.wavenumber_sq()[:, :m])
         # lattice Parseval weight: <f,g> h^2 = wlat * sum fhat conj(ghat)
         self.wlat = grid.cell_area / n ** 2
         self.derivative = _real_derivative(grid)
@@ -422,6 +468,9 @@ class PointHeatModel:
         self.bin_index = bin_index.reshape(n, m)
         dxi = 2.0 * np.pi / (2.0 * grid.half_width)
         self.rho = self.bin_values * dxi ** 2  # |xi|^2 per bin
+        # every radial multiplier is a bin profile gathered bit for bit
+        self.xi2 = np.take(self.rho, self.bin_index)
+        self.max_time = TALBOT_REACH / self.rho[-1]
 
         if self.E:
             gE = green_field(self.E, grid)
@@ -530,54 +579,89 @@ class PointHeatModel:
         R(lambda) is the free multiplier m = 1/(lambda + |xi|^2) plus the
         one-node rule: with node lambda and weight 1, ``correction`` yields
         exactly the bin profile V of <g, G_{conj lambda}> / D(lambda) *
-        G_lambda.  m and V are radial, so the parts are ghat Re m +
-        delta_hat Re V[bin] and ghat Im m + delta_hat Im V[bin].
+        G_lambda.  m is the rule's one row, so the parts are
+        ghat Re m[bin] + delta_hat Re V[bin] and
+        ghat Im m[bin] + delta_hat Im V[bin].
         """
         lam = complex(lam)
-        chunks = self._node_chunks(np.array([lam]), np.ones(1), 1)
-        prof = self.correction(self._bin_pair(ghat), chunks)
-        mult = 1.0 / (lam + self.xi2)
-        re = ghat * mult.real + self.delta_hat * np.take(prof.real, self.bin_index)
-        if lam.imag == 0.0:
-            return re, None
-        return re, ghat * mult.imag + self.delta_hat * np.take(prof.imag, self.bin_index)
+        block = next(self._node_chunks(np.array([lam]), np.ones(1), 1))
+        planes, factors, _ = block
+        free = factors * planes[:, 0]  # (Re m, Im m) over the bins
+        prof = self.correction(self._bin_pair(ghat), [block], imag=lam.imag != 0.0)
+        parts = [
+            ghat * np.take(m, self.bin_index) + self.delta_hat * np.take(v, self.bin_index)
+            for m, v in zip(free, np.atleast_2d(prof))
+        ]
+        return parts[0], (parts[1] if lam.imag else None)
 
     def _node_chunks(self, nodes, weights, chunk):
         """Resolvent rows over the bins, ``chunk`` nodes at a time, in one reused buffer.
 
-        Yields (rows, base): rows[k, b] = 1/(lambda_k + rho_b) and
-        base = weights / D(lambda), with the denominators read off the same
-        rows.  Each call fills every block into one new min(chunk, nodes) x
-        bins buffer in place, so a yielded block is valid only until the next
-        one is requested, and memory stays at one block however long the
-        rule.  A rule of one block gets the whole buffer, which no later call
-        touches.
-        """
-        buf = np.empty((min(chunk, nodes.size), self.rho.size), dtype=np.complex128)
-        for lo in range(0, nodes.size, chunk):
-            rows = buf[:min(chunk, nodes.size - lo)]
-            np.add(nodes[lo:lo + chunk, None], self.rho, out=rows)
-            np.reciprocal(rows, out=rows)
-            denom = self.S_at_E - self.wlat * (rows @ self.delta_sq_bins)
-            yield rows, weights[lo:lo + chunk] / denom
+        Yields (planes, factors, base) for each block of k nodes.  With
+        s_k the power of two that puts s_k |lambda_k| in [1/2, 1) and
+        z_b = s_k (lambda_k + rho_b), the 2 x k x bins ``planes`` hold
+        Re z_b / |z_b|^2 and 1/|z_b|^2, so that
 
-    def correction(self, bpair, chunks):
-        """Complex bin profile of the rank-one contour correction of one quadrature rule.
+            1/(lambda_k + rho_b) = factors[0, k] planes[0, k, b]
+                                   + i factors[1, k] planes[1, k, b],
+
+        factors[0] = s and factors[1] = -s^2 Im lambda.  The scaling is
+        exact and keeps every squared modulus a normal double while the
+        row's range stays within ``ROW_RANGE``; no complex reciprocal is
+        taken.  base = weights / D(lambda), with the denominators read off
+        the same planes in one real product with |delta|^2_bins.  Each
+        call fills every block into one new 2 x min(chunk, nodes) x bins
+        buffer in place, so a yielded block is valid only until the next
+        one is requested, and memory stays at one block however long the
+        rule.  A rule of one block gets the whole buffer, which no later
+        call touches.
+        """
+        bins = self.rho.size
+        buf = np.empty(2 * min(chunk, nodes.size) * bins)
+        for lo in range(0, nodes.size, chunk):
+            lam = nodes[lo:lo + chunk]
+            k = lam.size
+            planes = buf[:2 * k * bins].reshape(2, k, bins)
+            x, q = planes
+            scale = np.ldexp(1.0, -np.frexp(np.abs(lam))[1])
+            y = scale * lam.imag
+            np.multiply(scale[:, None], self.rho, out=x)
+            x += (scale * lam.real)[:, None]
+            np.square(x, out=q)
+            q += (y * y)[:, None]
+            np.reciprocal(q, out=q)
+            x *= q
+            factors = np.array([scale, -scale * y])
+            sums = (planes.reshape(2 * k, bins) @ self.delta_sq_bins).reshape(2, k) * factors
+            denom = self.S_at_E - self.wlat * (sums[0] + 1j * sums[1])
+            yield planes, factors, weights[lo:lo + chunk] / denom
+
+    def correction(self, bpair, chunks, imag=False):
+        """Real bin profile of the rank-one contour correction of one quadrature rule.
 
         ``bpair`` is the datum's bin pairing (``_bin_pair``) and ``chunks``
-        yields the rule's (rows, base) blocks (``_node_chunks``).  With
-        c_k = base_k <g, G_{conj lambda_k}>, returns the profile
-        V_b = sum_k c_k / (lambda_k + rho_b); the correction transform is
-        delta_hat * V[bin].  The datum must be projected: a contour that
-        encloses the eigenvalue E (Talbot's does at small t) picks up a pole
-        there that cancels only against a projected numerator.  Over a
-        folded rule (``_fold``) only the real part of V is the correction.
+        yields the rule's (planes, factors, base) blocks (``_node_chunks``).
+        With c_k = base_k <g, G_{conj lambda_k}>, the profile is
+        V_b = sum_k c_k / (lambda_k + rho_b) and the correction transform is
+        delta_hat * V[bin].  Over a folded rule (``_fold``) only Re V is the
+        correction, and that is all this returns; ``imag`` returns the
+        2 x bins pair (Re V, Im V), which ``resolvent_hat`` needs at
+        complex lambda.  Each block is two real products with its 2k x bins
+        planes, one for the datum's pairings and one for the profile.  The
+        datum must be projected: a contour that encloses the eigenvalue E
+        (Talbot's does at small t) picks up a pole there that cancels only
+        against a projected numerator.
         """
-        bpair = self.wlat * bpair
-        prof = np.zeros(self.rho.size, dtype=np.complex128)
-        for rows, base in chunks:
-            prof += (base * (rows @ bpair)) @ rows
-        return prof
+        prof = 0.0
+        for planes, factors, base in chunks:
+            k = base.size
+            rows = planes.reshape(2 * k, -1)
+            re, im = (rows @ bpair).reshape(2, k) * factors
+            c = (self.wlat * base) * (re + 1j * im)
+            # c (f0 P0 + i f1 P1) = Re c f0 P0 - Im c f1 P1 + i (Im c f0 P0 + Re c f1 P1)
+            coef = [[c.real, -c.imag], [c.imag, c.real]] if imag else [c.real, -c.imag]
+            prof = prof + (np.array(coef) * factors).reshape(-1, 2 * k) @ rows
+        return prof if imag else prof[0]
 
     def l2_hat(self, hat_values):
         """L^2 norm of the real field with this half spectrum.
@@ -631,13 +715,20 @@ def _fold(nodes, weights):
 class Flow:
     """exp(tA) P_ac (or, with ``full``, exp(tA)) for one time t, on the half spectrum.
 
-    Holds t's heat multiplier ``heat`` = exp(-t |xi|^2) and the folded
-    (``_fold``) nodes and weights of one quadrature rule at t: the
-    ``TALBOT_NODES``-node Talbot rule, or the cut-hugging ``contour`` when
-    one is given.  A folded rule that fits in one ``CHUNK`` (Talbot's does)
-    also keeps its resolvent rows and base weights, in a buffer of its own,
-    so a caller stepping with one t builds them once; a longer rule refills
-    one block buffer chunk by chunk on every application.
+    Holds t's heat multiplier ``heat`` = exp(-t rho)[bin], the bin profile
+    exp(-t rho) gathered onto the lattice, and the folded (``_fold``) nodes
+    and weights of one quadrature rule at t: the ``TALBOT_NODES``-node
+    Talbot rule, or the cut-hugging ``contour`` when one is given.  A folded
+    rule that fits in one ``CHUNK`` (Talbot's does) also keeps its
+    resolvent planes, factors and base weights (``_node_chunks``), in a
+    buffer of its own, so a caller stepping with one t builds them once; a
+    longer rule refills one block buffer chunk by chunk on every
+    application.
+
+    Every flow takes t from the model's floor, ``MIN_TIME`` divided by
+    S(E) when S(E) < 1 (the weights over D(lambda_k) ~ S(E) must stay
+    finite too), to its ceiling ``max_time``, and a contour whose radius
+    keeps its rows within ``ROW_RANGE`` (``ContourSpec.validate``).
 
     A caller that passes ``out`` to :meth:`apply` owns a loop, so the flow
     keeps that call's one lattice temporary for the next: a complex half
@@ -647,6 +738,18 @@ class Flow:
     """
 
     def __init__(self, model, t, full=False, contour=None):
+        shortest = MIN_TIME / min(1.0, model.S_at_E)
+        if t < shortest:
+            raise ValueError(
+                f"t = {t} below the supported minimum {shortest:.3g}, where the Talbot "
+                "nodes sigma/t and weights leave the doubles"
+            )
+        if t > model.max_time:
+            raise ValueError(
+                f"t = {t} above the supported maximum {model.max_time:.3g} "
+                "(TALBOT_REACH / rho_max), where the resolvent rows' range "
+                "rho_max t / |sigma|_min leaves the doubles"
+            )
         if full and model.E * t > MAX_EXP:
             raise ValueError(
                 f"full flow at t = {t}: the eigenmode growth exp(E t) with E = {model.E:.6g} "
@@ -658,12 +761,13 @@ class Flow:
             sigma, swts = TALBOT_RULE
             nodes, weights = sigma / t, (swts / t) * np.exp(sigma)
         else:
-            contour.validate(model.params)
+            contour.validate(model.params, model.rho[-1])
             nodes, wts = contour.nodes()
             weights = wts * np.exp(t * nodes) / (2j * np.pi)
         self.nodes, self.weights = _fold(nodes, weights)
         self._work = None
-        self.heat = np.exp(-t * model.xi2)
+        decay = np.exp(-t * model.rho)
+        self.heat = np.take(decay, model.bin_index)
         self._chunks = (
             list(model._node_chunks(self.nodes, self.weights, CHUNK))
             if self.nodes.size <= CHUNK else None
@@ -671,9 +775,9 @@ class Flow:
         # the eigenmode's bin profile per unit <g, psi>: the projection's
         # -e^{-t rho} psi and the full flow's e^{tE} psi
         growth = math.exp(model.E * t) if full else 0.0
-        self._eig_profile = (growth - np.exp(-t * model.rho)) * model.psi_bins
+        self._eig_profile = (growth - decay) * model.psi_bins
 
-    def apply(self, ghat, out=None):
+    def apply(self, ghat, out=None, _pair=None):
         """The evolved half spectrum of the real field with half spectrum ghat, into ``out``.
 
         With c = <g, psi> = wlat psi_bins . bp read off the bin pairing bp
@@ -682,7 +786,9 @@ class Flow:
         c e^{tE} psi join the correction's bin profile, since psi_hat is
         delta_hat times the bin profile psi_bins: the output is
         heat g_hat + delta_hat V[bin], with no projected copy of g.
-        ``out`` may be ghat itself; None returns a new array.
+        ``out`` may be ghat itself; None returns a new array.  ``_pair`` is
+        ghat's bin pairing (``model._bin_pair(ghat)``), for a caller that
+        flows one datum to many times; it is left unchanged.
         """
         m = self.model
         corr = self._work
@@ -690,18 +796,17 @@ class Flow:
             corr = np.empty(m.xi2.shape, np.complex128)
             if out is not None:
                 self._work = corr
-        # the buffer's two real halves, free until the correction is formed
-        bpair = m._bin_pair(ghat, _front(corr, (2, *m.xi2.shape)))
-        coef = m.wlat * np.dot(bpair, m.psi_bins)
-        bpair -= coef * m.psi_pair
+        if _pair is None:
+            # the buffer's two real halves, free until the correction is formed
+            _pair = m._bin_pair(ghat, _front(corr, (2, *m.xi2.shape)))
+        coef = m.wlat * np.dot(_pair, m.psi_bins)
         chunks = self._chunks or m._node_chunks(self.nodes, self.weights, CHUNK)
-        prof = m.correction(bpair, chunks)
-        prof.real += coef * self._eig_profile
+        prof = m.correction(_pair - coef * m.psi_pair, chunks)
+        prof += coef * self._eig_profile
         # V + 0j, the complex value numpy would cast V[bin] to, so the product
         # below needs no casting buffer; mode 'clip' writes straight into corr
         # where 'raise' would buffer (every index is a bin)
-        prof.imag = 0.0
-        np.take(prof, m.bin_index, out=corr, mode="clip")
+        np.take(prof.astype(np.complex128), m.bin_index, out=corr, mode="clip")
         np.multiply(m.delta_hat, corr, out=corr)
         out = np.multiply(self.heat, ghat, out=out)
         out += corr
@@ -720,9 +825,22 @@ def _check_lambda(lam, params):
 
 
 def krein_resolvent(lam, g, params):
-    """(lambda - A)^{-1} g: free resolvent plus the rank-one kernel correction."""
+    """(lambda - A)^{-1} g: free resolvent plus the rank-one kernel correction.
+
+    lambda must keep its resolvent row's range
+    (|lambda| + rho_max) / dist(lambda, [-rho_max, 0]) within ``ROW_RANGE``:
+    nearer the spectrum (a real lambda below about rho_max / ROW_RANGE)
+    the row leaves the doubles.
+    """
     _check_lambda(lam, params)
     model = grid_model(params, g.grid)
+    z, top = complex(lam), model.rho[-1]
+    gap = abs(z.imag) if -top <= z.real <= 0.0 else min(abs(z), abs(z + top))
+    if abs(z) + top > ROW_RANGE * gap:
+        raise ValueError(
+            f"lambda = {lam!r} lies within {(abs(z) + top) / ROW_RANGE:.3g} of the spectrum "
+            f"[-{top:.6g}, 0], where its resolvent row's range leaves the doubles"
+        )
     (re, im), *rest = [model.resolvent_hat(lam, ghat) for ghat in _real_parts(g.values)]
     if rest:
         # R(a + ib) = R a + i R b
@@ -740,20 +858,9 @@ def _check_time(name, t):
 
 
 def _public_flow(name, t, g, params, contour=None, full=False):
-    """The flow of one public call, after checking its time against the model's floor.
-
-    The floor is ``MIN_TIME``, divided by S(E) when S(E) < 1: the weights
-    over D(lambda_k) ~ S(E) must stay finite too.
-    """
+    """The flow of one public call, after checking that t is a finite positive number."""
     _check_time(name, t)
-    model = grid_model(params, g.grid)
-    shortest = MIN_TIME / min(1.0, model.S_at_E)
-    if t < shortest:
-        raise ValueError(
-            f"t = {t} below the supported minimum {shortest:.3g}, where the Talbot "
-            "nodes sigma/t and weights leave the doubles"
-        )
-    return Flow(model, t, full, contour)
+    return Flow(grid_model(params, g.grid), t, full, contour)
 
 
 def semigroup_pac(t, g, params, contour=None):
@@ -762,8 +869,9 @@ def semigroup_pac(t, g, params, contour=None):
     The input is projected internally, so the eigenmode is annihilated
     before the rank-one correction is accumulated.  The correction uses the
     Talbot rule unless ``contour`` selects the cut-hugging one.  Times below
-    ``MIN_TIME`` (6.8e-307), where the Talbot nodes leave the doubles, are
-    rejected.
+    ``MIN_TIME`` (6.8e-307), where the Talbot nodes leave the doubles, and
+    above the grid's ``max_time`` (8.9e148 on ``Grid(40, 256)``), where the
+    resolvent rows' range does, are rejected (see :class:`Flow`).
     """
     flow = _public_flow("semigroup_pac", t, g, params, contour)
     model = flow.model
@@ -855,7 +963,7 @@ def backward_euler_oracle(t, g, params, steps):
     flipped = np.zeros((ORACLE_BLOCK, ORACLE_BLOCK))
     for j in range(ORACLE_BLOCK):
         flipped[ORACLE_BLOCK - 1 - j, :j + 1] = first[j::-1]
-    free = (lam / (lam + model.xi2)) ** steps
+    free = np.take(powers[1] ** steps, model.bin_index)
     outs = []
     for ghat in _real_parts(g.values):
         uhat, _ = model.project_ac_hat(ghat)

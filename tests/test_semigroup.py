@@ -36,6 +36,7 @@ from pideq.fields import _from_parts, _real_parts
 from pideq.semigroup import (
     CHUNK,
     MIN_TIME,
+    ROW_RANGE,
     Flow,
     _dot,
     _gauss_legendre,
@@ -290,6 +291,76 @@ def test_semigroup_floor_is_the_limit_of_the_doubles(alpha, grid):
         semigroup_full(floor * (1.0 - 1e-9), g, params)
 
 
+@pytest.mark.filterwarnings("ignore:eigenfunction scale")
+@pytest.mark.parametrize(
+    "alpha, grid",
+    [(math.inf, Grid(40.0, 64)), (0.0, Grid(40.0, 64)), (0.2, Grid(40.0, 128))],
+)
+def test_semigroup_ceiling_is_the_limit_of_the_doubles(alpha, grid):
+    # at its ceiling a flow is finite and equals its t -> infinity lattice
+    # limit to rounding: 0 at finite alpha, where the coupling moves the free
+    # zero mode's eigenvalue below 0, and the mean at alpha = +inf, the free
+    # Laplacian.  The ceiling is TALBOT_REACH / rho_max (1.4e150 at n = 64);
+    # just above it every flow, and a decay fit reaching it, raise
+    params = AlphaParams(alpha) if alpha == math.inf else AlphaParams.for_alpha(alpha, 2)
+    model = grid_model(params, grid)
+    top = model.max_time
+    g = gaussian_field(grid, sigma=2.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        projected = semigroup_pac(top, g, params).field
+    limit = g.values.mean() if alpha == math.inf else 0.0
+    gnorm = lp_norm(g, 2)
+    assert lp_norm(projected - Field(grid, np.full_like(g.values, limit)), 2) <= 1e-14 * gnorm
+    with pytest.raises(ValueError, match="above the supported maximum"):
+        semigroup_pac(top * (1.0 + 1e-9), g, params)
+    with pytest.raises(ValueError, match="above the supported maximum"):
+        decay.run_semigroup_decay(grid, q=2, p=4, alpha=alpha, t_grid=[1, 2, 4, 8, 2 * top])
+
+
+def test_contour_radius_floor_is_the_row_range(params):
+    # a cut-hugging rule's rows have range at most 2 + 2 rho_max / epsilon,
+    # so a radius below 2 rho_max / ROW_RANGE is rejected, with its bound
+    model = grid_model(params, Grid(40.0, 64))
+    floor = 2.0 * model.rho[-1] / ROW_RANGE
+    Flow(model, 1.0, contour=ContourSpec(floor, 50.0))
+    with pytest.raises(ContourError, match=f"below the supported minimum {floor:.3g}"):
+        Flow(model, 1.0, contour=ContourSpec(floor / 2.0, 50.0))
+
+
+def test_resolvent_planes_match_the_complex_reciprocal(params, grid128):
+    # each block's two real planes give 1/(lambda + rho) = f0 P0 + i f1 P1
+    # to 4e-16 of each row's largest modulus, with no overflow, invalid
+    # value or division by zero, over the whole range of the Talbot rule
+    # (its floor to its ceiling), two cut-hugging rules and the resolvent's
+    # one-node rule at real and complex lambda
+    model = grid_model(params, grid128)
+    floor = MIN_TIME / min(1.0, model.S_at_E)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        flows = [Flow(model, t) for t in (floor, 1e-8, 1.0, 50.0, model.max_time)]
+        flows += [Flow(model, t, contour=ContourSpec.for_time(params, t)) for t in (1.0, 50.0)]
+        rules = [(flow.nodes, flow.weights) for flow in flows]
+        rules += [(np.array([lam]), np.ones(1)) for lam in (2.0, 2.0 + 1.0j, -3.0 + 1e-3j)]
+        for nodes, weights in rules:
+            lo = 0
+            for planes, factors, _ in model._node_chunks(nodes, weights, CHUNK):
+                lam = nodes[lo:lo + factors.shape[1], None]
+                lo += factors.shape[1]
+                rows = factors[0, :, None] * planes[0] + 1j * (factors[1, :, None] * planes[1])
+                ref = np.reciprocal(lam + model.rho)
+                err = np.abs(rows - ref).max(axis=1) / np.abs(ref).max(axis=1)
+                assert err.max() <= 4e-16
+            assert lo == nodes.size
+
+
+def test_verify_raises_no_floating_point_warning():
+    # every kernel stays in the doubles: with warnings as errors, an
+    # overflow or invalid value in the resolvent rows would fail a check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = verify.run_checks(Grid(40.0, 64))
+    assert [r.detail for r in results if not r.passed] == []
+
+
 def test_gauss_legendre_rule_is_symmetric_and_matches_leggauss():
     # the Golub-Welsch rule against numpy.polynomial's: nodes to rounding,
     # weights to 1e-10 relative (the eigenvectors' small end components),
@@ -399,8 +470,8 @@ def test_flow_rows_not_aliased(params):
     model = grid_model(params, Grid(40.0, 64))
     ghat = np.fft.rfft2(gaussian_field(model.grid, sigma=2.0).values.real)
     a, b = Flow(model, 0.5), Flow(model, 2.0)
-    (rows_a, _), = a._chunks
-    (rows_b, _), = b._chunks
+    (rows_a, *_), = a._chunks
+    (rows_b, *_), = b._chunks
     assert not np.shares_memory(rows_a, rows_b)
     before = a.apply(ghat)
     long = Flow(model, 1.0, contour=ContourSpec.for_time(params, 1.0))
@@ -408,6 +479,19 @@ def test_flow_rows_not_aliased(params):
     long.apply(ghat)
     b.apply(ghat)
     assert np.array_equal(a.apply(ghat), before)
+
+
+def test_flow_apply_takes_a_held_pairing(params, grid128, smooth_datum):
+    # a caller that flows one datum to many times pairs it once (the decay
+    # fits): the held pairing gives the same output to the bit and is left alone
+    model = grid_model(params, grid128)
+    ghat = np.fft.rfft2(smooth_datum.values.real)
+    pair = model._bin_pair(ghat)
+    kept = pair.copy()
+    for t in (0.5, 2.0):
+        flow = Flow(model, t)
+        assert np.array_equal(flow.apply(ghat, _pair=pair), flow.apply(ghat))
+    assert np.array_equal(pair, kept)
 
 
 def test_decay_fit_flows_own_their_arrays(monkeypatch):
@@ -831,12 +915,12 @@ def test_sparse_bin_pair_matches_bincount(alpha):
 
 
 def test_half_spectrum_talbot_rows_folded(params, grid256):
-    # a Talbot flow keeps half the rule's resolvent rows:
-    # 16 x 5924 complex rows at n = 256, 1.5 MB
+    # a Talbot flow keeps half the rule's resolvent rows: two real planes
+    # of 16 x 5924 at n = 256, 1.5 MB
     model = grid_model(params, grid256)
     flow = Flow(model, 0.02)
-    rows = sum(r.shape[0] for r, _ in flow._chunks)
-    nbytes = sum(r.nbytes for r, _ in flow._chunks)
+    rows = sum(planes.shape[1] for planes, *_ in flow._chunks)
+    nbytes = sum(planes.nbytes for planes, *_ in flow._chunks)
     assert rows <= 16 and nbytes <= 16 * model.rho.size * 16 <= 1.6e6
 
 
