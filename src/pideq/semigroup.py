@@ -19,7 +19,7 @@ lattice-consistent version of alpha + c(lambda); the two agree up to the
 grid's aliasing error and coincide in the refinement limit.
 
 alpha = +inf, the free Laplacian, is the same model with zero coupling.
-There E = 0 and d_hat = 0, so psi_hat and psi's bin profile are 0 too.
+There E = 0 and d_hat = 0, so psi_hat = d_hat psi_bins[bin] is 0 too.
 S(E) is set to 1; any nonzero value would do, since every <g, G_lambda>
 is 0.  The reference omega = 1 + E is 1.  Every rank-one term and the
 projection then vanish: each flow is the heat multiplier exp(-t |xi|^2),
@@ -59,8 +59,8 @@ All inner node sums are accelerated by binning the wavenumber lattice by
 the integer |k|^2, which is exact, and every radial multiplier is a bin
 profile gathered onto the lattice: ``xi2`` is rho[bin] itself, the heat
 multiplier exp(-t rho) is taken over the bins once per flow, and R(lambda)'s
-free multiplier is its one-node row.  Every rule feeds one rank-one kernel,
-``PointHeatModel.correction``: from the datum's bin pairing it accumulates,
+free multiplier is its one-node row.  Every quadrature rule feeds one
+rank-one kernel, ``PointHeatModel.correction``: from the datum's bin pairing it accumulates,
 per block of at most ``CHUNK`` = 16 nodes, the bin profile from the resolvent
 rows 1/(lambda_k + rho_b) over the bins, with the denominators D(lambda_k)
 read off the same rows.  The rows are built in real arithmetic, as two real
@@ -68,17 +68,23 @@ planes per block (``_node_chunks``), so no complex reciprocal is taken.
 The folded Talbot rule is one block, which its flow keeps for its lifetime.
 A longer rule refills one reused block buffer on every application, so its
 working memory is one 16 x bins two-plane block (1.5 MB at n = 256, 5.6 MB
-at n = 512) however many nodes it has.  The
-resolvent is the one-node rule of the same kernel (node lambda, weight 1),
-so every rank-one quantity is delta_hat times a bin profile, and the
+at n = 512) however many nodes it has.  The resolvent is the one-node rule
+(node lambda, weight 1) on the same rows, but forms its term c m from its
+one row m itself, as it sums the k = 0 bin in closed form
+(``PointHeatModel.resolvent_hat``).  The
 backward-Euler oracle steps on the bins alone, ``ORACLE_BLOCK`` = 16 steps
 per pair of matrix products: a block's 16 rank-one amplitudes solve one
 lower triangular Toeplitz system, inverted once per call.
 
-The projection is bin-space bookkeeping too: psi_hat = delta_hat r_E[bin]
-with r_E = 1/((E + |xi|^2) ||G_E||), so <g, psi> = wlat r_E . bp is read off
-g's bin pairing bp, P_ac g pairs as bp - <g, psi> r_E |delta|^2_bins, and the
-projection's -<g, psi> e^{-t|xi|^2} psi and the full flow's
+Every rank-one quantity is delta_hat times a bin profile, and delta_hat is
+the model's one rank-one lattice array (``PointHeatModel._rank_one`` forms
+delta_hat V[bin]): psi_hat is delta_hat psi_bins[bin] with
+psi_bins = 1/((E + rho) ||G_E||), G_omega_hat is delta_hat green_bins[bin]
+with green_bins = 1/(omega + rho), and the correction and the resolvent's
+term are delta_hat V[bin].  So the projection is bin-space bookkeeping
+too: <g, psi> = wlat psi_bins . bp is read off g's bin pairing bp, the one
+formula for it, P_ac g pairs as bp - <g, psi> psi_bins |delta|^2_bins, and
+the projection's -<g, psi> e^{-t|xi|^2} psi and the full flow's
 e^{tE} <g, psi> psi join the correction's bin profile V.  A flow step is
 then heat g_hat + delta_hat V[bin]: one pairing, two small matrix-vector
 products, one gather and one heat multiply, with no projected copy of g.
@@ -135,7 +141,6 @@ from .fields import (
     _real_parts,
     _rfft2,
     _sum_scale,
-    inner_product,
     lp_norm,
 )
 from .spectral import (
@@ -406,19 +411,22 @@ class PointHeatModel:
 
     Its lattice arrays live on the rfft2 half spectrum, n x (n/2 + 1):
     ``xi2`` (|xi|^2, gathered from the bin values ``rho``), ``bin_index``
-    (the |k|^2 bin of each point),
-    ``psi_hat``, ``delta_hat``, ``green_omega_hat``, the Hermitian column
-    ``weights``, and ``derivative``, the pair (i xi1, i xi2) as n x 1 and
-    1 x (n/2 + 1) arrays, each zero on the Nyquist line of its own axis.
-    ``pairing`` holds the real and the imaginary part of the weighted
-    delta_hat w as two contiguous arrays, so that one ``np.bincount`` over
-    ``bin_index`` gives the bin sums of Re(ghat conj(delta_hat)) w.
+    (the |k|^2 bin of each point), ``delta_hat``, the one complex rank-one
+    array, and ``pairing``, the real and the imaginary part of the
+    weighted delta_hat w as two contiguous arrays, so that one
+    ``np.bincount`` over ``bin_index`` gives the bin sums of
+    Re(ghat conj(delta_hat)) w.  The Hermitian column ``weights`` and
+    ``derivative``, the pair (i xi1, i xi2), are n x 1 and 1 x (n/2 + 1)
+    arrays, each derivative zero on the Nyquist line of its own axis.
+    Every other rank-one object is a bin profile: psi_hat is
+    delta_hat ``psi_bins``[bin] and G_omega_hat is delta_hat
+    ``green_bins``[bin] (``_rank_one``).
 
     The model is the one owner of every array derived from its pair, so
     they live and go with it (``grid_model`` keeps the last four models).
     Three are built on first use: ``psi_values``, the samples of psi, which
     serve :func:`psi_alpha_field` only (every pairing with psi, the
-    solver's rho included, takes ``psi_hat``);
+    solver's rho and :func:`project_d` included, is ``_psi_coefficient``);
     ``drift_parts``, the solver's per-axis drift derivative and kernel
     correction; and ``h1_kernel``, the H^1 proxy's weights and form
     constants of G_omega.
@@ -426,8 +434,8 @@ class PointHeatModel:
     ``max_time`` is the longest time of any flow, ``TALBOT_REACH`` / rho_max.
 
     At alpha = +inf (``params.eigenvalue`` None) the model is the free
-    Laplacian as zero-coupling data: ``E`` = 0, ``delta_hat``, ``psi_hat``
-    and ``psi_bins`` all 0, ``S_at_E`` = 1 and ``omega`` = 1.  Only
+    Laplacian as zero-coupling data: ``E`` = 0, ``delta_hat`` and
+    ``psi_bins`` 0, ``S_at_E`` = 1 and ``omega`` = 1.  Only
     ``psi_values`` has no such form; :func:`psi_alpha_field` rejects
     alpha = +inf first.
     """
@@ -475,14 +483,13 @@ class PointHeatModel:
         if self.E:
             gE = green_field(self.E, grid)
             self.green_ref_norm = lp_norm(gE, 2)
-            self.psi_hat = _rfft2(gE.values) / self.green_ref_norm
-            self.delta_hat = (self.E + self.xi2) * self.psi_hat * self.green_ref_norm
+            self.delta_hat = (self.E + self.xi2) * _rfft2(gE.values)
             # psi_hat = delta_hat * psi_bins[bin], so psi's bin pairing is psi_pair
             self.psi_bins = 1.0 / ((self.E + self.rho) * self.green_ref_norm)
         else:
             # alpha = +inf, the free Laplacian: zero coupling, so every
             # <g, delta> and <g, psi> is 0, P_ac = I and q = 0
-            self.psi_hat, self.delta_hat = np.zeros((2, *self.xi2.shape), np.complex128)
+            self.delta_hat = np.zeros(self.xi2.shape, np.complex128)
             self.psi_bins = np.zeros_like(self.rho)
         self.weights = _hermitian_weights(n)
         self.delta_sq_bins = np.bincount(
@@ -491,7 +498,7 @@ class PointHeatModel:
         self.S_at_E = self._lattice_sum(self.E) if self.E else 1.0
 
         self.omega = reference_lambda(params)
-        self.green_omega_hat = self.delta_hat / (self.omega + self.xi2)
+        self.green_bins = 1.0 / (self.omega + self.rho)  # G_omega_hat = delta_hat green_bins[bin]
         self.psi_pair = self.psi_bins * self.delta_sq_bins
 
         wdelta = self.delta_hat * self.weights
@@ -514,9 +521,8 @@ class PointHeatModel:
         The drift a . grad is linear in a: its pair is a1 (d1, c1) + a2 (d2, c2).
         """
         closed = _green_gradient(self.omega, self.grid)
-        return tuple(
-            (d, g - _irfft2(d * self.green_omega_hat)) for d, g in zip(self.derivative, closed)
-        )
+        khat = self._rank_one(self.green_bins)
+        return tuple((d, g - _irfft2(d * khat)) for d, g in zip(self.derivative, closed))
 
     @cached_property
     def h1_kernel(self):
@@ -526,7 +532,7 @@ class PointHeatModel:
         G_omega's own squared proxy part; the ``kernel`` of
         :func:`pideq.spectral._h1_proxy_hat`.
         """
-        w, khat = _h1_weights(self.grid), self.green_omega_hat
+        w, khat = _h1_weights(self.grid), self._rank_one(self.green_bins)
         return w, w * khat, self.wlat * float(np.vdot(w, khat.real ** 2 + khat.imag ** 2))
 
     # -- scalar lattice functions --------------------------------------------
@@ -562,45 +568,74 @@ class PointHeatModel:
         """
         return self.wlat * _dot(ghat, self.delta_hat) / self.S_at_E
 
-    def _psi_coefficient(self, ghat):
-        """<g, psi> of the real field with half spectrum ghat."""
-        return self.wlat * _dot(ghat, self.psi_hat)
+    def _psi_coefficient(self, ghat, pair=None):
+        """<g, psi> of the real field with half spectrum ghat: wlat psi_bins . bp.
+
+        psi_hat is delta_hat psi_bins[bin], so the coefficient is read off
+        g's bin pairing bp (``_bin_pair``), which ``pair`` is when the caller
+        holds it.  It is the one formula for <g, psi>.
+        """
+        pair = self._bin_pair(ghat) if pair is None else pair
+        return self.wlat * np.dot(pair, self.psi_bins)
 
     def project_ac_hat(self, ghat):
         """(P_ac g half spectrum, <g, psi>)."""
         coef = self._psi_coefficient(ghat)
-        return ghat - coef * self.psi_hat, coef
+        return ghat - self._rank_one(coef * self.psi_bins), coef
+
+    def _rank_one(self, profile, out=None):
+        """delta_hat profile[bin]: the rank-one half spectrum of a real bin profile.
+
+        The one product of delta_hat with a gathered profile.  ``out``, a
+        complex half spectrum, receives it with no temporary; None
+        allocates it.
+        """
+        # profile + 0j, the complex value numpy would cast profile[bin] to, so
+        # the product needs no casting buffer; mode 'clip' writes straight into
+        # out where 'raise' would buffer (every index is a bin)
+        out = np.take(profile.astype(np.complex128), self.bin_index, out=out, mode="clip")
+        return np.multiply(self.delta_hat, out, out=out)
 
     # -- resolvent and semigroup ----------------------------------------------
 
     def resolvent_hat(self, lam, ghat):
         """Half spectra (Re R(lambda) g, Im R(lambda) g) of a real g; Im is None at real lambda.
 
-        R(lambda) is the free multiplier m = 1/(lambda + |xi|^2) plus the
-        one-node rule: with node lambda and weight 1, ``correction`` yields
-        exactly the bin profile V of <g, G_{conj lambda}> / D(lambda) *
-        G_lambda.  m is the rule's one row, so the parts are
-        ghat Re m[bin] + delta_hat Re V[bin] and
-        ghat Im m[bin] + delta_hat Im V[bin].
+        R(lambda) g = ghat m[bin] + delta_hat V[bin]: the free row
+        m_b = 1/(lambda + rho_b) and the one-node rule's term V = c m,
+        c = <g, G_{conj lambda}> / D(lambda).  The row over the bins b >= 1
+        is read off ``_node_chunks``; bin 0 holds k = 0 alone, where the
+        free term g_0 / lambda cancels against the rank-one one as
+        lambda -> 0.  With bp the bin pairing of g, the sums
+        D' = wlat |delta|^2_bins . m and B' = wlat bp . m over b >= 1, and
+        lambda D(lambda) = lambda (S(E) - D') - wlat |delta|^2_0,
+
+            c = (lambda B' + wlat bp_0) / (lambda D),   V_b = c m_b (b >= 1),
+            m_0 = (S(E) - D') / (lambda D),   V_0 = B' / (lambda D),
+
+        so no 1/lambda is formed, and R(lambda) g tends to R(0) g at finite
+        alpha, where 0 is not a lattice eigenvalue.  At alpha = +inf
+        (delta_hat = 0, S(E) = 1) m_0 is 1/lambda and V is 0.
         """
         lam = complex(lam)
-        block = next(self._node_chunks(np.array([lam]), np.ones(1), 1))
-        planes, factors, _ = block
-        free = factors * planes[:, 0]  # (Re m, Im m) over the bins
-        prof = self.correction(self._bin_pair(ghat), [block], imag=lam.imag != 0.0)
-        parts = [
-            ghat * np.take(m, self.bin_index) + self.delta_hat * np.take(v, self.bin_index)
-            for m, v in zip(free, np.atleast_2d(prof))
-        ]
-        return parts[0], (parts[1] if lam.imag else None)
+        planes, factors, _ = next(self._node_chunks(np.array([lam]), np.ones(1), 1, first=1))
+        m = factors[0] * planes[0, 0] + 1j * (factors[1] * planes[1, 0])
+        bp, dsq = self._bin_pair(ghat), self.delta_sq_bins
+        dp, b = self.wlat * (np.array([dsq[1:], bp[1:]]) @ m)
+        lam_d = lam * (self.S_at_E - dp) - self.wlat * dsq[0]
+        free = np.concatenate([[(self.S_at_E - dp) / lam_d], m])
+        prof = np.concatenate([[b / lam_d], (lam * b + self.wlat * bp[0]) / lam_d * m])
+        parts = [(free.real, prof.real)] + ([(free.imag, prof.imag)] if lam.imag else [])
+        out = [ghat * np.take(f, self.bin_index) + self._rank_one(v) for f, v in parts]
+        return out[0], (out[1] if lam.imag else None)
 
-    def _node_chunks(self, nodes, weights, chunk):
-        """Resolvent rows over the bins, ``chunk`` nodes at a time, in one reused buffer.
+    def _node_chunks(self, nodes, weights, chunk, first=0):
+        """Resolvent rows over the bins from ``first`` on, ``chunk`` nodes at a time, in one buffer.
 
         Yields (planes, factors, base) for each block of k nodes.  With
-        s_k the power of two that puts s_k |lambda_k| in [1/2, 1) and
-        z_b = s_k (lambda_k + rho_b), the 2 x k x bins ``planes`` hold
-        Re z_b / |z_b|^2 and 1/|z_b|^2, so that
+        s_k the power of two that puts s_k |lambda_k + rho_first| in
+        [1/2, 1) and z_b = s_k (lambda_k + rho_b), the 2 x k x bins
+        ``planes`` hold Re z_b / |z_b|^2 and 1/|z_b|^2, so that
 
             1/(lambda_k + rho_b) = factors[0, k] planes[0, k, b]
                                    + i factors[1, k] planes[1, k, b],
@@ -609,34 +644,37 @@ class PointHeatModel:
         exact and keeps every squared modulus a normal double while the
         row's range stays within ``ROW_RANGE``; no complex reciprocal is
         taken.  base = weights / D(lambda), with the denominators read off
-        the same planes in one real product with |delta|^2_bins.  Each
+        the same planes in one real product with |delta|^2_bins (over the
+        bins from ``first`` on: only the resolvent, whose bin 0 is a closed
+        form, passes ``first`` = 1, and reads the planes alone).  Each
         call fills every block into one new 2 x min(chunk, nodes) x bins
         buffer in place, so a yielded block is valid only until the next
         one is requested, and memory stays at one block however long the
         rule.  A rule of one block gets the whole buffer, which no later
         call touches.
         """
-        bins = self.rho.size
+        rho, dsq = self.rho[first:], self.delta_sq_bins[first:]
+        bins = rho.size
         buf = np.empty(2 * min(chunk, nodes.size) * bins)
         for lo in range(0, nodes.size, chunk):
             lam = nodes[lo:lo + chunk]
             k = lam.size
             planes = buf[:2 * k * bins].reshape(2, k, bins)
             x, q = planes
-            scale = np.ldexp(1.0, -np.frexp(np.abs(lam))[1])
+            scale = np.ldexp(1.0, -np.frexp(np.abs(lam + rho[0]))[1])
             y = scale * lam.imag
-            np.multiply(scale[:, None], self.rho, out=x)
+            np.multiply(scale[:, None], rho, out=x)
             x += (scale * lam.real)[:, None]
             np.square(x, out=q)
             q += (y * y)[:, None]
             np.reciprocal(q, out=q)
             x *= q
             factors = np.array([scale, -scale * y])
-            sums = (planes.reshape(2 * k, bins) @ self.delta_sq_bins).reshape(2, k) * factors
+            sums = (planes.reshape(2 * k, bins) @ dsq).reshape(2, k) * factors
             denom = self.S_at_E - self.wlat * (sums[0] + 1j * sums[1])
             yield planes, factors, weights[lo:lo + chunk] / denom
 
-    def correction(self, bpair, chunks, imag=False):
+    def correction(self, bpair, chunks):
         """Real bin profile of the rank-one contour correction of one quadrature rule.
 
         ``bpair`` is the datum's bin pairing (``_bin_pair``) and ``chunks``
@@ -644,13 +682,11 @@ class PointHeatModel:
         With c_k = base_k <g, G_{conj lambda_k}>, the profile is
         V_b = sum_k c_k / (lambda_k + rho_b) and the correction transform is
         delta_hat * V[bin].  Over a folded rule (``_fold``) only Re V is the
-        correction, and that is all this returns; ``imag`` returns the
-        2 x bins pair (Re V, Im V), which ``resolvent_hat`` needs at
-        complex lambda.  Each block is two real products with its 2k x bins
-        planes, one for the datum's pairings and one for the profile.  The
-        datum must be projected: a contour that encloses the eigenvalue E
-        (Talbot's does at small t) picks up a pole there that cancels only
-        against a projected numerator.
+        correction, and that is all this returns.  Each block is two real
+        products with its 2k x bins planes, one for the datum's pairings
+        and one for the profile.  The datum must be projected: a contour
+        that encloses the eigenvalue E (Talbot's does at small t) picks up
+        a pole there that cancels only against a projected numerator.
         """
         prof = 0.0
         for planes, factors, base in chunks:
@@ -658,10 +694,9 @@ class PointHeatModel:
             rows = planes.reshape(2 * k, -1)
             re, im = (rows @ bpair).reshape(2, k) * factors
             c = (self.wlat * base) * (re + 1j * im)
-            # c (f0 P0 + i f1 P1) = Re c f0 P0 - Im c f1 P1 + i (Im c f0 P0 + Re c f1 P1)
-            coef = [[c.real, -c.imag], [c.imag, c.real]] if imag else [c.real, -c.imag]
-            prof = prof + (np.array(coef) * factors).reshape(-1, 2 * k) @ rows
-        return prof if imag else prof[0]
+            # Re c (f0 P0 + i f1 P1) = Re c f0 P0 - Im c f1 P1
+            prof = prof + (np.array([c.real, -c.imag]) * factors).reshape(-1, 2 * k) @ rows
+        return prof[0]
 
     def l2_hat(self, hat_values):
         """L^2 norm of the real field with this half spectrum.
@@ -688,15 +723,17 @@ def psi_alpha_field(params, grid):
 
 
 def project_d(f, params):
-    """Rank-one projection onto the eigenfunction; zero if no eigenvalue.
+    """Rank-one projection <f, psi> psi onto the eigenfunction; zero if no eigenvalue.
 
-    psi is real, so a real f has a real coefficient and a real projection.
+    <f, psi> is the grid model's one formula (``_psi_coefficient``), taken
+    on the half spectrum of f's real part and, for a complex f, of its
+    imaginary part; psi is real, so a real f has a real projection.
     """
     if params.eigenvalue is None:
         return Field(f.grid, np.zeros_like(f.values))
-    psi = psi_alpha_field(params, f.grid)
-    coef = inner_product(f, psi)
-    return (coef if np.iscomplexobj(f.values) else coef.real) * psi
+    model = grid_model(params, f.grid)
+    coef = complex(*map(model._psi_coefficient, _real_parts(f.values)))
+    return (coef if np.iscomplexobj(f.values) else coef.real) * psi_alpha_field(params, f.grid)
 
 
 def _fold(nodes, weights):
@@ -781,10 +818,10 @@ class Flow:
         """The evolved half spectrum of the real field with half spectrum ghat, into ``out``.
 
         With c = <g, psi> = wlat psi_bins . bp read off the bin pairing bp
-        of g, the projected pairing is bp - c psi_bins |delta|^2_bins, and
-        the projection's -c e^{-t rho} psi and the full flow's
-        c e^{tE} psi join the correction's bin profile, since psi_hat is
-        delta_hat times the bin profile psi_bins: the output is
+        of g (``_psi_coefficient``), the projected pairing is
+        bp - c psi_bins |delta|^2_bins, and the projection's -c e^{-t rho} psi
+        and the full flow's c e^{tE} psi join the correction's bin profile,
+        since psi_hat is delta_hat times the bin profile psi_bins: the output is
         heat g_hat + delta_hat V[bin], with no projected copy of g.
         ``out`` may be ghat itself; None returns a new array.  ``_pair`` is
         ghat's bin pairing (``model._bin_pair(ghat)``), for a caller that
@@ -799,21 +836,29 @@ class Flow:
         if _pair is None:
             # the buffer's two real halves, free until the correction is formed
             _pair = m._bin_pair(ghat, _front(corr, (2, *m.xi2.shape)))
-        coef = m.wlat * np.dot(_pair, m.psi_bins)
+        coef = m._psi_coefficient(ghat, _pair)
         chunks = self._chunks or m._node_chunks(self.nodes, self.weights, CHUNK)
         prof = m.correction(_pair - coef * m.psi_pair, chunks)
         prof += coef * self._eig_profile
-        # V + 0j, the complex value numpy would cast V[bin] to, so the product
-        # below needs no casting buffer; mode 'clip' writes straight into corr
-        # where 'raise' would buffer (every index is a bin)
-        np.take(prof.astype(np.complex128), m.bin_index, out=corr, mode="clip")
-        np.multiply(m.delta_hat, corr, out=corr)
+        m._rank_one(prof, corr)
         out = np.multiply(self.heat, ghat, out=out)
         out += corr
         return out
 
 
-def _check_lambda(lam, params):
+def krein_resolvent(lam, g, params):
+    """(lambda - A)^{-1} g: free resolvent plus the rank-one kernel correction.
+
+    lambda must keep the range (|lambda| + rho_max) / gap of its resolvent
+    row within ``ROW_RANGE``, gap its distance to the spectrum
+    [-rho_max, 0]; nearer it the row leaves the doubles.  At finite alpha
+    the k = 0 bin is a closed form (``PointHeatModel.resolvent_hat``), so
+    the row spans the bins from rho_1 on and, right of the spectrum, gap is
+    the distance to [-rho_max, -rho_1]: R(lambda) g is exact down to a real
+    lambda -> 0+, which has no floor.  At alpha = +inf a real lambda below
+    about rho_max / ROW_RANGE, where g_0 / lambda nears the double range,
+    is rejected.
+    """
     if not (_real(lam, numbers.Complex) and cmath.isfinite(lam)):
         raise ValueError(f"resolvent argument lambda must be finite; got {lam!r}")
     z = complex(lam)
@@ -822,20 +867,10 @@ def _check_lambda(lam, params):
     ev = params.eigenvalue
     if ev is not None and z.imag == 0.0 and abs(z.real - ev) <= 1e-12 * max(1.0, ev):
         raise PoleError(f"lambda = {z.real} hits the point eigenvalue {ev}")
-
-
-def krein_resolvent(lam, g, params):
-    """(lambda - A)^{-1} g: free resolvent plus the rank-one kernel correction.
-
-    lambda must keep its resolvent row's range
-    (|lambda| + rho_max) / dist(lambda, [-rho_max, 0]) within ``ROW_RANGE``:
-    nearer the spectrum (a real lambda below about rho_max / ROW_RANGE)
-    the row leaves the doubles.
-    """
-    _check_lambda(lam, params)
     model = grid_model(params, g.grid)
-    z, top = complex(lam), model.rho[-1]
-    gap = abs(z.imag) if -top <= z.real <= 0.0 else min(abs(z), abs(z + top))
+    top = model.rho[-1]
+    low = model.rho[1] if model.E else 0.0  # at finite alpha the row starts at bin 1
+    gap = abs(z.imag) if -top <= z.real <= 0.0 else min(abs(z + low), abs(z + top))
     if abs(z) + top > ROW_RANGE * gap:
         raise ValueError(
             f"lambda = {lam!r} lies within {(abs(z) + top) / ROW_RANGE:.3g} of the spectrum "
@@ -975,5 +1010,5 @@ def backward_euler_oracle(t, g, params, steps):
             y *= powers[b]
             y += reversed_sigma @ powers[:b]
             p *= powers[b]
-        outs.append(free * uhat + model.delta_hat * np.take(r * y, model.bin_index))
+        outs.append(free * uhat + model._rank_one(r * y))
     return _from_parts(g.grid, *outs)

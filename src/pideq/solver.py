@@ -12,11 +12,11 @@ eigenmode removed from data and forcing).  The scalar multiplier
     rho(t) = < a . grad(|u|^gamma), psi >
 
 reconstructs the unprojected formulation; it is the Lagrange multiplier of
-the constraint P_ac u = u.  It is the forcing's transform paired with
-psi_hat (``PointHeatModel._psi_coefficient``), the pairing the flow's
-projection takes, so no solve samples psi.  A solve with a = 0 has no
-forcing: the driver decides that once, its sweeps are the linear
-evolution and its rho is 0.
+the constraint P_ac u = u.  It is <F, psi> read off the forcing
+transform's bin pairing (``PointHeatModel._psi_coefficient``), the one
+formula for <., psi> that the flow's projection takes too, so no solve
+samples psi.  A solve with a = 0 has no forcing: the driver decides that
+once, its sweeps are the linear evolution and its rho is 0.
 
 The engine holds a state as one array, u_hat, the transform of the total
 u = phi + q G_omega with the global reference omega = 1 + E; the flow acts
@@ -308,7 +308,7 @@ def nonlinearity(u, cfg):
 
 
 def lagrange_multiplier(u, cfg):
-    """rho = < a . grad(|u|^gamma), psi >: the forcing's half spectrum paired with psi's."""
+    """rho = < a . grad(|u|^gamma), psi >, read off the forcing's half spectrum."""
     model, uhat, q = _state(u)
     fhat = _forcing_hat(model, uhat, q, cfg, out=uhat)
     return float(model._psi_coefficient(fhat))
@@ -337,7 +337,7 @@ def _state(u):
                 "forcing a . grad(|u|^gamma) is written for real u"
             )
     uhat = _rfft2(values.real)
-    uhat += q.real * model.green_omega_hat
+    uhat += model._rank_one(q.real * model.green_bins)  # q G_omega_hat
     return model, uhat, q.real
 
 
@@ -355,8 +355,8 @@ def _forcing_hat(model, uhat, q, cfg, work=None, out=None):
     ``work`` is the solve's :class:`_Work` (a new one if None).  Two
     irfft2 (u and a . grad u) and one rfft2, which comes last, so out may
     be uhat itself or ``work.spec``.  It is the one forcing transform: the
-    sweep steps with it, and rho and :func:`residual_check` pair it with
-    psi_hat.
+    sweep steps with it, rho pairs it with psi and :func:`residual_check`
+    subtracts it.
     """
     return _rfft2(_nonlinear_values(model, uhat, q, cfg, work), out)
 
@@ -482,7 +482,7 @@ def _solve(u0, cfg, projected):
     for a marched one.  One storage rule: t = 0 and every window end (T last) are stored, and
     a local solve, being one window, stores every step.  At the end a
     projected solve first pairs each stored state's forcing transform with
-    psi_hat for rho (empty otherwise); then the flow and the work are
+    psi for rho (empty otherwise); then the flow and the work are
     released, and the stored states are made into :class:`DecomposedField`
     states (float64 phi) one at a time, each phi formed in its own half
     spectrum.  a = 0 is decided here once: the sweeps get no forcing and
@@ -561,15 +561,14 @@ def _solve(u0, cfg, projected):
     # state is made; each half spectrum becomes its phi in place and is
     # dropped as its state is made, so the stored half spectra and the
     # states are never all alive at once
-    rho = []
-    if projected:
-        rho = [0.0 if force is None else model._psi_coefficient(force(u, q)) for u, q in stored]
+    rho = [0.0 if force is None else model._psi_coefficient(force(u, q))
+           for u, q in (stored if projected else ())]
     del flow, work, force
     stored.reverse()
     states = []
     while stored:
         uhat, q = stored.pop()
-        uhat -= q * model.green_omega_hat
+        uhat -= model._rank_one(q * model.green_bins)
         phi = Field(model.grid, _irfft2(uhat, work=uhat))
         states.append(DecomposedField(phi, float(q), model.params))
     diag = {"iterations": iterations if projected else iterations[0], "contraction_ratios": ratios}
@@ -626,9 +625,12 @@ def residual_check(traj, cfg, t_min=0.0):
     max over interior stored times t >= t_min of
     || (u(t+dt) - u(t-dt))/(2 dt) - A u(t) - a.grad(|u|^gamma)(t)
        + rho(t) psi ||_2 / ||u(t)||_2,
-    with A u = omega u - (omega - Laplacian) phi.  The residual is formed
-    on the half spectrum: the forcing is the solve's own transform and
-    rho psi is rho psi_hat, and both norms are ``PointHeatModel.l2_hat``.
+    with A u = omega u - (omega - Laplacian) phi = -|xi|^2 u_hat + q delta_hat
+    (phi_hat = u_hat - q G_omega_hat and (omega + |xi|^2) G_omega_hat =
+    delta_hat).  The residual is formed on the half spectrum: the forcing
+    is the solve's own transform, q delta_hat - rho psi_hat is one rank-one
+    term delta_hat (q - rho psi_bins)[bin], and both norms are
+    ``PointHeatModel.l2_hat``.
     Three states are held at a time.
 
     Generic initial data do not satisfy the kernel coupling of the operator
@@ -660,12 +662,12 @@ def residual_check(traj, cfg, t_min=0.0):
         # the three states the quotient at k reads, each entering the half spectrum once
         hats = {j: hats.get(j) or _state(traj.states[j])[1:] for j in (k - 1, k, k + 1)}
         (uprev, _), (uc, qc), (unext, _) = hats.values()
-        # A u = omega u - (omega - Laplacian) phi, with phi_hat = u_hat - q G_omega_hat
+        # A u = -|xi|^2 u_hat + q delta_hat
         resid = (unext - uprev) / (2.0 * dt)
-        resid -= model.omega * uc - (model.omega + model.xi2) * (uc - qc * model.green_omega_hat)
+        resid += model.xi2 * uc
         resid -= _forcing_hat(model, uc, qc, cfg, work, work.spec)
-        if traj.rho.size:
-            resid += traj.rho[k] * model.psi_hat
+        rho = traj.rho[k] if traj.rho.size else 0.0
+        resid -= model._rank_one(qc - rho * model.psi_bins)
         unorm = model.l2_hat(uc)
         if unorm > 0:
             worst = max(worst, model.l2_hat(resid) / unorm)

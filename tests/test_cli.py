@@ -483,6 +483,9 @@ def test_runtime_dependency_is_numpy_alone():
 
     assert names(meta["dependencies"]) == ["numpy"]
     assert "scipy" in names(meta["optional-dependencies"]["test"])
+    # fields._rfft2 and _irfft2 pass out= to numpy.fft, a keyword of numpy 2.0 on
+    floor = re.search(r">=\s*(\d+)\.(\d+)", meta["dependencies"][0])
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)
 
 
 def test_spectral_rejects_alpha_without_normal_eigenvalue(capsys):
@@ -576,6 +579,21 @@ def test_real_csv_keeps_zero_im_column(tmp_path):
         text = (tmp_path / name).read_text()
         assert text == ref.getvalue()
         assert all(row.endswith(",0.0000000000000000e+00") for row in text.split("\n")[1:-1])
+
+
+def test_resolve_prints_the_small_lambda_limit(tmp_path, capsys):
+    # `pideq resolve --lambda 1e-30` prints ||R(0) g||, the limit the norm
+    # has reached by then (it once printed 4.4e13); at 1e-9 the default
+    # datum's norm is within 3e-6 of it
+    from pideq import AlphaParams, krein_resolvent, lp_norm
+
+    g = gaussian_field(Grid(40.0, 64), sigma=2.0, amplitude=1.0)
+    params = AlphaParams.for_alpha(0.0, 2)
+    assert main(["--out", str(tmp_path), "resolve", "--lambda", "1e-30", "--grid-n", "64"]) == 0
+    printed = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+    limit = lp_norm(krein_resolvent(1e-300, g, params), 2)
+    assert abs(float(printed["output_l2"]) - limit) <= 1e-14 * limit
+    assert abs(lp_norm(krein_resolvent(1e-9, g, params), 2) - limit) <= 1e-5 * limit
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,10 @@ class _FullLattice:
     def project(self, ghat):
         return ghat - self.wlat * np.vdot(self.psi_hat, ghat) * self.psi_hat
 
+    def resolvent(self, lam, ghat):
+        """R(lambda) g's full transform in the direct Sherman-Morrison form."""
+        return ghat / (lam + self.xi2) + self.rank_one([lam], [1.0], ghat)
+
     def rank_one(self, nodes, weights, ghat):
         """sum_k w_k <g, G_{conj lambda_k}>/D(lambda_k) G_{lambda_k}, node by node."""
         out = np.zeros_like(ghat, dtype=np.complex128)
@@ -145,6 +149,82 @@ def test_resolvent_errors(params, smooth_datum):
     for bad in (math.nan, math.inf, -math.inf, complex(1.0, math.inf), complex(math.nan, 1.0)):
         with pytest.raises(ValueError, match="lambda must be finite"):
             krein_resolvent(bad, smooth_datum, params)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, 0.2])
+def test_rank_one_profiles_give_psi_and_green_omega(alpha, grid128):
+    # delta_hat is the model's one rank-one lattice array: psi_hat and
+    # G_omega_hat are delta_hat times their bin profiles, psi_hat within
+    # 3.3e-16 of the transform of psi's samples; given out, the product is
+    # written there
+    model = grid_model(AlphaParams.for_alpha(alpha, 2), grid128)
+    psi_hat = np.fft.rfft2(model.psi_values)
+    assert np.abs(model._rank_one(model.psi_bins) - psi_hat).max() <= 1e-15 * np.abs(psi_hat).max()
+    green = model.delta_hat / (model.omega + model.xi2)
+    out = np.empty_like(green)
+    assert model._rank_one(model.green_bins, out) is out
+    assert np.abs(out - green).max() <= 1e-15 * np.abs(green).max()
+
+
+SMALL_LAMBDA_GRID = Grid(40.0, 64)
+
+
+def _small_lambda_case(alpha):
+    """(params, g) of the lambda -> 0+ checks: a sigma = 2 Gaussian at (1, 0.5) on Grid(40, 64)."""
+    params = AlphaParams.for_alpha(alpha, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # at alpha = -0.1, 1/sqrt(E) < h
+        grid_model(params, SMALL_LAMBDA_GRID)
+    return params, gaussian_field(SMALL_LAMBDA_GRID, sigma=2.0, center=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, 0.2])
+def test_resolvent_tends_to_its_limit_as_lambda_goes_to_zero(alpha):
+    # At finite alpha 0 is no lattice eigenvalue, so ||R(lambda) g|| rises
+    # monotonically to ||R(0) g|| as lambda = 10^-k -> 0+.  The k = 0 bin's
+    # free term g_0 / lambda and its cancellation are summed in closed form,
+    # so nothing leaves the doubles down to 1e-300 and the norms settle on
+    # the limit (the direct form read 4.4e13 at 1e-30 and 7.1e132 at 1e-149
+    # at alpha = 0).  The limit matches the direct form's quadratic
+    # extrapolation 3 N(lambda) - 3 N(2 lambda) + N(3 lambda) to lambda = 0
+    # from 1e-7, where the direct form still holds its digits (1.2e-10
+    # apart at most).
+    params, g = _small_lambda_case(alpha)
+    with np.errstate(all="raise"):
+        norms = [lp_norm(krein_resolvent(10.0 ** -k, g, params), 2) for k in range(2, 301)]
+    limit = norms[-1]
+    assert np.diff(norms).min() >= -1e-15 * limit
+    assert max(abs(v - limit) for v in norms[18:]) <= 1e-15 * limit  # lambda <= 1e-20
+    ref = _FullLattice(params, g.grid)
+    gfull = np.fft.fft2(g.values)
+    n1, n2, n3 = (lp_norm(Field(g.grid, np.fft.ifft2(ref.resolvent(lam, gfull)).real), 2)
+                  for lam in (1e-7, 2e-7, 3e-7))
+    assert abs(3.0 * n1 - 3.0 * n2 + n3 - limit) <= 1e-9 * limit
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, 0.2])
+def test_resolvent_matches_the_direct_form_down_to_small_lambda(alpha):
+    # where the direct Sherman-Morrison form still holds its digits the
+    # closed k = 0 bin changes nothing but rounding (8e-15 at most measured)
+    params, g = _small_lambda_case(alpha)
+    ref = _FullLattice(params, g.grid)
+    gfull = np.fft.fft2(g.values)
+    for lam in (1.0, 1e-2, 1e-3, 1e-4):
+        direct = Field(g.grid, np.fft.ifft2(ref.resolvent(lam, gfull)).real)
+        assert lp_norm(krein_resolvent(lam, g, params) - direct, 2) <= 1e-13 * lp_norm(direct, 2)
+
+
+def test_free_resolvent_keeps_its_small_lambda_floor():
+    # at alpha = +inf R(lambda) g is the free resolvent, whose k = 0 term
+    # g_0 / lambda is the true value: it stays, and a real lambda nearer 0
+    # than about rho_max / ROW_RANGE (3.9e-150 here) is rejected
+    g = gaussian_field(SMALL_LAMBDA_GRID, sigma=2.0, center=(1.0, 0.5))
+    gfull = np.fft.fft2(g.values)
+    for lam in (1e-4, 1e-30, 1e-140):
+        expect = Field(g.grid, np.fft.ifft2(gfull / (lam + g.grid.wavenumber_sq())).real)
+        assert lp_norm(krein_resolvent(lam, g, FREE) - expect, 2) <= 1e-15 * lp_norm(expect, 2)
+    with pytest.raises(ValueError, match="lies within 3.86e-150 of the spectrum"):
+        krein_resolvent(1e-200, g, FREE)
 
 
 def test_resolvent_free_laplacian_limit(grid128, smooth_datum):

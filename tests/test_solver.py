@@ -49,10 +49,15 @@ from pideq.semigroup import Flow, grid_model
 from pideq.spectral import _green_gradient
 
 
+def _green_omega_hat(model):
+    """G_omega_hat = delta_hat green_bins[bin], the grid model's one rank-one product."""
+    return model._rank_one(model.green_bins)
+
+
 def _split(model, uhat):
     """(phi_hat, q) of u's half spectrum, q read off the coupling: the explicit split."""
     q = model.coupling_coefficient(uhat)
-    return uhat - q * model.green_omega_hat, q
+    return uhat - q * _green_omega_hat(model), q
 
 
 def small_state(grid, params, amplitude=0.01):
@@ -315,7 +320,7 @@ def test_lagrange_multiplier_zero_cases(params, grid128):
 
 
 def test_rho_is_the_real_space_pairing(params, grid128):
-    # rho pairs the forcing's half spectrum with psi_hat; by Parseval it is
+    # rho reads <F, psi> off the forcing's half spectrum; by Parseval it is
     # the real-space sum of the forcing's samples times psi's, cell area h^2
     psi = psi_alpha_field(params, grid128).values
 
@@ -705,7 +710,7 @@ def _residual_real_space(traj, cfg, t_min=0.0):
             continue
         uc, qc = totals[k]
         du = (totals[k + 1][0] - totals[k - 1][0]) / (2.0 * dt)
-        au = model.omega * uc - (model.omega + model.xi2) * (uc - qc * model.green_omega_hat)
+        au = model.omega * uc - (model.omega + model.xi2) * (uc - qc * _green_omega_hat(model))
         resid = _irfft2(du - au) - nonlinearity(traj.states[k], cfg).values
         if traj.rho.size:
             resid = resid + traj.rho[k] * psi
@@ -783,7 +788,7 @@ def test_drift_parts_give_the_direct_kernel(params, grid128, a):
     kernel = a[0] * d1 + a[1] * d2
     gx, gy = _green_gradient(reference_lambda(params), grid128)
     closed = a[0] * gx + a[1] * gy
-    direct = _irfft2(kernel * uhat) + q * (closed - _irfft2(kernel * model.green_omega_hat))
+    direct = _irfft2(kernel * uhat) + q * (closed - _irfft2(kernel * _green_omega_hat(model)))
     got = _drift(model, a, uhat, q)
     if a == (0.0, 0.0):
         assert not np.any(got) and not np.any(direct)
@@ -853,7 +858,7 @@ def test_stored_states_domain_compatible(params, grid128):
     cfg = SolverConfig(gamma=2.0, a=(1.0, 0.0), T=0.2, dt=0.02, window=0.1)
     for traj in (solve_local(u0, cfg), solve_global_projected(u0, cfg)):
         for st in traj.states:
-            total = np.fft.rfft2(st.regular.values.real) + st.coeff * model.green_omega_hat
+            total = np.fft.rfft2(st.regular.values.real) + st.coeff * _green_omega_hat(model)
             assert abs(model.coupling_coefficient(total) - st.coeff) <= 1e-13 * abs(st.coeff)
 
 
@@ -874,7 +879,7 @@ def test_h1_proxy_form_matches_explicit_split(params, grid128):
     # that is nearly all kernel, and a small difference of two states
     model = grid_model(params, grid128)
     noise, _ = _state(_random_state(grid128, params, 25))[1:]
-    near = 3.0 * model.green_omega_hat + 1e-3 * noise
+    near = 3.0 * _green_omega_hat(model) + 1e-3 * noise
     a, _ = _state(_random_state(grid128, params, 26, q=0.3))[1:]
     b = a + 1e-7 * noise
     for uhat in (_state(_random_state(grid128, params, 24, q=0.3))[1], near, a - b):

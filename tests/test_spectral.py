@@ -316,7 +316,7 @@ def test_projection_free_laplacian_alpha_inf(grid128):
         warnings.simplefilter("error")
         model = PointHeatModel(pinf, grid128)
     assert (model.E, model.S_at_E, model.omega) == (0.0, 1.0, 1.0)
-    for zero in (model.delta_hat, model.psi_hat, model.psi_bins, model.green_omega_hat):
+    for zero in (model.delta_hat, model.psi_bins, model._rank_one(model.green_bins)):
         assert not np.any(zero)
 
 

@@ -1,7 +1,8 @@
 """Work guards: the exact number of flow steps, forcings, coupling reads
 and transforms one small global solve and one linear decay fit perform, the
-memory one marched step and one residual check allocate, the psi samples no
-solve builds, and the one module that transforms.
+memory one marched step and one residual check allocate and one grid model
+retains, the psi samples no solve builds, and the one module that
+transforms.
 
 A change that adds work per step moves these counts; it must re-pin them in
 the same change and say why.
@@ -30,7 +31,8 @@ from pideq.semigroup import Flow, PointHeatModel, grid_model
 # and the driver keeps it beside each of the 3 stored states.  A forcing is
 # two irfft2 and one rfft2.  The rest are the datum's rfft2 and, per stored
 # state, one irfft2 for its phi and, for rho, one forcing transform of the
-# held half spectrum, paired with psi_hat: 247 forcings in all.
+# held half spectrum, whose <F, psi> is read off its bin pairing: 247
+# forcings in all.
 EXPECTED = {
     "Flow.apply": 294,
     "_forcing_hat": 247,
@@ -102,8 +104,9 @@ def test_unforced_global_solve_takes_no_forcing(monkeypatch):
 
 
 def test_global_solve_samples_no_psi():
-    # rho pairs the forcing's transform with psi_hat, so a solve never builds
-    # the model's psi samples; the grid is one no other test builds
+    # rho reads <F, psi> off the forcing transform's bin pairing, so a solve
+    # never builds the model's psi samples; the grid is one no other test
+    # builds
     grid = Grid(38.0, 64)
     params = AlphaParams.for_alpha(0.0, 2)
     u0 = DecomposedField.from_field(gaussian_field(grid, sigma=1.5, amplitude=0.02), params)
@@ -132,6 +135,29 @@ def test_residual_check_memory_is_flat_in_the_stored_states():
         tracemalloc.stop()
     half_spectrum = 128 * 65 * 16
     assert peak < 20 * half_spectrum
+
+
+MODEL_BYTES = 946_900
+"""Bytes a grid model on ``Grid(40, 128)`` retains with its drift parts and H^1 kernel."""
+
+
+def test_grid_model_memory_is_pinned():
+    # Traced with tracemalloc: the half-spectrum arrays xi2, bin_index,
+    # delta_hat (the one complex rank-one array) and its two pairing planes,
+    # the drift corrections (two real n x n), the H^1 kernel (a real and a
+    # complex half spectrum) and the bin profiles.  psi_hat and G_omega_hat
+    # are delta_hat times bin profiles, formed where used; caching them as
+    # well read 1,200,256 bytes.  Any further cached lattice array (66.6 kB
+    # for a real half spectrum here) moves the count past its 5 % band.
+    params = AlphaParams.for_alpha(0.0, 2)
+    tracemalloc.start()
+    try:
+        model = PointHeatModel(params, Grid(40.0, 128))
+        model.drift_parts, model.h1_kernel
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert abs(retained - MODEL_BYTES) <= 0.05 * MODEL_BYTES, retained
 
 
 def test_linear_fit_work(monkeypatch):
