@@ -221,9 +221,8 @@ def cmd_simulate(args):
     manifest = out / "trajectory.csv"
     with open(manifest, "w", newline="\n") as fh:
         fh.write("t,l2,l4,grad_l32,q_abs,rho\n")
-        for k, (t, st) in enumerate(zip(t0 + traj.times, traj.states)):
+        for k, (t, st, rho) in enumerate(zip(t0 + traj.times, traj.states, traj.rho)):
             u, grad = state_fields(st)
-            rho = traj.rho[k] if traj.rho.size else 0.0
             row = (t, lp_norm(u, 2), lp_norm(u, 4), lp_norm(grad, 1.5), abs(st.coeff), rho)
             fh.write(",".join(map(_sci, row)) + "\n")
             if args.snapshots:

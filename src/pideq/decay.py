@@ -267,21 +267,22 @@ def run_nonlinear_decay(traj, h1, h2):
     Theoretical exponents -1 + 1/h1, -3/2 + 1/h2 and -1 (upper-bound rates;
     generic data decay at least this fast, so the measured slopes sit at or
     below them).  Requires an admissible (h1, h2) pair, t_max >= 20 and a
-    rho that is not identically 0 on the fitted times t >= 1; a rho that is
-    exactly 0 at some fitted time raises :func:`fit_rate`'s ValueError, as
-    its logarithm does not exist.
+    rho, one value per stored time as a :class:`pideq.solver.Trajectory`
+    holds it, that is not identically 0 on the fitted times t >= 1: an
+    unprojected solve's rho is 0, so only a projected one with drift and a
+    finite alpha has a rate.  A rho that is exactly 0 at some fitted time
+    raises :func:`fit_rate`'s ValueError, as its logarithm does not exist.
     """
     if admissible_exponents(h1, h2) is None:
         raise ValueError(f"(h1, h2) = ({h1}, {h2}) is not admissible")
     if traj.times[-1] < 20.0:
         raise ValueError("nonlinear decay needs a trajectory reaching t >= 20")
-    if traj.rho.size == 0:
-        raise ValueError("nonlinear decay needs a projected trajectory with rho")
     mask = traj.times >= 1.0
-    if not np.any(traj.rho[mask]):
+    if traj.rho.shape != mask.shape or not np.any(traj.rho[mask]):
         raise ValueError(
-            "nonlinear decay: rho is identically 0 (no drift, or alpha = +inf, which has "
-            "no eigenmode), so it has no decay rate"
+            "nonlinear decay: rho is identically 0 (an unprojected solve, no drift, or "
+            "alpha = +inf, which has no eigenmode) or not one value per stored time, so it "
+            "has no decay rate"
         )
     u_samples, g_samples, r_samples = [], [], []
     for keep, t, st, rho in zip(mask, traj.times, traj.states, traj.rho):

@@ -172,18 +172,21 @@ class SolverConfig:
 class Trajectory:
     """Sampled solution: times, decomposed states, and the multiplier rho.
 
-    A local solve stores every step; a global solve stores t = 0, every
-    window end and T.  ``rho`` is empty for unprojected runs.
-    ``diagnostics`` carries the measured ``contraction_ratios``, the
-    ``iterations`` (the one window's count for a local solve, one per
-    window for a global one) and, for a global solve, ``ortho_max``: the
-    largest eigenmode component |<u, psi>| of a window's end state.  A
-    probe's ratios are e_k / e_(k-1), k = 1 .. ``PROBE_ITERATES``, where
-    e_k is the largest H^1 proxy of the k-th Picard iterate's distance to
-    the march over the window (e_0 the linear evolution's); a zero e_(k-1)
-    gives no ratio.  Its iteration count is the first k with e_k within
-    ``picard_tol``, past the last iterate the contraction-mapping estimate
-    e_K r^(k-K) with r the last ratio; a marched window counts 0.
+    Both solves return this one record.  A local solve stores every step; a
+    global solve stores t = 0, every window end and T.  ``rho`` holds one
+    value per stored state: <F, psi> for a projected solve, and 0.0 for an
+    unprojected one, which has no P_ac constraint and so no multiplier.
+    ``diagnostics`` holds three keys: ``iterations``, a list with one entry
+    per window (a local solve is one window); ``contraction_ratios``, every
+    probe's ratios in order; and ``ortho_max``, the largest eigenmode
+    component |<u, psi>| of a window's end state (a local solve's is
+    |<u_T, psi>|).  A probe's ratios are e_k / e_(k-1),
+    k = 1 .. ``PROBE_ITERATES``, where e_k is the largest H^1 proxy of the
+    k-th Picard iterate's distance to the march over the window (e_0 the
+    linear evolution's); a zero e_(k-1) gives no ratio.  Its iteration
+    count is the first k with e_k within ``picard_tol``, past the last
+    iterate the contraction-mapping estimate e_K r^(k-K) with r the last
+    ratio; a marched window counts 0.
     """
 
     times: np.ndarray
@@ -482,17 +485,16 @@ def _solve(u0, cfg, projected):
     for a marched one.  One storage rule: t = 0 and every window end (T last) are stored, and
     a local solve, being one window, stores every step.  At the end a
     projected solve first pairs each stored state's forcing transform with
-    psi for rho (empty otherwise); then the flow and the work are
-    released, and the stored states are made into :class:`DecomposedField`
-    states (float64 phi) one at a time, each phi formed in its own half
-    spectrum.  a = 0 is decided here once: the sweeps get no forcing and
-    rho is 0.  ``cfg`` is only read.  The solve owns one :class:`_Work`,
-    and a march's one array becomes its end state.  A global solve's probe
-    keeps its end state alone.  An iterate that leaves the double range raises
-    :class:`HorizonTooLargeError` naming its window.  The diagnostics hold
-    the iterations, all windows' ratios and, for a projected solve, ``ortho_max``: the largest
-    |<u, psi>| of a window's end state.  An unprojected solve is local, one
-    window, so its iterations are that window's count.
+    psi for rho; an unprojected one stores 0.0 per state.  Then the flow
+    and the work are released, and the stored states are made into
+    :class:`DecomposedField` states (float64 phi) one at a time, each phi
+    formed in its own half spectrum.  a = 0 is decided here once: the
+    sweeps get no forcing and rho is 0.  ``cfg`` is only read.  The solve
+    owns one :class:`_Work`, and a march's one array becomes its end
+    state.  A global solve's probe keeps its end state alone.  An iterate
+    that leaves the double range raises :class:`HorizonTooLargeError`
+    naming its window.  Both solves return the one :class:`Trajectory`
+    record: rho one value per state and the diagnostics' three keys.
     """
     model = grid_model(u0.params, u0.regular.grid)
     total_steps = steps_per_window = _whole_steps(cfg.T, cfg.dt, "T")
@@ -561,8 +563,8 @@ def _solve(u0, cfg, projected):
     # state is made; each half spectrum becomes its phi in place and is
     # dropped as its state is made, so the stored half spectra and the
     # states are never all alive at once
-    rho = [0.0 if force is None else model._psi_coefficient(force(u, q))
-           for u, q in (stored if projected else ())]
+    pair = projected and force is not None
+    rho = [model._psi_coefficient(force(u, q)) if pair else 0.0 for u, q in stored]
     del flow, work, force
     stored.reverse()
     states = []
@@ -571,9 +573,7 @@ def _solve(u0, cfg, projected):
         uhat -= model._rank_one(q * model.green_bins)
         phi = Field(model.grid, _irfft2(uhat, work=uhat))
         states.append(DecomposedField(phi, float(q), model.params))
-    diag = {"iterations": iterations if projected else iterations[0], "contraction_ratios": ratios}
-    if projected:
-        diag["ortho_max"] = ortho_max
+    diag = {"iterations": iterations, "contraction_ratios": ratios, "ortho_max": ortho_max}
     return Trajectory(np.array(times), states, np.array(rho), diag)
 
 
@@ -584,8 +584,11 @@ def solve_local(u0, cfg):
     projection, with one window of length T and every step stored: the
     whole horizon is one probed window, whose states are the march from u0
     and whose Picard iterates start from the linear evolution of u0
-    (``cfg.window`` is not read).  Raises :class:`HorizonTooLargeError`
-    when the iterates fail to contract.
+    (``cfg.window`` is not read).  Its :class:`Trajectory` has the global
+    solve's shape: rho is 0.0 at every stored time, as nothing is
+    projected, ``diagnostics["iterations"]`` is the one window's count as
+    a one-entry list and ``ortho_max`` is |<u_T, psi>|.  Raises
+    :class:`HorizonTooLargeError` when the iterates fail to contract.
     """
     return _solve(u0, cfg, projected=False)
 
@@ -609,7 +612,8 @@ def solve_global_projected(u0, cfg):
     ``cfg.picard_tol``) or leaves the double range raises
     :class:`DataTooLargeError`.  ``diagnostics["iterations"]`` holds
     one entry per window: the probe's iterate count, or 0 for a marched
-    window.
+    window; ``ortho_max`` is the largest |<u, psi>| of a window's end
+    state (see :class:`Trajectory`).
     """
     try:
         return _solve(u0, cfg, projected=True)
@@ -666,8 +670,7 @@ def residual_check(traj, cfg, t_min=0.0):
         resid = (unext - uprev) / (2.0 * dt)
         resid += model.xi2 * uc
         resid -= _forcing_hat(model, uc, qc, cfg, work, work.spec)
-        rho = traj.rho[k] if traj.rho.size else 0.0
-        resid -= model._rank_one(qc - rho * model.psi_bins)
+        resid -= model._rank_one(qc - traj.rho[k] * model.psi_bins)
         unorm = model.l2_hat(uc)
         if unorm > 0:
             worst = max(worst, model.l2_hat(resid) / unorm)

@@ -141,13 +141,21 @@ def green_field(lam, grid):
 
 
 def _distinct_radii(grid):
-    """(r, index): the distinct node radii of the grid and each node's index into r.
+    """(r, index): the distinct node radii of the grid, increasing, and each node's index into r.
 
-    The Bessel kernels are evaluated once per distinct radius (5487 of the
-    65536 nodes at n = 256) and gathered back onto the grid.
+    A node's coordinates are odd multiples of h/2, (h/2)(a, b), so
+    r = (h/2) sqrt(a^2 + b^2) with a^2 + b^2 = 2 (mod 8): the integer key
+    (a^2 + b^2) // 8 names each radius once.  A presence table over the
+    keys gives the distinct radii and, by its running count, each node's
+    index, with no float sort.  The Bessel kernels are evaluated once per
+    distinct radius (5473 of the 65536 nodes at n = 256) and gathered back
+    onto the grid.
     """
-    r, index = np.unique(grid.radius(), return_inverse=True)
-    return r, index.reshape(grid.n, grid.n)
+    odd = np.arange(1 - grid.n, grid.n, 2) ** 2
+    key = (odd[:, None] + odd[None, :]) // 8
+    present = np.bincount(key.ravel()) > 0
+    r = 0.5 * grid.spacing * np.sqrt(8.0 * np.flatnonzero(present) + 2.0)
+    return r, (np.cumsum(present) - 1)[key]
 
 
 def _green_gradient(lam, grid):

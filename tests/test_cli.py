@@ -12,9 +12,19 @@ import numpy as np
 import pytest
 
 import pideq
-from pideq import Grid, gaussian_field, save_field
+from pideq import (
+    AlphaParams,
+    Grid,
+    SolverConfig,
+    gaussian_field,
+    lp_norm,
+    save_field,
+    solve_global_projected,
+    solve_local,
+    state_fields,
+)
 from pideq import verify as verify_mod
-from pideq.cli import _read_u0, main, read_config
+from pideq.cli import DEMO_U0, _read_u0, main, read_config
 
 
 def test_config_grammar(tmp_path):
@@ -295,6 +305,26 @@ def test_simulate_unprojected(tmp_path):
     assert all(row[5] == 0.0 for row in local)
     # P_ac removes the datum's nonzero eigencomponent, so the projected start is smaller
     assert local[0][1] > projected[0][1]
+
+
+@pytest.mark.parametrize("flags", [(), ("--unprojected",)])
+def test_simulate_writes_the_solve_record(tmp_path, flags):
+    # trajectory.csv is the solve's record, one full-precision row per
+    # stored state; the unprojected rho column is the record's 0.0, the
+    # bytes written when a local solve's rho was empty
+    argv = ["--out", str(tmp_path), "simulate", "--grid-n", "64", "--T", "0.2", "--dt", "0.02"]
+    assert main(argv + list(flags)) == 0
+    u0, _ = _read_u0(DEMO_U0, Grid(40.0, 64), AlphaParams(0.0))
+    solve = solve_local if flags else solve_global_projected
+    traj = solve(u0, SolverConfig(T=0.2, dt=0.02))
+    lines = ["t,l2,l4,grad_l32,q_abs,rho"]
+    for t, st, rho in zip(traj.times, traj.states, traj.rho):
+        u, grad = state_fields(st)
+        row = (t, lp_norm(u, 2), lp_norm(u, 4), lp_norm(grad, 1.5), abs(st.coeff), rho)
+        lines.append(",".join(f"{x:.16e}" for x in row))
+    assert (tmp_path / "trajectory.csv").read_text() == "\n".join(lines) + "\n"
+    assert len(lines) == (12 if flags else 3)
+    assert all(line.endswith(",0.0000000000000000e+00") == bool(flags) for line in lines[1:])
 
 
 def test_config_flag_precedence(tmp_path, capsys):

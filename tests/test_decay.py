@@ -24,6 +24,7 @@ from pideq import (
     semigroup_gradient_pac,
     semigroup_pac,
     solve_global_projected,
+    solve_local,
     verify_convolution_lemma,
 )
 from pideq import decay
@@ -268,8 +269,9 @@ def test_nonlinear_decay_validation(params, grid128):
 
 
 def test_nonlinear_decay_rejects_its_inputs():
-    # an inadmissible (h1, h2), a trajectory that ends before t = 20 and a
-    # local trajectory, which has no rho, are each refused before any fit
+    # an inadmissible (h1, h2), a trajectory that ends before t = 20, a
+    # hand-built one with no rho and a local one, whose rho is 0 as it has
+    # no multiplier, are each refused before any fit
     assert admissible_exponents(2.0, 1.2) is None
     state = DecomposedField.from_field(gaussian_field(Grid(10.0, 16)), AlphaParams(0.0))
 
@@ -281,8 +283,14 @@ def test_nonlinear_decay_rejects_its_inputs():
         run_nonlinear_decay(traj(20.0, np.ones(11)), h1=2.0, h2=1.2)
     with pytest.raises(ValueError, match="needs a trajectory reaching t >= 20"):
         run_nonlinear_decay(traj(19.9, np.ones(11)), h1=4.0, h2=1.5)
-    with pytest.raises(ValueError, match="needs a projected trajectory with rho"):
+    with pytest.raises(ValueError, match="rho is identically 0 .*not one value per stored time"):
         run_nonlinear_decay(traj(20.0, []), h1=4.0, h2=1.5)
+    small = gaussian_field(Grid(10.0, 16), amplitude=0.01)
+    small = DecomposedField.from_field(small, AlphaParams(0.2))
+    local = solve_local(small, SolverConfig(T=20.0, dt=0.5))
+    assert local.rho.shape == (41,) and not np.any(local.rho)
+    with pytest.raises(ValueError, match=r"rho is identically 0 \(an unprojected solve"):
+        run_nonlinear_decay(local, h1=4.0, h2=1.5)
 
 
 def test_nonlinear_decay_refuses_a_zero_rho_at_one_time(monkeypatch):

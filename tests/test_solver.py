@@ -266,7 +266,7 @@ def test_solve_local_linear_flow(params, grid128):
     u0 = small_state(grid128, params)
     cfg = SolverConfig(gamma=2.0, a=(0.0, 0.0), T=0.2, dt=0.02)
     traj = solve_local(u0, cfg)
-    assert traj.diagnostics["iterations"] == 0
+    assert traj.diagnostics["iterations"] == [0]
     model = grid_model(params, grid128)
     flow = Flow(model, 0.2, full=True, contour=ContourSpec.for_time(params, 0.2))
     direct = Field(grid128, _irfft2(flow.apply(_state(u0)[1])))
@@ -418,7 +418,7 @@ def test_probe_count_is_measured_then_estimated(params):
         solve_local(u0, SolverConfig(T=0.2, dt=0.02, picard_tol=tol)).diagnostics["iterations"]
         for tol in (1e-3, 1e-6, 1e-9, 1e-12, 1e-20, 1e-40)
     ]
-    assert counts == [0, 1, 2, 3, 5, 11]
+    assert counts == [[0], [1], [2], [3], [5], [11]]
     with pytest.raises(ConvergenceError, match="PICARD_MAX = 25 iterates") as exc:
         solve_local(u0, SolverConfig(T=0.2, dt=0.02, picard_tol=1e-300))
     assert not isinstance(exc.value, HorizonTooLargeError)
@@ -542,7 +542,8 @@ def test_storage_rule_has_no_setting():
 
 def test_global_solve_reports_ortho_max(params):
     # the largest |<u, psi>| of a window's end state stays within criterion
-    # 10's bound 1e-6 ||u0||_2; a local solve does not project and has none
+    # 10's bound 1e-6 ||u0||_2; a local solve does not project, and its one
+    # window's end state carries the eigenmode it reports
     grid = Grid(40.0, 64)
     u0 = DecomposedField.from_field(
         gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
@@ -552,7 +553,8 @@ def test_global_solve_reports_ortho_max(params):
     ortho = traj.diagnostics["ortho_max"]
     assert math.isfinite(ortho) and ortho <= 1e-6 * lp_norm(total_field(u0), 2)
     local = solve_local(u0, SolverConfig(T=0.1, dt=0.02))
-    assert "ortho_max" not in local.diagnostics
+    expect = abs(inner_product(total_field(local.states[-1]), psi_alpha_field(params, grid)))
+    assert abs(local.diagnostics["ortho_max"] - expect) <= 1e-12 * expect
 
 
 def test_global_march_reprobes_growing_data(params):
@@ -712,8 +714,7 @@ def _residual_real_space(traj, cfg, t_min=0.0):
         du = (totals[k + 1][0] - totals[k - 1][0]) / (2.0 * dt)
         au = model.omega * uc - (model.omega + model.xi2) * (uc - qc * _green_omega_hat(model))
         resid = _irfft2(du - au) - nonlinearity(traj.states[k], cfg).values
-        if traj.rho.size:
-            resid = resid + traj.rho[k] * psi
+        resid = resid + traj.rho[k] * psi
         unorm = lp_norm(Field(grid, _irfft2(uc)), 2)
         worst = max(worst, lp_norm(Field(grid, resid), 2) / unorm)
     return worst
@@ -733,6 +734,50 @@ def test_residual_matches_real_space_formula(params):
         traj = solve(u0, cfg)
         got, expect = residual_check(traj, cfg, t_min), _residual_real_space(traj, cfg, t_min)
         assert expect > 0 and abs(got - expect) <= 1e-12 * expect
+
+
+def _two_solves(params):
+    """(local, global, cfg): both solves of one off-centre datum on Grid(40, 64), T = 0.1."""
+    grid = Grid(40.0, 64)
+    u0 = DecomposedField.from_field(
+        gaussian_field(grid, sigma=1.5, amplitude=0.02, center=(1.0, 0.5)), params
+    )
+    cfg = SolverConfig(a=(1.0, 0.4), T=0.1, dt=0.01, window=0.05)
+    return solve_local(u0, cfg), solve_global_projected(u0, cfg), cfg
+
+
+def test_both_solves_return_one_record(params):
+    # one Trajectory shape: rho holds one value per stored state, 0.0 for
+    # the local solve, which projects nothing and so has no multiplier, and
+    # the diagnostics hold three keys, iterations a list with one entry per
+    # window
+    local, glob, _ = _two_solves(params)
+    for traj, windows in ((local, 1), (glob, 2)):
+        assert set(traj.diagnostics) == {"iterations", "contraction_ratios", "ortho_max"}
+        assert type(traj.diagnostics["iterations"]) is list
+        assert len(traj.diagnostics["iterations"]) == windows
+        assert traj.rho.shape == (len(traj.states),) and traj.rho.dtype == np.float64
+    assert np.array_equal(local.rho, np.zeros(len(local.states)))
+    assert np.all(glob.rho != 0.0)
+
+
+def test_residual_check_reads_rho_as_the_two_shape_record_did(params):
+    # residual_check's arithmetic with rho read as it was when a local
+    # solve's rho was empty (0.0 substituted) and a global one's held a
+    # value per state: the same residual, bit for bit
+    local, glob, cfg = _two_solves(params)
+    for traj, rhos in ((local, [0.0] * len(local.states)), (glob, glob.rho)):
+        model = grid_model(params, traj.states[0].regular.grid)
+        hats = [_state(st)[1:] for st in traj.states]
+        dt, worst = traj.times[1] - traj.times[0], 0.0
+        for k in range(1, len(hats) - 1):
+            (uprev, _), (uc, qc), (unext, _) = hats[k - 1:k + 2]
+            resid = (unext - uprev) / (2.0 * dt)
+            resid += model.xi2 * uc
+            resid -= _forcing_hat(model, uc, qc, cfg)
+            resid -= model._rank_one(qc - rhos[k] * model.psi_bins)
+            worst = max(worst, model.l2_hat(resid) / model.l2_hat(uc))
+        assert worst > 0 and residual_check(traj, cfg) == worst
 
 
 def _random_state(grid, params, seed, q=0.0):
